@@ -1,48 +1,18 @@
-"""Hot numerical kernels: numba-compiled with a pure-Python/numpy fallback.
+"""Hot numerical kernels: the two fixed-step RK4 oracles and the quartic roots.
 
-The two fixed-step RK4 integrators (classical mean field, covariance
-relaxation) dominate runtime; they are compiled with numba's @njit when
-available.  Set the environment variable LEVRING_NO_NUMBA=1 to force the
-uncompiled fallback path (same source for the scalar kernels, a
-numpy-vectorised routine for the covariance integrator).
-
-``benchmarks/bench_kernels.py`` compares both paths.
+``mean_field_chunk`` steps the classical mean field, ``cov_rk4`` relaxes
+the covariance by doubling the exact RK4 step map, and ``durand_kerner``
+finds the roots of the characteristic quartic.
 """
-import os
-
 import numpy as np
 
-__all__ = [
-    "JIT_ENABLED", "mean_field_chunk", "cov_rk4", "cov_rk4_dense",
-    "durand_kerner",
-]
+__all__ = ["JIT_ENABLED", "mean_field_chunk", "cov_rk4", "durand_kerner"]
+
+JIT_ENABLED = False  # nothing is compiled; kept for levbench provenance
 
 
-def _jit_disabled_by_env() -> bool:
-    return os.environ.get("LEVRING_NO_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-
-try:
-    if _jit_disabled_by_env():
-        raise ImportError("numba disabled by LEVRING_NO_NUMBA")
-    from numba import njit
-
-    JIT_ENABLED = True
-except ImportError:
-    JIT_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
-                      delta0, g, E, A_q, c0, R):
+def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
+                     delta0, g, E, A_q, c0, R):
     """Advance the classical mean field by n_steps of fixed-step RK4.
 
     state = (x, p, re a, im a).  Returns the updated state plus window
@@ -144,101 +114,52 @@ def _mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     return out
 
 
-def _cov_rk4_loops(A, D, dt, max_steps, check_every, tol_abs):
+def cov_rk4(A, D, dt, max_steps, tol_abs):
     """Relax dV/dt = A V + V A^T + D from V = 0 by fixed-step RK4.
 
-    Stops once the Frobenius norm of dV/dt drops below tol_abs; returns
-    (V, steps_used, converged_flag).  Explicit 4x4 loops so numba emits
-    straight-line code.
+    One RK4 step is an exact affine map v -> T v + c on vec(V), with
+    M = dt (A (x) I + I (x) A),
+    T = I + M + M^2/2 + M^3/6 + M^4/24 and
+    c = dt (I + M/2 + M^2/6 + M^3/24) vec(D).
+    Doubling (c <- T c + c, T <- T^2; Smith, SIAM J. Appl. Math. 16,
+    1968) gives the state after 1, 2, 4, ... steps.  Stops at the first
+    of them whose Frobenius norm of dV/dt is at most tol_abs; otherwise
+    composes the remaining steps up to max_steps and checks once more.
+    Returns (V, steps_used, converged_flag).
     """
     n = A.shape[0]
-    V = np.zeros((n, n))
-    K1 = np.empty((n, n))
-    K2 = np.empty((n, n))
-    K3 = np.empty((n, n))
-    K4 = np.empty((n, n))
-    W = np.empty((n, n))
-    steps = 0
-    converged = False
-    while steps < max_steps:
-        limit = min(check_every, max_steps - steps)
-        for _ in range(limit):
-            for i in range(n):
-                for j in range(n):
-                    acc = D[i, j]
-                    for l in range(n):
-                        acc += A[i, l] * V[l, j] + V[i, l] * A[j, l]
-                    K1[i, j] = acc
-            for i in range(n):
-                for j in range(n):
-                    W[i, j] = V[i, j] + 0.5 * dt * K1[i, j]
-            for i in range(n):
-                for j in range(n):
-                    acc = D[i, j]
-                    for l in range(n):
-                        acc += A[i, l] * W[l, j] + W[i, l] * A[j, l]
-                    K2[i, j] = acc
-            for i in range(n):
-                for j in range(n):
-                    W[i, j] = V[i, j] + 0.5 * dt * K2[i, j]
-            for i in range(n):
-                for j in range(n):
-                    acc = D[i, j]
-                    for l in range(n):
-                        acc += A[i, l] * W[l, j] + W[i, l] * A[j, l]
-                    K3[i, j] = acc
-            for i in range(n):
-                for j in range(n):
-                    W[i, j] = V[i, j] + dt * K3[i, j]
-            for i in range(n):
-                for j in range(n):
-                    acc = D[i, j]
-                    for l in range(n):
-                        acc += A[i, l] * W[l, j] + W[i, l] * A[j, l]
-                    K4[i, j] = acc
-            for i in range(n):
-                for j in range(n):
-                    V[i, j] += dt / 6.0 * (K1[i, j] + 2.0 * K2[i, j]
-                                           + 2.0 * K3[i, j] + K4[i, j])
-            steps += 1
-        resid = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc = D[i, j]
-                for l in range(n):
-                    acc += A[i, l] * V[l, j] + V[i, l] * A[j, l]
-                resid += acc * acc
-        if np.sqrt(resid) <= tol_abs:
-            converged = True
-            break
-    return V, steps, converged
+    eye = np.eye(n)
+    M = dt * (np.kron(A, eye) + np.kron(eye, A))
+    M2 = M @ M
+    M3 = M2 @ M
+    T = np.eye(n * n) + M + M2 / 2.0 + M3 / 6.0 + M3 @ M / 24.0
+    d = D.reshape(-1)
+    c = dt * (d + M @ d / 2.0 + M2 @ d / 6.0 + M3 @ d / 24.0)
+
+    def settled(v):
+        V = v.reshape(n, n)
+        return bool(np.linalg.norm(A @ V + V @ A.T + D) <= tol_abs)
+
+    if max_steps < 1:
+        return np.zeros((n, n)), 0, False
+    maps = [(T, c)]     # maps[j] advances vec(V) by 2^j steps
+    steps = 1
+    while not settled(c):
+        if 2 * steps > max_steps:
+            # Powers of one affine map commute: add the rest bit by bit.
+            rest = max_steps - steps
+            for j, (Tj, cj) in enumerate(maps):
+                if rest >> j & 1:
+                    c = Tj @ c + cj
+            return c.reshape(n, n), max_steps, settled(c)
+        c = T @ c + c
+        T = T @ T
+        steps *= 2
+        maps.append((T, c))
+    return c.reshape(n, n), steps, True
 
 
-def cov_rk4_dense(A, D, dt, max_steps, check_every, tol_abs):
-    """Numpy-vectorised twin of the covariance RK4 kernel."""
-    V = np.zeros_like(A)
-    steps = 0
-    converged = False
-
-    def rhs(M):
-        return A @ M + M @ A.T + D
-
-    while steps < max_steps:
-        limit = min(check_every, max_steps - steps)
-        for _ in range(limit):
-            K1 = rhs(V)
-            K2 = rhs(V + 0.5 * dt * K1)
-            K3 = rhs(V + 0.5 * dt * K2)
-            K4 = rhs(V + dt * K3)
-            V = V + dt / 6.0 * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            steps += 1
-        if np.linalg.norm(rhs(V)) <= tol_abs:
-            converged = True
-            break
-    return V, steps, converged
-
-
-def _durand_kerner(coeffs, tol, max_iter):
+def durand_kerner(coeffs, tol, max_iter):
     """All roots of a monic polynomial by Durand-Kerner iteration.
 
     coeffs are the non-leading coefficients (c[0] x^(n-1) + ... + c[n-1])
@@ -275,13 +196,3 @@ def _durand_kerner(coeffs, tol, max_iter):
         if max_step < tol:
             break
     return roots, it
-
-
-if JIT_ENABLED:
-    mean_field_chunk = njit(cache=True)(_mean_field_chunk)
-    cov_rk4 = njit(cache=True)(_cov_rk4_loops)
-    durand_kerner = njit(cache=True)(_durand_kerner)
-else:
-    mean_field_chunk = _mean_field_chunk
-    cov_rk4 = cov_rk4_dense
-    durand_kerner = _durand_kerner

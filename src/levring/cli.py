@@ -26,7 +26,7 @@ from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError
 from .model import TORR_TO_PA, SystemConfig, derive_constants
-from .pipeline import map_ordered, solve_point
+from .pipeline import solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
                            scan_roots)
@@ -351,8 +351,7 @@ def cmd_stability_map(args) -> int:
     d0_grid = np.linspace(args.grid_min, args.grid_max, args.grid_n)
     p2_grid = np.linspace(args.p2_min, args.p2_max, args.p2_n)
 
-    def cell(pair):
-        d0_over_kappa, p2 = pair
+    def cell(d0_over_kappa, p2):
         if args.param2 == "c0_over_lambda":
             varied = dataclasses.replace(cfg_charge,
                                          ring_offset_c0=p2 * wavelength)
@@ -368,8 +367,7 @@ def cmd_stability_map(args) -> int:
             return (d0_over_kappa, p2, None, None, None, None,
                     f"{type(exc).__name__}: {exc}")
 
-    cells = [(d0, p2) for d0 in d0_grid for p2 in p2_grid]
-    rows = map_ordered(cell, cells)
+    rows = [cell(d0, p2) for d0 in d0_grid for p2 in p2_grid]
     _emit_csv(args.out, canonical_config_line(items),
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",
                "eig_stable", "error"], rows)

@@ -4,8 +4,8 @@ The stationary second moments of the linearised Gaussian state solve the
 Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
 pivoting -- exact to machine precision at this size.  An RK4 relaxation
-of dV/dt = A V + V A^T + D provides an independent route used as an
-oracle in the tests.
+of dV/dt = A V + V A^T + D, evaluated by doubling the RK4 step map,
+provides an independent route used as an oracle in the tests.
 
 Entanglement of the 2x2-block bipartition is scored by the logarithmic
 negativity E_n = max(0, -ln 2 eta_minus), with eta_minus the lowest
@@ -32,7 +32,7 @@ from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, SingularSystem,
                      UnphysicalCovariance, UnstableModel)
 from .model import SystemConfig
-from .pipeline import map_ordered, solve_point
+from .pipeline import solve_point
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 PHYSICALITY_SLACK = 1e-10
@@ -109,9 +109,12 @@ def covariance_by_integration(model: StateSpaceModel,
                               dt: Optional[float] = None) -> np.ndarray:
     """Covariance by RK4 relaxation from V(0) = 0; oracle for the solver.
 
-    Integrates until ||dV/dt|| < 1e-12 ||D|| (Frobenius).  For a linear
-    flow with constant forcing the RK4 fixed point equals the true
-    stationary covariance, so the step size only sets rate and stability.
+    Relaxes until ||dV/dt|| <= 1e-12 ||D|| (Frobenius), reaching 1, 2,
+    4, ... RK4 steps by doubling the step map (see ``cov_rk4``), so the
+    cost grows with log2 of the steps, and no linear system is solved.
+    For a linear flow with constant forcing the RK4 fixed point equals
+    the true stationary covariance, so the step size only sets rate and
+    stability.
     """
     if not model.stable:
         raise UnstableModel("covariance relaxation needs a Hurwitz drift matrix")
@@ -124,7 +127,7 @@ def covariance_by_integration(model: StateSpaceModel,
         t_max = 60.0 / slowest
     max_steps = int(math.ceil(t_max / dt))
     tol_abs = 1e-12 * float(np.linalg.norm(model.D))
-    V, steps, converged = cov_rk4(model.A, model.D, dt, max_steps, 64, tol_abs)
+    V, steps, converged = cov_rk4(model.A, model.D, dt, max_steps, tol_abs)
     if not converged:
         raise NotConverged(
             f"covariance relaxation not settled after {steps} steps "
@@ -211,6 +214,5 @@ def entanglement_point(cfg: SystemConfig, delta0_over_kappa: float,
 def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                        ring_mode: str = "fixed_charge"):
     """E_n over a detuning grid; one row per point, never aborts a row."""
-    grid = [float(x) for x in delta0_over_kappa_grid]
-    return map_ordered(
-        lambda d0: entanglement_point(cfg, d0, ring_mode), grid)
+    return [entanglement_point(cfg, float(d0), ring_mode)
+            for d0 in delta0_over_kappa_grid]

@@ -65,6 +65,10 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Raise ConfigInvalid naming the first violated requirement."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigInvalid(f"{field.name} must be finite, got {value}")
         positive = [
             "sphere_radius", "density", "wavelength", "cavity_length",
             "finesse", "input_power", "ring_radius", "temperature",

@@ -1,15 +1,11 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-Shared by the CLI subcommands and the sweep drivers.  Also hosts the
-ordered parallel map used by sweeps (thread count capped by SIM_THREADS;
-results always assembled in grid order, so output is independent of
-scheduling).
+Shared by the CLI subcommands and the sweep drivers, which solve their
+grid points one after another in grid order.
 """
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,22 +65,3 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
         field_at_xs=ring_field_value(completed.ring_charge,
                                      cfg.ring_radius, c0, op.x_s))
 
-
-def thread_count() -> int:
-    """Worker count for sweeps; SIM_THREADS caps it, default serial."""
-    raw = os.environ.get("SIM_THREADS", "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def map_ordered(func, items):
-    """Apply func over items, possibly in threads, preserving order."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))

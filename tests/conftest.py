@@ -1,6 +1,5 @@
 import pathlib
 
-import numpy as np
 import pytest
 
 from levring.dynamics import build_model
@@ -10,20 +9,6 @@ from levring.steady_state import OperatingPoint
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 KAPPA_SCALE = 941825.7836544266  # linewidth of the reference geometry
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure computation."""
-    from levring import _kernels
-
-    state = np.zeros(4)
-    _kernels.mean_field_chunk(state, 8, 1e-9, 1e-18, 0.0, 1e-30, 6e6, 1e6,
-                              8e5, 3e4, 7e10, 1e-7, 1e-6, 5e-3)
-    A = -np.eye(4) * 1e6
-    D = np.diag([0.0, 1e5, 1e5, 1e5])
-    _kernels.cov_rk4(A, D, 1e-7, 1000, 64, 1e-12 * np.linalg.norm(D))
-    _kernels.durand_kerner(np.array([0j, 0j, 0j, -1.0 + 0j]), 1e-14, 200)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each criterion prints one `ACCEPTANCE <n> <name>: PASS/FAIL (<time>)`
-line (run pytest with -s to see them).  Budgets time the computation;
-one-time JIT compilation is excluded via the session warmup fixture.
+line (run pytest with -s to see them).  Budgets time the work inside
+each `criterion` block.
 """
 import time
 from contextlib import contextmanager

@@ -1,7 +1,9 @@
 """Config parsing, subcommands, CSV determinism and exit codes."""
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -150,19 +152,18 @@ class TestCommands:
                   "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_entanglement_csv_and_threads_determinism(self, tmp_path):
+    def test_entanglement_csv_determinism(self, tmp_path):
         path = tmp_path / "fig2.cfg"
         path.write_text(FIG1_TEXT.replace("7.25e10", "2.5e11"))
         outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"ent{threads}.csv"
-            env = dict(os.environ, SIM_THREADS=threads)
+        for run in ("a", "b"):
+            out = tmp_path / f"ent_{run}.csv"
             subprocess.run(
                 [sys.executable, "-m", "levring.cli", "entanglement",
                  "--config", str(path), "--ring-mode", "resonant",
                  "--grid-min", "0.1", "--grid-max", "0.6",
                  "--grid-n", "12", "--out", str(out)],
-                env=env, check=True, capture_output=True)
+                check=True, capture_output=True)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[2]
@@ -199,12 +200,26 @@ class TestExitCodes:
         assert main(["steady-state", "--config",
                      str(tmp_path / "nope.cfg")]) == 3
 
-    def test_invalid_config_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, field", [
+        ("sphere_radius_nm", "500", "sphere_radius"),
+        ("gas_pressure_torr", "nan", "gas_pressure"),
+        ("mcp_epsilon", "nan", "mcp_epsilon"),
+        ("detuning_over_kappa", "nan", "detuning_over_kappa"),
+        ("ring_offset_c0_nm", "nan", "ring_offset_c0"),
+        ("input_power_mw", "inf", "input_power"),
+    ])
+    def test_invalid_config_is_validation_error(self, tmp_path, capsys,
+                                                key, value, field):
         path = tmp_path / "bad.cfg"
-        path.write_text(FIG1_TEXT.replace("sphere_radius_nm = 50",
-                                          "sphere_radius_nm = 500"))
-        assert main(["steady-state", "--config", str(path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                               FIG1_TEXT, flags=re.M))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["steady-state", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         # strong ring + moderate detuning: no force-balance root

@@ -46,7 +46,7 @@ class TestLyapunov:
             m = random_model(rng, stable=True)
             V = lyapunov_solve(m)
             assert lyapunov_residual(m, V) < 1e-10
-            assert np.allclose(V, V.T, rtol=1e-12)
+            assert np.allclose(V, V.T, rtol=1e-12, atol=0.0)
 
     def test_positive_definite_when_stable(self):
         rng = np.random.default_rng(18)

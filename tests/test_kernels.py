@@ -1,8 +1,4 @@
-"""JIT kernels against their uncompiled twins, and the backend switch."""
-import os
-import subprocess
-import sys
-
+"""Numerical kernels against independent references."""
 import numpy as np
 
 from levring import _kernels
@@ -11,44 +7,54 @@ from conftest import KAPPA_SCALE
 
 KAP = KAPPA_SCALE
 
-MF_ARGS = dict(
-    dt=1e-8, mass=1.39e-18, gamma=0.1 * KAP, hbar_g=3.33e-30,
-    k=5.9e6, kappa=KAP, delta0=0.75 * KAP, g=3.16e4, E=7.1e10,
-    A_q=1.09e-7, c0=1.064e-6, R=5e-3)
+
+def stepped_rk4(A, D, dt, max_steps, check_every, tol_abs):
+    """Reference relaxation: RK4 one step at a time, dV/dt checked every
+    check_every steps; returns (V, steps, converged) like cov_rk4."""
+    V = np.zeros_like(A)
+    steps = 0
+    converged = False
+
+    def rhs(M):
+        return A @ M + M @ A.T + D
+
+    while steps < max_steps:
+        limit = min(check_every, max_steps - steps)
+        for _ in range(limit):
+            K1 = rhs(V)
+            K2 = rhs(V + 0.5 * dt * K1)
+            K3 = rhs(V + 0.5 * dt * K2)
+            K4 = rhs(V + dt * K3)
+            V = V + dt / 6.0 * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            steps += 1
+        if np.linalg.norm(rhs(V)) <= tol_abs:
+            converged = True
+            break
+    return V, steps, converged
 
 
-def test_mean_field_jit_matches_python():
-    state = np.array([5e-8, 0.0, 1e4, -2e4])
-    jit_out = _kernels.mean_field_chunk(state.copy(), 2000, *MF_ARGS.values())
-    py_out = _kernels._mean_field_chunk(state.copy(), 2000, *MF_ARGS.values())
-    assert np.allclose(jit_out, py_out, rtol=1e-12, atol=0.0)
-
-
-def test_cov_rk4_loops_match_dense():
+def test_cov_rk4_matches_stepped_rk4():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(4, 4)) * KAP
     A -= 3.0 * KAP * np.eye(4)  # firmly Hurwitz
     D = np.diag(rng.uniform(0.1, 2.0, size=4)) * KAP
     dt = 0.02 / KAP
     tol = 1e-12 * np.linalg.norm(D)
-    V2, n2, ok2 = _kernels.cov_rk4_dense(A, D, dt, 200000, 64, tol)
     # The RK4 fixed point is the Lyapunov solution whatever the stage
-    # weights, so the first 64 steps are compared as well.
-    W2, m2, _ = _kernels.cov_rk4_dense(A, D, dt, 64, 64, tol)
-    # The uncompiled loop source runs on every machine; without numba the
-    # public cov_rk4 is cov_rk4_dense itself, so it is checked only when
-    # it is the compiled loop kernel.
-    kernels = [_kernels._cov_rk4_loops]
-    if _kernels.JIT_ENABLED:
-        kernels.append(_kernels.cov_rk4)
-    for kernel in kernels:
-        V1, n1, ok1 = kernel(A, D, dt, 200000, 64, tol)
-        assert ok1 and ok2
-        assert n1 == n2
-        assert np.allclose(V1, V2, rtol=1e-12, atol=0.0)
-        W1, m1, _ = kernel(A, D, dt, 64, 64, tol)
-        assert m1 == m2 == 64
+    # weights, so fixed step counts are compared first: 64 is reached by
+    # doubling alone, 101 also by composing the remaining steps.
+    for steps in (64, 101):
+        W1, m1, ok1 = _kernels.cov_rk4(A, D, dt, steps, 0.0)
+        W2, m2, _ = stepped_rk4(A, D, dt, steps, steps, 0.0)
+        assert m1 == m2 == steps and not ok1
         assert np.allclose(W1, W2, rtol=1e-12, atol=0.0)
+    # Converged: the first power of two that meets the stop rule.
+    V1, n1, ok1 = _kernels.cov_rk4(A, D, dt, 200000, tol)
+    V2, n2, ok2 = stepped_rk4(A, D, dt, n1, n1, tol)
+    assert ok1 and ok2 and n2 == n1
+    assert np.allclose(V1, V2, rtol=1e-12, atol=0.0)
+    _, _, ok_half = stepped_rk4(A, D, dt, n1 // 2, n1 // 2, tol)
+    assert not ok_half
 
 
 def test_durand_kerner_against_numpy_roots():
@@ -64,37 +70,3 @@ def test_durand_kerner_against_numpy_roots():
             i = int(np.argmin(d))
             assert d[i] < 1e-8 * max(1.0, abs(ref[i]))
             ref.pop(i)
-
-
-def test_env_flag_disables_jit():
-    env = dict(os.environ, LEVRING_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from levring._kernels import JIT_ENABLED, mean_field_chunk, "
-         "_mean_field_chunk, cov_rk4, cov_rk4_dense; "
-         "print(JIT_ENABLED, mean_field_chunk is _mean_field_chunk, "
-         "cov_rk4 is cov_rk4_dense)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True", "True"]
-
-
-def test_jit_enabled_by_default():
-    """Unless LEVRING_NO_NUMBA is set, the JIT is on exactly when numba
-    imports; the public kernels are the fallbacks exactly when it is off."""
-    env = {k: v for k, v in os.environ.items() if k != "LEVRING_NO_NUMBA"}
-    probe = (
-        "try:\n"
-        "    import numba\n"
-        "    has_numba = True\n"
-        "except ImportError:\n"
-        "    has_numba = False\n"
-        "from levring import _kernels as k\n"
-        "print(k.JIT_ENABLED, has_numba,\n"
-        "      k.mean_field_chunk is k._mean_field_chunk,\n"
-        "      k.cov_rk4 is k.cov_rk4_dense,\n"
-        "      k.durand_kerner is k._durand_kerner)\n")
-    out = subprocess.run([sys.executable, "-c", probe],
-                         env=env, capture_output=True, text=True, check=True)
-    jit, has_numba, *is_fallback = out.stdout.split()
-    assert jit == has_numba
-    assert is_fallback == [str(jit == "False")] * 3

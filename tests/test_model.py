@@ -134,7 +134,7 @@ class TestRingElectrostatics:
         d = np.linspace(1e-7, 3e-6, 7)
         left = ring_potential(-cfg.ring_offset_c0 - d, cfg)
         right = ring_potential(-cfg.ring_offset_c0 + d, cfg)
-        assert np.allclose(left, right, rtol=1e-14)
+        assert np.allclose(left, right, rtol=1e-14, atol=0.0)
 
     def test_field_reference_value(self):
         # Q = 3.25 C, C0 = wavelength: 2.4863e11 V/m at the antinode,

@@ -38,7 +38,7 @@ class TestTransferCoefficients:
         tc = transfer_coefficients(decoupled_model, w)
         assert np.all(tc.a_X == 0.0)
         assert np.all(tc.a_Y == 0.0)
-        assert np.allclose(tc.b_Y, -tc.c_X, rtol=1e-14)
+        assert np.allclose(tc.b_Y, -tc.c_X, rtol=1e-14, atol=0.0)
 
     def test_origin_value_decoupled(self, decoupled_model):
         op = decoupled_model.op
@@ -54,7 +54,7 @@ class TestTransferCoefficients:
         op = fig1_model.op
         want = (tc.chi_c_inv * tc.chi_m_inv
                 - op.G ** 2 * op.omega_m * op.delta_eff)
-        assert np.allclose(tc.d, want, rtol=1e-14)
+        assert np.allclose(tc.d, want, rtol=1e-14, atol=0.0)
 
 
 class TestDecouplingTheorem:
@@ -101,7 +101,7 @@ class TestOutputSpectrum:
                          - kappa * (cr * dm + np.conj(cr * dm)) / 2 / dd)
             assert np.max(np.abs(s_complex.imag)) < 1e-12 * np.max(np.abs(s_complex.real))
             s = output_spectrum(fig1_model, w, quad)
-            assert np.allclose(s, s_complex.real, rtol=1e-12)
+            assert np.allclose(s, s_complex.real, rtol=1e-12, atol=0.0)
 
     def test_positive_on_stable_models(self):
         rng = np.random.default_rng(9)
@@ -166,8 +166,8 @@ class TestSpectrumSweep:
     def test_columns_and_normalisation(self, fig1_model):
         w = np.linspace(-3, 3, 501) * KAP
         table = spectrum_sweep(fig1_model, w)
-        assert np.allclose(table.S_XX_norm, table.S_XX / 0.5, rtol=0)
-        assert np.allclose(table.omega_over_kappa, w / KAP, rtol=0)
+        assert np.allclose(table.S_XX_norm, table.S_XX / 0.5, rtol=0, atol=0.0)
+        assert np.allclose(table.omega_over_kappa, w / KAP, rtol=0, atol=0.0)
         assert table.unstable is False
 
     def test_deterministic(self, fig1_model):
