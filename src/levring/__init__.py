@@ -19,7 +19,6 @@ from .entanglement import (EntanglementPoint, EntanglementResult,
                            log_negativity, lyapunov_solve,
                            symplectic_eigenvalues)
 from .pipeline import PointSolution, solve_point
-from .cli import parse_config
 
 __all__ = [
     "__version__", "CODATA2018", "PhysicalConstants", "SystemConfig",
@@ -34,5 +33,5 @@ __all__ = [
     "output_spectrum", "spectrum_sweep", "EntanglementResult",
     "EntanglementPoint", "lyapunov_solve", "covariance_by_integration",
     "log_negativity", "symplectic_eigenvalues", "entanglement_sweep",
-    "PointSolution", "solve_point", "parse_config",
+    "PointSolution", "solve_point",
 ]

@@ -6,9 +6,10 @@ The equilibrium displacement x_s zeroes the force balance
 
 with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 (-pi/4k, pi/4k) where the optical curvature cos(2kx) stays positive.
-Roots are located by a uniform 4001-point scan with bisection refinement
-(robust against the multi-root structure of the transcendental balance),
-then screened for stability of the linearised dynamics.
+Roots are located by a grid finder, shared with the resonance solver,
+that evaluates the whole 4001-point grid at once and bisects every sign
+change (robust against the multi-root structure of the transcendental
+balance), then screened for stability of the linearised dynamics.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -33,6 +34,7 @@ from .errors import (AllRootsUnstable, NoResonantSolution, NoRootInInterval,
 from .model import DerivedParams
 
 N_SCAN = 4001
+N_SCAN_RESONANT = 2001
 BISECT_REL_TOL = 1e-15          # of the full interval width
 RESIDUAL_REL_TOL = 1e-12
 
@@ -55,9 +57,7 @@ class OperatingPoint:
 class ResonantRing:
     """Ring charge solving the sideband-resonance condition at fixed Delta0."""
 
-    x_s: float
     ring_charge: float      # C
-    field_at_xs: float      # V/m
     op: OperatingPoint
 
 
@@ -149,36 +149,41 @@ def _bisect(fun, a, b, fa, tol_x):
     return 0.5 * (a + b)
 
 
-def scan_roots(derived: DerivedParams, delta0: float, c0: float,
-               n_scan: int = N_SCAN):
+def _grid_roots(fun, xs, tol_x):
+    """Yield the roots of the vectorised `fun` on the grid xs, in grid order.
+
+    `fun` is evaluated once on the whole grid. An exact grid zero is a
+    root; a sign change between two nonzero neighbours is bisected down
+    to tol_x. Roots are yielded lazily, so a caller that stops at the
+    first one bisects only its bracket.
+    """
+    fs = fun(xs)
+    zero = fs == 0.0
+    change = np.append(fs[:-1] * fs[1:] < 0.0, False)
+    for i in np.flatnonzero(zero | change):
+        if zero[i]:
+            yield float(xs[i])
+            continue
+        a, b = (i, i + 1) if xs[i] < xs[i + 1] else (i + 1, i)
+        yield _bisect(lambda x: float(fun(x)), float(xs[a]), float(xs[b]),
+                      float(fs[a]), tol_x)
+
+
+def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     """All force-balance roots in the open trap interval, ascending.
 
-    Uniform scan, bracket every sign change, bisect each bracket down to
-    1e-15 of the interval width.
+    Scan the N_SCAN-point grid at once, bisect every sign change down to
+    BISECT_REL_TOL of the interval width.
     """
     half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
-    xs = np.linspace(-half, half, n_scan)
-    fs = force_balance(xs, derived, delta0, c0)
-    tol_x = BISECT_REL_TOL * (2.0 * half)
-
-    def fun(x):
-        return float(force_balance(x, derived, delta0, c0))
-
-    roots = []
-    for i in range(n_scan - 1):
-        if fs[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif fs[i] * fs[i + 1] < 0.0:
-            roots.append(_bisect(fun, float(xs[i]), float(xs[i + 1]),
-                                 float(fs[i]), tol_x))
-    if fs[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
+    xs = np.linspace(-half, half, N_SCAN)
+    return list(_grid_roots(
+        lambda x: force_balance(x, derived, delta0, c0), xs,
+        BISECT_REL_TOL * (2.0 * half)))
 
 
 def solve_xs(derived: DerivedParams, delta0: float, c0: float,
-             root_index: Optional[int] = None,
-             n_scan: int = N_SCAN) -> OperatingPoint:
+             root_index: Optional[int] = None) -> OperatingPoint:
     """Solve the force balance and return the selected operating point.
 
     Among stable roots (Hurwitz drift matrix, damping from the attached
@@ -192,7 +197,7 @@ def solve_xs(derived: DerivedParams, delta0: float, c0: float,
     if derived.A_q == 0.0 or c0 == 0.0:
         return operating_point_at(derived, delta0, c0, 0.0)
 
-    roots = scan_roots(derived, delta0, c0, n_scan)
+    roots = scan_roots(derived, delta0, c0)
     if not roots:
         raise NoRootInInterval(
             f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
@@ -227,8 +232,8 @@ def solve_xs(derived: DerivedParams, delta0: float, c0: float,
 
 
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
-                               c0: float, q: Optional[float] = None,
-                               n_scan: int = 2001) -> ResonantRing:
+                               c0: float, q: Optional[float] = None
+                               ) -> ResonantRing:
     """Ring charge putting the effective detuning on the mechanical sideband.
 
     Strategy: at fixed Delta0 solve the resonance condition (in cleared
@@ -236,6 +241,9 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     m Delta(x)^2, equivalent to omega_m = Delta(x_s)) for x_s on the
     half-interval whose sign makes the ring charge positive, then read Q
     off the force balance.
+
+    The mismatch is evaluated at once on the grid from x = 0 outward, and
+    the first grid root other than x = 0 itself is taken as `op.x_s`.
     """
     if q is None:
         q = derived.q_mcp
@@ -253,20 +261,9 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
         return lhs - m * delta * delta
 
     half = np.pi / (4.0 * k) * (1.0 - 1e-9)
-    sign = -1.0 if c0 > 0.0 else 1.0
-    xs = np.linspace(0.0, sign * half, n_scan)
-    fs = np.array([mismatch(x) for x in xs])
-    tol_x = BISECT_REL_TOL * (2.0 * half)
-    x_root = None
-    for i in range(n_scan - 1):
-        if fs[i] * fs[i + 1] < 0.0:
-            lo, hi = sorted((float(xs[i]), float(xs[i + 1])))
-            x_root = _bisect(lambda x: float(mismatch(x)), lo, hi,
-                             float(mismatch(lo)), tol_x)
-            break
-        if fs[i] == 0.0 and i > 0:
-            x_root = float(xs[i])
-            break
+    xs = np.linspace(0.0, -np.sign(c0) * half, N_SCAN_RESONANT)
+    roots = _grid_roots(mismatch, xs, BISECT_REL_TOL * (2.0 * half))
+    x_root = next((x for x in roots if x != 0.0), None)
     if x_root is None:
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
@@ -288,10 +285,7 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     if not dynamics.build_model(op, completed).stable:
         raise UnstableResonance(
             f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
-    u = (c0 + x_root) / derived.ring_radius
-    field = ring_charge * (c0 + x_root) / (geom * (1.0 + u * u) ** 1.5)
-    return ResonantRing(x_s=x_root, ring_charge=ring_charge,
-                        field_at_xs=field, op=op)
+    return ResonantRing(ring_charge=ring_charge, op=op)
 
 
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,

@@ -1,5 +1,10 @@
 """Config parsing, subcommands, CSV determinism and exit codes."""
+import contextlib
+import hashlib
+import io
+import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,6 +14,14 @@ import pytest
 
 from levring.cli import main, parse_config
 from levring.errors import ParseError, ValidationError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# sweep workload -> (shipped config, subcommand, option the digest varies)
+SWEEPS = {
+    "stability_map": ("fig1.cfg", "stability-map", "--param2"),
+    "entanglement_sweep": ("fig2.cfg", "entanglement", "--ring-mode"),
+}
 
 FIG1_TEXT = """\
 # reference squeezing setup
@@ -158,17 +171,37 @@ class TestCommands:
         outs = []
         for run in ("a", "b"):
             out = tmp_path / f"ent_{run}.csv"
-            subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "levring.cli", "entanglement",
                  "--config", str(path), "--ring-mode", "resonant",
                  "--grid-min", "0.1", "--grid-max", "0.6",
                  "--grid-n", "12", "--out", str(out)],
                 check=True, capture_output=True)
+            assert b"RuntimeWarning" not in proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[2]
         assert header == ("delta0_over_kappa,E_n,stable,x_s,omega_m,"
                           "Q_used,E_x,error")
+
+    @pytest.mark.parametrize("workload, choice", [
+        ("stability_map", "c0_over_lambda"),
+        ("stability_map", "charge_scale"),
+        ("entanglement_sweep", "fixed_charge"),
+        ("entanglement_sweep", "resonant"),
+    ])
+    def test_sweep_csv_matches_pinned_digest(self, workload, choice):
+        # the shipped configs at the default grids must keep writing the
+        # bytes pinned in levbench/reference_digests.json
+        config, subcommand, option = SWEEPS[workload]
+        with open(ROOT / "levbench" / "reference_digests.json") as fh:
+            digest = json.load(fh)["digests"][workload][choice]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([subcommand, "--config",
+                         str(ROOT / "configs" / config), option, choice])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
     def test_stability_map_includes_decoupled_line(self, cfg_file, tmp_path):
         out = tmp_path / "map.csv"

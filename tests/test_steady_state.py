@@ -8,7 +8,9 @@ from levring.constants import CODATA2018
 from levring.errors import (AllRootsUnstable, NoResonantSolution,
                             NoRootInInterval, NotConverged, UnstableTrap)
 from levring.model import delta0_from_config, derive_constants
-from levring.steady_state import (cavity_steady_field, force_balance,
+from levring.pipeline import ring_field_value
+from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
+                                  _bisect, cavity_steady_field, force_balance,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
                                   scan_roots, solve_resonant_ring_charge,
@@ -21,6 +23,78 @@ C = CODATA2018
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def reference_scan_roots(derived, delta0, c0):
+    """Per-index scan loop: the reference for the shared grid finder."""
+    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
+    xs = np.linspace(-half, half, N_SCAN)
+    fs = force_balance(xs, derived, delta0, c0)
+    tol_x = BISECT_REL_TOL * (2.0 * half)
+
+    def fun(x):
+        return float(force_balance(x, derived, delta0, c0))
+
+    roots = []
+    for i in range(N_SCAN - 1):
+        if fs[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif fs[i] * fs[i + 1] < 0.0:
+            roots.append(_bisect(fun, float(xs[i]), float(xs[i + 1]),
+                                 float(fs[i]), tol_x))
+    if fs[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+def reference_resonant_root(derived, delta0, c0):
+    """Per-point resonance scan from x = 0 outward, or None without a root."""
+    k, g, E, kap, m = (derived.k, derived.g, derived.E_drive,
+                       derived.kappa, derived.mass)
+
+    def mismatch(x):
+        delta = delta0 + g * np.cos(k * x) ** 2
+        lhs = (8.0 * C.hbar * g * k ** 2 * E ** 2 * np.cos(2.0 * k * x)
+               / (kap ** 2 + 4.0 * delta * delta))
+        return lhs - m * delta * delta
+
+    half = np.pi / (4.0 * k) * (1.0 - 1e-9)
+    sign = -1.0 if c0 > 0.0 else 1.0
+    xs = np.linspace(0.0, sign * half, N_SCAN_RESONANT)
+    fs = np.array([mismatch(x) for x in xs])
+    tol_x = BISECT_REL_TOL * (2.0 * half)
+    for i in range(N_SCAN_RESONANT - 1):
+        if fs[i] * fs[i + 1] < 0.0:
+            lo, hi = sorted((float(xs[i]), float(xs[i + 1])))
+            return _bisect(lambda x: float(mismatch(x)), lo, hi,
+                           float(mismatch(lo)), tol_x)
+        if fs[i] == 0.0 and i > 0:
+            return float(xs[i])
+    return None
+
+
+def stokes_side_cases():
+    """40 seeded (derived, delta0, c0) draws with Delta(x) > 0 throughout."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(40):
+        cfg = reference_config(
+            ring_field=rng.uniform(0.05, 3.0) * 7.25e10,
+            ring_offset_c0=rng.uniform(0.2, 2.0) * 1064e-9,
+            detuning_over_kappa=rng.uniform(0.0, 1.5))
+        derived = derive_constants(cfg)
+        cases.append((derived, delta0_from_config(cfg, derived),
+                      cfg.ring_offset_c0))
+    return cases
+
+
+def anti_stokes_two_root_case():
+    """Strong coupling (100 nm sphere, 1 mm cavity) deep on the anti-Stokes
+    side, where the balance has two roots."""
+    cfg = reference_config(sphere_radius=100e-9, cavity_length=1e-3,
+                           ring_field=5.6123e11, detuning_over_kappa=0.0)
+    derived = derive_constants(cfg)
+    return derived, -1.7705 * derived.g, cfg.ring_offset_c0
 
 
 @pytest.fixture(scope="module")
@@ -162,35 +236,51 @@ class TestSolveXs:
     def test_stokes_side_root_is_unique(self):
         # for Delta(x) > 0 everywhere both force terms are strictly
         # increasing on the trap interval, so at most one root exists
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            cfg = reference_config(
-                ring_field=rng.uniform(0.05, 3.0) * 7.25e10,
-                ring_offset_c0=rng.uniform(0.2, 2.0) * 1064e-9,
-                detuning_over_kappa=rng.uniform(0.0, 1.5))
-            derived = derive_constants(cfg)
-            delta0 = delta0_from_config(cfg, derived)
-            roots = scan_roots(derived, delta0, cfg.ring_offset_c0)
-            assert len(roots) <= 1
+        for derived, delta0, c0 in stokes_side_cases():
+            assert len(scan_roots(derived, delta0, c0)) <= 1
 
     def test_multi_root_anti_stokes_case(self):
-        # strong coupling (100 nm sphere, 1 mm cavity) deep on the
-        # anti-Stokes side: the balance develops two roots, both of
-        # which fail the stability screen
-        cfg = reference_config(sphere_radius=100e-9, cavity_length=1e-3,
-                               ring_field=5.6123e11,
-                               detuning_over_kappa=0.0)
-        derived = derive_constants(cfg)
-        delta0 = -1.7705 * derived.g
-        roots = scan_roots(derived, delta0, cfg.ring_offset_c0)
+        # the two roots both fail the stability screen
+        derived, delta0, c0 = anti_stokes_two_root_case()
+        roots = scan_roots(derived, delta0, c0)
         assert len(roots) == 2
         with pytest.raises(AllRootsUnstable):
-            solve_xs(derived, delta0, cfg.ring_offset_c0)
+            solve_xs(derived, delta0, c0)
         # index override bypasses the screen and picks by |x_s| rank
-        near = solve_xs(derived, delta0, cfg.ring_offset_c0, root_index=0)
-        far = solve_xs(derived, delta0, cfg.ring_offset_c0, root_index=1)
+        near = solve_xs(derived, delta0, c0, root_index=0)
+        far = solve_xs(derived, delta0, c0, root_index=1)
         assert abs(near.x_s) < abs(far.x_s)
         assert {near.x_s, far.x_s} == set(roots)
+
+    def test_scan_roots_match_per_index_loop(self):
+        cases = stokes_side_cases() + [anti_stokes_two_root_case()]
+        found = 0
+        for derived, delta0, c0 in cases:
+            roots = scan_roots(derived, delta0, c0)
+            assert roots == reference_scan_roots(derived, delta0, c0)
+            found += len(roots)
+        assert found >= 10
+
+    def test_scan_roots_mirror_in_c0(self):
+        # f(-x; -C0) = -f(x; C0): the roots are negated and reversed, up to
+        # the bisection tolerance (the +-half grid is not exactly symmetric)
+        cases = [anti_stokes_two_root_case()]
+        for over_kappa in (0.2, 0.3, 0.45, 0.6):
+            cfg = reference_config(ring_field=2.5e11,
+                                   detuning_over_kappa=over_kappa)
+            derived = derive_constants(cfg)
+            cases.append((derived, delta0_from_config(cfg, derived),
+                          cfg.ring_offset_c0))
+        found = 0
+        for derived, delta0, c0 in cases:
+            width = 2.0 * np.pi / (4.0 * derived.k)
+            plus = scan_roots(derived, delta0, c0)
+            minus = scan_roots(derived, delta0, -c0)
+            assert len(minus) == len(plus)
+            for a, b in zip(plus, reversed(minus)):
+                assert abs(a + b) <= 2.0 * BISECT_REL_TOL * width
+            found += len(plus)
+        assert found == 3
 
 
 class TestResonantRing:
@@ -213,7 +303,8 @@ class TestResonantRing:
         assert abs(f) < 1e-10 * residual_scale(resolved, cfg.ring_offset_c0)
         assert res.ring_charge > 0.0
         assert 2.0 < res.ring_charge < 4.0
-        assert res.field_at_xs > 0.0
+        assert ring_field_value(res.ring_charge, cfg.ring_radius,
+                                cfg.ring_offset_c0, op.x_s) > 0.0
 
     def test_charge_scales_inverse_with_bound_charge(self):
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
@@ -224,7 +315,41 @@ class TestResonantRing:
         full = solve_resonant_ring_charge(derived, delta0, c0, q=q)
         half = solve_resonant_ring_charge(derived, delta0, c0, q=q / 2)
         assert rel(half.ring_charge, 2 * full.ring_charge) < 1e-9
-        assert half.x_s == full.x_s
+        assert half.op.x_s == full.op.x_s
+
+    def test_root_matches_per_point_loop(self):
+        rng = np.random.default_rng(17)
+        solved = 0
+        for over_kappa in rng.uniform(0.05, 1.0, 16):
+            cfg = reference_config(ring_field=2.5e11,
+                                   detuning_over_kappa=over_kappa)
+            derived = derive_constants(cfg)
+            delta0 = delta0_from_config(cfg, derived)
+            c0 = cfg.ring_offset_c0
+            expected = reference_resonant_root(derived, delta0, c0)
+            if expected is None:
+                with pytest.raises(NoResonantSolution, match="no root"):
+                    solve_resonant_ring_charge(derived, delta0, c0)
+                continue
+            res = solve_resonant_ring_charge(derived, delta0, c0)
+            assert res.op.x_s == expected
+            solved += 1
+        assert solved >= 12
+
+    @pytest.mark.parametrize("over_kappa", [0.2, 0.3, 0.45, 0.6])
+    def test_negative_offset_mirrors_the_scan(self, over_kappa):
+        # C0 < 0 scans the ascending half-interval; the resonance condition
+        # is even in x, so the root and the charge mirror exactly
+        cfg = reference_config(ring_field=2.5e11,
+                               detuning_over_kappa=over_kappa)
+        derived = derive_constants(cfg)
+        delta0 = delta0_from_config(cfg, derived)
+        c0 = cfg.ring_offset_c0
+        plus = solve_resonant_ring_charge(derived, delta0, c0)
+        minus = solve_resonant_ring_charge(derived, delta0, -c0)
+        assert plus.op.x_s < 0.0
+        assert minus.op.x_s == -plus.op.x_s
+        assert minus.ring_charge == plus.ring_charge
 
     def test_zero_offset_rejected(self):
         cfg = reference_config(ring_field=2.5e11)
