@@ -6,9 +6,9 @@ from .constants import CODATA2018, PhysicalConstants
 from .model import (DerivedParams, SystemConfig, damping_and_diffusion,
                     delta0_from_config, derive_constants,
                     electrostatic_spring, ring_field, ring_potential)
-from .steady_state import (MeanFieldResult, OperatingPoint, ResonantRing,
+from .steady_state import (MeanFieldResult, OperatingPoint,
                            integrate_mean_field, mechanical_frequency,
-                           solve_resonant_ring_charge, solve_xs,
+                           solve_model, solve_resonant_ring_charge, solve_xs,
                            steady_amplitude)
 from .dynamics import (StabilityVerdict, StateSpaceModel, build_model,
                        eigenvalue_stability, routh_hurwitz)
@@ -24,7 +24,7 @@ __all__ = [
     "__version__", "CODATA2018", "PhysicalConstants", "SystemConfig",
     "DerivedParams", "derive_constants", "delta0_from_config",
     "damping_and_diffusion", "ring_potential", "ring_field",
-    "electrostatic_spring", "OperatingPoint", "ResonantRing",
+    "electrostatic_spring", "OperatingPoint", "solve_model",
     "MeanFieldResult", "solve_xs", "steady_amplitude",
     "mechanical_frequency", "solve_resonant_ring_charge",
     "integrate_mean_field", "StateSpaceModel", "StabilityVerdict",

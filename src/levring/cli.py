@@ -25,7 +25,8 @@ from . import __version__
 from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError
-from .model import TORR_TO_PA, SystemConfig, derive_constants
+from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
+                    derive_constants)
 from .pipeline import solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
@@ -229,8 +230,7 @@ def cmd_steady_state(args) -> int:
     cfg = _config_from_items(items)
     sol = solve_point(cfg, ring_mode=args.ring_mode)
     derived, op, model = sol.derived, sol.op, sol.model
-    delta0 = (op.delta_eff - derived.g
-              * np.cos(derived.k * op.x_s) ** 2)
+    delta0 = delta0_from_config(cfg, derived)
     wavelength = 2.0 * np.pi / derived.k
     kap = derived.kappa
 
@@ -238,7 +238,7 @@ def cmd_steady_state(args) -> int:
     print(f"  V_s={derived.V_s!r}  V_c={derived.V_c!r}  waist={derived.waist!r}")
     print(f"  mass={derived.mass!r}  g={derived.g!r}  kappa={kap!r}")
     print(f"  E_drive={derived.E_drive!r}  q_mcp={derived.q_mcp!r}")
-    print(f"  ring_charge={sol.ring_charge!r}  A_q={op.A_q!r}")
+    print(f"  ring_charge={derived.ring_charge!r}  A_q={op.A_q!r}")
     print(f"  gamma={derived.gamma!r}  Gamma_diff={derived.Gamma_diff!r}")
     print(f"operating point: x_s={op.x_s!r} m ({op.x_s / wavelength:+.6f} wavelengths)")
     print(f"  a_s={op.a_s!r}  omega_m={op.omega_m!r} ({op.omega_m / kap:.4f} kappa)")
@@ -286,7 +286,7 @@ def cmd_steady_state(args) -> int:
                 ("waist", derived.waist), ("mass", derived.mass),
                 ("g", derived.g), ("kappa", kap),
                 ("E_drive", derived.E_drive), ("q_mcp", derived.q_mcp),
-                ("ring_charge", sol.ring_charge), ("A_q", op.A_q),
+                ("ring_charge", derived.ring_charge), ("A_q", op.A_q),
                 ("gamma_ph", derived.gamma_ph), ("gamma_gas", derived.gamma_gas),
                 ("gamma", derived.gamma), ("Gamma_diff", derived.Gamma_diff),
                 ("x_s", op.x_s), ("a_s", op.a_s), ("omega_m", op.omega_m),

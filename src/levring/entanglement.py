@@ -29,8 +29,8 @@ import numpy as np
 
 from ._kernels import cov_rk4
 from .dynamics import StateSpaceModel
-from .errors import (LevringError, NotConverged, SingularSystem,
-                     UnphysicalCovariance, UnstableModel)
+from .errors import (LevringError, NotConverged, NumericalError,
+                     SingularSystem, UnphysicalCovariance, UnstableModel)
 from .model import SystemConfig
 from .pipeline import solve_point
 
@@ -186,14 +186,16 @@ def log_negativity(V: np.ndarray, base: str = "e") -> EntanglementResult:
 
 def entanglement_point(cfg: SystemConfig, delta0_over_kappa: float,
                        ring_mode: str = "fixed_charge") -> EntanglementPoint:
-    """Full pipeline at one detuning; failures recorded in-row."""
-    from .model import derive_constants
+    """Full pipeline at one detuning; numerical failures recorded in-row.
 
-    kappa = derive_constants(cfg).kappa
+    The row solves `cfg` with its detuning set to delta0_over_kappa.  A
+    ConfigInvalid is not a row failure: it propagates.
+    """
+    row_cfg = dataclasses.replace(cfg, detuning_delta0=None,
+                                  detuning_over_kappa=delta0_over_kappa)
     try:
-        sol = solve_point(cfg, delta0=delta0_over_kappa * kappa,
-                          ring_mode=ring_mode)
-    except LevringError as exc:
+        sol = solve_point(row_cfg, ring_mode=ring_mode)
+    except NumericalError as exc:
         return EntanglementPoint(
             delta0_over_kappa=delta0_over_kappa, E_n=None, stable=False,
             x_s=None, omega_m=None, Q_used=None, E_x=None,
@@ -201,7 +203,7 @@ def entanglement_point(cfg: SystemConfig, delta0_over_kappa: float,
     row = EntanglementPoint(
         delta0_over_kappa=delta0_over_kappa, E_n=None,
         stable=sol.model.stable, x_s=sol.op.x_s, omega_m=sol.op.omega_m,
-        Q_used=sol.ring_charge, E_x=sol.field_at_xs)
+        Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs)
     if not sol.model.stable:
         return dataclasses.replace(row, error="no stationary state")
     try:

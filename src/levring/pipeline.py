@@ -5,17 +5,17 @@ grid points one after another in grid order.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import CODATA2018
-from .dynamics import StateSpaceModel, build_model
+from .dynamics import StateSpaceModel
 from .model import (DerivedParams, SystemConfig, delta0_from_config,
                     derive_constants)
-from .steady_state import OperatingPoint, solve_resonant_ring_charge, solve_xs
+from .steady_state import (OperatingPoint, solve_model,
+                           solve_resonant_ring_charge)
 
 RING_MODES = ("fixed_charge", "resonant")
 
@@ -24,8 +24,7 @@ RING_MODES = ("fixed_charge", "resonant")
 class PointSolution:
     derived: DerivedParams      # completed with damping at op.omega_m
     op: OperatingPoint
-    model: StateSpaceModel
-    ring_charge: float          # C actually used at this point
+    model: StateSpaceModel      # built once, by the steady-state solver
     field_at_xs: float          # on-axis ring field at x_s, V/m
 
 
@@ -41,8 +40,10 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
                 ring_mode: str = "fixed_charge") -> PointSolution:
     """Run the steady-state pipeline for one detuning.
 
-    fixed_charge keeps the configured ring charge; resonant re-solves the
-    charge so the effective detuning sits on the mechanical sideband.
+    fixed_charge keeps the configured ring charge (`solve_model`); resonant
+    re-solves the charge so the effective detuning sits on the mechanical
+    sideband (`solve_resonant_ring_charge`).  Either solver returns the
+    model its stability screen built; `derived` and `op` are read off it.
     """
     if ring_mode not in RING_MODES:
         raise ValueError(f"ring_mode must be one of {RING_MODES}")
@@ -51,17 +52,10 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
         delta0 = delta0_from_config(cfg, derived)
     c0 = cfg.ring_offset_c0
     if ring_mode == "resonant":
-        res = solve_resonant_ring_charge(derived, delta0, c0)
-        derived = dataclasses.replace(
-            derived, A_q=res.op.A_q, ring_charge=res.ring_charge)
-        op = res.op
+        model = solve_resonant_ring_charge(derived, delta0, c0)
     else:
-        op = solve_xs(derived, delta0, c0)
-    completed = derived.with_damping(op.omega_m)
-    model = build_model(op, completed)
+        model = solve_model(derived, delta0, c0)
     return PointSolution(
-        derived=completed, op=op, model=model,
-        ring_charge=completed.ring_charge,
-        field_at_xs=ring_field_value(completed.ring_charge,
-                                     cfg.ring_radius, c0, op.x_s))
-
+        derived=model.derived, op=model.op, model=model,
+        field_at_xs=ring_field_value(model.derived.ring_charge,
+                                     cfg.ring_radius, c0, model.op.x_s))

@@ -9,7 +9,10 @@ with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 Roots are located by a grid finder, shared with the resonance solver,
 that evaluates the whole 4001-point grid at once and bisects every sign
 change (robust against the multi-root structure of the transcendental
-balance), then screened for stability of the linearised dynamics.
+balance), then screened for stability of the linearised dynamics.  The
+screen builds the state-space model of each candidate; the solvers
+return the model of the accepted root, so spectra and entanglement read
+the very model that was screened.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -51,14 +54,6 @@ class OperatingPoint:
     G: float            # effective optomechanical coupling, rad/s
     A_q: float          # ring spring constant, N/m
     residual: float     # force balance evaluated at x_s, N
-
-
-@dataclass(frozen=True)
-class ResonantRing:
-    """Ring charge solving the sideband-resonance condition at fixed Delta0."""
-
-    ring_charge: float      # C
-    op: OperatingPoint
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,6 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
         residual=float(force_balance(x_s, derived, delta0, c0)))
 
 
-def _with_damping_or_zero(derived: DerivedParams, omega_m: float) -> DerivedParams:
-    if derived.damping_at is not None:
-        return derived.with_damping(omega_m)
-    return dataclasses.replace(derived, gamma_ph=0.0, gamma_gas=0.0,
-                               gamma=0.0, Gamma_diff=0.0)
-
-
 def _bisect(fun, a, b, fa, tol_x):
     while b - a > tol_x:
         mid = 0.5 * (a + b)
@@ -182,20 +170,22 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
         BISECT_REL_TOL * (2.0 * half)))
 
 
-def solve_xs(derived: DerivedParams, delta0: float, c0: float,
-             root_index: Optional[int] = None) -> OperatingPoint:
-    """Solve the force balance and return the selected operating point.
+def solve_model(derived: DerivedParams, delta0: float,
+                c0: float) -> dynamics.StateSpaceModel:
+    """Solve the force balance and return the model at the selected root.
 
-    Among stable roots (Hurwitz drift matrix, damping from the attached
-    closure) the one with smallest |x_s| wins; `root_index` overrides the
-    rule by picking the index in the |x_s|-sorted list of all roots,
-    skipping the stability screen.
+    Among the roots, taken in order of |x_s|, the first whose drift matrix
+    is Hurwitz (damping from the attached closure at its omega_m) wins;
+    the model built by that screen is returned, its `derived` completed
+    with the damping.
 
     The degenerate decoupled inputs A_q = 0 (no bound charge or no ring
-    charge) and C0 = 0 yield x_s = 0 exactly.
+    charge) and C0 = 0 yield x_s = 0 exactly; their model is returned
+    unscreened, since instability there is a verdict, not an error.
     """
     if derived.A_q == 0.0 or c0 == 0.0:
-        return operating_point_at(derived, delta0, c0, 0.0)
+        op = operating_point_at(derived, delta0, c0, 0.0)
+        return dynamics.build_model(op, derived.with_damping(op.omega_m))
 
     roots = scan_roots(derived, delta0, c0)
     if not roots:
@@ -203,26 +193,18 @@ def solve_xs(derived: DerivedParams, delta0: float, c0: float,
             f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
     roots.sort(key=abs)
     tol = RESIDUAL_REL_TOL * residual_scale(derived, c0)
-
-    def checked(x_root):
-        op = operating_point_at(derived, delta0, c0, x_root)
-        if abs(op.residual) > tol:
-            raise NumericalError(
-                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")
-        return op
-
-    if root_index is not None:
-        return checked(roots[root_index])
-
     unstable_seen = 0
     for x_root in roots:
         try:
-            op = checked(x_root)
+            op = operating_point_at(derived, delta0, c0, x_root)
         except UnstableTrap:
             continue
-        completed = _with_damping_or_zero(derived, op.omega_m)
-        if dynamics.build_model(op, completed).stable:
-            return op
+        if abs(op.residual) > tol:
+            raise NumericalError(
+                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")
+        model = dynamics.build_model(op, derived.with_damping(op.omega_m))
+        if model.stable:
+            return model
         unstable_seen += 1
     if unstable_seen:
         raise AllRootsUnstable(
@@ -231,9 +213,14 @@ def solve_xs(derived: DerivedParams, delta0: float, c0: float,
         f"no admissible root at delta0 = {delta0:.6e}")
 
 
+def solve_xs(derived: DerivedParams, delta0: float,
+             c0: float) -> OperatingPoint:
+    """Operating point of the root `solve_model` selects."""
+    return solve_model(derived, delta0, c0).op
+
+
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
-                               c0: float, q: Optional[float] = None
-                               ) -> ResonantRing:
+                               c0: float) -> dynamics.StateSpaceModel:
     """Ring charge putting the effective detuning on the mechanical sideband.
 
     Strategy: at fixed Delta0 solve the resonance condition (in cleared
@@ -244,10 +231,10 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
 
     The mismatch is evaluated at once on the grid from x = 0 outward, and
     the first grid root other than x = 0 itself is taken as `op.x_s`.
+    Returns the screened model at that point; its `derived` carries the
+    solved `ring_charge` and `A_q` and the damping at `op.omega_m`.
     """
-    if q is None:
-        q = derived.q_mcp
-    if c0 == 0.0 or q == 0.0:
+    if c0 == 0.0 or derived.q_mcp == 0.0:
         raise NoResonantSolution(
             "resonance matching needs C0 != 0 and a nonzero bound charge")
     hbar = CODATA2018.hbar
@@ -278,14 +265,14 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")
     geom = 4.0 * np.pi * CODATA2018.eps0 * derived.ring_radius ** 3
-    ring_charge = a_q * geom / q
-    resolved = dataclasses.replace(derived, A_q=a_q, ring_charge=ring_charge)
+    resolved = dataclasses.replace(derived, A_q=a_q,
+                                   ring_charge=a_q * geom / derived.q_mcp)
     op = operating_point_at(resolved, delta0, c0, x_root)
-    completed = _with_damping_or_zero(resolved, op.omega_m)
-    if not dynamics.build_model(op, completed).stable:
+    model = dynamics.build_model(op, resolved.with_damping(op.omega_m))
+    if not model.stable:
         raise UnstableResonance(
             f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
-    return ResonantRing(ring_charge=ring_charge, op=op)
+    return model
 
 
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,

@@ -12,8 +12,10 @@ import warnings
 
 import pytest
 
+import levring.cli
 from levring.cli import main, parse_config
 from levring.errors import ParseError, ValidationError
+from levring.model import derive_constants
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -134,6 +136,26 @@ class TestCommands:
     def test_steady_state_verify(self, cfg_file, capsys):
         assert main(["steady-state", "--config", cfg_file, "--verify"]) == 0
         assert "agrees" in capsys.readouterr().out
+
+    def test_steady_state_scans_at_configured_detuning(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # rebuilding delta0 from op.delta_eff - g cos^2(k x_s) is off by
+        # one ulp on this config
+        path = tmp_path / "weak.cfg"
+        path.write_text(FIG1_TEXT.replace("7.25e10", repr(0.2 * 7.25e10))
+                        .replace("detuning_over_kappa = 0.8",
+                                 "detuning_over_kappa = 0.7"))
+        seen = []
+        scan = levring.cli.scan_roots
+
+        def recording(derived, delta0, c0):
+            seen.append(delta0)
+            return scan(derived, delta0, c0)
+
+        monkeypatch.setattr(levring.cli, "scan_roots", recording)
+        assert main(["steady-state", "--config", str(path)]) == 0
+        kappa = derive_constants(parse_config(str(path))).kappa
+        assert seen == [0.7 * kappa]
 
     def test_spectrum_csv_schema(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "spec.csv"

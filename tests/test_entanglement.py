@@ -4,11 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from levring import model, pipeline
 from levring.entanglement import (covariance_by_integration,
-                                  entanglement_sweep, is_physical,
-                                  log_negativity, lyapunov_residual,
-                                  lyapunov_solve, symplectic_eigenvalues)
-from levring.errors import UnphysicalCovariance, UnstableModel
+                                  entanglement_point, entanglement_sweep,
+                                  is_physical, log_negativity,
+                                  lyapunov_residual, lyapunov_solve,
+                                  symplectic_eigenvalues)
+from levring.errors import (ConfigInvalid, UnphysicalCovariance,
+                            UnstableModel)
 from levring.pipeline import solve_point
 
 from conftest import (KAPPA_SCALE, random_model, reference_config,
@@ -189,3 +192,33 @@ class TestSweep:
             V = lyapunov_solve(sol.model)
             lo, _ = symplectic_eigenvalues(V)
             assert lo >= 0.5 - 1e-10
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_one_derive_per_row(self, monkeypatch, ring_mode):
+        calls = []
+        original = model.derive_constants
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "derive_constants", counted)
+        monkeypatch.setattr(pipeline, "derive_constants", counted)
+        cfg = reference_config(ring_field=2.5e11)
+        row = entanglement_point(cfg, 0.3, ring_mode=ring_mode)
+        assert row.delta0_over_kappa == 0.3
+        assert len(calls) == 1
+
+    def test_row_detuning_is_over_kappa_times_kappa(self):
+        cfg = reference_config(ring_field=2.5e11, detuning_delta0=1.0,
+                               detuning_over_kappa=None)
+        row = entanglement_point(cfg, 0.3, ring_mode="resonant")
+        kappa = model.derive_constants(cfg).kappa
+        sol = solve_point(cfg, delta0=0.3 * kappa, ring_mode="resonant")
+        assert row.x_s == sol.op.x_s
+        assert row.Q_used == sol.derived.ring_charge
+
+    def test_config_invalid_propagates(self):
+        cfg = reference_config(sphere_radius=-50e-9)
+        with pytest.raises(ConfigInvalid, match="sphere_radius"):
+            entanglement_point(cfg, 0.3)

@@ -4,19 +4,25 @@ import dataclasses
 import numpy as np
 import pytest
 
+import levring
+from levring import dynamics
+from levring.cli import parse_config
 from levring.constants import CODATA2018
-from levring.errors import (AllRootsUnstable, NoResonantSolution,
-                            NoRootInInterval, NotConverged, UnstableTrap)
+from levring.dynamics import build_model
+from levring.errors import (AllRootsUnstable, LevringError,
+                            NoResonantSolution, NoRootInInterval,
+                            NotConverged, UnstableTrap)
 from levring.model import delta0_from_config, derive_constants
-from levring.pipeline import ring_field_value
+from levring.pipeline import ring_field_value, solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
                                   _bisect, cavity_steady_field, force_balance,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
-                                  scan_roots, solve_resonant_ring_charge,
-                                  solve_xs, steady_amplitude)
+                                  scan_roots, solve_model,
+                                  solve_resonant_ring_charge, solve_xs,
+                                  steady_amplitude)
 
-from conftest import reference_config
+from conftest import CONFIG_DIR, reference_config
 
 C = CODATA2018
 
@@ -212,13 +218,6 @@ class TestSolveXs:
                 continue
             assert op.x_s < 0.0
 
-    def test_root_index_override(self, fig1):
-        cfg, derived, delta0 = fig1
-        op_default = solve_xs(derived, delta0, cfg.ring_offset_c0)
-        op_indexed = solve_xs(derived, delta0, cfg.ring_offset_c0,
-                              root_index=0)
-        assert op_indexed.x_s == op_default.x_s
-
     def test_no_root_raises(self):
         # strong ring at moderate detuning: |sin| > 1 would be needed
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
@@ -246,11 +245,14 @@ class TestSolveXs:
         assert len(roots) == 2
         with pytest.raises(AllRootsUnstable):
             solve_xs(derived, delta0, c0)
-        # index override bypasses the screen and picks by |x_s| rank
-        near = solve_xs(derived, delta0, c0, root_index=0)
-        far = solve_xs(derived, delta0, c0, root_index=1)
+        # both roots close into operating points; neither model is Hurwitz
+        near, far = (operating_point_at(derived, delta0, c0, x)
+                     for x in sorted(roots, key=abs))
         assert abs(near.x_s) < abs(far.x_s)
         assert {near.x_s, far.x_s} == set(roots)
+        for op in (near, far):
+            assert not build_model(
+                op, derived.with_damping(op.omega_m)).stable
 
     def test_scan_roots_match_per_index_loop(self):
         cases = stokes_side_cases() + [anti_stokes_two_root_case()]
@@ -290,6 +292,7 @@ class TestResonantRing:
         delta0 = delta0_from_config(cfg, derived)
         res = solve_resonant_ring_charge(derived, delta0, cfg.ring_offset_c0)
         op = res.op
+        assert res.stable
         # resonance condition in both forms
         assert rel(op.omega_m, op.delta_eff) < 1e-10
         hbar = C.hbar
@@ -301,9 +304,11 @@ class TestResonantRing:
         resolved = dataclasses.replace(derived, A_q=op.A_q)
         f = force_balance(op.x_s, resolved, delta0, cfg.ring_offset_c0)
         assert abs(f) < 1e-10 * residual_scale(resolved, cfg.ring_offset_c0)
-        assert res.ring_charge > 0.0
-        assert 2.0 < res.ring_charge < 4.0
-        assert ring_field_value(res.ring_charge, cfg.ring_radius,
+        charge = res.derived.ring_charge
+        assert 2.0 < charge < 4.0
+        assert res.derived == dataclasses.replace(
+            derived, A_q=op.A_q, ring_charge=charge).with_damping(op.omega_m)
+        assert ring_field_value(charge, cfg.ring_radius,
                                 cfg.ring_offset_c0, op.x_s) > 0.0
 
     def test_charge_scales_inverse_with_bound_charge(self):
@@ -311,10 +316,11 @@ class TestResonantRing:
         derived = derive_constants(cfg)
         delta0 = delta0_from_config(cfg, derived)
         c0 = cfg.ring_offset_c0
-        q = derived.q_mcp
-        full = solve_resonant_ring_charge(derived, delta0, c0, q=q)
-        half = solve_resonant_ring_charge(derived, delta0, c0, q=q / 2)
-        assert rel(half.ring_charge, 2 * full.ring_charge) < 1e-9
+        halved = dataclasses.replace(derived, q_mcp=derived.q_mcp / 2)
+        full = solve_resonant_ring_charge(derived, delta0, c0)
+        half = solve_resonant_ring_charge(halved, delta0, c0)
+        assert rel(half.derived.ring_charge,
+                   2 * full.derived.ring_charge) < 1e-9
         assert half.op.x_s == full.op.x_s
 
     def test_root_matches_per_point_loop(self):
@@ -349,13 +355,91 @@ class TestResonantRing:
         minus = solve_resonant_ring_charge(derived, delta0, -c0)
         assert plus.op.x_s < 0.0
         assert minus.op.x_s == -plus.op.x_s
-        assert minus.ring_charge == plus.ring_charge
+        assert minus.derived.ring_charge == plus.derived.ring_charge
 
     def test_zero_offset_rejected(self):
         cfg = reference_config(ring_field=2.5e11)
         derived = derive_constants(cfg)
         with pytest.raises(NoResonantSolution):
             solve_resonant_ring_charge(derived, 0.3 * derived.kappa, 0.0)
+
+
+def rebuilt_model(cfg, ring_mode):
+    """Reference: a second model built after the solve from fresh constants,
+    with the resonant A_q and ring charge put in and the damping completed
+    at op.omega_m."""
+    derived = derive_constants(cfg)
+    delta0 = delta0_from_config(cfg, derived)
+    c0 = cfg.ring_offset_c0
+    if ring_mode == "resonant":
+        solved = solve_resonant_ring_charge(derived, delta0, c0)
+        derived = dataclasses.replace(
+            derived, A_q=solved.op.A_q,
+            ring_charge=solved.derived.ring_charge)
+        op = solved.op
+    else:
+        op = solve_xs(derived, delta0, c0)
+    return build_model(op, derived.with_damping(op.omega_m))
+
+
+def criterion_6_configs(n):
+    """n seeded draws from the criterion-6 box of the acceptance suite."""
+    rng = np.random.default_rng(303)
+    return [reference_config(
+        ring_field=rng.uniform(0.05, 0.6) * 7.25e10,
+        ring_offset_c0=rng.uniform(0.3, 2.0) * 1064e-9,
+        detuning_over_kappa=rng.uniform(0.2, 1.2)) for _ in range(n)]
+
+
+class TestSolveModel:
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_point_model_equals_rebuilt_model(self, ring_mode):
+        cfgs = criterion_6_configs(24)
+        if ring_mode == "fixed_charge":
+            cfgs.append(parse_config(str(CONFIG_DIR / "decoupled.cfg")))
+        solved = 0
+        for cfg in cfgs:
+            try:
+                model = solve_point(cfg, ring_mode=ring_mode).model
+            except LevringError:
+                continue
+            want = rebuilt_model(cfg, ring_mode)
+            assert model.derived == want.derived
+            assert model.op == want.op
+            assert np.array_equal(model.A, want.A)
+            assert np.array_equal(model.D, want.D)
+            got, ref = model.verdict, want.verdict
+            for field in ("s1", "s2", "rh_stable", "rh_marginal",
+                          "max_real_part", "eig_stable"):
+                assert getattr(got, field) == getattr(ref, field), field
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+            solved += 1
+        assert solved >= 10
+
+    def test_single_root_point_builds_one_model(self, fig1, monkeypatch):
+        cfg, derived, delta0 = fig1
+        assert len(scan_roots(derived, delta0, cfg.ring_offset_c0)) == 1
+        calls = []
+        original = dynamics.build_model
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "build_model", counted)
+        sol = solve_point(cfg)
+        assert sol.model.stable
+        assert len(calls) == 1
+
+    def test_solve_xs_is_the_model_operating_point(self, fig1):
+        cfg, derived, delta0 = fig1
+        model = solve_model(derived, delta0, cfg.ring_offset_c0)
+        assert solve_xs(derived, delta0, cfg.ring_offset_c0) == model.op
+        assert model.derived == derived.with_damping(model.op.omega_m)
+
+    def test_public_names_resolve(self):
+        assert [name for name in levring.__all__
+                if not hasattr(levring, name)] == []
 
 
 class TestMeanField:
