@@ -2,11 +2,13 @@
 
 ``mean_field_chunk`` steps the classical mean field, ``cov_rk4`` relaxes
 the covariance by doubling the exact RK4 step map, and ``durand_kerner``
-finds the roots of the characteristic quartic.
+finds the roots of the characteristic quartic; ``durand_kerner_batch``
+runs the same iteration over many quartics at once, bit for bit.
 """
 import numpy as np
 
-__all__ = ["JIT_ENABLED", "mean_field_chunk", "cov_rk4", "durand_kerner"]
+__all__ = ["JIT_ENABLED", "mean_field_chunk", "cov_rk4", "durand_kerner",
+           "durand_kerner_batch"]
 
 JIT_ENABLED = False  # nothing is compiled; kept for levbench provenance
 
@@ -114,6 +116,12 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     return out
 
 
+# gamma_9 = 9u / (1 - 9u), u = eps / 2: the rounding bound of a sum of
+# nine products (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., section 3.1)
+_GAMMA_9 = 4.5 * np.finfo(float).eps / (1.0 - 4.5 * np.finfo(float).eps)
+
+
 def cov_rk4(A, D, dt, max_steps, tol_abs):
     """Relax dV/dt = A V + V A^T + D from V = 0 by fixed-step RK4.
 
@@ -123,9 +131,24 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
     c = dt (I + M/2 + M^2/6 + M^3/24) vec(D).
     Doubling (c <- T c + c, T <- T^2; Smith, SIAM J. Appl. Math. 16,
     1968) gives the state after 1, 2, 4, ... steps.  Stops at the first
-    of them whose Frobenius norm of dV/dt is at most tol_abs; otherwise
-    composes the remaining steps up to max_steps and checks once more.
-    Returns (V, steps_used, converged_flag).
+    of them whose Frobenius norm of dV/dt is at most
+    max(tol_abs, floor); otherwise composes the remaining steps up to
+    max_steps and checks once more.  Returns (V, steps_used,
+    converged_flag).
+
+    The floor is the rounding error of evaluating dV/dt itself.  Each
+    entry of A V + V A^T + D is a sum of nine products (four from each
+    matrix product, one from D), so in floating point it carries an
+    error of at most gamma_9 times the same sum of absolute values
+    (Higham, section 3.1), gamma_9 = 9u / (1 - 9u) ~ 4.5 eps.  Taking
+    Frobenius norms, with || |A| |V| || <= ||A|| ||V||:
+
+        floor = gamma_9 (2 ||A|| ||V|| + ||D||).
+
+    Below it the computed residual cannot tell a settled V from an
+    unsettled one; on slowly decaying models, where ||A|| ||V|| is large
+    against ||D||, it lies above a tol_abs of 1e-12 ||D||.  The rule
+    only ever stops sooner than tol_abs alone.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -135,10 +158,14 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
     T = np.eye(n * n) + M + M2 / 2.0 + M3 / 6.0 + M3 @ M / 24.0
     d = D.reshape(-1)
     c = dt * (d + M @ d / 2.0 + M2 @ d / 6.0 + M3 @ d / 24.0)
+    norm_A = np.linalg.norm(A)
+    norm_D = np.linalg.norm(D)
 
     def settled(v):
         V = v.reshape(n, n)
-        return bool(np.linalg.norm(A @ V + V @ A.T + D) <= tol_abs)
+        floor = _GAMMA_9 * (2.0 * norm_A * np.linalg.norm(V) + norm_D)
+        return bool(np.linalg.norm(A @ V + V @ A.T + D)
+                    <= max(tol_abs, floor))
 
     if max_steps < 1:
         return np.zeros((n, n)), 0, False
@@ -159,6 +186,17 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
     return c.reshape(n, n), steps, True
 
 
+def _dk_start(n):
+    """The Durand-Kerner starting roots (0.4 + 0.9i)^(i+1), i < n."""
+    roots = np.empty(n, dtype=np.complex128)
+    seed = 0.4 + 0.9j
+    z = 1.0 + 0.0j
+    for i in range(n):
+        z = z * seed
+        roots[i] = z
+    return roots
+
+
 def durand_kerner(coeffs, tol, max_iter):
     """All roots of a monic polynomial by Durand-Kerner iteration.
 
@@ -167,12 +205,7 @@ def durand_kerner(coeffs, tol, max_iter):
     iterations == max_iter signals non-convergence to the caller.
     """
     n = coeffs.shape[0]
-    roots = np.empty(n, dtype=np.complex128)
-    seed = 0.4 + 0.9j
-    z = 1.0 + 0.0j
-    for i in range(n):
-        z = z * seed
-        roots[i] = z
+    roots = _dk_start(n)
     it = 0
     while it < max_iter:
         max_step = 0.0
@@ -196,3 +229,62 @@ def durand_kerner(coeffs, tol, max_iter):
         if max_step < tol:
             break
     return roots, it
+
+
+def _complex(re, im):
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def durand_kerner_batch(coeffs, tol, max_iter):
+    """`durand_kerner` on every row of coeffs [B, n] at once, bit for bit.
+
+    Returns (roots [B, n], iterations [B]).  Each row runs the scalar
+    loop's arithmetic in the same order: Gauss-Seidel sweeps over the
+    roots, and a row stops after the sweep whose largest relative step
+    falls below tol.  numpy's array complex multiply and abs round
+    differently from the scalar complex ops of that loop, so products
+    are formed from real and imaginary parts (re = ar br - ai bi,
+    im = ar bi + ai br) and magnitudes by np.hypot; array complex
+    division rounds like the scalar one and is used as is.
+    """
+    B, n = coeffs.shape
+    start = _dk_start(n)
+    # [n, B]: row i holds root i (or coefficient i) of every polynomial
+    zr = np.repeat(start.real[:, None], B, axis=1)
+    zi = np.repeat(start.imag[:, None], B, axis=1)
+    cr = np.ascontiguousarray(coeffs.real.T)
+    ci = np.ascontiguousarray(coeffs.imag.T)
+    iters = np.zeros(B, dtype=np.int64)
+    live = np.arange(B)
+    it = 0
+    while it < max_iter and live.size:
+        R, I, Cr, Ci = zr[:, live], zi[:, live], cr[:, live], ci[:, live]
+        max_step = np.zeros(live.size)
+        for i in range(n):
+            xr, xi = R[i], I[i]
+            nr, ni = np.ones(live.size), np.zeros(live.size)
+            for j in range(n):
+                nr, ni = (nr * xr - ni * xi + Cr[j],
+                          nr * xi + ni * xr + Ci[j])
+            dr, di = np.ones(live.size), np.zeros(live.size)
+            for j in range(n):
+                if j != i:
+                    er, ei = xr - R[j], xi - I[j]
+                    dr, di = dr * er - di * ei, dr * ei + di * er
+            zero = (dr == 0.0) & (di == 0.0)
+            dr[zero] = tol
+            step = _complex(nr, ni) / _complex(dr, di)
+            R[i] = xr - step.real
+            I[i] = xi - step.imag
+            size = np.hypot(R[i], I[i])
+            mag = (np.hypot(step.real, step.imag)
+                   / np.where(size > 1.0, size, 1.0))
+            max_step = np.where(mag > max_step, mag, max_step)
+        it += 1
+        zr[:, live], zi[:, live] = R, I
+        iters[live] = it
+        live = live[~(max_step < tol)]
+    return _complex(zr.T, zi.T), iters

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Optional
 
@@ -23,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .constants import CODATA2018
-from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
-    ParseError, ValidationError
+from .errors import ConfigError, ConfigInvalid, LevringError, NotConverged, \
+    NumericalError, ParseError, ValidationError
 from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
                     derive_constants)
 from .pipeline import solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
-                           scan_roots)
+                           scan_roots, solve_models)
 from .entanglement import entanglement_sweep
 
 # config key -> (SystemConfig field, SI scale); None scale marks a string key
@@ -223,6 +224,23 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
         fh.write("\n".join(parts) + "\n")
 
 
+def _grid(args, prefix: str) -> np.ndarray:
+    """np.linspace over the --<prefix>-min/-max/-n options, once they hold.
+
+    The bounds must be finite and the count at least 1; otherwise a
+    ValidationError names the option, before any array is built.
+    """
+    lo, hi, n = (getattr(args, f"{prefix}_{end}")
+                 for end in ("min", "max", "n"))
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"--{prefix}-{end} must be finite, got {value}")
+    if n < 1:
+        raise ValidationError(f"--{prefix}-n must be at least 1, got {n}")
+    return np.linspace(lo, hi, n)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_steady_state(args) -> int:
@@ -301,10 +319,11 @@ def cmd_steady_state(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    omega_over_kappa = _grid(args, "grid")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     sol = solve_point(cfg, ring_mode=args.ring_mode)
-    grid = np.linspace(args.grid_min, args.grid_max, args.grid_n) * sol.derived.kappa
+    grid = omega_over_kappa * sol.derived.kappa
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
     rows = list(zip(table.omega_over_kappa, table.S_XX, table.S_YY,
                     table.S_XX_norm, table.S_YY_norm,
@@ -321,9 +340,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_entanglement(args) -> int:
+    grid = _grid(args, "grid")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
-    grid = np.linspace(args.grid_min, args.grid_max, args.grid_n)
     rows = entanglement_sweep(cfg, grid, ring_mode=args.ring_mode)
     csv_rows = [(r.delta0_over_kappa, r.E_n, r.stable, r.x_s, r.omega_m,
                  r.Q_used, r.E_x, r.error) for r in rows]
@@ -341,41 +360,61 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_stability_map(args) -> int:
+    d0_grid = _grid(args, "grid")
+    p2_grid = _grid(args, "p2")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     base = derive_constants(cfg)
     # pin the charge so c0 = 0 rows stay valid even for field-specified rings
     cfg_charge = dataclasses.replace(cfg, ring_charge=base.ring_charge,
                                      ring_field=None)
-    wavelength = cfg.wavelength
-    d0_grid = np.linspace(args.grid_min, args.grid_max, args.grid_n)
-    p2_grid = np.linspace(args.p2_min, args.p2_max, args.p2_n)
 
-    def cell(d0_over_kappa, p2):
+    # a column varies only C0 or the ring charge: validate and derive once
+    columns = []
+    for p2 in p2_grid:
         if args.param2 == "c0_over_lambda":
             varied = dataclasses.replace(cfg_charge,
-                                         ring_offset_c0=p2 * wavelength)
+                                         ring_offset_c0=p2 * cfg.wavelength)
         else:
             varied = dataclasses.replace(
                 cfg_charge, ring_charge=base.ring_charge * p2)
         try:
-            sol = solve_point(varied, delta0=d0_over_kappa * base.kappa)
-            v = sol.model.verdict
-            return (d0_over_kappa, p2, v.s1, v.s2, v.rh_stable,
-                    v.eig_stable, "")
-        except LevringError as exc:
-            return (d0_over_kappa, p2, None, None, None, None,
-                    f"{type(exc).__name__}: {exc}")
+            columns.append((derive_constants(varied), varied.ring_offset_c0))
+        except ConfigInvalid as exc:
+            # kept without its traceback, which would hold this frame
+            columns.append(exc.with_traceback(None))
 
-    rows = [cell(d0, p2) for d0 in d0_grid for p2 in p2_grid]
+    grid = [(d0, p2, column) for d0 in d0_grid
+            for p2, column in zip(p2_grid, columns)]
+    solved = solve_models([
+        (column[0], d0 * base.kappa, column[1])
+        for d0, _, column in grid if not isinstance(column, ConfigInvalid)])
+    rows = []
+    for d0, p2, column in grid:
+        outcome = (column if isinstance(column, ConfigInvalid)
+                   else next(solved))
+        if isinstance(outcome, LevringError):
+            rows.append((d0, p2, None, None, None, None,
+                         f"{type(outcome).__name__}: {outcome}"))
+        else:
+            v = outcome.verdict
+            rows.append((d0, p2, v.s1, v.s2, v.rh_stable, v.eig_stable, ""))
     _emit_csv(args.out, canonical_config_line(items),
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",
                "eig_stable", "error"], rows)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the validation code (2 means numerical failure)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simulate",
         description="Levitated-sphere ring-cavity simulator")
     parser.add_argument("--version", action="version", version=__version__)
@@ -385,17 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None,
                        help="CSV output path (default: stdout)")
+
+    def add_ring_mode(p):
         p.add_argument("--ring-mode", choices=["fixed_charge", "resonant"],
                        default="fixed_charge")
 
     p = sub.add_parser("steady-state", help="solve the operating point")
     add_common(p)
+    add_ring_mode(p)
     p.add_argument("--verify", action="store_true",
                    help="cross-check x_s against the mean-field integrator")
     p.set_defaults(func=cmd_steady_state)
 
     p = sub.add_parser("spectrum", help="output quadrature spectra")
     add_common(p)
+    add_ring_mode(p)
     p.add_argument("--grid-min", type=float, default=-3.0)
     p.add_argument("--grid-max", type=float, default=3.0)
     p.add_argument("--grid-n", type=int, default=3001)
@@ -404,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entanglement", help="log-negativity detuning sweep")
     add_common(p)
+    add_ring_mode(p)
     p.add_argument("--grid-min", type=float, default=0.05)
     p.add_argument("--grid-max", type=float, default=1.0)
     p.add_argument("--grid-n", type=int, default=200)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import durand_kerner
+from ._kernels import durand_kerner, durand_kerner_batch
 from .errors import IterationDiverged
 from .model import DerivedParams
 
@@ -132,61 +132,90 @@ def eigenvalue_stability(model: StateSpaceModel):
     return eigs, bool(np.max(eigs.real) < 0.0)
 
 
-def drift_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
-    """Roots of the characteristic quartic by scaled Durand-Kerner iteration.
+def _scaled_quartic(op: "OperatingPoint", gamma: float, kappa: float):
+    """(rho, c): the root scale and the quartic rescaled to O(1) coefficients.
 
-    The polynomial is rescaled to O(1) coefficients before iterating;
-    each root is verified against a residual bound on the scaled
-    polynomial and polished with two Newton steps.
+    c is None when rho == 0, where every eigenvalue is zero.
     """
     a3, a2, a1, a0 = char_poly_coefficients(op, gamma, kappa)
     rho = max(abs(a3), abs(a2) ** 0.5, abs(a1) ** (1.0 / 3.0),
               abs(a0) ** 0.25)
     if rho == 0.0:
-        return np.zeros(4, dtype=complex)
-    c = np.array([a3 / rho, a2 / rho ** 2, a1 / rho ** 3, a0 / rho ** 4],
-                 dtype=np.complex128)
-    roots, iters = durand_kerner(c, _DK_TOL, _DK_MAX_ITER)
+        return rho, None
+    return rho, np.array([a3 / rho, a2 / rho ** 2, a1 / rho ** 3,
+                          a0 / rho ** 4], dtype=np.complex128)
+
+
+def _finish_roots(roots, iters, c, rho):
+    """Polish, check, unscale and sort Durand-Kerner roots.
+
+    roots and c are [4] for one quartic or [B, 4] for a batch; iters is
+    the iteration count or counts, and rho the scale, broadcastable
+    against roots.  Each quartic gets two Newton steps on its scaled
+    polynomial; one whose iteration hit the cap is checked against the
+    residual bound; the roots are unscaled by rho and sorted by real
+    part.  Returns the eigenvalues, shaped like roots, and a list
+    holding, per quartic, the IterationDiverged it raises, or None.
+    """
+    # numpy scalars for one quartic, [B, 1] columns for a batch: the
+    # same per-element arithmetic, and scalar operands are the cheaper
+    c0, c1, c2, c3 = c if c.ndim == 1 else c.T[:, :, None]
 
     def poly(z):
-        return (((z + c[0]) * z + c[1]) * z + c[2]) * z + c[3]
+        return (((z + c0) * z + c1) * z + c2) * z + c3
 
     def dpoly(z):
-        return ((4.0 * z + 3.0 * c[0]) * z + 2.0 * c[1]) * z + c[2]
+        return ((4.0 * z + 3.0 * c0) * z + 2.0 * c1) * z + c2
 
     for _ in range(2):
         dp = dpoly(roots)
         dp = np.where(dp == 0, 1.0, dp)
         roots = roots - poly(roots) / dp
 
-    bound = EIG_RESIDUAL_BOUND * max(1.0, float(np.linalg.norm(
-        np.concatenate(([1.0 + 0j], c)))))
-    residuals = np.abs(poly(roots))
-    if iters >= _DK_MAX_ITER and np.any(residuals > bound):
-        raise IterationDiverged(
-            f"eigenvalue iteration residual {residuals.max():.3e} "
-            f"exceeds bound {bound:.3e}")
+    coeffs = c.reshape(-1, 4)
+    errors = [None] * len(coeffs)
+    capped = np.flatnonzero(np.reshape(iters, -1) >= _DK_MAX_ITER)
+    if capped.size:
+        residuals = np.abs(poly(roots)).reshape(-1, 4)
+        for b in capped:
+            bound = EIG_RESIDUAL_BOUND * max(1.0, float(np.linalg.norm(
+                np.concatenate(([1.0 + 0j], coeffs[b])))))
+            if np.any(residuals[b] > bound):
+                errors[b] = IterationDiverged(
+                    f"eigenvalue iteration residual {residuals[b].max():.3e} "
+                    f"exceeds bound {bound:.3e}")
     eigs = roots * rho
     # quantise the primary key: conjugate pairs differ in the last ulp
-    scale = float(np.max(np.abs(eigs))) or 1.0
-    order = np.lexsort((eigs.imag, np.round(eigs.real / scale, 12)))
-    return eigs[order]
+    scale = np.abs(eigs).max(axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    order = np.lexsort((eigs.imag, (eigs.real / scale).round(12)), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1), errors
 
 
-def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
-    """Assemble drift/diffusion matrices and record both stability verdicts.
+def drift_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
+    """Roots of the characteristic quartic by scaled Durand-Kerner iteration.
 
-    Instability is a verdict, not an error.  `derived` must carry damping
-    for the operating point's omega_m (see DerivedParams.with_damping).
+    The polynomial is rescaled to O(1) coefficients before iterating;
+    each root is polished with two Newton steps and, if the iteration
+    ran to its cap, verified against a residual bound on the scaled
+    polynomial.
     """
-    if derived.gamma is None or derived.Gamma_diff is None:
-        raise ValueError(
-            "derived params lack damping; call with_damping(omega_m) first")
+    rho, c = _scaled_quartic(op, gamma, kappa)
+    if rho == 0.0:
+        return np.zeros(4, dtype=complex)
+    roots, iters = durand_kerner(c, _DK_TOL, _DK_MAX_ITER)
+    eigs, (error,) = _finish_roots(roots, iters, c, rho)
+    if error is not None:
+        raise error
+    return eigs
+
+
+def _assemble(op: "OperatingPoint", derived: DerivedParams,
+              eigs: np.ndarray) -> StateSpaceModel:
     gamma, kappa = derived.gamma, derived.kappa
     A = drift_matrix(op, gamma, kappa)
     D = np.diag([0.0, derived.Gamma_diff, kappa / 2.0, kappa / 2.0])
     s1, s2, marginal = _rh_values(op, gamma, kappa)
-    eigs = drift_eigenvalues(op, gamma, kappa)
     max_re = float(np.max(eigs.real))
     verdict = StabilityVerdict(
         s1=float(s1), s2=float(s2),
@@ -195,3 +224,50 @@ def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel
         eigenvalues=eigs, max_real_part=max_re,
         eig_stable=(max_re < 0.0))
     return StateSpaceModel(A=A, D=D, op=op, derived=derived, verdict=verdict)
+
+
+def _require_damping(derived: DerivedParams) -> None:
+    if derived.gamma is None or derived.Gamma_diff is None:
+        raise ValueError(
+            "derived params lack damping; call with_damping(omega_m) first")
+
+
+def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
+    """Assemble drift/diffusion matrices and record both stability verdicts.
+
+    Instability is a verdict, not an error.  `derived` must carry damping
+    for the operating point's omega_m (see DerivedParams.with_damping).
+    """
+    _require_damping(derived)
+    return _assemble(op, derived,
+                     drift_eigenvalues(op, derived.gamma, derived.kappa))
+
+
+def build_models(ops, deriveds):
+    """`build_model` over a batch, with one Durand-Kerner run for all.
+
+    The eigenvalues of every entry are found at the call; the models are
+    assembled as the returned iterator reaches them, so a caller that
+    drops each in turn holds one at a time.  Entry b is the model
+    `build_model(ops[b], deriveds[b])` returns, or the IterationDiverged
+    it raises; both are bit for bit the same.
+    """
+    for derived in deriveds:
+        _require_damping(derived)
+    scaled = [_scaled_quartic(op, d.gamma, d.kappa)
+              for op, d in zip(ops, deriveds)]
+    rows = [b for b, (rho, _c) in enumerate(scaled) if rho != 0.0]
+    finished = {}
+    if rows:
+        c = np.array([scaled[b][1] for b in rows])
+        rho = np.array([scaled[b][0] for b in rows])
+        roots, iters = durand_kerner_batch(c, _DK_TOL, _DK_MAX_ITER)
+        finished = dict(zip(rows, zip(*_finish_roots(roots, iters, c,
+                                                     rho[:, None]))))
+
+    def models():
+        for b, (op, derived) in enumerate(zip(ops, deriveds)):
+            eigs, error = finished.get(b, (np.zeros(4, dtype=complex), None))
+            yield error if error is not None else _assemble(op, derived, eigs)
+
+    return models()

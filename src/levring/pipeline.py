@@ -1,7 +1,9 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-Shared by the CLI subcommands and the sweep drivers, which solve their
-grid points one after another in grid order.
+The point path, shared by the single-point CLI subcommands and the
+entanglement sweep, which solves its rows one after another in grid
+order.  The stability map solves its cells as one batch through
+`steady_state.solve_models`.
 """
 from __future__ import annotations
 

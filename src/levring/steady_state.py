@@ -12,7 +12,9 @@ change (robust against the multi-root structure of the transcendental
 balance), then screened for stability of the linearised dynamics.  The
 screen builds the state-space model of each candidate; the solvers
 return the model of the accepted root, so spectra and entanglement read
-the very model that was screened.
+the very model that was screened.  A grid of cells, such as a stability
+map, is solved at once by `solve_models`, with the same bits as the
+point path `solve_model`.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -40,6 +42,7 @@ N_SCAN = 4001
 N_SCAN_RESONANT = 2001
 BISECT_REL_TOL = 1e-15          # of the full interval width
 RESIDUAL_REL_TOL = 1e-12
+SCAN_CHUNK = 4                  # cells per [SCAN_CHUNK, N_SCAN] scan block
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,20 @@ class MeanFieldResult:
     window_amps: np.ndarray
 
 
+def _balance(x, g_cos2, sin_2kx, derived: DerivedParams, delta0, c0, a_q):
+    """The force balance from g cos^2(kx) and sin(2kx), with the same
+    per-element arithmetic as `force_balance`; broadcasts over cells."""
+    delta = delta0 + g_cos2
+    opt = (CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
+           * sin_2kx / (derived.kappa ** 2 / 4.0 + delta * delta))
+    return a_q * (c0 + x) + opt
+
+
 def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
     """f(x) in newtons; vectorised over x."""
-    delta = delta0 + derived.g * np.cos(derived.k * x) ** 2
-    opt = (CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
-           * np.sin(2.0 * derived.k * x)
-           / (derived.kappa ** 2 / 4.0 + delta * delta))
-    return derived.A_q * (c0 + x) + opt
+    return _balance(x, derived.g * np.cos(derived.k * x) ** 2,
+                    np.sin(2.0 * derived.k * x), derived, delta0, c0,
+                    derived.A_q)
 
 
 def residual_scale(derived: DerivedParams, c0: float) -> float:
@@ -170,6 +180,64 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
         BISECT_REL_TOL * (2.0 * half)))
 
 
+def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
+    """The operating points the stability screen builds models for, in order.
+
+    roots is None for a decoupled input (A_q = 0 or C0 = 0): its one
+    candidate is x_s = 0 and any error there propagates.  Otherwise the
+    roots are taken in order of |x_s|, a root with negative trap
+    curvature is skipped, and a root whose residual exceeds the bound
+    ends the list.  Returns the (op, damped derived) pairs and the error
+    the screen raises once it reaches the end of the list, or None.
+    """
+    if roots is None:
+        op = operating_point_at(derived, delta0, c0, 0.0)
+        return [(op, derived.with_damping(op.omega_m))], None
+    if not roots:
+        raise NoRootInInterval(
+            f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
+    tol = RESIDUAL_REL_TOL * residual_scale(derived, c0)
+    pairs = []
+    for x_root in sorted(roots, key=abs):
+        try:
+            op = operating_point_at(derived, delta0, c0, x_root)
+        except UnstableTrap:
+            continue
+        if abs(op.residual) > tol:
+            return pairs, NumericalError(
+                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")
+        pairs.append((op, derived.with_damping(op.omega_m)))
+    return pairs, None
+
+
+def _screen(models, end_error, delta0: float, screened: bool):
+    """The first Hurwitz model of `models` (or the first, unscreened).
+
+    models yields the candidates' models in screen order, or the
+    NumericalError building one raised; an error reached before an
+    accepted model is raised.  Past the last model, end_error is raised,
+    else AllRootsUnstable or NoRootInInterval.
+    """
+    unstable_seen = 0
+    for model in models:
+        if isinstance(model, NumericalError):
+            raise model
+        if model.stable or not screened:
+            return model
+        unstable_seen += 1
+    if end_error is not None:
+        raise end_error
+    if unstable_seen:
+        raise AllRootsUnstable(
+            f"{unstable_seen} root(s) found, none Hurwitz at delta0 = {delta0:.6e}")
+    raise NoRootInInterval(
+        f"no admissible root at delta0 = {delta0:.6e}")
+
+
+def _decoupled(derived: DerivedParams, c0: float) -> bool:
+    return derived.A_q == 0.0 or c0 == 0.0
+
+
 def solve_model(derived: DerivedParams, delta0: float,
                 c0: float) -> dynamics.StateSpaceModel:
     """Solve the force balance and return the model at the selected root.
@@ -182,35 +250,137 @@ def solve_model(derived: DerivedParams, delta0: float,
     The degenerate decoupled inputs A_q = 0 (no bound charge or no ring
     charge) and C0 = 0 yield x_s = 0 exactly; their model is returned
     unscreened, since instability there is a verdict, not an error.
-    """
-    if derived.A_q == 0.0 or c0 == 0.0:
-        op = operating_point_at(derived, delta0, c0, 0.0)
-        return dynamics.build_model(op, derived.with_damping(op.omega_m))
 
-    roots = scan_roots(derived, delta0, c0)
-    if not roots:
-        raise NoRootInInterval(
-            f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
-    roots.sort(key=abs)
-    tol = RESIDUAL_REL_TOL * residual_scale(derived, c0)
-    unstable_seen = 0
-    for x_root in roots:
+    This is the point path; `solve_models` solves a grid of cells with
+    the same results.
+    """
+    decoupled = _decoupled(derived, c0)
+    roots = None if decoupled else scan_roots(derived, delta0, c0)
+    pairs, end_error = _candidates(derived, delta0, c0, roots)
+    return _screen((dynamics.build_model(op, d) for op, d in pairs),
+                   end_error, delta0, not decoupled)
+
+
+def _bisect_all(fun, a, b, fa, tol_x):
+    """`_bisect` on arrays of brackets in lock step, bit for bit.
+
+    fun(x, idx) evaluates at x the functions of brackets idx.  Every
+    bracket takes the scalar loop's steps: mid = 0.5 (a + b), an exact
+    zero ends it at mid, the fa * fm < 0 test picks the half, and it
+    ends at 0.5 (a + b) once b - a <= tol_x.
+    """
+    root = 0.5 * (a + b)
+    idx = np.flatnonzero(b - a > tol_x)
+    a, b, fa = a[idx], b[idx], fa[idx]
+    while idx.size:
+        mid = 0.5 * (a + b)
+        fm = fun(mid, idx)
+        left = fa * fm < 0.0
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        fa = np.where(left, fa, fm)
+        hit = fm == 0.0
+        root[idx] = np.where(hit, mid, 0.5 * (a + b))
+        go = ~hit & (b - a > tol_x)
+        idx, a, b, fa = idx[go], a[go], b[go], fa[go]
+    return root
+
+
+def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
+    """`scan_roots` for cells that differ only in delta0, c0 and A_q.
+
+    The grid's sin(2kx) and g cos^2(kx) are evaluated once; the force
+    balance of SCAN_CHUNK cells at a time is evaluated on the grid, and
+    every bracket of every cell is bisected in lock step.  Returns one
+    ascending root list per cell, equal to what `scan_roots` returns.
+    """
+    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
+    xs = np.linspace(-half, half, N_SCAN)
+    g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
+    sin_2kx = np.sin(2.0 * derived.k * xs)
+    hits = []       # per chunk: cell, grid index, f there, exact zero
+    for first in range(0, len(delta0), SCAN_CHUNK):
+        rows = slice(first, first + SCAN_CHUNK)
+        fs = _balance(xs, g_cos2, sin_2kx, derived, delta0[rows, None],
+                      c0[rows, None], a_q[rows, None])
+        zero = fs == 0.0
+        change = np.zeros_like(zero)
+        change[:, :-1] = fs[:, :-1] * fs[:, 1:] < 0.0
+        cell, i = np.divmod(np.flatnonzero(zero | change), N_SCAN)
+        hits.append((cell + first, i, fs[cell, i], zero[cell, i]))
+    cell, i, f_i, zero = (np.concatenate(v) for v in zip(*hits))
+    bracket = np.flatnonzero(~zero)
+    bracket_cell = cell[bracket]
+
+    def balance(x, idx):
+        # `_bisect` squares cos(kx) as a scalar, by libm pow, which is an
+        # ulp away from the array square x * x on some arguments
+        cos2 = np.array([v ** 2 for v in np.cos(derived.k * x).tolist()])
+        at = bracket_cell[idx]
+        return _balance(x, derived.g * cos2, np.sin(2.0 * derived.k * x),
+                        derived, delta0[at], c0[at], a_q[at])
+
+    found = xs[i]
+    lo = i[bracket]
+    found[bracket] = _bisect_all(balance, xs[lo], xs[lo + 1], f_i[bracket],
+                                 BISECT_REL_TOL * (2.0 * half))
+    roots = [[] for _ in delta0]
+    for c, x in zip(cell.tolist(), found.tolist()):
+        roots[c].append(x)
+    return roots
+
+
+def solve_models(cells):
+    """`solve_model` over a grid of cells at once, bit for bit.
+
+    cells is a sequence of (derived, delta0, c0) whose constants share
+    k, g, E_drive and kappa; the cells of a stability map differ only
+    in delta0, c0, A_q and the ring charge.  Returns an iterator whose
+    entry i is the model `solve_model(*cells[i])` returns, or the
+    NumericalError it raises.
+
+    The root scan of all cells runs as arrays (see `_scan_cells`) and
+    one Durand-Kerner run finds the eigenvalues for the candidate roots
+    of every cell (`dynamics.build_models`), both at the call; the
+    operating points, residual checks and Routh-Hurwitz values are the
+    scalar code of `solve_model`.  Each model is assembled and screened
+    as the iterator reaches its cell.
+    """
+    if not cells:
+        return iter(())
+    ref = cells[0][0]
+    optics = (ref.k, ref.g, ref.E_drive, ref.kappa)
+    if any((d.k, d.g, d.E_drive, d.kappa) != optics for d, _, _ in cells):
+        raise ValueError("cells must share k, g, E_drive and kappa")
+    scanned = [i for i, (d, _, c0) in enumerate(cells)
+               if not _decoupled(d, c0)]
+    roots = {}
+    if scanned:
+        delta0, c0, a_q = np.array([(cells[i][1], cells[i][2],
+                                     cells[i][0].A_q) for i in scanned]).T
+        roots = dict(zip(scanned, _scan_cells(ref, delta0, c0, a_q)))
+    plans = []
+    for i, (derived, delta0, c0) in enumerate(cells):
         try:
-            op = operating_point_at(derived, delta0, c0, x_root)
-        except UnstableTrap:
-            continue
-        if abs(op.residual) > tol:
-            raise NumericalError(
-                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")
-        model = dynamics.build_model(op, derived.with_damping(op.omega_m))
-        if model.stable:
-            return model
-        unstable_seen += 1
-    if unstable_seen:
-        raise AllRootsUnstable(
-            f"{unstable_seen} root(s) found, none Hurwitz at delta0 = {delta0:.6e}")
-    raise NoRootInInterval(
-        f"no admissible root at delta0 = {delta0:.6e}")
+            plans.append(_candidates(derived, delta0, c0, roots.get(i)))
+        except NumericalError as exc:
+            plans.append(([], exc.with_traceback(None)))
+    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
+    models = dynamics.build_models([op for op, _ in pairs],
+                                   [d for _, d in pairs])
+
+    def outcomes():
+        for i, (cell_pairs, end_error) in enumerate(plans):
+            built = [next(models) for _ in cell_pairs]
+            try:
+                outcome = _screen(built, end_error, cells[i][1], i in roots)
+            except NumericalError as exc:
+                # a kept traceback would hold this frame and the models
+                # in it until the cycle collector runs
+                outcome = exc.with_traceback(None)
+            yield outcome
+
+    return outcomes()
 
 
 def solve_xs(derived: DerivedParams, delta0: float,

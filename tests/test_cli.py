@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 import levring.cli
+import levring.pipeline
 from levring.cli import main, parse_config
 from levring.errors import ParseError, ValidationError
 from levring.model import derive_constants
@@ -240,6 +241,26 @@ class TestCommands:
         assert all(r.split(",")[4] == "true" and r.split(",")[5] == "true"
                    for r in zero_rows)
 
+    @pytest.mark.parametrize("p2_range", [("0", "2"), ("-150", "150")])
+    def test_stability_map_derives_once_per_column(self, cfg_file,
+                                                   monkeypatch, p2_range):
+        # a column varies only C0 or the ring charge: one derive_constants
+        # per column plus one for the config, however many detunings
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return derive_constants(cfg)
+
+        for module in (levring.cli, levring.pipeline):
+            monkeypatch.setattr(module, "derive_constants", counted)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["stability-map", "--config", cfg_file,
+                         "--grid-n", "11", "--p2-min", p2_range[0],
+                         "--p2-max", p2_range[1], "--p2-n", "7"]) == 0
+        assert len(out.getvalue().splitlines()) == 3 + 11 * 7
+        assert len(calls) == 7 + 1
+
     def test_svg_output(self, cfg_file, tmp_path):
         svg = tmp_path / "spec.svg"
         main(["spectrum", "--config", cfg_file, "--grid-n", "51",
@@ -273,6 +294,43 @@ class TestExitCodes:
             assert main(["steady-state", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("subcommand, option, value", [
+        ("spectrum", "--grid-n", "-3"),
+        ("spectrum", "--grid-n", "0"),
+        ("spectrum", "--grid-max", "nan"),
+        ("spectrum", "--grid-min", "-inf"),
+        ("spectrum", "--grid-n", "abc"),
+        ("entanglement", "--grid-n", "-1"),
+        ("entanglement", "--grid-n", "0"),
+        ("entanglement", "--grid-max", "inf"),
+        ("entanglement", "--grid-n", "1.5"),
+        ("stability-map", "--grid-n", "-2"),
+        ("stability-map", "--grid-n", "0"),
+        ("stability-map", "--grid-max", "nan"),
+        ("stability-map", "--p2-n", "-1"),
+        ("stability-map", "--p2-n", "0"),
+        ("stability-map", "--p2-min", "nan"),
+        ("stability-map", "--p2-max", "inf"),
+        ("stability-map", "--p2-n", "abc"),
+        ("stability-map", "--ring-mode", "resonant"),
+    ])
+    def test_bad_grid_option_exits_one(self, cfg_file, capsys, subcommand,
+                                       option, value):
+        # counts below 1, non-finite bounds, unparsable values and options
+        # the subcommand does not take are validation errors, not crashes,
+        # empty outputs or numerical failures
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([subcommand, "--config", cfg_file,
+                             f"{option}={value}"])
+            except SystemExit as exc:   # an argparse usage error
+                code = exc.code
+        assert code == 1
+        assert option in capsys.readouterr().err
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 

@@ -1,12 +1,13 @@
 """Drift matrix structure and the two stability routes."""
 import numpy as np
 
-from levring.dynamics import (char_poly_coefficients, drift_eigenvalues,
+from levring.dynamics import (build_model, build_models,
+                              char_poly_coefficients, drift_eigenvalues,
                               eigenvalue_stability, routh_hurwitz)
 from levring.pipeline import solve_point
 
 from conftest import (KAPPA_SCALE, random_model, reference_config,
-                      synthetic_model, synthetic_op)
+                      synthetic_derived, synthetic_model, synthetic_op)
 
 KAP = KAPPA_SCALE
 
@@ -187,3 +188,35 @@ class TestStabilityVerdicts:
         scaled_op = synthetic_op(0.7, 0.9, 0.8, -0.3)
         eigs = drift_eigenvalues(scaled_op, 0.05, 1.0)
         assert_same_spectrum(base.verdict.eigenvalues, eigs * KAP, rtol=1e-9)
+
+
+def test_batched_models_equal_single_builds():
+    # one Durand-Kerner run for the batch, bit for bit the models that
+    # build_model gives one at a time, in input order; the all-zero
+    # quartic (rho = 0) and G = 0 draws included
+    rng = np.random.default_rng(12)
+    ops, deriveds = [], []
+    for k in range(400):
+        ops.append(synthetic_op(
+            omega_m=rng.uniform(0.01, 3.0) * KAP,
+            Omega_m=rng.uniform(-1.0, 3.0) * KAP,
+            delta=rng.uniform(-2.0, 2.0) * KAP,
+            G=0.0 if k % 7 == 0 else rng.uniform(-1.5, 1.5) * KAP))
+        deriveds.append(synthetic_derived(gamma=rng.uniform(1e-6, 0.5) * KAP,
+                                          Gamma=1.0 * KAP))
+    ops.append(synthetic_op(0.0, 0.0, 0.0, 0.0))
+    deriveds.append(synthetic_derived(kappa=0.0, gamma=0.0, Gamma=0.0))
+    got = list(build_models(ops, deriveds))
+    assert len(got) == len(ops)
+    for model, op, derived in zip(got, ops, deriveds):
+        want = build_model(op, derived)
+        assert model.op == op and model.derived == derived
+        assert np.array_equal(model.A, want.A)
+        assert np.array_equal(model.D, want.D)
+        assert np.array_equal(model.verdict.eigenvalues,
+                              want.verdict.eigenvalues)
+        for field in ("s1", "s2", "rh_stable", "rh_marginal",
+                      "max_real_part", "eig_stable"):
+            assert getattr(model.verdict, field) == getattr(want.verdict,
+                                                            field)
+    assert not np.any(got[-1].verdict.eigenvalues)

@@ -91,6 +91,18 @@ class TestCovarianceIntegration:
                         Gam / gam, 0.5, 0.5])
         assert np.allclose(V, want, rtol=1e-6)
 
+    def test_slow_decay_draw_meets_the_rounding_floor(self):
+        # draw 121 of the criterion-4 box decays at 4.7e-4 kappa; its RK4
+        # residual floors at 1.1e-12 ||D||, above 1e-12 ||D|| but below the
+        # rounding floor of evaluating dV/dt
+        rng = np.random.default_rng(7)
+        for _ in range(121):
+            m = random_model(rng, stable=True, gamma_range=(0.05, 0.5))
+        assert -m.verdict.max_real_part < 5e-4 * KAP
+        V_alg = lyapunov_solve(m)
+        V_int = covariance_by_integration(m)
+        assert np.abs(V_int - V_alg).max() / np.abs(V_alg).max() < 1e-6
+
     def test_unforced_contraction_to_zero(self):
         m = synthetic_model(0.7 * KAP, 1.1 * KAP, 0.9 * KAP, -0.2 * KAP,
                             0.1 * KAP, 1.0 * KAP)

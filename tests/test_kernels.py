@@ -70,3 +70,25 @@ def test_durand_kerner_against_numpy_roots():
             i = int(np.argmin(d))
             assert d[i] < 1e-8 * max(1.0, abs(ref[i]))
             ref.pop(i)
+
+
+def test_durand_kerner_batch_matches_scalar_loop():
+    # bit for bit, roots and iteration counts, on seeded quartics:
+    # random complex ones, real ones with conjugate pairs, and ones with
+    # a double root that run the iteration to its cap
+    rng = np.random.default_rng(8)
+    polys = []
+    for k in range(300):
+        roots = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if k % 3 == 1:
+            roots[1], roots[3] = np.conj(roots[0]), np.conj(roots[2])
+        if k % 50 == 2:
+            roots[1] = roots[0]
+        polys.append(np.poly(roots)[1:])
+    coeffs = np.array(polys, dtype=np.complex128)
+    roots, iters = _kernels.durand_kerner_batch(coeffs, 1e-14, 500)
+    for c, got, it in zip(coeffs, roots, iters):
+        want, want_it = _kernels.durand_kerner(c, 1e-14, 500)
+        assert np.array_equal(got, want)
+        assert it == want_it
+    assert iters.max() == 500 and iters.min() < 100

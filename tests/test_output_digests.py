@@ -1,10 +1,14 @@
-"""Byte-identity pins for the `steady-state` and `spectrum` subcommands.
+"""Byte-identity pins for the `steady-state`, `spectrum` and `stability-map`
+subcommands.
 
 The four sweep CSVs are pinned in test_cli.py against
 levbench/reference_digests.json. This file pins the two single-point
 subcommands on the shipped configs: the sha256 of the `--out` CSV and of
 stdout, for fig1 in both ring modes, fig2 resonant and the decoupled
-config with a fixed charge. Regenerate the table with
+config with a fixed charge. It also pins small stability maps with the
+row kinds the shipped maps lack: ConfigInvalid columns, negative offsets
+and charges, C0 = 0 and zero-charge columns, an all-decoupled config and
+a 1x1 grid. Regenerate the tables with
 `PYTHONPATH=src python tests/test_output_digests.py`, and only when an
 output change is intended.
 """
@@ -56,6 +60,23 @@ DIGESTS = {
 }
 
 
+# stability-map arguments after the config -> sha256 of the CSV on stdout
+MAP_DIGESTS = {
+    "fig1.cfg --param2 c0_over_lambda --p2-min -150 --p2-max 150 --p2-n 7":
+        "4aec67ab93a91209ec5efb5df5ff3b74612c1164c8be2f3e92404918be4d4728",
+    "fig2.cfg --param2 c0_over_lambda --p2-min -2 --p2-max 2 --p2-n 9 "
+    "--grid-n 21":
+        "7b275e9d6768049a803b5e291389ac9d95c32b3c9f82f0ed716b22b269925123",
+    "fig2.cfg --param2 charge_scale --p2-min -1.5 --p2-max 1.5 --p2-n 7 "
+    "--grid-n 21":
+        "1a910fa42848614fb557b9c5b4603aa99b8096583b2e267ae4ba8e0c8daad377",
+    "decoupled.cfg --grid-n 11 --p2-n 5":
+        "ac9b9a5e41e51dbffdd1086418997bb676862715870c96849e094d67ca0f0181",
+    "fig1.cfg --grid-min 0.8 --grid-n 1 --p2-min 1 --p2-n 1":
+        "f184bad518d0ac9e4a56e35b1404087439337e7db9988dc0e81b20d4c7db0f6d",
+}
+
+
 def run_digests(subcommand, config, ring_mode, out_path):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -74,6 +95,21 @@ def test_output_matches_pinned_digest(tmp_path, subcommand, config,
     assert got == DIGESTS[(subcommand, config, ring_mode)]
 
 
+def map_digest(case):
+    config, *options = case.split()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["stability-map", "--config", str(CONFIG_DIR / config)]
+                    + options)
+    assert code == 0
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", MAP_DIGESTS)
+def test_stability_map_matches_pinned_digest(case):
+    assert map_digest(case) == MAP_DIGESTS[case]
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,3 +121,5 @@ if __name__ == "__main__":
                 sys.stdout.write(f'    ({key}): (\n'
                                  f'        "{digests[0]}",\n'
                                  f'        "{digests[1]}"),\n')
+        for case in MAP_DIGESTS:
+            sys.stdout.write(f'    "{case}":\n        "{map_digest(case)}",\n')

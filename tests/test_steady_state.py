@@ -1,24 +1,29 @@
 """Steady-state solver, resonance matching and the mean-field oracle."""
+import collections
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
 import levring
-from levring import dynamics
+import levring.cli
+from levring import dynamics, steady_state
 from levring.cli import parse_config
 from levring.constants import CODATA2018
 from levring.dynamics import build_model
 from levring.errors import (AllRootsUnstable, LevringError,
                             NoResonantSolution, NoRootInInterval,
-                            NotConverged, UnstableTrap)
+                            NotConverged, NumericalError, UnstableTrap)
 from levring.model import delta0_from_config, derive_constants
 from levring.pipeline import ring_field_value, solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
-                                  _bisect, cavity_steady_field, force_balance,
+                                  _bisect, _scan_cells, cavity_steady_field,
+                                  force_balance,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
-                                  scan_roots, solve_model,
+                                  scan_roots, solve_model, solve_models,
                                   solve_resonant_ring_charge, solve_xs,
                                   steady_amplitude)
 
@@ -440,6 +445,102 @@ class TestSolveModel:
     def test_public_names_resolve(self):
         assert [name for name in levring.__all__
                 if not hasattr(levring, name)] == []
+
+
+def assert_same_outcome(got, cell):
+    """The grid solver's entry for a cell equals what solve_model gives."""
+    try:
+        want = solve_model(*cell)
+    except NumericalError as exc:
+        assert type(got) is type(exc)
+        assert str(got) == str(exc)
+        return type(exc).__name__
+    assert isinstance(got, dynamics.StateSpaceModel), got
+    assert got.derived == want.derived
+    assert got.op == want.op
+    assert np.array_equal(got.A, want.A)
+    assert np.array_equal(got.D, want.D)
+    for field in ("s1", "s2", "rh_stable", "rh_marginal", "max_real_part",
+                  "eig_stable"):
+        assert getattr(got.verdict, field) == getattr(want.verdict, field)
+    assert np.array_equal(got.verdict.eigenvalues, want.verdict.eigenvalues)
+    return "stable" if want.stable else "unstable"
+
+
+def criterion_6_grid():
+    """Cells of four seeded criterion-6 configs over detuning and +-C0."""
+    cells = []
+    for cfg in criterion_6_configs(4):
+        derived = derive_constants(cfg)
+        for over_kappa in np.linspace(-1.0, 1.5, 11):
+            for c0 in (cfg.ring_offset_c0, -cfg.ring_offset_c0, 0.0):
+                cells.append((derived, over_kappa * derived.kappa, c0))
+    return cells
+
+
+def anti_stokes_grid():
+    """The two-root anti-Stokes case and its neighbours in delta0 and C0."""
+    derived, delta0, c0 = anti_stokes_two_root_case()
+    return [(derived, delta0 * scale, sign * c0)
+            for scale in (1.0, 0.999, 1.001, 0.9) for sign in (1.0, -1.0)]
+
+
+class TestSolveModels:
+    @pytest.mark.parametrize("param2", ["c0_over_lambda", "charge_scale"])
+    def test_shipped_map_cells_equal_point_path(self, monkeypatch, param2):
+        # every cell the CLI hands the grid solver on a shipped map
+        calls = []
+
+        def recording(cells):
+            calls.append((cells, list(solve_models(cells))))
+            return iter(calls[-1][1])
+
+        monkeypatch.setattr(levring.cli, "solve_models", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert levring.cli.main(
+                ["stability-map", "--config", str(CONFIG_DIR / "fig1.cfg"),
+                 "--param2", param2]) == 0
+        (cells, got), = calls
+        assert len(cells) == 41 * 21
+        kinds = collections.Counter(
+            assert_same_outcome(g, cell) for g, cell in zip(got, cells))
+        assert kinds["stable"] > 100 and kinds["NoRootInInterval"] > 10
+
+    def test_seeded_grids_equal_point_path(self):
+        kinds = collections.Counter()
+        for cells in (criterion_6_grid(), anti_stokes_grid()):
+            got = list(solve_models(cells))
+            assert len(got) == len(cells)
+            kinds.update(assert_same_outcome(g, cell)
+                         for g, cell in zip(got, cells))
+        assert kinds["stable"] >= 20
+        assert kinds["AllRootsUnstable"] >= 8
+
+    def test_scan_matches_scan_roots(self):
+        for cases in (stokes_side_cases(), anti_stokes_grid()):
+            derived = cases[0][0]
+            delta0, c0, a_q = (np.array(v) for v in zip(
+                *[(d0, c0, d.A_q) for d, d0, c0 in cases]))
+            roots = _scan_cells(derived, delta0, c0, a_q)
+            assert roots == [scan_roots(*case) for case in cases]
+        assert [len(r) for r in roots[:2]] == [2, 2]
+
+    def test_decoupled_cells_are_not_scanned(self, monkeypatch):
+        derived = derive_constants(
+            parse_config(str(CONFIG_DIR / "decoupled.cfg")))
+        monkeypatch.setattr(steady_state, "_scan_cells", None)
+        cells = [(derived, d0 * derived.kappa, c0)
+                 for d0 in (-0.5, 0.0, 0.8) for c0 in (0.0, 1e-6, -1e-6)]
+        got = list(solve_models(cells))
+        assert len(got) == len(cells)
+        for g, cell in zip(got, cells):
+            assert assert_same_outcome(g, cell) in ("stable", "unstable")
+        assert list(solve_models([])) == []
+
+    def test_cells_must_share_the_optics(self):
+        cells = stokes_side_cases()[:2] + [anti_stokes_two_root_case()]
+        with pytest.raises(ValueError, match="share"):
+            solve_models(cells)
 
 
 class TestMeanField:
