@@ -1,5 +1,5 @@
-"""Byte-identity pins for the `steady-state`, `spectrum` and `stability-map`
-subcommands.
+"""Byte-identity pins for the `steady-state`, `spectrum`, `stability-map`
+and `entanglement` subcommands.
 
 The four sweep CSVs are pinned in test_cli.py against
 levbench/reference_digests.json. This file pins the two single-point
@@ -8,7 +8,11 @@ stdout, for fig1 in both ring modes, fig2 resonant and the decoupled
 config with a fixed charge. It also pins small stability maps with the
 row kinds the shipped maps lack: ConfigInvalid columns, negative offsets
 and charges, C0 = 0 and zero-charge columns, an all-decoupled config and
-a 1x1 grid. Regenerate the tables with
+a 1x1 grid. The entanglement pins hold the sha256 of stdout and the exit
+code of sweeps beyond the two shipped fig2 ones: fig1 and the decoupled
+config (every resonant row fails, exit 2) in both ring modes, a wide fig2
+grid with AllRootsUnstable rows and resonant points off the stable
+sideband, a negative ring offset and 1-row grids. Regenerate the tables with
 `PYTHONPATH=src python tests/test_output_digests.py`, and only when an
 output change is intended.
 """
@@ -77,6 +81,36 @@ MAP_DIGESTS = {
 }
 
 
+# entanglement arguments after the config -> (sha256 of stdout, exit code);
+# fig2_neg_c0.cfg is fig2.cfg with ring_offset_c0_nm = -1064
+SWEEP_DIGESTS = {
+    "fig1.cfg --ring-mode fixed_charge":
+        ("5829d7af66c7c023ac20cb431bef72df08769efbb95c093ab5909d2789f7a23e", 0),
+    "fig1.cfg --ring-mode resonant":
+        ("a80e13670348a8aa77cdab33ae2491661f55be9553208c6af1cc39a9f79ab660", 0),
+    "decoupled.cfg --ring-mode fixed_charge":
+        ("03524f66d79a9fbd7a2ef59745752a22fe08c816d3a4f9033022acf27efde3e8", 0),
+    "decoupled.cfg --ring-mode resonant":
+        ("26fc680ed92bb4e7f72d719d4cb25e839401c1afbdc7185e5acf6f2bcf90b7b4", 2),
+    "fig2.cfg --ring-mode fixed_charge --grid-min -0.5 --grid-max 1.2 "
+    "--grid-n 35":
+        ("300f8068608f77119ecdb15803e9d804cc283c5d54258e85b2d16473bac4700d", 0),
+    "fig2.cfg --ring-mode resonant --grid-min -0.5 --grid-max 1.2 "
+    "--grid-n 35":
+        ("008c90fd68118b0b583b333a0d3eacdff37836d17ea3717e8d4e35bffb46918b", 0),
+    "fig2_neg_c0.cfg --ring-mode fixed_charge --grid-n 40":
+        ("15c4e97df1f0cac282f7127db577950f0f4287c7897d04c4d8f67208e37b9d7f", 2),
+    "fig2_neg_c0.cfg --ring-mode resonant --grid-n 40":
+        ("be8e4a2256940e6a78eab05d859a5ed2bfa848c03cdfc3addec9926aff9acc19", 0),
+    "fig1.cfg --ring-mode fixed_charge --grid-min 0.8 --grid-n 1":
+        ("4bb944069eebb7ed14486317d8b944f0b8ebd697f279a50641b0e398253f21b6", 0),
+    "fig2.cfg --ring-mode fixed_charge --grid-min 0.3 --grid-n 1":
+        ("e867750e1e79acd065a16a3e09d94cbd03f26c8e6e57a542b16a71d3d41d698b", 2),
+    "fig2.cfg --ring-mode resonant --grid-min 0.3 --grid-n 1":
+        ("16e51869af63e028f05b9ae08b0fe75902e0a1f2768d233c47f26e7a3c70ec64", 0),
+}
+
+
 def run_digests(subcommand, config, ring_mode, out_path):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -110,6 +144,26 @@ def test_stability_map_matches_pinned_digest(case):
     assert map_digest(case) == MAP_DIGESTS[case]
 
 
+def sweep_digest(case, tmp_dir):
+    config, *options = case.split()
+    if config == "fig2_neg_c0.cfg":
+        path = pathlib.Path(tmp_dir) / config
+        path.write_text((CONFIG_DIR / "fig2.cfg").read_text().replace(
+            "ring_offset_c0_nm = 1064", "ring_offset_c0_nm = -1064"))
+    else:
+        path = CONFIG_DIR / config
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["entanglement", "--config", str(path)] + options)
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("case", SWEEP_DIGESTS)
+def test_entanglement_matches_pinned_digest(tmp_path, case):
+    assert sweep_digest(case, tmp_path) == SWEEP_DIGESTS[case]
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,3 +177,6 @@ if __name__ == "__main__":
                                  f'        "{digests[1]}"),\n')
         for case in MAP_DIGESTS:
             sys.stdout.write(f'    "{case}":\n        "{map_digest(case)}",\n')
+        for case in SWEEP_DIGESTS:
+            digest, code = sweep_digest(case, tmp)
+            sys.stdout.write(f'    "{case}":\n        ("{digest}", {code}),\n')
