@@ -163,13 +163,20 @@ def _emit_csv(path, config_line, columns, rows):
 
 
 def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
-    """Minimal line chart: axes, polylines, optional dashed baseline rule."""
+    """Minimal line chart: axes, polylines, optional dashed baseline rule.
+
+    Non-finite y values are missing points: the axes are scaled over the
+    finite ones, and a curve's polyline breaks at each missing point.
+    """
     width, height = 720.0, 460.0
     ml, mr, mt, mb = 64.0, 16.0, 20.0, 44.0
     xs = np.asarray(x, dtype=float)
     ys_all = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     if baseline is not None:
         ys_all = np.append(ys_all, baseline)
+    ys_all = ys_all[np.isfinite(ys_all)]
+    if not ys_all.size:
+        ys_all = np.zeros(1)
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 == x0:
@@ -211,12 +218,17 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
                      f'stroke="#444" stroke-dasharray="5 4"/>')
     for i, (label, ys) in enumerate(curves):
         ys = np.asarray(ys, dtype=float)
-        ok = np.isfinite(ys)
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}"
-                       for a, b in zip(xs[ok], ys[ok]))
         color = colors[i % len(colors)]
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{pts}"/>')
+        # one polyline per run of consecutive finite points
+        missing = np.flatnonzero(~np.isfinite(ys))
+        for run in np.split(np.arange(ys.size), missing):
+            run = run[np.isfinite(ys[run])]
+            if not run.size:
+                continue
+            pts = " ".join(f"{px(a):.2f},{py(b):.2f}"
+                           for a, b in zip(xs[run], ys[run]))
+            parts.append(f'<polyline fill="none" stroke="{color}" '
+                         f'stroke-width="1.5" points="{pts}"/>')
         parts.append(f'<text x="{width - mr - 8:.1f}" y="{mt + 16 + 16 * i:.1f}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")

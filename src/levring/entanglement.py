@@ -3,9 +3,12 @@
 The stationary second moments of the linearised Gaussian state solve the
 Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
-pivoting -- exact to machine precision at this size.  An RK4 relaxation
-of dV/dt = A V + V A^T + D, evaluated by doubling the RK4 step map,
-provides an independent route used as an oracle in the tests.
+pivoting -- exact to machine precision at this size.  A detuning sweep
+solves the systems of all its stable rows in one stacked solve
+(`lyapunov_solves`), with the bits of the point path `lyapunov_solve`.
+An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
+RK4 step map, provides an independent route used as an oracle in the
+tests.
 
 Entanglement of the 2x2-block bipartition is scored by the logarithmic
 negativity E_n = max(0, -ln 2 eta_minus), with eta_minus the lowest
@@ -20,7 +23,6 @@ E_n = 2r.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +34,7 @@ from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel)
 from .model import SystemConfig
-from .pipeline import solve_point
+from .pipeline import PointSolution, solve_sweep
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 PHYSICALITY_SLACK = 1e-10
@@ -69,39 +71,96 @@ def lyapunov_residual(model: StateSpaceModel, V: np.ndarray) -> float:
                  / np.linalg.norm(D))
 
 
-def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
-    """Stationary covariance of a stable model; symmetrised after solve."""
-    if not model.stable:
-        raise UnstableModel(
-            f"no stationary state: max Re eigenvalue = "
-            f"{model.verdict.max_real_part:.3e}")
-    A, D = model.A, model.D
-    eye = np.eye(4)
-    M = np.kron(eye, A) + np.kron(A, eye)
+def _instability(model: StateSpaceModel) -> Optional[UnstableModel]:
+    """The error a model without a stationary state gives, or None."""
+    if model.stable:
+        return None
+    return UnstableModel(
+        f"no stationary state: max Re eigenvalue = "
+        f"{model.verdict.max_real_part:.3e}")
+
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
-        V = np.linalg.solve(M, -D.reshape(-1)).reshape(4, 4)
-        V = 0.5 * (V + V.T)
-        # iterative refinement: weakly damped mechanical modes make the
-        # system ill-conditioned enough that one LU pass can miss the
-        # residual target in double precision
-        resid = lyapunov_residual(model, V)
-        for _ in range(3):
-            if resid < LYAPUNOV_RESIDUAL_TOL:
-                break
-            R = A @ V + V @ A.T + D
-            correction = np.linalg.solve(M, -R.reshape(-1)).reshape(4, 4)
-            V_new = V + 0.5 * (correction + correction.T)
-            resid_new = lyapunov_residual(model, V_new)
-            if not resid_new < resid:
-                break
-            V, resid = V_new, resid_new
+        return np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Lyapunov system degenerated: {exc}")
+
+
+def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Symmetrise a first solve V of M vec(V) = -vec(D) and refine it.
+
+    Iterative refinement: weakly damped mechanical modes make the system
+    ill-conditioned enough that one LU pass can miss the residual target
+    in double precision.
+    """
+    A, D = model.A, model.D
+    V = 0.5 * (V + V.T)
+    resid = lyapunov_residual(model, V)
+    for _ in range(3):
+        if resid < LYAPUNOV_RESIDUAL_TOL:
+            break
+        R = A @ V + V @ A.T + D
+        correction = _solve(M, -R.reshape(-1)).reshape(4, 4)
+        V_new = V + 0.5 * (correction + correction.T)
+        resid_new = lyapunov_residual(model, V_new)
+        if not resid_new < resid:
+            break
+        V, resid = V_new, resid_new
     if not resid < LYAPUNOV_RESIDUAL_TOL:
         raise SingularSystem(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} "
             "(marginal stability)")
     return V
+
+
+def _kron_sum(A: np.ndarray) -> np.ndarray:
+    """I (x) A + A (x) I for a stack of 4x4 matrices, entry for entry the
+    products and sums `np.kron` forms."""
+    eye = np.eye(4)
+    M = eye[:, None, :, None] * A[..., None, :, None, :]
+    M += A[..., :, None, :, None] * eye[None, :, None, :]
+    return M.reshape(A.shape[:-2] + (16, 16))
+
+
+def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
+    """Stationary covariance of a stable model; symmetrised after solve.
+
+    The point path; `lyapunov_solves` solves a batch with the same bits.
+    """
+    error = _instability(model)
+    if error is not None:
+        raise error
+    M = _kron_sum(model.A)
+    return _refined(model, M, _solve(M, -model.D.reshape(-1)).reshape(4, 4))
+
+
+def lyapunov_solves(models):
+    """`lyapunov_solve` over a batch, bit for bit.
+
+    Entry b is the covariance `lyapunov_solve(models[b])` returns, or the
+    NumericalError it raises.  The 16x16 systems of the stable models are
+    solved in one stacked `np.linalg.solve`; each solution's residual is
+    then checked, and refined if it misses the target, as in the point
+    path.  If any system is singular, the stacked solve fails as a whole
+    and every model takes the point path.
+    """
+    out = [_instability(model) for model in models]
+    stable = [b for b, error in enumerate(out) if error is None]
+    if stable:
+        M = _kron_sum(np.array([models[b].A for b in stable]))
+        rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
+        try:
+            V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
+        except np.linalg.LinAlgError:
+            V = None
+        for i, b in enumerate(stable):
+            try:
+                out[b] = (lyapunov_solve(models[b]) if V is None
+                          else _refined(models[b], M[i], V[i]))
+            except NumericalError as exc:
+                out[b] = exc.with_traceback(None)
+    return out
 
 
 def covariance_by_integration(model: StateSpaceModel,
@@ -186,35 +245,47 @@ def log_negativity(V: np.ndarray, base: str = "e") -> EntanglementResult:
 
 def entanglement_point(cfg: SystemConfig, delta0_over_kappa: float,
                        ring_mode: str = "fixed_charge") -> EntanglementPoint:
-    """Full pipeline at one detuning; numerical failures recorded in-row.
-
-    The row solves `cfg` with its detuning set to delta0_over_kappa.  A
-    ConfigInvalid is not a row failure: it propagates.
-    """
-    row_cfg = dataclasses.replace(cfg, detuning_delta0=None,
-                                  detuning_over_kappa=delta0_over_kappa)
-    try:
-        sol = solve_point(row_cfg, ring_mode=ring_mode)
-    except NumericalError as exc:
-        return EntanglementPoint(
-            delta0_over_kappa=delta0_over_kappa, E_n=None, stable=False,
-            x_s=None, omega_m=None, Q_used=None, E_x=None,
-            error=f"{type(exc).__name__}: {exc}")
-    row = EntanglementPoint(
-        delta0_over_kappa=delta0_over_kappa, E_n=None,
-        stable=sol.model.stable, x_s=sol.op.x_s, omega_m=sol.op.omega_m,
-        Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs)
-    if not sol.model.stable:
-        return dataclasses.replace(row, error="no stationary state")
-    try:
-        value = log_negativity(lyapunov_solve(sol.model)).E_n
-    except LevringError as exc:
-        return dataclasses.replace(row, error=f"{type(exc).__name__}: {exc}")
-    return dataclasses.replace(row, E_n=value)
+    """The sweep of one row: `cfg` solved with its detuning set to
+    delta0_over_kappa."""
+    return entanglement_sweep(cfg, [delta0_over_kappa], ring_mode)[0]
 
 
 def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                        ring_mode: str = "fixed_charge"):
-    """E_n over a detuning grid; one row per point, never aborts a row."""
-    return [entanglement_point(cfg, float(d0), ring_mode)
-            for d0 in delta0_over_kappa_grid]
+    """E_n over a detuning grid; one row per point, never aborts a row.
+
+    Row i solves `cfg` with its detuning set to delta0_over_kappa_grid[i];
+    a numerical failure is recorded in the row.  A ConfigInvalid is not
+    a row failure: it propagates.  The rows are solved as one batch
+    (`pipeline.solve_sweep`) and the Lyapunov systems of the stable ones
+    in one stacked solve (`lyapunov_solves`), with the bits of the point
+    path.
+    """
+    grid = [float(d0) for d0 in delta0_over_kappa_grid]
+    solved = solve_sweep(cfg, grid, ring_mode)
+    covariances = iter(lyapunov_solves(
+        [sol.model for sol in solved
+         if isinstance(sol, PointSolution) and sol.model.stable]))
+    rows = []
+    for d0, sol in zip(grid, solved):
+        if isinstance(sol, NumericalError):
+            rows.append(EntanglementPoint(
+                delta0_over_kappa=d0, E_n=None, stable=False, x_s=None,
+                omega_m=None, Q_used=None, E_x=None,
+                error=f"{type(sol).__name__}: {sol}"))
+            continue
+        e_n, error = None, "no stationary state"
+        if sol.model.stable:
+            try:
+                V = next(covariances)
+                if isinstance(V, LevringError):
+                    raise V
+                e_n, error = log_negativity(V).E_n, ""
+            except LevringError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        rows.append(EntanglementPoint(
+            delta0_over_kappa=d0, E_n=e_n, stable=sol.model.stable,
+            x_s=sol.op.x_s, omega_m=sol.op.omega_m,
+            Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs,
+            error=error))
+    return rows

@@ -1,12 +1,16 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-The point path, shared by the single-point CLI subcommands and the
-entanglement sweep, which solves its rows one after another in grid
-order.  The stability map solves its cells as one batch through
-`steady_state.solve_models`.
+The point path (`solve_point`) serves the single-point CLI subcommands.
+The entanglement sweep solves its rows as one batch (`solve_sweep`): the
+constants are derived once and every row goes to the grid solver of its
+ring mode, `steady_state.solve_models` or
+`steady_state.solve_resonant_models`.  The stability map solves its
+cells as one batch through `steady_state.solve_models`.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,10 +18,11 @@ import numpy as np
 
 from .constants import CODATA2018
 from .dynamics import StateSpaceModel
+from .errors import NumericalError
 from .model import (DerivedParams, SystemConfig, delta0_from_config,
                     derive_constants)
-from .steady_state import (OperatingPoint, solve_model,
-                           solve_resonant_ring_charge)
+from .steady_state import (OperatingPoint, solve_model, solve_models,
+                           solve_resonant_models, solve_resonant_ring_charge)
 
 RING_MODES = ("fixed_charge", "resonant")
 
@@ -38,6 +43,19 @@ def ring_field_value(ring_charge: float, ring_radius: float, c0: float,
                               * ring_radius ** 3 * (1.0 + u * u) ** 1.5)
 
 
+def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:
+    return PointSolution(
+        derived=model.derived, op=model.op, model=model,
+        field_at_xs=ring_field_value(model.derived.ring_charge,
+                                     cfg.ring_radius, cfg.ring_offset_c0,
+                                     model.op.x_s))
+
+
+def _check_ring_mode(ring_mode: str) -> None:
+    if ring_mode not in RING_MODES:
+        raise ValueError(f"ring_mode must be one of {RING_MODES}")
+
+
 def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
                 ring_mode: str = "fixed_charge") -> PointSolution:
     """Run the steady-state pipeline for one detuning.
@@ -47,8 +65,7 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
     sideband (`solve_resonant_ring_charge`).  Either solver returns the
     model its stability screen built; `derived` and `op` are read off it.
     """
-    if ring_mode not in RING_MODES:
-        raise ValueError(f"ring_mode must be one of {RING_MODES}")
+    _check_ring_mode(ring_mode)
     derived = derive_constants(cfg)
     if delta0 is None:
         delta0 = delta0_from_config(cfg, derived)
@@ -57,7 +74,36 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
         model = solve_resonant_ring_charge(derived, delta0, c0)
     else:
         model = solve_model(derived, delta0, c0)
-    return PointSolution(
-        derived=model.derived, op=model.op, model=model,
-        field_at_xs=ring_field_value(model.derived.ring_charge,
-                                     cfg.ring_radius, c0, model.op.x_s))
+    return _solution(model, cfg)
+
+
+def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
+                ring_mode: str = "fixed_charge"):
+    """`solve_point` over a detuning grid, in linewidths, as one batch.
+
+    Entry i is the PointSolution for `cfg` with its detuning set to
+    delta0_over_kappa[i], or the NumericalError solving it raises, the
+    same as `solve_point` gives.  The constants do not depend on the
+    detuning, so they are validated and derived once; a ConfigInvalid
+    propagates, and a non-finite detuning raises the one naming
+    detuning_over_kappa.  All rows go to the grid solver of the ring
+    mode, `solve_models` or `solve_resonant_models`.
+    """
+    if not delta0_over_kappa:
+        return []
+    _check_ring_mode(ring_mode)
+
+    def row_config(d0):
+        return dataclasses.replace(cfg, detuning_delta0=None,
+                                   detuning_over_kappa=d0)
+
+    derived = derive_constants(row_config(delta0_over_kappa[0]))
+    for d0 in delta0_over_kappa:
+        if not math.isfinite(d0):
+            row_config(d0).validate()
+    solver = solve_resonant_models if ring_mode == "resonant" else solve_models
+    return [outcome if isinstance(outcome, NumericalError)
+            else _solution(outcome, cfg)
+            for outcome in solver([(derived, d0 * derived.kappa,
+                                    cfg.ring_offset_c0)
+                                   for d0 in delta0_over_kappa])]

@@ -13,13 +13,14 @@ balance), then screened for stability of the linearised dynamics.  The
 screen builds the state-space model of each candidate; the solvers
 return the model of the accepted root, so spectra and entanglement read
 the very model that was screened.  A grid of cells, such as a stability
-map, is solved at once by `solve_models`, with the same bits as the
-point path `solve_model`.
+map or an entanglement sweep, is solved at once by `solve_models`, with
+the same bits as the point path `solve_model`.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
-frequency, and the classical mean-field integrator used as an
-independent dynamical check on the root finder.
+frequency (a point path, `solve_resonant_ring_charge`, and its grid
+counterpart, `solve_resonant_models`), and the classical mean-field
+integrator used as an independent dynamical check on the root finder.
 """
 from __future__ import annotations
 
@@ -286,6 +287,37 @@ def _bisect_all(fun, a, b, fa, tol_x):
     return root
 
 
+def _pow_cos2(kx):
+    """cos(kx)^2 as the point path's bisection forms it for a scalar x.
+
+    There the square is a scalar `** 2`, by libm pow, which is an ulp
+    away from the array square x * x on some arguments; so the lock-step
+    bisections square each cosine as a Python float.
+    """
+    return np.array([v ** 2 for v in np.cos(kx).tolist()])
+
+
+def _scan_hits(block, n_cells):
+    """The grid zeros and sign changes of n_cells functions on one grid.
+
+    block(rows) evaluates the functions of the cells in the slice rows on
+    the whole grid, as a [cells, grid] array; it is called for SCAN_CHUNK
+    cells at a time, which bounds the temporaries.  Returns the cell, the
+    grid index i, the value there and the exact-zero flag of every grid
+    zero and of every sign change between i and i + 1, as flat arrays
+    ordered by cell and then by i.
+    """
+    hits = []
+    for first in range(0, n_cells, SCAN_CHUNK):
+        fs = block(slice(first, first + SCAN_CHUNK))
+        zero = fs == 0.0
+        change = np.zeros_like(zero)
+        change[:, :-1] = fs[:, :-1] * fs[:, 1:] < 0.0
+        cell, i = np.divmod(np.flatnonzero(zero | change), fs.shape[1])
+        hits.append((cell + first, i, fs[cell, i], zero[cell, i]))
+    return (np.concatenate(v) for v in zip(*hits))
+
+
 def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
     """`scan_roots` for cells that differ only in delta0, c0 and A_q.
 
@@ -298,27 +330,18 @@ def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
     xs = np.linspace(-half, half, N_SCAN)
     g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
     sin_2kx = np.sin(2.0 * derived.k * xs)
-    hits = []       # per chunk: cell, grid index, f there, exact zero
-    for first in range(0, len(delta0), SCAN_CHUNK):
-        rows = slice(first, first + SCAN_CHUNK)
-        fs = _balance(xs, g_cos2, sin_2kx, derived, delta0[rows, None],
-                      c0[rows, None], a_q[rows, None])
-        zero = fs == 0.0
-        change = np.zeros_like(zero)
-        change[:, :-1] = fs[:, :-1] * fs[:, 1:] < 0.0
-        cell, i = np.divmod(np.flatnonzero(zero | change), N_SCAN)
-        hits.append((cell + first, i, fs[cell, i], zero[cell, i]))
-    cell, i, f_i, zero = (np.concatenate(v) for v in zip(*hits))
+    cell, i, f_i, zero = _scan_hits(
+        lambda rows: _balance(xs, g_cos2, sin_2kx, derived, delta0[rows, None],
+                              c0[rows, None], a_q[rows, None]),
+        len(delta0))
     bracket = np.flatnonzero(~zero)
     bracket_cell = cell[bracket]
 
     def balance(x, idx):
-        # `_bisect` squares cos(kx) as a scalar, by libm pow, which is an
-        # ulp away from the array square x * x on some arguments
-        cos2 = np.array([v ** 2 for v in np.cos(derived.k * x).tolist()])
         at = bracket_cell[idx]
-        return _balance(x, derived.g * cos2, np.sin(2.0 * derived.k * x),
-                        derived, delta0[at], c0[at], a_q[at])
+        return _balance(x, derived.g * _pow_cos2(derived.k * x),
+                        np.sin(2.0 * derived.k * x), derived, delta0[at],
+                        c0[at], a_q[at])
 
     found = xs[i]
     lo = i[bracket]
@@ -389,6 +412,65 @@ def solve_xs(derived: DerivedParams, delta0: float,
     return solve_model(derived, delta0, c0).op
 
 
+def _mismatch(g_cos2, cos_2kx, derived: DerivedParams, delta0):
+    """The cleared resonance mismatch from g cos^2(kx) and cos(2kx), with
+    the same per-element arithmetic on a point or a grid; broadcasts over
+    cells."""
+    delta = delta0 + g_cos2
+    lhs = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+           * derived.E_drive ** 2 * cos_2kx
+           / (derived.kappa ** 2 + 4.0 * delta * delta))
+    return lhs - derived.mass * delta * delta
+
+
+def _resonance_inputs(derived: DerivedParams, c0: float) -> None:
+    if c0 == 0.0 or derived.q_mcp == 0.0:
+        raise NoResonantSolution(
+            "resonance matching needs C0 != 0 and a nonzero bound charge")
+
+
+def _resonance_grid(derived: DerivedParams, c0: float):
+    """The scan grid from x = 0 outward, on the half-interval whose sign
+    makes the ring charge positive, and the bisection tolerance."""
+    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
+    return (np.linspace(0.0, -np.sign(c0) * half, N_SCAN_RESONANT),
+            BISECT_REL_TOL * (2.0 * half))
+
+
+def _resonant_pair(derived: DerivedParams, delta0: float, c0: float,
+                   x_root: Optional[float]):
+    """The operating point at the resonance root x_root (None: no root)
+    and the constants with the solved charge and the damping there."""
+    if x_root is None:
+        raise NoResonantSolution(
+            f"resonance condition has no root at delta0 = {delta0:.6e}")
+    hbar = CODATA2018.hbar
+    k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
+    delta = delta0 + g * np.cos(k * x_root) ** 2
+    if delta <= 0.0:
+        raise NoResonantSolution(
+            f"effective detuning {delta:.3e} not on the stable sideband")
+    a_q = (-4.0 * hbar * g * k * E ** 2 * np.sin(2.0 * k * x_root)
+           / ((kap ** 2 + 4.0 * delta * delta) * (x_root + c0)))
+    if a_q < 0.0:
+        raise NoResonantSolution(
+            "force balance at the resonant point needs a negative ring charge")
+    geom = 4.0 * np.pi * CODATA2018.eps0 * derived.ring_radius ** 3
+    resolved = dataclasses.replace(derived, A_q=a_q,
+                                   ring_charge=a_q * geom / derived.q_mcp)
+    op = operating_point_at(resolved, delta0, c0, x_root)
+    return op, resolved.with_damping(op.omega_m)
+
+
+def _resonant_outcome(model, delta0: float):
+    """The model, or the UnstableResonance a non-Hurwitz one gives; an
+    error building it is passed on."""
+    if isinstance(model, NumericalError) or model.stable:
+        return model
+    return UnstableResonance(
+        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
+
+
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
                                c0: float) -> dynamics.StateSpaceModel:
     """Ring charge putting the effective detuning on the mechanical sideband.
@@ -403,46 +485,123 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     the first grid root other than x = 0 itself is taken as `op.x_s`.
     Returns the screened model at that point; its `derived` carries the
     solved `ring_charge` and `A_q` and the damping at `op.omega_m`.
+
+    This is the point path; `solve_resonant_models` solves a grid of
+    cells with the same results.
     """
-    if c0 == 0.0 or derived.q_mcp == 0.0:
-        raise NoResonantSolution(
-            "resonance matching needs C0 != 0 and a nonzero bound charge")
-    hbar = CODATA2018.hbar
-    k, g, E, kap, m = (derived.k, derived.g, derived.E_drive,
-                       derived.kappa, derived.mass)
-
-    def mismatch(x):
-        delta = delta0 + g * np.cos(k * x) ** 2
-        lhs = (8.0 * hbar * g * k ** 2 * E ** 2 * np.cos(2.0 * k * x)
-               / (kap ** 2 + 4.0 * delta * delta))
-        return lhs - m * delta * delta
-
-    half = np.pi / (4.0 * k) * (1.0 - 1e-9)
-    xs = np.linspace(0.0, -np.sign(c0) * half, N_SCAN_RESONANT)
-    roots = _grid_roots(mismatch, xs, BISECT_REL_TOL * (2.0 * half))
+    _resonance_inputs(derived, c0)
+    xs, tol_x = _resonance_grid(derived, c0)
+    roots = _grid_roots(
+        lambda x: _mismatch(derived.g * np.cos(derived.k * x) ** 2,
+                            np.cos(2.0 * derived.k * x), derived, delta0),
+        xs, tol_x)
     x_root = next((x for x in roots if x != 0.0), None)
-    if x_root is None:
-        raise NoResonantSolution(
-            f"resonance condition has no root at delta0 = {delta0:.6e}")
+    op, damped = _resonant_pair(derived, delta0, c0, x_root)
+    outcome = _resonant_outcome(dynamics.build_model(op, damped), delta0)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
-    delta = delta0 + g * np.cos(k * x_root) ** 2
-    if delta <= 0.0:
-        raise NoResonantSolution(
-            f"effective detuning {delta:.3e} not on the stable sideband")
-    a_q = (-4.0 * hbar * g * k * E ** 2 * np.sin(2.0 * k * x_root)
-           / ((kap ** 2 + 4.0 * delta * delta) * (x_root + c0)))
-    if a_q < 0.0:
-        raise NoResonantSolution(
-            "force balance at the resonant point needs a negative ring charge")
-    geom = 4.0 * np.pi * CODATA2018.eps0 * derived.ring_radius ** 3
-    resolved = dataclasses.replace(derived, A_q=a_q,
-                                   ring_charge=a_q * geom / derived.q_mcp)
-    op = operating_point_at(resolved, delta0, c0, x_root)
-    model = dynamics.build_model(op, resolved.with_damping(op.omega_m))
-    if not model.stable:
-        raise UnstableResonance(
-            f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
-    return model
+
+def _resonance_roots(derived: DerivedParams, delta0, c0):
+    """The root `solve_resonant_ring_charge` takes, for cells that differ
+    only in delta0 and C0 != 0; None where it finds none.
+
+    Per sign of C0, the grid's g cos^2(kx) and cos(2kx) are evaluated
+    once and the mismatch of SCAN_CHUNK cells at a time on the grid.  A
+    cell's first grid zero or sign change other than x = 0 is its root;
+    the brackets of all cells are bisected in lock step, each from its
+    lower end as `_grid_roots` does.
+    """
+    found = [None] * len(delta0)
+    lower, upper, f_lower, at = [], [], [], []
+    for side in (1.0, -1.0):
+        members = np.flatnonzero(np.sign(c0) == side)
+        if not members.size:
+            continue
+        xs, tol_x = _resonance_grid(derived, side)
+        g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
+        cos_2kx = np.cos(2.0 * derived.k * xs)
+        d0 = delta0[members]
+        cell, i, _, zero = _scan_hits(
+            lambda rows: _mismatch(g_cos2, cos_2kx, derived, d0[rows, None]),
+            members.size)
+        taken = ~(zero & (i == 0))
+        cell, first = np.unique(cell[taken], return_index=True)
+        i, zero = i[taken][first], zero[taken][first]
+        for c, x in zip(members[cell[zero]].tolist(), xs[i[zero]].tolist()):
+            found[c] = x
+        # the grid descends from x = 0 for C0 > 0; the mismatch at the
+        # lower end is the scan's, recomputed with its arithmetic
+        lo = i[~zero] + (side > 0.0)
+        hi = i[~zero] + (side < 0.0)
+        at.append(members[cell[~zero]])
+        lower.append(xs[lo])
+        upper.append(xs[hi])
+        f_lower.append(_mismatch(g_cos2[lo], cos_2kx[lo], derived,
+                                 d0[cell[~zero]]))
+    at = np.concatenate(at)
+    if at.size:
+        def mismatch(x, idx):
+            return _mismatch(derived.g * _pow_cos2(derived.k * x),
+                             np.cos(2.0 * derived.k * x), derived,
+                             delta0[at[idx]])
+
+        roots = _bisect_all(mismatch, np.concatenate(lower),
+                            np.concatenate(upper), np.concatenate(f_lower),
+                            tol_x)
+        for c, x in zip(at.tolist(), roots.tolist()):
+            found[c] = x
+    return found
+
+
+def solve_resonant_models(cells):
+    """`solve_resonant_ring_charge` over a grid of cells at once, bit for bit.
+
+    cells is a sequence of (derived, delta0, c0) whose constants share
+    k, g, E_drive, kappa and mass, the constants of the resonance
+    condition.  Returns an iterator whose entry i is the model
+    `solve_resonant_ring_charge(*cells[i])` returns, or the
+    NumericalError it raises.
+
+    The resonance scan of all cells runs as arrays (see
+    `_resonance_roots`) and one Durand-Kerner run finds the eigenvalues
+    of every resonant point (`dynamics.build_models`), both at the call;
+    the charge, the operating point and their checks are the scalar code
+    of `solve_resonant_ring_charge`.
+    """
+    if not cells:
+        return iter(())
+    ref = cells[0][0]
+    consts = (ref.k, ref.g, ref.E_drive, ref.kappa, ref.mass)
+    if any((d.k, d.g, d.E_drive, d.kappa, d.mass) != consts
+           for d, _, _ in cells):
+        raise ValueError("cells must share k, g, E_drive, kappa and mass")
+    plans = []
+    for derived, _, c0 in cells:
+        try:
+            _resonance_inputs(derived, c0)
+            plans.append(None)
+        except NumericalError as exc:
+            plans.append(exc.with_traceback(None))
+    scanned = [i for i, plan in enumerate(plans) if plan is None]
+    if scanned:
+        delta0, c0 = np.array([cells[i][1:] for i in scanned]).T
+        for i, x_root in zip(scanned, _resonance_roots(ref, delta0, c0)):
+            try:
+                plans[i] = _resonant_pair(*cells[i], x_root)
+            except NumericalError as exc:
+                plans[i] = exc.with_traceback(None)
+    pairs = [plan for plan in plans if not isinstance(plan, NumericalError)]
+    models = dynamics.build_models([op for op, _ in pairs],
+                                   [d for _, d in pairs])
+
+    def outcomes():
+        for (_, delta0, _), plan in zip(cells, plans):
+            yield (plan if isinstance(plan, NumericalError)
+                   else _resonant_outcome(next(models), delta0))
+
+    return outcomes()
 
 
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import levring.cli
@@ -269,6 +270,56 @@ class TestCommands:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert "stroke-dasharray" in text  # the 1/2 baseline rule
+
+    @pytest.mark.parametrize("config, ring_mode, code, runs", [
+        ("fig2.cfg", "fixed_charge", 0, 1),     # 158 of 200 rows fail
+        ("decoupled.cfg", "resonant", 2, 0),    # every row fails
+    ])
+    def test_entanglement_svg_skips_missing_rows(self, tmp_path, config,
+                                                 ring_mode, code, runs):
+        svg = tmp_path / "ent.svg"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["entanglement", "--config",
+                         str(ROOT / "configs" / config), "--ring-mode",
+                         ring_mode, "--svg", str(svg)]) == code
+        text = svg.read_text()
+        assert "nan" not in text
+        assert text.count("<polyline") == runs
+        assert_inside_the_chart(text)
+
+    def test_svg_breaks_curves_at_missing_points(self, tmp_path):
+        svg = tmp_path / "gaps.svg"
+        ys = [0.1, 0.2, 0.3, np.nan, 0.5, 0.4, np.inf, np.nan, 0.2, 0.1]
+        levring.cli.write_svg(str(svg), np.arange(10.0),
+                              [("gaps", ys), ("none", [np.nan] * 10)],
+                              xlabel="x", ylabel="y", baseline=0.0)
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text
+        polylines = re.findall(r'points="([^"]*)"', text)
+        assert [len(p.split()) for p in polylines] == [3, 2, 2]
+        assert_inside_the_chart(text)
+        # the finite values and the baseline span the plot, 5% padded
+        ys_px = [float(p.split(",")[1]) for p in " ".join(polylines).split()]
+        assert min(ys_px) > 20.0 and max(ys_px) < 416.0
+
+    def test_entanglement_svg_leaves_the_csv(self, tmp_path):
+        with open(ROOT / "levbench" / "reference_digests.json") as fh:
+            digest = json.load(fh)["digests"]["entanglement_sweep"][
+                "fixed_charge"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["entanglement", "--config",
+                         str(ROOT / "configs" / "fig2.cfg"),
+                         "--svg", str(tmp_path / "ent.svg")]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def assert_inside_the_chart(text):
+    """Every coordinate of an SVG chart is a number inside its 720x460 box."""
+    coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', text)
+    coords += re.findall(r'points="([^"]*)"', text)
+    values = [float(v) for c in coords for v in c.replace(",", " ").split()]
+    assert values and all(0.0 <= v <= 720.0 for v in values)
 
 
 class TestExitCodes:

@@ -1,21 +1,25 @@
 """Stationary covariance, logarithmic negativity, detuning sweeps."""
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from levring import model, pipeline
-from levring.entanglement import (covariance_by_integration,
+from levring.cli import parse_config
+from levring.entanglement import (EntanglementPoint, _kron_sum,
+                                  covariance_by_integration,
                                   entanglement_point, entanglement_sweep,
                                   is_physical, log_negativity,
                                   lyapunov_residual, lyapunov_solve,
-                                  symplectic_eigenvalues)
-from levring.errors import (ConfigInvalid, UnphysicalCovariance,
+                                  lyapunov_solves, symplectic_eigenvalues)
+from levring.errors import (ConfigInvalid, LevringError, NumericalError,
+                            SingularSystem, UnphysicalCovariance,
                             UnstableModel)
-from levring.pipeline import solve_point
+from levring.pipeline import PointSolution, solve_point, solve_sweep
 
-from conftest import (KAPPA_SCALE, random_model, reference_config,
-                      synthetic_model)
+from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
+                      reference_config, synthetic_model)
 
 KAP = KAPPA_SCALE
 
@@ -205,8 +209,10 @@ class TestSweep:
             lo, _ = symplectic_eigenvalues(V)
             assert lo >= 0.5 - 1e-10
 
+    @pytest.mark.parametrize("n_rows", [1, 200])
     @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
-    def test_one_derive_per_row(self, monkeypatch, ring_mode):
+    def test_one_derive_per_sweep(self, monkeypatch, ring_mode, n_rows):
+        # the rows differ only in detuning, which no constant depends on
         calls = []
         original = model.derive_constants
 
@@ -217,8 +223,9 @@ class TestSweep:
         monkeypatch.setattr(model, "derive_constants", counted)
         monkeypatch.setattr(pipeline, "derive_constants", counted)
         cfg = reference_config(ring_field=2.5e11)
-        row = entanglement_point(cfg, 0.3, ring_mode=ring_mode)
-        assert row.delta0_over_kappa == 0.3
+        grid = [0.3] if n_rows == 1 else np.linspace(0.05, 1.0, n_rows)
+        rows = entanglement_sweep(cfg, grid, ring_mode=ring_mode)
+        assert [r.delta0_over_kappa for r in rows] == [float(d) for d in grid]
         assert len(calls) == 1
 
     def test_row_detuning_is_over_kappa_times_kappa(self):
@@ -234,3 +241,176 @@ class TestSweep:
         cfg = reference_config(sphere_radius=-50e-9)
         with pytest.raises(ConfigInvalid, match="sphere_radius"):
             entanglement_point(cfg, 0.3)
+
+    def test_non_finite_detuning_names_the_field(self):
+        cfg = reference_config(ring_field=2.5e11)
+        for bad in (np.nan, np.inf):
+            for ring_mode in ("fixed_charge", "resonant"):
+                with pytest.raises(ConfigInvalid,
+                                   match="detuning_over_kappa must be finite"):
+                    entanglement_sweep(cfg, [0.2, 0.3, bad, 0.5], ring_mode)
+
+    def test_first_row_decides_which_field_is_named(self):
+        # as row by row: the first row's config is validated first, and
+        # finiteness comes before the other requirements
+        cfg = reference_config(sphere_radius=-50e-9)
+        with pytest.raises(ConfigInvalid, match="sphere_radius"):
+            entanglement_sweep(cfg, [0.3, np.nan], "resonant")
+        with pytest.raises(ConfigInvalid, match="detuning_over_kappa"):
+            entanglement_sweep(cfg, [np.nan, 0.3], "resonant")
+
+    def test_empty_grid_has_no_rows(self):
+        # no row, so nothing is validated or solved
+        cfg = reference_config(sphere_radius=-50e-9)
+        assert entanglement_sweep(cfg, []) == []
+        assert entanglement_sweep(cfg, np.array([]), "resonant") == []
+
+
+def reference_row(cfg, delta0_over_kappa, ring_mode):
+    """A sweep row built on its own: the row's config through solve_point,
+    lyapunov_solve and log_negativity, as the sweep did one row at a time."""
+    row_cfg = dataclasses.replace(cfg, detuning_delta0=None,
+                                  detuning_over_kappa=delta0_over_kappa)
+    try:
+        sol = solve_point(row_cfg, ring_mode=ring_mode)
+    except NumericalError as exc:
+        return EntanglementPoint(
+            delta0_over_kappa=delta0_over_kappa, E_n=None, stable=False,
+            x_s=None, omega_m=None, Q_used=None, E_x=None,
+            error=f"{type(exc).__name__}: {exc}")
+    row = EntanglementPoint(
+        delta0_over_kappa=delta0_over_kappa, E_n=None,
+        stable=sol.model.stable, x_s=sol.op.x_s, omega_m=sol.op.omega_m,
+        Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs)
+    if not sol.model.stable:
+        return dataclasses.replace(row, error="no stationary state")
+    try:
+        value = log_negativity(lyapunov_solve(sol.model)).E_n
+    except LevringError as exc:
+        return dataclasses.replace(row, error=f"{type(exc).__name__}: {exc}")
+    return dataclasses.replace(row, E_n=value)
+
+
+def row_kind(row):
+    return row.error.split(":")[0] if row.error else "E_n"
+
+
+SWEEPS = {
+    "fig2": ("fig2.cfg", np.linspace(0.05, 1.0, 200)),
+    "fig2-wide": ("fig2.cfg", np.linspace(-0.5, 1.2, 35)),
+    "fig1": ("fig1.cfg", np.linspace(0.05, 1.0, 50)),
+    "decoupled": ("decoupled.cfg", np.linspace(-0.5, 1.0, 7)),
+}
+
+
+class TestSweepBatch:
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_rows_equal_per_row_loop(self, sweep, ring_mode):
+        # repr spells every float in full, so equal reprs are equal bits
+        config, grid = SWEEPS[sweep]
+        cfg = parse_config(str(CONFIG_DIR / config))
+        rows = entanglement_sweep(cfg, grid, ring_mode)
+        want = [reference_row(cfg, float(d0), ring_mode) for d0 in grid]
+        assert [repr(r) for r in rows] == [repr(w) for w in want]
+        if sweep == "fig2-wide":
+            kinds = collections.Counter(row_kind(r) for r in rows)
+            assert kinds["E_n"] >= 5
+            assert kinds["AllRootsUnstable" if ring_mode == "fixed_charge"
+                         else "NoResonantSolution"] >= 5
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_negative_offset_rows_equal_per_row_loop(self, ring_mode):
+        cfg = reference_config(ring_field=2.5e11, ring_offset_c0=-1064e-9)
+        grid = np.linspace(0.05, 1.0, 40)
+        rows = entanglement_sweep(cfg, grid, ring_mode)
+        want = [reference_row(cfg, float(d0), ring_mode) for d0 in grid]
+        assert [repr(r) for r in rows] == [repr(w) for w in want]
+
+    def test_point_is_a_sweep_of_one(self):
+        cfg = reference_config(ring_field=2.5e11)
+        for ring_mode in ("fixed_charge", "resonant"):
+            for d0 in (-0.4, 0.3, 0.7):
+                assert (repr(entanglement_point(cfg, d0, ring_mode))
+                        == repr(reference_row(cfg, d0, ring_mode)))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_covariances(models):
+    """lyapunov_solves gives, per model, lyapunov_solve's bits or error."""
+    got = lyapunov_solves(models)
+    assert len(got) == len(models)
+    kinds = collections.Counter()
+    for g, m in zip(got, models):
+        try:
+            want = lyapunov_solve(m)
+        except NumericalError as exc:
+            assert type(g) is type(exc)
+            assert str(g) == str(exc)
+            kinds[type(exc).__name__] += 1
+            continue
+        assert isinstance(g, np.ndarray), g
+        assert np.array_equal(g, want) and same_bits(g, want)
+        kinds["solved"] += 1
+    return kinds
+
+
+def sweep_models(config, ring_mode):
+    cfg = parse_config(str(CONFIG_DIR / config))
+    return [sol.model for sol in solve_sweep(cfg, list(np.linspace(
+        0.05, 1.0, 200)), ring_mode) if isinstance(sol, PointSolution)]
+
+
+def needs_refinement():
+    """A weakly damped random model whose first solve misses the target."""
+    rng = np.random.default_rng(1)
+    for _ in range(22):
+        m = random_model(rng, stable=True, gamma_range=(1e-9, 1e-6))
+    return m
+
+
+class TestLyapunovBatch:
+    def test_kron_sum_is_the_kronecker_sum(self):
+        eye = np.eye(4)
+        models = sweep_models("fig2.cfg", "resonant")
+        rng = np.random.default_rng(5)
+        mats = [m.A for m in models] + list(rng.standard_normal((20, 4, 4)))
+        for A, M in zip(mats, _kron_sum(np.array(mats))):
+            want = np.kron(eye, A) + np.kron(A, eye)
+            assert same_bits(M, want)
+            assert same_bits(_kron_sum(A), want)
+
+    def test_sweep_models_equal_point_path(self):
+        for config in ("fig1.cfg", "fig2.cfg"):
+            for ring_mode in ("fixed_charge", "resonant"):
+                kinds = assert_same_covariances(
+                    sweep_models(config, ring_mode))
+                assert kinds["solved"] >= 40
+        assert kinds == {"solved": 184}
+
+    def test_random_and_refined_models_equal_point_path(self):
+        m = needs_refinement()
+        M = _kron_sum(m.A)
+        V = np.linalg.solve(M, -m.D.reshape(-1)).reshape(4, 4)
+        assert lyapunov_residual(m, 0.5 * (V + V.T)) >= 1e-10
+        rng = np.random.default_rng(17)
+        models = [random_model(rng, stable=True) for _ in range(30)]
+        models.insert(7, m)
+        models.insert(3, random_model(rng, stable=False))
+        kinds = assert_same_covariances(models)
+        assert kinds == {"solved": 31, "UnstableModel": 1}
+
+    def test_singular_system_takes_the_point_path(self):
+        models = sweep_models("fig2.cfg", "resonant")[:10]
+        singular = dataclasses.replace(models[4], A=np.zeros((4, 4)))
+        assert singular.stable
+        with pytest.raises(SingularSystem, match="degenerated"):
+            lyapunov_solve(singular)
+        kinds = assert_same_covariances(models[:4] + [singular] + models[4:])
+        assert kinds == {"solved": 10, "SingularSystem": 1}
+
+    def test_empty_batch(self):
+        assert lyapunov_solves([]) == []

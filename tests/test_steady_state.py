@@ -24,6 +24,7 @@ from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
                                   scan_roots, solve_model, solve_models,
+                                  solve_resonant_models,
                                   solve_resonant_ring_charge, solve_xs,
                                   steady_amplitude)
 
@@ -447,10 +448,11 @@ class TestSolveModel:
                 if not hasattr(levring, name)] == []
 
 
-def assert_same_outcome(got, cell):
-    """The grid solver's entry for a cell equals what solve_model gives."""
+def assert_same_outcome(got, cell, solve=solve_model):
+    """The grid solver's entry for a cell equals what the point path
+    `solve` gives."""
     try:
-        want = solve_model(*cell)
+        want = solve(*cell)
     except NumericalError as exc:
         assert type(got) is type(exc)
         assert str(got) == str(exc)
@@ -541,6 +543,51 @@ class TestSolveModels:
         cells = stokes_side_cases()[:2] + [anti_stokes_two_root_case()]
         with pytest.raises(ValueError, match="share"):
             solve_models(cells)
+
+
+def assert_same_resonant_outcomes(cells):
+    got = list(solve_resonant_models(cells))
+    assert len(got) == len(cells)
+    return collections.Counter(
+        assert_same_outcome(g, cell, solve_resonant_ring_charge)
+        for g, cell in zip(got, cells))
+
+
+class TestSolveResonantModels:
+    def test_fig2_rows_equal_point_path(self):
+        cfg = parse_config(str(CONFIG_DIR / "fig2.cfg"))
+        derived = derive_constants(cfg)
+        cells = [(derived, d0 * derived.kappa, cfg.ring_offset_c0)
+                 for d0 in np.linspace(0.05, 1.0, 200)]
+        kinds = assert_same_resonant_outcomes(cells)
+        assert kinds == {"stable": 184, "NoResonantSolution": 16}
+
+    def test_seeded_grids_equal_point_path(self):
+        # criterion-6 configs over detuning with +-C0 and C0 = 0, and rows
+        # without bound charge; the configs differ in their ring charge
+        cells = criterion_6_grid()
+        no_charge = derive_constants(reference_config(mcp_epsilon=0.0))
+        cells += [(no_charge, d0 * no_charge.kappa, c0)
+                  for d0 in (0.3, 0.8) for c0 in (1064e-9, -1064e-9, 0.0)]
+        kinds = assert_same_resonant_outcomes(cells)
+        assert kinds["stable"] >= 30
+        assert kinds["NoResonantSolution"] >= 80
+        messages = collections.Counter(
+            str(g).split(" ")[0] for g in solve_resonant_models(cells)
+            if isinstance(g, NoResonantSolution))
+        assert messages["resonance"] >= 50      # no root; no C0 or charge
+        assert messages["effective"] >= 20      # not on the stable sideband
+
+    def test_each_sign_of_c0_alone(self):
+        cells = [cell for cell in criterion_6_grid() if cell[2] < 0.0]
+        assert assert_same_resonant_outcomes(cells)["stable"] >= 10
+        assert list(solve_resonant_models([])) == []
+
+    def test_cells_must_share_the_constants(self):
+        cells = criterion_6_grid()[:3]
+        heavier = dataclasses.replace(cells[0][0], mass=2.0 * cells[0][0].mass)
+        with pytest.raises(ValueError, match="share"):
+            solve_resonant_models(cells + [(heavier,) + cells[0][1:]])
 
 
 class TestMeanField:
