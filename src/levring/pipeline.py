@@ -89,7 +89,7 @@ def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
     detuning_over_kappa.  All rows go to the grid solver of the ring
     mode, `solve_models` or `solve_resonant_models`.
     """
-    if not delta0_over_kappa:
+    if len(delta0_over_kappa) == 0:
         return []
     _check_ring_mode(ring_mode)
 

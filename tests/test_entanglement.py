@@ -383,13 +383,12 @@ class TestLyapunovBatch:
             assert same_bits(M, want)
             assert same_bits(_kron_sum(A), want)
 
-    def test_sweep_models_equal_point_path(self):
-        for config in ("fig1.cfg", "fig2.cfg"):
-            for ring_mode in ("fixed_charge", "resonant"):
-                kinds = assert_same_covariances(
-                    sweep_models(config, ring_mode))
-                assert kinds["solved"] >= 40
-        assert kinds == {"solved": 184}
+    @pytest.mark.parametrize("config, ring_mode, solved", [
+        ("fig1.cfg", "fixed_charge", 180), ("fig1.cfg", "resonant", 184),
+        ("fig2.cfg", "fixed_charge", 42), ("fig2.cfg", "resonant", 184)])
+    def test_sweep_models_equal_point_path(self, config, ring_mode, solved):
+        kinds = assert_same_covariances(sweep_models(config, ring_mode))
+        assert kinds == {"solved": solved}
 
     def test_random_and_refined_models_equal_point_path(self):
         m = needs_refinement()
