@@ -164,8 +164,7 @@ def lyapunov_solves(models):
 
 
 def covariance_by_integration(model: StateSpaceModel,
-                              t_max: Optional[float] = None,
-                              dt: Optional[float] = None) -> np.ndarray:
+                              t_max: Optional[float] = None) -> np.ndarray:
     """Covariance by RK4 relaxation from V(0) = 0; oracle for the solver.
 
     Relaxes until ||dV/dt|| <= 1e-12 ||D|| (Frobenius), reaching 1, 2,
@@ -180,8 +179,7 @@ def covariance_by_integration(model: StateSpaceModel,
     eigs = model.verdict.eigenvalues
     fastest = float(np.max(np.abs(eigs)))
     slowest = float(np.min(-eigs.real))
-    if dt is None:
-        dt = 0.2 / fastest
+    dt = 0.2 / fastest
     if t_max is None:
         t_max = 60.0 / slowest
     max_steps = int(math.ceil(t_max / dt))

@@ -605,24 +605,21 @@ def solve_resonant_models(cells):
 
 
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
-                         initial_state=None, t_max: Optional[float] = None,
-                         dt: Optional[float] = None,
-                         gamma: Optional[float] = None,
-                         amp_tol: Optional[float] = None,
-                         mean_tol: Optional[float] = None) -> MeanFieldResult:
+                         *, initial_state, gamma: float,
+                         t_max: Optional[float] = None) -> MeanFieldResult:
     """Relax the classical (noise-free) mean field and report its rest point.
 
     Fixed-step RK4 on (x, p, a) with the optical-gradient force, the ring
-    force and viscous damping; serves as the dynamical cross-check on
-    `solve_xs`.  Averages over oscillation windows; converged when the
-    window amplitude and the drift of the window mean both fall below
-    their tolerances (defaults 1e-4 and 1e-5 wavelengths).
+    force and viscous damping gamma; serves as the dynamical cross-check
+    on `solve_model`.  Averages over oscillation windows; converged when
+    the window amplitude falls below 1e-4 wavelengths and the window mean
+    moves by less than 1e-5 wavelengths.
 
     The rest point does not depend on gamma, so strongly underdamped
-    configurations are best verified with an artificially raised gamma
-    (pass `gamma=`); at the physical damping of a levitated sphere the
-    envelope contraction time is astronomically long.  The integrator
-    relaxes into whatever basin the initial state selects: start inside
+    configurations are best verified with an artificially raised gamma;
+    at the physical damping of a levitated sphere the envelope
+    contraction time is astronomically long.  The integrator relaxes
+    into whatever basin initial_state = (x, p, a) selects: start inside
     the trap interval (e.g. a coarse root estimate with the matching
     clamped-cavity field) when a strong ring force makes the well at
     x = -C0 competitive.
@@ -630,8 +627,6 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     Raises NotConverged if the envelope has not contracted by t_max.
     """
     wavelength = 2.0 * np.pi / derived.k
-    if initial_state is None:
-        initial_state = (0.0, 0.0, 0.0 + 0.0j)
     x0, p0, a0 = initial_state
     a0 = complex(a0)
 
@@ -641,26 +636,16 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     except UnstableTrap:
         omega_est = 0.0
     omega_ref = omega_est if omega_est > 0.0 else derived.kappa
-    if dt is None:
-        dt = min(0.01 / derived.kappa, 0.01 / omega_ref)
+    dt = min(0.01 / derived.kappa, 0.01 / omega_ref)
     if t_max is None:
         t_max = 4000.0 / derived.kappa
-    if gamma is None:
-        if derived.gamma is not None:
-            gamma = derived.gamma
-        elif derived.damping_at is not None:
-            gamma = derived.damping_at(omega_ref)[2]
-        else:
-            gamma = 0.0
-    if amp_tol is None:
-        amp_tol = 1e-4 * wavelength
-    if mean_tol is None:
-        mean_tol = 1e-5 * wavelength
+    amp_tol = 1e-4 * wavelength
+    mean_tol = 1e-5 * wavelength
 
     window_steps = max(64, int(math.ceil(3.0 * 2.0 * np.pi / omega_ref / dt)))
     n_windows = max(2, int(math.ceil(t_max / (window_steps * dt))))
 
-    state = np.array([x0, p0, a0.real, a0.imag])
+    state = (x0, p0, a0.real, a0.imag)
     hbar_g = CODATA2018.hbar * derived.g
     times, means, amps = [], [], []
     p_mean = 0.0
@@ -673,12 +658,13 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
                                hbar_g, derived.k, derived.kappa, delta0,
                                derived.g, derived.E_drive, derived.A_q, c0,
                                derived.ring_radius)
-        state = out[:4].copy()
+        state = out[:4]
+        x_min, x_max, x_sum, p_sum, ar_sum, ai_sum = out[4:]
         t += window_steps * dt
-        amp = float(out[5] - out[4])
-        mean_x = float(out[6] / window_steps)
-        p_mean = float(out[7] / window_steps)
-        a_mean = complex(out[8] / window_steps, out[9] / window_steps)
+        amp = x_max - x_min
+        mean_x = x_sum / window_steps
+        p_mean = p_sum / window_steps
+        a_mean = complex(ar_sum / window_steps, ai_sum / window_steps)
         times.append(t)
         means.append(mean_x)
         amps.append(amp)

@@ -4,12 +4,14 @@ Each criterion prints one `ACCEPTANCE <n> <name>: PASS/FAIL (<time>)`
 line (run pytest with -s to see them).  Budgets time the work inside
 each `criterion` block.
 """
+import dataclasses
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
 from levring.constants import CODATA2018
+from levring.dynamics import drift_matrix
 from levring.entanglement import (covariance_by_integration,
                                   entanglement_sweep, log_negativity,
                                   lyapunov_residual, lyapunov_solve)
@@ -149,15 +151,8 @@ def _mean_field_jacobian_stable(op, gamma, kappa):
     the sign of the optical-rotation block; at strong coupling their
     verdicts can split, so cross-checks are drawn where both agree.
     """
-    A = np.zeros((4, 4))
-    A[0, 1] = op.omega_m
-    A[1, 0] = -op.Omega_m
-    A[1, 1] = -gamma / 2.0
-    A[1, 2] = -op.G
-    A[2, 2] = A[3, 3] = -kappa / 2.0
-    A[2, 3] = -op.delta_eff
-    A[3, 2] = op.delta_eff
-    A[3, 0] = -op.G
+    A = drift_matrix(dataclasses.replace(op, delta_eff=-op.delta_eff),
+                     gamma, kappa)
     return float(np.max(np.linalg.eigvals(A).real)) < -1e-3 * kappa
 
 

@@ -1,11 +1,183 @@
 """Numerical kernels against independent references."""
 import numpy as np
+import pytest
 
-from levring import _kernels
+from levring import _kernels, steady_state
+from levring.constants import CODATA2018
+from levring.errors import LevringError
+from levring.model import delta0_from_config, derive_constants
 
-from conftest import KAPPA_SCALE
+from conftest import KAPPA_SCALE, reference_config
 
 KAP = KAPPA_SCALE
+
+
+def reference_mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k,
+                               kappa, delta0, g, E, A_q, c0, R):
+    """The mean-field RK4 kernel as first written: four unrolled stages on
+    numpy scalars.  `mean_field_chunk` must reproduce it bit for bit."""
+    x = state[0]
+    p = state[1]
+    ar = state[2]
+    ai = state[3]
+    x_min = x
+    x_max = x
+    x_sum = 0.0
+    p_sum = 0.0
+    ar_sum = 0.0
+    ai_sum = 0.0
+    for _ in range(n_steps):
+        # k1
+        a2 = ar * ar + ai * ai
+        s = c0 + x
+        u = s / R
+        f = -hbar_g * k * np.sin(2.0 * k * x) * a2 - A_q * s * (1.0 + u * u) ** -1.5
+        h = delta0 + g * np.cos(k * x) ** 2
+        k1x = p / mass
+        k1p = f - 0.5 * gamma * p
+        k1r = -h * ai - 0.5 * kappa * ar
+        k1i = h * ar - 0.5 * kappa * ai - E
+        # k2
+        x2 = x + 0.5 * dt * k1x
+        p2 = p + 0.5 * dt * k1p
+        ar2 = ar + 0.5 * dt * k1r
+        ai2 = ai + 0.5 * dt * k1i
+        a2 = ar2 * ar2 + ai2 * ai2
+        s = c0 + x2
+        u = s / R
+        f = -hbar_g * k * np.sin(2.0 * k * x2) * a2 - A_q * s * (1.0 + u * u) ** -1.5
+        h = delta0 + g * np.cos(k * x2) ** 2
+        k2x = p2 / mass
+        k2p = f - 0.5 * gamma * p2
+        k2r = -h * ai2 - 0.5 * kappa * ar2
+        k2i = h * ar2 - 0.5 * kappa * ai2 - E
+        # k3
+        x3 = x + 0.5 * dt * k2x
+        p3 = p + 0.5 * dt * k2p
+        ar3 = ar + 0.5 * dt * k2r
+        ai3 = ai + 0.5 * dt * k2i
+        a2 = ar3 * ar3 + ai3 * ai3
+        s = c0 + x3
+        u = s / R
+        f = -hbar_g * k * np.sin(2.0 * k * x3) * a2 - A_q * s * (1.0 + u * u) ** -1.5
+        h = delta0 + g * np.cos(k * x3) ** 2
+        k3x = p3 / mass
+        k3p = f - 0.5 * gamma * p3
+        k3r = -h * ai3 - 0.5 * kappa * ar3
+        k3i = h * ar3 - 0.5 * kappa * ai3 - E
+        # k4
+        x4 = x + dt * k3x
+        p4 = p + dt * k3p
+        ar4 = ar + dt * k3r
+        ai4 = ai + dt * k3i
+        a2 = ar4 * ar4 + ai4 * ai4
+        s = c0 + x4
+        u = s / R
+        f = -hbar_g * k * np.sin(2.0 * k * x4) * a2 - A_q * s * (1.0 + u * u) ** -1.5
+        h = delta0 + g * np.cos(k * x4) ** 2
+        k4x = p4 / mass
+        k4p = f - 0.5 * gamma * p4
+        k4r = -h * ai4 - 0.5 * kappa * ar4
+        k4i = h * ar4 - 0.5 * kappa * ai4 - E
+
+        x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        ar += dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        ai += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+
+        if x < x_min:
+            x_min = x
+        if x > x_max:
+            x_max = x
+        x_sum += x
+        p_sum += p
+        ar_sum += ar
+        ai_sum += ai
+    out = np.empty(10)
+    out[0] = x
+    out[1] = p
+    out[2] = ar
+    out[3] = ai
+    out[4] = x_min
+    out[5] = x_max
+    out[6] = x_sum
+    out[7] = p_sum
+    out[8] = ar_sum
+    out[9] = ai_sum
+    return out
+
+
+def criterion6_draws(n, seed=303):
+    """The first n solvable draws of acceptance criterion 6's box:
+    (derived, delta0, c0, gamma, x_s)."""
+    rng = np.random.default_rng(seed)
+    lam = 1064e-9
+    draws = []
+    while len(draws) < n:
+        cfg = reference_config(
+            ring_field=rng.uniform(0.05, 0.6) * 7.25e10,
+            ring_offset_c0=rng.uniform(0.3, 2.0) * lam,
+            detuning_over_kappa=rng.uniform(0.2, 1.2))
+        derived = derive_constants(cfg)
+        delta0 = delta0_from_config(cfg, derived)
+        gamma = rng.uniform(0.1, 0.3) * derived.kappa
+        try:
+            x_s = steady_state.solve_xs(derived, delta0,
+                                        cfg.ring_offset_c0).x_s
+        except LevringError:
+            continue
+        draws.append((derived, delta0, cfg.ring_offset_c0, gamma, x_s))
+    return draws
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 5000])
+def test_mean_field_chunk_matches_reference_kernel(n_steps):
+    # bit for bit, from seeded states around each rest point, whether
+    # the arguments arrive as numpy scalars or as Python floats
+    rng = np.random.default_rng(11)
+    for derived, delta0, c0, gamma, x_s in criterion6_draws(4):
+        a_s = steady_state.cavity_steady_field(derived, delta0, x_s)
+        state = np.array([
+            x_s + rng.normal() * 1e-9,
+            rng.normal() * derived.mass * derived.kappa * 1e-9,
+            a_s.real * rng.uniform(0.5, 1.5),
+            a_s.imag * rng.uniform(0.5, 1.5)])
+        args = np.array([
+            rng.uniform(0.5, 1.0) * 0.01 / derived.kappa, derived.mass,
+            gamma, CODATA2018.hbar * derived.g, derived.k, derived.kappa,
+            delta0, derived.g, derived.E_drive, derived.A_q, c0,
+            derived.ring_radius])
+        want = reference_mean_field_chunk(state, n_steps, *args)
+        got_np = _kernels.mean_field_chunk(state, n_steps, *args)
+        got_py = _kernels.mean_field_chunk(
+            tuple(state.tolist()), n_steps, *args.tolist())
+        assert all(type(v) is float for v in got_np + got_py)
+        assert np.array_equal(np.array(got_np), want)
+        assert np.array_equal(np.array(got_py), want)
+        if n_steps:
+            assert not np.array_equal(want[:4], state)
+
+
+def relax(derived, delta0, c0, gamma, x_s):
+    x0 = round(x_s * 1e9) / 1e9
+    return steady_state.integrate_mean_field(
+        derived, delta0, c0,
+        initial_state=(x0, 0.0, steady_state.cavity_steady_field(
+            derived, delta0, x0)),
+        t_max=4000.0 / derived.kappa, gamma=gamma)
+
+
+def test_integrate_mean_field_matches_reference_kernel(monkeypatch):
+    draws = criterion6_draws(20)
+    got = [relax(*draw) for draw in draws]
+    monkeypatch.setattr(steady_state, "mean_field_chunk",
+                        reference_mean_field_chunk)
+    want = [relax(*draw) for draw in draws]
+    for g, w in zip(got, want):
+        assert (g.x_bar, g.p_bar, g.a_bar, g.t_final) == (
+            w.x_bar, w.p_bar, w.a_bar, w.t_final)
+        for name in ("window_times", "window_means", "window_amps"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
 
 
 def stepped_rk4(A, D, dt, max_steps, check_every, tol_abs):

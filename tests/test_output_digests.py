@@ -5,7 +5,9 @@ The four sweep CSVs are pinned in test_cli.py against
 levbench/reference_digests.json. This file pins the two single-point
 subcommands on the shipped configs: the sha256 of the `--out` CSV and of
 stdout, for fig1 in both ring modes, fig2 resonant and the decoupled
-config with a fixed charge. It also pins small stability maps with the
+config with a fixed charge, and the same for `steady-state --verify`,
+whose mean-field relaxation adds lines to stdout and rows to the CSV.
+It also pins small stability maps with the
 row kinds the shipped maps lack: ConfigInvalid columns, negative offsets
 and charges, C0 = 0 and zero-charge columns, an all-decoupled config and
 a 1x1 grid. The entanglement pins hold the sha256 of stdout and the exit
@@ -63,6 +65,22 @@ DIGESTS = {
         "895b8e560a25ac018965a91abea10bb78188cfe7ddb16e6a34668d94dc371020"),
 }
 
+# config, ring mode -> sha256 of (stdout, --out CSV) of steady-state --verify
+VERIFY_DIGESTS = {
+    ("fig1.cfg", "fixed_charge"): (
+        "50a9b12730e5fd46d626ca21a33412f41c389fa09d5059c99f842643ce444905",
+        "ce7cf4bd9cdb9a7c9f6b27b666b312d1638bfe3430aed7e70a022a6f8b4303dc"),
+    ("fig1.cfg", "resonant"): (
+        "5782d9373e4ce42e9cd7c26ef26d6019d0cc364dbaedf470a509bcf372b15771",
+        "560a60359958b2c132f8c7a3bc672f0aa438c3ebef5320fcfe1c5366c77d1920"),
+    ("fig2.cfg", "resonant"): (
+        "5d6ce5f7302584df39ae139e2eeded1174f78016ccd457ba630eb3bed82470a6",
+        "cf5d811533e948e25256ca0e9ee07628bea67df6a85250824c8e19a452122220"),
+    ("decoupled.cfg", "fixed_charge"): (
+        "9150df7008313e5abf8f29ed3ba06d2fdfe5ff420612295dafa2c68b48b5a926",
+        "0a84082b57974dcdf89c8f23e6f3609e1f217da6c9d7c00184e650120f7fb577"),
+}
+
 
 # stability-map arguments after the config -> sha256 of the CSV on stdout
 MAP_DIGESTS = {
@@ -111,11 +129,12 @@ SWEEP_DIGESTS = {
 }
 
 
-def run_digests(subcommand, config, ring_mode, out_path):
+def run_digests(subcommand, config, ring_mode, out_path, *options):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([subcommand, "--config", str(CONFIG_DIR / config),
-                     "--ring-mode", ring_mode, "--out", str(out_path)])
+                     "--ring-mode", ring_mode, "--out", str(out_path)]
+                    + list(options))
     assert code == 0
     return (hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
             hashlib.sha256(pathlib.Path(out_path).read_bytes()).hexdigest())
@@ -127,6 +146,13 @@ def test_output_matches_pinned_digest(tmp_path, subcommand, config,
                                       ring_mode):
     got = run_digests(subcommand, config, ring_mode, tmp_path / "out.csv")
     assert got == DIGESTS[(subcommand, config, ring_mode)]
+
+
+@pytest.mark.parametrize("config, ring_mode", CASES)
+def test_verify_output_matches_pinned_digest(tmp_path, config, ring_mode):
+    got = run_digests("steady-state", config, ring_mode,
+                      tmp_path / "out.csv", "--verify")
+    assert got == VERIFY_DIGESTS[(config, ring_mode)]
 
 
 def map_digest(case):
@@ -175,6 +201,12 @@ if __name__ == "__main__":
                 sys.stdout.write(f'    ({key}): (\n'
                                  f'        "{digests[0]}",\n'
                                  f'        "{digests[1]}"),\n')
+        for cfg, mode in CASES:
+            digests = run_digests("steady-state", cfg, mode,
+                                  pathlib.Path(tmp) / "out.csv", "--verify")
+            sys.stdout.write(f'    ("{cfg}", "{mode}"): (\n'
+                             f'        "{digests[0]}",\n'
+                             f'        "{digests[1]}"),\n')
         for case in MAP_DIGESTS:
             sys.stdout.write(f'    "{case}":\n        "{map_digest(case)}",\n')
         for case in SWEEP_DIGESTS:
