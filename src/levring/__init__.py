@@ -10,8 +10,7 @@ from .steady_state import (MeanFieldResult, OperatingPoint,
                            integrate_mean_field, mechanical_frequency,
                            solve_model, solve_resonant_ring_charge, solve_xs,
                            steady_amplitude)
-from .dynamics import (StabilityVerdict, StateSpaceModel, build_model,
-                       eigenvalue_stability, routh_hurwitz)
+from .dynamics import StabilityVerdict, StateSpaceModel, build_model
 from .spectra import (SpectrumTable, TransferCoefficients, output_spectrum,
                       spectrum_sweep, transfer_coefficients)
 from .entanglement import (EntanglementPoint, EntanglementResult,
@@ -28,10 +27,9 @@ __all__ = [
     "MeanFieldResult", "solve_xs", "steady_amplitude",
     "mechanical_frequency", "solve_resonant_ring_charge",
     "integrate_mean_field", "StateSpaceModel", "StabilityVerdict",
-    "build_model", "routh_hurwitz", "eigenvalue_stability",
-    "TransferCoefficients", "SpectrumTable", "transfer_coefficients",
-    "output_spectrum", "spectrum_sweep", "EntanglementResult",
-    "EntanglementPoint", "lyapunov_solve", "covariance_by_integration",
-    "log_negativity", "symplectic_eigenvalues", "entanglement_sweep",
-    "PointSolution", "solve_point",
+    "build_model", "TransferCoefficients", "SpectrumTable",
+    "transfer_coefficients", "output_spectrum", "spectrum_sweep",
+    "EntanglementResult", "EntanglementPoint", "lyapunov_solve",
+    "covariance_by_integration", "log_negativity", "symplectic_eigenvalues",
+    "entanglement_sweep", "PointSolution", "solve_point",
 ]

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .constants import CODATA2018
-from .errors import ConfigError, ConfigInvalid, LevringError, NotConverged, \
-    NumericalError, ParseError, ValidationError
+from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
+    ParseError, ValidationError, caught
 from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
                     derive_constants)
 from .pipeline import solve_point
@@ -390,20 +390,18 @@ def cmd_stability_map(args) -> int:
         else:
             varied = dataclasses.replace(
                 cfg_charge, ring_charge=base.ring_charge * p2)
-        try:
-            columns.append((derive_constants(varied), varied.ring_offset_c0))
-        except ConfigInvalid as exc:
-            # kept without its traceback, which would hold this frame
-            columns.append(exc.with_traceback(None))
+        columns.append((caught(derive_constants, varied),
+                        varied.ring_offset_c0))
 
     grid = [(d0, p2, column) for d0 in d0_grid
             for p2, column in zip(p2_grid, columns)]
     solved = solve_models([
-        (column[0], d0 * base.kappa, column[1])
-        for d0, _, column in grid if not isinstance(column, ConfigInvalid)])
+        (derived, d0 * base.kappa, c0)
+        for d0, _, (derived, c0) in grid
+        if not isinstance(derived, LevringError)])
     rows = []
-    for d0, p2, column in grid:
-        outcome = (column if isinstance(column, ConfigInvalid)
+    for d0, p2, (derived, _) in grid:
+        outcome = (derived if isinstance(derived, LevringError)
                    else next(solved))
         if isinstance(outcome, LevringError):
             rows.append((d0, p2, None, None, None, None,

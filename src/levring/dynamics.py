@@ -116,22 +116,6 @@ def _rh_values(op: "OperatingPoint", gamma: float, kappa: float):
     return s1, s2, marginal
 
 
-def routh_hurwitz(model: StateSpaceModel):
-    """(S1, S2, stable) from the closed-form stability conditions.
-
-    Marginal values (inside the relative dead zone) are reported as not
-    stable; the marginality flag lives on the model verdict.
-    """
-    s1, s2, _marginal = _rh_values(model.op, model.gamma, model.kappa)
-    return s1, s2, (s1 > 0.0 and s2 > 0.0)
-
-
-def eigenvalue_stability(model: StateSpaceModel):
-    """(eigenvalues, stable) from the quartic characteristic polynomial."""
-    eigs = drift_eigenvalues(model.op, model.gamma, model.kappa)
-    return eigs, bool(np.max(eigs.real) < 0.0)
-
-
 def _scaled_quartic(op: "OperatingPoint", gamma: float, kappa: float):
     """(rho, c): the root scale and the quartic rescaled to O(1) coefficients.
 

@@ -32,7 +32,8 @@ import numpy as np
 from ._kernels import cov_rk4
 from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
-                     SingularSystem, UnphysicalCovariance, UnstableModel)
+                     SingularSystem, UnphysicalCovariance, UnstableModel,
+                     caught)
 from .model import SystemConfig
 from .pipeline import PointSolution, solve_sweep
 
@@ -155,11 +156,8 @@ def lyapunov_solves(models):
         except np.linalg.LinAlgError:
             V = None
         for i, b in enumerate(stable):
-            try:
-                out[b] = (lyapunov_solve(models[b]) if V is None
-                          else _refined(models[b], M[i], V[i]))
-            except NumericalError as exc:
-                out[b] = exc.with_traceback(None)
+            out[b] = (caught(lyapunov_solve, models[b]) if V is None
+                      else caught(_refined, models[b], M[i], V[i]))
     return out
 
 
@@ -210,17 +208,16 @@ def symplectic_eigenvalues(V: np.ndarray):
     return lo, hi
 
 
-def is_physical(V: np.ndarray, slack: float = PHYSICALITY_SLACK) -> bool:
-    """Symplectic positivity: both eigenvalues of V itself >= 1/2 - slack."""
+def is_physical(V: np.ndarray) -> bool:
+    """Symplectic positivity: both eigenvalues of V itself
+    >= 1/2 - PHYSICALITY_SLACK."""
     lo, _ = symplectic_eigenvalues(V)
-    return lo >= 0.5 - slack
+    return lo >= 0.5 - PHYSICALITY_SLACK
 
 
-def log_negativity(V: np.ndarray, base: str = "e") -> EntanglementResult:
-    """Logarithmic negativity of the mechanics-light bipartition.
-
-    base: 'e' (default, natural log), '2' or '10' for comparison plots.
-    """
+def log_negativity(V: np.ndarray) -> EntanglementResult:
+    """Logarithmic negativity of the mechanics-light bipartition, in
+    natural-log units."""
     b1, b2, b3, dv = _block_dets(V)
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
@@ -235,8 +232,7 @@ def log_negativity(V: np.ndarray, base: str = "e") -> EntanglementResult:
     if eta2 <= 0.0:
         raise UnphysicalCovariance(f"eta_minus^2 = {eta2:.3e} <= 0")
     eta_minus = math.sqrt(eta2)
-    log_scale = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}[base]
-    e_n = max(0.0, -math.log(2.0 * eta_minus) / log_scale)
+    e_n = max(0.0, -math.log(2.0 * eta_minus))
     return EntanglementResult(eta_minus=eta_minus, sigma=sigma, E_n=e_n,
                               detB1=b1, detB2=b2, detB3=b3, detV=dv)
 

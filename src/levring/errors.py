@@ -2,7 +2,8 @@
 
 Two families matter for the CLI exit code: configuration problems
 (exit 1) and numerical failures (exit 2).  I/O errors are plain OSError
-(exit 3).
+(exit 3).  A grid solver records the error of a cell as its outcome
+(`caught`) instead of raising it.
 """
 
 
@@ -76,3 +77,15 @@ class UnphysicalCovariance(NumericalError):
 
 class IterationDiverged(NumericalError):
     """Root iteration failed to converge within its iteration cap."""
+
+
+def caught(fun, *args):
+    """fun(*args), or the LevringError it raises, without its traceback.
+
+    A kept traceback would hold the raising frames, and the models in
+    them, until the cycle collector runs.
+    """
+    try:
+        return fun(*args)
+    except LevringError as exc:
+        return exc.with_traceback(None)

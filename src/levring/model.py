@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ConfigInvalid, NonPositiveFrequency
 
 TORR_TO_PA = 133.322368
@@ -146,8 +146,7 @@ class DerivedParams:
             self, gamma_ph=gph, gamma_gas=ggas, gamma=gam, Gamma_diff=Gam)
 
 
-def resolve_ring_charge(cfg: SystemConfig,
-                        consts: PhysicalConstants = CODATA2018) -> float:
+def resolve_ring_charge(cfg: SystemConfig) -> float:
     """Total ring charge in C.
 
     When the config specifies the on-axis field at x = 0 instead of the
@@ -158,33 +157,37 @@ def resolve_ring_charge(cfg: SystemConfig,
         return cfg.ring_charge
     c0, R = cfg.ring_offset_c0, cfg.ring_radius
     bracket = (1.0 + (c0 / R) ** 2) ** 1.5
-    return cfg.ring_field * 4.0 * np.pi * consts.eps0 * R ** 3 * bracket / c0
+    return (cfg.ring_field * 4.0 * np.pi * CODATA2018.eps0 * R ** 3 * bracket
+            / c0)
 
 
-def ring_potential(x, cfg: SystemConfig,
-                   consts: PhysicalConstants = CODATA2018):
+def ring_potential(x, cfg: SystemConfig):
     """On-axis scalar potential of the charged ring at sphere position x (V).
 
     Even in (C0 + x); maximal at x = -C0.  Accepts scalar or ndarray x.
     """
-    Q = resolve_ring_charge(cfg, consts)
+    Q = resolve_ring_charge(cfg)
     u = (cfg.ring_offset_c0 + x) / cfg.ring_radius
-    return Q / (4.0 * np.pi * consts.eps0 * cfg.ring_radius) / np.sqrt(1.0 + u * u)
+    return (Q / (4.0 * np.pi * CODATA2018.eps0 * cfg.ring_radius)
+            / np.sqrt(1.0 + u * u))
 
 
-def ring_field(x, cfg: SystemConfig,
-               consts: PhysicalConstants = CODATA2018):
+def ring_field_value(ring_charge: float, ring_radius: float, c0: float, x):
+    """On-axis field (V/m) at x of a ring of the given charge and radius
+    at offset c0; accepts scalar or ndarray x."""
+    s = c0 + x
+    u = s / ring_radius
+    return ring_charge * s / (4.0 * np.pi * CODATA2018.eps0
+                              * ring_radius ** 3 * (1.0 + u * u) ** 1.5)
+
+
+def ring_field(x, cfg: SystemConfig):
     """On-axis electrostatic field of the ring at x (V/m); equals -d(potential)/dx."""
-    Q = resolve_ring_charge(cfg, consts)
-    R = cfg.ring_radius
-    s = cfg.ring_offset_c0 + x
-    u = s / R
-    return Q * s / (4.0 * np.pi * consts.eps0 * R ** 3 * (1.0 + u * u) ** 1.5)
+    return ring_field_value(resolve_ring_charge(cfg), cfg.ring_radius,
+                            cfg.ring_offset_c0, x)
 
 
-def electrostatic_spring(cfg: SystemConfig,
-                         consts: PhysicalConstants = CODATA2018,
-                         x_s: float = 0.0,
+def electrostatic_spring(cfg: SystemConfig, x_s: float = 0.0,
                          exact: bool = False) -> float:
     """Electrostatic spring constant A_q (N/m).
 
@@ -192,17 +195,16 @@ def electrostatic_spring(cfg: SystemConfig,
     Exact mode multiplies by [1 - 2 u^2][1 + u^2]^(-5/2), u = (C0+x_s)/R,
     the curvature of the full on-axis potential.
     """
-    q = cfg.mcp_epsilon * consts.e0
-    Q = resolve_ring_charge(cfg, consts)
-    a_q = q * Q / (4.0 * np.pi * consts.eps0 * cfg.ring_radius ** 3)
+    q = cfg.mcp_epsilon * CODATA2018.e0
+    Q = resolve_ring_charge(cfg)
+    a_q = q * Q / (4.0 * np.pi * CODATA2018.eps0 * cfg.ring_radius ** 3)
     if exact:
         u2 = ((cfg.ring_offset_c0 + x_s) / cfg.ring_radius) ** 2
         a_q *= (1.0 - 2.0 * u2) * (1.0 + u2) ** -2.5
     return a_q
 
 
-def damping_and_diffusion(cfg: SystemConfig, consts: PhysicalConstants,
-                          omega_m: float):
+def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
     """Mechanical damping channels and diffusion constant at omega_m.
 
     Returns (gamma_ph, gamma_gas, gamma, Gamma_diff), all 1/s:
@@ -218,18 +220,17 @@ def damping_and_diffusion(cfg: SystemConfig, consts: PhysicalConstants,
     eps = cfg.permittivity
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
-    kBT = consts.kB * cfg.temperature
+    hbar, kBT = CODATA2018.hbar, CODATA2018.kB * cfg.temperature
     gamma_ph = (4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0) \
-        * (V_s / cfg.wavelength ** 3) * omega_m * (consts.hbar * omega_m / kBT)
+        * (V_s / cfg.wavelength ** 3) * omega_m * (hbar * omega_m / kBT)
     v_gas = np.sqrt(3.0 * kBT / cfg.gas_molecule_mass)
     gamma_gas = 4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure / (mass * v_gas)
     gamma = gamma_ph + gamma_gas
-    Gamma_diff = gamma * kBT / (consts.hbar * omega_m)
+    Gamma_diff = gamma * kBT / (hbar * omega_m)
     return float(gamma_ph), float(gamma_gas), float(gamma), float(Gamma_diff)
 
 
-def derive_constants(cfg: SystemConfig,
-                     consts: PhysicalConstants = CODATA2018) -> DerivedParams:
+def derive_constants(cfg: SystemConfig) -> DerivedParams:
     """Evaluate every derived constant of the configured system.
 
     Pure: identical inputs give bit-identical outputs.  The drive
@@ -240,21 +241,22 @@ def derive_constants(cfg: SystemConfig,
     """
     cfg.validate()
     k = 2.0 * np.pi / cfg.wavelength
-    omega_c = consts.c * k
+    omega_c = CODATA2018.c * k
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
-    kappa = consts.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse)
+    kappa = CODATA2018.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse)
     waist = np.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
     V_c = np.pi * waist ** 2 * cfg.cavity_length / 4.0
     g = 3.0 * V_s / (2.0 * V_c) \
         * (cfg.permittivity - 1.0) / (cfg.permittivity + 2.0) * omega_c
-    E_drive = np.sqrt(kappa * cfg.input_power / (consts.hbar * omega_c))
-    q_mcp = cfg.mcp_epsilon * consts.e0
-    ring_charge = resolve_ring_charge(cfg, consts)
-    A_q = q_mcp * ring_charge / (4.0 * np.pi * consts.eps0 * cfg.ring_radius ** 3)
+    E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
+    q_mcp = cfg.mcp_epsilon * CODATA2018.e0
+    ring_charge = resolve_ring_charge(cfg)
+    A_q = q_mcp * ring_charge / (4.0 * np.pi * CODATA2018.eps0
+                                 * cfg.ring_radius ** 3)
 
     def damping_at(omega_m: float):
-        return damping_and_diffusion(cfg, consts, omega_m)
+        return damping_and_diffusion(cfg, omega_m)
 
     return DerivedParams(
         k=float(k), omega_c=float(omega_c), V_s=float(V_s), V_c=float(V_c),

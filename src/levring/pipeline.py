@@ -14,13 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .constants import CODATA2018
 from .dynamics import StateSpaceModel
 from .errors import NumericalError
 from .model import (DerivedParams, SystemConfig, delta0_from_config,
-                    derive_constants)
+                    derive_constants, ring_field_value)
 from .steady_state import (OperatingPoint, solve_model, solve_models,
                            solve_resonant_models, solve_resonant_ring_charge)
 
@@ -33,14 +30,6 @@ class PointSolution:
     op: OperatingPoint
     model: StateSpaceModel      # built once, by the steady-state solver
     field_at_xs: float          # on-axis ring field at x_s, V/m
-
-
-def ring_field_value(ring_charge: float, ring_radius: float, c0: float,
-                     x: float) -> float:
-    s = c0 + x
-    u = s / ring_radius
-    return ring_charge * s / (4.0 * np.pi * CODATA2018.eps0
-                              * ring_radius ** 3 * (1.0 + u * u) ** 1.5)
 
 
 def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +35,9 @@ import numpy as np
 from . import dynamics
 from ._kernels import mean_field_chunk
 from .constants import CODATA2018
-from .errors import (AllRootsUnstable, NoResonantSolution, NoRootInInterval,
-                     NotConverged, NumericalError, UnstableResonance,
-                     UnstableTrap)
+from .errors import (AllRootsUnstable, LevringError, NoResonantSolution,
+                     NoRootInInterval, NotConverged, NumericalError,
+                     UnstableResonance, UnstableTrap, caught)
 from .model import DerivedParams
 
 N_SCAN = 4001
@@ -149,7 +150,7 @@ def _bisect(fun, a, b, fa, tol_x):
 
 
 def _grid_roots(fun, xs, tol_x):
-    """Yield the roots of the vectorised `fun` on the grid xs, in grid order.
+    """Yield the roots of the vectorised `fun` on the ascending grid xs.
 
     `fun` is evaluated once on the whole grid. An exact grid zero is a
     root; a sign change between two nonzero neighbours is bisected down
@@ -163,9 +164,8 @@ def _grid_roots(fun, xs, tol_x):
         if zero[i]:
             yield float(xs[i])
             continue
-        a, b = (i, i + 1) if xs[i] < xs[i + 1] else (i + 1, i)
-        yield _bisect(lambda x: float(fun(x)), float(xs[a]), float(xs[b]),
-                      float(fs[a]), tol_x)
+        yield _bisect(lambda x: float(fun(x)), float(xs[i]),
+                      float(xs[i + 1]), float(fs[i]), tol_x)
 
 
 def scan_roots(derived: DerivedParams, delta0: float, c0: float):
@@ -318,6 +318,21 @@ def _scan_hits(block, n_cells):
     return (np.concatenate(v) for v in zip(*hits))
 
 
+def _hit_roots(xs, cell, i, f_i, zero, fun, tol_x):
+    """The root at each hit `_scan_hits` returns on the ascending grid xs.
+
+    A grid zero is its own root; the brackets [xs[i], xs[i + 1]] of the
+    sign changes are bisected in lock step from f_i, with fun(x, cells)
+    evaluating the functions of the given cells at x.
+    """
+    found = xs[i]
+    bracket = np.flatnonzero(~zero)
+    lo = i[bracket]
+    found[bracket] = _bisect_all(lambda x, idx: fun(x, cell[bracket[idx]]),
+                                 xs[lo], xs[lo + 1], f_i[bracket], tol_x)
+    return found
+
+
 def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
     """`scan_roots` for cells that differ only in delta0, c0 and A_q.
 
@@ -334,23 +349,51 @@ def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
         lambda rows: _balance(xs, g_cos2, sin_2kx, derived, delta0[rows, None],
                               c0[rows, None], a_q[rows, None]),
         len(delta0))
-    bracket = np.flatnonzero(~zero)
-    bracket_cell = cell[bracket]
 
-    def balance(x, idx):
-        at = bracket_cell[idx]
+    def balance(x, at):
         return _balance(x, derived.g * _pow_cos2(derived.k * x),
                         np.sin(2.0 * derived.k * x), derived, delta0[at],
                         c0[at], a_q[at])
 
-    found = xs[i]
-    lo = i[bracket]
-    found[bracket] = _bisect_all(balance, xs[lo], xs[lo + 1], f_i[bracket],
-                                 BISECT_REL_TOL * (2.0 * half))
+    found = _hit_roots(xs, cell, i, f_i, zero, balance,
+                       BISECT_REL_TOL * (2.0 * half))
     roots = [[] for _ in delta0]
     for c, x in zip(cell.tolist(), found.tolist()):
         roots[c].append(x)
     return roots
+
+
+def _shared(cells, names):
+    """The constants of the first cell, or None for no cells; ValueError
+    unless those of every cell agree with them in the attributes `names`."""
+    get = operator.attrgetter(*names)
+    ref = cells[0][0] if cells else None
+    if any(get(d) != get(ref) for d, _, _ in cells):
+        raise ValueError(
+            f"cells must share {', '.join(names[:-1])} and {names[-1]}")
+    return ref
+
+
+def _screen_plans(cells, plans, screened):
+    """`_screen` over the plans of a grid of cells, lazily.
+
+    plans[i] is cell i's (pairs, end_error), as `_candidates` returns
+    them, or the error making them raised; screened[i] says
+    whether cell i's models are screened.  One Durand-Kerner run finds
+    the eigenvalues of every candidate at the call
+    (`dynamics.build_models`).  Entry i of the returned iterator is the
+    model `_screen` accepts for cell i, or the NumericalError it raises;
+    each cell's models are assembled and screened as it is reached.
+    """
+    plans = [([], plan) if isinstance(plan, LevringError) else plan
+             for plan in plans]
+    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
+    models = dynamics.build_models([op for op, _ in pairs],
+                                   [d for _, d in pairs])
+    return (caught(_screen, [next(models) for _ in cell_pairs], end_error,
+                   delta0, screen)
+            for (cell_pairs, end_error), (_, delta0, _), screen
+            in zip(plans, cells, screened))
 
 
 def solve_models(cells):
@@ -364,17 +407,11 @@ def solve_models(cells):
 
     The root scan of all cells runs as arrays (see `_scan_cells`) and
     one Durand-Kerner run finds the eigenvalues for the candidate roots
-    of every cell (`dynamics.build_models`), both at the call; the
-    operating points, residual checks and Routh-Hurwitz values are the
-    scalar code of `solve_model`.  Each model is assembled and screened
-    as the iterator reaches its cell.
+    of every cell (`_screen_plans`), both at the call; the operating
+    points, residual checks and Routh-Hurwitz values are the scalar code
+    of `solve_model`.
     """
-    if not cells:
-        return iter(())
-    ref = cells[0][0]
-    optics = (ref.k, ref.g, ref.E_drive, ref.kappa)
-    if any((d.k, d.g, d.E_drive, d.kappa) != optics for d, _, _ in cells):
-        raise ValueError("cells must share k, g, E_drive and kappa")
+    ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
     scanned = [i for i, (d, _, c0) in enumerate(cells)
                if not _decoupled(d, c0)]
     roots = {}
@@ -382,28 +419,9 @@ def solve_models(cells):
         delta0, c0, a_q = np.array([(cells[i][1], cells[i][2],
                                      cells[i][0].A_q) for i in scanned]).T
         roots = dict(zip(scanned, _scan_cells(ref, delta0, c0, a_q)))
-    plans = []
-    for i, (derived, delta0, c0) in enumerate(cells):
-        try:
-            plans.append(_candidates(derived, delta0, c0, roots.get(i)))
-        except NumericalError as exc:
-            plans.append(([], exc.with_traceback(None)))
-    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
-    models = dynamics.build_models([op for op, _ in pairs],
-                                   [d for _, d in pairs])
-
-    def outcomes():
-        for i, (cell_pairs, end_error) in enumerate(plans):
-            built = [next(models) for _ in cell_pairs]
-            try:
-                outcome = _screen(built, end_error, cells[i][1], i in roots)
-            except NumericalError as exc:
-                # a kept traceback would hold this frame and the models
-                # in it until the cycle collector runs
-                outcome = exc.with_traceback(None)
-            yield outcome
-
-    return outcomes()
+    plans = [caught(_candidates, *cell, roots.get(i))
+             for i, cell in enumerate(cells)]
+    return _screen_plans(cells, plans, [i in roots for i in range(len(cells))])
 
 
 def solve_xs(derived: DerivedParams, delta0: float,
@@ -429,46 +447,49 @@ def _resonance_inputs(derived: DerivedParams, c0: float) -> None:
             "resonance matching needs C0 != 0 and a nonzero bound charge")
 
 
-def _resonance_grid(derived: DerivedParams, c0: float):
-    """The scan grid from x = 0 outward, on the half-interval whose sign
-    makes the ring charge positive, and the bisection tolerance."""
+def _resonance_grid(derived: DerivedParams):
+    """The ascending scan grid on [0, pi/4k) and the bisection tolerance.
+
+    The mismatch is even in x, bit for bit, so both signs of C0 scan this
+    half-grid; `_resonant_plan` mirrors the root onto the half-interval
+    whose sign makes the ring charge positive.
+    """
     half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
-    return (np.linspace(0.0, -np.sign(c0) * half, N_SCAN_RESONANT),
+    return (np.linspace(0.0, half, N_SCAN_RESONANT),
             BISECT_REL_TOL * (2.0 * half))
 
 
-def _resonant_pair(derived: DerivedParams, delta0: float, c0: float,
+def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
                    x_root: Optional[float]):
-    """The operating point at the resonance root x_root (None: no root)
-    and the constants with the solved charge and the damping there."""
+    """The one-candidate screen plan of the resonance root x_root on the
+    half-grid (None: no root).
+
+    Its candidate is the operating point at the mirror of x_root on the
+    side of -C0, with the constants carrying the solved charge and the
+    damping there; its end error is the UnstableResonance a non-Hurwitz
+    model gives.
+    """
     if x_root is None:
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
+    x_s = -x_root if c0 > 0.0 else x_root
     hbar = CODATA2018.hbar
     k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
-    delta = delta0 + g * np.cos(k * x_root) ** 2
+    delta = delta0 + g * np.cos(k * x_s) ** 2
     if delta <= 0.0:
         raise NoResonantSolution(
             f"effective detuning {delta:.3e} not on the stable sideband")
-    a_q = (-4.0 * hbar * g * k * E ** 2 * np.sin(2.0 * k * x_root)
-           / ((kap ** 2 + 4.0 * delta * delta) * (x_root + c0)))
+    a_q = (-4.0 * hbar * g * k * E ** 2 * np.sin(2.0 * k * x_s)
+           / ((kap ** 2 + 4.0 * delta * delta) * (x_s + c0)))
     if a_q < 0.0:
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")
     geom = 4.0 * np.pi * CODATA2018.eps0 * derived.ring_radius ** 3
     resolved = dataclasses.replace(derived, A_q=a_q,
                                    ring_charge=a_q * geom / derived.q_mcp)
-    op = operating_point_at(resolved, delta0, c0, x_root)
-    return op, resolved.with_damping(op.omega_m)
-
-
-def _resonant_outcome(model, delta0: float):
-    """The model, or the UnstableResonance a non-Hurwitz one gives; an
-    error building it is passed on."""
-    if isinstance(model, NumericalError) or model.stable:
-        return model
-    return UnstableResonance(
-        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
+    op = operating_point_at(resolved, delta0, c0, x_s)
+    return ([(op, resolved.with_damping(op.omega_m))], UnstableResonance(
+        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz"))
 
 
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
@@ -481,77 +502,55 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     half-interval whose sign makes the ring charge positive, then read Q
     off the force balance.
 
-    The mismatch is evaluated at once on the grid from x = 0 outward, and
-    the first grid root other than x = 0 itself is taken as `op.x_s`.
-    Returns the screened model at that point; its `derived` carries the
-    solved `ring_charge` and `A_q` and the damping at `op.omega_m`.
+    The condition is even in x, so the mismatch is evaluated at once on
+    the ascending grid from x = 0 outward, its first grid root other
+    than x = 0 itself is taken, and `op.x_s` is that root negated for
+    C0 > 0.  Returns the screened model at that point; its `derived`
+    carries the solved `ring_charge` and `A_q` and the damping at
+    `op.omega_m`.
 
     This is the point path; `solve_resonant_models` solves a grid of
     cells with the same results.
     """
     _resonance_inputs(derived, c0)
-    xs, tol_x = _resonance_grid(derived, c0)
+    xs, tol_x = _resonance_grid(derived)
     roots = _grid_roots(
         lambda x: _mismatch(derived.g * np.cos(derived.k * x) ** 2,
                             np.cos(2.0 * derived.k * x), derived, delta0),
         xs, tol_x)
-    x_root = next((x for x in roots if x != 0.0), None)
-    op, damped = _resonant_pair(derived, delta0, c0, x_root)
-    outcome = _resonant_outcome(dynamics.build_model(op, damped), delta0)
-    if isinstance(outcome, NumericalError):
-        raise outcome
-    return outcome
+    pairs, end_error = _resonant_plan(
+        derived, delta0, c0, next((x for x in roots if x != 0.0), None))
+    return _screen((dynamics.build_model(op, d) for op, d in pairs),
+                   end_error, delta0, True)
 
 
-def _resonance_roots(derived: DerivedParams, delta0, c0):
-    """The root `solve_resonant_ring_charge` takes, for cells that differ
-    only in delta0 and C0 != 0; None where it finds none.
+def _resonance_roots(derived: DerivedParams, delta0):
+    """The half-grid root `solve_resonant_ring_charge` takes, for cells
+    that differ only in delta0; None where it finds none.
 
-    Per sign of C0, the grid's g cos^2(kx) and cos(2kx) are evaluated
-    once and the mismatch of SCAN_CHUNK cells at a time on the grid.  A
-    cell's first grid zero or sign change other than x = 0 is its root;
-    the brackets of all cells are bisected in lock step, each from its
-    lower end as `_grid_roots` does.
+    The grid's g cos^2(kx) and cos(2kx) are evaluated once and the
+    mismatch of SCAN_CHUNK cells at a time on the grid.  A cell's first
+    grid zero or sign change other than the grid zero x = 0 is its root;
+    the brackets of all cells are bisected in lock step.
     """
-    found = [None] * len(delta0)
-    lower, upper, f_lower, at = [], [], [], []
-    for side in (1.0, -1.0):
-        members = np.flatnonzero(np.sign(c0) == side)
-        if not members.size:
-            continue
-        xs, tol_x = _resonance_grid(derived, side)
-        g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
-        cos_2kx = np.cos(2.0 * derived.k * xs)
-        d0 = delta0[members]
-        cell, i, _, zero = _scan_hits(
-            lambda rows: _mismatch(g_cos2, cos_2kx, derived, d0[rows, None]),
-            members.size)
-        taken = ~(zero & (i == 0))
-        cell, first = np.unique(cell[taken], return_index=True)
-        i, zero = i[taken][first], zero[taken][first]
-        for c, x in zip(members[cell[zero]].tolist(), xs[i[zero]].tolist()):
-            found[c] = x
-        # the grid descends from x = 0 for C0 > 0; the mismatch at the
-        # lower end is the scan's, recomputed with its arithmetic
-        lo = i[~zero] + (side > 0.0)
-        hi = i[~zero] + (side < 0.0)
-        at.append(members[cell[~zero]])
-        lower.append(xs[lo])
-        upper.append(xs[hi])
-        f_lower.append(_mismatch(g_cos2[lo], cos_2kx[lo], derived,
-                                 d0[cell[~zero]]))
-    at = np.concatenate(at)
-    if at.size:
-        def mismatch(x, idx):
-            return _mismatch(derived.g * _pow_cos2(derived.k * x),
-                             np.cos(2.0 * derived.k * x), derived,
-                             delta0[at[idx]])
+    xs, tol_x = _resonance_grid(derived)
+    g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
+    cos_2kx = np.cos(2.0 * derived.k * xs)
+    cell, i, f_i, zero = _scan_hits(
+        lambda rows: _mismatch(g_cos2, cos_2kx, derived, delta0[rows, None]),
+        len(delta0))
+    taken = ~(zero & (i == 0))
+    cell, first = np.unique(cell[taken], return_index=True)
+    i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
 
-        roots = _bisect_all(mismatch, np.concatenate(lower),
-                            np.concatenate(upper), np.concatenate(f_lower),
-                            tol_x)
-        for c, x in zip(at.tolist(), roots.tolist()):
-            found[c] = x
+    def mismatch(x, at):
+        return _mismatch(derived.g * _pow_cos2(derived.k * x),
+                         np.cos(2.0 * derived.k * x), derived, delta0[at])
+
+    roots = _hit_roots(xs, cell, i, f_i, zero, mismatch, tol_x)
+    found = [None] * len(delta0)
+    for c, x in zip(cell.tolist(), roots.tolist()):
+        found[c] = x
     return found
 
 
@@ -566,42 +565,18 @@ def solve_resonant_models(cells):
 
     The resonance scan of all cells runs as arrays (see
     `_resonance_roots`) and one Durand-Kerner run finds the eigenvalues
-    of every resonant point (`dynamics.build_models`), both at the call;
-    the charge, the operating point and their checks are the scalar code
-    of `solve_resonant_ring_charge`.
+    of every resonant point (`_screen_plans`), both at the call; the
+    charge, the operating point and their checks are the scalar code of
+    `solve_resonant_ring_charge`.
     """
-    if not cells:
-        return iter(())
-    ref = cells[0][0]
-    consts = (ref.k, ref.g, ref.E_drive, ref.kappa, ref.mass)
-    if any((d.k, d.g, d.E_drive, d.kappa, d.mass) != consts
-           for d, _, _ in cells):
-        raise ValueError("cells must share k, g, E_drive, kappa and mass")
-    plans = []
-    for derived, _, c0 in cells:
-        try:
-            _resonance_inputs(derived, c0)
-            plans.append(None)
-        except NumericalError as exc:
-            plans.append(exc.with_traceback(None))
+    ref = _shared(cells, ("k", "g", "E_drive", "kappa", "mass"))
+    plans = [caught(_resonance_inputs, d, c0) for d, _, c0 in cells]
     scanned = [i for i, plan in enumerate(plans) if plan is None]
     if scanned:
-        delta0, c0 = np.array([cells[i][1:] for i in scanned]).T
-        for i, x_root in zip(scanned, _resonance_roots(ref, delta0, c0)):
-            try:
-                plans[i] = _resonant_pair(*cells[i], x_root)
-            except NumericalError as exc:
-                plans[i] = exc.with_traceback(None)
-    pairs = [plan for plan in plans if not isinstance(plan, NumericalError)]
-    models = dynamics.build_models([op for op, _ in pairs],
-                                   [d for _, d in pairs])
-
-    def outcomes():
-        for (_, delta0, _), plan in zip(cells, plans):
-            yield (plan if isinstance(plan, NumericalError)
-                   else _resonant_outcome(next(models), delta0))
-
-    return outcomes()
+        delta0 = np.array([cells[i][1] for i in scanned])
+        for i, x_root in zip(scanned, _resonance_roots(ref, delta0)):
+            plans[i] = caught(_resonant_plan, *cells[i], x_root)
+    return _screen_plans(cells, plans, [True] * len(cells))
 
 
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,

@@ -2,8 +2,7 @@
 import numpy as np
 
 from levring.dynamics import (build_model, build_models,
-                              char_poly_coefficients, drift_eigenvalues,
-                              eigenvalue_stability, routh_hurwitz)
+                              char_poly_coefficients, drift_eigenvalues)
 from levring.pipeline import solve_point
 
 from conftest import (KAPPA_SCALE, random_model, reference_config,
@@ -119,19 +118,18 @@ class TestStabilityVerdicts:
             m = random_model(rng)
             if m.verdict.rh_marginal:
                 continue
-            s1, s2, rh = routh_hurwitz(m)
-            _, eig = eigenvalue_stability(m)
-            assert rh == eig, (s1, s2, m.verdict.eigenvalues)
-            n_stable += eig
-            n_unstable += not eig
+            v = m.verdict
+            assert v.rh_stable == v.eig_stable, (v.s1, v.s2, v.eigenvalues)
+            n_stable += v.eig_stable
+            n_unstable += not v.eig_stable
         # the draw box must actually straddle the boundary
         assert n_stable > 30 and n_unstable > 30
 
     def test_decoupled_positive_damping_is_stable(self):
         m = synthetic_model(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, 0.0,
                             0.01 * KAP, 3.0 * KAP)
-        s1, s2, rh = routh_hurwitz(m)
-        assert s1 > 0 and s2 > 0 and rh and m.stable
+        v = m.verdict
+        assert v.s1 > 0 and v.s2 > 0 and v.rh_stable and m.stable
 
     def test_anti_stokes_unstable(self):
         # negative effective detuning at reference-scale coupling

@@ -127,12 +127,6 @@ class TestLogNegativity:
         assert abs(res.E_n - 2 * r) < 1e-10
         assert abs(res.eta_minus - np.exp(-2 * r) / 2) < 1e-12
 
-    def test_log_base_switch(self):
-        res2 = log_negativity(two_mode_squeezed(0.5), base="2")
-        assert abs(res2.E_n - 1.0 / np.log(2)) < 1e-10
-        res10 = log_negativity(two_mode_squeezed(0.5), base="10")
-        assert abs(res10.E_n - 1.0 / np.log(10)) < 1e-10
-
     def test_thermal_state_clamps_to_zero(self):
         res = log_negativity(np.diag([3.0, 3.0, 0.8, 0.8]))
         assert res.E_n == 0.0

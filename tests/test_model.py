@@ -194,7 +194,7 @@ class TestDamping:
     OMEGA = 1.0348e6
 
     def test_reference_values(self, ref_cfg):
-        gph, ggas, gam, Gam = damping_and_diffusion(ref_cfg, C, self.OMEGA)
+        gph, ggas, gam, Gam = damping_and_diffusion(ref_cfg, self.OMEGA)
         assert rel(ggas, 5.93942353432e-7) < 1e-9
         assert rel(gph, 2.8289341023e-5) < 1e-9
         assert rel(Gam, 1096.27249431) < 1e-9
@@ -204,26 +204,26 @@ class TestDamping:
         # gamma_gas is linear in pressure with v = 508.234 m/s folded in
         doubled = dataclasses.replace(ref_cfg,
                                       gas_pressure=2 * ref_cfg.gas_pressure)
-        _, g1, _, _ = damping_and_diffusion(ref_cfg, C, self.OMEGA)
-        _, g2, _, _ = damping_and_diffusion(doubled, C, self.OMEGA)
+        _, g1, _, _ = damping_and_diffusion(ref_cfg, self.OMEGA)
+        _, g2, _, _ = damping_and_diffusion(doubled, self.OMEGA)
         assert rel(g2, 2 * g1) < 1e-14
 
     def test_zero_pressure(self):
         cfg = reference_config(gas_pressure=0.0)
-        gph, ggas, gam, _ = damping_and_diffusion(cfg, C, self.OMEGA)
+        gph, ggas, gam, _ = damping_and_diffusion(cfg, self.OMEGA)
         assert ggas == 0.0
         assert gam == gph
 
     def test_diffusion_damping_identity(self, ref_cfg):
-        _, _, gam, Gam = damping_and_diffusion(ref_cfg, C, self.OMEGA)
+        _, _, gam, Gam = damping_and_diffusion(ref_cfg, self.OMEGA)
         back = Gam * C.hbar * self.OMEGA / (C.kB * ref_cfg.temperature)
         assert rel(back, gam) < 1e-14
 
     def test_rejects_nonpositive_frequency(self, ref_cfg):
         with pytest.raises(NonPositiveFrequency):
-            damping_and_diffusion(ref_cfg, C, 0.0)
+            damping_and_diffusion(ref_cfg, 0.0)
         with pytest.raises(NonPositiveFrequency):
-            damping_and_diffusion(ref_cfg, C, -1.0)
+            damping_and_diffusion(ref_cfg, -1.0)
 
     def test_with_damping_completes_record(self, ref_cfg):
         derived = derive_constants(ref_cfg)
@@ -235,8 +235,8 @@ class TestDamping:
     def test_custom_gas_mass(self):
         helium = reference_config(gas_molecule_mass=4.002602 * C.u)
         air = reference_config()
-        _, g_he, _, _ = damping_and_diffusion(helium, C, self.OMEGA)
-        _, g_air, _, _ = damping_and_diffusion(air, C, self.OMEGA)
+        _, g_he, _, _ = damping_and_diffusion(helium, self.OMEGA)
+        _, g_air, _, _ = damping_and_diffusion(air, self.OMEGA)
         # lighter gas, faster molecules, weaker drag at equal pressure
         assert g_he < g_air
         assert rel(g_he, g_air * np.sqrt(4.002602 / 28.97)) < 1e-12

@@ -583,6 +583,43 @@ class TestSolveResonantModels:
         assert assert_same_resonant_outcomes(cells)["stable"] >= 10
         assert list(solve_resonant_models([])) == []
 
+    def test_one_half_grid_serves_both_signs_of_c0(self):
+        # the mismatch, as evaluated, is even in x bit for bit, so both
+        # signs of C0 scan the ascending half-grid and C0 > 0 negates the
+        # root; the reference scans the descending grid for C0 > 0 itself
+        cfgs = [parse_config(str(CONFIG_DIR / "fig2.cfg"))]
+        cfgs += criterion_6_configs(2)
+        mirrored = 0
+        for cfg in cfgs:
+            derived = derive_constants(cfg)
+            k, delta0 = derived.k, np.linspace(0.05, 1.2, 20) * derived.kappa
+            xs, _ = steady_state._resonance_grid(derived)
+
+            def mismatch(x):
+                return steady_state._mismatch(
+                    derived.g * np.cos(k * x) ** 2, np.cos(2.0 * k * x),
+                    derived, delta0[:, None])
+
+            assert mismatch(-xs).tobytes() == mismatch(xs).tobytes()
+            assert (steady_state._pow_cos2(k * -xs).tobytes()
+                    == steady_state._pow_cos2(k * xs).tobytes())
+            c0 = abs(cfg.ring_offset_c0)
+            roots = steady_state._resonance_roots(derived, delta0)
+            for d0, root in zip(delta0, roots):
+                want = reference_resonant_root(derived, d0, c0)
+                assert (root is None) == (want is None)
+                if root is not None:
+                    assert -root == want
+            got = list(solve_resonant_models(
+                [(derived, d0, sign * c0) for d0 in delta0
+                 for sign in (1.0, -1.0)]))
+            for plus, minus in zip(got[::2], got[1::2]):
+                assert type(plus) is type(minus)
+                if isinstance(plus, dynamics.StateSpaceModel):
+                    assert minus.op.x_s == -plus.op.x_s
+                    mirrored += 1
+        assert mirrored >= 20
+
     def test_cells_must_share_the_constants(self):
         cells = criterion_6_grid()[:3]
         heavier = dataclasses.replace(cells[0][0], mass=2.0 * cells[0][0].mass)
