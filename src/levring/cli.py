@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError, caught
 from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
                     derive_constants)
-from .pipeline import solve_point
+from .pipeline import RING_MODES, solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
                            scan_roots, solve_models)
@@ -147,19 +146,12 @@ def write_csv(stream, config_line: str, columns, rows) -> None:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _emit_csv(path, config_line, columns, rows):
-    stream, close = _open_out(path)
-    try:
+    if path is None or path == "-":
+        write_csv(sys.stdout, config_line, columns, rows)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         write_csv(stream, config_line, columns, rows)
-    finally:
-        if close:
-            stream.close()
 
 
 def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV output path (default: stdout)")
 
     def add_ring_mode(p):
-        p.add_argument("--ring-mode", choices=["fixed_charge", "resonant"],
+        p.add_argument("--ring-mode", choices=RING_MODES,
                        default="fixed_charge")
 
     p = sub.add_parser("steady-state", help="solve the operating point")

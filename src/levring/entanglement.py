@@ -237,13 +237,6 @@ def log_negativity(V: np.ndarray) -> EntanglementResult:
                               detB1=b1, detB2=b2, detB3=b3, detV=dv)
 
 
-def entanglement_point(cfg: SystemConfig, delta0_over_kappa: float,
-                       ring_mode: str = "fixed_charge") -> EntanglementPoint:
-    """The sweep of one row: `cfg` solved with its detuning set to
-    delta0_over_kappa."""
-    return entanglement_sweep(cfg, [delta0_over_kappa], ring_mode)[0]
-
-
 def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                        ring_mode: str = "fixed_charge"):
     """E_n over a detuning grid; one row per point, never aborts a row.

@@ -26,6 +26,7 @@ from .errors import ConfigInvalid, NonPositiveFrequency
 
 TORR_TO_PA = 133.322368
 DEFAULT_GAS_MASS_U = 28.97  # mean molecular mass of air, in u
+SPECTRUM_FORMS = ("supplement", "maintext")  # spectra cross-term conventions
 
 # validation thresholds for the "much smaller / much larger" requirements
 _MAX_RADIUS_OVER_WAVELENGTH = 0.1
@@ -105,8 +106,9 @@ class SystemConfig:
         if (self.detuning_delta0 is None) == (self.detuning_over_kappa is None):
             raise ConfigInvalid(
                 "exactly one of detuning_delta0 / detuning_over_kappa must be given")
-        if self.spectrum_form not in ("supplement", "maintext"):
-            raise ConfigInvalid("spectrum_form must be 'supplement' or 'maintext'")
+        if self.spectrum_form not in SPECTRUM_FORMS:
+            raise ConfigInvalid("spectrum_form must be "
+                                + " or ".join(map(repr, SPECTRUM_FORMS)))
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = resolve_ring_charge(cfg)
-    A_q = q_mcp * ring_charge / (4.0 * np.pi * CODATA2018.eps0
-                                 * cfg.ring_radius ** 3)
+    A_q = electrostatic_spring(cfg)
 
     def damping_at(omega_m: float):
         return damping_and_diffusion(cfg, omega_m)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .dynamics import StateSpaceModel
 from .errors import NumericalError
@@ -45,9 +44,9 @@ def _check_ring_mode(ring_mode: str) -> None:
         raise ValueError(f"ring_mode must be one of {RING_MODES}")
 
 
-def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
+def solve_point(cfg: SystemConfig,
                 ring_mode: str = "fixed_charge") -> PointSolution:
-    """Run the steady-state pipeline for one detuning.
+    """Run the steady-state pipeline at the configured detuning.
 
     fixed_charge keeps the configured ring charge (`solve_model`); resonant
     re-solves the charge so the effective detuning sits on the mechanical
@@ -56,8 +55,7 @@ def solve_point(cfg: SystemConfig, delta0: Optional[float] = None,
     """
     _check_ring_mode(ring_mode)
     derived = derive_constants(cfg)
-    if delta0 is None:
-        delta0 = delta0_from_config(cfg, derived)
+    delta0 = delta0_from_config(cfg, derived)
     c0 = cfg.ring_offset_c0
     if ring_mode == "resonant":
         model = solve_resonant_ring_charge(derived, delta0, c0)

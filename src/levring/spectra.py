@@ -33,9 +33,9 @@ import numpy as np
 
 from .dynamics import StateSpaceModel
 from .errors import NonFiniteResult
+from .model import SPECTRUM_FORMS
 
 BASELINE = 0.5
-SPECTRUM_FORMS = ("supplement", "maintext")
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,29 @@ def transfer_coefficients(model: StateSpaceModel, omega) -> TransferCoefficients
         c_Y=kw * chi_m_inv)
 
 
+def _output_spectra(model: StateSpaceModel, omega, form: str):
+    """(S_XX, S_YY) from one evaluation of the transfer coefficients."""
+    if form not in SPECTRUM_FORMS:
+        raise ValueError(f"unknown spectrum form {form!r}")
+    tc = transfer_coefficients(model, omega)
+    kappa = model.kappa
+    Gamma = model.derived.Gamma_diff
+    abs_d2 = np.abs(tc.d) ** 2
+    if np.any(abs_d2 == 0.0):
+        raise NonFiniteResult("transfer denominator underflowed to zero")
+    d_minus = np.conj(tc.d)  # d(-w) = d(w)*
+
+    def spectrum(a, b, c, cross):
+        return (BASELINE
+                + kappa * Gamma * np.abs(a) ** 2 / abs_d2
+                + kappa ** 2 / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2) / abs_d2
+                - kappa * np.real(cross * d_minus) / abs_d2)
+
+    cross_Y = tc.b_Y if form == "maintext" else tc.c_Y
+    return (spectrum(tc.a_X, tc.b_X, tc.c_X, tc.b_X),
+            spectrum(tc.a_Y, tc.b_Y, tc.c_Y, cross_Y))
+
+
 def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
                     form: str = "supplement"):
     """Symmetric output spectrum S_JJ(omega), dimensionless.
@@ -97,29 +120,10 @@ def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
     """
     if quadrature not in ("X", "Y"):
         raise ValueError(f"quadrature must be 'X' or 'Y', got {quadrature!r}")
-    if form not in SPECTRUM_FORMS:
-        raise ValueError(f"unknown spectrum form {form!r}")
     if not model.stable:
         warnings.warn("output spectrum evaluated on an unstable model",
                       stacklevel=2)
-    tc = transfer_coefficients(model, omega)
-    kappa = model.kappa
-    Gamma = model.derived.Gamma_diff
-    abs_d2 = np.abs(tc.d) ** 2
-    if np.any(abs_d2 == 0.0):
-        raise NonFiniteResult("transfer denominator underflowed to zero")
-    d_minus = np.conj(tc.d)  # d(-w) = d(w)*
-    if quadrature == "X":
-        a, b, c = tc.a_X, tc.b_X, tc.c_X
-        cross = b
-    else:
-        a, b, c = tc.a_Y, tc.b_Y, tc.c_Y
-        cross = b if form == "maintext" else tc.c_Y
-    s = (BASELINE
-         + kappa * Gamma * np.abs(a) ** 2 / abs_d2
-         + kappa ** 2 / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2) / abs_d2
-         - kappa * np.real(cross * d_minus) / abs_d2)
-    return s
+    return _output_spectra(model, omega, form)["XY".index(quadrature)]
 
 
 def internal_spectrum(model: StateSpaceModel, omega, which: str):
@@ -154,23 +158,16 @@ def internal_spectrum(model: StateSpaceModel, omega, which: str):
 
 def spectrum_sweep(model: StateSpaceModel, omega_grid,
                    form: str = "supplement") -> SpectrumTable:
-    """Evaluate both output spectra over a strictly increasing grid."""
+    """Evaluate both output spectra over a strictly increasing grid, from
+    one evaluation of the transfer coefficients."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.size and np.any(np.diff(omega_grid) <= 0.0):
+    if np.any(np.diff(omega_grid) <= 0.0):
         raise ValueError("omega grid must be strictly increasing")
-    if omega_grid.size == 0:
-        empty = np.empty(0)
-        return SpectrumTable(empty, empty, empty.copy(), empty.copy(),
-                             empty.copy(), empty.copy(),
-                             unstable=not model.stable)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            s_xx = output_spectrum(model, omega_grid, "X", form)
-            s_yy = output_spectrum(model, omega_grid, "Y", form)
-        except NonFiniteResult as exc:
-            raise NonFiniteResult(
-                f"{exc} within grid [{omega_grid[0]:.3e}, {omega_grid[-1]:.3e}]")
+    try:
+        s_xx, s_yy = _output_spectra(model, omega_grid, form)
+    except NonFiniteResult as exc:
+        raise NonFiniteResult(
+            f"{exc} within grid [{omega_grid[0]:.3e}, {omega_grid[-1]:.3e}]")
     return SpectrumTable(
         omega=omega_grid,
         omega_over_kappa=omega_grid / model.kappa,

@@ -606,10 +606,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     a0 = complex(a0)
 
     a_s0 = steady_amplitude(derived, delta0 + derived.g)
-    try:
-        omega_est = mechanical_frequency(derived, a_s0, 0.0)
-    except UnstableTrap:
-        omega_est = 0.0
+    omega_est = mechanical_frequency(derived, a_s0, 0.0)
     omega_ref = omega_est if omega_est > 0.0 else derived.kappa
     dt = min(0.01 / derived.kappa, 0.01 / omega_ref)
     if t_max is None:

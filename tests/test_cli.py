@@ -16,7 +16,7 @@ import pytest
 import levring.cli
 import levring.pipeline
 from levring.cli import main, parse_config
-from levring.errors import ParseError, ValidationError
+from levring.errors import NotConverged, ParseError, ValidationError
 from levring.model import derive_constants
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -107,6 +107,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_config(str(path))
 
+    def test_empty_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "empty_value.cfg"
+        path.write_text(FIG1_TEXT.replace("finesse = 50000", "finesse ="))
+        assert main(["steady-state", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 7" in err
+
     def test_mutually_exclusive_keys(self, tmp_path):
         path = tmp_path / "both.cfg"
         path.write_text(FIG1_TEXT + "ring_charge_c = 1.0\n")
@@ -119,6 +126,24 @@ class TestParse:
         path = tmp_path / "pa.cfg"
         path.write_text(text)
         assert parse_config(str(path)).gas_pressure == 2e-8
+
+    def test_detuning_in_rad_s_alternative(self, cfg_file, tmp_path):
+        # the same detuning in rad/s gives every output row of linewidths
+        kappa = derive_constants(parse_config(cfg_file)).kappa
+        path = tmp_path / "rad_s.cfg"
+        path.write_text(FIG1_TEXT.replace(
+            "detuning_over_kappa = 0.8",
+            f"detuning_delta0_rad_s = {0.8 * kappa!r}"))
+        assert parse_config(str(path)).detuning_delta0 == 0.8 * kappa
+        outs = []
+        for config in (cfg_file, str(path)):
+            out = tmp_path / "steady.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["steady-state", "--config", config,
+                             "--out", str(out)]) == 0
+            outs.append(out.read_text().splitlines())
+        assert "detuning_delta0_rad_s" in outs[1][0]
+        assert outs[0][1:] == outs[1][1:]
 
 
 class TestCommands:
@@ -138,6 +163,21 @@ class TestCommands:
     def test_steady_state_verify(self, cfg_file, capsys):
         assert main(["steady-state", "--config", cfg_file, "--verify"]) == 0
         assert "agrees" in capsys.readouterr().out
+
+    def test_steady_state_verify_not_converged(self, cfg_file, tmp_path,
+                                               monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise NotConverged("forced")
+
+        monkeypatch.setattr(levring.cli, "integrate_mean_field", stalled)
+        out = tmp_path / "verify.csv"
+        assert main(["steady-state", "--config", cfg_file, "--verify",
+                     "--out", str(out)]) == 0
+        assert ("mean-field check: not converged (forced)"
+                in capsys.readouterr().out)
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "mean_field_x_bar,"
+        assert not [l for l in lines if l.startswith("mean_field_dx")]
 
     def test_steady_state_scans_at_configured_detuning(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -181,6 +221,21 @@ class TestCommands:
         rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
         assert all(abs(float(r[1]) - 0.5) < 1e-14
                    and abs(float(r[2]) - 0.5) < 1e-14 for r in rows)
+
+    def test_spectrum_form_read_from_file(self, cfg_file, tmp_path):
+        # maintext changes only the phase quadrature's cross term
+        path = tmp_path / "maintext.cfg"
+        path.write_text(FIG1_TEXT + "spectrum_form = maintext\n")
+        columns = []
+        for config in (cfg_file, str(path)):
+            out = tmp_path / "spec.csv"
+            assert main(["spectrum", "--config", config, "--grid-n", "101",
+                         "--out", str(out)]) == 0
+            rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+            columns.append(list(zip(*rows)))
+        (w, sxx, syy), (w_m, sxx_m, syy_m) = (c[:3] for c in columns)
+        assert w == w_m and sxx == sxx_m
+        assert syy != syy_m
 
     def test_csv_byte_identical_between_runs(self, cfg_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -340,6 +395,23 @@ class TestExitCodes:
         path = tmp_path / "bad.cfg"
         path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
                                FIG1_TEXT, flags=re.M))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["steady-state", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("temperature_k = 300",
+         "temperature_k = 300\nspectrum_form = squeezed", "spectrum_form"),
+        ("gas_pressure_torr = 1e-10", "gas_pressure_pa = -1", "gas_pressure"),
+    ])
+    def test_invalid_optional_key_is_validation_error(self, tmp_path, capsys,
+                                                      old, new, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(FIG1_TEXT.replace(old, new))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["steady-state", "--config", str(path)]) == 1

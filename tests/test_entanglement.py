@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from levring import model, pipeline
+from levring import entanglement, model, pipeline
 from levring.cli import parse_config
 from levring.entanglement import (EntanglementPoint, _kron_sum,
                                   covariance_by_integration,
-                                  entanglement_point, entanglement_sweep,
+                                  entanglement_sweep,
                                   is_physical, log_negativity,
                                   lyapunov_residual, lyapunov_solve,
                                   lyapunov_solves, symplectic_eigenvalues)
@@ -198,7 +198,8 @@ class TestSweep:
     def test_covariance_physicality_along_sweep(self):
         cfg = reference_config(ring_field=2.5e11)
         for d0 in (0.2, 0.32, 0.6):
-            sol = solve_point(cfg, delta0=d0 * KAP, ring_mode="resonant")
+            sol = solve_point(dataclasses.replace(cfg, detuning_over_kappa=d0),
+                              ring_mode="resonant")
             V = lyapunov_solve(sol.model)
             lo, _ = symplectic_eigenvalues(V)
             assert lo >= 0.5 - 1e-10
@@ -225,16 +226,17 @@ class TestSweep:
     def test_row_detuning_is_over_kappa_times_kappa(self):
         cfg = reference_config(ring_field=2.5e11, detuning_delta0=1.0,
                                detuning_over_kappa=None)
-        row = entanglement_point(cfg, 0.3, ring_mode="resonant")
+        row = entanglement_sweep(cfg, [0.3], ring_mode="resonant")[0]
         kappa = model.derive_constants(cfg).kappa
-        sol = solve_point(cfg, delta0=0.3 * kappa, ring_mode="resonant")
+        sol = solve_point(dataclasses.replace(cfg, detuning_delta0=0.3 * kappa),
+                          ring_mode="resonant")
         assert row.x_s == sol.op.x_s
         assert row.Q_used == sol.derived.ring_charge
 
     def test_config_invalid_propagates(self):
         cfg = reference_config(sphere_radius=-50e-9)
         with pytest.raises(ConfigInvalid, match="sphere_radius"):
-            entanglement_point(cfg, 0.3)
+            entanglement_sweep(cfg, [0.3])
 
     def test_non_finite_detuning_names_the_field(self):
         cfg = reference_config(ring_field=2.5e11)
@@ -321,11 +323,35 @@ class TestSweepBatch:
         want = [reference_row(cfg, float(d0), ring_mode) for d0 in grid]
         assert [repr(r) for r in rows] == [repr(w) for w in want]
 
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_covariance_failure_after_stable_solve(self, monkeypatch,
+                                                   ring_mode):
+        cfg = parse_config(str(CONFIG_DIR / "fig2.cfg"))
+        grid = np.linspace(0.05, 1.0, 30)
+        want = entanglement_sweep(cfg, grid, ring_mode)
+        stable = [i for i, r in enumerate(want) if r.stable]
+        forced = stable[len(stable) // 2]
+        solves = entanglement.lyapunov_solves
+
+        def failing(models):
+            got = solves(models)
+            got[stable.index(forced)] = SingularSystem("forced")
+            return got
+
+        monkeypatch.setattr(entanglement, "lyapunov_solves", failing)
+        rows = entanglement_sweep(cfg, grid, ring_mode)
+        row = rows[forced]
+        assert row.error == "SingularSystem: forced"
+        assert row.E_n is None and row.stable is True
+        assert want[forced].E_n is not None
+        assert [repr(r) for i, r in enumerate(rows) if i != forced] == \
+            [repr(w) for i, w in enumerate(want) if i != forced]
+
     def test_point_is_a_sweep_of_one(self):
         cfg = reference_config(ring_field=2.5e11)
         for ring_mode in ("fixed_charge", "resonant"):
             for d0 in (-0.4, 0.3, 0.7):
-                assert (repr(entanglement_point(cfg, d0, ring_mode))
+                assert (repr(entanglement_sweep(cfg, [d0], ring_mode)[0])
                         == repr(reference_row(cfg, d0, ring_mode)))
 
 

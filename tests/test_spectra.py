@@ -1,15 +1,19 @@
 """Output spectra: transfer identities, decoupling theorem, symmetries."""
+import contextlib
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from levring import spectra
+from levring.cli import parse_config
 from levring.entanglement import lyapunov_solve
 from levring.pipeline import solve_point
 from levring.spectra import (internal_spectrum, output_spectrum,
                              spectrum_sweep, transfer_coefficients)
 
-from conftest import KAPPA_SCALE, random_model, reference_config
+from conftest import CONFIG_DIR, KAPPA_SCALE, random_model, reference_config
 
 KAP = KAPPA_SCALE
 
@@ -186,6 +190,39 @@ class TestSpectrumSweep:
         m = random_model(rng, stable=False)
         table = spectrum_sweep(m, np.linspace(-1, 1, 11) * KAP)
         assert table.unstable is True
+
+    @pytest.mark.parametrize("form", ["supplement", "maintext"])
+    def test_both_columns_equal_output_spectrum(self, form):
+        # one linear-response pass gives each quadrature's bits
+        cfg = parse_config(str(CONFIG_DIR / "fig1.cfg"))
+        models = [solve_point(cfg, ring_mode).model
+                  for ring_mode in ("fixed_charge", "resonant")]
+        models.append(random_model(np.random.default_rng(21), stable=False))
+        w = np.linspace(-3, 3, 601) * KAP
+        for model in models:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = spectrum_sweep(model, w, form)
+            expect = (contextlib.nullcontext() if model.stable
+                      else pytest.warns(UserWarning))
+            with expect:
+                want_xx = output_spectrum(model, w, "X", form)
+                want_yy = output_spectrum(model, w, "Y", form)
+            assert table.S_XX.tobytes() == want_xx.tobytes()
+            assert table.S_YY.tobytes() == want_yy.tobytes()
+        assert [m.stable for m in models] == [True, True, False]
+
+    def test_one_transfer_evaluation_per_sweep(self, fig1_model, monkeypatch):
+        calls = []
+        original = spectra.transfer_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "transfer_coefficients", counted)
+        spectrum_sweep(fig1_model, np.linspace(-3, 3, 101) * KAP)
+        assert len(calls) == 1
 
     def test_reference_grid_runtime(self, fig1_model):
         w = np.linspace(0, 3, 1500) * KAP

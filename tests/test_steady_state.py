@@ -539,6 +539,25 @@ class TestSolveModels:
             assert assert_same_outcome(g, cell) in ("stable", "unstable")
         assert list(solve_models([])) == []
 
+    def test_capped_eigenvalue_iteration_fails_alike(self, fig1,
+                                                     monkeypatch):
+        # one Durand-Kerner step leaves the fig1 quartic far from its
+        # roots: the cap check fails both the point and the grid path
+        cfg, derived, delta0 = fig1
+        monkeypatch.setattr(dynamics, "_DK_MAX_ITER", 1)
+        cell = (derived, delta0, cfg.ring_offset_c0)
+        got, = solve_models([cell])
+        assert assert_same_outcome(got, cell) == "IterationDiverged"
+        assert "eigenvalue iteration residual" in str(got)
+
+    def test_residual_bound_ends_candidates_alike(self, fig1, monkeypatch):
+        cfg, derived, delta0 = fig1
+        monkeypatch.setattr(steady_state, "RESIDUAL_REL_TOL", 0.0)
+        cell = (derived, delta0, cfg.ring_offset_c0)
+        got, = solve_models([cell])
+        assert assert_same_outcome(got, cell) == "NumericalError"
+        assert "root refinement residual" in str(got)
+
     def test_cells_must_share_the_optics(self):
         cells = stokes_side_cases()[:2] + [anti_stokes_two_root_case()]
         with pytest.raises(ValueError, match="share"):
