@@ -164,9 +164,15 @@ def durand_kerner(coeffs, tol, max_iter):
     coeffs are the non-leading coefficients (c[0] x^(n-1) + ... + c[n-1])
     of a monic degree-n polynomial, complex.  Returns (roots, iterations);
     iterations == max_iter signals non-convergence to the caller.
+
+    The loop runs on Python complex values, whose *, +, - and abs round
+    like numpy's complex scalars; the quotient is written out as numpy's
+    complex division (`_numpy_quotient`), since Python's own rounds
+    differently.
     """
-    n = coeffs.shape[0]
-    roots = _dk_start(n)
+    coeffs = coeffs.tolist()
+    n = len(coeffs)
+    roots = _dk_start(n).tolist()
     it = 0
     while it < max_iter:
         max_step = 0.0
@@ -181,7 +187,7 @@ def durand_kerner(coeffs, tol, max_iter):
                     den *= zi - roots[j]
             if den == 0.0:
                 den = tol + 0.0j
-            step = num / den
+            step = _numpy_quotient(num, den)
             roots[i] = zi - step
             mag = abs(step) / max(1.0, abs(roots[i]))
             if mag > max_step:
@@ -189,7 +195,20 @@ def durand_kerner(coeffs, tol, max_iter):
         it += 1
         if max_step < tol:
             break
-    return roots, it
+    return np.array(roots, dtype=np.complex128), it
+
+
+def _numpy_quotient(a, b):
+    """a / b for Python complex values, rounded as numpy's complex128
+    division rounds it (Smith's algorithm with a reciprocal scale)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
 def _complex(re, im):

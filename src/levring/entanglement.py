@@ -38,7 +38,6 @@ from .model import SystemConfig
 from .pipeline import PointSolution, solve_sweep
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-PHYSICALITY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -190,17 +189,22 @@ def covariance_by_integration(model: StateSpaceModel,
     return 0.5 * (V + V.T)
 
 
-def _block_dets(V: np.ndarray):
-    b1 = float(np.linalg.det(V[:2, :2]))
-    b2 = float(np.linalg.det(V[2:, 2:]))
-    b3 = float(np.linalg.det(V[:2, 2:]))
-    dv = float(np.linalg.det(V))
-    return b1, b2, b3, dv
+def _block_dets(V: np.ndarray) -> np.ndarray:
+    """(det B1, det B2, det B3, det V) of a covariance V [4, 4], or of
+    each in a stack [N, 4, 4], as an array [4] or [N, 4].
+
+    The three blocks go to one `np.linalg.det` call; a stacked call
+    gives each matrix the bits of a call on it alone.
+    """
+    blocks = np.stack((V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]),
+                      axis=-3)
+    return np.concatenate((np.linalg.det(blocks),
+                           np.linalg.det(V)[..., None]), axis=-1)
 
 
 def symplectic_eigenvalues(V: np.ndarray):
     """Both symplectic eigenvalues of V itself (no partial transpose)."""
-    b1, b2, b3, dv = _block_dets(V)
+    b1, b2, b3, dv = _block_dets(V).tolist()
     sig = b1 + b2 + 2.0 * b3
     disc = max(sig ** 2 - 4.0 * dv, 0.0)
     lo = math.sqrt(max((sig - math.sqrt(disc)) / 2.0, 0.0))
@@ -208,17 +212,14 @@ def symplectic_eigenvalues(V: np.ndarray):
     return lo, hi
 
 
-def is_physical(V: np.ndarray) -> bool:
-    """Symplectic positivity: both eigenvalues of V itself
-    >= 1/2 - PHYSICALITY_SLACK."""
-    lo, _ = symplectic_eigenvalues(V)
-    return lo >= 0.5 - PHYSICALITY_SLACK
-
-
 def log_negativity(V: np.ndarray) -> EntanglementResult:
     """Logarithmic negativity of the mechanics-light bipartition, in
     natural-log units."""
-    b1, b2, b3, dv = _block_dets(V)
+    return _negativity(*_block_dets(V).tolist())
+
+
+def _negativity(b1, b2, b3, dv) -> EntanglementResult:
+    """`log_negativity` from the determinants `_block_dets` gives."""
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
     sigma = b1 + b2 - 2.0 * b3
@@ -244,15 +245,20 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
     Row i solves `cfg` with its detuning set to delta0_over_kappa_grid[i];
     a numerical failure is recorded in the row.  A ConfigInvalid is not
     a row failure: it propagates.  The rows are solved as one batch
-    (`pipeline.solve_sweep`) and the Lyapunov systems of the stable ones
-    in one stacked solve (`lyapunov_solves`), with the bits of the point
+    (`pipeline.solve_sweep`), the Lyapunov systems of the stable ones in
+    one stacked solve (`lyapunov_solves`) and the determinants of their
+    covariances as stacks (`_block_dets`), with the bits of the point
     path.
     """
     grid = [float(d0) for d0 in delta0_over_kappa_grid]
     solved = solve_sweep(cfg, grid, ring_mode)
-    covariances = iter(lyapunov_solves(
+    solves = lyapunov_solves(
         [sol.model for sol in solved
-         if isinstance(sol, PointSolution) and sol.model.stable]))
+         if isinstance(sol, PointSolution) and sol.model.stable])
+    covariances = iter(solves)
+    dets = iter(_block_dets(np.reshape(
+        [V for V in solves if not isinstance(V, LevringError)],
+        (-1, 4, 4))).tolist())
     rows = []
     for d0, sol in zip(grid, solved):
         if isinstance(sol, NumericalError):
@@ -267,7 +273,7 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                 V = next(covariances)
                 if isinstance(V, LevringError):
                     raise V
-                e_n, error = log_negativity(V).E_n, ""
+                e_n, error = _negativity(*next(dets)).E_n, ""
             except LevringError as exc:
                 error = f"{type(exc).__name__}: {exc}"
         rows.append(EntanglementPoint(

@@ -16,6 +16,7 @@ completes the record once omega_m is known.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -144,8 +145,12 @@ class DerivedParams:
         if self.damping_at is None:
             raise ValueError("no damping closure attached to these parameters")
         gph, ggas, gam, Gam = self.damping_at(omega_m)
-        return dataclasses.replace(
-            self, gamma_ph=gph, gamma_gas=ggas, gamma=gam, Gamma_diff=Gam)
+        # a copy of the instance dict: `dataclasses.replace` would rerun
+        # __init__ over all eighteen fields, once per candidate root
+        done = object.__new__(type(self))
+        done.__dict__.update(self.__dict__, gamma_ph=gph, gamma_gas=ggas,
+                             gamma=gam, Gamma_diff=Gam)
+        return done
 
 
 def resolve_ring_charge(cfg: SystemConfig) -> float:
@@ -232,10 +237,30 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
     return float(gamma_ph), float(gamma_gas), float(gamma), float(Gamma_diff)
 
 
+# the SystemConfig fields each derived constant is computed from;
+# ring_charge and A_q also take those of the ring specification in use
+_SOURCES = {
+    "k": ("wavelength",),
+    "omega_c": ("wavelength",),
+    "V_s": ("sphere_radius",),
+    "V_c": ("wavelength", "cavity_length"),
+    "waist": ("wavelength", "cavity_length"),
+    "mass": ("density", "sphere_radius"),
+    "g": ("sphere_radius", "permittivity", "wavelength", "cavity_length"),
+    "kappa": ("cavity_length", "finesse"),
+    "E_drive": ("cavity_length", "finesse", "input_power", "wavelength"),
+    "q_mcp": ("mcp_epsilon",),
+    "ring_charge": (),
+    "A_q": ("mcp_epsilon",),
+}
+
+
 def derive_constants(cfg: SystemConfig) -> DerivedParams:
     """Evaluate every derived constant of the configured system.
 
-    Pure: identical inputs give bit-identical outputs.  The drive
+    Pure: identical inputs give bit-identical outputs.  A constant that
+    overflows to inf (or nan) raises ConfigInvalid naming it and the
+    config fields it comes from.  The drive
     frequency is taken equal to the cavity frequency in the drive
     amplitude E = sqrt(kappa P / hbar omega_L); the detunings involved
     are ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error
@@ -255,16 +280,26 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = resolve_ring_charge(cfg)
     A_q = electrostatic_spring(cfg)
+    constants = {name: float(value) for name, value in dict(
+        k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
+        kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,
+        A_q=A_q).items()}
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            sources = _SOURCES[name]
+            if name in ("ring_charge", "A_q"):
+                sources += (("ring_charge",) if cfg.ring_charge is not None
+                            else ("ring_field", "ring_offset_c0",
+                                  "ring_radius"))
+            raise ConfigInvalid(
+                f"derived constant {name} = {value} is not finite "
+                f"(from {', '.join(sources)})")
 
     def damping_at(omega_m: float):
         return damping_and_diffusion(cfg, omega_m)
 
-    return DerivedParams(
-        k=float(k), omega_c=float(omega_c), V_s=float(V_s), V_c=float(V_c),
-        waist=float(waist), mass=float(mass), g=float(g), kappa=float(kappa),
-        E_drive=float(E_drive), q_mcp=float(q_mcp),
-        ring_charge=float(ring_charge), ring_radius=cfg.ring_radius,
-        A_q=float(A_q), damping_at=damping_at)
+    return DerivedParams(**constants, ring_radius=cfg.ring_radius,
+                         damping_at=damping_at)
 
 
 def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:

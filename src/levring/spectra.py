@@ -68,27 +68,37 @@ class SpectrumTable:
 
 
 def transfer_coefficients(model: StateSpaceModel, omega) -> TransferCoefficients:
-    """Evaluate the nine response quantities; vectorised over omega."""
+    """Evaluate the nine response quantities; vectorised over omega.
+
+    b_X and c_Y are both kw chi_m^-1 and are returned as one array.
+    """
     omega = np.asarray(omega, dtype=float)
     op = model.op
     kappa, gamma = model.kappa, model.gamma
     delta, om, Om, G = op.delta_eff, op.omega_m, op.Omega_m, op.G
-    kw = kappa / 2.0 - 1j * omega
+    iw = 1j * omega
+    kw = kappa / 2.0 - iw
     chi_c_inv = delta ** 2 + kw ** 2
-    chi_m_inv = om * Om - omega ** 2 - 1j * omega * gamma / 2.0
+    chi_m_inv = om * Om - omega ** 2 - iw * gamma / 2.0
     d = chi_c_inv * chi_m_inv - G ** 2 * om * delta
+    kw_chi_m_inv = kw * chi_m_inv
     return TransferCoefficients(
         chi_c_inv=chi_c_inv, chi_m_inv=chi_m_inv, d=d,
         a_X=np.broadcast_to(G * om * delta + 0j, omega.shape).copy(),
-        b_X=kw * chi_m_inv,
+        b_X=kw_chi_m_inv,
         c_X=delta * chi_m_inv,
         a_Y=G * om * kw,
         b_Y=-delta * chi_m_inv + om * G ** 2,
-        c_Y=kw * chi_m_inv)
+        c_Y=kw_chi_m_inv)
 
 
 def _output_spectra(model: StateSpaceModel, omega, form: str):
-    """(S_XX, S_YY) from one evaluation of the transfer coefficients."""
+    """(S_XX, S_YY) from one evaluation of the transfer coefficients.
+
+    Each term is formed once: |b_X|^2 = |c_Y|^2 serves both spectra, and
+    so does the cross term Re[b_X d*] in the supplement form; |a_X|^2 is
+    the square of the scalar |G omega_m Delta|.
+    """
     if form not in SPECTRUM_FORMS:
         raise ValueError(f"unknown spectrum form {form!r}")
     tc = transfer_coefficients(model, omega)
@@ -99,15 +109,21 @@ def _output_spectra(model: StateSpaceModel, omega, form: str):
         raise NonFiniteResult("transfer denominator underflowed to zero")
     d_minus = np.conj(tc.d)  # d(-w) = d(w)*
 
-    def spectrum(a, b, c, cross):
+    def spectrum(a2, b2, c2, cross):
         return (BASELINE
-                + kappa * Gamma * np.abs(a) ** 2 / abs_d2
-                + kappa ** 2 / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2) / abs_d2
-                - kappa * np.real(cross * d_minus) / abs_d2)
+                + kappa * Gamma * a2 / abs_d2
+                + kappa ** 2 / 2.0 * (b2 + c2) / abs_d2
+                - kappa * cross / abs_d2)
 
-    cross_Y = tc.b_Y if form == "maintext" else tc.c_Y
-    return (spectrum(tc.a_X, tc.b_X, tc.c_X, tc.b_X),
-            spectrum(tc.a_Y, tc.b_Y, tc.c_Y, cross_Y))
+    op = model.op
+    a_X = abs(op.G * op.omega_m * op.delta_eff)
+    b_X2 = np.abs(tc.b_X) ** 2
+    cross_X = np.real(tc.b_X * d_minus)
+    cross_Y = (np.real(tc.b_Y * d_minus) if form == "maintext"
+               else cross_X)
+    return (spectrum(a_X * a_X, b_X2, np.abs(tc.c_X) ** 2, cross_X),
+            spectrum(np.abs(tc.a_Y) ** 2, np.abs(tc.b_Y) ** 2, b_X2,
+                     cross_Y))
 
 
 def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
@@ -124,36 +140,6 @@ def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
         warnings.warn("output spectrum evaluated on an unstable model",
                       stacklevel=2)
     return _output_spectra(model, omega, form)["XY".index(quadrature)]
-
-
-def internal_spectrum(model: StateSpaceModel, omega, which: str):
-    """Symmetric spectrum of an internal quadrature ('x', 'p', 'X', 'Y').
-
-    Used by the covariance cross-check: (1/2pi) * integral of each matches
-    the corresponding diagonal entry of the stationary covariance.
-    """
-    tc = transfer_coefficients(model, omega)
-    omega = np.asarray(omega, dtype=float)
-    kappa = model.kappa
-    Gamma = model.derived.Gamma_diff
-    op = model.op
-    abs_d2 = np.abs(tc.d) ** 2
-    if which in ("x", "p"):
-        kw = kappa / 2.0 - 1j * omega
-        s = (Gamma * np.abs(tc.chi_c_inv * op.omega_m) ** 2
-             + kappa / 2.0 * op.G ** 2 * op.omega_m ** 2
-             * (np.abs(kw) ** 2 + op.delta_eff ** 2)) / abs_d2
-        if which == "p":
-            s = omega ** 2 / op.omega_m ** 2 * s
-        return s
-    if which == "X":
-        a, b, c = tc.a_X, tc.b_X, tc.c_X
-    elif which == "Y":
-        a, b, c = tc.a_Y, tc.b_Y, tc.c_Y
-    else:
-        raise ValueError(f"unknown quadrature {which!r}")
-    return (Gamma * np.abs(a) ** 2
-            + kappa / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2)) / abs_d2
 
 
 def spectrum_sweep(model: StateSpaceModel, omega_grid,

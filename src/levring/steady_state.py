@@ -74,7 +74,7 @@ class MeanFieldResult:
 
 def _balance(x, g_cos2, sin_2kx, derived: DerivedParams, delta0, c0, a_q):
     """The force balance from g cos^2(kx) and sin(2kx), with the same
-    per-element arithmetic as `force_balance`; broadcasts over cells."""
+    per-element arithmetic as `_balance_at`; broadcasts over cells."""
     delta = delta0 + g_cos2
     opt = (CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
            * sin_2kx / (derived.kappa ** 2 / 4.0 + delta * delta))
@@ -86,6 +86,25 @@ def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
     return _balance(x, derived.g * np.cos(derived.k * x) ** 2,
                     np.sin(2.0 * derived.k * x), derived, delta0, c0,
                     derived.A_q)
+
+
+def _balance_at(derived: DerivedParams, delta0: float, c0: float):
+    """`force_balance` at one Python float x, on Python floats.
+
+    The same operations in the same order give the same bits; the
+    x-independent factors are formed once.
+    """
+    g, k, a_q = derived.g, derived.k, derived.A_q
+    hbar_gkE2 = CODATA2018.hbar * g * k * derived.E_drive ** 2
+    quarter_kappa2 = derived.kappa ** 2 / 4.0
+    cos, sin = math.cos, math.sin
+
+    def balance(x):
+        delta = delta0 + g * cos(k * x) ** 2
+        return (a_q * (c0 + x)
+                + hbar_gkE2 * sin(2.0 * k * x) / (quarter_kappa2
+                                                   + delta * delta))
+    return balance
 
 
 def residual_scale(derived: DerivedParams, c0: float) -> float:
@@ -149,23 +168,23 @@ def _bisect(fun, a, b, fa, tol_x):
     return 0.5 * (a + b)
 
 
-def _grid_roots(fun, xs, tol_x):
-    """Yield the roots of the vectorised `fun` on the ascending grid xs.
+def _grid_roots(fs, xs, fun, tol_x):
+    """Yield the roots of a function with the values fs on the ascending
+    grid xs.
 
-    `fun` is evaluated once on the whole grid. An exact grid zero is a
-    root; a sign change between two nonzero neighbours is bisected down
-    to tol_x. Roots are yielded lazily, so a caller that stops at the
-    first one bisects only its bracket.
+    An exact grid zero is a root; a sign change between two nonzero
+    neighbours is bisected down to tol_x, with fun evaluating the
+    function at one Python float. Roots are yielded lazily, so a caller
+    that stops at the first one bisects only its bracket.
     """
-    fs = fun(xs)
     zero = fs == 0.0
     change = np.append(fs[:-1] * fs[1:] < 0.0, False)
     for i in np.flatnonzero(zero | change):
         if zero[i]:
             yield float(xs[i])
             continue
-        yield _bisect(lambda x: float(fun(x)), float(xs[i]),
-                      float(xs[i + 1]), float(fs[i]), tol_x)
+        yield _bisect(fun, float(xs[i]), float(xs[i + 1]), float(fs[i]),
+                      tol_x)
 
 
 def scan_roots(derived: DerivedParams, delta0: float, c0: float):
@@ -176,9 +195,9 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     """
     half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
     xs = np.linspace(-half, half, N_SCAN)
-    return list(_grid_roots(
-        lambda x: force_balance(x, derived, delta0, c0), xs,
-        BISECT_REL_TOL * (2.0 * half)))
+    return list(_grid_roots(force_balance(xs, derived, delta0, c0), xs,
+                            _balance_at(derived, delta0, c0),
+                            BISECT_REL_TOL * (2.0 * half)))
 
 
 def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
@@ -290,9 +309,10 @@ def _bisect_all(fun, a, b, fa, tol_x):
 def _pow_cos2(kx):
     """cos(kx)^2 as the point path's bisection forms it for a scalar x.
 
-    There the square is a scalar `** 2`, by libm pow, which is an ulp
-    away from the array square x * x on some arguments; so the lock-step
-    bisections square each cosine as a Python float.
+    There the bisection runs on Python floats (`_balance_at`,
+    `_mismatch_at`), whose `** 2` is libm pow; that is an ulp away from
+    the array square x * x on some arguments, so the lock-step bisections
+    square each cosine as a Python float too.
     """
     return np.array([v ** 2 for v in np.cos(kx).tolist()])
 
@@ -432,13 +452,28 @@ def solve_xs(derived: DerivedParams, delta0: float,
 
 def _mismatch(g_cos2, cos_2kx, derived: DerivedParams, delta0):
     """The cleared resonance mismatch from g cos^2(kx) and cos(2kx), with
-    the same per-element arithmetic on a point or a grid; broadcasts over
+    the same per-element arithmetic as `_mismatch_at`; broadcasts over
     cells."""
     delta = delta0 + g_cos2
     lhs = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
            * derived.E_drive ** 2 * cos_2kx
            / (derived.kappa ** 2 + 4.0 * delta * delta))
     return lhs - derived.mass * delta * delta
+
+
+def _mismatch_at(derived: DerivedParams, delta0: float):
+    """`_mismatch` at one Python float x, on Python floats, bit for bit;
+    the x-independent factors are formed once."""
+    g, k, mass = derived.g, derived.k, derived.mass
+    lhs_scale = 8.0 * CODATA2018.hbar * g * k ** 2 * derived.E_drive ** 2
+    kappa2 = derived.kappa ** 2
+    cos = math.cos
+
+    def mismatch(x):
+        delta = delta0 + g * cos(k * x) ** 2
+        return (lhs_scale * cos(2.0 * k * x) / (kappa2 + 4.0 * delta * delta)
+                - mass * delta * delta)
+    return mismatch
 
 
 def _resonance_inputs(derived: DerivedParams, c0: float) -> None:
@@ -515,9 +550,9 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     _resonance_inputs(derived, c0)
     xs, tol_x = _resonance_grid(derived)
     roots = _grid_roots(
-        lambda x: _mismatch(derived.g * np.cos(derived.k * x) ** 2,
-                            np.cos(2.0 * derived.k * x), derived, delta0),
-        xs, tol_x)
+        _mismatch(derived.g * np.cos(derived.k * xs) ** 2,
+                  np.cos(2.0 * derived.k * xs), derived, delta0),
+        xs, _mismatch_at(derived, delta0), tol_x)
     pairs, end_error = _resonant_plan(
         derived, delta0, c0, next((x for x in roots if x != 0.0), None))
     return _screen((dynamics.build_model(op, d) for op, d in pairs),

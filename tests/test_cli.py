@@ -403,6 +403,29 @@ class TestExitCodes:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("subcommand", ["steady-state", "spectrum"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("finesse", "1e-300",
+         "derived constant kappa = inf is not finite "
+         "(from cavity_length, finesse)"),
+        ("input_power_mw", "1e300",
+         "derived constant E_drive = inf is not finite "
+         "(from cavity_length, finesse, input_power, wavelength)"),
+    ])
+    def test_non_finite_derived_constant_is_validation_error(
+            self, tmp_path, capsys, subcommand, key, value, message):
+        # finite inputs whose constants overflow: a config error, named,
+        # before any solver sees an inf
+        path = tmp_path / "bad.cfg"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                               FIG1_TEXT, flags=re.M))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([subcommand, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("old, new, field", [
         ("temperature_k = 300",
          "temperature_k = 300\nspectrum_form = squeezed", "spectrum_form"),

@@ -9,8 +9,7 @@ from levring import entanglement, model, pipeline
 from levring.cli import parse_config
 from levring.entanglement import (EntanglementPoint, _kron_sum,
                                   covariance_by_integration,
-                                  entanglement_sweep,
-                                  is_physical, log_negativity,
+                                  entanglement_sweep, log_negativity,
                                   lyapunov_residual, lyapunov_solve,
                                   lyapunov_solves, symplectic_eigenvalues)
 from levring.errors import (ConfigInvalid, LevringError, NumericalError,
@@ -22,6 +21,14 @@ from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
                       reference_config, synthetic_model)
 
 KAP = KAPPA_SCALE
+PHYSICALITY_SLACK = 1e-10
+
+
+def is_physical(V):
+    """Symplectic positivity: both eigenvalues of V itself
+    >= 1/2 - PHYSICALITY_SLACK."""
+    lo, _ = symplectic_eigenvalues(V)
+    return lo >= 0.5 - PHYSICALITY_SLACK
 
 
 def two_mode_squeezed(r):
@@ -433,3 +440,20 @@ class TestLyapunovBatch:
 
     def test_empty_batch(self):
         assert lyapunov_solves([]) == []
+
+
+class TestBlockDets:
+    @pytest.mark.parametrize("ring_mode, stable", [
+        ("fixed_charge", 42), ("resonant", 184)])
+    def test_stacked_dets_equal_per_row_calls(self, ring_mode, stable):
+        # a sweep's stack against one det call per block of one row
+        Vs = np.array([lyapunov_solve(m)
+                       for m in sweep_models("fig2.cfg", ring_mode)
+                       if m.stable])
+        assert len(Vs) == stable
+        for V, got in zip(Vs, entanglement._block_dets(Vs)):
+            want = np.array([np.linalg.det(V[:2, :2]),
+                             np.linalg.det(V[2:, 2:]),
+                             np.linalg.det(V[:2, 2:]), np.linalg.det(V)])
+            assert same_bits(got, want)
+            assert same_bits(entanglement._block_dets(V), want)

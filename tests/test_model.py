@@ -11,7 +11,8 @@ import pytest
 
 from levring.constants import CODATA2018
 from levring.errors import ConfigInvalid, NonPositiveFrequency
-from levring.model import (damping_and_diffusion, derive_constants,
+from levring.model import (DerivedParams, damping_and_diffusion,
+                           derive_constants,
                            electrostatic_spring, resolve_ring_charge,
                            ring_field, ring_potential)
 
@@ -65,6 +66,22 @@ class TestDeriveConstants:
         eps = ref_cfg.permittivity
         want = 3.0 * derived.V_s / (2.0 * derived.V_c) * (eps - 1) / (eps + 2)
         assert rel(derived.g / derived.omega_c, want) < 1e-14
+
+    @pytest.mark.parametrize("changes, constant, fields", [
+        (dict(finesse=1e-300), "kappa", "cavity_length, finesse"),
+        (dict(input_power=1e297), "E_drive",
+         "cavity_length, finesse, input_power, wavelength"),
+        (dict(ring_field=1e300, ring_offset_c0=1e-300), "ring_charge",
+         "ring_field, ring_offset_c0, ring_radius"),
+        (dict(ring_field=None, ring_charge=1e300, mcp_epsilon=1e20), "A_q",
+         "mcp_epsilon, ring_charge"),
+    ])
+    def test_non_finite_constant_is_config_error(self, changes, constant,
+                                                 fields):
+        with pytest.raises(ConfigInvalid) as err:
+            derive_constants(reference_config(**changes))
+        assert str(err.value) == (
+            f"derived constant {constant} = inf is not finite (from {fields})")
 
     def test_a_q_vanishes_without_charge(self):
         assert derive_constants(reference_config(mcp_epsilon=0.0)).A_q == 0.0
@@ -231,6 +248,21 @@ class TestDamping:
         full = derived.with_damping(self.OMEGA)
         assert full.gamma == full.gamma_ph + full.gamma_gas
         assert full.Gamma_diff > 0.0
+
+    def test_with_damping_equals_replace(self, ref_cfg):
+        # the dict copy is the record dataclasses.replace would build, and
+        # leaves the original and its closure as they were
+        derived = derive_constants(ref_cfg)
+        full = derived.with_damping(self.OMEGA)
+        gph, ggas, gam, Gam = damping_and_diffusion(ref_cfg, self.OMEGA)
+        want = dataclasses.replace(derived, gamma_ph=gph, gamma_gas=ggas,
+                                   gamma=gam, Gamma_diff=Gam)
+        assert full == want and type(full) is DerivedParams
+        assert vars(full) == vars(want)
+        assert full.damping_at is derived.damping_at
+        assert derived.gamma is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            full.gamma = 0.0
 
     def test_custom_gas_mass(self):
         helium = reference_config(gas_molecule_mass=4.002602 * C.u)

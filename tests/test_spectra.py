@@ -1,5 +1,6 @@
 """Output spectra: transfer identities, decoupling theorem, symmetries."""
 import contextlib
+import dataclasses
 import time
 import warnings
 
@@ -10,12 +11,73 @@ from levring import spectra
 from levring.cli import parse_config
 from levring.entanglement import lyapunov_solve
 from levring.pipeline import solve_point
-from levring.spectra import (internal_spectrum, output_spectrum,
-                             spectrum_sweep, transfer_coefficients)
+from levring.spectra import (output_spectrum, spectrum_sweep,
+                             transfer_coefficients)
 
 from conftest import CONFIG_DIR, KAPPA_SCALE, random_model, reference_config
 
 KAP = KAPPA_SCALE
+
+
+def internal_spectrum(model, omega, which: str):
+    """Symmetric spectrum of an internal quadrature ('x', 'p', 'X', 'Y').
+
+    Used by the covariance cross-check: (1/2pi) * integral of each matches
+    the corresponding diagonal entry of the stationary covariance.
+    """
+    tc = transfer_coefficients(model, omega)
+    omega = np.asarray(omega, dtype=float)
+    kappa = model.kappa
+    Gamma = model.derived.Gamma_diff
+    op = model.op
+    abs_d2 = np.abs(tc.d) ** 2
+    if which in ("x", "p"):
+        kw = kappa / 2.0 - 1j * omega
+        s = (Gamma * np.abs(tc.chi_c_inv * op.omega_m) ** 2
+             + kappa / 2.0 * op.G ** 2 * op.omega_m ** 2
+             * (np.abs(kw) ** 2 + op.delta_eff ** 2)) / abs_d2
+        if which == "p":
+            s = omega ** 2 / op.omega_m ** 2 * s
+        return s
+    if which == "X":
+        a, b, c = tc.a_X, tc.b_X, tc.c_X
+    elif which == "Y":
+        a, b, c = tc.a_Y, tc.b_Y, tc.c_Y
+    else:
+        raise ValueError(f"unknown quadrature {which!r}")
+    return (Gamma * np.abs(a) ** 2
+            + kappa / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2)) / abs_d2
+
+
+def reference_output_spectra(model, omega, form):
+    """(S_XX, S_YY) with every transfer coefficient and term formed
+    separately: the reference for the shared terms of `spectrum_sweep`."""
+    omega = np.asarray(omega, dtype=float)
+    op = model.op
+    kappa, gamma = model.kappa, model.gamma
+    Gamma = model.derived.Gamma_diff
+    delta, om, Om, G = op.delta_eff, op.omega_m, op.Omega_m, op.G
+    kw = kappa / 2.0 - 1j * omega
+    chi_c_inv = delta ** 2 + kw ** 2
+    chi_m_inv = om * Om - omega ** 2 - 1j * omega * gamma / 2.0
+    d = chi_c_inv * chi_m_inv - G ** 2 * om * delta
+    a_X = np.broadcast_to(G * om * delta + 0j, omega.shape).copy()
+    b_X = kw * chi_m_inv
+    c_X = delta * chi_m_inv
+    a_Y = G * om * kw
+    b_Y = -delta * chi_m_inv + om * G ** 2
+    c_Y = kw * chi_m_inv
+    abs_d2 = np.abs(d) ** 2
+    d_minus = np.conj(d)
+
+    def spectrum(a, b, c, cross):
+        return (0.5
+                + kappa * Gamma * np.abs(a) ** 2 / abs_d2
+                + kappa ** 2 / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2) / abs_d2
+                - kappa * np.real(cross * d_minus) / abs_d2)
+
+    cross_Y = b_Y if form == "maintext" else c_Y
+    return (spectrum(a_X, b_X, c_X, b_X), spectrum(a_Y, b_Y, c_Y, cross_Y))
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +273,26 @@ class TestSpectrumSweep:
             assert table.S_XX.tobytes() == want_xx.tobytes()
             assert table.S_YY.tobytes() == want_yy.tobytes()
         assert [m.stable for m in models] == [True, True, False]
+
+    @pytest.mark.parametrize("form", ["supplement", "maintext"])
+    def test_sweep_equals_unshared_reference(self, form):
+        # each shared term gives the bits of the formulas written out
+        # separately, on the shipped models and an unstable one; fig2
+        # has a fixed-charge root only below 0.25 linewidths
+        fig1 = parse_config(str(CONFIG_DIR / "fig1.cfg"))
+        fig2 = parse_config(str(CONFIG_DIR / "fig2.cfg"))
+        models = [solve_point(cfg, ring_mode).model for cfg, ring_mode in (
+            (fig1, "fixed_charge"), (fig1, "resonant"),
+            (dataclasses.replace(fig2, detuning_over_kappa=0.15),
+             "fixed_charge"), (fig2, "resonant"))]
+        models.append(random_model(np.random.default_rng(5), stable=False))
+        w = np.linspace(-3, 3, 3001) * KAP
+        for model in models:
+            table = spectrum_sweep(model, w, form)
+            want_xx, want_yy = reference_output_spectra(model, w, form)
+            assert table.S_XX.tobytes() == want_xx.tobytes()
+            assert table.S_YY.tobytes() == want_yy.tobytes()
+        assert [m.stable for m in models] == [True] * 4 + [False]
 
     def test_one_transfer_evaluation_per_sweep(self, fig1_model, monkeypatch):
         calls = []

@@ -269,6 +269,28 @@ class TestSolveXs:
             found += len(roots)
         assert found >= 10
 
+    def test_bisection_functions_equal_numpy_point_forms(self):
+        # the bisections run on Python floats; at seeded x across the trap
+        # interval they give the bits of the numpy-scalar point forms
+        rng = np.random.default_rng(47)
+        cases = stokes_side_cases() + [anti_stokes_two_root_case()]
+        for name in ("fig1.cfg", "fig2.cfg"):
+            cfg = parse_config(str(CONFIG_DIR / name))
+            derived = derive_constants(cfg)
+            cases.append((derived, delta0_from_config(cfg, derived),
+                          cfg.ring_offset_c0))
+        for derived, delta0, c0 in cases:
+            k, half = derived.k, np.pi / (4.0 * derived.k)
+            balance = steady_state._balance_at(derived, delta0, c0)
+            mismatch = steady_state._mismatch_at(derived, delta0)
+            for x in rng.uniform(-half, half, 400).tolist():
+                want = float(force_balance(x, derived, delta0, c0))
+                assert balance(x).hex() == want.hex()
+                want = float(steady_state._mismatch(
+                    derived.g * np.cos(k * x) ** 2, np.cos(2.0 * k * x),
+                    derived, delta0))
+                assert mismatch(x).hex() == want.hex()
+
     def test_scan_roots_mirror_in_c0(self):
         # f(-x; -C0) = -f(x; C0): the roots are negated and reversed, up to
         # the bisection tolerance (the +-half grid is not exactly symmetric)
