@@ -5,10 +5,14 @@ the covariance by doubling the exact RK4 step map, and ``durand_kerner``
 finds the roots of the characteristic quartic; ``durand_kerner_batch``
 runs the same iteration over many quartics at once, bit for bit.
 
-``mean_field_chunk`` is a scalar loop of millions of steps, so it runs on
-Python floats with ``math.sin`` and ``math.cos``: arithmetic on numpy
-scalars costs about three times as much per operation, and the rounded
-results are the same bits.
+The two scalar loops, ``mean_field_chunk`` and ``durand_kerner``, run on
+Python floats and complex values: arithmetic on numpy scalars costs about
+three times as much per operation, and Python's +, -, *, abs,
+``math.sin`` and ``math.cos`` round to the same bits.  Python's complex
+division rounds differently, so ``durand_kerner`` writes out numpy's.
+``durand_kerner_batch`` stays on arrays; numpy's array complex multiply
+and abs round differently from the scalar ones, so it forms products and
+magnitudes from real and imaginary parts.
 """
 import math
 
