@@ -8,8 +8,11 @@ runs the same iteration over many quartics at once, bit for bit.
 The two scalar loops, ``mean_field_chunk`` and ``durand_kerner``, run on
 Python floats and complex values: arithmetic on numpy scalars costs about
 three times as much per operation, and Python's +, -, *, abs,
-``math.sin`` and ``math.cos`` round to the same bits.  Python's complex
-division rounds differently, so ``durand_kerner`` writes out numpy's.
+``math.sin`` and ``math.cos`` round to the same bits.
+``mean_field_chunk`` writes its four RK4 stages out in the loop, with
+the state-independent factors formed once: a call per stage costs more
+than the arithmetic it wraps.  Python's complex division rounds
+differently, so ``durand_kerner`` writes out numpy's.
 ``durand_kerner_batch`` stays on arrays; numpy's array complex multiply
 and abs round differently from the scalar ones, so it forms products and
 magnitudes from real and imaginary parts.
@@ -33,39 +36,85 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     p_sum, re_a_sum, im_a_sum) used by the convergence logic in the
     caller.
 
-    Force budget per the linearised model this integrator backs:
-    optical gradient -hbar g k sin(2kx) |a|^2, ring force
-    -A_q (C0+x) [1 + ((C0+x)/R)^2]^(-3/2), viscous -gamma/2 p.  The
-    field rotates at Delta(x) = Delta0 + g cos^2(kx).
+    The right-hand side, with s = C0 + x and
+    Delta(x) = Delta0 + g cos^2(kx), is the linearised model's optical
+    gradient, ring and viscous forces and the driven, damped field:
+
+        dx/dt = p / mass
+        dp/dt = -hbar g k sin(2kx) |a|^2 - A_q s [1 + (s/R)^2]^(-3/2)
+                - gamma/2 p
+        d(re a)/dt = -Delta(x) im a - kappa/2 re a
+        d(im a)/dt = Delta(x) re a - kappa/2 im a - E
+
+    The four RK4 stages are written out in the loop: on Python floats a
+    call per stage costs more than the arithmetic it wraps.  The factors
+    that do not depend on the state (-hbar g k, 2k, gamma/2, kappa/2) are
+    formed once, each the leading product of the left-to-right
+    expression it stands in for, so every stage rounds as a right-hand
+    side evaluated per call does.
     """
     x, p, ar, ai = (float(v) for v in state)
     dt, mass, gamma, hbar_g, k, kappa, delta0, g, E, A_q, c0, R = (
         float(v) for v in (dt, mass, gamma, hbar_g, k, kappa, delta0, g, E,
                            A_q, c0, R))
     sin, cos = math.sin, math.cos
-
-    def rhs(x, p, ar, ai):
-        a2 = ar * ar + ai * ai
-        s = c0 + x
-        u = s / R
-        f = (-hbar_g * k * sin(2.0 * k * x) * a2
-             - A_q * s * (1.0 + u * u) ** -1.5)
-        h = delta0 + g * cos(k * x) ** 2
-        return (p / mass, f - 0.5 * gamma * p,
-                -h * ai - 0.5 * kappa * ar, h * ar - 0.5 * kappa * ai - E)
-
+    opt = -hbar_g * k
+    two_k = 2.0 * k
+    half_gamma = 0.5 * gamma
+    half_kappa = 0.5 * kappa
     half = 0.5 * dt
     sixth = dt / 6.0
     x_min = x_max = x
     x_sum = p_sum = ar_sum = ai_sum = 0.0
     for _ in range(n_steps):
-        k1x, k1p, k1r, k1i = rhs(x, p, ar, ai)
-        k2x, k2p, k2r, k2i = rhs(x + half * k1x, p + half * k1p,
-                                 ar + half * k1r, ai + half * k1i)
-        k3x, k3p, k3r, k3i = rhs(x + half * k2x, p + half * k2p,
-                                 ar + half * k2r, ai + half * k2i)
-        k4x, k4p, k4r, k4i = rhs(x + dt * k3x, p + dt * k3p,
-                                 ar + dt * k3r, ai + dt * k3i)
+        s = c0 + x
+        u = s / R
+        h = delta0 + g * cos(k * x) ** 2
+        k1x = p / mass
+        k1p = (opt * sin(two_k * x) * (ar * ar + ai * ai)
+               - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p)
+        k1r = -h * ai - half_kappa * ar
+        k1i = h * ar - half_kappa * ai - E
+
+        x2 = x + half * k1x
+        p2 = p + half * k1p
+        ar2 = ar + half * k1r
+        ai2 = ai + half * k1i
+        s = c0 + x2
+        u = s / R
+        h = delta0 + g * cos(k * x2) ** 2
+        k2x = p2 / mass
+        k2p = (opt * sin(two_k * x2) * (ar2 * ar2 + ai2 * ai2)
+               - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p2)
+        k2r = -h * ai2 - half_kappa * ar2
+        k2i = h * ar2 - half_kappa * ai2 - E
+
+        x3 = x + half * k2x
+        p3 = p + half * k2p
+        ar3 = ar + half * k2r
+        ai3 = ai + half * k2i
+        s = c0 + x3
+        u = s / R
+        h = delta0 + g * cos(k * x3) ** 2
+        k3x = p3 / mass
+        k3p = (opt * sin(two_k * x3) * (ar3 * ar3 + ai3 * ai3)
+               - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p3)
+        k3r = -h * ai3 - half_kappa * ar3
+        k3i = h * ar3 - half_kappa * ai3 - E
+
+        x4 = x + dt * k3x
+        p4 = p + dt * k3p
+        ar4 = ar + dt * k3r
+        ai4 = ai + dt * k3i
+        s = c0 + x4
+        u = s / R
+        h = delta0 + g * cos(k * x4) ** 2
+        k4x = p4 / mass
+        k4p = (opt * sin(two_k * x4) * (ar4 * ar4 + ai4 * ai4)
+               - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p4)
+        k4r = -h * ai4 - half_kappa * ar4
+        k4i = h * ar4 - half_kappa * ai4 - E
+
         x += sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         p += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         ar += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)

@@ -255,12 +255,49 @@ _SOURCES = {
 }
 
 
+def _sources(cfg: SystemConfig, *names) -> str:
+    """The config fields the derived constants `names` come from."""
+    ring = (("ring_charge",) if cfg.ring_charge is not None
+            else ("ring_field", "ring_offset_c0", "ring_radius"))
+    fields = []
+    for name in names:
+        for field in _SOURCES[name] + (
+                ring if name in ("ring_charge", "A_q") else ()):
+            if field not in fields:
+                fields.append(field)
+    return ", ".join(fields)
+
+
+def _check_balance_bound(cfg: SystemConfig, constants) -> None:
+    """Raise ConfigInvalid unless the bound on the force balance over the
+    trap interval, |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, has a
+    finite square: a root scan multiplies neighbouring values of it.
+
+    The fields named are those of A_q, and those of the optical term
+    too unless the ring term alone overflows.  A kappa of zero (the
+    product cavity_length * finesse overflowing) makes the bound inf.
+    """
+    c = constants
+    ring = abs(c["A_q"]) * (abs(cfg.ring_offset_c0)
+                            + math.pi / (4.0 * c["k"]))
+    e_over_kappa = c["E_drive"] / c["kappa"] if c["kappa"] else math.inf
+    bound = ring + (4.0 * CODATA2018.hbar * c["g"] * c["k"]
+                    * e_over_kappa * e_over_kappa)
+    if math.isfinite(bound * bound):
+        return
+    names = ("A_q", "g", "E_drive") if math.isfinite(ring * ring) else ("A_q",)
+    raise ConfigInvalid(
+        f"force-balance bound {bound:.3e} N cannot be squared "
+        f"(from {_sources(cfg, *names)})")
+
+
 def derive_constants(cfg: SystemConfig) -> DerivedParams:
     """Evaluate every derived constant of the configured system.
 
     Pure: identical inputs give bit-identical outputs.  A constant that
     overflows to inf (or nan) raises ConfigInvalid naming it and the
-    config fields it comes from.  The drive
+    config fields it comes from, and so does a force balance whose bound
+    cannot be squared (`_check_balance_bound`).  The drive
     frequency is taken equal to the cavity frequency in the drive
     amplitude E = sqrt(kappa P / hbar omega_L); the detunings involved
     are ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error
@@ -286,14 +323,10 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
         A_q=A_q).items()}
     for name, value in constants.items():
         if not math.isfinite(value):
-            sources = _SOURCES[name]
-            if name in ("ring_charge", "A_q"):
-                sources += (("ring_charge",) if cfg.ring_charge is not None
-                            else ("ring_field", "ring_offset_c0",
-                                  "ring_radius"))
             raise ConfigInvalid(
                 f"derived constant {name} = {value} is not finite "
-                f"(from {', '.join(sources)})")
+                f"(from {_sources(cfg, name)})")
+    _check_balance_bound(cfg, constants)
 
     def damping_at(omega_m: float):
         return damping_and_diffusion(cfg, omega_m)
@@ -303,7 +336,19 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
 
 
 def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:
-    """Bare detuning in rad/s, converting from linewidth units if needed."""
+    """Bare detuning in rad/s, converting from linewidth units if needed.
+
+    Raises ConfigInvalid naming the detuning field when (|Delta0| + g)^2,
+    the bound on the Delta(x)^2 the steady state squares, is not finite.
+    """
     if cfg.detuning_delta0 is not None:
-        return cfg.detuning_delta0
-    return cfg.detuning_over_kappa * derived.kappa
+        field, delta0 = "detuning_delta0", cfg.detuning_delta0
+    else:
+        field = "detuning_over_kappa"
+        delta0 = cfg.detuning_over_kappa * derived.kappa
+    bound = abs(delta0) + derived.g
+    if not math.isfinite(bound * bound):
+        raise ConfigInvalid(
+            f"{field} gives Delta0 = {delta0:.3e} rad/s, too large to "
+            f"square (|Delta0| + g)^2")
+    return delta0

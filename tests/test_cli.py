@@ -426,6 +426,37 @@ class TestExitCodes:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("key, value, argv, message", [
+        ("detuning_over_kappa", "1e150", ["steady-state"],
+         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large to "
+         "square (|Delta0| + g)^2"),
+        ("detuning_over_kappa", "1e150",
+         ["steady-state", "--ring-mode", "resonant"],
+         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large to "
+         "square (|Delta0| + g)^2"),
+        ("ring_field_v_per_m", "1e300", ["steady-state"],
+         "force-balance bound 1.802e+276 N cannot be squared "
+         "(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius)"),
+        ("ring_field_v_per_m", "1e300", ["stability-map"],
+         "force-balance bound 1.802e+276 N cannot be squared "
+         "(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius)"),
+    ])
+    def test_overflowing_square_is_validation_error(self, tmp_path, capsys,
+                                                    key, value, argv,
+                                                    message):
+        # finite inputs whose squares in the steady state overflow: a
+        # config error, named, before a solver multiplies them
+        path = tmp_path / "bad.cfg"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                               FIG1_TEXT, flags=re.M))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("old, new, field", [
         ("temperature_k = 300",
          "temperature_k = 300\nspectrum_form = squeezed", "spectrum_form"),

@@ -130,15 +130,38 @@ def criterion6_draws(n, seed=303):
     return draws
 
 
+def mean_field_draws():
+    """(derived, delta0, c0, gamma, x_s, x_start) for the kernel parity
+    test: four criterion-6 draws started at their rest points, then
+    draws where a factor the kernel forms before its loop, or a sign,
+    could slip: C0 < 0 (the mirror image of a criterion-6 draw), A_q = 0
+    (mcp_epsilon = 0), gamma = 0, and a start on the far side of x = 0
+    from the rest point."""
+    base = criterion6_draws(4)
+    draws = [draw + (draw[4],) for draw in base]
+    derived, delta0, c0, gamma, x_s = base[0]
+    draws.append((derived, delta0, -c0, gamma, -x_s, -x_s))
+    cfg = reference_config(mcp_epsilon=0.0)
+    uncharged = derive_constants(cfg)
+    assert uncharged.A_q == 0.0
+    draws.append((uncharged, delta0_from_config(cfg, uncharged),
+                  cfg.ring_offset_c0, 0.2 * uncharged.kappa, 0.0, 0.0))
+    derived, delta0, c0, _, x_s = base[1]
+    draws.append((derived, delta0, c0, 0.0, x_s, x_s))
+    derived, delta0, c0, gamma, x_s = base[2]
+    draws.append((derived, delta0, c0, gamma, x_s, -x_s))
+    return draws
+
+
 @pytest.mark.parametrize("n_steps", [0, 1, 5000])
 def test_mean_field_chunk_matches_reference_kernel(n_steps):
-    # bit for bit, from seeded states around each rest point, whether
+    # bit for bit, from seeded states around each start point, whether
     # the arguments arrive as numpy scalars or as Python floats
     rng = np.random.default_rng(11)
-    for derived, delta0, c0, gamma, x_s in criterion6_draws(4):
+    for derived, delta0, c0, gamma, x_s, x_start in mean_field_draws():
         a_s = steady_state.cavity_steady_field(derived, delta0, x_s)
         state = np.array([
-            x_s + rng.normal() * 1e-9,
+            x_start + rng.normal() * 1e-9,
             rng.normal() * derived.mass * derived.kappa * 1e-9,
             a_s.real * rng.uniform(0.5, 1.5),
             a_s.imag * rng.uniform(0.5, 1.5)])
@@ -156,6 +179,9 @@ def test_mean_field_chunk_matches_reference_kernel(n_steps):
         assert np.array_equal(np.array(got_py), want)
         if n_steps:
             assert not np.array_equal(want[:4], state)
+        if n_steps > 1 and x_start == -x_s != 0.0:
+            # the run really crosses x = 0 on its way to the rest point
+            assert want[4] < 0.0 < want[5]
 
 
 def relax(derived, delta0, c0, gamma, x_s):

@@ -12,7 +12,7 @@ import pytest
 from levring.constants import CODATA2018
 from levring.errors import ConfigInvalid, NonPositiveFrequency
 from levring.model import (DerivedParams, damping_and_diffusion,
-                           derive_constants,
+                           delta0_from_config, derive_constants,
                            electrostatic_spring, resolve_ring_charge,
                            ring_field, ring_potential)
 
@@ -82,6 +82,42 @@ class TestDeriveConstants:
             derive_constants(reference_config(**changes))
         assert str(err.value) == (
             f"derived constant {constant} = inf is not finite (from {fields})")
+
+    @pytest.mark.parametrize("changes, fields", [
+        (dict(ring_field=1e300),
+         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius"),
+        (dict(ring_field=None, ring_charge=1e250), "mcp_epsilon, ring_charge"),
+        # the optical term overflows, not the ring term: both are named
+        (dict(input_power=1e277),
+         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius, "
+         "sphere_radius, permittivity, wavelength, cavity_length, finesse, "
+         "input_power"),
+        # cavity_length * finesse overflows: kappa and E_drive are 0
+        (dict(cavity_length=1e150, finesse=1e200),
+         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius, "
+         "sphere_radius, permittivity, wavelength, cavity_length, finesse, "
+         "input_power"),
+    ])
+    def test_unsquarable_force_balance_bound_is_config_error(self, changes,
+                                                             fields):
+        # every constant is finite, but the root scan's products of
+        # neighbouring force-balance values would overflow
+        with pytest.raises(ConfigInvalid) as err:
+            derive_constants(reference_config(**changes))
+        assert str(err.value).startswith("force-balance bound ")
+        assert str(err.value).endswith(f" N cannot be squared (from {fields})")
+
+    @pytest.mark.parametrize("changes, field", [
+        (dict(detuning_over_kappa=1e150), "detuning_over_kappa"),
+        (dict(detuning_over_kappa=None, detuning_delta0=-1e160),
+         "detuning_delta0"),
+    ])
+    def test_unsquarable_detuning_is_config_error(self, changes, field):
+        cfg = reference_config(**changes)
+        with pytest.raises(ConfigInvalid, match=rf"^{field} gives Delta0 = "):
+            delta0_from_config(cfg, derive_constants(cfg))
+        cfg = reference_config(detuning_over_kappa=None, detuning_delta0=1e154)
+        assert delta0_from_config(cfg, derive_constants(cfg)) == 1e154
 
     def test_a_q_vanishes_without_charge(self):
         assert derive_constants(reference_config(mcp_epsilon=0.0)).A_q == 0.0
