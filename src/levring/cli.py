@@ -25,8 +25,8 @@ from . import __version__
 from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError, caught
-from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
-                    derive_constants)
+from .model import (TORR_TO_PA, SystemConfig, check_detuning,
+                    delta0_from_config, derive_constants)
 from .pipeline import RING_MODES, solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
@@ -369,6 +369,8 @@ def cmd_stability_map(args) -> int:
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     base = derive_constants(cfg)
+    for d0 in d0_grid:
+        check_detuning(float(d0) * base.kappa, base, "detuning_over_kappa")
     # pin the charge so c0 = 0 rows stay valid even for field-specified rings
     cfg_charge = dataclasses.replace(cfg, ring_charge=base.ring_charge,
                                      ring_field=None)

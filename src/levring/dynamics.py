@@ -13,13 +13,14 @@ tests enforce that.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._kernels import durand_kerner, durand_kerner_batch
-from .errors import IterationDiverged
+from .errors import IterationDiverged, NumericalError, caught
 from .model import DerivedParams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
@@ -119,15 +120,23 @@ def _rh_values(op: "OperatingPoint", gamma: float, kappa: float):
 def _scaled_quartic(op: "OperatingPoint", gamma: float, kappa: float):
     """(rho, c): the root scale and the quartic rescaled to O(1) coefficients.
 
-    c is None when rho == 0, where every eigenvalue is zero.
+    c is None when rho == 0, where every eigenvalue is zero.  Raises
+    NumericalError when a coefficient or a power of rho overflows.
     """
-    a3, a2, a1, a0 = char_poly_coefficients(op, gamma, kappa)
+    a3, a2, a1, a0 = coeffs = char_poly_coefficients(op, gamma, kappa)
     rho = max(abs(a3), abs(a2) ** 0.5, abs(a1) ** (1.0 / 3.0),
               abs(a0) ** 0.25)
     if rho == 0.0:
         return rho, None
-    return rho, np.array([a3 / rho, a2 / rho ** 2, a1 / rho ** 3,
-                          a0 / rho ** 4], dtype=np.complex128)
+    try:
+        c = np.array([a3 / rho, a2 / rho ** 2, a1 / rho ** 3, a0 / rho ** 4],
+                     dtype=np.complex128)
+    except OverflowError:
+        c = None
+    if c is None or not all(map(math.isfinite, coeffs)):
+        raise NumericalError(
+            f"characteristic quartic of scale {rho:.3e} rad/s overflows")
+    return rho, c
 
 
 def _finish_roots(roots, iters, c, rho):
@@ -233,20 +242,22 @@ def build_models(ops, deriveds):
     The eigenvalues of every entry are found at the call; the models are
     assembled as the returned iterator reaches them, so a caller that
     drops each in turn holds one at a time.  Entry b is the model
-    `build_model(ops[b], deriveds[b])` returns, or the IterationDiverged
-    it raises; both are bit for bit the same.
+    `build_model(ops[b], deriveds[b])` returns, or the NumericalError it
+    raises; both are bit for bit the same.
     """
     for derived in deriveds:
         _require_damping(derived)
-    scaled = [_scaled_quartic(op, d.gamma, d.kappa)
+    scaled = [caught(_scaled_quartic, op, d.gamma, d.kappa)
               for op, d in zip(ops, deriveds)]
-    rows = [b for b, (rho, _c) in enumerate(scaled) if rho != 0.0]
-    finished = {}
+    finished = {b: (None, error) for b, error in enumerate(scaled)
+                if isinstance(error, NumericalError)}
+    rows = [b for b, sc in enumerate(scaled)
+            if b not in finished and sc[0] != 0.0]
     if rows:
         c = np.array([scaled[b][1] for b in rows])
         rho = np.array([scaled[b][0] for b in rows])
         roots, iters = durand_kerner_batch(c, _DK_TOL, _DK_MAX_ITER)
-        finished = dict(zip(rows, zip(*_finish_roots(roots, iters, c,
+        finished.update(zip(rows, zip(*_finish_roots(roots, iters, c,
                                                      rho[:, None]))))
 
     def models():

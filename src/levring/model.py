@@ -335,20 +335,25 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
                          damping_at=damping_at)
 
 
-def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:
-    """Bare detuning in rad/s, converting from linewidth units if needed.
+def check_detuning(delta0: float, derived: DerivedParams, field: str) -> float:
+    """delta0 in rad/s, once 4 (|Delta0| + g)^2 is finite.
 
-    Raises ConfigInvalid naming the detuning field when (|Delta0| + g)^2,
-    the bound on the Delta(x)^2 the steady state squares, is not finite.
+    That bounds the 4 Delta(x)^2 the steady state and the resonance
+    mismatch form; a detuning that fails it raises ConfigInvalid naming
+    the config field it comes from.
     """
-    if cfg.detuning_delta0 is not None:
-        field, delta0 = "detuning_delta0", cfg.detuning_delta0
-    else:
-        field = "detuning_over_kappa"
-        delta0 = cfg.detuning_over_kappa * derived.kappa
-    bound = abs(delta0) + derived.g
+    bound = 2.0 * (abs(float(delta0)) + derived.g)
     if not math.isfinite(bound * bound):
         raise ConfigInvalid(
-            f"{field} gives Delta0 = {delta0:.3e} rad/s, too large to "
-            f"square (|Delta0| + g)^2")
+            f"{field} gives Delta0 = {delta0:.3e} rad/s, too large for "
+            f"4 (|Delta0| + g)^2")
     return delta0
+
+
+def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:
+    """Bare detuning in rad/s, converting from linewidth units if needed,
+    and bounded by `check_detuning`."""
+    if cfg.detuning_delta0 is not None:
+        return check_detuning(cfg.detuning_delta0, derived, "detuning_delta0")
+    return check_detuning(cfg.detuning_over_kappa * derived.kappa, derived,
+                          "detuning_over_kappa")

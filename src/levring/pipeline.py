@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
 from .errors import NumericalError
-from .model import (DerivedParams, SystemConfig, delta0_from_config,
-                    derive_constants, ring_field_value)
+from .model import (DerivedParams, SystemConfig, check_detuning,
+                    delta0_from_config, derive_constants, ring_field_value)
 from .steady_state import (OperatingPoint, solve_model, solve_models,
                            solve_resonant_models, solve_resonant_ring_charge)
 
@@ -72,9 +72,10 @@ def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
     delta0_over_kappa[i], or the NumericalError solving it raises, the
     same as `solve_point` gives.  The constants do not depend on the
     detuning, so they are validated and derived once; a ConfigInvalid
-    propagates, and a non-finite detuning raises the one naming
-    detuning_over_kappa.  All rows go to the grid solver of the ring
-    mode, `solve_models` or `solve_resonant_models`.
+    propagates, and a non-finite detuning, or one `check_detuning`
+    rejects, raises the one naming detuning_over_kappa.  All rows go to
+    the grid solver of the ring mode, `solve_models` or
+    `solve_resonant_models`.
     """
     if len(delta0_over_kappa) == 0:
         return []
@@ -88,6 +89,8 @@ def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
     for d0 in delta0_over_kappa:
         if not math.isfinite(d0):
             row_config(d0).validate()
+        check_detuning(float(d0) * derived.kappa, derived,
+                       "detuning_over_kappa")
     solver = solve_resonant_models if ring_mode == "resonant" else solve_models
     return [outcome if isinstance(outcome, NumericalError)
             else _solution(outcome, cfg)

@@ -14,7 +14,10 @@ screen builds the state-space model of each candidate; the solvers
 return the model of the accepted root, so spectra and entanglement read
 the very model that was screened.  A grid of cells, such as a stability
 map or an entanglement sweep, is solved at once by `solve_models`, with
-the same bits as the point path `solve_model`.
+the same bits as the point path `solve_model`.  Both paths share Delta(x),
+the force balance, the mismatch, the scan grids and the hit rules; they
+differ only in the bisection, `_bisect` on Python floats for one cell
+against `_bisect_all` in lock step for many.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -72,39 +75,32 @@ class MeanFieldResult:
     window_amps: np.ndarray
 
 
-def _balance(x, g_cos2, sin_2kx, derived: DerivedParams, delta0, c0, a_q):
-    """The force balance from g cos^2(kx) and sin(2kx), with the same
-    per-element arithmetic as `_balance_at`; broadcasts over cells."""
-    delta = delta0 + g_cos2
-    opt = (CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
-           * sin_2kx / (derived.kappa ** 2 / 4.0 + delta * delta))
-    return a_q * (c0 + x) + opt
+def _detuning(derived: DerivedParams, delta0, cos2):
+    """Delta(x) = Delta0 + g cos^2(kx) in rad/s from cos2 = cos^2(kx), the
+    one site of its sign here (`mean_field_chunk` writes it per RK4
+    stage).  The caller squares the cosine (see `_pow_cos2`)."""
+    return delta0 + derived.g * cos2
+
+
+def _balance(derived: DerivedParams):
+    """The force balance in newtons, balance(x, cos^2(kx), sin(2kx),
+    delta0, c0, A_q), its x-independent factors formed once; it runs on
+    Python floats and on broadcast arrays or numpy scalars alike."""
+    hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
+    quarter_kappa2 = derived.kappa ** 2 / 4.0
+
+    def balance(x, cos2, sin_2kx, delta0, c0, a_q):
+        delta = _detuning(derived, delta0, cos2)
+        return (a_q * (c0 + x)
+                + hbar_gkE2 * sin_2kx / (quarter_kappa2 + delta * delta))
+    return balance
 
 
 def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
     """f(x) in newtons; vectorised over x."""
-    return _balance(x, derived.g * np.cos(derived.k * x) ** 2,
-                    np.sin(2.0 * derived.k * x), derived, delta0, c0,
-                    derived.A_q)
-
-
-def _balance_at(derived: DerivedParams, delta0: float, c0: float):
-    """`force_balance` at one Python float x, on Python floats.
-
-    The same operations in the same order give the same bits; the
-    x-independent factors are formed once.
-    """
-    g, k, a_q = derived.g, derived.k, derived.A_q
-    hbar_gkE2 = CODATA2018.hbar * g * k * derived.E_drive ** 2
-    quarter_kappa2 = derived.kappa ** 2 / 4.0
-    cos, sin = math.cos, math.sin
-
-    def balance(x):
-        delta = delta0 + g * cos(k * x) ** 2
-        return (a_q * (c0 + x)
-                + hbar_gkE2 * sin(2.0 * k * x) / (quarter_kappa2
-                                                   + delta * delta))
-    return balance
+    return _balance(derived)(x, np.cos(derived.k * x) ** 2,
+                             np.sin(2.0 * derived.k * x), delta0, c0,
+                             derived.A_q)
 
 
 def residual_scale(derived: DerivedParams, c0: float) -> float:
@@ -132,14 +128,14 @@ def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> floa
 
 def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> complex:
     """Steady intracavity field for the sphere clamped at x (complex)."""
-    h = delta0 + derived.g * np.cos(derived.k * x) ** 2
+    h = _detuning(derived, delta0, np.cos(derived.k * x) ** 2)
     return -1j * derived.E_drive / (derived.kappa / 2.0 - 1j * h)
 
 
 def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
                        x_s: float) -> OperatingPoint:
     """Close the steady-state definitions over a given displacement."""
-    delta_eff = delta0 + derived.g * np.cos(derived.k * x_s) ** 2
+    delta_eff = _detuning(derived, delta0, np.cos(derived.k * x_s) ** 2)
     a_s = steady_amplitude(derived, delta_eff)
     omega_m = mechanical_frequency(derived, a_s, x_s)
     if omega_m <= 0.0:
@@ -155,49 +151,85 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
         residual=float(force_balance(x_s, derived, delta0, c0)))
 
 
+def _scan_grid(derived: DerivedParams, resonant: bool = False):
+    """The ascending scan grid and the bisection tolerance, BISECT_REL_TOL
+    of the trap interval width.
+
+    The force balance is scanned on N_SCAN points across the trap
+    interval.  The resonance mismatch is even in x, bit for bit, so both
+    signs of C0 scan N_SCAN_RESONANT points on [0, pi/4k);
+    `_resonant_plan` mirrors the root onto the side of -C0.
+    """
+    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
+    xs = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
+          else np.linspace(-half, half, N_SCAN))
+    return xs, BISECT_REL_TOL * (2.0 * half)
+
+
+def _scan_hits(block, n_cells):
+    """The grid zeros and sign changes of n_cells functions on one grid.
+
+    block(rows) evaluates the functions of the cells in the slice rows on
+    the whole grid, as a [cells, grid] array; it is called for SCAN_CHUNK
+    cells at a time, which bounds the temporaries.  Returns the cell, the
+    grid index i, the value there and the exact-zero flag of every grid
+    zero and of every sign change between i and i + 1, as flat arrays
+    ordered by cell and then by i.  Signs are compared, not values
+    multiplied, so no product can overflow or underflow to zero.
+    """
+    hits = []
+    for first in range(0, n_cells, SCAN_CHUNK):
+        fs = block(slice(first, first + SCAN_CHUNK))
+        neg, pos = fs < 0.0, fs > 0.0
+        hit = fs == 0.0
+        hit[:, :-1] |= (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+        cell, i = np.divmod(np.flatnonzero(hit), fs.shape[1])
+        f_i = fs[cell, i]
+        hits.append((cell + first, i, f_i, f_i == 0.0))
+    return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
+
+
 def _bisect(fun, a, b, fa, tol_x):
+    """Bisect [a, b], fa = fun(a), on Python floats down to tol_x."""
     while b - a > tol_x:
         mid = 0.5 * (a + b)
         fm = fun(mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
+        if fa < 0.0 < fm or fm < 0.0 < fa:
             b = mid
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
 
 
-def _grid_roots(fs, xs, fun, tol_x):
-    """Yield the roots of a function with the values fs on the ascending
-    grid xs.
-
-    An exact grid zero is a root; a sign change between two nonzero
-    neighbours is bisected down to tol_x, with fun evaluating the
-    function at one Python float. Roots are yielded lazily, so a caller
-    that stops at the first one bisects only its bracket.
-    """
-    zero = fs == 0.0
-    change = np.append(fs[:-1] * fs[1:] < 0.0, False)
-    for i in np.flatnonzero(zero | change):
-        if zero[i]:
-            yield float(xs[i])
-            continue
-        yield _bisect(fun, float(xs[i]), float(xs[i + 1]), float(fs[i]),
-                      tol_x)
+def _point_roots(xs, hits, fun, tol_x):
+    """`_hit_roots` for the hits of one cell, each bracket bisected by
+    `_bisect` with fun evaluating at one Python float."""
+    _, i, f_i, zero = hits
+    return [float(xs[j]) if z
+            else _bisect(fun, float(xs[j]), float(xs[j + 1]), f, tol_x)
+            for j, f, z in zip(i.tolist(), f_i.tolist(), zero.tolist())]
 
 
 def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     """All force-balance roots in the open trap interval, ascending.
 
-    Scan the N_SCAN-point grid at once, bisect every sign change down to
-    BISECT_REL_TOL of the interval width.
+    `force_balance` evaluates the N_SCAN-point grid at once, the hits
+    are those of `_scan_hits` on one cell, and every sign change is
+    bisected on Python floats down to BISECT_REL_TOL of the interval
+    width.
     """
-    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
-    xs = np.linspace(-half, half, N_SCAN)
-    return list(_grid_roots(force_balance(xs, derived, delta0, c0), xs,
-                            _balance_at(derived, delta0, c0),
-                            BISECT_REL_TOL * (2.0 * half)))
+    xs, tol_x = _scan_grid(derived)
+    hits = _scan_hits(
+        lambda rows: force_balance(xs, derived, delta0, c0)[None], 1)
+    balance, k, a_q = _balance(derived), derived.k, derived.A_q
+    cos, sin = math.cos, math.sin
+
+    def fun(x):
+        return balance(x, cos(k * x) ** 2, sin(2.0 * k * x), delta0, c0, a_q)
+
+    return _point_roots(xs, hits, fun, tol_x)
 
 
 def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
@@ -286,7 +318,7 @@ def _bisect_all(fun, a, b, fa, tol_x):
 
     fun(x, idx) evaluates at x the functions of brackets idx.  Every
     bracket takes the scalar loop's steps: mid = 0.5 (a + b), an exact
-    zero ends it at mid, the fa * fm < 0 test picks the half, and it
+    zero ends it at mid, the signs of fa and fm pick the half, and it
     ends at 0.5 (a + b) once b - a <= tol_x.
     """
     root = 0.5 * (a + b)
@@ -295,7 +327,7 @@ def _bisect_all(fun, a, b, fa, tol_x):
     while idx.size:
         mid = 0.5 * (a + b)
         fm = fun(mid, idx)
-        left = fa * fm < 0.0
+        left = (fa < 0.0) & (fm > 0.0) | (fa > 0.0) & (fm < 0.0)
         b = np.where(left, mid, b)
         a = np.where(left, a, mid)
         fa = np.where(left, fa, fm)
@@ -309,78 +341,54 @@ def _bisect_all(fun, a, b, fa, tol_x):
 def _pow_cos2(kx):
     """cos(kx)^2 as the point path's bisection forms it for a scalar x.
 
-    There the bisection runs on Python floats (`_balance_at`,
-    `_mismatch_at`), whose `** 2` is libm pow; that is an ulp away from
-    the array square x * x on some arguments, so the lock-step bisections
-    square each cosine as a Python float too.
+    There the bisection runs on Python floats, whose `** 2` is libm pow;
+    that is an ulp away from the array square x * x on some arguments,
+    so the lock-step bisections square each cosine as a Python float too.
     """
     return np.array([v ** 2 for v in np.cos(kx).tolist()])
 
 
-def _scan_hits(block, n_cells):
-    """The grid zeros and sign changes of n_cells functions on one grid.
-
-    block(rows) evaluates the functions of the cells in the slice rows on
-    the whole grid, as a [cells, grid] array; it is called for SCAN_CHUNK
-    cells at a time, which bounds the temporaries.  Returns the cell, the
-    grid index i, the value there and the exact-zero flag of every grid
-    zero and of every sign change between i and i + 1, as flat arrays
-    ordered by cell and then by i.
-    """
-    hits = []
-    for first in range(0, n_cells, SCAN_CHUNK):
-        fs = block(slice(first, first + SCAN_CHUNK))
-        zero = fs == 0.0
-        change = np.zeros_like(zero)
-        change[:, :-1] = fs[:, :-1] * fs[:, 1:] < 0.0
-        cell, i = np.divmod(np.flatnonzero(zero | change), fs.shape[1])
-        hits.append((cell + first, i, fs[cell, i], zero[cell, i]))
-    return (np.concatenate(v) for v in zip(*hits))
-
-
-def _hit_roots(xs, cell, i, f_i, zero, fun, tol_x):
-    """The root at each hit `_scan_hits` returns on the ascending grid xs.
+def _hit_roots(xs, hits, fun, tol_x, n_cells):
+    """The roots at the hits `_scan_hits` returns on the ascending grid
+    xs, as one ascending list per cell.
 
     A grid zero is its own root; the brackets [xs[i], xs[i + 1]] of the
     sign changes are bisected in lock step from f_i, with fun(x, cells)
     evaluating the functions of the given cells at x.
     """
+    cell, i, f_i, zero = hits
     found = xs[i]
     bracket = np.flatnonzero(~zero)
     lo = i[bracket]
     found[bracket] = _bisect_all(lambda x, idx: fun(x, cell[bracket[idx]]),
                                  xs[lo], xs[lo + 1], f_i[bracket], tol_x)
-    return found
+    roots = [[] for _ in range(n_cells)]
+    for c, x in zip(cell.tolist(), found.tolist()):
+        roots[c].append(x)
+    return roots
 
 
 def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
     """`scan_roots` for cells that differ only in delta0, c0 and A_q.
 
-    The grid's sin(2kx) and g cos^2(kx) are evaluated once; the force
+    The grid's cos^2(kx) and sin(2kx) are evaluated once; the force
     balance of SCAN_CHUNK cells at a time is evaluated on the grid, and
     every bracket of every cell is bisected in lock step.  Returns one
     ascending root list per cell, equal to what `scan_roots` returns.
     """
-    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
-    xs = np.linspace(-half, half, N_SCAN)
-    g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
-    sin_2kx = np.sin(2.0 * derived.k * xs)
-    cell, i, f_i, zero = _scan_hits(
-        lambda rows: _balance(xs, g_cos2, sin_2kx, derived, delta0[rows, None],
-                              c0[rows, None], a_q[rows, None]),
+    xs, tol_x = _scan_grid(derived)
+    k, balance = derived.k, _balance(derived)
+    cos2, sin_2kx = np.cos(k * xs) ** 2, np.sin(2.0 * k * xs)
+    hits = _scan_hits(
+        lambda rows: balance(xs, cos2, sin_2kx, delta0[rows, None],
+                             c0[rows, None], a_q[rows, None]),
         len(delta0))
 
-    def balance(x, at):
-        return _balance(x, derived.g * _pow_cos2(derived.k * x),
-                        np.sin(2.0 * derived.k * x), derived, delta0[at],
-                        c0[at], a_q[at])
+    def bisected(x, at):
+        return balance(x, _pow_cos2(k * x), np.sin(2.0 * k * x), delta0[at],
+                       c0[at], a_q[at])
 
-    found = _hit_roots(xs, cell, i, f_i, zero, balance,
-                       BISECT_REL_TOL * (2.0 * half))
-    roots = [[] for _ in delta0]
-    for c, x in zip(cell.tolist(), found.tolist()):
-        roots[c].append(x)
-    return roots
+    return _hit_roots(xs, hits, bisected, tol_x, len(delta0))
 
 
 def _shared(cells, names):
@@ -450,28 +458,16 @@ def solve_xs(derived: DerivedParams, delta0: float,
     return solve_model(derived, delta0, c0).op
 
 
-def _mismatch(g_cos2, cos_2kx, derived: DerivedParams, delta0):
-    """The cleared resonance mismatch from g cos^2(kx) and cos(2kx), with
-    the same per-element arithmetic as `_mismatch_at`; broadcasts over
-    cells."""
-    delta = delta0 + g_cos2
-    lhs = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
-           * derived.E_drive ** 2 * cos_2kx
-           / (derived.kappa ** 2 + 4.0 * delta * delta))
-    return lhs - derived.mass * delta * delta
+def _mismatch(derived: DerivedParams):
+    """The cleared resonance mismatch, mismatch(cos^2(kx), cos(2kx),
+    delta0), formed and evaluated like `_balance`."""
+    lhs_scale = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+                 * derived.E_drive ** 2)
+    kappa2, mass = derived.kappa ** 2, derived.mass
 
-
-def _mismatch_at(derived: DerivedParams, delta0: float):
-    """`_mismatch` at one Python float x, on Python floats, bit for bit;
-    the x-independent factors are formed once."""
-    g, k, mass = derived.g, derived.k, derived.mass
-    lhs_scale = 8.0 * CODATA2018.hbar * g * k ** 2 * derived.E_drive ** 2
-    kappa2 = derived.kappa ** 2
-    cos = math.cos
-
-    def mismatch(x):
-        delta = delta0 + g * cos(k * x) ** 2
-        return (lhs_scale * cos(2.0 * k * x) / (kappa2 + 4.0 * delta * delta)
+    def mismatch(cos2, cos_2kx, delta0):
+        delta = _detuning(derived, delta0, cos2)
+        return (lhs_scale * cos_2kx / (kappa2 + 4.0 * delta * delta)
                 - mass * delta * delta)
     return mismatch
 
@@ -480,18 +476,6 @@ def _resonance_inputs(derived: DerivedParams, c0: float) -> None:
     if c0 == 0.0 or derived.q_mcp == 0.0:
         raise NoResonantSolution(
             "resonance matching needs C0 != 0 and a nonzero bound charge")
-
-
-def _resonance_grid(derived: DerivedParams):
-    """The ascending scan grid on [0, pi/4k) and the bisection tolerance.
-
-    The mismatch is even in x, bit for bit, so both signs of C0 scan this
-    half-grid; `_resonant_plan` mirrors the root onto the half-interval
-    whose sign makes the ring charge positive.
-    """
-    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
-    return (np.linspace(0.0, half, N_SCAN_RESONANT),
-            BISECT_REL_TOL * (2.0 * half))
 
 
 def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
@@ -510,7 +494,7 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
     x_s = -x_root if c0 > 0.0 else x_root
     hbar = CODATA2018.hbar
     k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
-    delta = delta0 + g * np.cos(k * x_s) ** 2
+    delta = _detuning(derived, delta0, np.cos(k * x_s) ** 2)
     if delta <= 0.0:
         raise NoResonantSolution(
             f"effective detuning {delta:.3e} not on the stable sideband")
@@ -527,6 +511,26 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
         f"resonant point at delta0 = {delta0:.6e} is not Hurwitz"))
 
 
+def _resonance_hits(derived: DerivedParams, delta0):
+    """The half-grid, its tolerance, the mismatch, and the `_scan_hits`
+    hit of each cell's resonance root, for cells differing in delta0.
+
+    The grid's cos^2(kx) and cos(2kx) are evaluated once.  A cell's
+    first hit other than the grid zero x = 0 is its own; a cell without
+    one has no hit.
+    """
+    xs, tol_x = _scan_grid(derived, resonant=True)
+    k, mismatch = derived.k, _mismatch(derived)
+    cos2, cos_2kx = np.cos(k * xs) ** 2, np.cos(2.0 * k * xs)
+    cell, i, f_i, zero = _scan_hits(
+        lambda rows: mismatch(cos2, cos_2kx, delta0[rows, None]),
+        len(delta0))
+    taken = ~(zero & (i == 0))
+    cell, first = np.unique(cell[taken], return_index=True)
+    hits = (cell, *(v[taken][first] for v in (i, f_i, zero)))
+    return xs, tol_x, mismatch, hits
+
+
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
                                c0: float) -> dynamics.StateSpaceModel:
     """Ring charge putting the effective detuning on the mechanical sideband.
@@ -539,22 +543,24 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
 
     The condition is even in x, so the mismatch is evaluated at once on
     the ascending grid from x = 0 outward, its first grid root other
-    than x = 0 itself is taken, and `op.x_s` is that root negated for
-    C0 > 0.  Returns the screened model at that point; its `derived`
-    carries the solved `ring_charge` and `A_q` and the damping at
-    `op.omega_m`.
+    than x = 0 itself is taken (`_resonance_hits` on one cell), and
+    `op.x_s` is that root negated for C0 > 0.  Returns the screened
+    model at that point; its `derived` carries the solved `ring_charge`
+    and `A_q` and the damping at `op.omega_m`.
 
     This is the point path; `solve_resonant_models` solves a grid of
     cells with the same results.
     """
     _resonance_inputs(derived, c0)
-    xs, tol_x = _resonance_grid(derived)
-    roots = _grid_roots(
-        _mismatch(derived.g * np.cos(derived.k * xs) ** 2,
-                  np.cos(2.0 * derived.k * xs), derived, delta0),
-        xs, _mismatch_at(derived, delta0), tol_x)
-    pairs, end_error = _resonant_plan(
-        derived, delta0, c0, next((x for x in roots if x != 0.0), None))
+    xs, tol_x, mismatch, hits = _resonance_hits(derived, np.array([delta0]))
+    k, cos = derived.k, math.cos
+
+    def fun(x):
+        return mismatch(cos(k * x) ** 2, cos(2.0 * k * x), delta0)
+
+    roots = _point_roots(xs, hits, fun, tol_x)
+    pairs, end_error = _resonant_plan(derived, delta0, c0,
+                                      roots[0] if roots else None)
     return _screen((dynamics.build_model(op, d) for op, d in pairs),
                    end_error, delta0, True)
 
@@ -563,30 +569,17 @@ def _resonance_roots(derived: DerivedParams, delta0):
     """The half-grid root `solve_resonant_ring_charge` takes, for cells
     that differ only in delta0; None where it finds none.
 
-    The grid's g cos^2(kx) and cos(2kx) are evaluated once and the
-    mismatch of SCAN_CHUNK cells at a time on the grid.  A cell's first
-    grid zero or sign change other than the grid zero x = 0 is its root;
-    the brackets of all cells are bisected in lock step.
+    The hits are those of `_resonance_hits`; the brackets of all cells
+    are bisected in lock step.
     """
-    xs, tol_x = _resonance_grid(derived)
-    g_cos2 = derived.g * np.cos(derived.k * xs) ** 2
-    cos_2kx = np.cos(2.0 * derived.k * xs)
-    cell, i, f_i, zero = _scan_hits(
-        lambda rows: _mismatch(g_cos2, cos_2kx, derived, delta0[rows, None]),
-        len(delta0))
-    taken = ~(zero & (i == 0))
-    cell, first = np.unique(cell[taken], return_index=True)
-    i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
+    xs, tol_x, mismatch, hits = _resonance_hits(derived, delta0)
+    k = derived.k
 
-    def mismatch(x, at):
-        return _mismatch(derived.g * _pow_cos2(derived.k * x),
-                         np.cos(2.0 * derived.k * x), derived, delta0[at])
+    def bisected(x, at):
+        return mismatch(_pow_cos2(k * x), np.cos(2.0 * k * x), delta0[at])
 
-    roots = _hit_roots(xs, cell, i, f_i, zero, mismatch, tol_x)
-    found = [None] * len(delta0)
-    for c, x in zip(cell.tolist(), roots.tolist()):
-        found[c] = x
-    return found
+    return [roots[0] if roots else None for roots in
+            _hit_roots(xs, hits, bisected, tol_x, len(delta0))]
 
 
 def solve_resonant_models(cells):
@@ -640,7 +633,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     x0, p0, a0 = initial_state
     a0 = complex(a0)
 
-    a_s0 = steady_amplitude(derived, delta0 + derived.g)
+    a_s0 = steady_amplitude(derived, _detuning(derived, delta0, 1.0))
     omega_est = mechanical_frequency(derived, a_s0, 0.0)
     omega_ref = omega_est if omega_est > 0.0 else derived.kappa
     dt = min(0.01 / derived.kappa, 0.01 / omega_ref)

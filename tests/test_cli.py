@@ -428,12 +428,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, argv, message", [
         ("detuning_over_kappa", "1e150", ["steady-state"],
-         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large to "
-         "square (|Delta0| + g)^2"),
+         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large for "
+         "4 (|Delta0| + g)^2"),
         ("detuning_over_kappa", "1e150",
          ["steady-state", "--ring-mode", "resonant"],
-         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large to "
-         "square (|Delta0| + g)^2"),
+         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large for "
+         "4 (|Delta0| + g)^2"),
         ("ring_field_v_per_m", "1e300", ["steady-state"],
          "force-balance bound 1.802e+276 N cannot be squared "
          "(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius)"),
@@ -456,6 +456,77 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("changes, argv, code, message, csv_error", [
+        # resonant detunings of 1e100-1e148 kappa: the mismatch is finite
+        # but the product of neighbouring values is not
+        ({"detuning_over_kappa": "1e120"},
+         ["steady-state", "--ring-mode", "resonant"], 2,
+         "numerical error: resonance condition has no root", None),
+        ({"detuning_over_kappa": "1e120"},
+         ["spectrum", "--ring-mode", "resonant", "--grid-n", "5"], 2,
+         "numerical error: resonance condition has no root", None),
+        ({"detuning_over_kappa": "1e120"}, ["steady-state"], 2,
+         "numerical error: no force-balance root", None),
+        ({}, ["entanglement", "--ring-mode", "resonant", "--grid-min",
+              "1e120", "--grid-max", "1e120", "--grid-n", "1"], 2,
+         "numerical error: no sweep point", "NoResonantSolution"),
+        # the decoupled c0 = 0 column: its quartic coefficients overflow
+        ({}, ["stability-map", "--grid-min", "1e120", "--grid-max", "1e120",
+              "--grid-n", "1", "--p2-n", "1"], 0, None,
+         "NumericalError: characteristic quartic"),
+        # (|Delta0| + g)^2 is finite, 4 Delta(x)^2 is not
+        ({"detuning_over_kappa": "1.2e148"},
+         ["steady-state", "--ring-mode", "resonant"], 1,
+         "config error: detuning_over_kappa gives", None),
+        ({"detuning_over_kappa": "1.2e148"}, ["steady-state"], 1,
+         "config error: detuning_over_kappa gives", None),
+        ({"detuning_over_kappa": "1.2e148"}, ["spectrum", "--grid-n", "5"],
+         1, "config error: detuning_over_kappa gives", None),
+        # detuning grids pass the same bound as a configured detuning
+        ({}, ["entanglement", "--grid-min", "1e150", "--grid-max", "1e150",
+              "--grid-n", "1"], 1,
+         "config error: detuning_over_kappa gives", None),
+        ({}, ["entanglement", "--ring-mode", "resonant", "--grid-min",
+              "1e150", "--grid-max", "1e150", "--grid-n", "1"], 1,
+         "config error: detuning_over_kappa gives", None),
+        ({}, ["stability-map", "--grid-min", "1e150", "--grid-max", "1e150",
+              "--grid-n", "1", "--p2-n", "1"], 1,
+         "config error: detuning_over_kappa gives", None),
+        # finite constants, but the quartic scale's fourth power overflows
+        ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
+         ["steady-state"], 2,
+         "numerical error: characteristic quartic of scale 3.398e+85 rad/s "
+         "overflows", None),
+        ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
+         ["spectrum", "--grid-n", "5"], 2,
+         "numerical error: characteristic quartic", None),
+        ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
+         ["entanglement", "--grid-n", "3"], 2,
+         "numerical error: no sweep point",
+         "NumericalError: characteristic quartic"),
+        ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
+         ["stability-map", "--grid-n", "3", "--p2-n", "3"], 0, None,
+         "NumericalError: characteristic quartic"),
+    ])
+    def test_extreme_input_exits_cleanly(self, tmp_path, capsys, changes,
+                                         argv, code, message, csv_error):
+        # in process, so any RuntimeWarning is an error (pytest's filter);
+        # a failure is one stderr line, and a grid records its cells' errors
+        text = FIG1_TEXT
+        for key, value in changes.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+        path, out = tmp_path / "extreme.cfg", tmp_path / "out.csv"
+        path.write_text(text)
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == ""
+        else:
+            assert err.startswith(message) and err.count("\n") == 1
+        if csv_error is not None:
+            assert csv_error in out.read_text()
 
     @pytest.mark.parametrize("old, new, field", [
         ("temperature_k = 300",

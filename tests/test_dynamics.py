@@ -1,8 +1,10 @@
 """Drift matrix structure and the two stability routes."""
 import numpy as np
+import pytest
 
 from levring.dynamics import (build_model, build_models,
                               char_poly_coefficients, drift_eigenvalues)
+from levring.errors import NumericalError
 from levring.pipeline import solve_point
 
 from conftest import (KAPPA_SCALE, random_model, reference_config,
@@ -218,3 +220,26 @@ def test_batched_models_equal_single_builds():
             assert getattr(model.verdict, field) == getattr(want.verdict,
                                                             field)
     assert not np.any(got[-1].verdict.eigenvalues)
+
+
+def test_overflowing_quartic_is_numerical_error():
+    # finite operating points whose quartic scale rho has a fourth power
+    # past the float range, or whose coefficient W c overflows: build_model
+    # raises a NumericalError, and the batch records the same error in
+    # those entries while the others keep their bits
+    good = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
+    bad = [synthetic_op(1e80, 1e80, 0.8 * KAP, -0.3 * KAP),
+           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e153, 0.0)]
+    derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
+    messages = [f"characteristic quartic of scale {rho} rad/s overflows"
+                for rho in ("1.000e+80", "inf")]
+    for op, message in zip(bad, messages):
+        with pytest.raises(NumericalError) as err:
+            build_model(op, derived)
+        assert str(err.value) == message
+    got = list(build_models([good, bad[0], good, bad[1]], [derived] * 4))
+    want = build_model(good, derived).verdict.eigenvalues
+    for model in got[::2]:
+        assert np.array_equal(model.verdict.eigenvalues, want)
+    assert [str(e) for e in got[1::2]] == messages
+    assert all(type(e) is NumericalError for e in got[1::2])

@@ -111,13 +111,16 @@ class TestDeriveConstants:
         (dict(detuning_over_kappa=1e150), "detuning_over_kappa"),
         (dict(detuning_over_kappa=None, detuning_delta0=-1e160),
          "detuning_delta0"),
+        # (|Delta0| + g)^2 is finite, 4 Delta(x)^2 is not
+        (dict(detuning_over_kappa=None, detuning_delta0=1e154),
+         "detuning_delta0"),
     ])
     def test_unsquarable_detuning_is_config_error(self, changes, field):
         cfg = reference_config(**changes)
         with pytest.raises(ConfigInvalid, match=rf"^{field} gives Delta0 = "):
             delta0_from_config(cfg, derive_constants(cfg))
-        cfg = reference_config(detuning_over_kappa=None, detuning_delta0=1e154)
-        assert delta0_from_config(cfg, derive_constants(cfg)) == 1e154
+        cfg = reference_config(detuning_over_kappa=None, detuning_delta0=6e153)
+        assert delta0_from_config(cfg, derive_constants(cfg)) == 6e153
 
     def test_a_q_vanishes_without_charge(self):
         assert derive_constants(reference_config(mcp_epsilon=0.0)).A_q == 0.0

@@ -3,6 +3,7 @@ import collections
 import contextlib
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -281,15 +282,41 @@ class TestSolveXs:
                           cfg.ring_offset_c0))
         for derived, delta0, c0 in cases:
             k, half = derived.k, np.pi / (4.0 * derived.k)
-            balance = steady_state._balance_at(derived, delta0, c0)
-            mismatch = steady_state._mismatch_at(derived, delta0)
+            balance = steady_state._balance(derived)
+            mismatch = steady_state._mismatch(derived)
             for x in rng.uniform(-half, half, 400).tolist():
                 want = float(force_balance(x, derived, delta0, c0))
-                assert balance(x).hex() == want.hex()
-                want = float(steady_state._mismatch(
-                    derived.g * np.cos(k * x) ** 2, np.cos(2.0 * k * x),
-                    derived, delta0))
-                assert mismatch(x).hex() == want.hex()
+                got = balance(x, math.cos(k * x) ** 2, math.sin(2.0 * k * x),
+                              delta0, c0, derived.A_q)
+                assert got.hex() == want.hex()
+                want = float(mismatch(np.cos(k * x) ** 2,
+                                      np.cos(2.0 * k * x), delta0))
+                got = mismatch(math.cos(k * x) ** 2, math.cos(2.0 * k * x),
+                               delta0)
+                assert got.hex() == want.hex()
+
+    def test_sign_tests_survive_overflow_and_underflow(self):
+        # the hit rule and both bisections compare signs: scaled by 1e-300
+        # or 1e300, where products of neighbouring values underflow to
+        # zero or overflow, a line and its negation give the hits and the
+        # root bits they give at scale 1
+        xs, sign = np.linspace(0.0, 1.0, 11), np.array([1.0, -1.0])
+        results = []
+        for scale in (1e-300, 1.0, 1e300):
+            def line(x, idx=0, scale=scale):
+                return sign[idx] * scale * (x - 0.37)
+
+            cell, i, _, zero = steady_state._scan_hits(
+                lambda rows: line(xs, np.arange(2)[rows, None]), 2)
+            point = steady_state._bisect(line, 0.3, 0.4, line(0.3), 1e-15)
+            lock_step = steady_state._bisect_all(
+                line, np.full(2, 0.3), np.full(2, 0.4),
+                line(0.3, np.arange(2)), 1e-15)
+            results.append((cell.tolist(), i.tolist(), zero.tolist(),
+                            point.hex(), [x.hex() for x in lock_step]))
+        assert results[0][:3] == ([0, 1], [3, 3], [False, False])
+        assert results[1][4] == [results[1][3]] * 2
+        assert results[0] == results[1] == results[2]
 
     def test_scan_roots_mirror_in_c0(self):
         # f(-x; -C0) = -f(x; C0): the roots are negated and reversed, up to
@@ -634,12 +661,11 @@ class TestSolveResonantModels:
         for cfg in cfgs:
             derived = derive_constants(cfg)
             k, delta0 = derived.k, np.linspace(0.05, 1.2, 20) * derived.kappa
-            xs, _ = steady_state._resonance_grid(derived)
+            xs, _ = steady_state._scan_grid(derived, resonant=True)
 
             def mismatch(x):
-                return steady_state._mismatch(
-                    derived.g * np.cos(k * x) ** 2, np.cos(2.0 * k * x),
-                    derived, delta0[:, None])
+                return steady_state._mismatch(derived)(
+                    np.cos(k * x) ** 2, np.cos(2.0 * k * x), delta0[:, None])
 
             assert mismatch(-xs).tobytes() == mismatch(xs).tobytes()
             assert (steady_state._pow_cos2(k * -xs).tobytes()
