@@ -516,8 +516,8 @@ def _resonance_hits(derived: DerivedParams, delta0):
     hit of each cell's resonance root, for cells differing in delta0.
 
     The grid's cos^2(kx) and cos(2kx) are evaluated once.  A cell's
-    first hit other than the grid zero x = 0 is its own; a cell without
-    one has no hit.
+    hit is its first one other than the grid zero x = 0; a cell without
+    such a hit is left out.
     """
     xs, tol_x = _scan_grid(derived, resonant=True)
     k, mismatch = derived.k, _mismatch(derived)
