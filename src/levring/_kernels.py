@@ -28,7 +28,7 @@ JIT_ENABLED = False  # nothing is compiled; kept for levbench provenance
 
 
 def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
-                     delta0, g, E, A_q, c0, R):
+                     delta0, slope, E, A_q, c0, R):
     """Advance the classical mean field by n_steps of fixed-step RK4.
 
     state = (x, p, re a, im a).  Returns a tuple of ten floats: the
@@ -36,9 +36,9 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     p_sum, re_a_sum, im_a_sum) used by the convergence logic in the
     caller.
 
-    The right-hand side, with s = C0 + x and
-    Delta(x) = Delta0 + g cos^2(kx), is the linearised model's optical
-    gradient, ring and viscous forces and the driven, damped field:
+    The right-hand side, with s = C0 + x and the caller's slope fixing the
+    sign of Delta(x) = Delta0 + slope cos^2(kx), is the linearised model's
+    optical gradient, ring and viscous forces and the driven, damped field:
 
         dx/dt = p / mass
         dp/dt = -hbar g k sin(2kx) |a|^2 - A_q s [1 + (s/R)^2]^(-3/2)
@@ -54,9 +54,9 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     side evaluated per call does.
     """
     x, p, ar, ai = (float(v) for v in state)
-    dt, mass, gamma, hbar_g, k, kappa, delta0, g, E, A_q, c0, R = (
-        float(v) for v in (dt, mass, gamma, hbar_g, k, kappa, delta0, g, E,
-                           A_q, c0, R))
+    dt, mass, gamma, hbar_g, k, kappa, delta0, slope, E, A_q, c0, R = (
+        float(v) for v in (dt, mass, gamma, hbar_g, k, kappa, delta0, slope,
+                           E, A_q, c0, R))
     sin, cos = math.sin, math.cos
     opt = -hbar_g * k
     two_k = 2.0 * k
@@ -69,7 +69,7 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     for _ in range(n_steps):
         s = c0 + x
         u = s / R
-        h = delta0 + g * cos(k * x) ** 2
+        h = delta0 + slope * cos(k * x) ** 2
         k1x = p / mass
         k1p = (opt * sin(two_k * x) * (ar * ar + ai * ai)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p)
@@ -82,7 +82,7 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai2 = ai + half * k1i
         s = c0 + x2
         u = s / R
-        h = delta0 + g * cos(k * x2) ** 2
+        h = delta0 + slope * cos(k * x2) ** 2
         k2x = p2 / mass
         k2p = (opt * sin(two_k * x2) * (ar2 * ar2 + ai2 * ai2)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p2)
@@ -95,7 +95,7 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai3 = ai + half * k2i
         s = c0 + x3
         u = s / R
-        h = delta0 + g * cos(k * x3) ** 2
+        h = delta0 + slope * cos(k * x3) ** 2
         k3x = p3 / mass
         k3p = (opt * sin(two_k * x3) * (ar3 * ar3 + ai3 * ai3)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p3)
@@ -108,7 +108,7 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai4 = ai + dt * k3i
         s = c0 + x4
         u = s / R
-        h = delta0 + g * cos(k * x4) ** 2
+        h = delta0 + slope * cos(k * x4) ** 2
         k4x = p4 / mass
         k4p = (opt * sin(two_k * x4) * (ar4 * ar4 + ai4 * ai4)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p4)

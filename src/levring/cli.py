@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -154,8 +155,8 @@ def _emit_csv(path, config_line, columns, rows):
         write_csv(stream, config_line, columns, rows)
 
 
-def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
-    """Minimal line chart: axes, polylines, optional dashed baseline rule.
+def write_svg(path, x, curves, xlabel, ylabel, baseline):
+    """Minimal line chart: axes, polylines and a dashed baseline rule.
 
     Non-finite y values are missing points: the axes are scaled over the
     finite ones, and a curve's polyline breaks at each missing point.
@@ -163,9 +164,8 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
     width, height = 720.0, 460.0
     ml, mr, mt, mb = 64.0, 16.0, 20.0, 44.0
     xs = np.asarray(x, dtype=float)
-    ys_all = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
-    if baseline is not None:
-        ys_all = np.append(ys_all, baseline)
+    ys_all = np.append(np.concatenate(
+        [np.asarray(c[1], dtype=float) for c in curves]), baseline)
     ys_all = ys_all[np.isfinite(ys_all)]
     if not ys_all.size:
         ys_all = np.zeros(1)
@@ -204,10 +204,9 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline=None):
     parts.append(f'<text x="14" y="{(mt + height - mb) / 2:.1f}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 14 '
                  f'{(mt + height - mb) / 2:.1f})">{ylabel}</text>')
-    if baseline is not None:
-        parts.append(f'<line x1="{ml:.1f}" y1="{py(baseline):.1f}" '
-                     f'x2="{width - mr:.1f}" y2="{py(baseline):.1f}" '
-                     f'stroke="#444" stroke-dasharray="5 4"/>')
+    parts.append(f'<line x1="{ml:.1f}" y1="{py(baseline):.1f}" '
+                 f'x2="{width - mr:.1f}" y2="{py(baseline):.1f}" '
+                 f'stroke="#444" stroke-dasharray="5 4"/>')
     for i, (label, ys) in enumerate(curves):
         ys = np.asarray(ys, dtype=float)
         color = colors[i % len(colors)]
@@ -287,8 +286,7 @@ def cmd_steady_state(args) -> int:
         try:
             mf = integrate_mean_field(
                 derived, delta0, cfg.ring_offset_c0,
-                initial_state=(x0, 0.0, a0), t_max=4000.0 / kap,
-                gamma=gamma_boost)
+                initial_state=(x0, 0.0, a0), gamma=gamma_boost)
             dx = abs(mf.x_bar - op.x_s)
             ok = dx < 1e-4 * wavelength
             print(f"mean-field check (gamma boosted to {gamma_boost!r}): "
@@ -410,7 +408,16 @@ def cmd_stability_map(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the validation code (2 means numerical failure)."""
+    """Usage errors exit 1, the validation code (2 means numerical failure).
+
+    A negative number in exponent notation (`--grid-min -5e-1`) is a
+    value, not an option: argparse's own pattern has no exponent.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

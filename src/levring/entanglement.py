@@ -123,6 +123,11 @@ def _kron_sum(A: np.ndarray) -> np.ndarray:
     return M.reshape(A.shape[:-2] + (16, 16))
 
 
+def _solve_refined(model: StateSpaceModel, M: np.ndarray) -> np.ndarray:
+    """Solve M vec(V) = -vec(D), M the model's Kronecker sum, and refine."""
+    return _refined(model, M, _solve(M, -model.D.reshape(-1)).reshape(4, 4))
+
+
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
     """Stationary covariance of a stable model; symmetrised after solve.
 
@@ -131,8 +136,7 @@ def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
     error = _instability(model)
     if error is not None:
         raise error
-    M = _kron_sum(model.A)
-    return _refined(model, M, _solve(M, -model.D.reshape(-1)).reshape(4, 4))
+    return _solve_refined(model, _kron_sum(model.A))
 
 
 def lyapunov_solves(models):
@@ -143,7 +147,8 @@ def lyapunov_solves(models):
     solved in one stacked `np.linalg.solve`; each solution's residual is
     then checked, and refined if it misses the target, as in the point
     path.  If any system is singular, the stacked solve fails as a whole
-    and every model takes the point path.
+    and each system is solved and refined on its own, as the point path
+    does.
     """
     out = [_instability(model) for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
@@ -155,7 +160,7 @@ def lyapunov_solves(models):
         except np.linalg.LinAlgError:
             V = None
         for i, b in enumerate(stable):
-            out[b] = (caught(lyapunov_solve, models[b]) if V is None
+            out[b] = (caught(_solve_refined, models[b], M[i]) if V is None
                       else caught(_refined, models[b], M[i], V[i]))
     return out
 

@@ -271,7 +271,10 @@ def _sources(cfg: SystemConfig, *names) -> str:
 def _check_balance_bound(cfg: SystemConfig, constants) -> None:
     """Raise ConfigInvalid unless the bound on the force balance over the
     trap interval, |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, has a
-    finite square: a root scan multiplies neighbouring values of it.
+    finite square.  The root scan compares signs and never squares the
+    balance; the check makes inputs this large a config error naming
+    their fields, where the solvers would end in a numerical error (no
+    force-balance root, or an overflowing characteristic quartic).
 
     The fields named are those of A_q, and those of the optical term
     too unless the ring term alone overflows.  A kappa of zero (the

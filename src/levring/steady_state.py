@@ -77,8 +77,8 @@ class MeanFieldResult:
 
 def _detuning(derived: DerivedParams, delta0, cos2):
     """Delta(x) = Delta0 + g cos^2(kx) in rad/s from cos2 = cos^2(kx), the
-    one site of its sign here (`mean_field_chunk` writes it per RK4
-    stage).  The caller squares the cosine (see `_pow_cos2`)."""
+    one site of its sign (the mean-field kernel takes its slope from here).
+    The caller squares the cosine (see `_pow_cos2`)."""
     return delta0 + derived.g * cos2
 
 
@@ -646,7 +646,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     n_windows = max(2, int(math.ceil(t_max / (window_steps * dt))))
 
     state = (x0, p0, a0.real, a0.imag)
-    hbar_g = CODATA2018.hbar * derived.g
+    hbar_g, slope = CODATA2018.hbar * derived.g, _detuning(derived, 0.0, 1.0)
     times, means, amps = [], [], []
     p_mean = 0.0
     a_mean = 0.0 + 0.0j
@@ -656,7 +656,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     for _ in range(n_windows):
         out = mean_field_chunk(state, window_steps, dt, derived.mass, gamma,
                                hbar_g, derived.k, derived.kappa, delta0,
-                               derived.g, derived.E_drive, derived.A_q, c0,
+                               slope, derived.E_drive, derived.A_q, c0,
                                derived.ring_radius)
         state = out[:4]
         x_min, x_max, x_sum, p_sum, ar_sum, ai_sum = out[4:]

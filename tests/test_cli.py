@@ -244,9 +244,31 @@ class TestCommands:
                   "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["entanglement", "--config", str(ROOT / "configs" / "fig2.cfg"),
+         "--grid-min", "-5e-1", "--grid-max", "0.5", "--grid-n", "5"],
+        ["stability-map", "--config", str(ROOT / "configs" / "fig1.cfg"),
+         "--grid-min", "-1e0", "--grid-n", "3", "--p2-n", "3"],
+    ], ids=["entanglement", "stability-map"])
+    def test_negative_exponent_bound_as_separate_argument(self, tmp_path,
+                                                           argv):
+        # `--grid-min -5e-1` is a value, exactly as `--grid-min=-5e-1`
+        i = argv.index("--grid-min")
+        joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+        runs = []
+        for n, args in enumerate((argv, joined)):
+            out = tmp_path / f"{n}.csv"
+            runs.append((main([*args, "--out", str(out)]), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert f"\n{float(argv[i + 1])!r},".encode() in runs[0][1]
+
     def test_entanglement_csv_determinism(self, tmp_path):
         path = tmp_path / "fig2.cfg"
         path.write_text(FIG1_TEXT.replace("7.25e10", "2.5e11"))
+        # the package from this checkout, installed or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
         outs = []
         for run in ("a", "b"):
             out = tmp_path / f"ent_{run}.csv"
@@ -255,7 +277,7 @@ class TestCommands:
                  "--config", str(path), "--ring-mode", "resonant",
                  "--grid-min", "0.1", "--grid-max", "0.6",
                  "--grid-n", "12", "--out", str(out)],
-                check=True, capture_output=True)
+                check=True, capture_output=True, env=env)
             assert b"RuntimeWarning" not in proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -444,8 +466,9 @@ class TestExitCodes:
     def test_overflowing_square_is_validation_error(self, tmp_path, capsys,
                                                     key, value, argv,
                                                     message):
-        # finite inputs whose squares in the steady state overflow: a
-        # config error, named, before a solver multiplies them
+        # finite inputs with an overflowing square (4 Delta^2 in the steady
+        # state, or the force-balance bound's): a config error naming the
+        # field, not a numerical error from a solver
         path = tmp_path / "bad.cfg"
         path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
                                FIG1_TEXT, flags=re.M))
@@ -590,3 +613,15 @@ class TestExitCodes:
                                  "detuning_over_kappa = 0.3"))
         assert main(["steady-state", "--config", str(path)]) == 2
         assert "numerical error" in capsys.readouterr().err
+
+    def test_negative_resonant_charge_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "near.cfg"
+        path.write_text(re.sub(r"^ring_offset_c0_nm = .*$",
+                               "ring_offset_c0_nm = 20",
+                               (ROOT / "configs" / "fig2.cfg").read_text(),
+                               flags=re.M))
+        assert main(["steady-state", "--config", str(path),
+                     "--ring-mode", "resonant"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: force balance at the resonant point needs a "
+            "negative ring charge\n")

@@ -1,6 +1,7 @@
 """Stationary covariance, logarithmic negativity, detuning sweeps."""
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,26 @@ class TestLogNegativity:
         V[0, 2] = V[2, 0] = 0.9  # correlation stronger than the variances
         with pytest.raises(UnphysicalCovariance):
             log_negativity(V)
+
+    def test_rounding_negative_discriminant_clamps_to_zero(self):
+        # (det B1, det B2, det B3, det V) with sigma^2 - 4 det V at -4e-14:
+        # a rounding error, read as 0, so eta_minus^2 = sigma / 2
+        dets = (0.1, 0.1, 0.0, 0.01 * (1.0 + 1e-12))
+        assert -1e-10 < 0.2 ** 2 - 4.0 * dets[3] < 0.0
+        res = entanglement._negativity(*dets)
+        assert res.sigma == 0.2
+        assert res.eta_minus == math.sqrt(0.1)
+        assert res.E_n == -math.log(2.0 * math.sqrt(0.1))
+
+    @pytest.mark.parametrize("dets, message", [
+        ((0.1, 0.1, 0.0, 0.010001),
+         "sigma^2 - 4 det V = -4.000e-06 < 0: complex eta_minus"),
+        ((-0.1, -0.1, 0.0, 0.001), "eta_minus^2 = -1.949e-01 <= 0"),
+    ], ids=["complex-eta", "negative-eta-squared"])
+    def test_crafted_determinants_rejected(self, dets, message):
+        with pytest.raises(UnphysicalCovariance) as err:
+            entanglement._negativity(*dets)
+        assert str(err.value) == message
 
     def test_physicality_helper(self):
         assert is_physical(np.diag([0.5, 0.5, 0.5, 0.5]))

@@ -100,8 +100,9 @@ class TestDeriveConstants:
     ])
     def test_unsquarable_force_balance_bound_is_config_error(self, changes,
                                                              fields):
-        # every constant is finite, but the root scan's products of
-        # neighbouring force-balance values would overflow
+        # every constant is finite, but the bound's square is not: a
+        # config error naming the fields, not a numerical error from the
+        # solvers (no root, or an overflowing quartic)
         with pytest.raises(ConfigInvalid) as err:
             derive_constants(reference_config(**changes))
         assert str(err.value).startswith("force-balance bound ")

@@ -418,6 +418,20 @@ class TestResonantRing:
         with pytest.raises(NoResonantSolution):
             solve_resonant_ring_charge(derived, 0.3 * derived.kappa, 0.0)
 
+    def test_negative_ring_charge_rejected(self):
+        # at C0 = 20 nm the resonant point lies beyond -C0, where the
+        # force balance needs A_q < 0; both solvers say so
+        cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3,
+                               ring_offset_c0=20e-9)
+        derived = derive_constants(cfg)
+        cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
+        message = "force balance at the resonant point needs a negative ring"
+        with pytest.raises(NoResonantSolution, match=message):
+            solve_resonant_ring_charge(*cell)
+        [error] = solve_resonant_models([cell])
+        assert isinstance(error, NoResonantSolution)
+        assert str(error).startswith(message)
+
 
 def rebuilt_model(cfg, ring_mode):
     """Reference: a second model built after the solve from fresh constants,
@@ -721,6 +735,27 @@ class TestMeanField:
             gamma=0.15 * derived.kappa)
         assert abs(mf.x_bar - op.x_s) < 1e-4 * lam
         assert rel(abs(mf.a_bar), op.a_s) < 1e-4
+
+    def test_one_site_fixes_the_detuning_sign(self, monkeypatch):
+        # with the sign of Delta(x) flipped in `_detuning` alone, fig1's
+        # root and the `steady-state --verify` relaxation still agree:
+        # the mean-field kernel takes its detuning slope from there too
+        cfg = parse_config(str(CONFIG_DIR / "fig1.cfg"))
+        derived = derive_constants(cfg)
+        delta0 = delta0_from_config(cfg, derived)
+        c0 = cfg.ring_offset_c0
+        monkeypatch.setattr(steady_state, "_detuning",
+                            lambda d, delta0, cos2: delta0 - d.g * cos2)
+        model = solve_model(derived, delta0, c0)
+        op, derived = model.op, model.derived
+        assert op.delta_eff == delta0 - derived.g * np.cos(
+            derived.k * op.x_s) ** 2
+        x0 = round(op.x_s * 1e9) / 1e9
+        mf = integrate_mean_field(
+            derived, delta0, c0,
+            initial_state=(x0, 0.0, cavity_steady_field(derived, delta0, x0)),
+            gamma=max(derived.gamma, 0.15 * derived.kappa))
+        assert abs(mf.x_bar - op.x_s) < 1e-4 * cfg.wavelength
 
     def test_undamped_never_converges(self, fig1):
         cfg, derived, delta0 = fig1
