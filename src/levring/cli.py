@@ -322,6 +322,9 @@ def cmd_steady_state(args) -> int:
 
 def cmd_spectrum(args) -> int:
     omega_over_kappa = _grid(args, "grid")
+    if np.any(np.diff(omega_over_kappa) <= 0.0):    # as spectrum_sweep needs
+        raise ValidationError(f"--grid-min {args.grid_min} and --grid-max "
+                              f"{args.grid_max} give no increasing grid")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     sol = solve_point(cfg, ring_mode=args.ring_mode)

@@ -79,6 +79,13 @@ class SystemConfig:
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ConfigInvalid(f"{name} must be strictly positive")
+        if not CODATA2018.kB * self.temperature > 0.0:
+            raise ConfigInvalid(f"temperature {self.temperature} underflows kB T")
+        try:
+            self.ring_radius ** 3       # as the ring's field and spring do
+        except OverflowError:
+            raise ConfigInvalid(f"ring_radius = {self.ring_radius} m "
+                                "overflows when cubed") from None
         if self.gas_pressure < 0.0:
             raise ConfigInvalid("gas_pressure must be non-negative")
         if self.mcp_epsilon < 0.0:
@@ -311,7 +318,9 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     omega_c = CODATA2018.c * k
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
-    kappa = CODATA2018.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse)
+    # nan, rejected below, where the product underflows to 0
+    kappa = CODATA2018.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse
+                                    or math.nan)
     waist = np.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
     V_c = np.pi * waist ** 2 * cfg.cavity_length / 4.0
     g = 3.0 * V_s / (2.0 * V_c) \

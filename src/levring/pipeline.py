@@ -1,6 +1,6 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-The point path (`solve_point`) serves the single-point CLI subcommands.
+`solve_point` serves the single-point CLI subcommands.
 The entanglement sweep solves its rows as one batch (`solve_sweep`): the
 constants are derived once and every row goes to the grid solver of its
 ring mode, `steady_state.solve_models` or
@@ -56,12 +56,9 @@ def solve_point(cfg: SystemConfig,
     _check_ring_mode(ring_mode)
     derived = derive_constants(cfg)
     delta0 = delta0_from_config(cfg, derived)
-    c0 = cfg.ring_offset_c0
-    if ring_mode == "resonant":
-        model = solve_resonant_ring_charge(derived, delta0, c0)
-    else:
-        model = solve_model(derived, delta0, c0)
-    return _solution(model, cfg)
+    solver = (solve_resonant_ring_charge if ring_mode == "resonant"
+              else solve_model)
+    return _solution(solver(derived, delta0, cfg.ring_offset_c0), cfg)
 
 
 def solve_sweep(cfg: SystemConfig, delta0_over_kappa,

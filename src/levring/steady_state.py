@@ -12,18 +12,20 @@ change (robust against the multi-root structure of the transcendental
 balance), then screened for stability of the linearised dynamics.  The
 screen builds the state-space model of each candidate; the solvers
 return the model of the accepted root, so spectra and entanglement read
-the very model that was screened.  A grid of cells, such as a stability
-map or an entanglement sweep, is solved at once by `solve_models`, with
-the same bits as the point path `solve_model`.  Both paths share Delta(x),
-the force balance, the mismatch, the scan grids and the hit rules; they
-differ only in the bisection, `_bisect` on Python floats for one cell
-against `_bisect_all` in lock step for many.
+the very model that was screened.  One orchestration serves a single
+point and a grid of cells, such as a stability map or an entanglement
+sweep: `solve_models`, of which `solve_model` is the one-cell case.
+The cell count alone picks the kernels.  One cell bisects each bracket
+with `_bisect` on Python floats and builds its candidates' models one
+at a time as the screen reaches them; more cells bisect in lock step
+(`_bisect_all`) and find the eigenvalues of every candidate in one
+batched Durand-Kerner run.  Both pairs of kernels give the same bits.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
-frequency (a point path, `solve_resonant_ring_charge`, and its grid
-counterpart, `solve_resonant_models`), and the classical mean-field
-integrator used as an independent dynamical check on the root finder.
+frequency (`solve_resonant_models`, of which `solve_resonant_ring_charge`
+is the one-cell case), and the classical mean-field integrator used as
+an independent dynamical check on the root finder.
 """
 from __future__ import annotations
 
@@ -203,33 +205,10 @@ def _bisect(fun, a, b, fa, tol_x):
     return 0.5 * (a + b)
 
 
-def _point_roots(xs, hits, fun, tol_x):
-    """`_hit_roots` for the hits of one cell, each bracket bisected by
-    `_bisect` with fun evaluating at one Python float."""
-    _, i, f_i, zero = hits
-    return [float(xs[j]) if z
-            else _bisect(fun, float(xs[j]), float(xs[j + 1]), f, tol_x)
-            for j, f, z in zip(i.tolist(), f_i.tolist(), zero.tolist())]
-
-
 def scan_roots(derived: DerivedParams, delta0: float, c0: float):
-    """All force-balance roots in the open trap interval, ascending.
-
-    `force_balance` evaluates the N_SCAN-point grid at once, the hits
-    are those of `_scan_hits` on one cell, and every sign change is
-    bisected on Python floats down to BISECT_REL_TOL of the interval
-    width.
-    """
-    xs, tol_x = _scan_grid(derived)
-    hits = _scan_hits(
-        lambda rows: force_balance(xs, derived, delta0, c0)[None], 1)
-    balance, k, a_q = _balance(derived), derived.k, derived.A_q
-    cos, sin = math.cos, math.sin
-
-    def fun(x):
-        return balance(x, cos(k * x) ** 2, sin(2.0 * k * x), delta0, c0, a_q)
-
-    return _point_roots(xs, hits, fun, tol_x)
+    """All force-balance roots in the open trap interval, ascending:
+    `_scan_cells` on the one cell."""
+    return _scan_cells(derived, *np.array([(delta0, c0, derived.A_q)]).T)[0]
 
 
 def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
@@ -286,10 +265,6 @@ def _screen(models, end_error, delta0: float, screened: bool):
         f"no admissible root at delta0 = {delta0:.6e}")
 
 
-def _decoupled(derived: DerivedParams, c0: float) -> bool:
-    return derived.A_q == 0.0 or c0 == 0.0
-
-
 def solve_model(derived: DerivedParams, delta0: float,
                 c0: float) -> dynamics.StateSpaceModel:
     """Solve the force balance and return the model at the selected root.
@@ -303,14 +278,17 @@ def solve_model(derived: DerivedParams, delta0: float,
     charge) and C0 = 0 yield x_s = 0 exactly; their model is returned
     unscreened, since instability there is a verdict, not an error.
 
-    This is the point path; `solve_models` solves a grid of cells with
-    the same results.
+    The solve is that of `solve_models` on the one cell.
     """
-    decoupled = _decoupled(derived, c0)
-    roots = None if decoupled else scan_roots(derived, delta0, c0)
-    pairs, end_error = _candidates(derived, delta0, c0, roots)
-    return _screen((dynamics.build_model(op, d) for op, d in pairs),
-                   end_error, delta0, not decoupled)
+    return _one_cell(solve_models, (derived, delta0, c0))
+
+
+def _one_cell(solver, cell):
+    """The entry of solver([cell]), raised if it is an error."""
+    outcome, = solver([cell])
+    if isinstance(outcome, LevringError):
+        raise outcome
+    return outcome
 
 
 def _bisect_all(fun, a, b, fa, tol_x):
@@ -339,7 +317,7 @@ def _bisect_all(fun, a, b, fa, tol_x):
 
 
 def _pow_cos2(kx):
-    """cos(kx)^2 as the point path's bisection forms it for a scalar x.
+    """cos(kx)^2 as a one-cell bisection forms it for a scalar x.
 
     There the bisection runs on Python floats, whose `** 2` is libm pow;
     that is an ulp away from the array square x * x on some arguments,
@@ -353,10 +331,16 @@ def _hit_roots(xs, hits, fun, tol_x, n_cells):
     xs, as one ascending list per cell.
 
     A grid zero is its own root; the brackets [xs[i], xs[i + 1]] of the
-    sign changes are bisected in lock step from f_i, with fun(x, cells)
-    evaluating the functions of the given cells at x.
+    sign changes are bisected from f_i.  One cell's are bisected in turn
+    by `_bisect`, with fun(x) evaluating at a Python float; more cells'
+    in lock step by `_bisect_all`, with fun(x, cells) evaluating the
+    functions of the given cells at x.
     """
     cell, i, f_i, zero = hits
+    if n_cells == 1:
+        return [[float(xs[j]) if z
+                 else _bisect(fun, float(xs[j]), float(xs[j + 1]), f, tol_x)
+                 for j, f, z in zip(i.tolist(), f_i.tolist(), zero.tolist())]]
     found = xs[i]
     bracket = np.flatnonzero(~zero)
     lo = i[bracket]
@@ -369,12 +353,13 @@ def _hit_roots(xs, hits, fun, tol_x, n_cells):
 
 
 def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
-    """`scan_roots` for cells that differ only in delta0, c0 and A_q.
+    """The force-balance roots of cells that differ only in the arrays
+    delta0, c0 and A_q, as one ascending list per cell.
 
     The grid's cos^2(kx) and sin(2kx) are evaluated once; the force
-    balance of SCAN_CHUNK cells at a time is evaluated on the grid, and
-    every bracket of every cell is bisected in lock step.  Returns one
-    ascending root list per cell, equal to what `scan_roots` returns.
+    balance of SCAN_CHUNK cells at a time is evaluated on the N_SCAN-point
+    grid, and every sign change is bisected (`_hit_roots`) down to
+    BISECT_REL_TOL of the interval width.
     """
     xs, tol_x = _scan_grid(derived)
     k, balance = derived.k, _balance(derived)
@@ -383,10 +368,16 @@ def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
         lambda rows: balance(xs, cos2, sin_2kx, delta0[rows, None],
                              c0[rows, None], a_q[rows, None]),
         len(delta0))
+    if len(delta0) == 1:
+        d0, c, a = delta0.item(), c0.item(), a_q.item()
+        cos, sin = math.cos, math.sin
 
-    def bisected(x, at):
-        return balance(x, _pow_cos2(k * x), np.sin(2.0 * k * x), delta0[at],
-                       c0[at], a_q[at])
+        def bisected(x):
+            return balance(x, cos(k * x) ** 2, sin(2.0 * k * x), d0, c, a)
+    else:
+        def bisected(x, at):
+            return balance(x, _pow_cos2(k * x), np.sin(2.0 * k * x),
+                           delta0[at], c0[at], a_q[at])
 
     return _hit_roots(xs, hits, bisected, tol_x, len(delta0))
 
@@ -407,41 +398,46 @@ def _screen_plans(cells, plans, screened):
 
     plans[i] is cell i's (pairs, end_error), as `_candidates` returns
     them, or the error making them raised; screened[i] says
-    whether cell i's models are screened.  One Durand-Kerner run finds
-    the eigenvalues of every candidate at the call
-    (`dynamics.build_models`).  Entry i of the returned iterator is the
-    model `_screen` accepts for cell i, or the NumericalError it raises;
-    each cell's models are assembled and screened as it is reached.
+    whether cell i's models are screened.  Entry i of the returned
+    iterator is the model `_screen` accepts for cell i, or the
+    NumericalError it raises; each cell is screened as it is reached.
+    One cell's models are built in turn by `dynamics.build_model` as the
+    screen reaches them; for more cells one Durand-Kerner run finds the
+    eigenvalues of every candidate at the call (`dynamics.build_models`).
     """
     plans = [([], plan) if isinstance(plan, LevringError) else plan
              for plan in plans]
-    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
-    models = dynamics.build_models([op for op, _ in pairs],
-                                   [d for _, d in pairs])
-    return (caught(_screen, [next(models) for _ in cell_pairs], end_error,
-                   delta0, screen)
-            for (cell_pairs, end_error), (_, delta0, _), screen
-            in zip(plans, cells, screened))
+    if len(plans) == 1:
+        models = iter([(dynamics.build_model(op, d) for op, d in plans[0][0])])
+    else:
+        pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
+        built = dynamics.build_models([op for op, _ in pairs],
+                                      [d for _, d in pairs])
+        models = ([next(built) for _ in cell_pairs] for cell_pairs, _ in plans)
+    return (caught(_screen, cell_models, end_error, delta0, screen)
+            for cell_models, (_, end_error), (_, delta0, _), screen
+            in zip(models, plans, cells, screened))
 
 
 def solve_models(cells):
-    """`solve_model` over a grid of cells at once, bit for bit.
+    """The steady-state model of each of a grid of cells, at once.
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive and kappa; the cells of a stability map differ only
     in delta0, c0, A_q and the ring charge.  Returns an iterator whose
-    entry i is the model `solve_model(*cells[i])` returns, or the
-    NumericalError it raises.
+    entry i is the model screened at cell i's selected root (see
+    `solve_model`, the one-cell case), or the NumericalError it raises.
 
-    The root scan of all cells runs as arrays (see `_scan_cells`) and
-    one Durand-Kerner run finds the eigenvalues for the candidate roots
-    of every cell (`_screen_plans`), both at the call; the operating
-    points, residual checks and Routh-Hurwitz values are the scalar code
-    of `solve_model`.
+    The root scan of all cells runs as arrays (see `_scan_cells`) at the
+    call, and so, for more than one cell, does the Durand-Kerner run
+    for the candidate roots of every cell (`_screen_plans`); the
+    operating points, residual checks and Routh-Hurwitz values are
+    scalar code per candidate.
     """
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
+    # a decoupled cell, A_q = 0 or C0 = 0, is not scanned
     scanned = [i for i, (d, _, c0) in enumerate(cells)
-               if not _decoupled(d, c0)]
+               if d.A_q != 0.0 and c0 != 0.0]
     roots = {}
     if scanned:
         delta0, c0, a_q = np.array([(cells[i][1], cells[i][2],
@@ -470,12 +466,6 @@ def _mismatch(derived: DerivedParams):
         return (lhs_scale * cos_2kx / (kappa2 + 4.0 * delta * delta)
                 - mass * delta * delta)
     return mismatch
-
-
-def _resonance_inputs(derived: DerivedParams, c0: float) -> None:
-    if c0 == 0.0 or derived.q_mcp == 0.0:
-        raise NoResonantSolution(
-            "resonance matching needs C0 != 0 and a nonzero bound charge")
 
 
 def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
@@ -511,26 +501,6 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
         f"resonant point at delta0 = {delta0:.6e} is not Hurwitz"))
 
 
-def _resonance_hits(derived: DerivedParams, delta0):
-    """The half-grid, its tolerance, the mismatch, and the `_scan_hits`
-    hit of each cell's resonance root, for cells differing in delta0.
-
-    The grid's cos^2(kx) and cos(2kx) are evaluated once.  A cell's
-    hit is its first one other than the grid zero x = 0; a cell without
-    such a hit is left out.
-    """
-    xs, tol_x = _scan_grid(derived, resonant=True)
-    k, mismatch = derived.k, _mismatch(derived)
-    cos2, cos_2kx = np.cos(k * xs) ** 2, np.cos(2.0 * k * xs)
-    cell, i, f_i, zero = _scan_hits(
-        lambda rows: mismatch(cos2, cos_2kx, delta0[rows, None]),
-        len(delta0))
-    taken = ~(zero & (i == 0))
-    cell, first = np.unique(cell[taken], return_index=True)
-    hits = (cell, *(v[taken][first] for v in (i, f_i, zero)))
-    return xs, tol_x, mismatch, hits
-
-
 def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
                                c0: float) -> dynamics.StateSpaceModel:
     """Ring charge putting the effective detuning on the mechanical sideband.
@@ -543,62 +513,66 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
 
     The condition is even in x, so the mismatch is evaluated at once on
     the ascending grid from x = 0 outward, its first grid root other
-    than x = 0 itself is taken (`_resonance_hits` on one cell), and
-    `op.x_s` is that root negated for C0 > 0.  Returns the screened
-    model at that point; its `derived` carries the solved `ring_charge`
-    and `A_q` and the damping at `op.omega_m`.
+    than x = 0 itself is taken (`_resonance_roots`), and `op.x_s` is
+    that root negated for C0 > 0.  Returns the screened model at that
+    point; its `derived` carries the solved `ring_charge` and `A_q` and
+    the damping at `op.omega_m`.
 
-    This is the point path; `solve_resonant_models` solves a grid of
-    cells with the same results.
+    The solve is that of `solve_resonant_models` on the one cell.
     """
-    _resonance_inputs(derived, c0)
-    xs, tol_x, mismatch, hits = _resonance_hits(derived, np.array([delta0]))
-    k, cos = derived.k, math.cos
-
-    def fun(x):
-        return mismatch(cos(k * x) ** 2, cos(2.0 * k * x), delta0)
-
-    roots = _point_roots(xs, hits, fun, tol_x)
-    pairs, end_error = _resonant_plan(derived, delta0, c0,
-                                      roots[0] if roots else None)
-    return _screen((dynamics.build_model(op, d) for op, d in pairs),
-                   end_error, delta0, True)
+    return _one_cell(solve_resonant_models, (derived, delta0, c0))
 
 
 def _resonance_roots(derived: DerivedParams, delta0):
-    """The half-grid root `solve_resonant_ring_charge` takes, for cells
-    that differ only in delta0; None where it finds none.
+    """The half-grid resonance root of each of the cells that differ only
+    in the array delta0, or None where there is none.
 
-    The hits are those of `_resonance_hits`; the brackets of all cells
-    are bisected in lock step.
+    The grid's cos^2(kx) and cos(2kx) are evaluated once.  A cell's root
+    is at its first `_scan_hits` hit other than the grid zero x = 0,
+    bisected by `_hit_roots`.
     """
-    xs, tol_x, mismatch, hits = _resonance_hits(derived, delta0)
-    k = derived.k
+    xs, tol_x = _scan_grid(derived, resonant=True)
+    k, mismatch = derived.k, _mismatch(derived)
+    cos2, cos_2kx = np.cos(k * xs) ** 2, np.cos(2.0 * k * xs)
+    cell, i, f_i, zero = _scan_hits(
+        lambda rows: mismatch(cos2, cos_2kx, delta0[rows, None]),
+        len(delta0))
+    taken = ~(zero & (i == 0))
+    cell, first = np.unique(cell[taken], return_index=True)
+    hits = (cell, *(v[taken][first] for v in (i, f_i, zero)))
+    if len(delta0) == 1:
+        d0, cos = delta0.item(), math.cos
 
-    def bisected(x, at):
-        return mismatch(_pow_cos2(k * x), np.cos(2.0 * k * x), delta0[at])
+        def bisected(x):
+            return mismatch(cos(k * x) ** 2, cos(2.0 * k * x), d0)
+    else:
+        def bisected(x, at):
+            return mismatch(_pow_cos2(k * x), np.cos(2.0 * k * x),
+                            delta0[at])
 
     return [roots[0] if roots else None for roots in
             _hit_roots(xs, hits, bisected, tol_x, len(delta0))]
 
 
 def solve_resonant_models(cells):
-    """`solve_resonant_ring_charge` over a grid of cells at once, bit for bit.
+    """The resonant-charge model of each of a grid of cells, at once.
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive, kappa and mass, the constants of the resonance
-    condition.  Returns an iterator whose entry i is the model
-    `solve_resonant_ring_charge(*cells[i])` returns, or the
-    NumericalError it raises.
+    condition.  Returns an iterator whose entry i is the screened model
+    at cell i's resonant point (see `solve_resonant_ring_charge`, the
+    one-cell case), or the NumericalError it raises.
 
     The resonance scan of all cells runs as arrays (see
-    `_resonance_roots`) and one Durand-Kerner run finds the eigenvalues
-    of every resonant point (`_screen_plans`), both at the call; the
-    charge, the operating point and their checks are the scalar code of
-    `solve_resonant_ring_charge`.
+    `_resonance_roots`) at the call, and so, for more than one cell,
+    does the Durand-Kerner run for every resonant point
+    (`_screen_plans`); the charge, the operating point and their checks
+    are scalar code per cell.
     """
     ref = _shared(cells, ("k", "g", "E_drive", "kappa", "mass"))
-    plans = [caught(_resonance_inputs, d, c0) for d, _, c0 in cells]
+    plans = [None if c0 != 0.0 and d.q_mcp != 0.0 else NoResonantSolution(
+        "resonance matching needs C0 != 0 and a nonzero bound charge")
+        for d, _, c0 in cells]
     scanned = [i for i, plan in enumerate(plans) if plan is None]
     if scanned:
         delta0 = np.array([cells[i][1] for i in scanned])

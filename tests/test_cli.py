@@ -425,7 +425,8 @@ class TestExitCodes:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("subcommand", ["steady-state", "spectrum"])
+    @pytest.mark.parametrize("subcommand", ["steady-state", "spectrum",
+                                            "entanglement", "stability-map"])
     @pytest.mark.parametrize("key, value, message", [
         ("finesse", "1e-300",
          "derived constant kappa = inf is not finite "
@@ -433,11 +434,17 @@ class TestExitCodes:
         ("input_power_mw", "1e300",
          "derived constant E_drive = inf is not finite "
          "(from cavity_length, finesse, input_power, wavelength)"),
+        ("finesse", "5e-324",
+         "derived constant kappa = nan is not finite "
+         "(from cavity_length, finesse)"),
+        ("ring_radius_mm", "1e300",
+         "ring_radius = 1e+297 m overflows when cubed"),
+        ("temperature_k", "1e-320", "temperature 1e-320 underflows kB T"),
     ])
     def test_non_finite_derived_constant_is_validation_error(
             self, tmp_path, capsys, subcommand, key, value, message):
-        # finite inputs whose constants overflow: a config error, named,
-        # before any solver sees an inf
+        # finite inputs whose constants overflow or underflow (2 L F,
+        # R^3, kB T): a config error, named, before any solver sees them
         path = tmp_path / "bad.cfg"
         path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
                                FIG1_TEXT, flags=re.M))
@@ -604,6 +611,18 @@ class TestExitCodes:
         assert option in capsys.readouterr().err
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("lo, hi, n, code", [
+        ("3", "-3", "3001", 1), ("1", "1", "5", 1), ("1", "1", "1", 0)])
+    def test_spectrum_grid_must_increase(self, cfg_file, capsys, lo, hi, n,
+                                         code):
+        # a grid that does not increase is a config error before the
+        # solve, not a ValueError from spectrum_sweep; one point is a grid
+        assert main(["spectrum", "--config", cfg_file, "--grid-min", lo,
+                     "--grid-max", hi, "--grid-n", n]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            f"config error: --grid-min {float(lo)} and --grid-max "
+            f"{float(hi)} give no increasing grid\n"))
 
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         # strong ring + moderate detuning: no force-balance root

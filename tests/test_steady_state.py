@@ -420,7 +420,7 @@ class TestResonantRing:
 
     def test_negative_ring_charge_rejected(self):
         # at C0 = 20 nm the resonant point lies beyond -C0, where the
-        # force balance needs A_q < 0; both solvers say so
+        # force balance needs A_q < 0; a one-cell and a two-cell grid say so
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3,
                                ring_offset_c0=20e-9)
         derived = derive_constants(cfg)
@@ -428,7 +428,7 @@ class TestResonantRing:
         message = "force balance at the resonant point needs a negative ring"
         with pytest.raises(NoResonantSolution, match=message):
             solve_resonant_ring_charge(*cell)
-        [error] = solve_resonant_models([cell])
+        [error, _] = solve_resonant_models([cell, cell])
         assert isinstance(error, NoResonantSolution)
         assert str(error).startswith(message)
 
@@ -605,11 +605,11 @@ class TestSolveModels:
     def test_capped_eigenvalue_iteration_fails_alike(self, fig1,
                                                      monkeypatch):
         # one Durand-Kerner step leaves the fig1 quartic far from its
-        # roots: the cap check fails both the point and the grid path
+        # roots: the cap check fails a one-cell and a two-cell grid alike
         cfg, derived, delta0 = fig1
         monkeypatch.setattr(dynamics, "_DK_MAX_ITER", 1)
         cell = (derived, delta0, cfg.ring_offset_c0)
-        got, = solve_models([cell])
+        got, _ = solve_models([cell, cell])
         assert assert_same_outcome(got, cell) == "IterationDiverged"
         assert "eigenvalue iteration residual" in str(got)
 
@@ -617,7 +617,7 @@ class TestSolveModels:
         cfg, derived, delta0 = fig1
         monkeypatch.setattr(steady_state, "RESIDUAL_REL_TOL", 0.0)
         cell = (derived, delta0, cfg.ring_offset_c0)
-        got, = solve_models([cell])
+        got, _ = solve_models([cell, cell])
         assert assert_same_outcome(got, cell) == "NumericalError"
         assert "root refinement residual" in str(got)
 
@@ -625,6 +625,40 @@ class TestSolveModels:
         cells = stokes_side_cases()[:2] + [anti_stokes_two_root_case()]
         with pytest.raises(ValueError, match="share"):
             solve_models(cells)
+
+
+@pytest.mark.parametrize("solver, config", [
+    (solve_models, "fig1.cfg"), (solve_resonant_models, "fig2.cfg")])
+def test_cell_count_picks_the_kernels(monkeypatch, solver, config):
+    # one cell bisects on Python floats and builds its models one at a
+    # time; two cells bisect in lock step and build in one batch
+    cfg = parse_config(str(CONFIG_DIR / config))
+    derived = derive_constants(cfg)
+    cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
+    kernels = ((steady_state, "_bisect_all"), (dynamics, "build_models"))
+    calls = collections.Counter()
+
+    def refused(*args):
+        raise AssertionError("a batch kernel ran for one cell")
+
+    with monkeypatch.context() as patched:
+        for module, name in kernels:
+            patched.setattr(module, name, refused)
+        one, = solver([cell])
+    assert one.stable
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for module, name in kernels:
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    two = list(solver([cell, cell]))
+    assert calls["_bisect_all"] >= 1 and calls["build_models"] == 1
+    assert two[0].op == two[1].op == one.op
 
 
 def assert_same_resonant_outcomes(cells):
