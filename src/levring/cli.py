@@ -26,8 +26,8 @@ from . import __version__
 from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError, caught
-from .model import (TORR_TO_PA, SystemConfig, check_detuning,
-                    delta0_from_config, derive_constants)
+from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
+                    delta0_grid, derive_constants)
 from .pipeline import RING_MODES, solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import (cavity_steady_field, integrate_mean_field,
@@ -370,8 +370,7 @@ def cmd_stability_map(args) -> int:
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     base = derive_constants(cfg)
-    for d0 in d0_grid:
-        check_detuning(float(d0) * base.kappa, base, "detuning_over_kappa")
+    delta0s = delta0_grid(d0_grid, base)
     # pin the charge so c0 = 0 rows stay valid even for field-specified rings
     cfg_charge = dataclasses.replace(cfg, ring_charge=base.ring_charge,
                                      ring_field=None)
@@ -391,9 +390,8 @@ def cmd_stability_map(args) -> int:
     grid = [(d0, p2, column) for d0 in d0_grid
             for p2, column in zip(p2_grid, columns)]
     solved = solve_models([
-        (derived, d0 * base.kappa, c0)
-        for d0, _, (derived, c0) in grid
-        if not isinstance(derived, LevringError)])
+        (derived, delta0, c0) for delta0 in delta0s
+        for derived, c0 in columns if not isinstance(derived, LevringError)])
     rows = []
     for d0, p2, (derived, _) in grid:
         outcome = (derived if isinstance(derived, LevringError)

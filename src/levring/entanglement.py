@@ -5,7 +5,7 @@ Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
 pivoting -- exact to machine precision at this size.  A detuning sweep
 solves the systems of all its stable rows in one stacked solve
-(`lyapunov_solves`), with the bits of the point path `lyapunov_solve`.
+(`lyapunov_solves`), of which `lyapunov_solve` is the one-model case.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.
@@ -33,7 +33,7 @@ from ._kernels import cov_rk4
 from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
-                     caught)
+                     caught, one)
 from .model import SystemConfig
 from .pipeline import PointSolution, solve_sweep
 
@@ -131,34 +131,35 @@ def _solve_refined(model: StateSpaceModel, M: np.ndarray) -> np.ndarray:
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
     """Stationary covariance of a stable model; symmetrised after solve.
 
-    The point path; `lyapunov_solves` solves a batch with the same bits.
+    The solve is that of `lyapunov_solves` on the one model.
     """
-    error = _instability(model)
-    if error is not None:
-        raise error
-    return _solve_refined(model, _kron_sum(model.A))
+    return one(lyapunov_solves([model]))
 
 
 def lyapunov_solves(models):
-    """`lyapunov_solve` over a batch, bit for bit.
+    """The stationary covariance of each of a batch of models.
 
-    Entry b is the covariance `lyapunov_solve(models[b])` returns, or the
-    NumericalError it raises.  The 16x16 systems of the stable models are
-    solved in one stacked `np.linalg.solve`; each solution's residual is
-    then checked, and refined if it misses the target, as in the point
-    path.  If any system is singular, the stacked solve fails as a whole
-    and each system is solved and refined on its own, as the point path
-    does.
+    Entry b is the covariance of models[b], or the NumericalError solving
+    it raises (UnstableModel for a model without a stationary state).
+    The count of stable models alone picks the kernel.  One is solved
+    and refined on its own (`_solve_refined`): a stacked solve of one
+    costs more.  More are solved in one stacked `np.linalg.solve`, whose
+    solutions have the bits of solves on their own; each solution's
+    residual is then checked, and refined if it misses the target
+    (`_refined`).  If any system is singular, the stacked solve fails as
+    a whole and each system is solved and refined on its own.
     """
     out = [_instability(model) for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
     if stable:
         M = _kron_sum(np.array([models[b].A for b in stable]))
-        rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
-        try:
-            V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
-        except np.linalg.LinAlgError:
-            V = None
+        V = None
+        if len(stable) > 1:
+            rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
+            try:
+                V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
+            except np.linalg.LinAlgError:
+                pass
         for i, b in enumerate(stable):
             out[b] = (caught(_solve_refined, models[b], M[i]) if V is None
                       else caught(_refined, models[b], M[i], V[i]))
@@ -199,12 +200,15 @@ def _block_dets(V: np.ndarray) -> np.ndarray:
     each in a stack [N, 4, 4], as an array [4] or [N, 4].
 
     The three blocks go to one `np.linalg.det` call; a stacked call
-    gives each matrix the bits of a call on it alone.
+    gives each matrix the bits of a call on it alone.  A determinant
+    that overflows is inf or nan, without a warning; `_negativity`
+    rejects it.
     """
     blocks = np.stack((V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]),
                       axis=-3)
-    return np.concatenate((np.linalg.det(blocks),
-                           np.linalg.det(V)[..., None]), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate((np.linalg.det(blocks),
+                               np.linalg.det(V)[..., None]), axis=-1)
 
 
 def symplectic_eigenvalues(V: np.ndarray):
@@ -228,7 +232,13 @@ def _negativity(b1, b2, b3, dv) -> EntanglementResult:
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
     sigma = b1 + b2 - 2.0 * b3
-    disc = sigma ** 2 - 4.0 * dv
+    try:
+        disc = sigma ** 2 - 4.0 * dv
+    except OverflowError:       # |sigma| above the root of the largest float
+        disc = math.nan
+    if not math.isfinite(disc):
+        raise UnphysicalCovariance(
+            f"determinants overflow: sigma = {sigma:.3e}, det V = {dv:.3e}")
     if disc < 0.0:
         if disc < -1e-10 * max(sigma ** 2, 1.0):
             raise UnphysicalCovariance(

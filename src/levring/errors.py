@@ -3,7 +3,8 @@
 Two families matter for the CLI exit code: configuration problems
 (exit 1) and numerical failures (exit 2).  I/O errors are plain OSError
 (exit 3).  A grid solver records the error of a cell as its outcome
-(`caught`) instead of raising it.
+(`caught`) instead of raising it; a point entry raises the one outcome
+of its batch (`one`).
 """
 
 
@@ -89,3 +90,11 @@ def caught(fun, *args):
         return fun(*args)
     except LevringError as exc:
         return exc.with_traceback(None)
+
+
+def one(outcomes):
+    """The only entry of a batch of outcomes, raised if it is an error."""
+    outcome, = outcomes
+    if isinstance(outcome, LevringError):
+        raise outcome
+    return outcome

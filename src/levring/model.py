@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -306,8 +307,9 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
 
     Pure: identical inputs give bit-identical outputs.  A constant that
     overflows to inf (or nan) raises ConfigInvalid naming it and the
-    config fields it comes from, and so does a force balance whose bound
-    cannot be squared (`_check_balance_bound`).  The drive
+    config fields it comes from, and so do a mass that underflows to
+    zero or a subnormal (the solvers divide by it) and a force balance
+    whose bound cannot be squared (`_check_balance_bound`).  The drive
     frequency is taken equal to the cavity frequency in the drive
     amplitude E = sqrt(kappa P / hbar omega_L); the detunings involved
     are ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error
@@ -321,7 +323,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     # nan, rejected below, where the product underflows to 0
     kappa = CODATA2018.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse
                                     or math.nan)
-    waist = np.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
+    # a Python float, so V_c overflows to inf without a numpy warning
+    waist = math.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
     V_c = np.pi * waist ** 2 * cfg.cavity_length / 4.0
     g = 3.0 * V_s / (2.0 * V_c) \
         * (cfg.permittivity - 1.0) / (cfg.permittivity + 2.0) * omega_c
@@ -337,6 +340,10 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
         if not math.isfinite(value):
             raise ConfigInvalid(
                 f"derived constant {name} = {value} is not finite "
+                f"(from {_sources(cfg, name)})")
+        if name == "mass" and not value >= sys.float_info.min:
+            raise ConfigInvalid(
+                f"derived constant mass = {value} underflows "
                 f"(from {_sources(cfg, name)})")
     _check_balance_bound(cfg, constants)
 
@@ -362,10 +369,25 @@ def check_detuning(delta0: float, derived: DerivedParams, field: str) -> float:
     return delta0
 
 
+def delta0_grid(delta0_over_kappa, derived: DerivedParams) -> list:
+    """A grid of detunings in linewidths, in rad/s.
+
+    Each value must be finite and pass `check_detuning`; the first that
+    does not raises ConfigInvalid naming detuning_over_kappa, with the
+    message a config of that detuning gives.
+    """
+    grid = []
+    for d0 in delta0_over_kappa:
+        if not math.isfinite(d0):
+            raise ConfigInvalid(f"detuning_over_kappa must be finite, got {d0}")
+        grid.append(check_detuning(float(d0) * derived.kappa, derived,
+                                   "detuning_over_kappa"))
+    return grid
+
+
 def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:
     """Bare detuning in rad/s, converting from linewidth units if needed,
     and bounded by `check_detuning`."""
     if cfg.detuning_delta0 is not None:
         return check_detuning(cfg.detuning_delta0, derived, "detuning_delta0")
-    return check_detuning(cfg.detuning_over_kappa * derived.kappa, derived,
-                          "detuning_over_kappa")
+    return delta0_grid([cfg.detuning_over_kappa], derived)[0]

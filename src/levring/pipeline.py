@@ -1,24 +1,24 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-`solve_point` serves the single-point CLI subcommands.
-The entanglement sweep solves its rows as one batch (`solve_sweep`): the
-constants are derived once and every row goes to the grid solver of its
+`solve_point` serves the single-point CLI subcommands, and the
+entanglement sweep solves its rows as one batch (`solve_sweep`).  Both
+derive the constants once and send their rows to the grid solver of the
 ring mode, `steady_state.solve_models` or
-`steady_state.solve_resonant_models`.  The stability map solves its
-cells as one batch through `steady_state.solve_models`.
+`steady_state.solve_resonant_models` (`_solve_rows`); a point is the
+one-row case.  The stability map solves its cells as one batch through
+`steady_state.solve_models`.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
-from .errors import NumericalError
-from .model import (DerivedParams, SystemConfig, check_detuning,
-                    delta0_from_config, derive_constants, ring_field_value)
-from .steady_state import (OperatingPoint, solve_model, solve_models,
-                           solve_resonant_models, solve_resonant_ring_charge)
+from .errors import LevringError, one
+from .model import (DerivedParams, SystemConfig, delta0_from_config,
+                    delta0_grid, derive_constants, ring_field_value)
+from .steady_state import (OperatingPoint, solve_models,
+                           solve_resonant_models)
 
 RING_MODES = ("fixed_charge", "resonant")
 
@@ -39,9 +39,18 @@ def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:
                                      model.op.x_s))
 
 
-def _check_ring_mode(ring_mode: str) -> None:
+def _solve_rows(cfg: SystemConfig, derived: DerivedParams, delta0s,
+                ring_mode: str):
+    """The PointSolution of `cfg` at each detuning of delta0s, in rad/s,
+    or the NumericalError solving it raises: all rows at once, by the
+    grid solver of the ring mode (ValueError for another mode)."""
     if ring_mode not in RING_MODES:
         raise ValueError(f"ring_mode must be one of {RING_MODES}")
+    solver = solve_resonant_models if ring_mode == "resonant" else solve_models
+    return [outcome if isinstance(outcome, LevringError)
+            else _solution(outcome, cfg)
+            for outcome in solver([(derived, d0, cfg.ring_offset_c0)
+                                   for d0 in delta0s])]
 
 
 def solve_point(cfg: SystemConfig,
@@ -52,13 +61,11 @@ def solve_point(cfg: SystemConfig,
     re-solves the charge so the effective detuning sits on the mechanical
     sideband (`solve_resonant_ring_charge`).  Either solver returns the
     model its stability screen built; `derived` and `op` are read off it.
+    The solve is that of `_solve_rows` on the one row, raising its error.
     """
-    _check_ring_mode(ring_mode)
     derived = derive_constants(cfg)
-    delta0 = delta0_from_config(cfg, derived)
-    solver = (solve_resonant_ring_charge if ring_mode == "resonant"
-              else solve_model)
-    return _solution(solver(derived, delta0, cfg.ring_offset_c0), cfg)
+    return one(_solve_rows(cfg, derived, [delta0_from_config(cfg, derived)],
+                           ring_mode))
 
 
 def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
@@ -68,29 +75,14 @@ def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
     Entry i is the PointSolution for `cfg` with its detuning set to
     delta0_over_kappa[i], or the NumericalError solving it raises, the
     same as `solve_point` gives.  The constants do not depend on the
-    detuning, so they are validated and derived once; a ConfigInvalid
-    propagates, and a non-finite detuning, or one `check_detuning`
-    rejects, raises the one naming detuning_over_kappa.  All rows go to
-    the grid solver of the ring mode, `solve_models` or
-    `solve_resonant_models`.
+    detuning, so they are validated and derived once, with the first
+    row's detuning; a ConfigInvalid propagates, and a detuning that is
+    not finite, or that `check_detuning` rejects, raises the one naming
+    detuning_over_kappa (`delta0_grid`).
     """
     if len(delta0_over_kappa) == 0:
         return []
-    _check_ring_mode(ring_mode)
-
-    def row_config(d0):
-        return dataclasses.replace(cfg, detuning_delta0=None,
-                                   detuning_over_kappa=d0)
-
-    derived = derive_constants(row_config(delta0_over_kappa[0]))
-    for d0 in delta0_over_kappa:
-        if not math.isfinite(d0):
-            row_config(d0).validate()
-        check_detuning(float(d0) * derived.kappa, derived,
-                       "detuning_over_kappa")
-    solver = solve_resonant_models if ring_mode == "resonant" else solve_models
-    return [outcome if isinstance(outcome, NumericalError)
-            else _solution(outcome, cfg)
-            for outcome in solver([(derived, d0 * derived.kappa,
-                                    cfg.ring_offset_c0)
-                                   for d0 in delta0_over_kappa])]
+    derived = derive_constants(dataclasses.replace(
+        cfg, detuning_delta0=None, detuning_over_kappa=delta0_over_kappa[0]))
+    return _solve_rows(cfg, derived, delta0_grid(delta0_over_kappa, derived),
+                       ring_mode)

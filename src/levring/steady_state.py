@@ -42,7 +42,7 @@ from ._kernels import mean_field_chunk
 from .constants import CODATA2018
 from .errors import (AllRootsUnstable, LevringError, NoResonantSolution,
                      NoRootInInterval, NotConverged, NumericalError,
-                     UnstableResonance, UnstableTrap, caught)
+                     UnstableResonance, UnstableTrap, caught, one)
 from .model import DerivedParams
 
 N_SCAN = 4001
@@ -280,15 +280,7 @@ def solve_model(derived: DerivedParams, delta0: float,
 
     The solve is that of `solve_models` on the one cell.
     """
-    return _one_cell(solve_models, (derived, delta0, c0))
-
-
-def _one_cell(solver, cell):
-    """The entry of solver([cell]), raised if it is an error."""
-    outcome, = solver([cell])
-    if isinstance(outcome, LevringError):
-        raise outcome
-    return outcome
+    return one(solve_models([(derived, delta0, c0)]))
 
 
 def _bisect_all(fun, a, b, fa, tol_x):
@@ -520,7 +512,7 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
 
     The solve is that of `solve_resonant_models` on the one cell.
     """
-    return _one_cell(solve_resonant_models, (derived, delta0, c0))
+    return one(solve_resonant_models([(derived, delta0, c0)]))
 
 
 def _resonance_roots(derived: DerivedParams, delta0):

@@ -440,6 +440,18 @@ class TestExitCodes:
         ("ring_radius_mm", "1e300",
          "ring_radius = 1e+297 m overflows when cubed"),
         ("temperature_k", "1e-320", "temperature 1e-320 underflows kB T"),
+        ("cavity_length_cm", "1e300",
+         "derived constant V_c = inf is not finite "
+         "(from wavelength, cavity_length)"),
+        ("sphere_radius_nm", "1e-300",
+         "derived constant mass = 0.0 underflows "
+         "(from density, sphere_radius)"),
+        ("density_kg_m3", "1e-300",
+         "derived constant mass = 5.24e-322 underflows "
+         "(from density, sphere_radius)"),
+        ("density_kg_m3", "5e-324",
+         "derived constant mass = 0.0 underflows "
+         "(from density, sphere_radius)"),
     ])
     def test_non_finite_derived_constant_is_validation_error(
             self, tmp_path, capsys, subcommand, key, value, message):
@@ -538,6 +550,15 @@ class TestExitCodes:
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["stability-map", "--grid-n", "3", "--p2-n", "3"], 0, None,
          "NumericalError: characteristic quartic"),
+        # the covariance's determinants overflow: a row error, not a
+        # traceback from squaring sigma
+        ({"temperature_k": "1e300"}, ["entanglement", "--grid-n", "3"], 2,
+         "numerical error: no sweep point",
+         "UnphysicalCovariance: determinants overflow"),
+        ({"temperature_k": "1e200"},
+         ["entanglement", "--ring-mode", "resonant", "--grid-n", "3"], 2,
+         "numerical error: no sweep point",
+         "UnphysicalCovariance: determinants overflow"),
     ])
     def test_extreme_input_exits_cleanly(self, tmp_path, capsys, changes,
                                          argv, code, message, csv_error):
@@ -644,3 +665,53 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical error: force balance at the resonant point needs a "
             "negative ring charge\n")
+
+
+# every numeric key of fig1.cfg, and the optional gas molecule mass
+EXTREME_KEYS = re.findall(r"^(\w+) = ", FIG1_TEXT, flags=re.M) + [
+    "gas_molecule_mass_u"]
+
+
+def extreme_cases():
+    for key in EXTREME_KEYS:
+        for value in ("1e300", "1e-300", "5e-324"):
+            marks = ()
+            if (key, value) == ("gas_pressure_torr", "1e300"):
+                # Gamma_diff = gamma kB T / (hbar omega_m) overflows at the
+                # solved omega_m (model.py:244, damping_and_diffusion): a
+                # warning, then exit 2 (0 for stability-map), not a config
+                # error; the constants cannot bound it before the solve
+                marks = pytest.mark.xfail(
+                    strict=True, reason="Gamma_diff overflows at solve time")
+            yield pytest.param(key, value, marks=marks, id=f"{key}={value}")
+
+
+@pytest.mark.parametrize("key, value", extreme_cases())
+def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
+    # in process through every subcommand, with small grids: an exit code
+    # of the documented family, one error line, and no traceback or
+    # RuntimeWarning; a config error names the field of the key
+    path, out = tmp_path / "extreme.cfg", tmp_path / "out.csv"
+    pattern = rf"^{key} = .*$"
+    if re.search(pattern, FIG1_TEXT, flags=re.M):
+        path.write_text(re.sub(pattern, f"{key} = {value}", FIG1_TEXT,
+                               flags=re.M))
+    else:
+        path.write_text(FIG1_TEXT + f"{key} = {value}\n")
+    field = levring.cli.CONFIG_KEYS[key][0]
+    for argv in (["steady-state"], ["spectrum", "--grid-n", "3"],
+                 ["entanglement", "--grid-n", "2"],
+                 ["stability-map", "--grid-n", "2", "--p2-n", "2"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert err == "", argv
+        else:
+            prefix = "config error: " if code == 1 else "numerical error: "
+            assert err.startswith(prefix) and err.count("\n") == 1, argv
+            assert code == 2 or field in err, argv

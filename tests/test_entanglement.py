@@ -166,11 +166,25 @@ class TestLogNegativity:
         ((0.1, 0.1, 0.0, 0.010001),
          "sigma^2 - 4 det V = -4.000e-06 < 0: complex eta_minus"),
         ((-0.1, -0.1, 0.0, 0.001), "eta_minus^2 = -1.949e-01 <= 0"),
-    ], ids=["complex-eta", "negative-eta-squared"])
+        ((1e200, 1e200, 0.0, math.inf),
+         "determinants overflow: sigma = 2.000e+200, det V = inf"),
+        ((8.1e153, 8.1e153, 0.0, 6.561e307),
+         "determinants overflow: sigma = 1.620e+154, det V = 6.561e+307"),
+        ((math.inf, 1.0, math.inf, 1.0),
+         "determinants overflow: sigma = nan, det V = 1.000e+00"),
+    ], ids=["complex-eta", "negative-eta-squared", "overflowing-det-V",
+            "overflowing-sigma-squared", "nan-sigma"])
     def test_crafted_determinants_rejected(self, dets, message):
         with pytest.raises(UnphysicalCovariance) as err:
             entanglement._negativity(*dets)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("scale", [1e100, 9e76])
+    def test_overflowing_covariance_rejected(self, scale):
+        # det V overflows (1e100), or only sigma^2 does (9e76): an
+        # UnphysicalCovariance, without an OverflowError or a RuntimeWarning
+        with pytest.raises(UnphysicalCovariance, match="^determinants overflow"):
+            log_negativity(np.eye(4) * scale)
 
     def test_physicality_helper(self):
         assert is_physical(np.diag([0.5, 0.5, 0.5, 0.5]))
@@ -461,6 +475,26 @@ class TestLyapunovBatch:
 
     def test_empty_batch(self):
         assert lyapunov_solves([]) == []
+
+    def test_stable_count_picks_the_kernel(self, monkeypatch):
+        # one stable model is solved on its own, as a stacked solve of one
+        # costs more; two take one stacked solve
+        solve, ranks = np.linalg.solve, []
+
+        def counting(M, b):
+            ranks.append(np.ndim(M))
+            return solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        rng = np.random.default_rng(3)
+        unstable = random_model(rng, stable=False)
+        stable = [random_model(rng, stable=True) for _ in range(2)]
+        got = lyapunov_solves([unstable, stable[0]])
+        assert isinstance(got[0], UnstableModel) and got[1].shape == (4, 4)
+        assert ranks and set(ranks) == {2}
+        ranks.clear()
+        lyapunov_solves(stable)
+        assert 3 in ranks
 
 
 class TestBlockDets:

@@ -75,6 +75,8 @@ class TestDeriveConstants:
          "ring_field, ring_offset_c0, ring_radius"),
         (dict(ring_field=None, ring_charge=1e300, mcp_epsilon=1e20), "A_q",
          "mcp_epsilon, ring_charge"),
+        # pi waist^2 L overflows: named, without a numpy overflow warning
+        (dict(cavity_length=1e298), "V_c", "wavelength, cavity_length"),
     ])
     def test_non_finite_constant_is_config_error(self, changes, constant,
                                                  fields):
@@ -82,6 +84,19 @@ class TestDeriveConstants:
             derive_constants(reference_config(**changes))
         assert str(err.value) == (
             f"derived constant {constant} = inf is not finite (from {fields})")
+
+    @pytest.mark.parametrize("changes, mass", [
+        (dict(sphere_radius=1e-309), "0.0"),
+        (dict(density=1e-300), "5.24e-322"),
+        (dict(density=5e-324), "0.0"),
+    ])
+    def test_underflowing_mass_is_config_error(self, changes, mass):
+        # the solvers divide by the mass: zero or subnormal is a config
+        # error naming its fields, not a warning in the solvers
+        with pytest.raises(ConfigInvalid) as err:
+            derive_constants(reference_config(**changes))
+        assert str(err.value) == (f"derived constant mass = {mass} underflows "
+                                  "(from density, sphere_radius)")
 
     @pytest.mark.parametrize("changes, fields", [
         (dict(ring_field=1e300),
