@@ -201,7 +201,7 @@ def _block_dets(V: np.ndarray) -> np.ndarray:
 
     The three blocks go to one `np.linalg.det` call; a stacked call
     gives each matrix the bits of a call on it alone.  A determinant
-    that overflows is inf or nan, without a warning; `_negativity`
+    that overflows is inf or nan, without a warning; `_discriminant`
     rejects it.
     """
     blocks = np.stack((V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]),
@@ -211,11 +211,24 @@ def _block_dets(V: np.ndarray) -> np.ndarray:
                                np.linalg.det(V)[..., None]), axis=-1)
 
 
+def _discriminant(sigma: float, dv: float) -> float:
+    """sigma^2 - 4 det V; UnphysicalCovariance if it overflows."""
+    try:
+        disc = sigma ** 2 - 4.0 * dv
+    except OverflowError:       # |sigma| above the root of the largest float
+        disc = math.nan
+    if not math.isfinite(disc):
+        raise UnphysicalCovariance(
+            f"determinants overflow: sigma = {sigma:.3e}, det V = {dv:.3e}")
+    return disc
+
+
 def symplectic_eigenvalues(V: np.ndarray):
-    """Both symplectic eigenvalues of V itself (no partial transpose)."""
+    """Both symplectic eigenvalues of V itself (no partial transpose);
+    UnphysicalCovariance if its determinants overflow."""
     b1, b2, b3, dv = _block_dets(V).tolist()
     sig = b1 + b2 + 2.0 * b3
-    disc = max(sig ** 2 - 4.0 * dv, 0.0)
+    disc = max(_discriminant(sig, dv), 0.0)
     lo = math.sqrt(max((sig - math.sqrt(disc)) / 2.0, 0.0))
     hi = math.sqrt((sig + math.sqrt(disc)) / 2.0)
     return lo, hi
@@ -232,13 +245,7 @@ def _negativity(b1, b2, b3, dv) -> EntanglementResult:
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
     sigma = b1 + b2 - 2.0 * b3
-    try:
-        disc = sigma ** 2 - 4.0 * dv
-    except OverflowError:       # |sigma| above the root of the largest float
-        disc = math.nan
-    if not math.isfinite(disc):
-        raise UnphysicalCovariance(
-            f"determinants overflow: sigma = {sigma:.3e}, det V = {dv:.3e}")
+    disc = _discriminant(sigma, dv)
     if disc < 0.0:
         if disc < -1e-10 * max(sigma ** 2, 1.0):
             raise UnphysicalCovariance(

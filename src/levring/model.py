@@ -70,7 +70,7 @@ class SystemConfig:
         """Raise ConfigInvalid naming the first violated requirement."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, float) and not np.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigInvalid(f"{field.name} must be finite, got {value}")
         positive = [
             "sphere_radius", "density", "wavelength", "cavity_length",

@@ -30,6 +30,7 @@ an independent dynamical check on the root finder.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -155,17 +156,29 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
 
 def _scan_grid(derived: DerivedParams, resonant: bool = False):
     """The ascending scan grid and the bisection tolerance, BISECT_REL_TOL
-    of the trap interval width.
+    of the trap interval width (see `_grid_tables`)."""
+    return _grid_tables(derived.k, resonant)[:2]
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(k: float, resonant: bool):
+    """(xs, tol_x, cos^2(kx), trig) of the scan grid at wavenumber k, built
+    once per (k, resonant) and shared read-only.
 
     The force balance is scanned on N_SCAN points across the trap
-    interval.  The resonance mismatch is even in x, bit for bit, so both
-    signs of C0 scan N_SCAN_RESONANT points on [0, pi/4k);
-    `_resonant_plan` mirrors the root onto the side of -C0.
+    interval, trig = sin(2kx).  The resonance mismatch is even in x, bit
+    for bit, so both signs of C0 scan N_SCAN_RESONANT points on
+    [0, pi/4k), trig = cos(2kx); `_resonant_plan` mirrors the root onto
+    the side of -C0.  tol_x is BISECT_REL_TOL of the interval width.
     """
-    half = np.pi / (4.0 * derived.k) * (1.0 - 1e-9)
+    half = np.pi / (4.0 * k) * (1.0 - 1e-9)
     xs = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
           else np.linspace(-half, half, N_SCAN))
-    return xs, BISECT_REL_TOL * (2.0 * half)
+    cos2 = np.cos(k * xs) ** 2
+    trig = (np.cos if resonant else np.sin)(2.0 * k * xs)
+    for table in (xs, cos2, trig):
+        table.flags.writeable = False
+    return xs, BISECT_REL_TOL * (2.0 * half), cos2, trig
 
 
 def _scan_hits(block, n_cells):
@@ -348,14 +361,13 @@ def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
     """The force-balance roots of cells that differ only in the arrays
     delta0, c0 and A_q, as one ascending list per cell.
 
-    The grid's cos^2(kx) and sin(2kx) are evaluated once; the force
-    balance of SCAN_CHUNK cells at a time is evaluated on the N_SCAN-point
-    grid, and every sign change is bisected (`_hit_roots`) down to
-    BISECT_REL_TOL of the interval width.
+    The grid and its cos^2(kx) and sin(2kx) come from `_grid_tables`; the
+    force balance of SCAN_CHUNK cells at a time is evaluated on the
+    N_SCAN-point grid, and every sign change is bisected (`_hit_roots`)
+    down to BISECT_REL_TOL of the interval width.
     """
-    xs, tol_x = _scan_grid(derived)
     k, balance = derived.k, _balance(derived)
-    cos2, sin_2kx = np.cos(k * xs) ** 2, np.sin(2.0 * k * xs)
+    xs, tol_x, cos2, sin_2kx = _grid_tables(k, False)
     hits = _scan_hits(
         lambda rows: balance(xs, cos2, sin_2kx, delta0[rows, None],
                              c0[rows, None], a_q[rows, None]),
@@ -519,13 +531,12 @@ def _resonance_roots(derived: DerivedParams, delta0):
     """The half-grid resonance root of each of the cells that differ only
     in the array delta0, or None where there is none.
 
-    The grid's cos^2(kx) and cos(2kx) are evaluated once.  A cell's root
-    is at its first `_scan_hits` hit other than the grid zero x = 0,
-    bisected by `_hit_roots`.
+    The half-grid and its cos^2(kx) and cos(2kx) come from
+    `_grid_tables`.  A cell's root is at its first `_scan_hits` hit other
+    than the grid zero x = 0, bisected by `_hit_roots`.
     """
-    xs, tol_x = _scan_grid(derived, resonant=True)
     k, mismatch = derived.k, _mismatch(derived)
-    cos2, cos_2kx = np.cos(k * xs) ** 2, np.cos(2.0 * k * xs)
+    xs, tol_x, cos2, cos_2kx = _grid_tables(k, True)
     cell, i, f_i, zero = _scan_hits(
         lambda rows: mismatch(cos2, cos_2kx, delta0[rows, None]),
         len(delta0))

@@ -186,6 +186,13 @@ class TestLogNegativity:
         with pytest.raises(UnphysicalCovariance, match="^determinants overflow"):
             log_negativity(np.eye(4) * scale)
 
+    @pytest.mark.parametrize("scale", [1e200, 9e76])
+    def test_overflowing_covariance_has_no_symplectic_eigenvalues(self, scale):
+        # the determinants overflow (1e200, once a nan pair), or only
+        # sigma^2 does (9e76, once an OverflowError)
+        with pytest.raises(UnphysicalCovariance, match="^determinants overflow"):
+            symplectic_eigenvalues(np.eye(4) * scale)
+
     def test_physicality_helper(self):
         assert is_physical(np.diag([0.5, 0.5, 0.5, 0.5]))
         # slightly mixed squeezed state sits clear of the boundary

@@ -550,6 +550,62 @@ def anti_stokes_grid():
             for scale in (1.0, 0.999, 1.001, 0.9) for sign in (1.0, -1.0)]
 
 
+class TestGridTables:
+    """The scan grids and their trig columns, built once per wavenumber."""
+
+    @pytest.mark.parametrize("wavelength", [1064e-9, 1550e-9])
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_tables_equal_the_grid_formulas(self, wavelength, resonant):
+        derived = derive_constants(reference_config(wavelength=wavelength))
+        k = derived.k
+        half = np.pi / (4.0 * k) * (1.0 - 1e-9)
+        want = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
+                else np.linspace(-half, half, N_SCAN))
+        trig = np.cos if resonant else np.sin
+        xs, tol_x, cos2, trig_2kx = steady_state._grid_tables(k, resonant)
+        assert xs.tobytes() == want.tobytes()
+        assert tol_x == BISECT_REL_TOL * (2.0 * half)
+        assert cos2.tobytes() == (np.cos(k * want) ** 2).tobytes()
+        assert trig_2kx.tobytes() == trig(2.0 * k * want).tobytes()
+        grid, tol = steady_state._scan_grid(derived, resonant)
+        assert grid is xs and tol == tol_x
+
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_tables_are_read_only(self, fig1, resonant):
+        tables = steady_state._grid_tables(fig1[1].k, resonant)
+        for table in tables[:1] + tables[2:]:
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+            with pytest.raises(ValueError):
+                table *= 1.0
+
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_each_wavelength_has_its_tables(self, resonant):
+        first, second = (steady_state._grid_tables(
+            derive_constants(reference_config(wavelength=w)).k, resonant)
+            for w in (1064e-9, 1550e-9))
+        for a, b in zip(first, second):
+            assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_cold_and_warm_tables_solve_alike(self, ring_mode):
+        def outcome(cfg):
+            try:
+                model = solve_point(cfg, ring_mode=ring_mode).model
+            except LevringError as exc:
+                return type(exc), str(exc)
+            return (model.op.x_s, model.op.G,
+                    model.verdict.eigenvalues.tobytes())
+
+        solved = 0
+        for cfg in criterion_6_configs(12):
+            steady_state._grid_tables.cache_clear()
+            cold = outcome(cfg)
+            assert outcome(cfg) == cold
+            solved += isinstance(cold[0], float)
+        assert solved >= 5
+
+
 class TestSolveModels:
     @pytest.mark.parametrize("param2", ["c0_over_lambda", "charge_scale"])
     def test_shipped_map_cells_equal_point_path(self, monkeypatch, param2):
