@@ -36,6 +36,16 @@ _MIN_RING_OVER_SPHERE_RADIUS = 100.0
 _MAX_OFFSET_OVER_CAVITY_LENGTH = 0.01
 
 
+def _guarded(fun, *args):
+    """fun(*args), or nan where its Python-float arithmetic raises an
+    ArithmeticError (a `**` that overflows, a division by zero).  That
+    arithmetic never warns: a product or quotient that overflows is inf."""
+    try:
+        return fun(*args)
+    except ArithmeticError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Raw experimental inputs, all SI.
@@ -82,11 +92,12 @@ class SystemConfig:
                 raise ConfigInvalid(f"{name} must be strictly positive")
         if not CODATA2018.kB * self.temperature > 0.0:
             raise ConfigInvalid(f"temperature {self.temperature} underflows kB T")
-        try:
-            self.ring_radius ** 3       # as the ring's field and spring do
-        except OverflowError:
-            raise ConfigInvalid(f"ring_radius = {self.ring_radius} m "
-                                "overflows when cubed") from None
+        # the ring's field and spring divide by R^3: a normal float
+        cube = _guarded(pow, self.ring_radius, 3)
+        if not cube >= sys.float_info.min:
+            raise ConfigInvalid(
+                f"ring_radius = {self.ring_radius} m "
+                f"{'underflows' if cube < 1.0 else 'overflows'} when cubed")
         if self.gas_pressure < 0.0:
             raise ConfigInvalid("gas_pressure must be non-negative")
         if self.mcp_epsilon < 0.0:
@@ -228,7 +239,8 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
 
     The stated formulas assume a Markovian thermal force, which holds for
     hbar omega_m << kB T; they are applied unchanged at any configured
-    temperature.
+    temperature.  A rate that is not finite raises ConfigInvalid naming
+    it and the config fields it comes from.
     """
     if not omega_m > 0.0:
         raise NonPositiveFrequency(f"omega_m = {omega_m} must be positive")
@@ -236,13 +248,23 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
     hbar, kBT = CODATA2018.hbar, CODATA2018.kB * cfg.temperature
-    gamma_ph = (4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0) \
-        * (V_s / cfg.wavelength ** 3) * omega_m * (hbar * omega_m / kBT)
-    v_gas = np.sqrt(3.0 * kBT / cfg.gas_molecule_mass)
-    gamma_gas = 4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure / (mass * v_gas)
-    gamma = gamma_ph + gamma_gas
-    Gamma_diff = gamma * kBT / (hbar * omega_m)
-    return float(gamma_ph), float(gamma_gas), float(gamma), float(Gamma_diff)
+    rates = []      # gamma_ph, gamma_gas, gamma, Gamma_diff as formed
+    try:            # on Python floats, as `_guarded`: a failed rate is nan
+        rates.append((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
+                     * (V_s / cfg.wavelength ** 3) * omega_m
+                     * (hbar * omega_m / kBT))
+        rates.append(4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure
+                     / (mass * math.sqrt(3.0 * kBT / cfg.gas_molecule_mass)))
+        rates.append(rates[0] + rates[1])
+        rates.append(rates[2] * kBT / (hbar * omega_m))
+    except ArithmeticError:
+        rates.append(math.nan)
+    for name, value in zip(_RATES, rates):
+        if not math.isfinite(value):
+            raise ConfigInvalid(
+                f"damping rate {name} = {value} is not finite at omega_m = "
+                f"{omega_m:.6e} rad/s (from {_sources(cfg, name)})")
+    return tuple(rates)
 
 
 # the SystemConfig fields each derived constant is computed from;
@@ -260,7 +282,13 @@ _SOURCES = {
     "q_mcp": ("mcp_epsilon",),
     "ring_charge": (),
     "A_q": ("mcp_epsilon",),
+    "gamma_ph": ("permittivity", "sphere_radius", "wavelength", "temperature"),
+    "gamma_gas": ("gas_pressure", "sphere_radius", "density", "temperature",
+                  "gas_molecule_mass"),
 }
+_SOURCES["gamma"] = _SOURCES["Gamma_diff"] = (_SOURCES["gamma_ph"]
+                                              + _SOURCES["gamma_gas"])
+_RATES = ("gamma_ph", "gamma_gas", "gamma", "Gamma_diff")
 
 
 def _sources(cfg: SystemConfig, *names) -> str:
@@ -321,8 +349,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
     # nan, rejected below, where the product underflows to 0
-    kappa = CODATA2018.c * np.pi / (2.0 * cfg.cavity_length * cfg.finesse
-                                    or math.nan)
+    kappa = _guarded(lambda: CODATA2018.c * np.pi
+                     / (2.0 * cfg.cavity_length * cfg.finesse))
     # a Python float, so V_c overflows to inf without a numpy warning
     waist = math.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
     V_c = np.pi * waist ** 2 * cfg.cavity_length / 4.0
@@ -330,8 +358,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
         * (cfg.permittivity - 1.0) / (cfg.permittivity + 2.0) * omega_c
     E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
-    ring_charge = resolve_ring_charge(cfg)
-    A_q = electrostatic_spring(cfg)
+    ring_charge = _guarded(resolve_ring_charge, cfg)
+    A_q = _guarded(electrostatic_spring, cfg)
     constants = {name: float(value) for name, value in dict(
         k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
         kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,

@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
-from .errors import LevringError, one
+from .errors import ConfigError, LevringError, one
 from .model import (DerivedParams, SystemConfig, delta0_from_config,
                     delta0_grid, derive_constants, ring_field_value)
 from .steady_state import (OperatingPoint, solve_models,
@@ -43,14 +43,20 @@ def _solve_rows(cfg: SystemConfig, derived: DerivedParams, delta0s,
                 ring_mode: str):
     """The PointSolution of `cfg` at each detuning of delta0s, in rad/s,
     or the NumericalError solving it raises: all rows at once, by the
-    grid solver of the ring mode (ValueError for another mode)."""
+    grid solver of the ring mode (ValueError for another mode).  A
+    ConfigError of a row, such as a damping rate that overflows at its
+    omega_m, is raised."""
     if ring_mode not in RING_MODES:
         raise ValueError(f"ring_mode must be one of {RING_MODES}")
     solver = solve_resonant_models if ring_mode == "resonant" else solve_models
-    return [outcome if isinstance(outcome, LevringError)
-            else _solution(outcome, cfg)
-            for outcome in solver([(derived, d0, cfg.ring_offset_c0)
-                                   for d0 in delta0s])]
+    rows = []
+    for outcome in solver([(derived, d0, cfg.ring_offset_c0)
+                           for d0 in delta0s]):
+        if isinstance(outcome, ConfigError):
+            raise outcome
+        rows.append(outcome if isinstance(outcome, LevringError)
+                    else _solution(outcome, cfg))
+    return rows
 
 
 def solve_point(cfg: SystemConfig,

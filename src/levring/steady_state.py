@@ -6,20 +6,22 @@ The equilibrium displacement x_s zeroes the force balance
 
 with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 (-pi/4k, pi/4k) where the optical curvature cos(2kx) stays positive.
-Roots are located by a grid finder, shared with the resonance solver,
-that evaluates the whole 4001-point grid at once and bisects every sign
-change (robust against the multi-root structure of the transcendental
-balance), then screened for stability of the linearised dynamics.  The
-screen builds the state-space model of each candidate; the solvers
-return the model of the accepted root, so spectra and entanglement read
-the very model that was screened.  One orchestration serves a single
-point and a grid of cells, such as a stability map or an entanglement
-sweep: `solve_models`, of which `solve_model` is the one-cell case.
-The cell count alone picks the kernels.  One cell bisects each bracket
-with `_bisect` on Python floats and builds its candidates' models one
-at a time as the screen reaches them; more cells bisect in lock step
-(`_bisect_all`) and find the eigenvalues of every candidate in one
-batched Durand-Kerner run.  Both pairs of kernels give the same bits.
+Roots are located by `_grid_roots`, the grid finder of the force
+balance and of the resonance mismatch alike: it evaluates the whole
+grid at once and bisects every sign change (robust against the
+multi-root structure of the transcendental balance).  The roots are
+then screened for stability of the linearised dynamics.  The screen
+builds the state-space model of each candidate; the solvers return the
+model of the accepted root, so spectra and entanglement read the very
+model that was screened.  One orchestration serves a single point and a
+grid of cells, such as a stability map or an entanglement sweep:
+`solve_models`, of which `solve_model` is the one-cell case.  The cell
+count alone picks the kernels, once in `_grid_roots` and once in
+`_screen_plans`.  One cell bisects each bracket with `_bisect` on Python
+floats and builds its candidates' models one at a time as the screen
+reaches them; more cells bisect in lock step (`_bisect_all`) and find
+the eigenvalues of every candidate in one batched Durand-Kerner run.
+Both pairs of kernels give the same bits.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -87,12 +89,13 @@ def _detuning(derived: DerivedParams, delta0, cos2):
 
 def _balance(derived: DerivedParams):
     """The force balance in newtons, balance(x, cos^2(kx), sin(2kx),
-    delta0, c0, A_q), its x-independent factors formed once; it runs on
+    (delta0, c0, A_q)), its x-independent factors formed once; it runs on
     Python floats and on broadcast arrays or numpy scalars alike."""
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
     quarter_kappa2 = derived.kappa ** 2 / 4.0
 
-    def balance(x, cos2, sin_2kx, delta0, c0, a_q):
+    def balance(x, cos2, sin_2kx, params):
+        delta0, c0, a_q = params
         delta = _detuning(derived, delta0, cos2)
         return (a_q * (c0 + x)
                 + hbar_gkE2 * sin_2kx / (quarter_kappa2 + delta * delta))
@@ -102,8 +105,8 @@ def _balance(derived: DerivedParams):
 def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
     """f(x) in newtons; vectorised over x."""
     return _balance(derived)(x, np.cos(derived.k * x) ** 2,
-                             np.sin(2.0 * derived.k * x), delta0, c0,
-                             derived.A_q)
+                             np.sin(2.0 * derived.k * x),
+                             (delta0, c0, derived.A_q))
 
 
 def residual_scale(derived: DerivedParams, c0: float) -> float:
@@ -154,10 +157,9 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
         residual=float(force_balance(x_s, derived, delta0, c0)))
 
 
-def _scan_grid(derived: DerivedParams, resonant: bool = False):
-    """The ascending scan grid and the bisection tolerance, BISECT_REL_TOL
-    of the trap interval width (see `_grid_tables`)."""
-    return _grid_tables(derived.k, resonant)[:2]
+# trig(2kx) of each scan as (Python-float, array) functions: sin(2kx) in
+# the force balance, cos(2kx) in the resonance mismatch (resonant)
+_TRIG = {False: (math.sin, np.sin), True: (math.cos, np.cos)}
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,7 +177,7 @@ def _grid_tables(k: float, resonant: bool):
     xs = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
           else np.linspace(-half, half, N_SCAN))
     cos2 = np.cos(k * xs) ** 2
-    trig = (np.cos if resonant else np.sin)(2.0 * k * xs)
+    trig = _TRIG[resonant][1](2.0 * k * xs)
     for table in (xs, cos2, trig):
         table.flags.writeable = False
     return xs, BISECT_REL_TOL * (2.0 * half), cos2, trig
@@ -220,8 +222,9 @@ def _bisect(fun, a, b, fa, tol_x):
 
 def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     """All force-balance roots in the open trap interval, ascending:
-    `_scan_cells` on the one cell."""
-    return _scan_cells(derived, *np.array([(delta0, c0, derived.A_q)]).T)[0]
+    `_grid_roots` on the one cell."""
+    params = tuple(np.array([(delta0, c0, derived.A_q)]).T)
+    return _grid_roots(derived.k, False, _balance(derived), params)[0]
 
 
 def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
@@ -331,59 +334,49 @@ def _pow_cos2(kx):
     return np.array([v ** 2 for v in np.cos(kx).tolist()])
 
 
-def _hit_roots(xs, hits, fun, tol_x, n_cells):
-    """The roots at the hits `_scan_hits` returns on the ascending grid
-    xs, as one ascending list per cell.
+def _grid_roots(k: float, resonant: bool, fun, params):
+    """The roots of cells that differ only in params, a tuple of arrays
+    of one value per cell, as one ascending list per cell.
 
-    A grid zero is its own root; the brackets [xs[i], xs[i + 1]] of the
-    sign changes are bisected from f_i.  One cell's are bisected in turn
-    by `_bisect`, with fun(x) evaluating at a Python float; more cells'
-    in lock step by `_bisect_all`, with fun(x, cells) evaluating the
-    functions of the given cells at x.
+    fun(x, cos^2(kx), trig(2kx), params) is the force balance
+    (`_balance`) or, resonant, the resonance mismatch (`_mismatch`).
+    `_scan_hits` finds its grid zeros, each its own root, and sign
+    changes on the grid of `_grid_tables`; on the resonance half-grid a
+    cell keeps only its first hit other than the grid zero x = 0.  The
+    brackets [xs[i], xs[i + 1]] are bisected from f_i: one cell's on
+    Python floats by `_bisect`, more cells' in lock step by `_bisect_all`.
     """
-    cell, i, f_i, zero = hits
+    xs, tol_x, cos2, trig = _grid_tables(k, resonant)
+    n_cells = len(params[0])
+    cell, i, f_i, zero = _scan_hits(
+        lambda rows: fun(xs, cos2, trig,
+                         tuple(p[rows, None] for p in params)), n_cells)
+    if resonant:
+        taken = ~(zero & (i == 0))
+        cell, first = np.unique(cell[taken], return_index=True)
+        i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
+    float_trig, array_trig = _TRIG[resonant]
     if n_cells == 1:
+        cell_params, cos = tuple(p.item() for p in params), math.cos
+
+        def bisected(x):
+            return fun(x, cos(k * x) ** 2, float_trig(2.0 * k * x),
+                       cell_params)
         return [[float(xs[j]) if z
-                 else _bisect(fun, float(xs[j]), float(xs[j + 1]), f, tol_x)
+                 else _bisect(bisected, float(xs[j]), float(xs[j + 1]), f,
+                              tol_x)
                  for j, f, z in zip(i.tolist(), f_i.tolist(), zero.tolist())]]
     found = xs[i]
     bracket = np.flatnonzero(~zero)
-    lo = i[bracket]
-    found[bracket] = _bisect_all(lambda x, idx: fun(x, cell[bracket[idx]]),
-                                 xs[lo], xs[lo + 1], f_i[bracket], tol_x)
+    lo, at = i[bracket], cell[bracket]
+    found[bracket] = _bisect_all(
+        lambda x, idx: fun(x, _pow_cos2(k * x), array_trig(2.0 * k * x),
+                           tuple(p[at[idx]] for p in params)),
+        xs[lo], xs[lo + 1], f_i[bracket], tol_x)
     roots = [[] for _ in range(n_cells)]
     for c, x in zip(cell.tolist(), found.tolist()):
         roots[c].append(x)
     return roots
-
-
-def _scan_cells(derived: DerivedParams, delta0, c0, a_q):
-    """The force-balance roots of cells that differ only in the arrays
-    delta0, c0 and A_q, as one ascending list per cell.
-
-    The grid and its cos^2(kx) and sin(2kx) come from `_grid_tables`; the
-    force balance of SCAN_CHUNK cells at a time is evaluated on the
-    N_SCAN-point grid, and every sign change is bisected (`_hit_roots`)
-    down to BISECT_REL_TOL of the interval width.
-    """
-    k, balance = derived.k, _balance(derived)
-    xs, tol_x, cos2, sin_2kx = _grid_tables(k, False)
-    hits = _scan_hits(
-        lambda rows: balance(xs, cos2, sin_2kx, delta0[rows, None],
-                             c0[rows, None], a_q[rows, None]),
-        len(delta0))
-    if len(delta0) == 1:
-        d0, c, a = delta0.item(), c0.item(), a_q.item()
-        cos, sin = math.cos, math.sin
-
-        def bisected(x):
-            return balance(x, cos(k * x) ** 2, sin(2.0 * k * x), d0, c, a)
-    else:
-        def bisected(x, at):
-            return balance(x, _pow_cos2(k * x), np.sin(2.0 * k * x),
-                           delta0[at], c0[at], a_q[at])
-
-    return _hit_roots(xs, hits, bisected, tol_x, len(delta0))
 
 
 def _shared(cells, names):
@@ -432,7 +425,7 @@ def solve_models(cells):
     entry i is the model screened at cell i's selected root (see
     `solve_model`, the one-cell case), or the NumericalError it raises.
 
-    The root scan of all cells runs as arrays (see `_scan_cells`) at the
+    The root scan of all cells runs as arrays (see `_grid_roots`) at the
     call, and so, for more than one cell, does the Durand-Kerner run
     for the candidate roots of every cell (`_screen_plans`); the
     operating points, residual checks and Routh-Hurwitz values are
@@ -444,9 +437,10 @@ def solve_models(cells):
                if d.A_q != 0.0 and c0 != 0.0]
     roots = {}
     if scanned:
-        delta0, c0, a_q = np.array([(cells[i][1], cells[i][2],
-                                     cells[i][0].A_q) for i in scanned]).T
-        roots = dict(zip(scanned, _scan_cells(ref, delta0, c0, a_q)))
+        params = tuple(np.array([(cells[i][1], cells[i][2], cells[i][0].A_q)
+                                 for i in scanned]).T)
+        roots = dict(zip(scanned, _grid_roots(ref.k, False, _balance(ref),
+                                              params)))
     plans = [caught(_candidates, *cell, roots.get(i))
              for i, cell in enumerate(cells)]
     return _screen_plans(cells, plans, [i in roots for i in range(len(cells))])
@@ -459,32 +453,32 @@ def solve_xs(derived: DerivedParams, delta0: float,
 
 
 def _mismatch(derived: DerivedParams):
-    """The cleared resonance mismatch, mismatch(cos^2(kx), cos(2kx),
-    delta0), formed and evaluated like `_balance`."""
+    """The cleared resonance mismatch, mismatch(x, cos^2(kx), cos(2kx),
+    (delta0,)), formed and evaluated like `_balance`; it ignores x."""
     lhs_scale = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
                  * derived.E_drive ** 2)
     kappa2, mass = derived.kappa ** 2, derived.mass
 
-    def mismatch(cos2, cos_2kx, delta0):
-        delta = _detuning(derived, delta0, cos2)
+    def mismatch(x, cos2, cos_2kx, params):
+        delta = _detuning(derived, params[0], cos2)
         return (lhs_scale * cos_2kx / (kappa2 + 4.0 * delta * delta)
                 - mass * delta * delta)
     return mismatch
 
 
-def _resonant_plan(derived: DerivedParams, delta0: float, c0: float,
-                   x_root: Optional[float]):
-    """The one-candidate screen plan of the resonance root x_root on the
-    half-grid (None: no root).
+def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
+    """The one-candidate screen plan of the resonance root on the
+    half-grid, roots = [x_root] (or [] for no root).
 
     Its candidate is the operating point at the mirror of x_root on the
     side of -C0, with the constants carrying the solved charge and the
     damping there; its end error is the UnstableResonance a non-Hurwitz
     model gives.
     """
-    if x_root is None:
+    if not roots:
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
+    x_root, = roots
     x_s = -x_root if c0 > 0.0 else x_root
     hbar = CODATA2018.hbar
     k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
@@ -517,7 +511,7 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
 
     The condition is even in x, so the mismatch is evaluated at once on
     the ascending grid from x = 0 outward, its first grid root other
-    than x = 0 itself is taken (`_resonance_roots`), and `op.x_s` is
+    than x = 0 itself is taken (`_grid_roots`), and `op.x_s` is
     that root negated for C0 > 0.  Returns the screened model at that
     point; its `derived` carries the solved `ring_charge` and `A_q` and
     the damping at `op.omega_m`.
@@ -525,36 +519,6 @@ def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
     The solve is that of `solve_resonant_models` on the one cell.
     """
     return one(solve_resonant_models([(derived, delta0, c0)]))
-
-
-def _resonance_roots(derived: DerivedParams, delta0):
-    """The half-grid resonance root of each of the cells that differ only
-    in the array delta0, or None where there is none.
-
-    The half-grid and its cos^2(kx) and cos(2kx) come from
-    `_grid_tables`.  A cell's root is at its first `_scan_hits` hit other
-    than the grid zero x = 0, bisected by `_hit_roots`.
-    """
-    k, mismatch = derived.k, _mismatch(derived)
-    xs, tol_x, cos2, cos_2kx = _grid_tables(k, True)
-    cell, i, f_i, zero = _scan_hits(
-        lambda rows: mismatch(cos2, cos_2kx, delta0[rows, None]),
-        len(delta0))
-    taken = ~(zero & (i == 0))
-    cell, first = np.unique(cell[taken], return_index=True)
-    hits = (cell, *(v[taken][first] for v in (i, f_i, zero)))
-    if len(delta0) == 1:
-        d0, cos = delta0.item(), math.cos
-
-        def bisected(x):
-            return mismatch(cos(k * x) ** 2, cos(2.0 * k * x), d0)
-    else:
-        def bisected(x, at):
-            return mismatch(_pow_cos2(k * x), np.cos(2.0 * k * x),
-                            delta0[at])
-
-    return [roots[0] if roots else None for roots in
-            _hit_roots(xs, hits, bisected, tol_x, len(delta0))]
 
 
 def solve_resonant_models(cells):
@@ -567,7 +531,7 @@ def solve_resonant_models(cells):
     one-cell case), or the NumericalError it raises.
 
     The resonance scan of all cells runs as arrays (see
-    `_resonance_roots`) at the call, and so, for more than one cell,
+    `_grid_roots`) at the call, and so, for more than one cell,
     does the Durand-Kerner run for every resonant point
     (`_screen_plans`); the charge, the operating point and their checks
     are scalar code per cell.
@@ -578,9 +542,10 @@ def solve_resonant_models(cells):
         for d, _, c0 in cells]
     scanned = [i for i, plan in enumerate(plans) if plan is None]
     if scanned:
-        delta0 = np.array([cells[i][1] for i in scanned])
-        for i, x_root in zip(scanned, _resonance_roots(ref, delta0)):
-            plans[i] = caught(_resonant_plan, *cells[i], x_root)
+        params = (np.array([cells[i][1] for i in scanned]),)
+        for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
+                                                 params)):
+            plans[i] = caught(_resonant_plan, *cells[i], roots)
     return _screen_plans(cells, plans, [True] * len(cells))
 
 

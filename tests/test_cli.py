@@ -667,41 +667,43 @@ class TestExitCodes:
             "negative ring charge\n")
 
 
-# every numeric key of fig1.cfg, and the optional gas molecule mass
+# the other key of each one-of pair, with the line of fig1.cfg it replaces
+# (appended, it would only meet the "mutually exclusive" error)
+ALTERNATES = {"ring_charge_c": "ring_field_v_per_m",
+              "detuning_delta0_rad_s": "detuning_over_kappa",
+              "gas_pressure_pa": "gas_pressure_torr"}
+# every numeric key of fig1.cfg, the optional gas molecule mass and the
+# one-of alternates
 EXTREME_KEYS = re.findall(r"^(\w+) = ", FIG1_TEXT, flags=re.M) + [
-    "gas_molecule_mass_u"]
+    "gas_molecule_mass_u", *ALTERNATES]
+SMALL_GRID_RUNS = (["steady-state"], ["spectrum", "--grid-n", "3"],
+                   ["entanglement", "--grid-n", "2"],
+                   ["stability-map", "--grid-n", "2", "--p2-n", "2"])
 
 
-def extreme_cases():
-    for key in EXTREME_KEYS:
-        for value in ("1e300", "1e-300", "5e-324"):
-            marks = ()
-            if (key, value) == ("gas_pressure_torr", "1e300"):
-                # Gamma_diff = gamma kB T / (hbar omega_m) overflows at the
-                # solved omega_m (model.py:244, damping_and_diffusion): a
-                # warning, then exit 2 (0 for stability-map), not a config
-                # error; the constants cannot bound it before the solve
-                marks = pytest.mark.xfail(
-                    strict=True, reason="Gamma_diff overflows at solve time")
-            yield pytest.param(key, value, marks=marks, id=f"{key}={value}")
+def edited_fig1(*lines):
+    """FIG1_TEXT with each `key = value` line in place of the line of its
+    key or of its one-of partner; a key without either is appended."""
+    text = FIG1_TEXT
+    for line in lines:
+        key = line.split(" = ")[0]
+        pattern = rf"^{ALTERNATES.get(key, key)} = .*$"
+        text = (re.sub(pattern, line, text, flags=re.M)
+                if re.search(pattern, text, flags=re.M) else f"{text}{line}\n")
+    return text
 
 
-@pytest.mark.parametrize("key, value", extreme_cases())
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}={value}") for key in EXTREME_KEYS
+    for value in ("1e300", "1e-300", "5e-324")])
 def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
     # in process through every subcommand, with small grids: an exit code
     # of the documented family, one error line, and no traceback or
     # RuntimeWarning; a config error names the field of the key
     path, out = tmp_path / "extreme.cfg", tmp_path / "out.csv"
-    pattern = rf"^{key} = .*$"
-    if re.search(pattern, FIG1_TEXT, flags=re.M):
-        path.write_text(re.sub(pattern, f"{key} = {value}", FIG1_TEXT,
-                               flags=re.M))
-    else:
-        path.write_text(FIG1_TEXT + f"{key} = {value}\n")
+    path.write_text(edited_fig1(f"{key} = {value}"))
     field = levring.cli.CONFIG_KEYS[key][0]
-    for argv in (["steady-state"], ["spectrum", "--grid-n", "3"],
-                 ["entanglement", "--grid-n", "2"],
-                 ["stability-map", "--grid-n", "2", "--p2-n", "2"]):
+    for argv in SMALL_GRID_RUNS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*argv, "--config", str(path), "--out", str(out)])
@@ -715,3 +717,34 @@ def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
             prefix = "config error: " if code == 1 else "numerical error: "
             assert err.startswith(prefix) and err.count("\n") == 1, argv
             assert code == 2 or field in err, argv
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["sphere_radius_nm = 1e-300", "ring_radius_mm = 1e-300"],
+     "ring_radius = 1.0000000000000001e-303 m underflows when cubed"),
+    (["sphere_radius_nm = 1e-300", "ring_radius_mm = 1e-300",
+      "ring_charge_c = 1e-9"],
+     "ring_radius = 1.0000000000000001e-303 m underflows when cubed"),
+    (["cavity_length_cm = 1e160", "ring_offset_c0_nm = 1e165"],
+     "derived constant V_c = inf is not finite "
+     "(from wavelength, cavity_length)"),
+    # (c0 / R)^2 overflows in the field-to-charge inversion alone
+    (["cavity_length_cm = 1e156", "ring_offset_c0_nm = 1e161"],
+     "derived constant ring_charge = nan is not finite "
+     "(from ring_field, ring_offset_c0, ring_radius)"),
+], ids=["tiny-ring", "tiny-ring-charge-given", "long-cavity",
+        "far-ring-offset"])
+def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
+    # fields that pass one at a time fail together in the ring or cavity
+    # constants: exit 1 and one config error line, on every subcommand
+    path = tmp_path / "edited.cfg"
+    path.write_text(edited_fig1(*lines))
+    for argv in SMALL_GRID_RUNS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1, argv
+        assert capsys.readouterr().err == f"config error: {message}\n", argv
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv

@@ -287,6 +287,14 @@ class TestSweep:
         with pytest.raises(ConfigInvalid, match="sphere_radius"):
             entanglement_sweep(cfg, [0.3])
 
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_damping_config_invalid_propagates(self, ring_mode):
+        # Gamma_diff overflows at each row's omega_m: a config error of
+        # the sweep, not a row error
+        cfg = reference_config(gas_pressure=1e300)
+        with pytest.raises(ConfigInvalid, match="gas_pressure"):
+            entanglement_sweep(cfg, [0.3, 0.8], ring_mode)
+
     def test_non_finite_detuning_names_the_field(self):
         cfg = reference_config(ring_field=2.5e11)
         for bad in (np.nan, np.inf):

@@ -297,6 +297,21 @@ class TestDamping:
         with pytest.raises(NonPositiveFrequency):
             damping_and_diffusion(ref_cfg, -1.0)
 
+    @pytest.mark.parametrize("changes, omega_m, rate", [
+        (dict(gas_pressure=1e300), OMEGA, "Gamma_diff = inf"),
+        # hbar omega_m underflows to zero: the division raises
+        (dict(), 1e-320, "Gamma_diff = nan"),
+    ])
+    def test_non_finite_rate_is_config_error(self, changes, omega_m, rate):
+        # a rate that overflows at the solved omega_m: a config error
+        # naming the fields of the rate, not a RuntimeWarning
+        with pytest.raises(ConfigInvalid) as err:
+            damping_and_diffusion(reference_config(**changes), omega_m)
+        assert str(err.value) == (
+            f"damping rate {rate} is not finite at omega_m = {omega_m:.6e} "
+            "rad/s (from permittivity, sphere_radius, wavelength, "
+            "temperature, gas_pressure, density, gas_molecule_mass)")
+
     def test_with_damping_completes_record(self, ref_cfg):
         derived = derive_constants(ref_cfg)
         assert derived.gamma is None

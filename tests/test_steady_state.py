@@ -20,7 +20,7 @@ from levring.errors import (AllRootsUnstable, LevringError,
 from levring.model import delta0_from_config, derive_constants
 from levring.pipeline import ring_field_value, solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
-                                  _bisect, _scan_cells, cavity_steady_field,
+                                  _bisect, _grid_roots, cavity_steady_field,
                                   force_balance,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
@@ -287,12 +287,12 @@ class TestSolveXs:
             for x in rng.uniform(-half, half, 400).tolist():
                 want = float(force_balance(x, derived, delta0, c0))
                 got = balance(x, math.cos(k * x) ** 2, math.sin(2.0 * k * x),
-                              delta0, c0, derived.A_q)
+                              (delta0, c0, derived.A_q))
                 assert got.hex() == want.hex()
-                want = float(mismatch(np.cos(k * x) ** 2,
-                                      np.cos(2.0 * k * x), delta0))
-                got = mismatch(math.cos(k * x) ** 2, math.cos(2.0 * k * x),
-                               delta0)
+                want = float(mismatch(x, np.cos(k * x) ** 2,
+                                      np.cos(2.0 * k * x), (delta0,)))
+                got = mismatch(x, math.cos(k * x) ** 2, math.cos(2.0 * k * x),
+                               (delta0,))
                 assert got.hex() == want.hex()
 
     def test_sign_tests_survive_overflow_and_underflow(self):
@@ -567,7 +567,7 @@ class TestGridTables:
         assert tol_x == BISECT_REL_TOL * (2.0 * half)
         assert cos2.tobytes() == (np.cos(k * want) ** 2).tobytes()
         assert trig_2kx.tobytes() == trig(2.0 * k * want).tobytes()
-        grid, tol = steady_state._scan_grid(derived, resonant)
+        grid, tol = steady_state._grid_tables(derived.k, resonant)[:2]
         assert grid is xs and tol == tol_x
 
     @pytest.mark.parametrize("resonant", [False, True])
@@ -642,14 +642,16 @@ class TestSolveModels:
             derived = cases[0][0]
             delta0, c0, a_q = (np.array(v) for v in zip(
                 *[(d0, c0, d.A_q) for d, d0, c0 in cases]))
-            roots = _scan_cells(derived, delta0, c0, a_q)
+            roots = _grid_roots(derived.k, False,
+                                steady_state._balance(derived),
+                                (delta0, c0, a_q))
             assert roots == [scan_roots(*case) for case in cases]
         assert [len(r) for r in roots[:2]] == [2, 2]
 
     def test_decoupled_cells_are_not_scanned(self, monkeypatch):
         derived = derive_constants(
             parse_config(str(CONFIG_DIR / "decoupled.cfg")))
-        monkeypatch.setattr(steady_state, "_scan_cells", None)
+        monkeypatch.setattr(steady_state, "_grid_roots", None)
         cells = [(derived, d0 * derived.kappa, c0)
                  for d0 in (-0.5, 0.0, 0.8) for c0 in (0.0, 1e-6, -1e-6)]
         got = list(solve_models(cells))
@@ -765,17 +767,19 @@ class TestSolveResonantModels:
         for cfg in cfgs:
             derived = derive_constants(cfg)
             k, delta0 = derived.k, np.linspace(0.05, 1.2, 20) * derived.kappa
-            xs, _ = steady_state._scan_grid(derived, resonant=True)
+            xs = steady_state._grid_tables(k, True)[0]
 
             def mismatch(x):
                 return steady_state._mismatch(derived)(
-                    np.cos(k * x) ** 2, np.cos(2.0 * k * x), delta0[:, None])
+                    x, np.cos(k * x) ** 2, np.cos(2.0 * k * x),
+                    (delta0[:, None],))
 
             assert mismatch(-xs).tobytes() == mismatch(xs).tobytes()
             assert (steady_state._pow_cos2(k * -xs).tobytes()
                     == steady_state._pow_cos2(k * xs).tobytes())
             c0 = abs(cfg.ring_offset_c0)
-            roots = steady_state._resonance_roots(derived, delta0)
+            roots = [r[0] if r else None for r in _grid_roots(
+                k, True, steady_state._mismatch(derived), (delta0,))]
             for d0, root in zip(delta0, roots):
                 want = reference_resonant_root(derived, d0, c0)
                 assert (root is None) == (want is None)
