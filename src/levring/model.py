@@ -214,15 +214,17 @@ def ring_field(x, cfg: SystemConfig):
 
 
 def electrostatic_spring(cfg: SystemConfig, x_s: float = 0.0,
-                         exact: bool = False) -> float:
+                         exact: bool = False, *,
+                         ring_charge: Optional[float] = None) -> float:
     """Electrostatic spring constant A_q (N/m).
 
     Approximate mode: q Q / (4 pi eps0 R^3), the (C0 + x_s) << R limit.
     Exact mode multiplies by [1 - 2 u^2][1 + u^2]^(-5/2), u = (C0+x_s)/R,
-    the curvature of the full on-axis potential.
+    the curvature of the full on-axis potential.  Q is ring_charge when
+    given, the charge `resolve_ring_charge(cfg)` already returned.
     """
     q = cfg.mcp_epsilon * CODATA2018.e0
-    Q = resolve_ring_charge(cfg)
+    Q = resolve_ring_charge(cfg) if ring_charge is None else ring_charge
     a_q = q * Q / (4.0 * np.pi * CODATA2018.eps0 * cfg.ring_radius ** 3)
     if exact:
         u2 = ((cfg.ring_offset_c0 + x_s) / cfg.ring_radius) ** 2
@@ -359,7 +361,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = _guarded(resolve_ring_charge, cfg)
-    A_q = _guarded(electrostatic_spring, cfg)
+    A_q = _guarded(lambda: electrostatic_spring(cfg, ring_charge=ring_charge))
     constants = {name: float(value) for name, value in dict(
         k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
         kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,

@@ -7,21 +7,24 @@ The equilibrium displacement x_s zeroes the force balance
 with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 (-pi/4k, pi/4k) where the optical curvature cos(2kx) stays positive.
 Roots are located by `_grid_roots`, the grid finder of the force
-balance and of the resonance mismatch alike: it evaluates the whole
-grid at once and bisects every sign change (robust against the
-multi-root structure of the transcendental balance).  The roots are
-then screened for stability of the linearised dynamics.  The screen
-builds the state-space model of each candidate; the solvers return the
-model of the accepted root, so spectra and entanglement read the very
-model that was screened.  One orchestration serves a single point and a
-grid of cells, such as a stability map or an entanglement sweep:
-`solve_models`, of which `solve_model` is the one-cell case.  The cell
-count alone picks the kernels, once in `_grid_roots` and once in
-`_screen_plans`.  One cell bisects each bracket with `_bisect` on Python
-floats and builds its candidates' models one at a time as the screen
-reaches them; more cells bisect in lock step (`_bisect_all`) and find
-the eigenvalues of every candidate in one batched Durand-Kerner run.
-Both pairs of kernels give the same bits.
+balance and of the resonance mismatch alike: it finds every grid zero
+and sign change and bisects each sign change (robust against the
+multi-root structure of the transcendental balance).  One cell is
+evaluated on the whole grid; a grid of cells first on every 16th grid
+point, and on the fine grid only in the intervals where a bound on the
+slope cannot rule out a hit (`_scan_hits`), which gives the same hits.
+The roots are then screened for stability of the linearised dynamics.
+The screen builds the state-space model of each candidate; the solvers
+return the model of the accepted root, so spectra and entanglement read
+the very model that was screened.  One orchestration serves a single
+point and a grid of cells, such as a stability map or an entanglement
+sweep: `solve_models`, of which `solve_model` is the one-cell case.
+The cell count alone picks the kernels, in `_scan_hits`, in
+`_grid_roots` and in `_screen_plans`.  One cell bisects each bracket
+with `_bisect` on Python floats and builds its candidates' models one
+at a time as the screen reaches them; more cells bisect in lock step
+(`_bisect_all`) and find the eigenvalues of every candidate in one
+batched Durand-Kerner run.  Both pairs of kernels give the same bits.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -35,6 +38,7 @@ import dataclasses
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,13 +50,15 @@ from .constants import CODATA2018
 from .errors import (AllRootsUnstable, LevringError, NoResonantSolution,
                      NoRootInInterval, NotConverged, NumericalError,
                      UnstableResonance, UnstableTrap, caught, one)
-from .model import DerivedParams
+from .model import DerivedParams, _guarded
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
 BISECT_REL_TOL = 1e-15          # of the full interval width
 RESIDUAL_REL_TOL = 1e-12
-SCAN_CHUNK = 4                  # cells per [SCAN_CHUNK, N_SCAN] scan block
+SCAN_STRIDE = 16                # grid steps per coarse scan interval
+SCAN_CHUNK = 16                 # cells per coarse block of a scan
+SCAN_SLACK = 2.0 ** -40         # of a cell's magnitude bound (`_scan_hits`)
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,13 @@ def _detuning(derived: DerivedParams, delta0, cos2):
 def _balance(derived: DerivedParams):
     """The force balance in newtons, balance(x, cos^2(kx), sin(2kx),
     (delta0, c0, A_q)), its x-independent factors formed once; it runs on
-    Python floats and on broadcast arrays or numpy scalars alike."""
+    Python floats and on broadcast arrays or numpy scalars alike.
+
+    balance.bound(params) is the (slope, slack) of each cell for
+    `_scan_hits`: |f'| <= |A_q| plus the slope bound of the Lorentzian
+    term (`_lorentzian_bound`, p = hbar g k E^2), and the magnitude bound
+    B = |A_q| (|C0| + pi/4k) + p/q + p S r.
+    """
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
     quarter_kappa2 = derived.kappa ** 2 / 4.0
 
@@ -99,7 +111,40 @@ def _balance(derived: DerivedParams):
         delta = _detuning(derived, delta0, cos2)
         return (a_q * (c0 + x)
                 + hbar_gkE2 * sin_2kx / (quarter_kappa2 + delta * delta))
+
+    def bound(params):
+        delta0, c0, a_q = params
+        slope, size, _ = _lorentzian_bound(derived, hbar_gkE2, quarter_kappa2,
+                                           delta0)
+        ring = abs(a_q)
+        return ring + slope, SCAN_SLACK * (
+            ring * (abs(c0) + math.pi / (4.0 * derived.k)) + size)
+    balance.bound = bound
     return balance
+
+
+def _lorentzian_bound(derived: DerivedParams, p, q, delta0):
+    """Bounds over the trap interval on the Lorentzian term
+    p trig(2kx) / (q + Delta(x)^2), p >= 0 and q = kappa^2/4, of both
+    scanned equations, per cell: (slope, size, r).
+
+    r = max |Delta(x)|: cos^2(kx) lies in [1/2, 1], so Delta(x) lies
+    between Delta at cos^2 = 1/2 and at 1, and r = |Delta(3/4)| + |g|/4.
+    With |trig| <= 1, |trig'| <= 2k and |Delta'| = |g k sin(2kx)| <= |g| k,
+    the term's slope is at most slope = p (2k/q + S |g| k), where
+        S = max_D |d/dD 1/(q + D^2)| = max_D 2|D| / (q + D^2)^2
+          = 9 sqrt(q/3) / (8 q^2), taken at D^2 = q/3.
+    size = p/q + p S r bounds the term and its rounding sensitivity to
+    Delta (see `_scan_hits`).  Where S divides by zero or is not a normal
+    float the bounds are nan, and a nan bound certifies nothing.
+    """
+    g = abs(derived.g)
+    r = abs(_detuning(derived, delta0, 0.75)) + 0.25 * g
+    steep = _guarded(lambda: 9.0 / (8.0 * math.sqrt(3.0 * q) * q))
+    if not steep >= sys.float_info.min:         # nan, or subnormal: inexact
+        return math.nan, math.nan, r
+    k = derived.k
+    return p * (2.0 * k / q + steep * g * k), p / q + p * steep * r, r
 
 
 def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
@@ -183,27 +228,130 @@ def _grid_tables(k: float, resonant: bool):
     return xs, BISECT_REL_TOL * (2.0 * half), cos2, trig
 
 
-def _scan_hits(block, n_cells):
-    """The grid zeros and sign changes of n_cells functions on one grid.
+@functools.lru_cache(maxsize=8)
+def _scan_tables(k: float, resonant: bool):
+    """`_two_pass_tables` of the scan grid of `_grid_tables`, built once
+    per (k, resonant) and shared read-only."""
+    xs, _, cos2, trig = _grid_tables(k, resonant)
+    return _two_pass_tables((xs, cos2, trig))
 
-    block(rows) evaluates the functions of the cells in the slice rows on
-    the whole grid, as a [cells, grid] array; it is called for SCAN_CHUNK
-    cells at a time, which bounds the temporaries.  Returns the cell, the
-    grid index i, the value there and the exact-zero flag of every grid
-    zero and of every sign change between i and i + 1, as flat arrays
-    ordered by cell and then by i.  Signs are compared, not values
-    multiplied, so no product can overflow or underflow to zero.
+
+def _two_pass_tables(grid, stride=SCAN_STRIDE):
+    """(grid, coarse, fine, width) of `_scan_hits` over a grid's tables
+    grid = (x, cos^2(kx), trig(2kx)).
+
+    coarse holds every stride-th entry of each table, both ends
+    included; row j of a fine table holds the stride + 1 entries of
+    coarse interval j, grid indices j stride to (j + 1) stride; width is
+    the widest coarse interval.  stride must divide the grid's steps.
     """
-    hits = []
-    for first in range(0, n_cells, SCAN_CHUNK):
-        fs = block(slice(first, first + SCAN_CHUNK))
-        neg, pos = fs < 0.0, fs > 0.0
-        hit = fs == 0.0
-        hit[:, :-1] |= (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-        cell, i = np.divmod(np.flatnonzero(hit), fs.shape[1])
-        f_i = fs[cell, i]
-        hits.append((cell + first, i, f_i, f_i == 0.0))
-    return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
+    steps = len(grid[0]) - 1
+    if steps % stride:
+        raise ValueError(f"stride {stride} does not divide {steps} grid steps")
+    coarse = tuple(np.ascontiguousarray(t[::stride]) for t in grid)
+    rows = np.arange(0, steps, stride)[:, None] + np.arange(stride + 1)
+    fine = tuple(t[rows] for t in grid)
+    for table in coarse + fine:
+        table.flags.writeable = False
+    return grid, coarse, fine, float(np.max(np.diff(coarse[0])))
+
+
+def _joined(parts):
+    """The arrays of each part concatenated, position by position."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate,
+                                                       zip(*parts)))
+
+
+def _hit_mask(fs):
+    """Along the last axis of fs, the points that are exact zeros or whose
+    sign differs from the next point's.  Signs are compared, not values
+    multiplied, so no product can overflow or underflow to zero."""
+    neg, pos = fs < 0.0, fs > 0.0
+    hit = fs == 0.0
+    hit[..., :-1] |= ((neg[..., :-1] & pos[..., 1:])
+                      | (pos[..., :-1] & neg[..., 1:]))
+    return hit
+
+
+def _scan_hits(fun, tables, params):
+    """The grid zeros and sign changes of cells' functions on one grid.
+
+    fun(x, cos^2(kx), trig(2kx), params) is a cell's function, params a
+    tuple of arrays of one value per cell, and tables the
+    `_two_pass_tables` of the grid.  Returns the cell, the grid index i,
+    the value there and the exact-zero flag of every grid zero and of
+    every sign change between i and i + 1 (`_hit_mask`), as flat arrays
+    ordered by cell and then by i.
+
+    One cell is evaluated on the whole grid, in fewer numpy calls than
+    the two passes below take.  More cells get the same hits, bit for
+    bit, from two passes that evaluate the fine grid only where a slope
+    bound cannot rule a hit out:
+    - coarse pass: f on every coarse point, SCAN_CHUNK cells at a time,
+      which bounds the temporaries.  Gathered from the grid's tables,
+      each value has the bits of the whole-grid evaluation.  A coarse
+      interval [a, b], of width at most H, is certified free of hits
+      when |F_a| + |F_b| > L H + slack (a Lipschitz exclusion test;
+      Moore, Interval Analysis, 1966), where (L, slack) = fun.bound(params)
+      per cell.  A nan or an infinity certifies nothing;
+    - fine pass: the stride + 1 points of each uncertified interval are
+      evaluated, SCAN_CHUNK * SCAN_STRIDE intervals at a time, and the
+      hit rule applied there.  An interval's last point is the next
+      one's first, so a zero there is counted by the next interval, or
+      by the last one at the end of the grid.
+
+    Why the hits are exact.  Let f be the function in exact arithmetic at
+    the stored grid points, |f'| <= L, and let each computed value lie
+    within E of f.  If f vanished at z in [a, b], |f(a)| + |f(b)| <=
+    L (z - a) + L (b - z) <= L H; so computed values of opposite signs,
+    or a zero at an end, give |F_a| + |F_b| < L H + 3E.  If they share a
+    sign and |F_a| + |F_b| - L H > 4E, f keeps that sign on [a, b] with
+    |f| > (|F_a| + |F_b| - 2E - L H) / 2 > E, so every computed fine
+    value keeps it and none is zero.  A slack of 4E plus the test's own
+    rounding therefore drops no hit.  For the two equations (`_balance`,
+    `_mismatch`; p, q, S and r as in `_lorentzian_bound`, m the mass,
+    u = 2^-53, numpy's sin and cos within 4 ulp): each sin or cos entry
+    is within 10u of its function and each cos^2 entry within 22u, so the
+    computed Delta(x) is within 23u |g| + u r <= 93u r (r >= |g|/4); then
+    the force balance is within
+    u (3.2 |A_q| (|C0| + pi/4k) + 16.3 p/q + 94.5 p S r) <= 256u B and
+    the mismatch within u (15.3 p/q + 94 p S r + 193 m r^2) <= 256u B,
+    B being the cell's magnitude bound.  At stride 16, k H <= 0.0063, so
+    L H <= 0.06 B and the test itself rounds within 5u B.  The slack
+    SCAN_SLACK B = 2^-40 B = 8192u B is nearly eight times the
+    4 x 256u B + 5u B needed.  The bounds assume that no intermediate
+    value is subnormal.
+    """
+    grid, coarse, fine, width = tables
+    if len(params[0]) == 1:
+        fs = fun(*grid, params)
+        i = np.flatnonzero(_hit_mask(fs))
+        f_i = fs[i]
+        return np.zeros_like(i), i, f_i, f_i == 0.0
+    # a bound or a sum that overflows is inf and certifies nothing: the
+    # fine pass evaluates its intervals again, and warns of an overflow
+    with np.errstate(over="ignore"):
+        slope, slack = fun.bound(params)
+        limit = (slope * width + slack)[:, None]
+        spans = []
+        for first in range(0, len(params[0]), SCAN_CHUNK):
+            rows = slice(first, first + SCAN_CHUNK)
+            ends = np.abs(fun(*coarse, tuple(p[rows, None] for p in params)))
+            ends = ends[:, :-1] + ends[:, 1:]
+            cell, j = np.nonzero(~((ends > limit[rows]) & (ends < np.inf)))
+            spans.append((cell + first, j))
+    cells, opened = _joined(spans)
+    hits, block = [], SCAN_CHUNK * SCAN_STRIDE
+    for first in range(0, max(len(opened), 1), block):  # once if none open
+        cell, j = cells[first:first + block], opened[first:first + block]
+        fs = fun(*(t[j] for t in fine), tuple(p[cell, None] for p in params))
+        hit = _hit_mask(fs)
+        hit[:, -1] &= j == len(fine[0]) - 1
+        row, at = np.nonzero(hit)
+        f_i = fs[row, at]
+        hits.append((cell[row], j[row] * (fs.shape[1] - 1) + at, f_i,
+                     f_i == 0.0))
+    return _joined(hits)
 
 
 def _bisect(fun, a, b, fa, tol_x):
@@ -339,18 +487,19 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     of one value per cell, as one ascending list per cell.
 
     fun(x, cos^2(kx), trig(2kx), params) is the force balance
-    (`_balance`) or, resonant, the resonance mismatch (`_mismatch`).
-    `_scan_hits` finds its grid zeros, each its own root, and sign
-    changes on the grid of `_grid_tables`; on the resonance half-grid a
-    cell keeps only its first hit other than the grid zero x = 0.  The
-    brackets [xs[i], xs[i + 1]] are bisected from f_i: one cell's on
-    Python floats by `_bisect`, more cells' in lock step by `_bisect_all`.
+    (`_balance`) or, resonant, the resonance mismatch (`_mismatch`), and
+    fun.bound its slope bound.  `_scan_hits` finds its grid zeros, each
+    its own root, and sign changes on the grid of `_grid_tables`: one
+    cell on the whole grid, more cells on the fine grid only where the
+    bound cannot rule a hit out, with the same hits.  On the resonance
+    half-grid a cell keeps only its first hit other than the grid zero
+    x = 0.  The brackets [xs[i], xs[i + 1]] are bisected from f_i: one
+    cell's on Python floats by `_bisect`, more cells' in lock step by
+    `_bisect_all`.
     """
     xs, tol_x, cos2, trig = _grid_tables(k, resonant)
     n_cells = len(params[0])
-    cell, i, f_i, zero = _scan_hits(
-        lambda rows: fun(xs, cos2, trig,
-                         tuple(p[rows, None] for p in params)), n_cells)
+    cell, i, f_i, zero = _scan_hits(fun, _scan_tables(k, resonant), params)
     if resonant:
         taken = ~(zero & (i == 0))
         cell, first = np.unique(cell[taken], return_index=True)
@@ -454,7 +603,13 @@ def solve_xs(derived: DerivedParams, delta0: float,
 
 def _mismatch(derived: DerivedParams):
     """The cleared resonance mismatch, mismatch(x, cos^2(kx), cos(2kx),
-    (delta0,)), formed and evaluated like `_balance`; it ignores x."""
+    (delta0,)), formed and evaluated like `_balance`; it ignores x.
+
+    Its Lorentzian term is p cos(2kx) / (q + Delta^2) with p = 2 hbar g k^2
+    E^2 and q = kappa^2/4, so mismatch.bound(params) gives, per cell,
+    |f'| <= the term's slope bound (`_lorentzian_bound`) + 2 m |g| k r and
+    the magnitude bound B = p/q + p S r + m r^2.
+    """
     lhs_scale = (8.0 * CODATA2018.hbar * derived.g * derived.k ** 2
                  * derived.E_drive ** 2)
     kappa2, mass = derived.kappa ** 2, derived.mass
@@ -463,6 +618,13 @@ def _mismatch(derived: DerivedParams):
         delta = _detuning(derived, params[0], cos2)
         return (lhs_scale * cos_2kx / (kappa2 + 4.0 * delta * delta)
                 - mass * delta * delta)
+
+    def bound(params):
+        slope, size, r = _lorentzian_bound(derived, lhs_scale / 4.0,
+                                           kappa2 / 4.0, params[0])
+        return (slope + 2.0 * mass * abs(derived.g) * derived.k * r,
+                SCAN_SLACK * (size + mass * r * r))
+    mismatch.bound = bound
     return mismatch
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from levring import model
 from levring.constants import CODATA2018
 from levring.errors import ConfigInvalid, NonPositiveFrequency
 from levring.model import (DerivedParams, damping_and_diffusion,
@@ -260,6 +261,25 @@ class TestElectrostaticSpring:
         ratio = (electrostatic_spring(cfg, x_s=x_s, exact=True)
                  / electrostatic_spring(cfg))
         assert abs(1.0 - ratio) < 1e-6
+
+    @pytest.mark.parametrize("ring", [dict(), dict(ring_field=None,
+                                                   ring_charge=3.25)])
+    def test_derive_resolves_the_charge_once(self, monkeypatch, ring):
+        # A_q is formed from the charge derive_constants resolved, with
+        # the bits of electrostatic_spring resolving it itself
+        cfg = reference_config(**ring)
+        want = electrostatic_spring(cfg)
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return resolve_ring_charge(cfg)
+
+        monkeypatch.setattr(model, "resolve_ring_charge", counted)
+        derived = derive_constants(cfg)
+        assert len(calls) == 1
+        assert derived.A_q.hex() == want.hex()
+        assert derived.ring_charge == resolve_ring_charge(cfg)
 
 
 class TestDamping:

@@ -301,13 +301,18 @@ class TestSolveXs:
         # zero or overflow, a line and its negation give the hits and the
         # root bits they give at scale 1
         xs, sign = np.linspace(0.0, 1.0, 11), np.array([1.0, -1.0])
+        tables = steady_state._two_pass_tables((xs, xs, xs), stride=5)
         results = []
         for scale in (1e-300, 1.0, 1e300):
             def line(x, idx=0, scale=scale):
                 return sign[idx] * scale * (x - 0.37)
 
-            cell, i, _, zero = steady_state._scan_hits(
-                lambda rows: line(xs, np.arange(2)[rows, None]), 2)
+            def cells(x, cos2, trig, params):
+                return line(x, params[0])
+            cells.bound = lambda params, scale=scale: (
+                np.full(2, scale), np.full(2, steady_state.SCAN_SLACK * scale))
+            cell, i, _, zero = steady_state._scan_hits(cells, tables,
+                                                       (np.arange(2),))
             point = steady_state._bisect(line, 0.3, 0.4, line(0.3), 1e-15)
             lock_step = steady_state._bisect_all(
                 line, np.full(2, 0.3), np.full(2, 0.4),
@@ -604,6 +609,183 @@ class TestGridTables:
             assert outcome(cfg) == cold
             solved += isinstance(cold[0], float)
         assert solved >= 5
+
+
+def whole_grid_hits(fun, k, resonant, params):
+    """Reference for the two-pass scan: each cell evaluated on the whole
+    grid, as (cell, i, value bits) of every grid zero and of every sign
+    change between i and i + 1."""
+    xs, _, cos2, trig = steady_state._grid_tables(k, resonant)
+    hits = []
+    for c in range(len(params[0])):
+        fs = fun(xs, cos2, trig, tuple(p[c] for p in params))
+        change = np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0
+        for i in np.flatnonzero((fs == 0.0) | np.append(change, False)):
+            hits.append((c, int(i), float(fs[i]).hex()))
+    return hits
+
+
+def scanned_hits(fun, tables, params):
+    """`_scan_hits` as (cell, i, value bits), its zero flags checked."""
+    cell, i, f_i, zero = steady_state._scan_hits(fun, tables, params)
+    assert zero.tolist() == (f_i == 0.0).tolist()
+    return [(c, j, f.hex()) for c, j, f in
+            zip(cell.tolist(), i.tolist(), f_i.tolist())]
+
+
+def shipped_case(name):
+    cfg = parse_config(str(CONFIG_DIR / name))
+    derived = derive_constants(cfg)
+    return derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0
+
+
+def fold_cases():
+    """The two-root anti-Stokes case, and that case with A_q scaled by
+    1.2226997662 (its two roots 4.4e-11 m apart, between two grid points)
+    and by 1.2226998406 (the fold, where they meet)."""
+    derived, delta0, c0 = anti_stokes_two_root_case()
+    return [(dataclasses.replace(derived, A_q=scale * derived.A_q), delta0, c0)
+            for scale in (1.0, 1.2226997662, 1.2226998406)]
+
+
+def line_cells(trig):
+    """Cells a (x - r) + trig on the 65-point grid of [0, 1], whose coarse
+    points are 0, 1/4, 1/2, 3/4 and 1; params = (a, r), slope bound |a|."""
+    xs = np.linspace(0.0, 1.0, 65)
+
+    def line(x, cos2, trig, params):
+        return params[0] * (x - params[1]) + trig
+    line.bound = lambda params: (
+        np.abs(params[0]), steady_state.SCAN_SLACK * 2.0 * np.abs(params[0]))
+    return line, steady_state._two_pass_tables((xs, xs, trig))
+
+
+class TestTwoPassScan:
+    """The certified coarse-to-fine scan finds the whole grid's hits."""
+
+    def test_balance_roots_equal_reference(self):
+        batches = (stokes_side_cases(), fold_cases(),
+                   [shipped_case("fig1.cfg"), shipped_case("fig2.cfg")])
+        counts = []
+        for cases in batches:
+            derived = steady_state._shared(cases, ("k", "g", "E_drive",
+                                                   "kappa"))
+            params = tuple(np.array([(d0, c0, d.A_q)
+                                     for d, d0, c0 in cases]).T)
+            roots = _grid_roots(derived.k, False,
+                                steady_state._balance(derived), params)
+            for got, case in zip(roots, cases):
+                assert got == reference_scan_roots(*case)
+            counts.append([len(r) for r in roots])
+        assert sum(counts[0]) >= 10
+        assert counts[1] == [2, 0, 0]       # the grid misses the close pair
+        assert counts[2] == [1, 0]          # fig2's ring is for resonance
+
+    def test_resonance_roots_equal_reference(self):
+        fig2 = shipped_case("fig2.cfg")
+        rows = [(fig2[0], d0 * fig2[0].kappa, c0)
+                for d0 in np.linspace(0.05, 1.0, 20)
+                for c0 in (1064e-9, -1064e-9)]
+        batches = (stokes_side_cases(), anti_stokes_grid(),
+                   [shipped_case("fig1.cfg"), fig2] + rows)
+        solved = 0
+        for cases in batches:
+            derived = steady_state._shared(cases, ("k", "g", "E_drive",
+                                                   "kappa", "mass"))
+            delta0 = np.array([d0 for _, d0, _ in cases])
+            roots = _grid_roots(derived.k, True,
+                                steady_state._mismatch(derived), (delta0,))
+            for got, case in zip(roots, cases):
+                want = reference_resonant_root(*case)
+                assert len(got) == (want is not None)
+                if got:
+                    assert (-got[0] if case[2] > 0.0 else got[0]) == want
+                    solved += 1
+        assert solved >= 40
+
+    @pytest.mark.parametrize("param2", ["c0_over_lambda", "charge_scale"])
+    def test_shipped_map_hits_equal_whole_grid(self, monkeypatch, param2):
+        calls = []
+
+        def recording(cells):
+            calls.append(cells)
+            return solve_models(cells)
+
+        monkeypatch.setattr(levring.cli, "solve_models", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert levring.cli.main(
+                ["stability-map", "--config", str(CONFIG_DIR / "fig1.cfg"),
+                 "--param2", param2]) == 0
+        (cells,) = calls
+        assert len(cells) == 41 * 21
+        derived = cells[0][0]
+        params = tuple(np.array([(d0, c0, d.A_q) for d, d0, c0 in cells
+                                 if d.A_q != 0.0 and c0 != 0.0]).T)
+        fun = steady_state._balance(derived)
+        got = scanned_hits(fun, steady_state._scan_tables(derived.k, False),
+                           params)
+        assert got == whole_grid_hits(fun, derived.k, False, params)
+        assert len(params[0]) >= 800 and len(got) >= 400
+
+    def test_zeros_and_sign_changes_at_coarse_points(self):
+        # grid zeros at a coarse point (i = 16), at a fine point (i = 5),
+        # at the first and last grid points; sign changes into (i = 15)
+        # and out of (i = 16) a coarse point; a cell without a hit
+        line, tables = line_cells(np.zeros(65))
+        params = (np.array([1.0, -1.0, 1.0, -2.0, 1.0, -1.0, 3.0]),
+                  np.array([16, 5, 0, 64, 15.5, 16.5, 80]) / 64.0)
+        got = scanned_hits(line, tables, params)
+        assert [(c, i) for c, i, _ in got] == [
+            (0, 16), (1, 5), (2, 0), (3, 64), (4, 15), (5, 16)]
+        assert [float.fromhex(f) == 0.0 for _, _, f in got] == [
+            True, True, True, True, False, False]
+        alone = [scanned_hits(line, tables, (a[c:c + 1], r[c:c + 1]))
+                 for a, r in [params] for c in range(7)]
+        assert got == [(c, i, f) for c, hits in enumerate(alone)
+                       for _, i, f in hits]
+
+    @pytest.mark.parametrize("bad, want", [
+        ({16: math.nan}, [(0, 10)]),
+        ({16: math.inf, 32: -math.inf}, [(0, 10), (0, 31), (0, 32)])])
+    def test_nan_and_infinity_certify_nothing(self, bad, want):
+        # a nan or an infinite value at a coarse point leaves both its
+        # intervals to the fine pass: counted as large, it would certify
+        # intervals that hold a sign change
+        trig = np.zeros(65)
+        for i, value in bad.items():
+            trig[i] = value
+        line, tables = line_cells(trig)
+        params = (np.array([1.0, 1.0]), np.array([10.5, 42.5]) / 64.0)
+        got = [(c, i) for c, i, _ in scanned_hits(line, tables, params)]
+        assert [hit for hit in got if hit[0] == 0] == want
+        alone = [scanned_hits(line, tables, (a[c:c + 1], r[c:c + 1]))
+                 for a, r in [params] for c in range(2)]
+        assert got == [(c, i) for c, hits in enumerate(alone)
+                       for _, i, _ in hits]
+
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_slope_bound_holds_on_the_grid(self, resonant):
+        # the largest difference quotient of each seeded cell over the
+        # grid is at most its bound L, and comes near it
+        rng = np.random.default_rng(59)
+        ratios = []
+        for geometry in ({}, dict(sphere_radius=100e-9, cavity_length=1e-3)):
+            derived = derive_constants(reference_config(**geometry))
+            n = 100
+            params = (rng.uniform(-4.0, 4.0, n) * derived.kappa,
+                      rng.uniform(-3.0, 3.0, n) * 1064e-9,
+                      rng.uniform(0.0, 8.0, n) * derived.A_q)
+            fun = steady_state._balance(derived)
+            if resonant:
+                params, fun = params[:1], steady_state._mismatch(derived)
+            slope, slack = fun.bound(params)
+            assert np.all(slack > 0.0)
+            xs, _, cos2, trig = steady_state._grid_tables(derived.k, resonant)
+            fs = fun(xs, cos2, trig, tuple(p[:, None] for p in params))
+            rise = np.max(np.abs(np.diff(fs, axis=1)) / np.diff(xs), axis=1)
+            ratios.extend((rise / slope).tolist())
+        assert max(ratios) <= 1.0
+        assert max(ratios) > 0.5
 
 
 class TestSolveModels:
