@@ -338,8 +338,9 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     Pure: identical inputs give bit-identical outputs.  A constant that
     overflows to inf (or nan) raises ConfigInvalid naming it and the
     config fields it comes from, and so do a mass that underflows to
-    zero or a subnormal (the solvers divide by it) and a force balance
-    whose bound cannot be squared (`_check_balance_bound`).  The drive
+    zero or a subnormal (the solvers divide by it), a force balance
+    whose bound cannot be squared (`_check_balance_bound`) and a kappa
+    whose square overflows or is not a normal float.  The drive
     frequency is taken equal to the cavity frequency in the drive
     amplitude E = sqrt(kappa P / hbar omega_L); the detunings involved
     are ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error
@@ -356,8 +357,9 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     # a Python float, so V_c overflows to inf without a numpy warning
     waist = math.sqrt(cfg.wavelength * cfg.cavity_length / (2.0 * np.pi))
     V_c = np.pi * waist ** 2 * cfg.cavity_length / 4.0
-    g = 3.0 * V_s / (2.0 * V_c) \
-        * (cfg.permittivity - 1.0) / (cfg.permittivity + 2.0) * omega_c
+    # nan, rejected below, where V_c underflows to 0
+    g = _guarded(lambda: 3.0 * V_s / (2.0 * V_c) * (cfg.permittivity - 1.0)
+                 / (cfg.permittivity + 2.0) * omega_c)
     E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = _guarded(resolve_ring_charge, cfg)
@@ -376,6 +378,10 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
                 f"derived constant mass = {value} underflows "
                 f"(from {_sources(cfg, name)})")
     _check_balance_bound(cfg, constants)
+    if not sys.float_info.min <= kappa * kappa <= sys.float_info.max:
+        raise ConfigInvalid(
+            f"derived constant kappa = {kappa} has no normal square "
+            f"(from {_sources(cfg, 'kappa')})")
 
     def damping_at(omega_m: float):
         return damping_and_diffusion(cfg, omega_m)

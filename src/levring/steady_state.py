@@ -24,7 +24,10 @@ The cell count alone picks the kernels, in `_scan_hits`, in
 with `_bisect` on Python floats and builds its candidates' models one
 at a time as the screen reaches them; more cells bisect in lock step
 (`_bisect_all`) and find the eigenvalues of every candidate in one
-batched Durand-Kerner run.  Both pairs of kernels give the same bits.
+batched Durand-Kerner run.  Both pairs of kernels give the same bits;
+the bisections agree by construction, since every cos^2(kx) the root
+finders compare is the correctly rounded product c * c of c = cos(kx)
+(`_detuning`).  `_grid_tables` is the one cache, of the grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -89,7 +92,17 @@ class MeanFieldResult:
 def _detuning(derived: DerivedParams, delta0, cos2):
     """Delta(x) = Delta0 + g cos^2(kx) in rad/s from cos2 = cos^2(kx), the
     one site of its sign (the mean-field kernel takes its slope from here).
-    The caller squares the cosine (see `_pow_cos2`)."""
+
+    The caller squares the cosine.  In the root finders (the grid tables
+    and both bisections of `_grid_roots`) cos2 is the correctly rounded
+    product c * c of c = cos(kx): written so on Python floats, and as
+    `** 2` on arrays of at least one dimension, which numpy forms as that
+    product.  Python floats, numpy scalars and 0-d arrays take `** 2`
+    through libm pow, an ulp away on about 1 in 1000 arguments.  The
+    numpy-scalar point forms (`operating_point_at`, `cavity_steady_field`,
+    `_resonant_plan`, a scalar `force_balance`) keep `** 2`: one code path
+    serves one cell and many there, so there is no second path to match.
+    """
     return delta0 + derived.g * cos2
 
 
@@ -209,8 +222,9 @@ _TRIG = {False: (math.sin, np.sin), True: (math.cos, np.cos)}
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(k: float, resonant: bool):
-    """(xs, tol_x, cos^2(kx), trig) of the scan grid at wavenumber k, built
-    once per (k, resonant) and shared read-only.
+    """(tol_x, tables) of the scan grid at wavenumber k, built once per
+    (k, resonant) and shared read-only: tables is the `_two_pass_tables`
+    view of the grid (xs, cos^2(kx), trig(2kx)).
 
     The force balance is scanned on N_SCAN points across the trap
     interval, trig = sin(2kx).  The resonance mismatch is even in x, bit
@@ -221,19 +235,10 @@ def _grid_tables(k: float, resonant: bool):
     half = np.pi / (4.0 * k) * (1.0 - 1e-9)
     xs = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
           else np.linspace(-half, half, N_SCAN))
-    cos2 = np.cos(k * xs) ** 2
-    trig = _TRIG[resonant][1](2.0 * k * xs)
-    for table in (xs, cos2, trig):
+    grid = (xs, np.cos(k * xs) ** 2, _TRIG[resonant][1](2.0 * k * xs))
+    for table in grid:
         table.flags.writeable = False
-    return xs, BISECT_REL_TOL * (2.0 * half), cos2, trig
-
-
-@functools.lru_cache(maxsize=8)
-def _scan_tables(k: float, resonant: bool):
-    """`_two_pass_tables` of the scan grid of `_grid_tables`, built once
-    per (k, resonant) and shared read-only."""
-    xs, _, cos2, trig = _grid_tables(k, resonant)
-    return _two_pass_tables((xs, cos2, trig))
+    return BISECT_REL_TOL * (2.0 * half), _two_pass_tables(grid)
 
 
 def _two_pass_tables(grid, stride=SCAN_STRIDE):
@@ -472,16 +477,6 @@ def _bisect_all(fun, a, b, fa, tol_x):
     return root
 
 
-def _pow_cos2(kx):
-    """cos(kx)^2 as a one-cell bisection forms it for a scalar x.
-
-    There the bisection runs on Python floats, whose `** 2` is libm pow;
-    that is an ulp away from the array square x * x on some arguments,
-    so the lock-step bisections square each cosine as a Python float too.
-    """
-    return np.array([v ** 2 for v in np.cos(kx).tolist()])
-
-
 def _grid_roots(k: float, resonant: bool, fun, params):
     """The roots of cells that differ only in params, a tuple of arrays
     of one value per cell, as one ascending list per cell.
@@ -495,11 +490,12 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     half-grid a cell keeps only its first hit other than the grid zero
     x = 0.  The brackets [xs[i], xs[i + 1]] are bisected from f_i: one
     cell's on Python floats by `_bisect`, more cells' in lock step by
-    `_bisect_all`.
+    `_bisect_all`, both squaring cos(kx) by product, as the tables do.
     """
-    xs, tol_x, cos2, trig = _grid_tables(k, resonant)
+    tol_x, tables = _grid_tables(k, resonant)
+    xs = tables[0][0]
     n_cells = len(params[0])
-    cell, i, f_i, zero = _scan_hits(fun, _scan_tables(k, resonant), params)
+    cell, i, f_i, zero = _scan_hits(fun, tables, params)
     if resonant:
         taken = ~(zero & (i == 0))
         cell, first = np.unique(cell[taken], return_index=True)
@@ -509,8 +505,8 @@ def _grid_roots(k: float, resonant: bool, fun, params):
         cell_params, cos = tuple(p.item() for p in params), math.cos
 
         def bisected(x):
-            return fun(x, cos(k * x) ** 2, float_trig(2.0 * k * x),
-                       cell_params)
+            c = cos(k * x)
+            return fun(x, c * c, float_trig(2.0 * k * x), cell_params)
         return [[float(xs[j]) if z
                  else _bisect(bisected, float(xs[j]), float(xs[j + 1]), f,
                               tol_x)
@@ -519,7 +515,7 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     bracket = np.flatnonzero(~zero)
     lo, at = i[bracket], cell[bracket]
     found[bracket] = _bisect_all(
-        lambda x, idx: fun(x, _pow_cos2(k * x), array_trig(2.0 * k * x),
+        lambda x, idx: fun(x, np.cos(k * x) ** 2, array_trig(2.0 * k * x),
                            tuple(p[at[idx]] for p in params)),
         xs[lo], xs[lo + 1], f_i[bracket], tol_x)
     roots = [[] for _ in range(n_cells)]

@@ -732,8 +732,27 @@ def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
     (["cavity_length_cm = 1e156", "ring_offset_c0_nm = 1e161"],
      "derived constant ring_charge = nan is not finite "
      "(from ring_field, ring_offset_c0, ring_radius)"),
+    # V_c underflows to 0, and g = 3 V_s / (2 V_c) divides by it
+    (["cavity_length_cm = 1e-300", "ring_offset_c0_nm = 1e-300"],
+     "derived constant g = nan is not finite "
+     "(from sphere_radius, permittivity, wavelength, cavity_length)"),
+    # kappa is finite, but kappa^2 overflows or underflows
+    (["finesse = 1e-150", "detuning_over_kappa = 1e-300"],
+     "derived constant kappa = 4.7091289182721324e+160 has no normal "
+     "square (from cavity_length, finesse)"),
+    (["finesse = 1e-150", "detuning_over_kappa = 5e-324"],
+     "derived constant kappa = 4.7091289182721324e+160 has no normal "
+     "square (from cavity_length, finesse)"),
+    (["cavity_length_cm = 1e150", "finesse = 1e150"],
+     "derived constant kappa = 4.7091289182721327e-290 has no normal "
+     "square (from cavity_length, finesse)"),
+    (["wavelength_nm = 1e150", "finesse = 1e300"],
+     "derived constant kappa = 4.7091289182721327e-290 has no normal "
+     "square (from cavity_length, finesse)"),
 ], ids=["tiny-ring", "tiny-ring-charge-given", "long-cavity",
-        "far-ring-offset"])
+        "far-ring-offset", "tiny-cavity-tiny-offset",
+        "low-finesse-tiny-detuning", "low-finesse-subnormal-detuning",
+        "long-fine-cavity", "long-wave-high-finesse"])
 def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
     # fields that pass one at a time fail together in the ring or cavity
     # constants: exit 1 and one config error line, on every subcommand

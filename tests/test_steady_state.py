@@ -271,8 +271,9 @@ class TestSolveXs:
         assert found >= 10
 
     def test_bisection_functions_equal_numpy_point_forms(self):
-        # the bisections run on Python floats; at seeded x across the trap
-        # interval they give the bits of the numpy-scalar point forms
+        # given the same cos^2(kx), `_balance` and `_mismatch` on Python
+        # floats give the bits of their numpy-scalar point forms at seeded
+        # x across the trap interval (both sides square here with pow)
         rng = np.random.default_rng(47)
         cases = stokes_side_cases() + [anti_stokes_two_root_case()]
         for name in ("fig1.cfg", "fig2.cfg"):
@@ -294,6 +295,44 @@ class TestSolveXs:
                 got = mismatch(x, math.cos(k * x) ** 2, math.cos(2.0 * k * x),
                                (delta0,))
                 assert got.hex() == want.hex()
+
+    def test_every_cos2_the_finders_compare_is_the_product(self):
+        # the scan, the one-cell bisection and the lock step all receive
+        # cos^2(kx) as the product c * c, which numpy's square of an array
+        # of at least one dimension equals (numpy scalars and 0-d arrays
+        # square with pow); 100 criterion-6 cells, alone and as one grid
+        cells = [(d, delta0_from_config(cfg, d), cfg.ring_offset_c0)
+                 for cfg in criterion_6_configs(100)
+                 for d in [derive_constants(cfg)]]
+        derived = cells[0][0]
+        k = derived.k
+        checked, differ = collections.Counter(), collections.Counter()
+
+        def spied(fun, batched):
+            def spy(x, cos2, trig, params):
+                want = np.cos(k * np.atleast_1d(x)) ** 2
+                lock_step = batched and np.ndim(params[0]) == 1
+                stage = ("bisection" if np.ndim(x) == 0
+                         else "lock step" if lock_step else "scan")
+                checked[stage] += want.size
+                differ[stage] += int(np.sum(np.atleast_1d(cos2) != want))
+                return fun(x, cos2, trig, params)
+            spy.bound = fun.bound
+            return spy
+
+        for resonant, fun, rows in (
+                (False, steady_state._balance(derived),
+                 [(d0, c0, d.A_q) for d, d0, c0 in cells]),
+                (True, steady_state._mismatch(derived),
+                 [(d0,) for _, d0, _ in cells])):
+            params = tuple(np.array(rows).T)
+            for c in range(len(rows)):
+                _grid_roots(k, resonant, spied(fun, False),
+                            tuple(p[c:c + 1] for p in params))
+            _grid_roots(k, resonant, spied(fun, True), params)
+        assert differ == collections.Counter()
+        assert checked["bisection"] >= 3000 and checked["lock step"] >= 3000
+        assert checked["scan"] >= 100 * (N_SCAN + N_SCAN_RESONANT)
 
     def test_sign_tests_survive_overflow_and_underflow(self):
         # the hit rule and both bisections compare signs: scaled by 1e-300
@@ -567,18 +606,20 @@ class TestGridTables:
         want = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
                 else np.linspace(-half, half, N_SCAN))
         trig = np.cos if resonant else np.sin
-        xs, tol_x, cos2, trig_2kx = steady_state._grid_tables(k, resonant)
+        tol_x, tables = steady_state._grid_tables(k, resonant)
+        xs, cos2, trig_2kx = tables[0]
         assert xs.tobytes() == want.tobytes()
         assert tol_x == BISECT_REL_TOL * (2.0 * half)
         assert cos2.tobytes() == (np.cos(k * want) ** 2).tobytes()
         assert trig_2kx.tobytes() == trig(2.0 * k * want).tobytes()
-        grid, tol = steady_state._grid_tables(derived.k, resonant)[:2]
-        assert grid is xs and tol == tol_x
+        tol, again = steady_state._grid_tables(derived.k, resonant)
+        assert again[0][0] is xs and tol == tol_x
 
     @pytest.mark.parametrize("resonant", [False, True])
     def test_tables_are_read_only(self, fig1, resonant):
-        tables = steady_state._grid_tables(fig1[1].k, resonant)
-        for table in tables[:1] + tables[2:]:
+        grid, coarse, fine, _ = steady_state._grid_tables(fig1[1].k,
+                                                          resonant)[1]
+        for table in grid + coarse + fine:
             with pytest.raises(ValueError):
                 table[0] = 0.0
             with pytest.raises(ValueError):
@@ -589,7 +630,8 @@ class TestGridTables:
         first, second = (steady_state._grid_tables(
             derive_constants(reference_config(wavelength=w)).k, resonant)
             for w in (1064e-9, 1550e-9))
-        for a, b in zip(first, second):
+        assert first[0] != second[0]
+        for a, b in zip(first[1][0], second[1][0]):
             assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
@@ -615,7 +657,7 @@ def whole_grid_hits(fun, k, resonant, params):
     """Reference for the two-pass scan: each cell evaluated on the whole
     grid, as (cell, i, value bits) of every grid zero and of every sign
     change between i and i + 1."""
-    xs, _, cos2, trig = steady_state._grid_tables(k, resonant)
+    xs, cos2, trig = steady_state._grid_tables(k, resonant)[1][0]
     hits = []
     for c in range(len(params[0])):
         fs = fun(xs, cos2, trig, tuple(p[c] for p in params))
@@ -722,7 +764,7 @@ class TestTwoPassScan:
         params = tuple(np.array([(d0, c0, d.A_q) for d, d0, c0 in cells
                                  if d.A_q != 0.0 and c0 != 0.0]).T)
         fun = steady_state._balance(derived)
-        got = scanned_hits(fun, steady_state._scan_tables(derived.k, False),
+        got = scanned_hits(fun, steady_state._grid_tables(derived.k, False)[1],
                            params)
         assert got == whole_grid_hits(fun, derived.k, False, params)
         assert len(params[0]) >= 800 and len(got) >= 400
@@ -780,7 +822,8 @@ class TestTwoPassScan:
                 params, fun = params[:1], steady_state._mismatch(derived)
             slope, slack = fun.bound(params)
             assert np.all(slack > 0.0)
-            xs, _, cos2, trig = steady_state._grid_tables(derived.k, resonant)
+            xs, cos2, trig = steady_state._grid_tables(derived.k,
+                                                       resonant)[1][0]
             fs = fun(xs, cos2, trig, tuple(p[:, None] for p in params))
             rise = np.max(np.abs(np.diff(fs, axis=1)) / np.diff(xs), axis=1)
             ratios.extend((rise / slope).tolist())
@@ -949,7 +992,7 @@ class TestSolveResonantModels:
         for cfg in cfgs:
             derived = derive_constants(cfg)
             k, delta0 = derived.k, np.linspace(0.05, 1.2, 20) * derived.kappa
-            xs = steady_state._grid_tables(k, True)[0]
+            xs = steady_state._grid_tables(k, True)[1][0][0]
 
             def mismatch(x):
                 return steady_state._mismatch(derived)(
@@ -957,8 +1000,8 @@ class TestSolveResonantModels:
                     (delta0[:, None],))
 
             assert mismatch(-xs).tobytes() == mismatch(xs).tobytes()
-            assert (steady_state._pow_cos2(k * -xs).tobytes()
-                    == steady_state._pow_cos2(k * xs).tobytes())
+            assert ((np.cos(k * -xs) ** 2).tobytes()
+                    == (np.cos(k * xs) ** 2).tobytes())
             c0 = abs(cfg.ring_offset_c0)
             roots = [r[0] if r else None for r in _grid_roots(
                 k, True, steady_state._mismatch(derived), (delta0,))]
