@@ -1,28 +1,19 @@
-"""Hot numerical kernels: the two fixed-step RK4 oracles and the quartic roots.
+"""Hot numerical kernels: the two fixed-step RK4 oracles.
 
-``mean_field_chunk`` steps the classical mean field, ``cov_rk4`` relaxes
-the covariance by doubling the exact RK4 step map, and ``durand_kerner``
-finds the roots of the characteristic quartic; ``durand_kerner_batch``
-runs the same iteration over many quartics at once, bit for bit.
+``mean_field_chunk`` steps the classical mean field, and ``cov_rk4``
+relaxes the covariance by doubling the exact RK4 step map.
 
-The two scalar loops, ``mean_field_chunk`` and ``durand_kerner``, run on
-Python floats and complex values: arithmetic on numpy scalars costs about
-three times as much per operation, and Python's +, -, *, abs,
-``math.sin`` and ``math.cos`` round to the same bits.
-``mean_field_chunk`` writes its four RK4 stages out in the loop, with
-the state-independent factors formed once: a call per stage costs more
-than the arithmetic it wraps.  Python's complex division rounds
-differently, so ``durand_kerner`` writes out numpy's.
-``durand_kerner_batch`` stays on arrays; numpy's array complex multiply
-and abs round differently from the scalar ones, so it forms products and
-magnitudes from real and imaginary parts.
+``mean_field_chunk`` runs on Python floats: arithmetic on numpy scalars
+costs about three times as much per operation, and Python's +, -, *,
+``math.sin`` and ``math.cos`` round to the same bits.  It writes its
+four RK4 stages out in the loop, with the state-independent factors
+formed once: a call per stage costs more than the arithmetic it wraps.
 """
 import math
 
 import numpy as np
 
-__all__ = ["JIT_ENABLED", "mean_field_chunk", "cov_rk4", "durand_kerner",
-           "durand_kerner_batch"]
+__all__ = ["JIT_ENABLED", "mean_field_chunk", "cov_rk4"]
 
 JIT_ENABLED = False  # nothing is compiled; kept for levbench provenance
 
@@ -198,126 +189,3 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
         steps *= 2
         maps.append((T, c))
     return c.reshape(n, n), steps, True
-
-
-def _dk_start(n):
-    """The Durand-Kerner starting roots (0.4 + 0.9i)^(i+1), i < n."""
-    roots = np.empty(n, dtype=np.complex128)
-    seed = 0.4 + 0.9j
-    z = 1.0 + 0.0j
-    for i in range(n):
-        z = z * seed
-        roots[i] = z
-    return roots
-
-
-def durand_kerner(coeffs, tol, max_iter):
-    """All roots of a monic polynomial by Durand-Kerner iteration.
-
-    coeffs are the non-leading coefficients (c[0] x^(n-1) + ... + c[n-1])
-    of a monic degree-n polynomial, complex.  Returns (roots, iterations);
-    iterations == max_iter signals non-convergence to the caller.
-
-    The loop runs on Python complex values, whose *, +, - and abs round
-    like numpy's complex scalars; the quotient is written out as numpy's
-    complex division (`_numpy_quotient`), since Python's own rounds
-    differently.
-    """
-    coeffs = coeffs.tolist()
-    n = len(coeffs)
-    roots = _dk_start(n).tolist()
-    it = 0
-    while it < max_iter:
-        max_step = 0.0
-        for i in range(n):
-            zi = roots[i]
-            num = 1.0 + 0.0j
-            for c in coeffs:
-                num = num * zi + c
-            den = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    den *= zi - roots[j]
-            if den == 0.0:
-                den = tol + 0.0j
-            step = _numpy_quotient(num, den)
-            roots[i] = zi - step
-            mag = abs(step) / max(1.0, abs(roots[i]))
-            if mag > max_step:
-                max_step = mag
-        it += 1
-        if max_step < tol:
-            break
-    return np.array(roots, dtype=np.complex128), it
-
-
-def _numpy_quotient(a, b):
-    """a / b for Python complex values, rounded as numpy's complex128
-    division rounds it (Smith's algorithm with a reciprocal scale)."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-
-
-def _complex(re, im):
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
-
-
-def durand_kerner_batch(coeffs, tol, max_iter):
-    """`durand_kerner` on every row of coeffs [B, n] at once, bit for bit.
-
-    Returns (roots [B, n], iterations [B]).  Each row runs the scalar
-    loop's arithmetic in the same order: Gauss-Seidel sweeps over the
-    roots, and a row stops after the sweep whose largest relative step
-    falls below tol.  numpy's array complex multiply and abs round
-    differently from the scalar complex ops of that loop, so products
-    are formed from real and imaginary parts (re = ar br - ai bi,
-    im = ar bi + ai br) and magnitudes by np.hypot; array complex
-    division rounds like the scalar one and is used as is.
-    """
-    B, n = coeffs.shape
-    start = _dk_start(n)
-    # [n, B]: row i holds root i (or coefficient i) of every polynomial
-    zr = np.repeat(start.real[:, None], B, axis=1)
-    zi = np.repeat(start.imag[:, None], B, axis=1)
-    cr = np.ascontiguousarray(coeffs.real.T)
-    ci = np.ascontiguousarray(coeffs.imag.T)
-    iters = np.zeros(B, dtype=np.int64)
-    live = np.arange(B)
-    it = 0
-    while it < max_iter and live.size:
-        R, I, Cr, Ci = zr[:, live], zi[:, live], cr[:, live], ci[:, live]
-        max_step = np.zeros(live.size)
-        for i in range(n):
-            xr, xi = R[i], I[i]
-            nr, ni = np.ones(live.size), np.zeros(live.size)
-            for j in range(n):
-                nr, ni = (nr * xr - ni * xi + Cr[j],
-                          nr * xi + ni * xr + Ci[j])
-            dr, di = np.ones(live.size), np.zeros(live.size)
-            for j in range(n):
-                if j != i:
-                    er, ei = xr - R[j], xi - I[j]
-                    dr, di = dr * er - di * ei, dr * ei + di * er
-            zero = (dr == 0.0) & (di == 0.0)
-            dr[zero] = tol
-            step = _complex(nr, ni) / _complex(dr, di)
-            R[i] = xr - step.real
-            I[i] = xi - step.imag
-            size = np.hypot(R[i], I[i])
-            mag = (np.hypot(step.real, step.imag)
-                   / np.where(size > 1.0, size, 1.0))
-            max_step = np.where(mag > max_step, mag, max_step)
-        it += 1
-        zr[:, live], zi[:, live] = R, I
-        iters[live] = it
-        live = live[~(max_step < tol)]
-    return _complex(zr.T, zi.T), iters

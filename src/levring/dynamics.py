@@ -5,11 +5,12 @@ and momentum quadratures followed by the optical amplitude and phase
 quadratures.  The drift matrix has exactly seven nonzero entries; the
 diffusion matrix is diag(0, Gamma, kappa/2, kappa/2).
 
-Stability is decided twice, by design: the two closed-form
-Routh-Hurwitz conditions, and the eigenvalues of the drift matrix from
-an explicit quartic characteristic polynomial solved with Durand-Kerner
-iteration.  The pair of verdicts must agree away from marginal points;
-tests enforce that.
+Stability is decided twice, by design, on two independent routes: the
+two closed-form Routh-Hurwitz conditions on the coefficients of the
+characteristic quartic det(lambda I - A), and the eigenvalues of the
+drift matrix A itself, from LAPACK's geev (`np.linalg.eigvals`).  The
+pair of verdicts must agree away from marginal points, and the quartic
+must match the matrix; tests enforce both.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import durand_kerner, durand_kerner_batch
-from .errors import IterationDiverged, NumericalError, caught
+from .errors import NumericalError, caught
 from .model import DerivedParams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
@@ -28,9 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
 
 # relative dead zone below which a Routh-Hurwitz value is "marginal"
 RH_MARGINAL_EPS = 1e-12
-_DK_TOL = 1e-14
-_DK_MAX_ITER = 500
-EIG_RESIDUAL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class StabilityVerdict:
     s2: float
     rh_stable: bool
     rh_marginal: bool
-    eigenvalues: np.ndarray      # 4 complex roots, sorted by real part
+    eigenvalues: np.ndarray      # 4 complex, sorted by (real, imag)
     max_real_part: float
     eig_stable: bool
 
@@ -117,99 +114,73 @@ def _rh_values(op: "OperatingPoint", gamma: float, kappa: float):
     return s1, s2, marginal
 
 
-def _scaled_quartic(op: "OperatingPoint", gamma: float, kappa: float):
-    """(rho, c): the root scale and the quartic rescaled to O(1) coefficients.
+def _quartic_scale(op: "OperatingPoint", gamma: float, kappa: float) -> float:
+    """rho, the root scale of the characteristic quartic.
 
-    c is None when rho == 0, where every eigenvalue is zero.  Raises
-    NumericalError when a coefficient or a power of rho overflows.
+    Raises NumericalError when a coefficient or rho ** 4 overflows: the
+    Routh-Hurwitz values are formed from the quartic, and such a quartic
+    gives no verdict.  rho == 0 means every coefficient, and so every
+    eigenvalue, is zero.
     """
-    a3, a2, a1, a0 = coeffs = char_poly_coefficients(op, gamma, kappa)
+    coeffs = char_poly_coefficients(op, gamma, kappa)
+    a3, a2, a1, a0 = coeffs
     rho = max(abs(a3), abs(a2) ** 0.5, abs(a1) ** (1.0 / 3.0),
               abs(a0) ** 0.25)
-    if rho == 0.0:
-        return rho, None
     try:
-        c = np.array([a3 / rho, a2 / rho ** 2, a1 / rho ** 3, a0 / rho ** 4],
-                     dtype=np.complex128)
+        finite = math.isfinite(rho ** 4) and all(map(math.isfinite, coeffs))
     except OverflowError:
-        c = None
-    if c is None or not all(map(math.isfinite, coeffs)):
+        finite = False
+    if not finite:
         raise NumericalError(
             f"characteristic quartic of scale {rho:.3e} rad/s overflows")
-    return rho, c
+    return rho
 
 
-def _finish_roots(roots, iters, c, rho):
-    """Polish, check, unscale and sort Durand-Kerner roots.
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a drift matrix [4, 4], or of each of a stack
+    [B, 4, 4], by LAPACK's geev: complex [4] or [B, 4], each row sorted
+    by (real, imag).
 
-    roots and c are [4] for one quartic or [B, 4] for a batch; iters is
-    the iteration count or counts, and rho the scale, broadcastable
-    against roots.  Each quartic gets two Newton steps on its scaled
-    polynomial; one whose iteration hit the cap is checked against the
-    residual bound; the roots are unscaled by rho and sorted by real
-    part.  Returns the eigenvalues, shaped like roots, and a list
-    holding, per quartic, the IterationDiverged it raises, or None.
+    geev runs on each matrix of a stack alone, so a matrix gets the same
+    bits alone and stacked; for a real matrix it returns the two members
+    of a complex pair as exact conjugates, so the sort needs no
+    tolerance.  Raises NumericalError when geev fails or an eigenvalue
+    is not finite.
     """
-    # numpy scalars for one quartic, [B, 1] columns for a batch: the
-    # same per-element arithmetic, and scalar operands are the cheaper
-    c0, c1, c2, c3 = c if c.ndim == 1 else c.T[:, :, None]
+    try:
+        eigs = np.linalg.eigvals(A).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"drift matrix eigenvalues: {exc}") from None
+    if not np.isfinite(eigs).all():
+        raise NumericalError("drift matrix has a non-finite eigenvalue")
+    return np.sort(eigs, axis=-1)
 
-    def poly(z):
-        return (((z + c0) * z + c1) * z + c2) * z + c3
 
-    def dpoly(z):
-        return ((4.0 * z + 3.0 * c0) * z + 2.0 * c1) * z + c2
-
-    for _ in range(2):
-        dp = dpoly(roots)
-        dp = np.where(dp == 0, 1.0, dp)
-        roots = roots - poly(roots) / dp
-
-    coeffs = c.reshape(-1, 4)
-    errors = [None] * len(coeffs)
-    capped = np.flatnonzero(np.reshape(iters, -1) >= _DK_MAX_ITER)
-    if capped.size:
-        residuals = np.abs(poly(roots)).reshape(-1, 4)
-        for b in capped:
-            bound = EIG_RESIDUAL_BOUND * max(1.0, float(np.linalg.norm(
-                np.concatenate(([1.0 + 0j], coeffs[b])))))
-            if np.any(residuals[b] > bound):
-                errors[b] = IterationDiverged(
-                    f"eigenvalue iteration residual {residuals[b].max():.3e} "
-                    f"exceeds bound {bound:.3e}")
-    eigs = roots * rho
-    # quantise the primary key: conjugate pairs differ in the last ulp
-    scale = np.abs(eigs).max(axis=-1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    order = np.lexsort((eigs.imag, (eigs.real / scale).round(12)), axis=-1)
-    return np.take_along_axis(eigs, order, axis=-1), errors
+def _verdict_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float,
+                         A: np.ndarray) -> np.ndarray:
+    """The eigenvalues of A = drift_matrix(op, gamma, kappa), once its
+    characteristic quartic passes `_quartic_scale`."""
+    if _quartic_scale(op, gamma, kappa) == 0.0:
+        return np.zeros(4, dtype=complex)
+    return _eigenvalues(A)
 
 
 def drift_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
-    """Roots of the characteristic quartic by scaled Durand-Kerner iteration.
+    """Eigenvalues of the drift matrix, sorted by (real, imag).
 
-    The polynomial is rescaled to O(1) coefficients before iterating;
-    each root is polished with two Newton steps and, if the iteration
-    ran to its cap, verified against a residual bound on the scaled
-    polynomial.
+    They come from the matrix itself (`_eigenvalues`), after the
+    characteristic quartic is checked for overflow (`_quartic_scale`).
     """
-    rho, c = _scaled_quartic(op, gamma, kappa)
-    if rho == 0.0:
-        return np.zeros(4, dtype=complex)
-    roots, iters = durand_kerner(c, _DK_TOL, _DK_MAX_ITER)
-    eigs, (error,) = _finish_roots(roots, iters, c, rho)
-    if error is not None:
-        raise error
-    return eigs
+    return _verdict_eigenvalues(op, gamma, kappa,
+                                drift_matrix(op, gamma, kappa))
 
 
-def _assemble(op: "OperatingPoint", derived: DerivedParams,
+def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
               eigs: np.ndarray) -> StateSpaceModel:
     gamma, kappa = derived.gamma, derived.kappa
-    A = drift_matrix(op, gamma, kappa)
     D = np.diag([0.0, derived.Gamma_diff, kappa / 2.0, kappa / 2.0])
     s1, s2, marginal = _rh_values(op, gamma, kappa)
-    max_re = float(np.max(eigs.real))
+    max_re = float(eigs[-1].real)     # eigs are sorted by real part
     verdict = StabilityVerdict(
         s1=float(s1), s2=float(s2),
         rh_stable=(s1 > 0.0 and s2 > 0.0 and not marginal),
@@ -232,37 +203,39 @@ def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel
     for the operating point's omega_m (see DerivedParams.with_damping).
     """
     _require_damping(derived)
-    return _assemble(op, derived,
-                     drift_eigenvalues(op, derived.gamma, derived.kappa))
+    A = drift_matrix(op, derived.gamma, derived.kappa)
+    return _assemble(op, derived, A, _verdict_eigenvalues(
+        op, derived.gamma, derived.kappa, A))
 
 
 def build_models(ops, deriveds):
-    """`build_model` over a batch, with one Durand-Kerner run for all.
+    """`build_model` over a batch, with one `eigvals` call for all.
 
     The eigenvalues of every entry are found at the call; the models are
-    assembled as the returned iterator reaches them, so a caller that
-    drops each in turn holds one at a time.  Entry b is the model
-    `build_model(ops[b], deriveds[b])` returns, or the NumericalError it
-    raises; both are bit for bit the same.
+    assembled as the returned iterator reaches them.  Entry b is the
+    model `build_model(ops[b], deriveds[b])` returns, or the
+    NumericalError it raises; both are bit for bit the same.
     """
     for derived in deriveds:
         _require_damping(derived)
-    scaled = [caught(_scaled_quartic, op, d.gamma, d.kappa)
-              for op, d in zip(ops, deriveds)]
-    finished = {b: (None, error) for b, error in enumerate(scaled)
-                if isinstance(error, NumericalError)}
-    rows = [b for b, sc in enumerate(scaled)
-            if b not in finished and sc[0] != 0.0]
+    As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
+    eigs = {}
+    for b, (op, d) in enumerate(zip(ops, deriveds)):
+        rho = caught(_quartic_scale, op, d.gamma, d.kappa)
+        if isinstance(rho, NumericalError):
+            eigs[b] = rho
+        elif rho == 0.0:
+            eigs[b] = np.zeros(4, dtype=complex)
+    rows = [b for b in range(len(As)) if b not in eigs]
     if rows:
-        c = np.array([scaled[b][1] for b in rows])
-        rho = np.array([scaled[b][0] for b in rows])
-        roots, iters = durand_kerner_batch(c, _DK_TOL, _DK_MAX_ITER)
-        finished.update(zip(rows, zip(*_finish_roots(roots, iters, c,
-                                                     rho[:, None]))))
+        stacked = caught(_eigenvalues, np.array([As[b] for b in rows]))
+        if isinstance(stacked, NumericalError):  # name the failing entries
+            stacked = [caught(_eigenvalues, As[b]) for b in rows]
+        eigs.update(zip(rows, stacked))
 
     def models():
         for b, (op, derived) in enumerate(zip(ops, deriveds)):
-            eigs, error = finished.get(b, (np.zeros(4, dtype=complex), None))
-            yield error if error is not None else _assemble(op, derived, eigs)
+            yield (eigs[b] if isinstance(eigs[b], NumericalError)
+                   else _assemble(op, derived, As[b], eigs[b]))
 
     return models()

@@ -76,10 +76,6 @@ class UnphysicalCovariance(NumericalError):
     """Covariance matrix violates the symplectic positivity requirement."""
 
 
-class IterationDiverged(NumericalError):
-    """Root iteration failed to converge within its iteration cap."""
-
-
 def caught(fun, *args):
     """fun(*args), or the LevringError it raises, without its traceback.
 

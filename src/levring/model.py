@@ -241,7 +241,8 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
 
     The stated formulas assume a Markovian thermal force, which holds for
     hbar omega_m << kB T; they are applied unchanged at any configured
-    temperature.  A rate that is not finite raises ConfigInvalid naming
+    temperature.  A rate that is not finite, or a Gamma_diff whose square
+    is not (the Lyapunov residual squares it), raises ConfigInvalid naming
     it and the config fields it comes from.
     """
     if not omega_m > 0.0:
@@ -263,9 +264,14 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
         rates.append(math.nan)
     for name, value in zip(_RATES, rates):
         if not math.isfinite(value):
-            raise ConfigInvalid(
-                f"damping rate {name} = {value} is not finite at omega_m = "
-                f"{omega_m:.6e} rad/s (from {_sources(cfg, name)})")
+            problem = "is not finite"
+        elif name == "Gamma_diff" and not math.isfinite(value * value):
+            problem = "has no finite square"
+        else:
+            continue
+        raise ConfigInvalid(
+            f"damping rate {name} = {value} {problem} at omega_m = "
+            f"{omega_m:.6e} rad/s (from {_sources(cfg, name)})")
     return tuple(rates)
 
 
@@ -293,14 +299,17 @@ _SOURCES["gamma"] = _SOURCES["Gamma_diff"] = (_SOURCES["gamma_ph"]
 _RATES = ("gamma_ph", "gamma_gas", "gamma", "Gamma_diff")
 
 
-def _sources(cfg: SystemConfig, *names) -> str:
-    """The config fields the derived constants `names` come from."""
-    ring = (("ring_charge",) if cfg.ring_charge is not None
-            else ("ring_field", "ring_offset_c0", "ring_radius"))
+def _sources(cfg: Optional[SystemConfig], *names) -> str:
+    """The config fields the derived constants `names` come from; cfg
+    gives the ring specification in use, and may be None unless
+    ring_charge or A_q is named."""
     fields = []
     for name in names:
-        for field in _SOURCES[name] + (
-                ring if name in ("ring_charge", "A_q") else ()):
+        ring = ()
+        if name in ("ring_charge", "A_q"):
+            ring = (("ring_charge",) if cfg.ring_charge is not None
+                    else ("ring_field", "ring_offset_c0", "ring_radius"))
+        for field in _SOURCES[name] + ring:
             if field not in fields:
                 fields.append(field)
     return ", ".join(fields)

@@ -24,7 +24,7 @@ The cell count alone picks the kernels, in `_scan_hits`, in
 with `_bisect` on Python floats and builds its candidates' models one
 at a time as the screen reaches them; more cells bisect in lock step
 (`_bisect_all`) and find the eigenvalues of every candidate in one
-batched Durand-Kerner run.  Both pairs of kernels give the same bits;
+stacked `np.linalg.eigvals` call.  Both give the one-cell bits;
 the bisections agree by construction, since every cos^2(kx) the root
 finders compare is the correctly rounded product c * c of c = cos(kx)
 (`_detuning`).  `_grid_tables` is the one cache, of the grids and columns.
@@ -50,10 +50,11 @@ import numpy as np
 from . import dynamics
 from ._kernels import mean_field_chunk
 from .constants import CODATA2018
-from .errors import (AllRootsUnstable, LevringError, NoResonantSolution,
-                     NoRootInInterval, NotConverged, NumericalError,
-                     UnstableResonance, UnstableTrap, caught, one)
-from .model import DerivedParams, _guarded
+from .errors import (AllRootsUnstable, ConfigInvalid, LevringError,
+                     NoResonantSolution, NoRootInInterval, NotConverged,
+                     NumericalError, UnstableResonance, UnstableTrap, caught,
+                     one)
+from .model import DerivedParams, _guarded, _sources
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
@@ -181,13 +182,24 @@ def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
 
 
 def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> float:
-    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m)."""
+    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m).
+
+    The radicand is formed on Python floats, so it overflows to inf
+    without a warning; one that is not finite raises ConfigInvalid naming
+    the config fields of E_drive and g, which set a_s and the coupling.
+    """
     c2 = np.cos(2.0 * derived.k * x_s)
     if c2 < 0.0:
         raise UnstableTrap(
             f"cos(2 k x_s) = {c2:.3e} < 0 at x_s = {x_s:.3e} m")
-    return np.sqrt(2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
-                   * a_s ** 2 * c2 / derived.mass)
+    a_s = float(a_s)
+    radicand = (2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+                * (a_s * a_s) * float(c2) / derived.mass)
+    if not math.isfinite(radicand):
+        raise ConfigInvalid(
+            f"trap frequency radicand {radicand} is not finite at a_s = "
+            f"{a_s:.3e} (from {_sources(None, 'E_drive', 'g')})")
+    return np.sqrt(radicand)
 
 
 def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> complex:
@@ -544,8 +556,9 @@ def _screen_plans(cells, plans, screened):
     iterator is the model `_screen` accepts for cell i, or the
     NumericalError it raises; each cell is screened as it is reached.
     One cell's models are built in turn by `dynamics.build_model` as the
-    screen reaches them; for more cells one Durand-Kerner run finds the
-    eigenvalues of every candidate at the call (`dynamics.build_models`).
+    screen reaches them; for more cells one stacked eigenvalue call finds
+    the eigenvalues of every candidate at the call
+    (`dynamics.build_models`).
     """
     plans = [([], plan) if isinstance(plan, LevringError) else plan
              for plan in plans]
@@ -571,7 +584,7 @@ def solve_models(cells):
     `solve_model`, the one-cell case), or the NumericalError it raises.
 
     The root scan of all cells runs as arrays (see `_grid_roots`) at the
-    call, and so, for more than one cell, does the Durand-Kerner run
+    call, and so, for more than one cell, does the eigenvalue call
     for the candidate roots of every cell (`_screen_plans`); the
     operating points, residual checks and Routh-Hurwitz values are
     scalar code per candidate.
@@ -690,7 +703,7 @@ def solve_resonant_models(cells):
 
     The resonance scan of all cells runs as arrays (see
     `_grid_roots`) at the call, and so, for more than one cell,
-    does the Durand-Kerner run for every resonant point
+    does the eigenvalue call for every resonant point
     (`_screen_plans`); the charge, the operating point and their checks
     are scalar code per cell.
     """

@@ -767,3 +767,37 @@ def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
         assert capsys.readouterr().err == f"config error: {message}\n", argv
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], argv
+
+
+@pytest.mark.parametrize("lines, codes, message", [
+    # a_s^2 overflows in the trap frequency of the map's C0 = 0 cells,
+    # the only ones with a root
+    (["cavity_length_cm = 1e150", "input_power_mw = 1e150"], (2, 2, 2, 0),
+     r"trap frequency radicand nan is not finite at a_s = 6\.745e\+154 "
+     r"\(from cavity_length, finesse, input_power, wavelength, "
+     r"sphere_radius, permittivity\)"),
+    # omega_m ~ 1e-143 makes Gamma_diff ~ 1e163, whose square overflows
+    (["density_kg_m3 = 1e300", "gas_pressure_torr = 1e300"], (1, 1, 1, 0),
+     r"damping rate Gamma_diff = \S+ has no finite square at omega_m = "
+     r"\S+ rad/s \(from permittivity, sphere_radius, wavelength, "
+     r"temperature, gas_pressure, density, gas_molecule_mass\)"),
+], ids=["long-cavity-high-power", "dense-sphere-high-pressure"])
+def test_overflow_at_the_solved_point_is_config_error(tmp_path, capsys,
+                                                      lines, codes, message):
+    # fields that pass together in the constants overflow at the solved
+    # omega_m: a config error on each point, recorded per cell on a map,
+    # with warnings raised as errors
+    path, out = tmp_path / "edited.cfg", tmp_path / "out.csv"
+    path.write_text(edited_fig1(*lines))
+    for argv, code in zip(SMALL_GRID_RUNS, codes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", str(path),
+                         "--out", str(out)]) == code, argv
+        err = capsys.readouterr().err
+        if code == 1:
+            assert re.fullmatch(f"config error: {message}\n", err), argv
+        elif code == 2:
+            assert err.startswith("numerical error: "), argv
+        else:
+            assert re.search(f"ConfigInvalid: {message}\n", out.read_text())

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from levring.dynamics import (build_model, build_models,
-                              char_poly_coefficients, drift_eigenvalues)
+                              char_poly_coefficients, drift_eigenvalues,
+                              drift_matrix)
 from levring.errors import NumericalError
 from levring.pipeline import solve_point
 
@@ -191,7 +192,7 @@ class TestStabilityVerdicts:
 
 
 def test_batched_models_equal_single_builds():
-    # one Durand-Kerner run for the batch, bit for bit the models that
+    # one eigvals call for the batch, bit for bit the models that
     # build_model gives one at a time, in input order; the all-zero
     # quartic (rho = 0) and G = 0 draws included
     rng = np.random.default_rng(12)
@@ -243,3 +244,36 @@ def test_overflowing_quartic_is_numerical_error():
         assert np.array_equal(model.verdict.eigenvalues, want)
     assert [str(e) for e in got[1::2]] == messages
     assert all(type(e) is NumericalError for e in got[1::2])
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("LinAlgError", "drift matrix eigenvalues: Eigenvalues did not converge"),
+    ("nan", "drift matrix has a non-finite eigenvalue")])
+def test_failed_eigenvalues_are_numerical_errors_alike(monkeypatch, failure,
+                                                       message):
+    # geev failing, or returning a nan, on one drift matrix: build_model
+    # raises a NumericalError, and the batch, whose stacked call fails
+    # as a whole, records the same error in that entry while the others
+    # keep their bits
+    good = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
+    bad = synthetic_op(0.6 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
+    derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
+    want = build_model(good, derived).verdict.eigenvalues
+    bad_A = drift_matrix(bad, derived.gamma, derived.kappa)
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        hit = np.all(a == bad_A, axis=(-2, -1))
+        if failure == "LinAlgError" and np.any(hit):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.where(hit[..., None], np.nan, eigvals(a))
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(NumericalError) as err:
+        build_model(bad, derived)
+    assert type(err.value) is NumericalError
+    assert str(err.value) == message
+    got = list(build_models([good, bad, good], [derived] * 3))
+    assert type(got[1]) is NumericalError and str(got[1]) == message
+    for model in got[::2]:
+        assert model.verdict.eigenvalues.tobytes() == want.tobytes()

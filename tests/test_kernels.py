@@ -253,131 +253,3 @@ def test_cov_rk4_matches_stepped_rk4():
     assert np.allclose(V1, V2, rtol=1e-12, atol=0.0)
     _, _, ok_half = stepped_rk4(A, D, dt, n1 // 2, n1 // 2, tol)
     assert not ok_half
-
-
-def test_durand_kerner_against_numpy_roots():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        roots, iters = _kernels.durand_kerner(c.astype(np.complex128),
-                                              1e-14, 500)
-        assert iters < 500
-        ref = list(np.roots(np.concatenate(([1.0 + 0j], c))))
-        for z in roots:
-            d = [abs(z - r) for r in ref]
-            i = int(np.argmin(d))
-            assert d[i] < 1e-8 * max(1.0, abs(ref[i]))
-            ref.pop(i)
-
-
-def reference_durand_kerner(coeffs, tol, max_iter):
-    """The Durand-Kerner loop on numpy complex scalars, numpy's / included:
-    the reference for the Python-complex kernel."""
-    n = coeffs.shape[0]
-    roots = _kernels._dk_start(n)
-    it = 0
-    while it < max_iter:
-        max_step = 0.0
-        for i in range(n):
-            zi = roots[i]
-            num = 1.0 + 0.0j
-            for c in coeffs:
-                num = num * zi + c
-            den = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    den *= zi - roots[j]
-            if den == 0.0:
-                den = tol + 0.0j
-            step = num / den
-            roots[i] = zi - step
-            mag = abs(step) / max(1.0, abs(roots[i]))
-            if mag > max_step:
-                max_step = mag
-        it += 1
-        if max_step < tol:
-            break
-    return roots, it
-
-
-def seeded_quartics(seed, n):
-    """Monic quartics from seeded roots: random complex ones, real ones
-    with conjugate pairs, and ones with a double root that run the
-    iteration to its cap."""
-    rng = np.random.default_rng(seed)
-    polys = []
-    for k in range(n):
-        roots = rng.normal(size=4) + 1j * rng.normal(size=4)
-        if k % 3 == 1:
-            roots[1], roots[3] = np.conj(roots[0]), np.conj(roots[2])
-        if k % 50 == 2:
-            roots[1] = roots[0]
-        polys.append(np.poly(roots)[1:])
-    return np.array(polys, dtype=np.complex128)
-
-
-def test_numpy_quotient_rounds_as_numpy_division():
-    # seeded pairs over magnitudes 1e-150..1e150, with zero real or
-    # imaginary parts in the divisor and both orderings of |bi| and |br|
-    rng = np.random.default_rng(31)
-    parts = (rng.choice([-1.0, 1.0], size=(40000, 4))
-             * 10.0 ** rng.uniform(-150.0, 150.0, size=(40000, 4)))
-    parts[::7, 2] = 0.0      # br = 0
-    parts[3::7, 3] = 0.0     # bi = 0
-    parts[5::11, 0] = 0.0
-    cases = 0
-    for ar, ai, br, bi in parts.tolist():
-        a, b = complex(ar, ai), complex(br, bi)
-        got = _kernels._numpy_quotient(a, b)
-        want = complex(np.complex128(a) / np.complex128(b))
-        assert ((got.real.hex(), got.imag.hex())
-                == (want.real.hex(), want.imag.hex())), (a, b)
-        cases += abs(bi) > abs(br)
-    assert 0 < cases < len(parts)
-
-
-def test_durand_kerner_matches_numpy_scalar_loop():
-    # bit for bit, roots and iteration counts, including the quartics
-    # whose iteration runs to its cap
-    for c in seeded_quartics(5, 300):
-        got, it = _kernels.durand_kerner(c, 1e-14, 500)
-        want, want_it = reference_durand_kerner(c, 1e-14, 500)
-        assert got.tobytes() == want.tobytes()
-        assert it == want_it
-
-
-def test_durand_kerner_non_finite_coefficients_as_numpy():
-    # inf and nan coefficients run to the numpy loop's values (nan sign
-    # bits aside) and iteration counts; no Python operation raises
-    rng = np.random.default_rng(17)
-    parts = [0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 1e308, 1e-320]
-    for _ in range(300):
-        c = np.empty(4, dtype=np.complex128)
-        c.real, c.imag = rng.choice(parts, size=(2, 4))
-        with np.errstate(all="ignore"):
-            got, it = _kernels.durand_kerner(c, 1e-14, 30)
-            want, want_it = reference_durand_kerner(c, 1e-14, 30)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert it == want_it
-
-
-def test_durand_kerner_batch_matches_scalar_loop():
-    # bit for bit, roots and iteration counts, on seeded quartics:
-    # random complex ones, real ones with conjugate pairs, and ones with
-    # a double root that run the iteration to its cap
-    rng = np.random.default_rng(8)
-    polys = []
-    for k in range(300):
-        roots = rng.normal(size=4) + 1j * rng.normal(size=4)
-        if k % 3 == 1:
-            roots[1], roots[3] = np.conj(roots[0]), np.conj(roots[2])
-        if k % 50 == 2:
-            roots[1] = roots[0]
-        polys.append(np.poly(roots)[1:])
-    coeffs = np.array(polys, dtype=np.complex128)
-    roots, iters = _kernels.durand_kerner_batch(coeffs, 1e-14, 500)
-    for c, got, it in zip(coeffs, roots, iters):
-        want, want_it = _kernels.durand_kerner(c, 1e-14, 500)
-        assert np.array_equal(got, want)
-        assert it == want_it
-    assert iters.max() == 500 and iters.min() < 100

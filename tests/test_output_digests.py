@@ -40,16 +40,16 @@ CASES = [
 # (subcommand, config, ring mode) -> sha256 of (stdout, --out CSV)
 DIGESTS = {
     ("steady-state", "fig1.cfg", "fixed_charge"): (
-        "07b3dcef62986f22b79b6aedf980d5f3e5d84e259073b4f4a6b25a336db5fc5e",
+        "07a60ec4a914206a516b6a66c6b4b451edd0ac1f1d638bd06581bcb8f4295394",
         "3aa0b0ea72923e47f16dbe1428d76af3c61b281ba4e23aad90716911f1db86d5"),
     ("steady-state", "fig1.cfg", "resonant"): (
-        "aec563dfd4a775223f2f9feb91cfa0f18f52deaa7f21319889f8e63c23ddc25e",
+        "bcb3a49c9130a231e2dd13955c6d81ea2c0e5a438668c216186f37e142860cbb",
         "c70d222e9f5a40750620973c1d0a1c297b9640ebf6c39a036e5bbe5e3f6149bf"),
     ("steady-state", "fig2.cfg", "resonant"): (
-        "0be90a4f9c5c2378ddcd3eebb3fc23b8fe981141e397d7eb6631ce854f8f6140",
+        "e83c8ffe06e550a212e810e713498ea4de4e9e48ac84994c70406e3a871741a7",
         "52619cf6450031639fcc2e834e5dd5306678843242b28cf27a7e149c8b7f320e"),
     ("steady-state", "decoupled.cfg", "fixed_charge"): (
-        "b24920340a2f26bf0ab4522ab488a7f158363005a23ab643a521daca9aa4e639",
+        "8b489a352a905c76991974d2dfb6208157e70bc2eddb39967758dceee729a24a",
         "382e5652a0a8eeb3b05817254eff15070aeaf4336d59bdbf72c0f18ce375224a"),
     ("spectrum", "fig1.cfg", "fixed_charge"): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -68,16 +68,16 @@ DIGESTS = {
 # config, ring mode -> sha256 of (stdout, --out CSV) of steady-state --verify
 VERIFY_DIGESTS = {
     ("fig1.cfg", "fixed_charge"): (
-        "50a9b12730e5fd46d626ca21a33412f41c389fa09d5059c99f842643ce444905",
+        "2de2850158eaba4a13549a8cbe771ed59c23f268e89857731d6c84785d06e71e",
         "ce7cf4bd9cdb9a7c9f6b27b666b312d1638bfe3430aed7e70a022a6f8b4303dc"),
     ("fig1.cfg", "resonant"): (
-        "5782d9373e4ce42e9cd7c26ef26d6019d0cc364dbaedf470a509bcf372b15771",
+        "bc02a849dab44606a5ac07b9f524fb7933bd6c34b25673c389fadfa170dab081",
         "560a60359958b2c132f8c7a3bc672f0aa438c3ebef5320fcfe1c5366c77d1920"),
     ("fig2.cfg", "resonant"): (
-        "5d6ce5f7302584df39ae139e2eeded1174f78016ccd457ba630eb3bed82470a6",
+        "fff53f40b843954098fade64485edfa9d71c0b3f6645460d8ad792a419e951a0",
         "cf5d811533e948e25256ca0e9ee07628bea67df6a85250824c8e19a452122220"),
     ("decoupled.cfg", "fixed_charge"): (
-        "9150df7008313e5abf8f29ed3ba06d2fdfe5ff420612295dafa2c68b48b5a926",
+        "82e8d96e5d9159b33f79841cc63f09ec12195ff81cc58077b9614ece6d45d8e7",
         "0a84082b57974dcdf89c8f23e6f3609e1f217da6c9d7c00184e650120f7fb577"),
 }
 

@@ -529,6 +529,40 @@ class TestSolveModel:
             solved += 1
         assert solved >= 10
 
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_quartic_matches_drift_matrix(self, ring_mode):
+        # the Routh-Hurwitz quartic is the characteristic polynomial of A,
+        # whose eigenvalues come in exact conjugate pairs; the batch builds
+        # the point path's models bit for bit
+        models = []
+        for cfg in criterion_6_configs(60):
+            try:
+                models.append(solve_point(cfg, ring_mode=ring_mode).model)
+            except LevringError:
+                continue
+        assert len(models) >= 30
+        for model in models:
+            coeffs = np.array(dynamics.char_poly_coefficients(
+                model.op, model.gamma, model.kappa))
+            rho = dynamics._quartic_scale(model.op, model.gamma, model.kappa)
+            scale = rho ** np.arange(1, 5)
+            assert np.all(np.abs(np.poly(model.A)[1:] - coeffs)
+                          <= 1e-12 * scale), model.op
+            eigs = model.verdict.eigenvalues
+            assert np.array_equal(np.sort(eigs.conj()), eigs)
+        built = dynamics.build_models([m.op for m in models],
+                                      [m.derived for m in models])
+        for got, want in zip(built, models):
+            for name in ("A", "D"):
+                assert getattr(got, name).tobytes() == getattr(want,
+                                                               name).tobytes()
+            assert got.verdict.eigenvalues.tobytes() == (
+                want.verdict.eigenvalues.tobytes())
+            for field in ("s1", "s2", "rh_stable", "rh_marginal",
+                          "max_real_part", "eig_stable"):
+                assert getattr(got.verdict, field) == getattr(want.verdict,
+                                                              field)
+
     def test_single_root_point_builds_one_model(self, fig1, monkeypatch):
         cfg, derived, delta0 = fig1
         assert len(scan_roots(derived, delta0, cfg.ring_offset_c0)) == 1
@@ -885,16 +919,24 @@ class TestSolveModels:
             assert assert_same_outcome(g, cell) in ("stable", "unstable")
         assert list(solve_models([])) == []
 
-    def test_capped_eigenvalue_iteration_fails_alike(self, fig1,
-                                                     monkeypatch):
-        # one Durand-Kerner step leaves the fig1 quartic far from its
-        # roots: the cap check fails a one-cell and a two-cell grid alike
+    @pytest.mark.parametrize("failure", ["LinAlgError", "nan"])
+    def test_failed_eigenvalues_fail_alike(self, fig1, monkeypatch, failure):
+        # geev failing, or returning a nan, fails the one-cell path
+        # (build_model) and a two-cell grid (build_models) alike
         cfg, derived, delta0 = fig1
-        monkeypatch.setattr(dynamics, "_DK_MAX_ITER", 1)
+
+        def eigvals(a):
+            if failure == "LinAlgError":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.full(a.shape[:-1], np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
         cell = (derived, delta0, cfg.ring_offset_c0)
         got, _ = solve_models([cell, cell])
-        assert assert_same_outcome(got, cell) == "IterationDiverged"
-        assert "eigenvalue iteration residual" in str(got)
+        assert assert_same_outcome(got, cell) == "NumericalError"
+        assert str(got) == ("drift matrix eigenvalues: Eigenvalues did not "
+                            "converge" if failure == "LinAlgError" else
+                            "drift matrix has a non-finite eigenvalue")
 
     def test_residual_bound_ends_candidates_alike(self, fig1, monkeypatch):
         cfg, derived, delta0 = fig1
