@@ -90,14 +90,8 @@ class SystemConfig:
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ConfigInvalid(f"{name} must be strictly positive")
-        if not CODATA2018.kB * self.temperature > 0.0:
-            raise ConfigInvalid(f"temperature {self.temperature} underflows kB T")
-        # the ring's field and spring divide by R^3: a normal float
-        cube = _guarded(pow, self.ring_radius, 3)
-        if not cube >= sys.float_info.min:
-            raise ConfigInvalid(
-                f"ring_radius = {self.ring_radius} m "
-                f"{'underflows' if cube < 1.0 else 'overflows'} when cubed")
+        _guard("kB T", CODATA2018.kB * self.temperature, "normal", self)
+        _guard("R^3", _guarded(pow, self.ring_radius, 3), "normal", self)
         if self.gas_pressure < 0.0:
             raise ConfigInvalid("gas_pressure must be non-negative")
         if self.mcp_epsilon < 0.0:
@@ -137,6 +131,8 @@ class DerivedParams:
 
     gamma_ph / gamma_gas / gamma / Gamma_diff depend on the operating
     mechanical frequency; they stay None until ``with_damping`` is called.
+    cfg is the config they were derived from: the guards at the solved
+    point name its fields.
     """
 
     k: float              # drive wavenumber, 1/m
@@ -158,6 +154,8 @@ class DerivedParams:
     gamma_gas: Optional[float] = None     # 1/s
     gamma: Optional[float] = None         # 1/s
     Gamma_diff: Optional[float] = None    # 1/s
+    cfg: Optional[SystemConfig] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     def with_damping(self, omega_m: float) -> "DerivedParams":
         """Return a completed copy with damping evaluated at omega_m."""
@@ -165,7 +163,7 @@ class DerivedParams:
             raise ValueError("no damping closure attached to these parameters")
         gph, ggas, gam, Gam = self.damping_at(omega_m)
         # a copy of the instance dict: `dataclasses.replace` would rerun
-        # __init__ over all eighteen fields, once per candidate root
+        # __init__ over all nineteen fields, once per candidate root
         done = object.__new__(type(self))
         done.__dict__.update(self.__dict__, gamma_ph=gph, gamma_gas=ggas,
                              gamma=gam, Gamma_diff=Gam)
@@ -241,9 +239,9 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
 
     The stated formulas assume a Markovian thermal force, which holds for
     hbar omega_m << kB T; they are applied unchanged at any configured
-    temperature.  A rate that is not finite, or a Gamma_diff whose square
-    is not (the Lyapunov residual squares it), raises ConfigInvalid naming
-    it and the config fields it comes from.
+    temperature.  The rates are non-negative Python floats (nan where the
+    arithmetic raises), so one `_guard`, that Gamma_diff has a finite
+    square (the Lyapunov residual squares it), covers all four.
     """
     if not omega_m > 0.0:
         raise NonPositiveFrequency(f"omega_m = {omega_m} must be positive")
@@ -251,32 +249,23 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
     V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
     mass = cfg.density * V_s
     hbar, kBT = CODATA2018.hbar, CODATA2018.kB * cfg.temperature
-    rates = []      # gamma_ph, gamma_gas, gamma, Gamma_diff as formed
-    try:            # on Python floats, as `_guarded`: a failed rate is nan
-        rates.append((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
-                     * (V_s / cfg.wavelength ** 3) * omega_m
-                     * (hbar * omega_m / kBT))
-        rates.append(4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure
+    try:
+        gamma_ph = ((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
+                    * (V_s / cfg.wavelength ** 3) * omega_m
+                    * (hbar * omega_m / kBT))
+        gamma_gas = (4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure
                      / (mass * math.sqrt(3.0 * kBT / cfg.gas_molecule_mass)))
-        rates.append(rates[0] + rates[1])
-        rates.append(rates[2] * kBT / (hbar * omega_m))
+        gamma = gamma_ph + gamma_gas
+        Gamma_diff = gamma * kBT / (hbar * omega_m)
     except ArithmeticError:
-        rates.append(math.nan)
-    for name, value in zip(_RATES, rates):
-        if not math.isfinite(value):
-            problem = "is not finite"
-        elif name == "Gamma_diff" and not math.isfinite(value * value):
-            problem = "has no finite square"
-        else:
-            continue
-        raise ConfigInvalid(
-            f"damping rate {name} = {value} {problem} at omega_m = "
-            f"{omega_m:.6e} rad/s (from {_sources(cfg, name)})")
-    return tuple(rates)
+        Gamma_diff = math.nan
+    _guard("Gamma_diff", Gamma_diff, "finite square", cfg, omega_m)
+    return gamma_ph, gamma_gas, gamma, Gamma_diff
 
 
-# the SystemConfig fields each derived constant is computed from;
-# ring_charge and A_q also take those of the ring specification in use
+# What each guarded quantity is computed from: config fields, and other
+# entries, which stand for their own sources.  "ring" stands for the
+# fields of the ring specification in use.
 _SOURCES = {
     "k": ("wavelength",),
     "omega_c": ("wavelength",),
@@ -288,72 +277,72 @@ _SOURCES = {
     "kappa": ("cavity_length", "finesse"),
     "E_drive": ("cavity_length", "finesse", "input_power", "wavelength"),
     "q_mcp": ("mcp_epsilon",),
-    "ring_charge": (),
-    "A_q": ("mcp_epsilon",),
-    "gamma_ph": ("permittivity", "sphere_radius", "wavelength", "temperature"),
-    "gamma_gas": ("gas_pressure", "sphere_radius", "density", "temperature",
-                  "gas_molecule_mass"),
+    "ring_charge": ("ring",),
+    "A_q": ("mcp_epsilon", "ring"),
+    "kB T": ("temperature",),
+    "R^3": ("ring_radius",),
+    "kappa^2": ("kappa",),
+    "force-balance bound": ("A_q", "ring_offset_c0", "g", "k", "E_drive",
+                            "kappa"),
+    "2 (|Delta0| + g)": ("detuning_delta0", "g"),
+    "2 (|d kappa| + g)": ("detuning_over_kappa", "kappa", "g"),
+    "Gamma_diff": ("permittivity", "sphere_radius", "wavelength",
+                   "temperature", "gas_pressure", "density",
+                   "gas_molecule_mass"),
+    "trap radicand": ("E_drive", "g", "k", "kappa", "mass"),
+    "Omega_m": ("A_q", "mass", "trap radicand"),
 }
-_SOURCES["gamma"] = _SOURCES["Gamma_diff"] = (_SOURCES["gamma_ph"]
-                                              + _SOURCES["gamma_gas"])
-_RATES = ("gamma_ph", "gamma_gas", "gamma", "Gamma_diff")
 
 
-def _sources(cfg: Optional[SystemConfig], *names) -> str:
-    """The config fields the derived constants `names` come from; cfg
-    gives the ring specification in use, and may be None unless
-    ring_charge or A_q is named."""
-    fields = []
-    for name in names:
-        ring = ()
-        if name in ("ring_charge", "A_q"):
-            ring = (("ring_charge",) if cfg.ring_charge is not None
-                    else ("ring_field", "ring_offset_c0", "ring_radius"))
-        for field in _SOURCES[name] + ring:
-            if field not in fields:
-                fields.append(field)
-    return ", ".join(fields)
+def _fields(cfg: Optional[SystemConfig], name: str):
+    """The config fields of `name`, an entry of `_SOURCES` or a field."""
+    if name == "ring":
+        return (("ring_charge",) if cfg.ring_charge is not None
+                else ("ring_field", "ring_offset_c0", "ring_radius"))
+    if name not in _SOURCES:
+        return (name,)
+    return [field for source in _SOURCES[name]
+            for field in _fields(cfg, source)]
 
 
-def _check_balance_bound(cfg: SystemConfig, constants) -> None:
-    """Raise ConfigInvalid unless the bound on the force balance over the
-    trap interval, |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, has a
-    finite square.  The root scan compares signs and never squares the
-    balance; the check makes inputs this large a config error naming
-    their fields, where the solvers would end in a numerical error (no
-    force-balance root, or an overflowing characteristic quartic).
+def _guard(name: str, value, rule: str, cfg: Optional[SystemConfig],
+           omega_m: Optional[float] = None):
+    """value, if it keeps `rule`; else ConfigInvalid naming the guarded
+    quantity `name` and, once each, the config fields `_SOURCES` lists
+    for it.  cfg gives the ring specification in use.
 
-    The fields named are those of A_q, and those of the optical term
-    too unless the ring term alone overflows.  A kappa of zero (the
-    product cavity_length * finesse overflowing) makes the bound inf.
+    rule is "finite", "normal" (a finite magnitude no smaller than the
+    smallest normal float) or "finite square".  omega_m is the solved
+    frequency the value was formed at, if any.
     """
-    c = constants
-    ring = abs(c["A_q"]) * (abs(cfg.ring_offset_c0)
-                            + math.pi / (4.0 * c["k"]))
-    e_over_kappa = c["E_drive"] / c["kappa"] if c["kappa"] else math.inf
-    bound = ring + (4.0 * CODATA2018.hbar * c["g"] * c["k"]
-                    * e_over_kappa * e_over_kappa)
-    if math.isfinite(bound * bound):
-        return
-    names = ("A_q", "g", "E_drive") if math.isfinite(ring * ring) else ("A_q",)
+    if rule == "finite":
+        kept = math.isfinite(value)
+    elif rule == "normal":
+        kept = sys.float_info.min <= abs(value) <= sys.float_info.max
+    else:
+        kept = math.isfinite(value * value)
+    if kept:
+        return value
+    problem = ("is not finite" if not math.isfinite(value)
+               else "underflows" if rule == "normal"
+               else "has no finite square")
+    at = "" if omega_m is None else f" at omega_m = {omega_m:.6e} rad/s"
+    fields = ", ".join(dict.fromkeys(_fields(cfg, name)))
     raise ConfigInvalid(
-        f"force-balance bound {bound:.3e} N cannot be squared "
-        f"(from {_sources(cfg, *names)})")
+        f"derived constant {name} = {value} {problem}{at} (from {fields})")
 
 
 def derive_constants(cfg: SystemConfig) -> DerivedParams:
     """Evaluate every derived constant of the configured system.
 
-    Pure: identical inputs give bit-identical outputs.  A constant that
-    overflows to inf (or nan) raises ConfigInvalid naming it and the
-    config fields it comes from, and so do a mass that underflows to
-    zero or a subnormal (the solvers divide by it), a force balance
-    whose bound cannot be squared (`_check_balance_bound`) and a kappa
-    whose square overflows or is not a normal float.  The drive
-    frequency is taken equal to the cavity frequency in the drive
-    amplitude E = sqrt(kappa P / hbar omega_L); the detunings involved
-    are ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error
-    below 1e-8.
+    Pure: identical inputs give bit-identical outputs.  Each passes
+    `_guard`: every constant is finite, the mass (a divisor) normal, and
+    kappa^2 normal; the bound on the force balance over the trap
+    interval, |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, which a
+    kappa of 0 makes inf, has a finite square.  The drive frequency is
+    taken equal to the cavity frequency in the drive amplitude
+    E = sqrt(kappa P / hbar omega_L); the detunings involved are
+    ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error below 1e-8.
     """
     cfg.validate()
     k = 2.0 * np.pi / cfg.wavelength
@@ -373,44 +362,32 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = _guarded(resolve_ring_charge, cfg)
     A_q = _guarded(lambda: electrostatic_spring(cfg, ring_charge=ring_charge))
-    constants = {name: float(value) for name, value in dict(
+    c = {name: float(value) for name, value in dict(
         k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
         kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,
         A_q=A_q).items()}
-    for name, value in constants.items():
-        if not math.isfinite(value):
-            raise ConfigInvalid(
-                f"derived constant {name} = {value} is not finite "
-                f"(from {_sources(cfg, name)})")
-        if name == "mass" and not value >= sys.float_info.min:
-            raise ConfigInvalid(
-                f"derived constant mass = {value} underflows "
-                f"(from {_sources(cfg, name)})")
-    _check_balance_bound(cfg, constants)
-    if not sys.float_info.min <= kappa * kappa <= sys.float_info.max:
-        raise ConfigInvalid(
-            f"derived constant kappa = {kappa} has no normal square "
-            f"(from {_sources(cfg, 'kappa')})")
+    for name, value in c.items():
+        _guard(name, value, "normal" if name == "mass" else "finite", cfg)
+    e_over_kappa = c["E_drive"] / c["kappa"] if c["kappa"] else math.inf
+    _guard("force-balance bound",
+           abs(c["A_q"]) * (abs(cfg.ring_offset_c0) + math.pi / (4.0 * c["k"]))
+           + (4.0 * CODATA2018.hbar * c["g"] * c["k"]
+              * e_over_kappa * e_over_kappa), "finite square", cfg)
+    _guard("kappa^2", kappa * kappa, "normal", cfg)
 
     def damping_at(omega_m: float):
         return damping_and_diffusion(cfg, omega_m)
 
-    return DerivedParams(**constants, ring_radius=cfg.ring_radius,
-                         damping_at=damping_at)
+    return DerivedParams(**c, ring_radius=cfg.ring_radius,
+                         damping_at=damping_at, cfg=cfg)
 
 
-def check_detuning(delta0: float, derived: DerivedParams, field: str) -> float:
-    """delta0 in rad/s, once 4 (|Delta0| + g)^2 is finite.
-
-    That bounds the 4 Delta(x)^2 the steady state and the resonance
-    mismatch form; a detuning that fails it raises ConfigInvalid naming
-    the config field it comes from.
-    """
-    bound = 2.0 * (abs(float(delta0)) + derived.g)
-    if not math.isfinite(bound * bound):
-        raise ConfigInvalid(
-            f"{field} gives Delta0 = {delta0:.3e} rad/s, too large for "
-            f"4 (|Delta0| + g)^2")
+def check_detuning(delta0: float, derived: DerivedParams, name: str) -> float:
+    """delta0 in rad/s, once 2 (|Delta0| + g), named `name` in `_SOURCES`,
+    has a finite square: that bounds the 4 Delta(x)^2 the steady state and
+    the resonance mismatch form."""
+    _guard(name, 2.0 * (abs(float(delta0)) + derived.g), "finite square",
+           derived.cfg)
     return delta0
 
 
@@ -426,7 +403,7 @@ def delta0_grid(delta0_over_kappa, derived: DerivedParams) -> list:
         if not math.isfinite(d0):
             raise ConfigInvalid(f"detuning_over_kappa must be finite, got {d0}")
         grid.append(check_detuning(float(d0) * derived.kappa, derived,
-                                   "detuning_over_kappa"))
+                                   "2 (|d kappa| + g)"))
     return grid
 
 
@@ -434,5 +411,6 @@ def delta0_from_config(cfg: SystemConfig, derived: DerivedParams) -> float:
     """Bare detuning in rad/s, converting from linewidth units if needed,
     and bounded by `check_detuning`."""
     if cfg.detuning_delta0 is not None:
-        return check_detuning(cfg.detuning_delta0, derived, "detuning_delta0")
+        return check_detuning(cfg.detuning_delta0, derived,
+                              "2 (|Delta0| + g)")
     return delta0_grid([cfg.detuning_over_kappa], derived)[0]

@@ -92,12 +92,16 @@ def transfer_coefficients(model: StateSpaceModel, omega) -> TransferCoefficients
         c_Y=kw_chi_m_inv)
 
 
+@np.errstate(all="ignore")
 def _output_spectra(model: StateSpaceModel, omega, form: str):
     """(S_XX, S_YY) from one evaluation of the transfer coefficients.
 
     Each term is formed once: |b_X|^2 = |c_Y|^2 serves both spectra, and
     so does the cross term Re[b_X d*] in the supplement form; |a_X|^2 is
-    the square of the scalar |G omega_m Delta|.
+    the square of the scalar |G omega_m Delta|.  They are formed with
+    numpy's floating-point warnings off and checked: a |d|^2 that
+    underflows to zero or is not finite, or a spectrum value that is not
+    finite, raises NonFiniteResult.
     """
     if form not in SPECTRUM_FORMS:
         raise ValueError(f"unknown spectrum form {form!r}")
@@ -107,6 +111,8 @@ def _output_spectra(model: StateSpaceModel, omega, form: str):
     abs_d2 = np.abs(tc.d) ** 2
     if np.any(abs_d2 == 0.0):
         raise NonFiniteResult("transfer denominator underflowed to zero")
+    if not np.isfinite(abs_d2).all():
+        raise NonFiniteResult("transfer denominator |d|^2 is not finite")
     d_minus = np.conj(tc.d)  # d(-w) = d(w)*
 
     def spectrum(a2, b2, c2, cross):
@@ -121,9 +127,12 @@ def _output_spectra(model: StateSpaceModel, omega, form: str):
     cross_X = np.real(tc.b_X * d_minus)
     cross_Y = (np.real(tc.b_Y * d_minus) if form == "maintext"
                else cross_X)
-    return (spectrum(a_X * a_X, b_X2, np.abs(tc.c_X) ** 2, cross_X),
-            spectrum(np.abs(tc.a_Y) ** 2, np.abs(tc.b_Y) ** 2, b_X2,
-                     cross_Y))
+    spectra = (spectrum(a_X * a_X, b_X2, np.abs(tc.c_X) ** 2, cross_X),
+               spectrum(np.abs(tc.a_Y) ** 2, np.abs(tc.b_Y) ** 2, b_X2,
+                        cross_Y))
+    if not all(np.isfinite(s).all() for s in spectra):
+        raise NonFiniteResult("output spectrum is not finite")
+    return spectra
 
 
 def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",

@@ -50,11 +50,11 @@ import numpy as np
 from . import dynamics
 from ._kernels import mean_field_chunk
 from .constants import CODATA2018
-from .errors import (AllRootsUnstable, ConfigInvalid, LevringError,
+from .errors import (AllRootsUnstable, LevringError,
                      NoResonantSolution, NoRootInInterval, NotConverged,
                      NumericalError, UnstableResonance, UnstableTrap, caught,
                      one)
-from .model import DerivedParams, _guarded, _sources
+from .model import DerivedParams, _guard, _guarded
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
@@ -185,8 +185,9 @@ def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> floa
     """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m).
 
     The radicand is formed on Python floats, so it overflows to inf
-    without a warning; one that is not finite raises ConfigInvalid naming
-    the config fields of E_drive and g, which set a_s and the coupling.
+    without a warning; unless it is finite, `_guard` raises ConfigInvalid
+    naming the config fields of g, k, mass and of E_drive and kappa,
+    which bound a_s <= 2 E_drive / kappa.
     """
     c2 = np.cos(2.0 * derived.k * x_s)
     if c2 < 0.0:
@@ -195,11 +196,7 @@ def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> floa
     a_s = float(a_s)
     radicand = (2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
                 * (a_s * a_s) * float(c2) / derived.mass)
-    if not math.isfinite(radicand):
-        raise ConfigInvalid(
-            f"trap frequency radicand {radicand} is not finite at a_s = "
-            f"{a_s:.3e} (from {_sources(None, 'E_drive', 'g')})")
-    return np.sqrt(radicand)
+    return np.sqrt(_guard("trap radicand", radicand, "finite", derived.cfg))
 
 
 def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> complex:
@@ -210,14 +207,22 @@ def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> comp
 
 def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
                        x_s: float) -> OperatingPoint:
-    """Close the steady-state definitions over a given displacement."""
+    """Close the steady-state definitions over a given displacement.
+
+    Omega_m = omega_m + A_q / (m omega_m) passes `_guard`: unless it is
+    finite, ConfigInvalid names it and its config fields."""
     delta_eff = _detuning(derived, delta0, np.cos(derived.k * x_s) ** 2)
     a_s = steady_amplitude(derived, delta_eff)
     omega_m = mechanical_frequency(derived, a_s, x_s)
     if omega_m <= 0.0:
         raise UnstableTrap(
             f"vanishing trap frequency at x_s = {x_s:.3e} m (a_s = {a_s:.3e})")
-    Omega_m = omega_m + derived.A_q / (derived.mass * omega_m)
+    # on Python floats (the resonant A_q is a numpy scalar), so it
+    # overflows to inf without a warning; nan where m omega_m is 0
+    omega = float(omega_m)
+    Omega_m = omega + _guarded(operator.truediv, float(derived.A_q),
+                               derived.mass * omega)
+    _guard("Omega_m", Omega_m, "finite", derived.cfg, omega)
     G = (np.sqrt(2.0 * CODATA2018.hbar / (derived.mass * omega_m))
          * derived.k * derived.g * a_s * np.sin(2.0 * derived.k * x_s))
     return OperatingPoint(

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -44,6 +45,20 @@ detuning_over_kappa = 0.8
 temperature_k = 300
 gas_pressure_torr = 1e-10
 """
+
+# the fields the guards of fig1.cfg's force-balance bound and of a
+# detuning in linewidths name (model._SOURCES)
+BOUND_FIELDS = ("(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius, "
+                "sphere_radius, permittivity, wavelength, cavity_length, "
+                "finesse, input_power)")
+DETUNING_FIELDS = ("(from detuning_over_kappa, cavity_length, finesse, "
+                   "sphere_radius, permittivity, wavelength)")
+DETUNING_ERROR_1E148 = (
+    "config error: derived constant 2 (|d kappa| + g) = 2.260381880770624e+154 "
+    f"has no finite square {DETUNING_FIELDS}")
+DETUNING_ERROR_1E150 = (
+    "config error: derived constant 2 (|d kappa| + g) = 1.8836515673088532e+156"
+    f" has no finite square {DETUNING_FIELDS}")
 
 
 @pytest.fixture()
@@ -438,8 +453,9 @@ class TestExitCodes:
          "derived constant kappa = nan is not finite "
          "(from cavity_length, finesse)"),
         ("ring_radius_mm", "1e300",
-         "ring_radius = 1e+297 m overflows when cubed"),
-        ("temperature_k", "1e-320", "temperature 1e-320 underflows kB T"),
+         "derived constant R^3 = nan is not finite (from ring_radius)"),
+        ("temperature_k", "1e-320",
+         "derived constant kB T = 0.0 underflows (from temperature)"),
         ("cavity_length_cm", "1e300",
          "derived constant V_c = inf is not finite "
          "(from wavelength, cavity_length)"),
@@ -469,18 +485,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, argv, message", [
         ("detuning_over_kappa", "1e150", ["steady-state"],
-         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large for "
-         "4 (|Delta0| + g)^2"),
+         "derived constant 2 (|d kappa| + g) = 1.8836515673088532e+156 has "
+         f"no finite square {DETUNING_FIELDS}"),
         ("detuning_over_kappa", "1e150",
          ["steady-state", "--ring-mode", "resonant"],
-         "detuning_over_kappa gives Delta0 = 9.418e+155 rad/s, too large for "
-         "4 (|Delta0| + g)^2"),
+         "derived constant 2 (|d kappa| + g) = 1.8836515673088532e+156 has "
+         f"no finite square {DETUNING_FIELDS}"),
         ("ring_field_v_per_m", "1e300", ["steady-state"],
-         "force-balance bound 1.802e+276 N cannot be squared "
-         "(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius)"),
+         "derived constant force-balance bound = 1.8024488356827002e+276 has "
+         f"no finite square {BOUND_FIELDS}"),
         ("ring_field_v_per_m", "1e300", ["stability-map"],
-         "force-balance bound 1.802e+276 N cannot be squared "
-         "(from mcp_epsilon, ring_field, ring_offset_c0, ring_radius)"),
+         "derived constant force-balance bound = 1.8024488356827002e+276 has "
+         f"no finite square {BOUND_FIELDS}"),
     ])
     def test_overflowing_square_is_validation_error(self, tmp_path, capsys,
                                                     key, value, argv,
@@ -520,21 +536,29 @@ class TestExitCodes:
         # (|Delta0| + g)^2 is finite, 4 Delta(x)^2 is not
         ({"detuning_over_kappa": "1.2e148"},
          ["steady-state", "--ring-mode", "resonant"], 1,
-         "config error: detuning_over_kappa gives", None),
+         DETUNING_ERROR_1E148, None),
         ({"detuning_over_kappa": "1.2e148"}, ["steady-state"], 1,
-         "config error: detuning_over_kappa gives", None),
+         DETUNING_ERROR_1E148, None),
         ({"detuning_over_kappa": "1.2e148"}, ["spectrum", "--grid-n", "5"],
-         1, "config error: detuning_over_kappa gives", None),
+         1, DETUNING_ERROR_1E148, None),
         # detuning grids pass the same bound as a configured detuning
         ({}, ["entanglement", "--grid-min", "1e150", "--grid-max", "1e150",
-              "--grid-n", "1"], 1,
-         "config error: detuning_over_kappa gives", None),
+              "--grid-n", "1"], 1, DETUNING_ERROR_1E150, None),
         ({}, ["entanglement", "--ring-mode", "resonant", "--grid-min",
               "1e150", "--grid-max", "1e150", "--grid-n", "1"], 1,
-         "config error: detuning_over_kappa gives", None),
+         DETUNING_ERROR_1E150, None),
         ({}, ["stability-map", "--grid-min", "1e150", "--grid-max", "1e150",
-              "--grid-n", "1", "--p2-n", "1"], 1,
-         "config error: detuning_over_kappa gives", None),
+              "--grid-n", "1", "--p2-n", "1"], 1, DETUNING_ERROR_1E150, None),
+        # |d|^2, or a spectrum value, overflows: a numerical error, not
+        # nan or inf rows
+        ({"finesse": "1e-50", "ring_field_v_per_m": "1e-300"},
+         ["spectrum", "--grid-n", "5"], 2,
+         "numerical error: transfer denominator |d|^2 is not finite within "
+         "grid [-1.413e+61, 1.413e+61]\n", None),
+        ({"density_kg_m3": "1e-100", "temperature_k": "1e200"},
+         ["spectrum", "--grid-n", "5"], 2,
+         "numerical error: output spectrum is not finite within grid "
+         "[-2.825e+06, 2.825e+06]\n", None),
         # finite constants, but the quartic scale's fourth power overflows
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["steady-state"], 2,
@@ -693,16 +717,12 @@ def edited_fig1(*lines):
     return text
 
 
-@pytest.mark.parametrize("key, value", [
-    pytest.param(key, value, id=f"{key}={value}") for key in EXTREME_KEYS
-    for value in ("1e300", "1e-300", "5e-324")])
-def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
-    # in process through every subcommand, with small grids: an exit code
-    # of the documented family, one error line, and no traceback or
-    # RuntimeWarning; a config error names the field of the key
-    path, out = tmp_path / "extreme.cfg", tmp_path / "out.csv"
-    path.write_text(edited_fig1(f"{key} = {value}"))
-    field = levring.cli.CONFIG_KEYS[key][0]
+def assert_runs_exit_cleanly(path, out, capsys, keys):
+    """Every subcommand on the config at path, in process with small grids,
+    gives an exit code of the documented family, one error line, and no
+    traceback or RuntimeWarning; a config error names the field of one
+    of the edited keys."""
+    fields = [levring.cli.CONFIG_KEYS[key][0] for key in keys]
     for argv in SMALL_GRID_RUNS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -716,15 +736,48 @@ def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
         else:
             prefix = "config error: " if code == 1 else "numerical error: "
             assert err.startswith(prefix) and err.count("\n") == 1, argv
-            assert code == 2 or field in err, argv
+            assert code == 2 or any(f in err for f in fields), (argv, err)
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}={value}") for key in EXTREME_KEYS
+    for value in ("1e300", "1e-300", "5e-324")])
+def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(edited_fig1(f"{key} = {value}"))
+    assert_runs_exit_cleanly(path, tmp_path / "out.csv", capsys, [key])
+
+
+PAIR_VALUES = ("1e300", "-1e300", "1e200", "1e150", "1e100", "1e50", "1e20",
+               "1e-20", "1e-50", "1e-100", "1e-150", "1e-200", "1e-300",
+               "5e-324")
+
+
+def seeded_pairs(seed, n):
+    """n seeded edits of two distinct EXTREME_KEYS to PAIR_VALUES."""
+    rng = random.Random(seed)
+    return [tuple(f"{key} = {rng.choice(PAIR_VALUES)}"
+                  for key in rng.sample(EXTREME_KEYS, 2)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param(lines, id=",".join(lines).replace(" ", ""))
+    for lines in seeded_pairs(0, 200)])
+def test_extreme_values_of_seeded_key_pairs(tmp_path, capsys, lines):
+    # two fields that pass one at a time can fail together, in the
+    # constants or at the solved point: the same clean exits
+    path = tmp_path / "pair.cfg"
+    path.write_text(edited_fig1(*lines))
+    assert_runs_exit_cleanly(path, tmp_path / "out.csv", capsys,
+                             [line.split(" = ")[0] for line in lines])
 
 
 @pytest.mark.parametrize("lines, message", [
     (["sphere_radius_nm = 1e-300", "ring_radius_mm = 1e-300"],
-     "ring_radius = 1.0000000000000001e-303 m underflows when cubed"),
+     "derived constant R^3 = 0.0 underflows (from ring_radius)"),
     (["sphere_radius_nm = 1e-300", "ring_radius_mm = 1e-300",
       "ring_charge_c = 1e-9"],
-     "ring_radius = 1.0000000000000001e-303 m underflows when cubed"),
+     "derived constant R^3 = 0.0 underflows (from ring_radius)"),
     (["cavity_length_cm = 1e160", "ring_offset_c0_nm = 1e165"],
      "derived constant V_c = inf is not finite "
      "(from wavelength, cavity_length)"),
@@ -738,21 +791,30 @@ def test_extreme_value_of_every_numeric_key(tmp_path, capsys, key, value):
      "(from sphere_radius, permittivity, wavelength, cavity_length)"),
     # kappa is finite, but kappa^2 overflows or underflows
     (["finesse = 1e-150", "detuning_over_kappa = 1e-300"],
-     "derived constant kappa = 4.7091289182721324e+160 has no normal "
-     "square (from cavity_length, finesse)"),
+     "derived constant kappa^2 = inf is not finite "
+     "(from cavity_length, finesse)"),
     (["finesse = 1e-150", "detuning_over_kappa = 5e-324"],
-     "derived constant kappa = 4.7091289182721324e+160 has no normal "
-     "square (from cavity_length, finesse)"),
+     "derived constant kappa^2 = inf is not finite "
+     "(from cavity_length, finesse)"),
     (["cavity_length_cm = 1e150", "finesse = 1e150"],
-     "derived constant kappa = 4.7091289182721327e-290 has no normal "
-     "square (from cavity_length, finesse)"),
+     "derived constant kappa^2 = 0.0 underflows "
+     "(from cavity_length, finesse)"),
     (["wavelength_nm = 1e150", "finesse = 1e300"],
-     "derived constant kappa = 4.7091289182721327e-290 has no normal "
-     "square (from cavity_length, finesse)"),
+     "derived constant kappa^2 = 0.0 underflows "
+     "(from cavity_length, finesse)"),
+    # the pi/4k term of the bound overflows: wavelength is named
+    (["wavelength_nm = 1e200"],
+     "derived constant force-balance bound = 1.3646359710421444e+183 has "
+     f"no finite square {BOUND_FIELDS}"),
+    # Delta0 = d kappa overflows through kappa: its fields are named
+    (["cavity_length_cm = 1e-100", "ring_offset_c0_nm = 1e-100"],
+     "derived constant 2 (|d kappa| + g) = 6.321237038254713e+204 has "
+     f"no finite square {DETUNING_FIELDS}"),
 ], ids=["tiny-ring", "tiny-ring-charge-given", "long-cavity",
         "far-ring-offset", "tiny-cavity-tiny-offset",
         "low-finesse-tiny-detuning", "low-finesse-subnormal-detuning",
-        "long-fine-cavity", "long-wave-high-finesse"])
+        "long-fine-cavity", "long-wave-high-finesse", "long-wave",
+        "tiny-cavity-tiny-offset-detuning"])
 def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
     # fields that pass one at a time fail together in the ring or cavity
     # constants: exit 1 and one config error line, on every subcommand
@@ -773,15 +835,23 @@ def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
     # a_s^2 overflows in the trap frequency of the map's C0 = 0 cells,
     # the only ones with a root
     (["cavity_length_cm = 1e150", "input_power_mw = 1e150"], (2, 2, 2, 0),
-     r"trap frequency radicand nan is not finite at a_s = 6\.745e\+154 "
+     r"derived constant trap radicand = nan is not finite "
      r"\(from cavity_length, finesse, input_power, wavelength, "
-     r"sphere_radius, permittivity\)"),
+     r"sphere_radius, permittivity, density\)"),
     # omega_m ~ 1e-143 makes Gamma_diff ~ 1e163, whose square overflows
     (["density_kg_m3 = 1e300", "gas_pressure_torr = 1e300"], (1, 1, 1, 0),
-     r"damping rate Gamma_diff = \S+ has no finite square at omega_m = "
+     r"derived constant Gamma_diff = \S+ has no finite square at omega_m = "
      r"\S+ rad/s \(from permittivity, sphere_radius, wavelength, "
      r"temperature, gas_pressure, density, gas_molecule_mass\)"),
-], ids=["long-cavity-high-power", "dense-sphere-high-pressure"])
+    # a tiny mass makes A_q / (m omega_m) overflow in Omega_m
+    (["sphere_radius_nm = 1e-50", "ring_offset_c0_nm = 1e-150"],
+     (1, 1, 1, 0),
+     r"derived constant Omega_m = inf is not finite at omega_m = \S+ rad/s "
+     r"\(from mcp_epsilon, ring_(field, ring_offset_c0, ring_radius|charge), "
+     r"density, sphere_radius, cavity_length, finesse, input_power, "
+     r"wavelength, permittivity\)"),
+], ids=["long-cavity-high-power", "dense-sphere-high-pressure",
+        "tiny-sphere-tiny-offset"])
 def test_overflow_at_the_solved_point_is_config_error(tmp_path, capsys,
                                                       lines, codes, message):
     # fields that pass together in the constants overflow at the solved

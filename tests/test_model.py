@@ -5,6 +5,7 @@ the defining formulas (CODATA-2018 inputs), not from running the
 package.
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -99,20 +100,21 @@ class TestDeriveConstants:
         assert str(err.value) == (f"derived constant mass = {mass} underflows "
                                   "(from density, sphere_radius)")
 
+    # the fields of every term of the bound, whichever overflows
+    OPTICAL = ("sphere_radius, permittivity, wavelength, cavity_length, "
+               "finesse, input_power")
+
     @pytest.mark.parametrize("changes, fields", [
         (dict(ring_field=1e300),
-         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius"),
-        (dict(ring_field=None, ring_charge=1e250), "mcp_epsilon, ring_charge"),
-        # the optical term overflows, not the ring term: both are named
+         f"mcp_epsilon, ring_field, ring_offset_c0, ring_radius, {OPTICAL}"),
+        (dict(ring_field=None, ring_charge=1e250),
+         f"mcp_epsilon, ring_charge, ring_offset_c0, {OPTICAL}"),
+        # the optical term overflows, not the ring term
         (dict(input_power=1e277),
-         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius, "
-         "sphere_radius, permittivity, wavelength, cavity_length, finesse, "
-         "input_power"),
+         f"mcp_epsilon, ring_field, ring_offset_c0, ring_radius, {OPTICAL}"),
         # cavity_length * finesse overflows: kappa and E_drive are 0
         (dict(cavity_length=1e150, finesse=1e200),
-         "mcp_epsilon, ring_field, ring_offset_c0, ring_radius, "
-         "sphere_radius, permittivity, wavelength, cavity_length, finesse, "
-         "input_power"),
+         f"mcp_epsilon, ring_field, ring_offset_c0, ring_radius, {OPTICAL}"),
     ])
     def test_unsquarable_force_balance_bound_is_config_error(self, changes,
                                                              fields):
@@ -121,21 +123,30 @@ class TestDeriveConstants:
         # solvers (no root, or an overflowing quartic)
         with pytest.raises(ConfigInvalid) as err:
             derive_constants(reference_config(**changes))
-        assert str(err.value).startswith("force-balance bound ")
-        assert str(err.value).endswith(f" N cannot be squared (from {fields})")
+        assert re.fullmatch(
+            r"derived constant force-balance bound = \S+ (has no finite "
+            rf"square|is not finite) \(from {fields}\)", str(err.value))
 
-    @pytest.mark.parametrize("changes, field", [
-        (dict(detuning_over_kappa=1e150), "detuning_over_kappa"),
+    G_FIELDS = "sphere_radius, permittivity, wavelength, cavity_length"
+
+    @pytest.mark.parametrize("changes, name, fields", [
+        (dict(detuning_over_kappa=1e150), r"2 \(\|d kappa\| \+ g\)",
+         "detuning_over_kappa, cavity_length, finesse, sphere_radius, "
+         "permittivity, wavelength"),
         (dict(detuning_over_kappa=None, detuning_delta0=-1e160),
-         "detuning_delta0"),
+         r"2 \(\|Delta0\| \+ g\)", f"detuning_delta0, {G_FIELDS}"),
         # (|Delta0| + g)^2 is finite, 4 Delta(x)^2 is not
         (dict(detuning_over_kappa=None, detuning_delta0=1e154),
-         "detuning_delta0"),
+         r"2 \(\|Delta0\| \+ g\)", f"detuning_delta0, {G_FIELDS}"),
     ])
-    def test_unsquarable_detuning_is_config_error(self, changes, field):
+    def test_unsquarable_detuning_is_config_error(self, changes, name,
+                                                  fields):
         cfg = reference_config(**changes)
-        with pytest.raises(ConfigInvalid, match=rf"^{field} gives Delta0 = "):
+        with pytest.raises(ConfigInvalid) as err:
             delta0_from_config(cfg, derive_constants(cfg))
+        assert re.fullmatch(
+            rf"derived constant {name} = \S+ has no finite square "
+            rf"\(from {fields}\)", str(err.value))
         cfg = reference_config(detuning_over_kappa=None, detuning_delta0=6e153)
         assert delta0_from_config(cfg, derive_constants(cfg)) == 6e153
 
@@ -328,9 +339,10 @@ class TestDamping:
         with pytest.raises(ConfigInvalid) as err:
             damping_and_diffusion(reference_config(**changes), omega_m)
         assert str(err.value) == (
-            f"damping rate {rate} is not finite at omega_m = {omega_m:.6e} "
-            "rad/s (from permittivity, sphere_radius, wavelength, "
-            "temperature, gas_pressure, density, gas_molecule_mass)")
+            f"derived constant {rate} is not finite at omega_m = "
+            f"{omega_m:.6e} rad/s (from permittivity, sphere_radius, "
+            "wavelength, temperature, gas_pressure, density, "
+            "gas_molecule_mass)")
 
     def test_with_damping_completes_record(self, ref_cfg):
         derived = derive_constants(ref_cfg)
