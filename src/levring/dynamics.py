@@ -93,27 +93,6 @@ def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
     return a3, a2, a1, a0
 
 
-def _rh_values(op: "OperatingPoint", gamma: float, kappa: float):
-    """The two Routh-Hurwitz condition values and their marginality flag."""
-    d = op.delta_eff
-    W = op.omega_m * op.Omega_m
-    four_d2 = 4.0 * d ** 2
-    t1 = W * (four_d2 + kappa ** 2)
-    t2 = 4.0 * op.G ** 2 * d * op.omega_m
-    s1 = t1 - t2
-
-    b1 = kappa * (four_d2 + (gamma + kappa) ** 2) + 2.0 * gamma * W
-    b2 = gamma * (four_d2 + kappa ** 2) + 8.0 * kappa * W
-    u1 = b1 * b2
-    u2 = 2.0 * (gamma + 2.0 * kappa) ** 2 * s1
-    s2 = 2.0 * (gamma + 2.0 * kappa) * (u1 - u2)
-
-    marginal = (abs(s1) < RH_MARGINAL_EPS * max(abs(t1), abs(t2))
-                or abs(s2) < RH_MARGINAL_EPS
-                * (2.0 * (gamma + 2.0 * kappa)) * max(abs(u1), abs(u2)))
-    return s1, s2, marginal
-
-
 def _quartic_scale(op: "OperatingPoint", gamma: float, kappa: float) -> float:
     """rho, the root scale of the characteristic quartic.
 
@@ -136,6 +115,34 @@ def _quartic_scale(op: "OperatingPoint", gamma: float, kappa: float) -> float:
     return rho
 
 
+def _quartic_verdict(op: "OperatingPoint", gamma: float, kappa: float):
+    """(rho, (S1, S2, marginal)) from `_quartic_scale` and Routh-Hurwitz,
+    formed once per candidate; NumericalError unless S1 and S2 are finite
+    (on Python floats S2 ~ rho^7 overflows silently where rho^4 does not)."""
+    rho = _quartic_scale(op, gamma, kappa)
+    d = op.delta_eff
+    W = op.omega_m * op.Omega_m
+    four_d2 = 4.0 * d ** 2
+    t1 = W * (four_d2 + kappa ** 2)
+    t2 = 4.0 * op.G ** 2 * d * op.omega_m
+    s1 = t1 - t2
+
+    b1 = kappa * (four_d2 + (gamma + kappa) ** 2) + 2.0 * gamma * W
+    b2 = gamma * (four_d2 + kappa ** 2) + 8.0 * kappa * W
+    u1 = b1 * b2
+    u2 = 2.0 * (gamma + 2.0 * kappa) ** 2 * s1
+    s2 = 2.0 * (gamma + 2.0 * kappa) * (u1 - u2)
+
+    marginal = (abs(s1) < RH_MARGINAL_EPS * max(abs(t1), abs(t2))
+                or abs(s2) < RH_MARGINAL_EPS
+                * (2.0 * (gamma + 2.0 * kappa)) * max(abs(u1), abs(u2)))
+    for name, value in (("S1", s1), ("S2", s2)):
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"Routh-Hurwitz value {name} = {value} is not finite")
+    return rho, (s1, s2, marginal)
+
+
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a drift matrix [4, 4], or of each of a stack
     [B, 4, 4], by LAPACK's geev: complex [4] or [B, 4], each row sorted
@@ -156,11 +163,9 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(eigs, axis=-1)
 
 
-def _verdict_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float,
-                         A: np.ndarray) -> np.ndarray:
-    """The eigenvalues of A = drift_matrix(op, gamma, kappa), once its
-    characteristic quartic passes `_quartic_scale`."""
-    if _quartic_scale(op, gamma, kappa) == 0.0:
+def _verdict_eigenvalues(rho: float, A: np.ndarray) -> np.ndarray:
+    """The eigenvalues of A, zero where the scale rho of its quartic is."""
+    if rho == 0.0:
         return np.zeros(4, dtype=complex)
     return _eigenvalues(A)
 
@@ -171,15 +176,15 @@ def drift_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float) -> np.nd
     They come from the matrix itself (`_eigenvalues`), after the
     characteristic quartic is checked for overflow (`_quartic_scale`).
     """
-    return _verdict_eigenvalues(op, gamma, kappa,
+    return _verdict_eigenvalues(_quartic_scale(op, gamma, kappa),
                                 drift_matrix(op, gamma, kappa))
 
 
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
-              eigs: np.ndarray) -> StateSpaceModel:
-    gamma, kappa = derived.gamma, derived.kappa
+              rh, eigs: np.ndarray) -> StateSpaceModel:
+    kappa = derived.kappa
     D = np.diag([0.0, derived.Gamma_diff, kappa / 2.0, kappa / 2.0])
-    s1, s2, marginal = _rh_values(op, gamma, kappa)
+    s1, s2, marginal = rh
     max_re = float(eigs[-1].real)     # eigs are sorted by real part
     verdict = StabilityVerdict(
         s1=float(s1), s2=float(s2),
@@ -204,8 +209,8 @@ def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel
     """
     _require_damping(derived)
     A = drift_matrix(op, derived.gamma, derived.kappa)
-    return _assemble(op, derived, A, _verdict_eigenvalues(
-        op, derived.gamma, derived.kappa, A))
+    rho, rh = _quartic_verdict(op, derived.gamma, derived.kappa)
+    return _assemble(op, derived, A, rh, _verdict_eigenvalues(rho, A))
 
 
 def build_models(ops, deriveds):
@@ -219,12 +224,14 @@ def build_models(ops, deriveds):
     for derived in deriveds:
         _require_damping(derived)
     As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
-    eigs = {}
+    eigs, rhs = {}, {}
     for b, (op, d) in enumerate(zip(ops, deriveds)):
-        rho = caught(_quartic_scale, op, d.gamma, d.kappa)
-        if isinstance(rho, NumericalError):
-            eigs[b] = rho
-        elif rho == 0.0:
+        checked = caught(_quartic_verdict, op, d.gamma, d.kappa)
+        if isinstance(checked, NumericalError):
+            eigs[b] = checked
+            continue
+        rho, rhs[b] = checked
+        if rho == 0.0:
             eigs[b] = np.zeros(4, dtype=complex)
     rows = [b for b in range(len(As)) if b not in eigs]
     if rows:
@@ -236,6 +243,6 @@ def build_models(ops, deriveds):
     def models():
         for b, (op, derived) in enumerate(zip(ops, deriveds)):
             yield (eigs[b] if isinstance(eigs[b], NumericalError)
-                   else _assemble(op, derived, As[b], eigs[b]))
+                   else _assemble(op, derived, As[b], rhs[b], eigs[b]))
 
     return models()

@@ -3,9 +3,10 @@
 The stationary second moments of the linearised Gaussian state solve the
 Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
-pivoting -- exact to machine precision at this size.  A detuning sweep
-solves the systems of all its stable rows in one stacked solve
-(`lyapunov_solves`), of which `lyapunov_solve` is the one-model case.
+pivoting -- exact to machine precision at this size.  Any number of
+stable models is solved in one stacked solve (`lyapunov_solves`, of
+which `lyapunov_solve` is the one-model case): the cell count picks the
+kernels only in steady_state.py, in `_grid_roots` and `_screen_plans`.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.
@@ -141,25 +142,22 @@ def lyapunov_solves(models):
 
     Entry b is the covariance of models[b], or the NumericalError solving
     it raises (UnstableModel for a model without a stationary state).
-    The count of stable models alone picks the kernel.  One is solved
-    and refined on its own (`_solve_refined`): a stacked solve of one
-    costs more.  More are solved in one stacked `np.linalg.solve`, whose
-    solutions have the bits of solves on their own; each solution's
-    residual is then checked, and refined if it misses the target
-    (`_refined`).  If any system is singular, the stacked solve fails as
-    a whole and each system is solved and refined on its own.
+    The stable models, however many, are solved in one stacked
+    `np.linalg.solve`, whose solutions have the bits of solves on their
+    own; each solution's residual is then checked, and refined if it
+    misses the target (`_refined`).  If any system is singular, the
+    stacked solve fails as a whole and each system is solved and refined
+    on its own (`_solve_refined`).
     """
     out = [_instability(model) for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
     if stable:
         M = _kron_sum(np.array([models[b].A for b in stable]))
-        V = None
-        if len(stable) > 1:
-            rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
-            try:
-                V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
-            except np.linalg.LinAlgError:
-                pass
+        rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
+        try:
+            V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
+        except np.linalg.LinAlgError:
+            V = None
         for i, b in enumerate(stable):
             out[b] = (caught(_solve_refined, models[b], M[i]) if V is None
                       else caught(_refined, models[b], M[i], V[i]))

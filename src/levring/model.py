@@ -291,6 +291,7 @@ _SOURCES = {
                    "gas_molecule_mass"),
     "trap radicand": ("E_drive", "g", "k", "kappa", "mass"),
     "Omega_m": ("A_q", "mass", "trap radicand"),
+    "E_x at x_s": ("ring", "ring_radius", "ring_offset_c0"),
 }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
 from .errors import ConfigError, LevringError, one
-from .model import (DerivedParams, SystemConfig, delta0_from_config,
+from .model import (DerivedParams, SystemConfig, _guard, delta0_from_config,
                     delta0_grid, derive_constants, ring_field_value)
 from .steady_state import (OperatingPoint, solve_models,
                            solve_resonant_models)
@@ -32,11 +32,12 @@ class PointSolution:
 
 
 def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:
-    return PointSolution(
-        derived=model.derived, op=model.op, model=model,
-        field_at_xs=ring_field_value(model.derived.ring_charge,
-                                     cfg.ring_radius, cfg.ring_offset_c0,
-                                     model.op.x_s))
+    """The PointSolution of a model, its ring field at x_s `_guard`ed."""
+    field = _guard("E_x at x_s", ring_field_value(
+        float(model.derived.ring_charge), cfg.ring_radius,
+        cfg.ring_offset_c0, model.op.x_s), "finite", cfg)
+    return PointSolution(derived=model.derived, op=model.op, model=model,
+                         field_at_xs=field)
 
 
 def _solve_rows(cfg: SystemConfig, derived: DerivedParams, delta0s,

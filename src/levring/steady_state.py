@@ -6,28 +6,27 @@ The equilibrium displacement x_s zeroes the force balance
 
 with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 (-pi/4k, pi/4k) where the optical curvature cos(2kx) stays positive.
-Roots are located by `_grid_roots`, the grid finder of the force
-balance and of the resonance mismatch alike: it finds every grid zero
-and sign change and bisects each sign change (robust against the
-multi-root structure of the transcendental balance).  One cell is
-evaluated on the whole grid; a grid of cells first on every 16th grid
-point, and on the fine grid only in the intervals where a bound on the
-slope cannot rule out a hit (`_scan_hits`), which gives the same hits.
-The roots are then screened for stability of the linearised dynamics.
-The screen builds the state-space model of each candidate; the solvers
-return the model of the accepted root, so spectra and entanglement read
-the very model that was screened.  One orchestration serves a single
-point and a grid of cells, such as a stability map or an entanglement
-sweep: `solve_models`, of which `solve_model` is the one-cell case.
-The cell count alone picks the kernels, in `_scan_hits`, in
-`_grid_roots` and in `_screen_plans`.  One cell bisects each bracket
-with `_bisect` on Python floats and builds its candidates' models one
-at a time as the screen reaches them; more cells bisect in lock step
-(`_bisect_all`) and find the eigenvalues of every candidate in one
-stacked `np.linalg.eigvals` call.  Both give the one-cell bits;
-the bisections agree by construction, since every cos^2(kx) the root
-finders compare is the correctly rounded product c * c of c = cos(kx)
-(`_detuning`).  `_grid_tables` is the one cache, of the grids and columns.
+Roots are located by `_grid_roots`, the grid finder of the force balance
+and of the resonance mismatch alike: it finds every grid zero and sign
+change and bisects each sign change (robust against the multi-root
+structure of the transcendental balance).  The roots are then screened
+for stability of the linearised dynamics.  The screen builds the
+state-space model of each candidate; the solvers return the model of the
+accepted root, so spectra and entanglement read the very model that was
+screened.  One orchestration serves a single point and a grid of cells,
+such as a stability map or an entanglement sweep: `solve_models`, of
+which `solve_model` is the one-cell case.  The cell count alone picks the
+kernels, in exactly two places: `_grid_roots` and `_screen_plans`.  One
+cell is evaluated on the whole grid, bisects with `_bisect` on Python
+floats and builds its models one at a time as the screen reaches them;
+more cells are evaluated on every 16th grid point, and on the fine grid
+only where a slope bound cannot rule out a hit (`_scan_hits`, which gives
+the whole grid's hits), bisect in lock step (`_bisect_all`) and find the
+eigenvalues of every candidate in one stacked `np.linalg.eigvals` call.
+Both give the one-cell bits; the bisections agree by construction, since
+every cos^2(kx) the root finders compare is the correctly rounded product
+c * c of c = cos(kx) (`_detuning`).  `_grid_tables` is the one cache, of
+the grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -278,12 +277,6 @@ def _two_pass_tables(grid, stride=SCAN_STRIDE):
     return grid, coarse, fine, float(np.max(np.diff(coarse[0])))
 
 
-def _joined(parts):
-    """The arrays of each part concatenated, position by position."""
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate,
-                                                       zip(*parts)))
-
-
 def _hit_mask(fs):
     """Along the last axis of fs, the points that are exact zeros or whose
     sign differs from the next point's.  Signs are compared, not values
@@ -305,10 +298,9 @@ def _scan_hits(fun, tables, params):
     every sign change between i and i + 1 (`_hit_mask`), as flat arrays
     ordered by cell and then by i.
 
-    One cell is evaluated on the whole grid, in fewer numpy calls than
-    the two passes below take.  More cells get the same hits, bit for
-    bit, from two passes that evaluate the fine grid only where a slope
-    bound cannot rule a hit out:
+    The hits are those of the whole-grid evaluation, bit for bit, from
+    two passes that evaluate the fine grid only where a slope bound
+    cannot rule a hit out:
     - coarse pass: f on every coarse point, SCAN_CHUNK cells at a time,
       which bounds the temporaries.  Gathered from the grid's tables,
       each value has the bits of the whole-grid evaluation.  A coarse
@@ -344,12 +336,7 @@ def _scan_hits(fun, tables, params):
     4 x 256u B + 5u B needed.  The bounds assume that no intermediate
     value is subnormal.
     """
-    grid, coarse, fine, width = tables
-    if len(params[0]) == 1:
-        fs = fun(*grid, params)
-        i = np.flatnonzero(_hit_mask(fs))
-        f_i = fs[i]
-        return np.zeros_like(i), i, f_i, f_i == 0.0
+    _, coarse, fine, width = tables
     # a bound or a sum that overflows is inf and certifies nothing: the
     # fine pass evaluates its intervals again, and warns of an overflow
     with np.errstate(over="ignore"):
@@ -362,7 +349,7 @@ def _scan_hits(fun, tables, params):
             ends = ends[:, :-1] + ends[:, 1:]
             cell, j = np.nonzero(~((ends > limit[rows]) & (ends < np.inf)))
             spans.append((cell + first, j))
-    cells, opened = _joined(spans)
+    cells, opened = map(np.concatenate, zip(*spans))
     hits, block = [], SCAN_CHUNK * SCAN_STRIDE
     for first in range(0, max(len(opened), 1), block):  # once if none open
         cell, j = cells[first:first + block], opened[first:first + block]
@@ -373,7 +360,7 @@ def _scan_hits(fun, tables, params):
         f_i = fs[row, at]
         hits.append((cell[row], j[row] * (fs.shape[1] - 1) + at, f_i,
                      f_i == 0.0))
-    return _joined(hits)
+    return tuple(map(np.concatenate, zip(*hits)))
 
 
 def _bisect(fun, a, b, fa, tol_x):
@@ -500,34 +487,39 @@ def _grid_roots(k: float, resonant: bool, fun, params):
 
     fun(x, cos^2(kx), trig(2kx), params) is the force balance
     (`_balance`) or, resonant, the resonance mismatch (`_mismatch`), and
-    fun.bound its slope bound.  `_scan_hits` finds its grid zeros, each
-    its own root, and sign changes on the grid of `_grid_tables`: one
-    cell on the whole grid, more cells on the fine grid only where the
-    bound cannot rule a hit out, with the same hits.  On the resonance
-    half-grid a cell keeps only its first hit other than the grid zero
-    x = 0.  The brackets [xs[i], xs[i + 1]] are bisected from f_i: one
-    cell's on Python floats by `_bisect`, more cells' in lock step by
-    `_bisect_all`, both squaring cos(kx) by product, as the tables do.
+    fun.bound its slope bound.  Its grid zeros, each its own root, and
+    sign changes (`_hit_mask`) on the grid of `_grid_tables` are found
+    for one cell on the whole grid, in fewer numpy calls than the two
+    passes of `_scan_hits`, which more cells take, with the same hits.
+    On the resonance half-grid a cell keeps only its first hit other
+    than the grid zero x = 0.  The brackets [xs[i], xs[i + 1]] are
+    bisected from f_i: one cell's on Python floats by `_bisect`, more
+    cells' in lock step by `_bisect_all`, both squaring cos(kx) by
+    product, as the tables do.
     """
     tol_x, tables = _grid_tables(k, resonant)
     xs = tables[0][0]
-    n_cells = len(params[0])
-    cell, i, f_i, zero = _scan_hits(fun, tables, params)
-    if resonant:
-        taken = ~(zero & (i == 0))
-        cell, first = np.unique(cell[taken], return_index=True)
-        i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
     float_trig, array_trig = _TRIG[resonant]
-    if n_cells == 1:
+    if len(params[0]) == 1:
+        fs = fun(*tables[0], params)
+        i = np.flatnonzero(_hit_mask(fs))
+        hits = zip(i.tolist(), fs[i].tolist())
+        if resonant:    # (0, 0.0) is the grid zero x = 0
+            hits = [hit for hit in hits if hit != (0, 0.0)][:1]
         cell_params, cos = tuple(p.item() for p in params), math.cos
 
         def bisected(x):
             c = cos(k * x)
             return fun(x, c * c, float_trig(2.0 * k * x), cell_params)
-        return [[float(xs[j]) if z
+        return [[float(xs[j]) if f == 0.0
                  else _bisect(bisected, float(xs[j]), float(xs[j + 1]), f,
                               tol_x)
-                 for j, f, z in zip(i.tolist(), f_i.tolist(), zero.tolist())]]
+                 for j, f in hits]]
+    cell, i, f_i, zero = _scan_hits(fun, tables, params)
+    if resonant:
+        taken = ~(zero & (i == 0))
+        cell, first = np.unique(cell[taken], return_index=True)
+        i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
     found = xs[i]
     bracket = np.flatnonzero(~zero)
     lo, at = i[bracket], cell[bracket]
@@ -535,7 +527,7 @@ def _grid_roots(k: float, resonant: bool, fun, params):
         lambda x, idx: fun(x, np.cos(k * x) ** 2, array_trig(2.0 * k * x),
                            tuple(p[at[idx]] for p in params)),
         xs[lo], xs[lo + 1], f_i[bracket], tol_x)
-    roots = [[] for _ in range(n_cells)]
+    roots = [[] for _ in range(len(params[0]))]
     for c, x in zip(cell.tolist(), found.tolist()):
         roots[c].append(x)
     return roots

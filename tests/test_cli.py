@@ -551,10 +551,15 @@ class TestExitCodes:
               "--grid-n", "1", "--p2-n", "1"], 1, DETUNING_ERROR_1E150, None),
         # |d|^2, or a spectrum value, overflows: a numerical error, not
         # nan or inf rows
-        ({"finesse": "1e-50", "ring_field_v_per_m": "1e-300"},
+        ({"finesse": "1e-40", "ring_field_v_per_m": "1e-300"},
          ["spectrum", "--grid-n", "5"], 2,
          "numerical error: transfer denominator |d|^2 is not finite within "
-         "grid [-1.413e+61, 1.413e+61]\n", None),
+         "grid [-1.413e+51, 1.413e+51]\n", None),
+        # a lower finesse overflows S2 ~ kappa^7 before the spectrum
+        ({"finesse": "1e-50", "ring_field_v_per_m": "1e-300"},
+         ["spectrum", "--grid-n", "5"], 2,
+         "numerical error: Routh-Hurwitz value S2 = inf is not finite\n",
+         None),
         ({"density_kg_m3": "1e-100", "temperature_k": "1e200"},
          ["spectrum", "--grid-n", "5"], 2,
          "numerical error: output spectrum is not finite within grid "
@@ -717,11 +722,17 @@ def edited_fig1(*lines):
     return text
 
 
+def csv_fields(text):
+    """Every field of the data lines of a CSV the CLI wrote."""
+    return [field for line in text.splitlines() if not line.startswith("#")
+            for field in line.split(",")]
+
+
 def assert_runs_exit_cleanly(path, out, capsys, keys):
     """Every subcommand on the config at path, in process with small grids,
     gives an exit code of the documented family, one error line, and no
     traceback or RuntimeWarning; a config error names the field of one
-    of the edited keys."""
+    of the edited keys, and a run that exits 0 writes no inf or nan."""
     fields = [levring.cli.CONFIG_KEYS[key][0] for key in keys]
     for argv in SMALL_GRID_RUNS:
         with warnings.catch_warnings(record=True) as caught:
@@ -733,6 +744,8 @@ def assert_runs_exit_cleanly(path, out, capsys, keys):
         assert code in (0, 1, 2), argv
         if code == 0:
             assert err == "", argv
+            assert not {"inf", "-inf", "nan"} & set(
+                csv_fields(out.read_text())), argv
         else:
             prefix = "config error: " if code == 1 else "numerical error: "
             assert err.startswith(prefix) and err.count("\n") == 1, argv
@@ -850,13 +863,19 @@ def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
      r"\(from mcp_epsilon, ring_(field, ring_offset_c0, ring_radius|charge), "
      r"density, sphere_radius, cavity_length, finesse, input_power, "
      r"wavelength, permittivity\)"),
+    # A_q = 0, so the decoupled point solves, but the ring field at x_s
+    # overflows; a map forms no E_x
+    (["mcp_epsilon = 5e-324", "ring_charge_c = 1e300"], (1, 1, 1, 0),
+     r"derived constant E_x at x_s = inf is not finite "
+     r"\(from ring_charge, ring_radius, ring_offset_c0\)"),
 ], ids=["long-cavity-high-power", "dense-sphere-high-pressure",
-        "tiny-sphere-tiny-offset"])
+        "tiny-sphere-tiny-offset", "no-bound-charge-huge-ring-charge"])
 def test_overflow_at_the_solved_point_is_config_error(tmp_path, capsys,
                                                       lines, codes, message):
     # fields that pass together in the constants overflow at the solved
-    # omega_m: a config error on each point, recorded per cell on a map,
-    # with warnings raised as errors
+    # point: a config error on each point, recorded per cell on a map
+    # unless the map does not form the value, with warnings raised as
+    # errors
     path, out = tmp_path / "edited.cfg", tmp_path / "out.csv"
     path.write_text(edited_fig1(*lines))
     for argv, code in zip(SMALL_GRID_RUNS, codes):
@@ -870,4 +889,48 @@ def test_overflow_at_the_solved_point_is_config_error(tmp_path, capsys,
         elif code == 2:
             assert err.startswith("numerical error: "), argv
         else:
-            assert re.search(f"ConfigInvalid: {message}\n", out.read_text())
+            recorded = re.search(f"ConfigInvalid: {message}\n",
+                                 out.read_text())
+            assert bool(recorded) != message.startswith(
+                "derived constant E_x"), argv
+
+
+S2_ERROR = "Routh-Hurwitz value S2 = inf is not finite"
+
+
+@pytest.mark.parametrize("lines, point_error, s2_cell", [
+    # every candidate, on the point and on each grid
+    (["finesse = 1e-50", "ring_field_v_per_m = 1e-300"], S2_ERROR,
+     lambda row: True),
+    # only a map's C0 = 0 cells have a candidate
+    (["finesse = 1e-50", "density_kg_m3 = 1e-20"],
+     "no force-balance root in (-pi/4k, pi/4k) at delta0 = 3.767303e+60",
+     lambda row: row[1] == "0.0"),
+], ids=["low-finesse-weak-ring", "low-finesse-light-sphere"])
+def test_overflowing_routh_hurwitz_value_is_numerical_error(
+        tmp_path, capsys, lines, point_error, s2_cell):
+    # every quartic coefficient is finite, but S2 ~ kappa^7 overflows: a
+    # numerical error on the point, recorded per row or cell on a grid,
+    # never an inf field
+    path, out = tmp_path / "edited.cfg", tmp_path / "out.csv"
+    path.write_text(edited_fig1(*lines))
+    errors = (point_error, point_error,
+              "no sweep point produced a stationary state", None)
+    recorded = 0
+    for argv, error in zip(SMALL_GRID_RUNS, errors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(path), "--out", str(out)])
+        assert code == (0 if error is None else 2), argv
+        assert capsys.readouterr().err == (
+            "" if error is None else f"numerical error: {error}\n"), argv
+        if argv[0] in ("entanglement", "stability-map"):
+            header, *data = out.read_text().splitlines()[2:]
+            rows = [line.split(",", header.count(",")) for line in data]
+            for row in rows:
+                assert (row[-1] == f"NumericalError: {S2_ERROR}") == (
+                    s2_cell(row)), (argv, row)
+            recorded += sum(map(s2_cell, rows))
+            assert not {"inf", "-inf", "nan"} & set(csv_fields(
+                out.read_text())), argv
+    assert recorded >= 2

@@ -246,6 +246,28 @@ def test_overflowing_quartic_is_numerical_error():
     assert all(type(e) is NumericalError for e in got[1::2])
 
 
+def test_overflowing_routh_hurwitz_value_is_numerical_error():
+    # kappa = 1e60: every quartic coefficient and rho^4 = 1e240 are
+    # finite, but S2 ~ kappa^7 overflows; build_model raises a
+    # NumericalError naming S2, and the batch records it in that entry
+    # only
+    op = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
+    derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
+    wide = synthetic_derived(kappa=1e60, gamma=0.05 * KAP, Gamma=1.0 * KAP)
+    message = "Routh-Hurwitz value S2 = inf is not finite"
+    with pytest.raises(NumericalError) as err:
+        build_model(op, wide)
+    assert type(err.value) is NumericalError and str(err.value) == message
+    got = list(build_models([op] * 3, [derived, wide, derived]))
+    assert type(got[1]) is NumericalError and str(got[1]) == message
+    want = build_model(op, derived)
+    for model in got[::2]:
+        assert (model.verdict.s1, model.verdict.s2) == (want.verdict.s1,
+                                                        want.verdict.s2)
+        assert model.verdict.eigenvalues.tobytes() == (
+            want.verdict.eigenvalues.tobytes())
+
+
 @pytest.mark.parametrize("failure, message", [
     ("LinAlgError", "drift matrix eigenvalues: Eigenvalues did not converge"),
     ("nan", "drift matrix has a non-finite eigenvalue")])

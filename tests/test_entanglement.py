@@ -417,7 +417,8 @@ def same_bits(a, b):
 
 
 def assert_same_covariances(models):
-    """lyapunov_solves gives, per model, lyapunov_solve's bits or error."""
+    """lyapunov_solves gives, per model, lyapunov_solve's bits or error,
+    and the bits of the model's system solved on its own."""
     got = lyapunov_solves(models)
     assert len(got) == len(models)
     kinds = collections.Counter()
@@ -431,6 +432,7 @@ def assert_same_covariances(models):
             continue
         assert isinstance(g, np.ndarray), g
         assert np.array_equal(g, want) and same_bits(g, want)
+        assert same_bits(g, entanglement._solve_refined(m, _kron_sum(m.A)))
         kinds["solved"] += 1
     return kinds
 
@@ -491,9 +493,9 @@ class TestLyapunovBatch:
     def test_empty_batch(self):
         assert lyapunov_solves([]) == []
 
-    def test_stable_count_picks_the_kernel(self, monkeypatch):
-        # one stable model is solved on its own, as a stacked solve of one
-        # costs more; two take one stacked solve
+    def test_every_batch_takes_one_stacked_solve(self, monkeypatch):
+        # one stable model, as two, takes one stacked solve first; only a
+        # refinement solves on its own
         solve, ranks = np.linalg.solve, []
 
         def counting(M, b):
@@ -506,10 +508,10 @@ class TestLyapunovBatch:
         stable = [random_model(rng, stable=True) for _ in range(2)]
         got = lyapunov_solves([unstable, stable[0]])
         assert isinstance(got[0], UnstableModel) and got[1].shape == (4, 4)
-        assert ranks and set(ranks) == {2}
+        assert ranks[0] == 3 and ranks.count(3) == 1
         ranks.clear()
         lyapunov_solves(stable)
-        assert 3 in ranks
+        assert ranks[0] == 3 and ranks.count(3) == 1
 
 
 class TestBlockDets:

@@ -986,6 +986,51 @@ def test_cell_count_picks_the_kernels(monkeypatch, solver, config):
     assert two[0].op == two[1].op == one.op
 
 
+def cubic_cells(k, resonant):
+    """Cells -3 (x - r1)(x - r2)(x - r3) on the scan grid at k, with exact
+    grid zeros at its first and last points, as (fun, params, roots):
+    roots holds each cell's grid zeros exactly and its bisected roots to
+    the bisection tolerance.  fun's bound is nan, which certifies
+    nothing, so the two-pass scan evaluates every interval."""
+    def cubic(x, cos2, trig, params):
+        c, r1, r2, r3 = params
+        return c * (x - r1) * (x - r2) * (x - r3)
+    cubic.bound = lambda params: (np.full(len(params[0]), np.nan),) * 2
+    tol_x, tables = steady_state._grid_tables(k, resonant)
+    xs = tables[0][0]
+    first, last = float(xs[0]), float(xs[-1])
+    out = 2.0 * abs(last)
+    mid, near = 0.5 * float(xs[700] + xs[701]), 0.5 * float(xs[1])
+    bisected = {x: pytest.approx(x, rel=0.0, abs=tol_x) for x in (mid, near)}
+    if resonant:    # the zero at x = 0 is skipped; the first hit is kept
+        cells = [((0.0, mid, last), [bisected[mid]]),
+                 ((0.0, last, out), [last]),
+                 ((near, out, 2.0 * out), [bisected[near]]),
+                 ((last, out, 2.0 * out), [last]),
+                 ((0.0, out, 2.0 * out), [])]
+    else:
+        cells = [((first, mid, last), [first, bisected[mid], last]),
+                 ((last, out, 2.0 * out), [last]),
+                 ((first, out, 2.0 * out), [first]),
+                 ((-out, out, 2.0 * out), [])]
+    params = tuple(np.array(v) for v in zip(*[(-3.0, *r) for r, _ in cells]))
+    return cubic, params, [roots for _, roots in cells]
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+def test_one_cell_roots_at_the_grid_ends(fig1, resonant):
+    # exact zeros at the first and last grid points are roots, the last
+    # with no bracket to its right; on the resonance half-grid the zero
+    # at x = 0 is skipped.  Each cell alone equals the batch.
+    k = fig1[1].k
+    fun, params, roots = cubic_cells(k, resonant)
+    together = _grid_roots(k, resonant, fun, params)
+    assert together == roots
+    for c in range(len(roots)):
+        assert _grid_roots(k, resonant, fun,
+                           tuple(p[c:c + 1] for p in params)) == [together[c]]
+
+
 def assert_same_resonant_outcomes(cells):
     got = list(solve_resonant_models(cells))
     assert len(got) == len(cells)
