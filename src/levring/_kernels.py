@@ -5,9 +5,11 @@ relaxes the covariance by doubling the exact RK4 step map.
 
 ``mean_field_chunk`` runs on Python floats: arithmetic on numpy scalars
 costs about three times as much per operation, and Python's +, -, *,
-``math.sin`` and ``math.cos`` round to the same bits.  It writes its
-four RK4 stages out in the loop, with the state-independent factors
-formed once: a call per stage costs more than the arithmetic it wraps.
+``math.sin`` and ``math.cos`` round to the same bits.  It squares cos(kx)
+as the product c * c, as the whole package does (`steady_state._detuning`).
+It writes its four RK4 stages out in the loop, with the state-independent
+factors formed once: a call per stage costs more than the arithmetic it
+wraps.
 """
 import math
 
@@ -60,7 +62,8 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     for _ in range(n_steps):
         s = c0 + x
         u = s / R
-        h = delta0 + slope * cos(k * x) ** 2
+        c = cos(k * x)
+        h = delta0 + slope * (c * c)
         k1x = p / mass
         k1p = (opt * sin(two_k * x) * (ar * ar + ai * ai)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p)
@@ -73,7 +76,8 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai2 = ai + half * k1i
         s = c0 + x2
         u = s / R
-        h = delta0 + slope * cos(k * x2) ** 2
+        c = cos(k * x2)
+        h = delta0 + slope * (c * c)
         k2x = p2 / mass
         k2p = (opt * sin(two_k * x2) * (ar2 * ar2 + ai2 * ai2)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p2)
@@ -86,7 +90,8 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai3 = ai + half * k2i
         s = c0 + x3
         u = s / R
-        h = delta0 + slope * cos(k * x3) ** 2
+        c = cos(k * x3)
+        h = delta0 + slope * (c * c)
         k3x = p3 / mass
         k3p = (opt * sin(two_k * x3) * (ar3 * ar3 + ai3 * ai3)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p3)
@@ -99,7 +104,8 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
         ai4 = ai + dt * k3i
         s = c0 + x4
         u = s / R
-        h = delta0 + slope * cos(k * x4) ** 2
+        c = cos(k * x4)
+        h = delta0 + slope * (c * c)
         k4x = p4 / mass
         k4p = (opt * sin(two_k * x4) * (ar4 * ar4 + ai4 * ai4)
                - A_q * s * (1.0 + u * u) ** -1.5 - half_gamma * p4)

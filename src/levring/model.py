@@ -359,7 +359,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     # nan, rejected below, where V_c underflows to 0
     g = _guarded(lambda: 3.0 * V_s / (2.0 * V_c) * (cfg.permittivity - 1.0)
                  / (cfg.permittivity + 2.0) * omega_c)
-    E_drive = np.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
+    E_drive = math.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = _guarded(resolve_ring_charge, cfg)
     A_q = _guarded(lambda: electrostatic_spring(cfg, ring_charge=ring_charge))

@@ -34,8 +34,8 @@ class PointSolution:
 def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:
     """The PointSolution of a model, its ring field at x_s `_guard`ed."""
     field = _guard("E_x at x_s", ring_field_value(
-        float(model.derived.ring_charge), cfg.ring_radius,
-        cfg.ring_offset_c0, model.op.x_s), "finite", cfg)
+        model.derived.ring_charge, cfg.ring_radius, cfg.ring_offset_c0,
+        model.op.x_s), "finite", cfg)
     return PointSolution(derived=model.derived, op=model.op, model=model,
                          field_at_xs=field)
 

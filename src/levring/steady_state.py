@@ -24,9 +24,9 @@ only where a slope bound cannot rule out a hit (`_scan_hits`, which gives
 the whole grid's hits), bisect in lock step (`_bisect_all`) and find the
 eigenvalues of every candidate in one stacked `np.linalg.eigvals` call.
 Both give the one-cell bits; the bisections agree by construction, since
-every cos^2(kx) the root finders compare is the correctly rounded product
-c * c of c = cos(kx) (`_detuning`).  `_grid_tables` is the one cache, of
-the grids and columns.
+every cos^2(kx) is the correctly rounded product c * c of c = cos(kx)
+(`_detuning`).  `_grid_tables` is the one cache, of the grids and
+columns.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -93,15 +93,11 @@ def _detuning(derived: DerivedParams, delta0, cos2):
     """Delta(x) = Delta0 + g cos^2(kx) in rad/s from cos2 = cos^2(kx), the
     one site of its sign (the mean-field kernel takes its slope from here).
 
-    The caller squares the cosine.  In the root finders (the grid tables
-    and both bisections of `_grid_roots`) cos2 is the correctly rounded
-    product c * c of c = cos(kx): written so on Python floats, and as
-    `** 2` on arrays of at least one dimension, which numpy forms as that
-    product.  Python floats, numpy scalars and 0-d arrays take `** 2`
-    through libm pow, an ulp away on about 1 in 1000 arguments.  The
-    numpy-scalar point forms (`operating_point_at`, `cavity_steady_field`,
-    `_resonant_plan`, a scalar `force_balance`) keep `** 2`: one code path
-    serves one cell and many there, so there is no second path to match.
+    The caller squares the cosine, always as the correctly rounded product
+    c * c of c = cos(kx): on Python floats in the per-candidate steps and
+    the one-cell bisection, on arrays in the grid tables, the lock-step
+    bisection and the vectorised `force_balance`.  So every cos^2(kx) in
+    the package has the same bits, wherever it is formed.
     """
     return delta0 + derived.g * cos2
 
@@ -109,7 +105,7 @@ def _detuning(derived: DerivedParams, delta0, cos2):
 def _balance(derived: DerivedParams):
     """The force balance in newtons, balance(x, cos^2(kx), sin(2kx),
     (delta0, c0, A_q)), its x-independent factors formed once; it runs on
-    Python floats and on broadcast arrays or numpy scalars alike.
+    Python floats and on broadcast arrays alike.
 
     balance.bound(params) is the (slope, slack) of each cell for
     `_scan_hits`: |f'| <= |A_q| plus the slope bound of the Lorentzian
@@ -162,8 +158,8 @@ def _lorentzian_bound(derived: DerivedParams, p, q, delta0):
 
 def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
     """f(x) in newtons; vectorised over x."""
-    return _balance(derived)(x, np.cos(derived.k * x) ** 2,
-                             np.sin(2.0 * derived.k * x),
+    c = np.cos(derived.k * x)
+    return _balance(derived)(x, c * c, np.sin(2.0 * derived.k * x),
                              (delta0, c0, derived.A_q))
 
 
@@ -176,59 +172,61 @@ def residual_scale(derived: DerivedParams, c0: float) -> float:
 
 def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
     """Real positive intracavity amplitude 2E / sqrt(4 Delta^2 + kappa^2)."""
-    return 2.0 * derived.E_drive / np.sqrt(4.0 * delta_eff ** 2
-                                           + derived.kappa ** 2)
+    return 2.0 * derived.E_drive / math.sqrt(4.0 * delta_eff ** 2
+                                             + derived.kappa ** 2)
 
 
 def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> float:
     """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m).
 
-    The radicand is formed on Python floats, so it overflows to inf
-    without a warning; unless it is finite, `_guard` raises ConfigInvalid
+    The radicand overflows to inf without a warning, as Python-float
+    products do; unless it is finite, `_guard` raises ConfigInvalid
     naming the config fields of g, k, mass and of E_drive and kappa,
     which bound a_s <= 2 E_drive / kappa.
     """
-    c2 = np.cos(2.0 * derived.k * x_s)
+    c2 = math.cos(2.0 * derived.k * x_s)
     if c2 < 0.0:
         raise UnstableTrap(
             f"cos(2 k x_s) = {c2:.3e} < 0 at x_s = {x_s:.3e} m")
-    a_s = float(a_s)
     radicand = (2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
-                * (a_s * a_s) * float(c2) / derived.mass)
-    return np.sqrt(_guard("trap radicand", radicand, "finite", derived.cfg))
+                * (a_s * a_s) * c2 / derived.mass)
+    return math.sqrt(_guard("trap radicand", radicand, "finite", derived.cfg))
 
 
 def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> complex:
     """Steady intracavity field for the sphere clamped at x (complex)."""
-    h = _detuning(derived, delta0, np.cos(derived.k * x) ** 2)
+    c = math.cos(derived.k * x)
+    h = _detuning(derived, delta0, c * c)
     return -1j * derived.E_drive / (derived.kappa / 2.0 - 1j * h)
 
 
 def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
                        x_s: float) -> OperatingPoint:
-    """Close the steady-state definitions over a given displacement.
+    """Close the steady-state definitions over a given displacement, on
+    Python floats; the residual is `_balance` on the same cos^2(kx) and
+    sin(2kx).
 
     Omega_m = omega_m + A_q / (m omega_m) passes `_guard`: unless it is
     finite, ConfigInvalid names it and its config fields."""
-    delta_eff = _detuning(derived, delta0, np.cos(derived.k * x_s) ** 2)
+    c = math.cos(derived.k * x_s)
+    cos2, sin_2kx = c * c, math.sin(2.0 * derived.k * x_s)
+    delta_eff = _detuning(derived, delta0, cos2)
     a_s = steady_amplitude(derived, delta_eff)
     omega_m = mechanical_frequency(derived, a_s, x_s)
     if omega_m <= 0.0:
         raise UnstableTrap(
             f"vanishing trap frequency at x_s = {x_s:.3e} m (a_s = {a_s:.3e})")
-    # on Python floats (the resonant A_q is a numpy scalar), so it
     # overflows to inf without a warning; nan where m omega_m is 0
-    omega = float(omega_m)
-    Omega_m = omega + _guarded(operator.truediv, float(derived.A_q),
-                               derived.mass * omega)
-    _guard("Omega_m", Omega_m, "finite", derived.cfg, omega)
-    G = (np.sqrt(2.0 * CODATA2018.hbar / (derived.mass * omega_m))
-         * derived.k * derived.g * a_s * np.sin(2.0 * derived.k * x_s))
+    Omega_m = omega_m + _guarded(operator.truediv, derived.A_q,
+                                 derived.mass * omega_m)
+    _guard("Omega_m", Omega_m, "finite", derived.cfg, omega_m)
+    G = (math.sqrt(2.0 * CODATA2018.hbar / (derived.mass * omega_m))
+         * derived.k * derived.g * a_s * sin_2kx)
     return OperatingPoint(
-        x_s=float(x_s), a_s=float(a_s), omega_m=float(omega_m),
-        Omega_m=float(Omega_m), delta_eff=float(delta_eff), G=float(G),
-        A_q=derived.A_q,
-        residual=float(force_balance(x_s, derived, delta0, c0)))
+        x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,
+        delta_eff=delta_eff, G=G, A_q=derived.A_q,
+        residual=_balance(derived)(x_s, cos2, sin_2kx,
+                                   (delta0, c0, derived.A_q)))
 
 
 # trig(2kx) of each scan as (Python-float, array) functions: sin(2kx) in
@@ -251,7 +249,8 @@ def _grid_tables(k: float, resonant: bool):
     half = np.pi / (4.0 * k) * (1.0 - 1e-9)
     xs = (np.linspace(0.0, half, N_SCAN_RESONANT) if resonant
           else np.linspace(-half, half, N_SCAN))
-    grid = (xs, np.cos(k * xs) ** 2, _TRIG[resonant][1](2.0 * k * xs))
+    c = np.cos(k * xs)
+    grid = (xs, c * c, _TRIG[resonant][1](2.0 * k * xs))
     for table in grid:
         table.flags.writeable = False
     return BISECT_REL_TOL * (2.0 * half), _two_pass_tables(grid)
@@ -523,10 +522,13 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     found = xs[i]
     bracket = np.flatnonzero(~zero)
     lo, at = i[bracket], cell[bracket]
-    found[bracket] = _bisect_all(
-        lambda x, idx: fun(x, np.cos(k * x) ** 2, array_trig(2.0 * k * x),
-                           tuple(p[at[idx]] for p in params)),
-        xs[lo], xs[lo + 1], f_i[bracket], tol_x)
+
+    def bisected_all(x, idx):
+        c = np.cos(k * x)
+        return fun(x, c * c, array_trig(2.0 * k * x),
+                   tuple(p[at[idx]] for p in params))
+    found[bracket] = _bisect_all(bisected_all, xs[lo], xs[lo + 1],
+                                 f_i[bracket], tol_x)
     roots = [[] for _ in range(len(params[0]))]
     for c, x in zip(cell.tolist(), found.tolist()):
         roots[c].append(x)
@@ -584,8 +586,10 @@ def solve_models(cells):
     call, and so, for more than one cell, does the eigenvalue call
     for the candidate roots of every cell (`_screen_plans`); the
     operating points, residual checks and Routh-Hurwitz values are
-    scalar code per candidate.
+    scalar code per candidate, on Python floats: each cell's delta0 and
+    c0 are cast once, here.
     """
+    cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
     # a decoupled cell, A_q = 0 or C0 = 0, is not scanned
     scanned = [i for i, (d, _, c0) in enumerate(cells)
@@ -650,16 +654,19 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
     x_s = -x_root if c0 > 0.0 else x_root
     hbar = CODATA2018.hbar
     k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
-    delta = _detuning(derived, delta0, np.cos(k * x_s) ** 2)
+    c = math.cos(k * x_s)
+    delta = _detuning(derived, delta0, c * c)
     if delta <= 0.0:
         raise NoResonantSolution(
             f"effective detuning {delta:.3e} not on the stable sideband")
-    a_q = (-4.0 * hbar * g * k * E ** 2 * np.sin(2.0 * k * x_s)
-           / ((kap ** 2 + 4.0 * delta * delta) * (x_s + c0)))
+    # nan where the divisor is 0, which the guard on Omega_m then rejects
+    a_q = _guarded(lambda: -4.0 * hbar * g * k * E ** 2
+                   * math.sin(2.0 * k * x_s)
+                   / ((kap ** 2 + 4.0 * delta * delta) * (x_s + c0)))
     if a_q < 0.0:
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")
-    geom = 4.0 * np.pi * CODATA2018.eps0 * derived.ring_radius ** 3
+    geom = 4.0 * math.pi * CODATA2018.eps0 * derived.ring_radius ** 3
     resolved = dataclasses.replace(derived, A_q=a_q,
                                    ring_charge=a_q * geom / derived.q_mcp)
     op = operating_point_at(resolved, delta0, c0, x_s)
@@ -702,8 +709,10 @@ def solve_resonant_models(cells):
     `_grid_roots`) at the call, and so, for more than one cell,
     does the eigenvalue call for every resonant point
     (`_screen_plans`); the charge, the operating point and their checks
-    are scalar code per cell.
+    are scalar code per cell, on Python floats: each cell's delta0 and c0
+    are cast once, here.
     """
+    cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa", "mass"))
     plans = [None if c0 != 0.0 and d.q_mcp != 0.0 else NoResonantSolution(
         "resonance matching needs C0 != 0 and a nonzero bound charge")

@@ -363,6 +363,17 @@ class TestCommands:
         assert text.count("<polyline") == 2
         assert "stroke-dasharray" in text  # the 1/2 baseline rule
 
+    def test_one_point_svg(self, cfg_file, tmp_path):
+        # one frequency spans no x range: the axis is widened to unit width
+        svg = tmp_path / "one.svg"
+        assert main(["spectrum", "--config", cfg_file, "--grid-n", "1",
+                     "--out", str(tmp_path / "s.csv"), "--svg",
+                     str(svg)]) == 0
+        text = svg.read_text()
+        points = re.findall(r'points="([^"]*)"', text)
+        assert [p.split(",")[0] for p in points] == ["64.00", "64.00"]
+        assert_inside_the_chart(text)
+
     @pytest.mark.parametrize("config, ring_mode, code, runs", [
         ("fig2.cfg", "fixed_charge", 0, 1),     # 158 of 200 rows fail
         ("decoupled.cfg", "resonant", 2, 0),    # every row fails

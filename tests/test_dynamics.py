@@ -6,6 +6,7 @@ from levring.dynamics import (build_model, build_models,
                               char_poly_coefficients, drift_eigenvalues,
                               drift_matrix)
 from levring.errors import NumericalError
+from levring.model import derive_constants
 from levring.pipeline import solve_point
 
 from conftest import (KAPPA_SCALE, random_model, reference_config,
@@ -140,6 +141,11 @@ class TestStabilityVerdicts:
                             3e-11 * KAP, 1e-3 * KAP)
         assert not m.stable
         assert not m.verdict.rh_stable
+
+    def test_undamped_constants_rejected(self):
+        sol = solve_point(reference_config())
+        with pytest.raises(ValueError, match="lack damping"):
+            build_model(sol.op, derive_constants(reference_config()))
 
     def test_fig1_point_is_stable(self):
         sol = solve_point(reference_config())

@@ -13,9 +13,9 @@ from levring.entanglement import (EntanglementPoint, _kron_sum,
                                   entanglement_sweep, log_negativity,
                                   lyapunov_residual, lyapunov_solve,
                                   lyapunov_solves, symplectic_eigenvalues)
-from levring.errors import (ConfigInvalid, LevringError, NumericalError,
-                            SingularSystem, UnphysicalCovariance,
-                            UnstableModel)
+from levring.errors import (ConfigInvalid, LevringError, NotConverged,
+                            NumericalError, SingularSystem,
+                            UnphysicalCovariance, UnstableModel)
 from levring.pipeline import PointSolution, solve_point, solve_sweep
 
 from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
@@ -121,6 +121,13 @@ class TestCovarianceIntegration:
         m = dataclasses.replace(m, D=np.zeros((4, 4)))
         V = covariance_by_integration(m, t_max=2000.0 / KAP)
         assert np.abs(V).max() < 1e-12
+
+    @pytest.mark.parametrize("t_max, steps", [(0.0, 0), (1e-9, 1)])
+    def test_too_short_relaxation_not_converged(self, t_max, steps):
+        model = solve_point(reference_config()).model
+        with pytest.raises(NotConverged,
+                           match=f"not settled after {steps} steps "):
+            covariance_by_integration(model, t_max=t_max)
 
 
 class TestLogNegativity:

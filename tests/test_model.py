@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levring import model
-from levring.constants import CODATA2018
+from levring.constants import CODATA2018, PhysicalConstants
 from levring.errors import ConfigInvalid, NonPositiveFrequency
 from levring.model import (DerivedParams, damping_and_diffusion,
                            delta0_from_config, derive_constants,
@@ -154,6 +154,11 @@ class TestDeriveConstants:
         assert derive_constants(reference_config(mcp_epsilon=0.0)).A_q == 0.0
         cfg = reference_config(ring_field=None, ring_charge=0.0)
         assert derive_constants(cfg).A_q == 0.0
+
+
+def test_physical_constants_must_be_positive():
+    with pytest.raises(ValueError, match="constant c must be positive"):
+        PhysicalConstants(c=0.0)
 
 
 class TestConfigValidation:
@@ -365,6 +370,11 @@ class TestDamping:
         assert derived.gamma is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             full.gamma = 0.0
+
+    def test_with_damping_needs_a_closure(self, ref_cfg):
+        bare = dataclasses.replace(derive_constants(ref_cfg), damping_at=None)
+        with pytest.raises(ValueError, match="no damping closure"):
+            bare.with_damping(self.OMEGA)
 
     def test_custom_gas_mass(self):
         helium = reference_config(gas_molecule_mass=4.002602 * C.u)

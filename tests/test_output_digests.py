@@ -6,7 +6,8 @@ levbench/reference_digests.json. This file pins the two single-point
 subcommands on the shipped configs: the sha256 of the `--out` CSV and of
 stdout, for fig1 in both ring modes, fig2 resonant and the decoupled
 config with a fixed charge, and the same for `steady-state --verify`,
-whose mean-field relaxation adds lines to stdout and rows to the CSV.
+whose mean-field relaxation adds lines to stdout and rows to the CSV;
+neither stdout may print a numpy scalar.
 It also pins small stability maps with the
 row kinds the shipped maps lack: ConfigInvalid columns, negative offsets
 and charges, C0 = 0 and zero-charge columns, an all-decoupled config and
@@ -43,10 +44,10 @@ DIGESTS = {
         "07a60ec4a914206a516b6a66c6b4b451edd0ac1f1d638bd06581bcb8f4295394",
         "3aa0b0ea72923e47f16dbe1428d76af3c61b281ba4e23aad90716911f1db86d5"),
     ("steady-state", "fig1.cfg", "resonant"): (
-        "bcb3a49c9130a231e2dd13955c6d81ea2c0e5a438668c216186f37e142860cbb",
+        "95ad181532232850b00cf6c6583d95307a7737e4188bb596d28bca19c8ed03d8",
         "c70d222e9f5a40750620973c1d0a1c297b9640ebf6c39a036e5bbe5e3f6149bf"),
     ("steady-state", "fig2.cfg", "resonant"): (
-        "e83c8ffe06e550a212e810e713498ea4de4e9e48ac84994c70406e3a871741a7",
+        "029d72dd92926e237555f5be58e47c41edee7072e3e287a77dd13e9961301ed3",
         "52619cf6450031639fcc2e834e5dd5306678843242b28cf27a7e149c8b7f320e"),
     ("steady-state", "decoupled.cfg", "fixed_charge"): (
         "8b489a352a905c76991974d2dfb6208157e70bc2eddb39967758dceee729a24a",
@@ -71,10 +72,10 @@ VERIFY_DIGESTS = {
         "2de2850158eaba4a13549a8cbe771ed59c23f268e89857731d6c84785d06e71e",
         "ce7cf4bd9cdb9a7c9f6b27b666b312d1638bfe3430aed7e70a022a6f8b4303dc"),
     ("fig1.cfg", "resonant"): (
-        "bc02a849dab44606a5ac07b9f524fb7933bd6c34b25673c389fadfa170dab081",
+        "7d6904b064877e0c4d2f4aa0d2d3cc26df69c599a2c081f590ecedc67afd1ee3",
         "560a60359958b2c132f8c7a3bc672f0aa438c3ebef5320fcfe1c5366c77d1920"),
     ("fig2.cfg", "resonant"): (
-        "fff53f40b843954098fade64485edfa9d71c0b3f6645460d8ad792a419e951a0",
+        "936f11b6d42c13d363ab90e31862745e03f1b4a30b355181898880a31e4311c3",
         "cf5d811533e948e25256ca0e9ee07628bea67df6a85250824c8e19a452122220"),
     ("decoupled.cfg", "fixed_charge"): (
         "82e8d96e5d9159b33f79841cc63f09ec12195ff81cc58077b9614ece6d45d8e7",
@@ -153,6 +154,18 @@ def test_verify_output_matches_pinned_digest(tmp_path, config, ring_mode):
     got = run_digests("steady-state", config, ring_mode,
                       tmp_path / "out.csv", "--verify")
     assert got == VERIFY_DIGESTS[(config, ring_mode)]
+
+
+@pytest.mark.parametrize("options", [[], ["--verify"]])
+@pytest.mark.parametrize("config, ring_mode", CASES)
+def test_steady_state_prints_no_numpy_scalar(config, ring_mode, options):
+    # a numpy scalar reaching the report would print as np.float64(...)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["steady-state", "--config", str(CONFIG_DIR / config),
+                     "--ring-mode", ring_mode] + options)
+    assert code == 0
+    assert "np." not in stdout.getvalue()
 
 
 def map_digest(case):

@@ -10,11 +10,13 @@ import pytest
 from levring import spectra
 from levring.cli import parse_config
 from levring.entanglement import lyapunov_solve
+from levring.errors import NonFiniteResult
 from levring.pipeline import solve_point
 from levring.spectra import (output_spectrum, spectrum_sweep,
                              transfer_coefficients)
 
-from conftest import CONFIG_DIR, KAPPA_SCALE, random_model, reference_config
+from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
+                      reference_config, synthetic_model)
 
 KAP = KAPPA_SCALE
 
@@ -246,6 +248,19 @@ class TestSpectrumSweep:
     def test_requires_increasing_grid(self, fig1_model):
         with pytest.raises(ValueError):
             spectrum_sweep(fig1_model, [0.0, 0.0, 1.0])
+
+    def test_unknown_form_rejected(self, fig1_model):
+        with pytest.raises(ValueError, match="unknown spectrum form 'x'"):
+            spectrum_sweep(fig1_model, [0.0, 1.0], form="x")
+
+    def test_vanishing_denominator_raises(self):
+        # with G = 0 and gamma = 0, d(omega) = chi_c^-1 (omega_m Omega_m -
+        # omega^2) is exactly zero at the grid point omega = 1
+        m = synthetic_model(1.0, 1.0, 0.5, 0.0, 0.0, 1.0)
+        with pytest.raises(NonFiniteResult) as err:
+            spectrum_sweep(m, [0.5, 1.0, 1.5])
+        assert str(err.value) == ("transfer denominator underflowed to zero "
+                                  "within grid [5.000e-01, 1.500e+00]")
 
     def test_unstable_flag(self):
         rng = np.random.default_rng(21)

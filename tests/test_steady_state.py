@@ -14,7 +14,7 @@ from levring import dynamics, steady_state
 from levring.cli import parse_config
 from levring.constants import CODATA2018
 from levring.dynamics import build_model
-from levring.errors import (AllRootsUnstable, LevringError,
+from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
                             NotConverged, NumericalError, UnstableTrap)
 from levring.model import delta0_from_config, derive_constants
@@ -270,10 +270,12 @@ class TestSolveXs:
             found += len(roots)
         assert found >= 10
 
-    def test_bisection_functions_equal_numpy_point_forms(self):
-        # given the same cos^2(kx), `_balance` and `_mismatch` on Python
-        # floats give the bits of their numpy-scalar point forms at seeded
-        # x across the trap interval (both sides square here with pow)
+    def test_python_float_forms_equal_vectorised_forms(self):
+        # `_balance` and `_mismatch` on Python floats, as the one-cell
+        # bisection and `operating_point_at` evaluate them, give the bits
+        # of the vectorised numpy forms at seeded x across the trap
+        # interval, and so does the residual of the operating point; both
+        # sides square cos(kx) by product
         rng = np.random.default_rng(47)
         cases = stokes_side_cases() + [anti_stokes_two_root_case()]
         for name in ("fig1.cfg", "fig2.cfg"):
@@ -285,16 +287,20 @@ class TestSolveXs:
             k, half = derived.k, np.pi / (4.0 * derived.k)
             balance = steady_state._balance(derived)
             mismatch = steady_state._mismatch(derived)
-            for x in rng.uniform(-half, half, 400).tolist():
-                want = float(force_balance(x, derived, delta0, c0))
-                got = balance(x, math.cos(k * x) ** 2, math.sin(2.0 * k * x),
+            xs = rng.uniform(-half, half, 400)
+            cos = np.cos(k * xs)
+            forces = force_balance(xs, derived, delta0, c0).tolist()
+            mismatches = mismatch(xs, cos * cos, np.cos(2.0 * k * xs),
+                                  (delta0,)).tolist()
+            for x, force, mism in zip(xs.tolist(), forces, mismatches):
+                c = math.cos(k * x)
+                got = balance(x, c * c, math.sin(2.0 * k * x),
                               (delta0, c0, derived.A_q))
-                assert got.hex() == want.hex()
-                want = float(mismatch(x, np.cos(k * x) ** 2,
-                                      np.cos(2.0 * k * x), (delta0,)))
-                got = mismatch(x, math.cos(k * x) ** 2, math.cos(2.0 * k * x),
-                               (delta0,))
-                assert got.hex() == want.hex()
+                assert got.hex() == force.hex()
+                residual = operating_point_at(derived, delta0, c0, x).residual
+                assert residual.hex() == force.hex()
+                got = mismatch(x, c * c, math.cos(2.0 * k * x), (delta0,))
+                assert got.hex() == mism.hex()
 
     def test_every_cos2_the_finders_compare_is_the_product(self):
         # the scan, the one-cell bisection and the lock step all receive
@@ -409,6 +415,17 @@ class TestResonantRing:
             derived, A_q=op.A_q, ring_charge=charge).with_damping(op.omega_m)
         assert ring_field_value(charge, cfg.ring_radius,
                                 cfg.ring_offset_c0, op.x_s) > 0.0
+
+    def test_charge_with_zero_divisor_is_config_error(self):
+        # C0 = -x_s puts the sphere in the ring plane, where the charge
+        # divides by zero: nan, which the guard on Omega_m names
+        cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
+        derived = derive_constants(cfg)
+        delta0 = delta0_from_config(cfg, derived)
+        x_root = -solve_resonant_ring_charge(derived, delta0,
+                                             cfg.ring_offset_c0).op.x_s
+        with pytest.raises(ConfigInvalid, match="Omega_m = nan"):
+            steady_state._resonant_plan(derived, delta0, x_root, [x_root])
 
     def test_charge_scales_inverse_with_bound_charge(self):
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
@@ -528,6 +545,40 @@ class TestSolveModel:
             assert np.array_equal(got.eigenvalues, ref.eigenvalues)
             solved += 1
         assert solved >= 10
+
+    def test_unknown_ring_mode_rejected(self):
+        with pytest.raises(ValueError, match="ring_mode must be one of"):
+            solve_point(reference_config(), ring_mode="fixed")
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_numbers_leave_the_solver_as_python_floats(self, ring_mode):
+        # criterion-6 draws from a numpy Generator, as levbench draws them,
+        # have np.float64 fields; the solved point holds Python floats with
+        # the bits of the same draw with float fields
+        def numbers(cfg):
+            try:
+                solution = solve_point(cfg, ring_mode=ring_mode)
+            except LevringError as exc:
+                return repr(exc)
+            return dataclasses.astuple(solution.op) + (
+                solution.derived.ring_charge, solution.derived.A_q)
+
+        solved = 0
+        for u in np.random.default_rng(5).random((100, 3)):
+            fields = dict(ring_field=(0.05 + 0.55 * u[0]) * 7.25e10,
+                          ring_offset_c0=(0.3 + 1.7 * u[1]) * 1064e-9,
+                          detuning_over_kappa=0.2 + 1.0 * u[2])
+            assert all(type(v) is np.float64 for v in fields.values())
+            got = numbers(reference_config(**fields))
+            want = numbers(reference_config(
+                **{name: float(v) for name, v in fields.items()}))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert all(type(v) is float for v in got), got
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            solved += 1
+        assert solved >= 60
 
     @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
     def test_quartic_matches_drift_matrix(self, ring_mode):
