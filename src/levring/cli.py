@@ -70,11 +70,20 @@ ONE_OF_GROUPS = [
 
 
 def _read_items(path: str):
-    """Raw key -> (value string, line number), with duplicate detection."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    """Raw key -> (value string, line number), with duplicate detection.
+
+    Each line is decoded as UTF-8 on its own, so a line that is not
+    UTF-8 is a ParseError naming it.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     items = {}
     for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: not UTF-8 text ({exc.reason} "
+                             f"at byte {exc.start + 1})") from None
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -230,8 +239,9 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline):
 def _grid(args, prefix: str) -> np.ndarray:
     """np.linspace over the --<prefix>-min/-max/-n options, once they hold.
 
-    The bounds must be finite and the count at least 1; otherwise a
-    ValidationError names the option, before any array is built.
+    The bounds and their span must be finite and the count at least 1;
+    otherwise a ValidationError names the options, before any array is
+    built.
     """
     lo, hi, n = (getattr(args, f"{prefix}_{end}")
                  for end in ("min", "max", "n"))
@@ -239,6 +249,9 @@ def _grid(args, prefix: str) -> np.ndarray:
         if not math.isfinite(value):
             raise ValidationError(
                 f"--{prefix}-{end} must be finite, got {value}")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"--{prefix}-min {lo} and --{prefix}-max {hi} "
+                              f"span more than the float range")
     if n < 1:
         raise ValidationError(f"--{prefix}-n must be at least 1, got {n}")
     return np.linspace(lo, hi, n)
@@ -328,7 +341,14 @@ def cmd_spectrum(args) -> int:
     items = _read_items(args.config)
     cfg = _config_from_items(items)
     sol = solve_point(cfg, ring_mode=args.ring_mode)
-    grid = omega_over_kappa * sol.derived.kappa
+    kappa = sol.derived.kappa
+    # on Python floats an overflow is a silent inf, and the largest
+    # |omega / kappa| gives the largest |omega|
+    if not math.isfinite(float(np.abs(omega_over_kappa).max()) * kappa):
+        raise ValidationError(
+            f"--grid-min {args.grid_min} and --grid-max {args.grid_max} "
+            f"reach past the float range in rad/s (kappa = {kappa!r} rad/s)")
+    grid = omega_over_kappa * kappa
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
     rows = list(zip(table.omega_over_kappa, table.S_XX, table.S_YY,
                     table.S_XX_norm, table.S_YY_norm,

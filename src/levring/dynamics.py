@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalError, caught
+from .errors import NumericalError, caught, one
 from .model import DerivedParams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
@@ -163,23 +163,6 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(eigs, axis=-1)
 
 
-def _verdict_eigenvalues(rho: float, A: np.ndarray) -> np.ndarray:
-    """The eigenvalues of A, zero where the scale rho of its quartic is."""
-    if rho == 0.0:
-        return np.zeros(4, dtype=complex)
-    return _eigenvalues(A)
-
-
-def drift_eigenvalues(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
-    """Eigenvalues of the drift matrix, sorted by (real, imag).
-
-    They come from the matrix itself (`_eigenvalues`), after the
-    characteristic quartic is checked for overflow (`_quartic_scale`).
-    """
-    return _verdict_eigenvalues(_quartic_scale(op, gamma, kappa),
-                                drift_matrix(op, gamma, kappa))
-
-
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
               rh, eigs: np.ndarray) -> StateSpaceModel:
     kappa = derived.kappa
@@ -206,43 +189,39 @@ def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel
 
     Instability is a verdict, not an error.  `derived` must carry damping
     for the operating point's omega_m (see DerivedParams.with_damping).
+    The build is that of `build_models` on the one entry.
     """
-    _require_damping(derived)
-    A = drift_matrix(op, derived.gamma, derived.kappa)
-    rho, rh = _quartic_verdict(op, derived.gamma, derived.kappa)
-    return _assemble(op, derived, A, rh, _verdict_eigenvalues(rho, A))
+    return one(build_models([op], [derived]))
 
 
 def build_models(ops, deriveds):
-    """`build_model` over a batch, with one `eigvals` call for all.
+    """The model of each of a batch of operating points, with one
+    `eigvals` call for all.
 
-    The eigenvalues of every entry are found at the call; the models are
-    assembled as the returned iterator reaches them.  Entry b is the
-    model `build_model(ops[b], deriveds[b])` returns, or the
-    NumericalError it raises; both are bit for bit the same.
+    Entry b of the returned list is the model of ops[b] with the damped
+    constants deriveds[b], or the NumericalError building it raises.
+    The eigenvalues of every entry whose quartic passes
+    `_quartic_verdict` come from one stacked call (`_eigenvalues`); a
+    failing stack is repeated matrix by matrix, so the error lands on
+    the entry it belongs to.  An entry whose quartic scale rho is 0 has
+    every eigenvalue exactly zero.
     """
     for derived in deriveds:
         _require_damping(derived)
     As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
-    eigs, rhs = {}, {}
-    for b, (op, d) in enumerate(zip(ops, deriveds)):
-        checked = caught(_quartic_verdict, op, d.gamma, d.kappa)
-        if isinstance(checked, NumericalError):
-            eigs[b] = checked
-            continue
-        rho, rhs[b] = checked
-        if rho == 0.0:
-            eigs[b] = np.zeros(4, dtype=complex)
-    rows = [b for b in range(len(As)) if b not in eigs]
-    if rows:
-        stacked = caught(_eigenvalues, np.array([As[b] for b in rows]))
-        if isinstance(stacked, NumericalError):  # name the failing entries
-            stacked = [caught(_eigenvalues, As[b]) for b in rows]
-        eigs.update(zip(rows, stacked))
-
-    def models():
-        for b, (op, derived) in enumerate(zip(ops, deriveds)):
-            yield (eigs[b] if isinstance(eigs[b], NumericalError)
-                   else _assemble(op, derived, As[b], rhs[b], eigs[b]))
-
-    return models()
+    rhs = [caught(_quartic_verdict, op, d.gamma, d.kappa)
+           for op, d in zip(ops, deriveds)]
+    eigs = [rh if isinstance(rh, NumericalError)
+            else np.zeros(4, dtype=complex) if rh[0] == 0.0 else None
+            for rh in rhs]
+    rows = [b for b, found in enumerate(eigs) if found is None]
+    # a [0, 4, 4] stack, for no rows, has no eigenvalues to find
+    stacked = caught(_eigenvalues,
+                     np.array([As[b] for b in rows]).reshape(-1, 4, 4))
+    if isinstance(stacked, NumericalError):  # name the failing entries
+        stacked = [caught(_eigenvalues, As[b]) for b in rows]
+    for b, found in zip(rows, stacked):
+        eigs[b] = found
+    return [found if isinstance(found, NumericalError)
+            else _assemble(op, derived, A, rh[1], found)
+            for op, derived, A, rh, found in zip(ops, deriveds, As, rhs, eigs)]

@@ -5,8 +5,8 @@ Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
 pivoting -- exact to machine precision at this size.  Any number of
 stable models is solved in one stacked solve (`lyapunov_solves`, of
-which `lyapunov_solve` is the one-model case): the cell count picks the
-kernels only in steady_state.py, in `_grid_roots` and `_screen_plans`.
+which `lyapunov_solve` is the one-model case): the cell count picks a
+kernel only in steady_state.py, in `_grid_roots`.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.

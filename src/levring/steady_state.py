@@ -15,18 +15,17 @@ state-space model of each candidate; the solvers return the model of the
 accepted root, so spectra and entanglement read the very model that was
 screened.  One orchestration serves a single point and a grid of cells,
 such as a stability map or an entanglement sweep: `solve_models`, of
-which `solve_model` is the one-cell case.  The cell count alone picks the
-kernels, in exactly two places: `_grid_roots` and `_screen_plans`.  One
-cell is evaluated on the whole grid, bisects with `_bisect` on Python
-floats and builds its models one at a time as the screen reaches them;
-more cells are evaluated on every 16th grid point, and on the fine grid
-only where a slope bound cannot rule out a hit (`_scan_hits`, which gives
-the whole grid's hits), bisect in lock step (`_bisect_all`) and find the
-eigenvalues of every candidate in one stacked `np.linalg.eigvals` call.
-Both give the one-cell bits; the bisections agree by construction, since
-every cos^2(kx) is the correctly rounded product c * c of c = cos(kx)
-(`_detuning`).  `_grid_tables` is the one cache, of the grids and
-columns.
+which `solve_model` is the one-cell case.  The cell count picks the
+kernels in one place only, `_grid_roots`.  One cell is evaluated on the
+whole grid and bisects with `_bisect` on Python floats; more cells are
+evaluated on every 16th grid point, and on the fine grid only where a
+slope bound cannot rule out a hit (`_scan_hits`, which gives the whole
+grid's hits), and bisect in lock step (`_bisect_all`).  Both give the
+one-cell bits, by construction, since every cos^2(kx) is the correctly
+rounded product c * c of c = cos(kx) (`_detuning`).  The models of
+every candidate of every cell, one cell's too, are built in one batch
+with one stacked `np.linalg.eigvals` call (`_screen_plans`).
+`_grid_tables` is the one cache, of the grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -416,7 +415,7 @@ def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
 def _screen(models, end_error, delta0: float, screened: bool):
     """The first Hurwitz model of `models` (or the first, unscreened).
 
-    models yields the candidates' models in screen order, or the
+    models holds the candidates' models in screen order, or the
     NumericalError building one raised; an error reached before an
     accepted model is raised.  Past the last model, end_error is raised,
     else AllRootsUnstable or NoRootInInterval.
@@ -547,30 +546,25 @@ def _shared(cells, names):
 
 
 def _screen_plans(cells, plans, screened):
-    """`_screen` over the plans of a grid of cells, lazily.
+    """`_screen` over the plans of a grid of cells.
 
     plans[i] is cell i's (pairs, end_error), as `_candidates` returns
     them, or the error making them raised; screened[i] says
-    whether cell i's models are screened.  Entry i of the returned
-    iterator is the model `_screen` accepts for cell i, or the
-    NumericalError it raises; each cell is screened as it is reached.
-    One cell's models are built in turn by `dynamics.build_model` as the
-    screen reaches them; for more cells one stacked eigenvalue call finds
-    the eigenvalues of every candidate at the call
-    (`dynamics.build_models`).
+    whether cell i's models are screened.  The models of every cell's
+    candidates are built at the call, in one batch
+    (`dynamics.build_models`); entry i of the returned iterator is the
+    model `_screen` accepts for cell i, or the NumericalError it raises,
+    and each cell is screened as it is reached.
     """
     plans = [([], plan) if isinstance(plan, LevringError) else plan
              for plan in plans]
-    if len(plans) == 1:
-        models = iter([(dynamics.build_model(op, d) for op, d in plans[0][0])])
-    else:
-        pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
-        built = dynamics.build_models([op for op, _ in pairs],
-                                      [d for _, d in pairs])
-        models = ([next(built) for _ in cell_pairs] for cell_pairs, _ in plans)
-    return (caught(_screen, cell_models, end_error, delta0, screen)
-            for cell_models, (_, end_error), (_, delta0, _), screen
-            in zip(models, plans, cells, screened))
+    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
+    built = iter(dynamics.build_models([op for op, _ in pairs],
+                                       [d for _, d in pairs]))
+    return (caught(_screen, [next(built) for _ in cell_pairs], end_error,
+                   delta0, screen)
+            for (cell_pairs, end_error), (_, delta0, _), screen
+            in zip(plans, cells, screened))
 
 
 def solve_models(cells):
@@ -583,9 +577,9 @@ def solve_models(cells):
     `solve_model`, the one-cell case), or the NumericalError it raises.
 
     The root scan of all cells runs as arrays (see `_grid_roots`) at the
-    call, and so, for more than one cell, does the eigenvalue call
-    for the candidate roots of every cell (`_screen_plans`); the
-    operating points, residual checks and Routh-Hurwitz values are
+    call, and so does the model build of the candidate roots of every
+    cell, with one eigenvalue call (`_screen_plans`); the operating
+    points, residual checks and Routh-Hurwitz values are
     scalar code per candidate, on Python floats: each cell's delta0 and
     c0 are cast once, here.
     """
@@ -706,9 +700,9 @@ def solve_resonant_models(cells):
     one-cell case), or the NumericalError it raises.
 
     The resonance scan of all cells runs as arrays (see
-    `_grid_roots`) at the call, and so, for more than one cell,
-    does the eigenvalue call for every resonant point
-    (`_screen_plans`); the charge, the operating point and their checks
+    `_grid_roots`) at the call, and so does the model build of every
+    resonant point, with one eigenvalue call (`_screen_plans`); the
+    charge, the operating point and their checks
     are scalar code per cell, on Python floats: each cell's delta0 and c0
     are cast once, here.
     """

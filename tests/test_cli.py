@@ -122,6 +122,20 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_config(str(path))
 
+    def test_non_utf8_line_is_parse_error(self, tmp_path, capsys):
+        # a byte that is not UTF-8 names its line, as any config error,
+        # not a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(FIG1_TEXT.replace("sphere_radius_nm = 50",
+                                           "sphere_radius_nm = 50\xff")
+                         .encode("latin-1"))
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            parse_config(str(path))
+        assert main(["steady-state", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 2: not UTF-8 text (invalid start byte at "
+            "byte 22)\n")
+
     def test_empty_value_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "empty_value.cfg"
         path.write_text(FIG1_TEXT.replace("finesse = 50000", "finesse ="))
@@ -684,6 +698,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("" if code == 0 else (
             f"config error: --grid-min {float(lo)} and --grid-max "
             f"{float(hi)} give no increasing grid\n"))
+
+    @pytest.mark.parametrize("argv, options", [
+        (["spectrum", "--grid-min", "-1e308", "--grid-max", "1e308"],
+         ["--grid-min", "--grid-max"]),
+        (["entanglement", "--grid-min", "-1e308", "--grid-max", "1e308"],
+         ["--grid-min", "--grid-max"]),
+        (["stability-map", "--grid-min", "-1e308", "--grid-max", "1e308"],
+         ["--grid-min", "--grid-max"]),
+        (["stability-map", "--param2", "c0_over_lambda", "--p2-min",
+          "-1e308", "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
+        (["stability-map", "--param2", "charge_scale", "--p2-min", "-1e308",
+          "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
+        (["spectrum", "--grid-max", "1e308"], ["--grid-min", "--grid-max"]),
+    ], ids=["spectrum-span", "entanglement-span", "stability-map-span",
+            "p2-span-c0_over_lambda", "p2-span-charge_scale",
+            "spectrum-rad-per-s"])
+    def test_overflowing_grid_exits_one(self, cfg_file, tmp_path, capsys,
+                                        argv, options):
+        # finite bounds whose span, or whose largest value in rad/s,
+        # overflows are validation errors naming the options, raised
+        # before any array is built: no RuntimeWarning, no nan or inf
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--grid-n", "3", "--config", cfg_file,
+                         "--out", str(out)]
+                        + (["--p2-n", "3"] if "stability-map" in argv
+                           else []))
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert all(option in err for option in options), err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists() or not {"inf", "-inf", "nan"} & set(
+            csv_fields(out.read_text()))
 
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         # strong ring + moderate detuning: no force-balance root

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from levring.dynamics import (build_model, build_models,
-                              char_poly_coefficients, drift_eigenvalues,
-                              drift_matrix)
+                              char_poly_coefficients, drift_matrix)
 from levring.errors import NumericalError
 from levring.model import derive_constants
 from levring.pipeline import solve_point
@@ -193,13 +192,15 @@ class TestStabilityVerdicts:
         base = synthetic_model(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP,
                                0.05 * KAP, 1.0 * KAP)
         scaled_op = synthetic_op(0.7, 0.9, 0.8, -0.3)
-        eigs = drift_eigenvalues(scaled_op, 0.05, 1.0)
+        eigs = build_model(scaled_op, synthetic_derived(
+            kappa=1.0, gamma=0.05, Gamma=1.0)).verdict.eigenvalues
         assert_same_spectrum(base.verdict.eigenvalues, eigs * KAP, rtol=1e-9)
 
 
 def test_batched_models_equal_single_builds():
     # one eigvals call for the batch, bit for bit the models that
-    # build_model gives one at a time, in input order; the all-zero
+    # build_model, the one-entry batch, gives one at a time, in input
+    # order: stacking leaves the bits alone; the all-zero
     # quartic (rho = 0) and G = 0 draws included
     rng = np.random.default_rng(12)
     ops, deriveds = [], []

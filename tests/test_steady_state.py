@@ -618,16 +618,16 @@ class TestSolveModel:
         cfg, derived, delta0 = fig1
         assert len(scan_roots(derived, delta0, cfg.ring_offset_c0)) == 1
         calls = []
-        original = dynamics.build_model
+        original = dynamics.build_models
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(ops, deriveds):
+            calls.append(len(ops))
+            return original(ops, deriveds)
 
-        monkeypatch.setattr(dynamics, "build_model", counted)
+        monkeypatch.setattr(dynamics, "build_models", counted)
         sol = solve_point(cfg)
         assert sol.model.stable
-        assert len(calls) == 1
+        assert calls == [1]
 
     def test_solve_xs_is_the_model_operating_point(self, fig1):
         cfg, derived, delta0 = fig1
@@ -972,8 +972,8 @@ class TestSolveModels:
 
     @pytest.mark.parametrize("failure", ["LinAlgError", "nan"])
     def test_failed_eigenvalues_fail_alike(self, fig1, monkeypatch, failure):
-        # geev failing, or returning a nan, fails the one-cell path
-        # (build_model) and a two-cell grid (build_models) alike
+        # geev failing, or returning a nan, fails each cell of a
+        # two-cell grid as it fails the one cell
         cfg, derived, delta0 = fig1
 
         def eigvals(a):
@@ -1005,23 +1005,13 @@ class TestSolveModels:
 
 @pytest.mark.parametrize("solver, config", [
     (solve_models, "fig1.cfg"), (solve_resonant_models, "fig2.cfg")])
-def test_cell_count_picks_the_kernels(monkeypatch, solver, config):
-    # one cell bisects on Python floats and builds its models one at a
-    # time; two cells bisect in lock step and build in one batch
+def test_cell_count_picks_the_bisection_only(monkeypatch, solver, config):
+    # one cell bisects on Python floats, two cells in lock step; either
+    # builds the models of all its candidates in one batch
     cfg = parse_config(str(CONFIG_DIR / config))
     derived = derive_constants(cfg)
     cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
-    kernels = ((steady_state, "_bisect_all"), (dynamics, "build_models"))
     calls = collections.Counter()
-
-    def refused(*args):
-        raise AssertionError("a batch kernel ran for one cell")
-
-    with monkeypatch.context() as patched:
-        for module, name in kernels:
-            patched.setattr(module, name, refused)
-        one, = solver([cell])
-    assert one.stable
 
     def counted(name, kernel):
         def call(*args):
@@ -1029,9 +1019,14 @@ def test_cell_count_picks_the_kernels(monkeypatch, solver, config):
             return kernel(*args)
         return call
 
-    for module, name in kernels:
+    for module, name in ((steady_state, "_bisect_all"),
+                         (dynamics, "build_models")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
+    one, = solver([cell])
+    assert one.stable
+    assert calls == {"build_models": 1}
+    calls.clear()
     two = list(solver([cell, cell]))
     assert calls["_bisect_all"] >= 1 and calls["build_models"] == 1
     assert two[0].op == two[1].op == one.op
