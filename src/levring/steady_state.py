@@ -720,6 +720,28 @@ def solve_resonant_models(cells):
     return _screen_plans(cells, plans, [True] * len(cells))
 
 
+def _mean_field_step(derived: DerivedParams, delta0: float):
+    """(dt, window_steps) of `integrate_mean_field`: its RK4 step in s and
+    the steps of one window, three periods of the trap frequency omega_ref
+    (at least 60 pi > 188 steps, as dt <= 0.1 / omega_ref).
+
+    The step is 0.1 over the fastest rate of the motion: the field decays
+    at kappa/2 and rotates at |Delta(x)| <= |Delta0| + |g|, and the sphere
+    oscillates at about omega_ref.  So each rate lambda of the linear
+    motion has |h lambda| of about 0.1, far inside RK4's stability bound
+    |h lambda| <= 2.83 on the imaginary axis (Hairer and Wanner, Solving
+    ODEs II, sec. IV.2), and RK4 follows exp(h lambda) to a relative
+    (h lambda)^5 / 120, about 1e-7, per step.  Without the rotation term
+    a large detuning puts h |Delta| past that bound, and the field grows
+    until the state leaves the float range.
+    """
+    a_s0 = steady_amplitude(derived, _detuning(derived, delta0, 1.0))
+    omega_est = mechanical_frequency(derived, a_s0, 0.0)
+    omega_ref = omega_est if omega_est > 0.0 else derived.kappa
+    dt = 0.1 / max(derived.kappa, omega_ref, abs(delta0) + abs(derived.g))
+    return dt, int(math.ceil(3.0 * 2.0 * np.pi / omega_ref / dt))
+
+
 def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
                          *, initial_state, gamma: float,
                          t_max: Optional[float] = None) -> MeanFieldResult:
@@ -727,8 +749,15 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
 
     Fixed-step RK4 on (x, p, a) with the optical-gradient force, the ring
     force and viscous damping gamma; serves as the dynamical cross-check
-    on `solve_model`.  Averages over oscillation windows; converged when
-    the window amplitude falls below 1e-4 wavelengths and the window mean
+    on `solve_model`.  The step is dt = 0.1 / max(kappa, omega_ref,
+    |Delta0| + |g|), a tenth of the time of the fastest rate in the motion
+    (see `_mean_field_step`).  The step cannot bias the answer: a fixed
+    point of the RK4 map with any step h is a zero of the right-hand side,
+    so dt sets only the cost and how closely the transient is followed,
+    not the rest point the window means converge to.
+
+    Averages over windows of three mechanical periods; converged when the
+    window amplitude falls below 1e-4 wavelengths and the window mean
     moves by less than 1e-5 wavelengths.
 
     The rest point does not depend on gamma, so strongly underdamped
@@ -740,23 +769,26 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     clamped-cavity field) when a strong ring force makes the well at
     x = -C0 competitive.
 
-    Raises NotConverged if the envelope has not contracted by t_max.
+    Raises NotConverged if the envelope has not contracted by t_max;
+    before any step if the two windows the stop rule needs do not fit in
+    t_max; and if the state leaves the float range.
     """
     wavelength = 2.0 * np.pi / derived.k
     x0, p0, a0 = initial_state
     a0 = complex(a0)
 
-    a_s0 = steady_amplitude(derived, _detuning(derived, delta0, 1.0))
-    omega_est = mechanical_frequency(derived, a_s0, 0.0)
-    omega_ref = omega_est if omega_est > 0.0 else derived.kappa
-    dt = min(0.01 / derived.kappa, 0.01 / omega_ref)
+    dt, window_steps = _mean_field_step(derived, delta0)
     if t_max is None:
         t_max = 4000.0 / derived.kappa
     amp_tol = 1e-4 * wavelength
     mean_tol = 1e-5 * wavelength
 
-    window_steps = max(64, int(math.ceil(3.0 * 2.0 * np.pi / omega_ref / dt)))
-    n_windows = max(2, int(math.ceil(t_max / (window_steps * dt))))
+    window = window_steps * dt
+    if 2.0 * window > t_max:
+        raise NotConverged(
+            f"the stop rule needs two windows of three mechanical periods, "
+            f"{2.0 * window:.3e} s, beyond t_max = {t_max:.3e} s")
+    n_windows = int(math.ceil(t_max / window))
 
     state = (x0, p0, a0.real, a0.imag)
     hbar_g, slope = CODATA2018.hbar * derived.g, _detuning(derived, 0.0, 1.0)
@@ -767,13 +799,23 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     converged = False
     t = 0.0
     for _ in range(n_windows):
-        out = mean_field_chunk(state, window_steps, dt, derived.mass, gamma,
-                               hbar_g, derived.k, derived.kappa, delta0,
-                               slope, derived.E_drive, derived.A_q, c0,
-                               derived.ring_radius)
+        try:
+            out = mean_field_chunk(state, window_steps, dt, derived.mass,
+                                   gamma, hbar_g, derived.k, derived.kappa,
+                                   delta0, slope, derived.E_drive,
+                                   derived.A_q, c0, derived.ring_radius)
+            finite = all(map(math.isfinite, out))
+        except ValueError:      # math.cos of an inf x
+            finite = False
+        if not finite:
+            x, p, ar, ai = state
+            raise NotConverged(
+                f"mean-field state left the float range in the window from "
+                f"t = {t:.3e} s, which started at x = {x!r} m, p = {p!r} "
+                f"kg m/s, a = {complex(ar, ai)!r}")
         state = out[:4]
         x_min, x_max, x_sum, p_sum, ar_sum, ai_sum = out[4:]
-        t += window_steps * dt
+        t += window
         amp = x_max - x_min
         mean_x = x_sum / window_steps
         p_mean = p_sum / window_steps

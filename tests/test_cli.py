@@ -208,6 +208,30 @@ class TestCommands:
         assert lines[-1] == "mean_field_x_bar,"
         assert not [l for l in lines if l.startswith("mean_field_dx")]
 
+    def test_steady_state_verify_at_a_large_detuning(self, tmp_path, capsys):
+        # the field rotates at |Delta0| + |g| ~ 30 kappa, which sets the
+        # mean-field step; a step of 0.1 / kappa, blind to that rotation,
+        # lets the state leave the float range here
+        path = tmp_path / "detuned.cfg"
+        path.write_text(FIG1_TEXT.replace("7.25e10", "7.25e6")
+                        .replace("detuning_over_kappa = 0.8",
+                                 "detuning_over_kappa = 30"))
+        assert main(["steady-state", "--config", str(path), "--verify"]) == 0
+        assert "-> agrees" in capsys.readouterr().out
+
+    def test_steady_state_verify_stop_rule_past_t_max(self, tmp_path, capsys):
+        # two windows of three trap periods outlast t_max = 4000 / kappa:
+        # reported before any step, not by a run of minutes
+        path = tmp_path / "slow_trap.cfg"
+        path.write_text(FIG1_TEXT.replace("7.25e10", "7.25e4")
+                        .replace("detuning_over_kappa = 0.8",
+                                 "detuning_over_kappa = 300"))
+        assert main(["steady-state", "--config", str(path), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert ("mean-field check: not converged (the stop rule needs two "
+                "windows of three mechanical periods, 1.159e-02 s, beyond "
+                "t_max = 4.247e-03 s)") in out
+
     def test_steady_state_scans_at_configured_detuning(self, tmp_path,
                                                        monkeypatch, capsys):
         # rebuilding delta0 from op.delta_eff - g cos^2(k x_s) is off by

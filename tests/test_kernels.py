@@ -206,6 +206,27 @@ def test_integrate_mean_field_matches_reference_kernel(monkeypatch):
             assert np.array_equal(getattr(g, name), getattr(w, name))
 
 
+def test_a_tenth_of_the_step_keeps_the_window_means():
+    # over the windows each draw's relaxation takes, RK4 at the step
+    # integrate_mean_field takes and at a tenth of it, over the same span
+    lam = 1064e-9
+    for derived, delta0, c0, gamma, x_s in criterion6_draws(8):
+        dt, n = steady_state._mean_field_step(derived, delta0)
+        windows = relax(derived, delta0, c0, gamma, x_s).window_means.size
+        x0 = round(x_s * 1e9) / 1e9
+        a0 = steady_state.cavity_steady_field(derived, delta0, x0)
+        args = (derived.mass, gamma, CODATA2018.hbar * derived.g, derived.k,
+                derived.kappa, delta0,
+                steady_state._detuning(derived, 0.0, 1.0), derived.E_drive,
+                derived.A_q, c0, derived.ring_radius)
+        coarse = fine = (x0, 0.0, a0.real, a0.imag)
+        for _ in range(windows):
+            coarse = _kernels.mean_field_chunk(coarse, n, dt, *args)
+            fine = _kernels.mean_field_chunk(fine, 10 * n, dt / 10.0, *args)
+            assert abs(coarse[6] / n - fine[6] / (10 * n)) < 1e-6 * lam
+            coarse, fine = coarse[:4], fine[:4]
+
+
 def stepped_rk4(A, D, dt, max_steps, check_every, tol_abs):
     """Reference relaxation: RK4 one step at a time, dV/dt checked every
     check_every steps; returns (V, steps, converged) like cov_rk4."""

@@ -69,16 +69,16 @@ DIGESTS = {
 # config, ring mode -> sha256 of (stdout, --out CSV) of steady-state --verify
 VERIFY_DIGESTS = {
     ("fig1.cfg", "fixed_charge"): (
-        "2de2850158eaba4a13549a8cbe771ed59c23f268e89857731d6c84785d06e71e",
-        "ce7cf4bd9cdb9a7c9f6b27b666b312d1638bfe3430aed7e70a022a6f8b4303dc"),
+        "7e3514021dbcbd925bbd1c87e9bfe85d4728d2436ad9f2dd2cf0e08a96003181",
+        "eb7a0cc0348e1af0853dc098778a4f1e8f4094584b5f19b0cb5a44734d25f755"),
     ("fig1.cfg", "resonant"): (
-        "7d6904b064877e0c4d2f4aa0d2d3cc26df69c599a2c081f590ecedc67afd1ee3",
-        "560a60359958b2c132f8c7a3bc672f0aa438c3ebef5320fcfe1c5366c77d1920"),
+        "152ab01b8867303e2907c4c9dfab3313e0ef16e0e9a64b3bff27e6a3e5d7662c",
+        "9f8445c41c36be1bac0a806b3a42b902ab9204362768dadf05f8d9c15408991a"),
     ("fig2.cfg", "resonant"): (
-        "936f11b6d42c13d363ab90e31862745e03f1b4a30b355181898880a31e4311c3",
-        "cf5d811533e948e25256ca0e9ee07628bea67df6a85250824c8e19a452122220"),
+        "73d17dd5d753a27272359738883e6e8c423aa8568da0325e622e123092b7381b",
+        "c2cb043194e6f1d9f8b46becd4e7679f1ffa8e5d0fc46e15735a7c3858811b5b"),
     ("decoupled.cfg", "fixed_charge"): (
-        "82e8d96e5d9159b33f79841cc63f09ec12195ff81cc58077b9614ece6d45d8e7",
+        "73ba74daeb3651d1318e7dfae1f350d19c939d9c3ee1cc8aa2b35e6747fff9b6",
         "0a84082b57974dcdf89c8f23e6f3609e1f217da6c9d7c00184e650120f7fb577"),
 }
 

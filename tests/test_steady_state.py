@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1217,6 +1218,41 @@ class TestMeanField:
                 derived, delta0, cfg.ring_offset_c0,
                 initial_state=(lam / 20.0, 0.0, 0j),
                 t_max=600.0 / derived.kappa, gamma=0.0)
+
+    @pytest.mark.parametrize("start, named", [
+        # x runs to inf, where math.cos raises
+        (lambda op: (op.x_s, 1e300, op.a_s), "p = 1e+300 kg m/s"),
+        # |a|^2 = inf times sin(0) = 0 makes a nan state, which math.cos
+        # passes through without a word
+        (lambda op: (0.0, 0.0, 1e200), "a = (1e+200+0j)"),
+    ])
+    def test_state_leaving_the_float_range_is_not_converged(self, fig1, start,
+                                                            named):
+        cfg, derived, delta0 = fig1
+        op = solve_xs(derived, delta0, cfg.ring_offset_c0)
+        with pytest.raises(NotConverged, match=(
+                r"left the float range in the window from t = 0\.000e\+00 s,"
+                r" .*" + re.escape(named))):
+            integrate_mean_field(
+                derived, delta0, cfg.ring_offset_c0, initial_state=start(op),
+                gamma=0.15 * derived.kappa)
+
+    def test_stop_rule_longer_than_t_max_fails_before_stepping(
+            self, fig1, monkeypatch):
+        cfg, derived, delta0 = fig1
+        dt, window_steps = steady_state._mean_field_step(derived, delta0)
+        window = window_steps * dt
+
+        def stepped(*args):
+            raise AssertionError("stepped past a t_max the stop rule misses")
+
+        monkeypatch.setattr(steady_state, "mean_field_chunk", stepped)
+        with pytest.raises(NotConverged, match=re.escape(
+                f"{2.0 * window:.3e} s, beyond t_max = {1.9 * window:.3e} s")):
+            integrate_mean_field(
+                derived, delta0, cfg.ring_offset_c0,
+                initial_state=(0.0, 0.0, 0j), t_max=1.9 * window,
+                gamma=0.15 * derived.kappa)
 
     def test_windows_recorded(self, fig1):
         cfg, derived, delta0 = fig1
