@@ -15,7 +15,7 @@ output.  Exit codes: 0 success, 1 validation, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -25,13 +25,11 @@ import numpy as np
 from . import __version__
 from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
-    ParseError, ValidationError, caught
-from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
-                    delta0_grid, derive_constants)
-from .pipeline import RING_MODES, solve_point
+    ParseError, ValidationError, error_cell
+from .model import TORR_TO_PA, SystemConfig, delta0_from_config
+from .pipeline import AXES, RING_MODES, solve_grid, solve_point
 from .spectra import BASELINE, spectrum_sweep
-from .steady_state import (cavity_steady_field, integrate_mean_field,
-                           scan_roots, solve_models)
+from .steady_state import cavity_steady_field, integrate_mean_field, scan_roots
 from .entanglement import entanglement_sweep
 
 # config key -> (SystemConfig field, SI scale); None scale marks a string key
@@ -389,38 +387,13 @@ def cmd_stability_map(args) -> int:
     p2_grid = _grid(args, "p2")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
-    base = derive_constants(cfg)
-    delta0s = delta0_grid(d0_grid, base)
-    # pin the charge so c0 = 0 rows stay valid even for field-specified rings
-    cfg_charge = dataclasses.replace(cfg, ring_charge=base.ring_charge,
-                                     ring_field=None)
-
-    # a column varies only C0 or the ring charge: validate and derive once
-    columns = []
-    for p2 in p2_grid:
-        if args.param2 == "c0_over_lambda":
-            varied = dataclasses.replace(cfg_charge,
-                                         ring_offset_c0=p2 * cfg.wavelength)
-        else:
-            varied = dataclasses.replace(
-                cfg_charge, ring_charge=base.ring_charge * p2)
-        columns.append((caught(derive_constants, varied),
-                        varied.ring_offset_c0))
-
-    grid = [(d0, p2, column) for d0 in d0_grid
-            for p2, column in zip(p2_grid, columns)]
-    solved = solve_models([
-        (derived, delta0, c0) for delta0 in delta0s
-        for derived, c0 in columns if not isinstance(derived, LevringError)])
+    cells = solve_grid(cfg, d0_grid, (args.param2, p2_grid))
     rows = []
-    for d0, p2, (derived, _) in grid:
-        outcome = (derived if isinstance(derived, LevringError)
-                   else next(solved))
-        if isinstance(outcome, LevringError):
-            rows.append((d0, p2, None, None, None, None,
-                         f"{type(outcome).__name__}: {outcome}"))
+    for (d0, p2), cell in zip(itertools.product(d0_grid, p2_grid), cells):
+        if isinstance(cell, LevringError):
+            rows.append((d0, p2, None, None, None, None, error_cell(cell)))
         else:
-            v = outcome.verdict
+            v = cell.verdict
             rows.append((d0, p2, v.s1, v.s2, v.rh_stable, v.eig_stable, ""))
     _emit_csv(args.out, canonical_config_line(items),
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",
@@ -491,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-min", type=float, default=-1.0)
     p.add_argument("--grid-max", type=float, default=1.0)
     p.add_argument("--grid-n", type=int, default=41)
-    p.add_argument("--param2", choices=["c0_over_lambda", "charge_scale"],
-                   default="c0_over_lambda")
+    p.add_argument("--param2", choices=AXES, default="c0_over_lambda")
     p.add_argument("--p2-min", type=float, default=0.0)
     p.add_argument("--p2-max", type=float, default=2.0)
     p.add_argument("--p2-n", type=int, default=21)

@@ -34,9 +34,9 @@ from ._kernels import cov_rk4
 from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
-                     caught, one)
+                     caught, error_cell, one)
 from .model import SystemConfig
-from .pipeline import PointSolution, solve_sweep
+from .pipeline import PointSolution, solutions, solve_grid
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
@@ -265,13 +265,13 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
     Row i solves `cfg` with its detuning set to delta0_over_kappa_grid[i];
     a numerical failure is recorded in the row.  A ConfigInvalid is not
     a row failure: it propagates.  The rows are solved as one batch
-    (`pipeline.solve_sweep`), the Lyapunov systems of the stable ones in
-    one stacked solve (`lyapunov_solves`) and the determinants of their
-    covariances as stacks (`_block_dets`), with the bits of the point
-    path.
+    (`pipeline.solve_grid`, read as `pipeline.solutions`), the Lyapunov
+    systems of the stable ones in one stacked solve (`lyapunov_solves`)
+    and the determinants of their covariances as stacks (`_block_dets`),
+    with the bits of the point path.
     """
     grid = [float(d0) for d0 in delta0_over_kappa_grid]
-    solved = solve_sweep(cfg, grid, ring_mode)
+    solved = solutions(cfg, solve_grid(cfg, grid, ring_mode=ring_mode))
     solves = lyapunov_solves(
         [sol.model for sol in solved
          if isinstance(sol, PointSolution) and sol.model.stable])
@@ -284,8 +284,7 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
         if isinstance(sol, NumericalError):
             rows.append(EntanglementPoint(
                 delta0_over_kappa=d0, E_n=None, stable=False, x_s=None,
-                omega_m=None, Q_used=None, E_x=None,
-                error=f"{type(sol).__name__}: {sol}"))
+                omega_m=None, Q_used=None, E_x=None, error=error_cell(sol)))
             continue
         e_n, error = None, "no stationary state"
         if sol.model.stable:
@@ -295,7 +294,7 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                     raise V
                 e_n, error = _negativity(*next(dets)).E_n, ""
             except LevringError as exc:
-                error = f"{type(exc).__name__}: {exc}"
+                error = error_cell(exc)
         rows.append(EntanglementPoint(
             delta0_over_kappa=d0, E_n=e_n, stable=sol.model.stable,
             x_s=sol.op.x_s, omega_m=sol.op.omega_m,

@@ -3,8 +3,8 @@
 Two families matter for the CLI exit code: configuration problems
 (exit 1) and numerical failures (exit 2).  I/O errors are plain OSError
 (exit 3).  A grid solver records the error of a cell as its outcome
-(`caught`) instead of raising it; a point entry raises the one outcome
-of its batch (`one`).
+(`caught`), and a CSV writes it as `error_cell` gives it; a point entry
+raises the one outcome of its batch (`one`).
 """
 
 
@@ -86,6 +86,11 @@ def caught(fun, *args):
         return fun(*args)
     except LevringError as exc:
         return exc.with_traceback(None)
+
+
+def error_cell(exc: LevringError) -> str:
+    """An error as a CSV cell writes it: its class name and message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def one(outcomes):

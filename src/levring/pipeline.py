@@ -1,12 +1,13 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-`solve_point` serves the single-point CLI subcommands, and the
-entanglement sweep solves its rows as one batch (`solve_sweep`).  Both
-derive the constants once and send their rows to the grid solver of the
-ring mode, `steady_state.solve_models` or
-`steady_state.solve_resonant_models` (`_solve_rows`); a point is the
-one-row case.  The stability map solves its cells as one batch through
-`steady_state.solve_models`.
+Every grid goes through `solve_grid`: a detuning axis, and optionally a
+second axis (`AXES`), with the constants derived once per column.  The
+stability map reads its cells' verdicts, and the entanglement sweep
+reads its rows as `PointSolution`s (`solutions`).  `solve_point` is the
+one-cell case at the configured detuning.  Each sends its cells, as one
+batch, to the grid solver of the ring mode, `steady_state.solve_models`
+or `steady_state.solve_resonant_models`, picked in one place
+(`_solver`).
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
-from .errors import ConfigError, LevringError, one
+from .errors import ConfigError, LevringError, caught, one
 from .model import (DerivedParams, SystemConfig, _guard, delta0_from_config,
                     delta0_grid, derive_constants, ring_field_value)
 from .steady_state import (OperatingPoint, solve_models,
                            solve_resonant_models)
 
 RING_MODES = ("fixed_charge", "resonant")
+AXES = ("c0_over_lambda", "charge_scale")
 
 
 @dataclass(frozen=True)
@@ -31,32 +33,27 @@ class PointSolution:
     field_at_xs: float          # on-axis ring field at x_s, V/m
 
 
-def _solution(model: StateSpaceModel, cfg: SystemConfig) -> PointSolution:
-    """The PointSolution of a model, its ring field at x_s `_guard`ed."""
-    field = _guard("E_x at x_s", ring_field_value(
-        model.derived.ring_charge, cfg.ring_radius, cfg.ring_offset_c0,
-        model.op.x_s), "finite", cfg)
-    return PointSolution(derived=model.derived, op=model.op, model=model,
-                         field_at_xs=field)
-
-
-def _solve_rows(cfg: SystemConfig, derived: DerivedParams, delta0s,
-                ring_mode: str):
-    """The PointSolution of `cfg` at each detuning of delta0s, in rad/s,
-    or the NumericalError solving it raises: all rows at once, by the
-    grid solver of the ring mode (ValueError for another mode).  A
-    ConfigError of a row, such as a damping rate that overflows at its
-    omega_m, is raised."""
+def _solver(ring_mode: str):
+    """The grid solver of a ring mode (ValueError for another mode)."""
     if ring_mode not in RING_MODES:
         raise ValueError(f"ring_mode must be one of {RING_MODES}")
-    solver = solve_resonant_models if ring_mode == "resonant" else solve_models
+    return solve_resonant_models if ring_mode == "resonant" else solve_models
+
+
+def solutions(cfg: SystemConfig, cells):
+    """The PointSolution of each model of `cells`, solved from `cfg`, or
+    the NumericalError in its place.  The first ConfigError in order, of
+    a cell or of its ring field at x_s (`_guard`ed), is raised."""
     rows = []
-    for outcome in solver([(derived, d0, cfg.ring_offset_c0)
-                           for d0 in delta0s]):
-        if isinstance(outcome, ConfigError):
-            raise outcome
-        rows.append(outcome if isinstance(outcome, LevringError)
-                    else _solution(outcome, cfg))
+    for cell in cells:
+        if isinstance(cell, ConfigError):
+            raise cell
+        if not isinstance(cell, LevringError):
+            field = _guard("E_x at x_s", ring_field_value(
+                cell.derived.ring_charge, cfg.ring_radius,
+                cfg.ring_offset_c0, cell.op.x_s), "finite", cfg)
+            cell = PointSolution(cell.derived, cell.op, cell, field)
+        rows.append(cell)
     return rows
 
 
@@ -68,28 +65,54 @@ def solve_point(cfg: SystemConfig,
     re-solves the charge so the effective detuning sits on the mechanical
     sideband (`solve_resonant_ring_charge`).  Either solver returns the
     model its stability screen built; `derived` and `op` are read off it.
-    The solve is that of `_solve_rows` on the one row, raising its error.
+    The solve is that of the ring mode's grid solver on the one cell.
     """
+    solver = _solver(ring_mode)
     derived = derive_constants(cfg)
-    return one(_solve_rows(cfg, derived, [delta0_from_config(cfg, derived)],
-                           ring_mode))
+    return one(solutions(cfg, solver(
+        [(derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)])))
 
 
-def solve_sweep(cfg: SystemConfig, delta0_over_kappa,
-                ring_mode: str = "fixed_charge"):
-    """`solve_point` over a detuning grid, in linewidths, as one batch.
+def solve_grid(cfg: SystemConfig, delta0_over_kappa, axis=None,
+               ring_mode: str = "fixed_charge"):
+    """The model of `cfg` at each cell of a grid, or the LevringError
+    solving it raises, in row order: one row per detuning of
+    delta0_over_kappa, in linewidths, one cell per value of `axis`.
 
-    Entry i is the PointSolution for `cfg` with its detuning set to
-    delta0_over_kappa[i], or the NumericalError solving it raises, the
-    same as `solve_point` gives.  The constants do not depend on the
-    detuning, so they are validated and derived once, with the first
-    row's detuning; a ConfigInvalid propagates, and a detuning that is
-    not finite, or that `check_detuning` rejects, raises the one naming
-    detuning_over_kappa (`delta0_grid`).
+    axis is None or (name, values), name in AXES: C0 in wavelengths, or
+    the ring charge in units of the configured one.  The constants are
+    derived once, with the first row's detuning (a ConfigInvalid, or the
+    first detuning `delta0_grid` rejects, raises), and once per axis
+    value with the ring charge pinned, so a C0 = 0 column is valid for a
+    field-specified ring; a value whose constants fail fills its column
+    with that error.  charge_scale in resonant mode, whose solver picks
+    the charge, is a ValueError, as is an unknown axis or ring mode.
     """
+    solver = _solver(ring_mode)
+    name, values = axis or (None, None)
+    if name not in (None, *AXES):
+        raise ValueError(f"axis must be None or one of {AXES}, got {name!r}")
+    if name == "charge_scale" and ring_mode == "resonant":
+        raise ValueError("no charge_scale axis in resonant mode: its "
+                         "solver picks the ring charge")
     if len(delta0_over_kappa) == 0:
         return []
     derived = derive_constants(dataclasses.replace(
         cfg, detuning_delta0=None, detuning_over_kappa=delta0_over_kappa[0]))
-    return _solve_rows(cfg, derived, delta0_grid(delta0_over_kappa, derived),
-                       ring_mode)
+    delta0s = delta0_grid(delta0_over_kappa, derived)
+    columns = [(derived, cfg.ring_offset_c0)]
+    if name is not None:
+        pinned = dataclasses.replace(cfg, ring_charge=derived.ring_charge,
+                                     ring_field=None)
+        field, unit = (("ring_offset_c0", cfg.wavelength)
+                       if name == "c0_over_lambda"
+                       else ("ring_charge", derived.ring_charge))
+        varied = [dataclasses.replace(pinned, **{field: value * unit})
+                  for value in values]
+        columns = [(caught(derive_constants, c), c.ring_offset_c0)
+                   for c in varied]
+    solved = iter(solver([(column, d0, c0) for d0 in delta0s
+                          for column, c0 in columns
+                          if not isinstance(column, LevringError)]))
+    return [column if isinstance(column, LevringError) else next(solved)
+            for _d0 in delta0s for column, _c0 in columns]

@@ -13,8 +13,8 @@ structure of the transcendental balance).  The roots are then screened
 for stability of the linearised dynamics.  The screen builds the
 state-space model of each candidate; the solvers return the model of the
 accepted root, so spectra and entanglement read the very model that was
-screened.  One orchestration serves a single point and a grid of cells,
-such as a stability map or an entanglement sweep: `solve_models`, of
+screened.  One orchestration serves a point and every grid of cells
+(`pipeline.solve_grid`, the map's and the sweep's): `solve_models`, of
 which `solve_model` is the one-cell case.  The cell count picks the
 kernels in one place only, `_grid_roots`.  One cell is evaluated on the
 whole grid and bisects with `_bisect` on Python floats; more cells are

@@ -16,7 +16,7 @@ from levring.entanglement import (EntanglementPoint, _kron_sum,
 from levring.errors import (ConfigInvalid, LevringError, NotConverged,
                             NumericalError, SingularSystem,
                             UnphysicalCovariance, UnstableModel)
-from levring.pipeline import PointSolution, solve_point, solve_sweep
+from levring.pipeline import solve_grid, solve_point
 
 from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
                       reference_config, synthetic_model)
@@ -446,8 +446,9 @@ def assert_same_covariances(models):
 
 def sweep_models(config, ring_mode):
     cfg = parse_config(str(CONFIG_DIR / config))
-    return [sol.model for sol in solve_sweep(cfg, list(np.linspace(
-        0.05, 1.0, 200)), ring_mode) if isinstance(sol, PointSolution)]
+    return [m for m in solve_grid(cfg, list(np.linspace(0.05, 1.0, 200)),
+                                  ring_mode=ring_mode)
+            if not isinstance(m, LevringError)]
 
 
 def needs_refinement():

@@ -839,7 +839,7 @@ class TestTwoPassScan:
             calls.append(cells)
             return solve_models(cells)
 
-        monkeypatch.setattr(levring.cli, "solve_models", recording)
+        monkeypatch.setattr(levring.pipeline, "solve_models", recording)
         with contextlib.redirect_stdout(io.StringIO()):
             assert levring.cli.main(
                 ["stability-map", "--config", str(CONFIG_DIR / "fig1.cfg"),
@@ -927,7 +927,7 @@ class TestSolveModels:
             calls.append((cells, list(solve_models(cells))))
             return iter(calls[-1][1])
 
-        monkeypatch.setattr(levring.cli, "solve_models", recording)
+        monkeypatch.setattr(levring.pipeline, "solve_models", recording)
         with contextlib.redirect_stdout(io.StringIO()):
             assert levring.cli.main(
                 ["stability-map", "--config", str(CONFIG_DIR / "fig1.cfg"),
