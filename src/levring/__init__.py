@@ -8,8 +8,7 @@ from .model import (DerivedParams, SystemConfig, damping_and_diffusion,
                     electrostatic_spring, ring_field, ring_potential)
 from .steady_state import (MeanFieldResult, OperatingPoint,
                            integrate_mean_field, mechanical_frequency,
-                           solve_model, solve_resonant_ring_charge, solve_xs,
-                           steady_amplitude)
+                           solve_xs, steady_amplitude)
 from .dynamics import StabilityVerdict, StateSpaceModel, build_model
 from .spectra import (SpectrumTable, TransferCoefficients, output_spectrum,
                       spectrum_sweep, transfer_coefficients)
@@ -23,9 +22,8 @@ __all__ = [
     "__version__", "CODATA2018", "PhysicalConstants", "SystemConfig",
     "DerivedParams", "derive_constants", "delta0_from_config",
     "damping_and_diffusion", "ring_potential", "ring_field",
-    "electrostatic_spring", "OperatingPoint", "solve_model",
-    "MeanFieldResult", "solve_xs", "steady_amplitude",
-    "mechanical_frequency", "solve_resonant_ring_charge",
+    "electrostatic_spring", "OperatingPoint", "MeanFieldResult",
+    "solve_xs", "steady_amplitude", "mechanical_frequency",
     "integrate_mean_field", "StateSpaceModel", "StabilityVerdict",
     "build_model", "TransferCoefficients", "SpectrumTable",
     "transfer_coefficients", "output_spectrum", "spectrum_sweep",

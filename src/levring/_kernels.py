@@ -1,7 +1,8 @@
 """Hot numerical kernels: the two fixed-step RK4 oracles.
 
 ``mean_field_chunk`` steps the classical mean field, and ``cov_rk4``
-relaxes the covariance by doubling the exact RK4 step map.
+relaxes the covariance by doubling the exact RK4 step map.  Its
+Kronecker sum, `_kron_sum`, is also the one the Lyapunov solve forms.
 
 ``mean_field_chunk`` runs on Python floats: arithmetic on numpy scalars
 costs about three times as much per operation, and Python's +, -, *,
@@ -127,6 +128,16 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     return x, p, ar, ai, x_min, x_max, x_sum, p_sum, ar_sum, ai_sum
 
 
+def _kron_sum(A: np.ndarray) -> np.ndarray:
+    """I (x) A + A (x) I for an n x n matrix or a stack of them, entry for
+    entry the products and sums `np.kron` forms."""
+    n = A.shape[-1]
+    eye = np.eye(n)
+    M = eye[:, None, :, None] * A[..., None, :, None, :]
+    M += A[..., :, None, :, None] * eye[None, :, None, :]
+    return M.reshape(A.shape[:-2] + (n * n, n * n))
+
+
 # gamma_9 = 9u / (1 - 9u), u = eps / 2: the rounding bound of a sum of
 # nine products (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., section 3.1)
@@ -137,7 +148,7 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
     """Relax dV/dt = A V + V A^T + D from V = 0 by fixed-step RK4.
 
     One RK4 step is an exact affine map v -> T v + c on vec(V), with
-    M = dt (A (x) I + I (x) A),
+    M = dt (I (x) A + A (x) I) (`_kron_sum`),
     T = I + M + M^2/2 + M^3/6 + M^4/24 and
     c = dt (I + M/2 + M^2/6 + M^3/24) vec(D).
     Doubling (c <- T c + c, T <- T^2; Smith, SIAM J. Appl. Math. 16,
@@ -162,8 +173,7 @@ def cov_rk4(A, D, dt, max_steps, tol_abs):
     only ever stops sooner than tol_abs alone.
     """
     n = A.shape[0]
-    eye = np.eye(n)
-    M = dt * (np.kron(A, eye) + np.kron(eye, A))
+    M = dt * _kron_sum(A)
     M2 = M @ M
     M3 = M2 @ M
     T = np.eye(n * n) + M + M2 / 2.0 + M3 / 6.0 + M3 @ M / 24.0

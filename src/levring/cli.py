@@ -255,6 +255,12 @@ def _grid(args, prefix: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _eighth_power(x: float) -> float:
+    """x^8 on Python floats, inf where it overflows (x ** 8 would raise)."""
+    x4 = (x * x) * (x * x)
+    return x4 * x4
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_steady_state(args) -> int:
@@ -341,11 +347,18 @@ def cmd_spectrum(args) -> int:
     sol = solve_point(cfg, ring_mode=args.ring_mode)
     kappa = sol.derived.kappa
     # on Python floats an overflow is a silent inf, and the largest
-    # |omega / kappa| gives the largest |omega|
-    if not math.isfinite(float(np.abs(omega_over_kappa).max()) * kappa):
+    # |omega / kappa| gives the largest |omega|.  The spectra's
+    # denominator |d|^2 grows as omega^8: the grid options carry its
+    # overflow where kappa^8 is finite and omega^8 is not; where kappa^8
+    # overflows too, the model does, and the spectra say so
+    omega = float(np.abs(omega_over_kappa).max()) * kappa
+    if not math.isfinite(omega) or (math.isfinite(_eighth_power(kappa))
+                                    and not math.isfinite(
+                                        _eighth_power(omega))):
         raise ValidationError(
             f"--grid-min {args.grid_min} and --grid-max {args.grid_max} "
-            f"reach past the float range in rad/s (kappa = {kappa!r} rad/s)")
+            f"reach past the float range in (rad/s)^8, the order of the "
+            f"spectra's denominator (kappa = {kappa!r} rad/s)")
     grid = omega_over_kappa * kappa
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
     rows = list(zip(table.omega_over_kappa, table.S_XX, table.S_YY,

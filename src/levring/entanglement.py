@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import cov_rk4
+from ._kernels import _kron_sum, cov_rk4
 from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
@@ -113,15 +113,6 @@ def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray) -> np.ndarray
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} "
             "(marginal stability)")
     return V
-
-
-def _kron_sum(A: np.ndarray) -> np.ndarray:
-    """I (x) A + A (x) I for a stack of 4x4 matrices, entry for entry the
-    products and sums `np.kron` forms."""
-    eye = np.eye(4)
-    M = eye[:, None, :, None] * A[..., None, :, None, :]
-    M += A[..., :, None, :, None] * eye[None, :, None, :]
-    return M.reshape(A.shape[:-2] + (16, 16))
 
 
 def _solve_refined(model: StateSpaceModel, M: np.ndarray) -> np.ndarray:

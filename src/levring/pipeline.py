@@ -1,13 +1,12 @@
 """Glue: config -> derived constants -> operating point -> state-space model.
 
-Every grid goes through `solve_grid`: a detuning axis, and optionally a
-second axis (`AXES`), with the constants derived once per column.  The
+Every solve goes through `solve_grid`: a detuning axis, and optionally
+a second axis (`AXES`), with the constants derived once per column.  The
 stability map reads its cells' verdicts, and the entanglement sweep
 reads its rows as `PointSolution`s (`solutions`).  `solve_point` is the
-one-cell case at the configured detuning.  Each sends its cells, as one
-batch, to the grid solver of the ring mode, `steady_state.solve_models`
-or `steady_state.solve_resonant_models`, picked in one place
-(`_solver`).
+grid with no axes, the one cell at the configured detuning.  The grid
+goes, as one batch, to the grid solver of the ring mode,
+`steady_state.solve_models` or `steady_state.solve_resonant_models`.
 """
 from __future__ import annotations
 
@@ -33,13 +32,6 @@ class PointSolution:
     field_at_xs: float          # on-axis ring field at x_s, V/m
 
 
-def _solver(ring_mode: str):
-    """The grid solver of a ring mode (ValueError for another mode)."""
-    if ring_mode not in RING_MODES:
-        raise ValueError(f"ring_mode must be one of {RING_MODES}")
-    return solve_resonant_models if ring_mode == "resonant" else solve_models
-
-
 def solutions(cfg: SystemConfig, cells):
     """The PointSolution of each model of `cells`, solved from `cfg`, or
     the NumericalError in its place.  The first ConfigError in order, of
@@ -61,45 +53,53 @@ def solve_point(cfg: SystemConfig,
                 ring_mode: str = "fixed_charge") -> PointSolution:
     """Run the steady-state pipeline at the configured detuning.
 
-    fixed_charge keeps the configured ring charge (`solve_model`); resonant
-    re-solves the charge so the effective detuning sits on the mechanical
-    sideband (`solve_resonant_ring_charge`).  Either solver returns the
-    model its stability screen built; `derived` and `op` are read off it.
-    The solve is that of the ring mode's grid solver on the one cell.
+    fixed_charge keeps the configured ring charge (`solve_models`);
+    resonant re-solves the charge so the effective detuning sits on the
+    mechanical sideband (`solve_resonant_models`).  Either solver returns
+    the model its stability screen built; `derived` and `op` are read
+    off it.  The solve is `solve_grid` with no axes.
     """
-    solver = _solver(ring_mode)
-    derived = derive_constants(cfg)
-    return one(solutions(cfg, solver(
-        [(derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)])))
+    return one(solutions(cfg, solve_grid(cfg, ring_mode=ring_mode)))
 
 
-def solve_grid(cfg: SystemConfig, delta0_over_kappa, axis=None,
+def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,
                ring_mode: str = "fixed_charge"):
     """The model of `cfg` at each cell of a grid, or the LevringError
     solving it raises, in row order: one row per detuning of
     delta0_over_kappa, in linewidths, one cell per value of `axis`.
 
-    axis is None or (name, values), name in AXES: C0 in wavelengths, or
-    the ring charge in units of the configured one.  The constants are
-    derived once, with the first row's detuning (a ConfigInvalid, or the
-    first detuning `delta0_grid` rejects, raises), and once per axis
-    value with the ring charge pinned, so a C0 = 0 column is valid for a
-    field-specified ring; a value whose constants fail fills its column
-    with that error.  charge_scale in resonant mode, whose solver picks
-    the charge, is a ValueError, as is an unknown axis or ring mode.
+    delta0_over_kappa None is the one row at the configured detuning
+    (`delta0_from_config`), with the constants of `cfg` as given.  A
+    grid's constants are derived once, with its first detuning in place
+    of the configured one (a ConfigInvalid, or the first detuning
+    `delta0_grid` rejects, raises), so a sweep does not depend on the
+    configured detuning.  axis is None or (name, values), name in AXES:
+    C0 in wavelengths, or the ring charge in units of the configured
+    one.  The constants are derived again per axis value with the ring
+    charge pinned, so a C0 = 0 column is valid for a field-specified
+    ring; a value whose constants fail fills its column with that error.
+    charge_scale in resonant mode, whose solver picks the charge, is a
+    ValueError, as is an unknown axis or ring mode.
     """
-    solver = _solver(ring_mode)
+    if ring_mode not in RING_MODES:
+        raise ValueError(f"ring_mode must be one of {RING_MODES}")
+    solver = solve_resonant_models if ring_mode == "resonant" else solve_models
     name, values = axis or (None, None)
     if name not in (None, *AXES):
         raise ValueError(f"axis must be None or one of {AXES}, got {name!r}")
     if name == "charge_scale" and ring_mode == "resonant":
         raise ValueError("no charge_scale axis in resonant mode: its "
                          "solver picks the ring charge")
-    if len(delta0_over_kappa) == 0:
+    if delta0_over_kappa is None:
+        derived = derive_constants(cfg)
+        delta0s = [delta0_from_config(cfg, derived)]
+    elif len(delta0_over_kappa) == 0:
         return []
-    derived = derive_constants(dataclasses.replace(
-        cfg, detuning_delta0=None, detuning_over_kappa=delta0_over_kappa[0]))
-    delta0s = delta0_grid(delta0_over_kappa, derived)
+    else:
+        derived = derive_constants(dataclasses.replace(
+            cfg, detuning_delta0=None,
+            detuning_over_kappa=delta0_over_kappa[0]))
+        delta0s = delta0_grid(delta0_over_kappa, derived)
     columns = [(derived, cfg.ring_offset_c0)]
     if name is not None:
         pinned = dataclasses.replace(cfg, ring_charge=derived.ring_charge,

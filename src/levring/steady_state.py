@@ -14,11 +14,11 @@ for stability of the linearised dynamics.  The screen builds the
 state-space model of each candidate; the solvers return the model of the
 accepted root, so spectra and entanglement read the very model that was
 screened.  One orchestration serves a point and every grid of cells
-(`pipeline.solve_grid`, the map's and the sweep's): `solve_models`, of
-which `solve_model` is the one-cell case.  The cell count picks the
-kernels in one place only, `_grid_roots`.  One cell is evaluated on the
-whole grid and bisects with `_bisect` on Python floats; more cells are
-evaluated on every 16th grid point, and on the fine grid only where a
+(`pipeline.solve_grid`; a point is its grid with no axes):
+`solve_models`.  The cell count picks the kernels in one place only,
+`_grid_roots`.  One cell is evaluated on the whole grid and bisects
+with `_bisect` on Python floats; more cells are evaluated on every
+16th grid point, and on the fine grid only where a
 slope bound cannot rule out a hit (`_scan_hits`, which gives the whole
 grid's hits), and bisect in lock step (`_bisect_all`).  Both give the
 one-cell bits, by construction, since every cos^2(kx) is the correctly
@@ -29,9 +29,8 @@ with one stacked `np.linalg.eigvals` call (`_screen_plans`).
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
-frequency (`solve_resonant_models`, of which `solve_resonant_ring_charge`
-is the one-cell case), and the classical mean-field integrator used as
-an independent dynamical check on the root finder.
+frequency (`solve_resonant_models`), and the classical mean-field
+integrator used as an independent dynamical check on the root finder.
 """
 from __future__ import annotations
 
@@ -436,24 +435,6 @@ def _screen(models, end_error, delta0: float, screened: bool):
         f"no admissible root at delta0 = {delta0:.6e}")
 
 
-def solve_model(derived: DerivedParams, delta0: float,
-                c0: float) -> dynamics.StateSpaceModel:
-    """Solve the force balance and return the model at the selected root.
-
-    Among the roots, taken in order of |x_s|, the first whose drift matrix
-    is Hurwitz (damping from the attached closure at its omega_m) wins;
-    the model built by that screen is returned, its `derived` completed
-    with the damping.
-
-    The degenerate decoupled inputs A_q = 0 (no bound charge or no ring
-    charge) and C0 = 0 yield x_s = 0 exactly; their model is returned
-    unscreened, since instability there is a verdict, not an error.
-
-    The solve is that of `solve_models` on the one cell.
-    """
-    return one(solve_models([(derived, delta0, c0)]))
-
-
 def _bisect_all(fun, a, b, fa, tol_x):
     """`_bisect` on arrays of brackets in lock step, bit for bit.
 
@@ -489,11 +470,11 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     sign changes (`_hit_mask`) on the grid of `_grid_tables` are found
     for one cell on the whole grid, in fewer numpy calls than the two
     passes of `_scan_hits`, which more cells take, with the same hits.
-    On the resonance half-grid a cell keeps only its first hit other
-    than the grid zero x = 0.  The brackets [xs[i], xs[i + 1]] are
-    bisected from f_i: one cell's on Python floats by `_bisect`, more
-    cells' in lock step by `_bisect_all`, both squaring cos(kx) by
-    product, as the tables do.
+    Every hit of every cell is a root, on either grid: `resonant` picks
+    only the tables and the trig function.  The brackets
+    [xs[i], xs[i + 1]] are bisected from f_i: one cell's on Python
+    floats by `_bisect`, more cells' in lock step by `_bisect_all`, both
+    squaring cos(kx) by product, as the tables do.
     """
     tol_x, tables = _grid_tables(k, resonant)
     xs = tables[0][0]
@@ -501,9 +482,6 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     if len(params[0]) == 1:
         fs = fun(*tables[0], params)
         i = np.flatnonzero(_hit_mask(fs))
-        hits = zip(i.tolist(), fs[i].tolist())
-        if resonant:    # (0, 0.0) is the grid zero x = 0
-            hits = [hit for hit in hits if hit != (0, 0.0)][:1]
         cell_params, cos = tuple(p.item() for p in params), math.cos
 
         def bisected(x):
@@ -512,12 +490,8 @@ def _grid_roots(k: float, resonant: bool, fun, params):
         return [[float(xs[j]) if f == 0.0
                  else _bisect(bisected, float(xs[j]), float(xs[j + 1]), f,
                               tol_x)
-                 for j, f in hits]]
+                 for j, f in zip(i.tolist(), fs[i].tolist())]]
     cell, i, f_i, zero = _scan_hits(fun, tables, params)
-    if resonant:
-        taken = ~(zero & (i == 0))
-        cell, first = np.unique(cell[taken], return_index=True)
-        i, f_i, zero = (v[taken][first] for v in (i, f_i, zero))
     found = xs[i]
     bracket = np.flatnonzero(~zero)
     lo, at = i[bracket], cell[bracket]
@@ -573,8 +547,16 @@ def solve_models(cells):
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive and kappa; the cells of a stability map differ only
     in delta0, c0, A_q and the ring charge.  Returns an iterator whose
-    entry i is the model screened at cell i's selected root (see
-    `solve_model`, the one-cell case), or the NumericalError it raises.
+    entry i is the model screened at cell i's selected root, or the
+    NumericalError it raises; a point is the one-cell grid.
+
+    Among a cell's roots, taken in order of |x_s|, the first whose drift
+    matrix is Hurwitz (damping from the attached closure at its omega_m)
+    wins; the model built by that screen is returned, its `derived`
+    completed with the damping.  The degenerate decoupled inputs A_q = 0
+    (no bound charge or no ring charge) and C0 = 0 yield x_s = 0
+    exactly; their model is returned unscreened, since instability there
+    is a verdict, not an error.
 
     The root scan of all cells runs as arrays (see `_grid_roots`) at the
     call, and so does the model build of the candidate roots of every
@@ -601,8 +583,8 @@ def solve_models(cells):
 
 def solve_xs(derived: DerivedParams, delta0: float,
              c0: float) -> OperatingPoint:
-    """Operating point of the root `solve_model` selects."""
-    return solve_model(derived, delta0, c0).op
+    """Operating point of the root `solve_models` selects on the one cell."""
+    return one(solve_models([(derived, delta0, c0)])).op
 
 
 def _mismatch(derived: DerivedParams):
@@ -634,17 +616,19 @@ def _mismatch(derived: DerivedParams):
 
 def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
     """The one-candidate screen plan of the resonance root on the
-    half-grid, roots = [x_root] (or [] for no root).
+    half-grid, roots ascending as `_grid_roots` gives them.
 
-    Its candidate is the operating point at the mirror of x_root on the
+    x_root is the first root other than the grid zero x = 0 (a bisected
+    root is never exactly 0.0); with none, NoResonantSolution.  The
+    candidate is the operating point at the mirror of x_root on the
     side of -C0, with the constants carrying the solved charge and the
     damping there; its end error is the UnstableResonance a non-Hurwitz
     model gives.
     """
-    if not roots:
+    x_root = next((x for x in roots if x != 0.0), None)
+    if x_root is None:
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
-    x_root, = roots
     x_s = -x_root if c0 > 0.0 else x_root
     hbar = CODATA2018.hbar
     k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
@@ -668,36 +652,25 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
         f"resonant point at delta0 = {delta0:.6e} is not Hurwitz"))
 
 
-def solve_resonant_ring_charge(derived: DerivedParams, delta0: float,
-                               c0: float) -> dynamics.StateSpaceModel:
-    """Ring charge putting the effective detuning on the mechanical sideband.
-
-    Strategy: at fixed Delta0 solve the resonance condition (in cleared
-    form, 8 hbar g k^2 E^2 cos(2kx) / (kappa^2 + 4 Delta(x)^2) =
-    m Delta(x)^2, equivalent to omega_m = Delta(x_s)) for x_s on the
-    half-interval whose sign makes the ring charge positive, then read Q
-    off the force balance.
-
-    The condition is even in x, so the mismatch is evaluated at once on
-    the ascending grid from x = 0 outward, its first grid root other
-    than x = 0 itself is taken (`_grid_roots`), and `op.x_s` is
-    that root negated for C0 > 0.  Returns the screened model at that
-    point; its `derived` carries the solved `ring_charge` and `A_q` and
-    the damping at `op.omega_m`.
-
-    The solve is that of `solve_resonant_models` on the one cell.
-    """
-    return one(solve_resonant_models([(derived, delta0, c0)]))
-
-
 def solve_resonant_models(cells):
     """The resonant-charge model of each of a grid of cells, at once.
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive, kappa and mass, the constants of the resonance
     condition.  Returns an iterator whose entry i is the screened model
-    at cell i's resonant point (see `solve_resonant_ring_charge`, the
-    one-cell case), or the NumericalError it raises.
+    at cell i's resonant point, or the NumericalError it raises; a point
+    is the one-cell grid.
+
+    Strategy: at fixed Delta0 solve the resonance condition (in cleared
+    form, 8 hbar g k^2 E^2 cos(2kx) / (kappa^2 + 4 Delta(x)^2) =
+    m Delta(x)^2, equivalent to omega_m = Delta(x_s)) for x_s on the
+    half-interval whose sign makes the ring charge positive, then read Q
+    off the force balance.  The condition is even in x, so the mismatch
+    is scanned on the ascending grid from x = 0 outward, its first root
+    other than x = 0 itself is taken (`_resonant_plan`), and `op.x_s` is
+    that root negated for C0 > 0, the mirror onto the side of -C0.  The
+    model's `derived` carries the solved `ring_charge` and `A_q` and the
+    damping at `op.omega_m`.
 
     The resonance scan of all cells runs as arrays (see
     `_grid_roots`) at the call, and so does the model build of every
@@ -749,7 +722,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
 
     Fixed-step RK4 on (x, p, a) with the optical-gradient force, the ring
     force and viscous damping gamma; serves as the dynamical cross-check
-    on `solve_model`.  The step is dt = 0.1 / max(kappa, omega_ref,
+    on `solve_models`.  The step is dt = 0.1 / max(kappa, omega_ref,
     |Delta0| + |g|), a tenth of the time of the fastest rate in the motion
     (see `_mean_field_step`).  The step cannot bias the answer: a fixed
     point of the RK4 map with any step h is a zero of the right-hand side,

@@ -735,9 +735,12 @@ class TestExitCodes:
         (["stability-map", "--param2", "charge_scale", "--p2-min", "-1e308",
           "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
         (["spectrum", "--grid-max", "1e308"], ["--grid-min", "--grid-max"]),
+        (["spectrum", "--grid-max", "1e33"], ["--grid-min", "--grid-max"]),
+        (["spectrum", "--grid-max", "1e40"], ["--grid-min", "--grid-max"]),
     ], ids=["spectrum-span", "entanglement-span", "stability-map-span",
             "p2-span-c0_over_lambda", "p2-span-charge_scale",
-            "spectrum-rad-per-s"])
+            "spectrum-rad-per-s", "spectrum-eighth-power-1e33",
+            "spectrum-eighth-power-1e40"])
     def test_overflowing_grid_exits_one(self, cfg_file, tmp_path, capsys,
                                         argv, options):
         # finite bounds whose span, or whose largest value in rad/s,
@@ -758,6 +761,19 @@ class TestExitCodes:
                     if issubclass(w.category, RuntimeWarning)]
         assert not out.exists() or not {"inf", "-inf", "nan"} & set(
             csv_fields(out.read_text()))
+
+    def test_grid_below_the_eighth_power_limit_exits_zero(self, cfg_file,
+                                                          tmp_path, capsys):
+        # (3.6e32 kappa)^8 is finite on fig1: the spectra are written
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spectrum", "--grid-max", "3.6e32", "--grid-n", "3",
+                         "--config", cfg_file, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not {"inf", "-inf", "nan"} & set(csv_fields(out.read_text()))
 
     def test_numerical_failure_is_exit_two(self, tmp_path, capsys):
         # strong ring + moderate detuning: no force-balance root

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from levring import pipeline
+from levring import pipeline, steady_state
 from levring.cli import build_parser, parse_config
 from levring.dynamics import StateSpaceModel
 from levring.errors import LevringError
@@ -100,3 +100,49 @@ def test_param2_choices_are_the_axes():
     param2, = (a for a in sub.choices["stability-map"]._actions
                if a.dest == "param2")
     assert param2.choices == pipeline.AXES
+
+
+def assert_same_cell(got, want):
+    """The same error, or a model with the same bytes and constants."""
+    assert fingerprint(got) == fingerprint(want)
+    if isinstance(want, StateSpaceModel):
+        assert got.derived == want.derived
+        assert got.A.tobytes() == want.A.tobytes()
+        assert got.D.tobytes() == want.D.tobytes()
+
+
+@pytest.mark.parametrize("ring_mode", pipeline.RING_MODES)
+@pytest.mark.parametrize("make_cfg", [fig1, charged_fig2])
+def test_point_is_the_grid_with_no_axes(make_cfg, ring_mode):
+    # no detunings: the one cell at the configured detuning, with the
+    # bits of the one-row grid of that detuning
+    cfg = make_cfg()
+    point = solve_grid(cfg, ring_mode=ring_mode)
+    row = solve_grid(cfg, [cfg.detuning_over_kappa], ring_mode=ring_mode)
+    assert len(point) == len(row) == 1
+    assert_same_cell(point[0], row[0])
+
+
+@pytest.mark.parametrize("ring_mode", pipeline.RING_MODES)
+def test_point_keeps_a_detuning_in_rad_per_s(ring_mode):
+    # a detuning_delta0 config is solved at that detuning, on the
+    # constants of the config as given
+    cfg = fig1()
+    derived = derive_constants(cfg)
+    cfg = dataclasses.replace(cfg, detuning_over_kappa=None,
+                              detuning_delta0=0.8 * derived.kappa)
+    solver = (steady_state.solve_resonant_models if ring_mode == "resonant"
+              else steady_state.solve_models)
+    [got] = solve_grid(cfg, ring_mode=ring_mode)
+    [want] = solver([(derive_constants(cfg), cfg.detuning_delta0,
+                      cfg.ring_offset_c0)])
+    assert_same_cell(got, want)
+
+
+@pytest.mark.parametrize("name", pipeline.AXES)
+def test_axis_with_no_grid_is_one_row(name):
+    cfg = fig1()
+    got = solve_grid(cfg, axis=(name, VALUES))
+    want = solve_grid(cfg, [cfg.detuning_over_kappa], (name, VALUES))
+    assert len(got) == len(VALUES)
+    assert [fingerprint(c) for c in got] == [fingerprint(c) for c in want]

@@ -17,7 +17,7 @@ from levring.constants import CODATA2018
 from levring.dynamics import build_model
 from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
-                            NotConverged, NumericalError, UnstableTrap)
+                            NotConverged, NumericalError, UnstableTrap, one)
 from levring.model import delta0_from_config, derive_constants
 from levring.pipeline import ring_field_value, solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
@@ -25,9 +25,8 @@ from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
                                   force_balance,
                                   integrate_mean_field, mechanical_frequency,
                                   operating_point_at, residual_scale,
-                                  scan_roots, solve_model, solve_models,
-                                  solve_resonant_models,
-                                  solve_resonant_ring_charge, solve_xs,
+                                  scan_roots, solve_models,
+                                  solve_resonant_models, solve_xs,
                                   steady_amplitude)
 
 from conftest import CONFIG_DIR, reference_config
@@ -396,7 +395,8 @@ class TestResonantRing:
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
         derived = derive_constants(cfg)
         delta0 = delta0_from_config(cfg, derived)
-        res = solve_resonant_ring_charge(derived, delta0, cfg.ring_offset_c0)
+        res = one(solve_resonant_models(
+            [(derived, delta0, cfg.ring_offset_c0)]))
         op = res.op
         assert res.stable
         # resonance condition in both forms
@@ -423,10 +423,27 @@ class TestResonantRing:
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
         derived = derive_constants(cfg)
         delta0 = delta0_from_config(cfg, derived)
-        x_root = -solve_resonant_ring_charge(derived, delta0,
-                                             cfg.ring_offset_c0).op.x_s
+        x_root = -one(solve_resonant_models(
+            [(derived, delta0, cfg.ring_offset_c0)])).op.x_s
         with pytest.raises(ConfigInvalid, match="Omega_m = nan"):
             steady_state._resonant_plan(derived, delta0, x_root, [x_root])
+
+    def test_plan_takes_the_first_root_off_the_grid_zero(self):
+        # the one site of the resonance root rule: the grid zero x = 0 is
+        # skipped, the next root taken; none left is NoResonantSolution
+        cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
+        derived = derive_constants(cfg)
+        cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
+        solved = one(solve_resonant_models([cell]))
+        r = -solved.op.x_s
+        for roots in ([0.0, r], [r], [r, 2.0 * r]):
+            [(op, damped)], _ = steady_state._resonant_plan(*cell, roots)
+            assert op == solved.op and damped == solved.derived
+        message = f"resonance condition has no root at delta0 = {cell[1]:.6e}"
+        for roots in ([0.0], []):
+            with pytest.raises(NoResonantSolution) as info:
+                steady_state._resonant_plan(*cell, roots)
+            assert str(info.value) == message
 
     def test_charge_scales_inverse_with_bound_charge(self):
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
@@ -434,8 +451,8 @@ class TestResonantRing:
         delta0 = delta0_from_config(cfg, derived)
         c0 = cfg.ring_offset_c0
         halved = dataclasses.replace(derived, q_mcp=derived.q_mcp / 2)
-        full = solve_resonant_ring_charge(derived, delta0, c0)
-        half = solve_resonant_ring_charge(halved, delta0, c0)
+        full = one(solve_resonant_models([(derived, delta0, c0)]))
+        half = one(solve_resonant_models([(halved, delta0, c0)]))
         assert rel(half.derived.ring_charge,
                    2 * full.derived.ring_charge) < 1e-9
         assert half.op.x_s == full.op.x_s
@@ -452,9 +469,9 @@ class TestResonantRing:
             expected = reference_resonant_root(derived, delta0, c0)
             if expected is None:
                 with pytest.raises(NoResonantSolution, match="no root"):
-                    solve_resonant_ring_charge(derived, delta0, c0)
+                    one(solve_resonant_models([(derived, delta0, c0)]))
                 continue
-            res = solve_resonant_ring_charge(derived, delta0, c0)
+            res = one(solve_resonant_models([(derived, delta0, c0)]))
             assert res.op.x_s == expected
             solved += 1
         assert solved >= 12
@@ -468,8 +485,8 @@ class TestResonantRing:
         derived = derive_constants(cfg)
         delta0 = delta0_from_config(cfg, derived)
         c0 = cfg.ring_offset_c0
-        plus = solve_resonant_ring_charge(derived, delta0, c0)
-        minus = solve_resonant_ring_charge(derived, delta0, -c0)
+        plus = one(solve_resonant_models([(derived, delta0, c0)]))
+        minus = one(solve_resonant_models([(derived, delta0, -c0)]))
         assert plus.op.x_s < 0.0
         assert minus.op.x_s == -plus.op.x_s
         assert minus.derived.ring_charge == plus.derived.ring_charge
@@ -478,7 +495,7 @@ class TestResonantRing:
         cfg = reference_config(ring_field=2.5e11)
         derived = derive_constants(cfg)
         with pytest.raises(NoResonantSolution):
-            solve_resonant_ring_charge(derived, 0.3 * derived.kappa, 0.0)
+            one(solve_resonant_models([(derived, 0.3 * derived.kappa, 0.0)]))
 
     def test_negative_ring_charge_rejected(self):
         # at C0 = 20 nm the resonant point lies beyond -C0, where the
@@ -489,7 +506,7 @@ class TestResonantRing:
         cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
         message = "force balance at the resonant point needs a negative ring"
         with pytest.raises(NoResonantSolution, match=message):
-            solve_resonant_ring_charge(*cell)
+            one(solve_resonant_models([cell]))
         [error, _] = solve_resonant_models([cell, cell])
         assert isinstance(error, NoResonantSolution)
         assert str(error).startswith(message)
@@ -503,7 +520,7 @@ def rebuilt_model(cfg, ring_mode):
     delta0 = delta0_from_config(cfg, derived)
     c0 = cfg.ring_offset_c0
     if ring_mode == "resonant":
-        solved = solve_resonant_ring_charge(derived, delta0, c0)
+        solved = one(solve_resonant_models([(derived, delta0, c0)]))
         derived = dataclasses.replace(
             derived, A_q=solved.op.A_q,
             ring_charge=solved.derived.ring_charge)
@@ -632,7 +649,7 @@ class TestSolveModel:
 
     def test_solve_xs_is_the_model_operating_point(self, fig1):
         cfg, derived, delta0 = fig1
-        model = solve_model(derived, delta0, cfg.ring_offset_c0)
+        model = one(solve_models([(derived, delta0, cfg.ring_offset_c0)]))
         assert solve_xs(derived, delta0, cfg.ring_offset_c0) == model.op
         assert model.derived == derived.with_damping(model.op.omega_m)
 
@@ -641,11 +658,11 @@ class TestSolveModel:
                 if not hasattr(levring, name)] == []
 
 
-def assert_same_outcome(got, cell, solve=solve_model):
-    """The grid solver's entry for a cell equals what the point path
-    `solve` gives."""
+def assert_same_outcome(got, cell, solve=solve_models):
+    """The entry of the grid solver `solve` for a cell equals what its
+    one-cell run gives."""
     try:
-        want = solve(*cell)
+        want = one(solve([cell]))
     except NumericalError as exc:
         assert type(got) is type(exc)
         assert str(got) == str(exc)
@@ -1049,12 +1066,12 @@ def cubic_cells(k, resonant):
     out = 2.0 * abs(last)
     mid, near = 0.5 * float(xs[700] + xs[701]), 0.5 * float(xs[1])
     bisected = {x: pytest.approx(x, rel=0.0, abs=tol_x) for x in (mid, near)}
-    if resonant:    # the zero at x = 0 is skipped; the first hit is kept
-        cells = [((0.0, mid, last), [bisected[mid]]),
-                 ((0.0, last, out), [last]),
+    if resonant:    # every root, the grid zero at x = 0 too
+        cells = [((0.0, mid, last), [0.0, bisected[mid], last]),
+                 ((0.0, last, out), [0.0, last]),
                  ((near, out, 2.0 * out), [bisected[near]]),
                  ((last, out, 2.0 * out), [last]),
-                 ((0.0, out, 2.0 * out), [])]
+                 ((0.0, out, 2.0 * out), [0.0])]
     else:
         cells = [((first, mid, last), [first, bisected[mid], last]),
                  ((last, out, 2.0 * out), [last]),
@@ -1067,8 +1084,9 @@ def cubic_cells(k, resonant):
 @pytest.mark.parametrize("resonant", [False, True])
 def test_one_cell_roots_at_the_grid_ends(fig1, resonant):
     # exact zeros at the first and last grid points are roots, the last
-    # with no bracket to its right; on the resonance half-grid the zero
-    # at x = 0 is skipped.  Each cell alone equals the batch.
+    # with no bracket to its right, on the resonance half-grid too, whose
+    # first point is x = 0 (`_resonant_plan` skips that root).  Each cell
+    # alone equals the batch.
     k = fig1[1].k
     fun, params, roots = cubic_cells(k, resonant)
     together = _grid_roots(k, resonant, fun, params)
@@ -1082,7 +1100,7 @@ def assert_same_resonant_outcomes(cells):
     got = list(solve_resonant_models(cells))
     assert len(got) == len(cells)
     return collections.Counter(
-        assert_same_outcome(g, cell, solve_resonant_ring_charge)
+        assert_same_outcome(g, cell, solve_resonant_models)
         for g, cell in zip(got, cells))
 
 
@@ -1199,7 +1217,7 @@ class TestMeanField:
         c0 = cfg.ring_offset_c0
         monkeypatch.setattr(steady_state, "_detuning",
                             lambda d, delta0, cos2: delta0 - d.g * cos2)
-        model = solve_model(derived, delta0, c0)
+        model = one(solve_models([(derived, delta0, c0)]))
         op, derived = model.op, model.derived
         assert op.delta_eff == delta0 - derived.g * np.cos(
             derived.k * op.x_s) ** 2
