@@ -26,7 +26,8 @@ from . import __version__
 from .constants import CODATA2018
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError, error_cell
-from .model import TORR_TO_PA, SystemConfig, delta0_from_config
+from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
+                    derive_constants)
 from .pipeline import AXES, RING_MODES, solve_grid, solve_point
 from .spectra import BASELINE, spectrum_sweep
 from .steady_state import cavity_steady_field, integrate_mean_field, scan_roots
@@ -344,13 +345,14 @@ def cmd_spectrum(args) -> int:
                               f"{args.grid_max} give no increasing grid")
     items = _read_items(args.config)
     cfg = _config_from_items(items)
-    sol = solve_point(cfg, ring_mode=args.ring_mode)
-    kappa = sol.derived.kappa
-    # on Python floats an overflow is a silent inf, and the largest
-    # |omega / kappa| gives the largest |omega|.  The spectra's
-    # denominator |d|^2 grows as omega^8: the grid options carry its
-    # overflow where kappa^8 is finite and omega^8 is not; where kappa^8
-    # overflows too, the model does, and the spectra say so
+    # the grid is checked before the solve, on the kappa of the constants,
+    # which the solved model keeps.  On Python floats an overflow is a
+    # silent inf, and the largest |omega / kappa| gives the largest
+    # |omega|.  The spectra's denominator |d|^2 grows as omega^8: the
+    # grid options carry its overflow where kappa^8 is finite and omega^8
+    # is not; where kappa^8 overflows too, the model does, and the
+    # spectra say so
+    kappa = derive_constants(cfg).kappa
     omega = float(np.abs(omega_over_kappa).max()) * kappa
     if not math.isfinite(omega) or (math.isfinite(_eighth_power(kappa))
                                     and not math.isfinite(
@@ -359,6 +361,7 @@ def cmd_spectrum(args) -> int:
             f"--grid-min {args.grid_min} and --grid-max {args.grid_max} "
             f"reach past the float range in (rad/s)^8, the order of the "
             f"spectra's denominator (kappa = {kappa!r} rad/s)")
+    sol = solve_point(cfg, ring_mode=args.ring_mode)
     grid = omega_over_kappa * kappa
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
     rows = list(zip(table.omega_over_kappa, table.S_XX, table.S_YY,

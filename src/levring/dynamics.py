@@ -10,7 +10,9 @@ two closed-form Routh-Hurwitz conditions on the coefficients of the
 characteristic quartic det(lambda I - A), and the eigenvalues of the
 drift matrix A itself, from LAPACK's geev (`np.linalg.eigvals`).  The
 pair of verdicts must agree away from marginal points, and the quartic
-must match the matrix; tests enforce both.
+must match the matrix; tests enforce both.  The Routh-Hurwitz values
+come first: a model whose S1 or S2 is not finite is a NumericalError,
+and its eigenvalues are not sought.
 """
 from __future__ import annotations
 
@@ -93,54 +95,34 @@ def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
     return a3, a2, a1, a0
 
 
-def _quartic_scale(op: "OperatingPoint", gamma: float, kappa: float) -> float:
-    """rho, the root scale of the characteristic quartic.
-
-    Raises NumericalError when a coefficient or rho ** 4 overflows: the
-    Routh-Hurwitz values are formed from the quartic, and such a quartic
-    gives no verdict.  rho == 0 means every coefficient, and so every
-    eigenvalue, is zero.
-    """
-    coeffs = char_poly_coefficients(op, gamma, kappa)
-    a3, a2, a1, a0 = coeffs
-    rho = max(abs(a3), abs(a2) ** 0.5, abs(a1) ** (1.0 / 3.0),
-              abs(a0) ** 0.25)
-    try:
-        finite = math.isfinite(rho ** 4) and all(map(math.isfinite, coeffs))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise NumericalError(
-            f"characteristic quartic of scale {rho:.3e} rad/s overflows")
-    return rho
-
-
 def _quartic_verdict(op: "OperatingPoint", gamma: float, kappa: float):
-    """(rho, (S1, S2, marginal)) from `_quartic_scale` and Routh-Hurwitz,
-    formed once per candidate; NumericalError unless S1 and S2 are finite
-    (on Python floats S2 ~ rho^7 overflows silently where rho^4 does not)."""
-    rho = _quartic_scale(op, gamma, kappa)
+    """(S1, S2, marginal) from Routh-Hurwitz, formed once per candidate on
+    Python floats; NumericalError unless S1 and S2 are finite.  A product
+    that overflows is a silent inf, a `**` raises OverflowError: both
+    S values are then nan, and the finiteness check names S1."""
     d = op.delta_eff
     W = op.omega_m * op.Omega_m
-    four_d2 = 4.0 * d ** 2
-    t1 = W * (four_d2 + kappa ** 2)
-    t2 = 4.0 * op.G ** 2 * d * op.omega_m
-    s1 = t1 - t2
+    try:
+        four_d2 = 4.0 * d ** 2
+        t1 = W * (four_d2 + kappa ** 2)
+        t2 = 4.0 * op.G ** 2 * d * op.omega_m
+        s1 = t1 - t2
 
-    b1 = kappa * (four_d2 + (gamma + kappa) ** 2) + 2.0 * gamma * W
-    b2 = gamma * (four_d2 + kappa ** 2) + 8.0 * kappa * W
-    u1 = b1 * b2
-    u2 = 2.0 * (gamma + 2.0 * kappa) ** 2 * s1
-    s2 = 2.0 * (gamma + 2.0 * kappa) * (u1 - u2)
-
-    marginal = (abs(s1) < RH_MARGINAL_EPS * max(abs(t1), abs(t2))
-                or abs(s2) < RH_MARGINAL_EPS
-                * (2.0 * (gamma + 2.0 * kappa)) * max(abs(u1), abs(u2)))
+        b1 = kappa * (four_d2 + (gamma + kappa) ** 2) + 2.0 * gamma * W
+        b2 = gamma * (four_d2 + kappa ** 2) + 8.0 * kappa * W
+        u1 = b1 * b2
+        u2 = 2.0 * (gamma + 2.0 * kappa) ** 2 * s1
+        s2 = 2.0 * (gamma + 2.0 * kappa) * (u1 - u2)
+    except OverflowError:
+        s1 = s2 = math.nan
     for name, value in (("S1", s1), ("S2", s2)):
         if not math.isfinite(value):
             raise NumericalError(
                 f"Routh-Hurwitz value {name} = {value} is not finite")
-    return rho, (s1, s2, marginal)
+    marginal = (abs(s1) < RH_MARGINAL_EPS * max(abs(t1), abs(t2))
+                or abs(s2) < RH_MARGINAL_EPS
+                * (2.0 * (gamma + 2.0 * kappa)) * max(abs(u1), abs(u2)))
+    return s1, s2, marginal
 
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -200,20 +182,17 @@ def build_models(ops, deriveds):
 
     Entry b of the returned list is the model of ops[b] with the damped
     constants deriveds[b], or the NumericalError building it raises.
-    The eigenvalues of every entry whose quartic passes
+    The eigenvalues of every entry whose Routh-Hurwitz values pass
     `_quartic_verdict` come from one stacked call (`_eigenvalues`); a
     failing stack is repeated matrix by matrix, so the error lands on
-    the entry it belongs to.  An entry whose quartic scale rho is 0 has
-    every eigenvalue exactly zero.
+    the entry it belongs to.
     """
     for derived in deriveds:
         _require_damping(derived)
     As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
     rhs = [caught(_quartic_verdict, op, d.gamma, d.kappa)
            for op, d in zip(ops, deriveds)]
-    eigs = [rh if isinstance(rh, NumericalError)
-            else np.zeros(4, dtype=complex) if rh[0] == 0.0 else None
-            for rh in rhs]
+    eigs = [rh if isinstance(rh, NumericalError) else None for rh in rhs]
     rows = [b for b, found in enumerate(eigs) if found is None]
     # a [0, 4, 4] stack, for no rows, has no eigenvalues to find
     stacked = caught(_eigenvalues,
@@ -223,5 +202,5 @@ def build_models(ops, deriveds):
     for b, found in zip(rows, stacked):
         eigs[b] = found
     return [found if isinstance(found, NumericalError)
-            else _assemble(op, derived, A, rh[1], found)
+            else _assemble(op, derived, A, rh, found)
             for op, derived, A, rh, found in zip(ops, deriveds, As, rhs, eigs)]

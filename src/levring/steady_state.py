@@ -382,57 +382,56 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
 
 
 def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
-    """The operating points the stability screen builds models for, in order.
+    """The list the stability screen walks for one cell (`_screen`).
 
-    roots is None for a decoupled input (A_q = 0 or C0 = 0): its one
-    candidate is x_s = 0 and any error there propagates.  Otherwise the
-    roots are taken in order of |x_s|, a root with negative trap
-    curvature is skipped, and a root whose residual exceeds the bound
-    ends the list.  Returns the (op, damped derived) pairs and the error
-    the screen raises once it reaches the end of the list, or None.
+    roots is None for a decoupled input (A_q = 0 or C0 = 0): the list is
+    its one candidate, x_s = 0, and any error there propagates.
+    Otherwise the roots are taken in order of |x_s|, a root with negative
+    trap curvature is skipped, and the (op, damped derived) candidates
+    are followed by the error the cell gets when none is Hurwitz: the
+    NumericalError of a root whose residual exceeds the bound, which
+    ends the candidates; else AllRootsUnstable, or NoRootInInterval when
+    no root is admissible.
     """
     if roots is None:
         op = operating_point_at(derived, delta0, c0, 0.0)
-        return [(op, derived.with_damping(op.omega_m))], None
+        return [(op, derived.with_damping(op.omega_m))]
     if not roots:
         raise NoRootInInterval(
             f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
     tol = RESIDUAL_REL_TOL * residual_scale(derived, c0)
-    pairs = []
+    entries = []
     for x_root in sorted(roots, key=abs):
         try:
             op = operating_point_at(derived, delta0, c0, x_root)
         except UnstableTrap:
             continue
         if abs(op.residual) > tol:
-            return pairs, NumericalError(
-                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")
-        pairs.append((op, derived.with_damping(op.omega_m)))
-    return pairs, None
+            return entries + [NumericalError(
+                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")]
+        entries.append((op, derived.with_damping(op.omega_m)))
+    if entries:
+        return entries + [AllRootsUnstable(
+            f"{len(entries)} root(s) found, none Hurwitz at delta0 = "
+            f"{delta0:.6e}")]
+    return [NoRootInInterval(f"no admissible root at delta0 = {delta0:.6e}")]
 
 
-def _screen(models, end_error, delta0: float, screened: bool):
-    """The first Hurwitz model of `models` (or the first, unscreened).
+def _screen(entries):
+    """The model of one cell's list, its candidates' models built.
 
-    models holds the candidates' models in screen order, or the
-    NumericalError building one raised; an error reached before an
-    accepted model is raised.  Past the last model, end_error is raised,
-    else AllRootsUnstable or NoRootInInterval.
+    entries holds, in screen order, models, the NumericalError building
+    one raised, and the cell's terminal error (`_candidates`,
+    `_resonant_plan`).  The first error reached is raised and the first
+    stable model returned; else the last entry, a decoupled cell's one
+    model, stable or not.
     """
-    unstable_seen = 0
-    for model in models:
-        if isinstance(model, NumericalError):
-            raise model
-        if model.stable or not screened:
-            return model
-        unstable_seen += 1
-    if end_error is not None:
-        raise end_error
-    if unstable_seen:
-        raise AllRootsUnstable(
-            f"{unstable_seen} root(s) found, none Hurwitz at delta0 = {delta0:.6e}")
-    raise NoRootInInterval(
-        f"no admissible root at delta0 = {delta0:.6e}")
+    for entry in entries:
+        if isinstance(entry, LevringError):
+            raise entry
+        if entry.stable:
+            return entry
+    return entry
 
 
 def _bisect_all(fun, a, b, fa, tol_x):
@@ -519,26 +518,24 @@ def _shared(cells, names):
     return ref
 
 
-def _screen_plans(cells, plans, screened):
+def _screen_plans(plans):
     """`_screen` over the plans of a grid of cells.
 
-    plans[i] is cell i's (pairs, end_error), as `_candidates` returns
-    them, or the error making them raised; screened[i] says
-    whether cell i's models are screened.  The models of every cell's
-    candidates are built at the call, in one batch
-    (`dynamics.build_models`); entry i of the returned iterator is the
-    model `_screen` accepts for cell i, or the NumericalError it raises,
-    and each cell is screened as it is reached.
+    plans[i] is cell i's list, as `_candidates` or `_resonant_plan`
+    returns it, or the error making it raised.  The models of every
+    cell's candidates are built in one batch (`dynamics.build_models`);
+    entry i of the returned list is the model `_screen` accepts for
+    cell i, or the NumericalError it raises.
     """
-    plans = [([], plan) if isinstance(plan, LevringError) else plan
+    plans = [[plan] if isinstance(plan, LevringError) else plan
              for plan in plans]
-    pairs = [pair for cell_pairs, _ in plans for pair in cell_pairs]
+    pairs = [entry for plan in plans for entry in plan
+             if not isinstance(entry, LevringError)]
     built = iter(dynamics.build_models([op for op, _ in pairs],
                                        [d for _, d in pairs]))
-    return (caught(_screen, [next(built) for _ in cell_pairs], end_error,
-                   delta0, screen)
-            for (cell_pairs, end_error), (_, delta0, _), screen
-            in zip(plans, cells, screened))
+    return [caught(_screen, [entry if isinstance(entry, LevringError)
+                             else next(built) for entry in plan])
+            for plan in plans]
 
 
 def solve_models(cells):
@@ -546,8 +543,8 @@ def solve_models(cells):
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive and kappa; the cells of a stability map differ only
-    in delta0, c0, A_q and the ring charge.  Returns an iterator whose
-    entry i is the model screened at cell i's selected root, or the
+    in delta0, c0, A_q and the ring charge.  Returns a list whose entry
+    i is the model screened at cell i's selected root, or the
     NumericalError it raises; a point is the one-cell grid.
 
     Among a cell's roots, taken in order of |x_s|, the first whose drift
@@ -578,7 +575,7 @@ def solve_models(cells):
                                               params)))
     plans = [caught(_candidates, *cell, roots.get(i))
              for i, cell in enumerate(cells)]
-    return _screen_plans(cells, plans, [i in roots for i in range(len(cells))])
+    return _screen_plans(plans)
 
 
 def solve_xs(derived: DerivedParams, delta0: float,
@@ -615,15 +612,15 @@ def _mismatch(derived: DerivedParams):
 
 
 def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
-    """The one-candidate screen plan of the resonance root on the
-    half-grid, roots ascending as `_grid_roots` gives them.
+    """The screen list of the resonance root on the half-grid, roots
+    ascending as `_grid_roots` gives them.
 
     x_root is the first root other than the grid zero x = 0 (a bisected
     root is never exactly 0.0); with none, NoResonantSolution.  The
     candidate is the operating point at the mirror of x_root on the
     side of -C0, with the constants carrying the solved charge and the
-    damping there; its end error is the UnstableResonance a non-Hurwitz
-    model gives.
+    damping there, followed by the UnstableResonance a non-Hurwitz model
+    gives.
     """
     x_root = next((x for x in roots if x != 0.0), None)
     if x_root is None:
@@ -648,8 +645,8 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
     resolved = dataclasses.replace(derived, A_q=a_q,
                                    ring_charge=a_q * geom / derived.q_mcp)
     op = operating_point_at(resolved, delta0, c0, x_s)
-    return ([(op, resolved.with_damping(op.omega_m))], UnstableResonance(
-        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz"))
+    return [(op, resolved.with_damping(op.omega_m)), UnstableResonance(
+        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")]
 
 
 def solve_resonant_models(cells):
@@ -657,9 +654,9 @@ def solve_resonant_models(cells):
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive, kappa and mass, the constants of the resonance
-    condition.  Returns an iterator whose entry i is the screened model
-    at cell i's resonant point, or the NumericalError it raises; a point
-    is the one-cell grid.
+    condition.  Returns a list whose entry i is the screened model at
+    cell i's resonant point, or the NumericalError it raises; a point is
+    the one-cell grid.
 
     Strategy: at fixed Delta0 solve the resonance condition (in cleared
     form, 8 hbar g k^2 E^2 cos(2kx) / (kappa^2 + 4 Delta(x)^2) =
@@ -690,7 +687,7 @@ def solve_resonant_models(cells):
         for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
                                                  params)):
             plans[i] = caught(_resonant_plan, *cells[i], roots)
-    return _screen_plans(cells, plans, [True] * len(cells))
+    return _screen_plans(plans)
 
 
 def _mean_field_step(derived: DerivedParams, delta0: float):

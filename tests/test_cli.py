@@ -578,10 +578,10 @@ class TestExitCodes:
         ({}, ["entanglement", "--ring-mode", "resonant", "--grid-min",
               "1e120", "--grid-max", "1e120", "--grid-n", "1"], 2,
          "numerical error: no sweep point", "NoResonantSolution"),
-        # the decoupled c0 = 0 column: its quartic coefficients overflow
+        # the decoupled c0 = 0 column: its Routh-Hurwitz value S2 overflows
         ({}, ["stability-map", "--grid-min", "1e120", "--grid-max", "1e120",
               "--grid-n", "1", "--p2-n", "1"], 0, None,
-         "NumericalError: characteristic quartic"),
+         "NumericalError: Routh-Hurwitz value S2 = inf is not finite"),
         # (|Delta0| + g)^2 is finite, 4 Delta(x)^2 is not
         ({"detuning_over_kappa": "1.2e148"},
          ["steady-state", "--ring-mode", "resonant"], 1,
@@ -613,21 +613,22 @@ class TestExitCodes:
          ["spectrum", "--grid-n", "5"], 2,
          "numerical error: output spectrum is not finite within grid "
          "[-2.825e+06, 2.825e+06]\n", None),
-        # finite constants, but the quartic scale's fourth power overflows
+        # finite constants, but S2 overflows at the solved point
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["steady-state"], 2,
-         "numerical error: characteristic quartic of scale 3.398e+85 rad/s "
-         "overflows", None),
+         "numerical error: Routh-Hurwitz value S2 = inf is not finite\n",
+         None),
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["spectrum", "--grid-n", "5"], 2,
-         "numerical error: characteristic quartic", None),
+         "numerical error: Routh-Hurwitz value S2 = inf is not finite\n",
+         None),
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["entanglement", "--grid-n", "3"], 2,
          "numerical error: no sweep point",
-         "NumericalError: characteristic quartic"),
+         "NumericalError: Routh-Hurwitz value S2 = inf is not finite"),
         ({"ring_offset_c0_nm": "100", "ring_field_v_per_m": "1e170"},
          ["stability-map", "--grid-n", "3", "--p2-n", "3"], 0, None,
-         "NumericalError: characteristic quartic"),
+         "NumericalError: Routh-Hurwitz value S2 = inf is not finite"),
         # the covariance's determinants overflow: a row error, not a
         # traceback from squaring sigma
         ({"temperature_k": "1e300"}, ["entanglement", "--grid-n", "3"], 2,
@@ -723,30 +724,39 @@ class TestExitCodes:
             f"config error: --grid-min {float(lo)} and --grid-max "
             f"{float(hi)} give no increasing grid\n"))
 
-    @pytest.mark.parametrize("argv, options", [
-        (["spectrum", "--grid-min", "-1e308", "--grid-max", "1e308"],
+    @pytest.mark.parametrize("config, argv, options", [
+        (None, ["spectrum", "--grid-min", "-1e308", "--grid-max", "1e308"],
          ["--grid-min", "--grid-max"]),
-        (["entanglement", "--grid-min", "-1e308", "--grid-max", "1e308"],
+        (None, ["entanglement", "--grid-min", "-1e308", "--grid-max",
+                "1e308"], ["--grid-min", "--grid-max"]),
+        (None, ["stability-map", "--grid-min", "-1e308", "--grid-max",
+                "1e308"], ["--grid-min", "--grid-max"]),
+        (None, ["stability-map", "--param2", "c0_over_lambda", "--p2-min",
+                "-1e308", "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
+        (None, ["stability-map", "--param2", "charge_scale", "--p2-min",
+                "-1e308", "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
+        (None, ["spectrum", "--grid-max", "1e308"],
          ["--grid-min", "--grid-max"]),
-        (["stability-map", "--grid-min", "-1e308", "--grid-max", "1e308"],
+        (None, ["spectrum", "--grid-max", "1e33"],
          ["--grid-min", "--grid-max"]),
-        (["stability-map", "--param2", "c0_over_lambda", "--p2-min",
-          "-1e308", "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
-        (["stability-map", "--param2", "charge_scale", "--p2-min", "-1e308",
-          "--p2-max", "1e308"], ["--p2-min", "--p2-max"]),
-        (["spectrum", "--grid-max", "1e308"], ["--grid-min", "--grid-max"]),
-        (["spectrum", "--grid-max", "1e33"], ["--grid-min", "--grid-max"]),
-        (["spectrum", "--grid-max", "1e40"], ["--grid-min", "--grid-max"]),
+        (None, ["spectrum", "--grid-max", "1e40"],
+         ["--grid-min", "--grid-max"]),
+        # fig2 at a fixed charge has no force-balance root: the grid is
+        # checked before the solve
+        ("fig2.cfg", ["spectrum", "--grid-max", "1e40"],
+         ["--grid-min", "--grid-max"]),
     ], ids=["spectrum-span", "entanglement-span", "stability-map-span",
             "p2-span-c0_over_lambda", "p2-span-charge_scale",
             "spectrum-rad-per-s", "spectrum-eighth-power-1e33",
-            "spectrum-eighth-power-1e40"])
+            "spectrum-eighth-power-1e40", "spectrum-before-the-solve"])
     def test_overflowing_grid_exits_one(self, cfg_file, tmp_path, capsys,
-                                        argv, options):
+                                        config, argv, options):
         # finite bounds whose span, or whose largest value in rad/s,
         # overflows are validation errors naming the options, raised
         # before any array is built: no RuntimeWarning, no nan or inf
         out = tmp_path / "out.csv"
+        if config is not None:
+            cfg_file = str(ROOT / "configs" / config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*argv, "--grid-n", "3", "--config", cfg_file,

@@ -201,7 +201,7 @@ def test_batched_models_equal_single_builds():
     # one eigvals call for the batch, bit for bit the models that
     # build_model, the one-entry batch, gives one at a time, in input
     # order: stacking leaves the bits alone; the all-zero
-    # quartic (rho = 0) and G = 0 draws included
+    # drift matrix and G = 0 draws included
     rng = np.random.default_rng(12)
     ops, deriveds = [], []
     for k in range(400):
@@ -231,24 +231,30 @@ def test_batched_models_equal_single_builds():
 
 
 def test_overflowing_quartic_is_numerical_error():
-    # finite operating points whose quartic scale rho has a fourth power
-    # past the float range, or whose coefficient W c overflows: build_model
-    # raises a NumericalError, and the batch records the same error in
-    # those entries while the others keep their bits
+    # finite operating points whose Routh-Hurwitz values overflow: a
+    # product past the float range (omega_m ~ 1e80, or delta ~ 1e153),
+    # or a `**` that would raise OverflowError (delta ~ 1e160), which
+    # leaves S1 and S2 nan.  build_model raises a NumericalError naming
+    # the value, and the batch records the same error in those entries
+    # while the others keep their bits
     good = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
     bad = [synthetic_op(1e80, 1e80, 0.8 * KAP, -0.3 * KAP),
-           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e153, 0.0)]
+           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e153, 0.0),
+           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e160, 0.0)]
     derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
-    messages = [f"characteristic quartic of scale {rho} rad/s overflows"
-                for rho in ("1.000e+80", "inf")]
+    messages = [f"Routh-Hurwitz value {name} = {value} is not finite"
+                for name, value in (("S2", "inf"), ("S1", "inf"),
+                                    ("S1", "nan"))]
     for op, message in zip(bad, messages):
         with pytest.raises(NumericalError) as err:
             build_model(op, derived)
+        assert type(err.value) is NumericalError
         assert str(err.value) == message
-    got = list(build_models([good, bad[0], good, bad[1]], [derived] * 4))
+    got = list(build_models([good, bad[0], good, bad[1], good, bad[2]],
+                            [derived] * 6))
     want = build_model(good, derived).verdict.eigenvalues
     for model in got[::2]:
-        assert np.array_equal(model.verdict.eigenvalues, want)
+        assert model.verdict.eigenvalues.tobytes() == want.tobytes()
     assert [str(e) for e in got[1::2]] == messages
     assert all(type(e) is NumericalError for e in got[1::2])
 

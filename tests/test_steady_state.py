@@ -17,7 +17,8 @@ from levring.constants import CODATA2018
 from levring.dynamics import build_model
 from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
-                            NotConverged, NumericalError, UnstableTrap, one)
+                            NotConverged, NumericalError, UnstableResonance,
+                            UnstableTrap, one)
 from levring.model import delta0_from_config, derive_constants
 from levring.pipeline import ring_field_value, solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
@@ -430,15 +431,19 @@ class TestResonantRing:
 
     def test_plan_takes_the_first_root_off_the_grid_zero(self):
         # the one site of the resonance root rule: the grid zero x = 0 is
-        # skipped, the next root taken; none left is NoResonantSolution
+        # skipped, the next root taken; none left is NoResonantSolution.
+        # The list is the one candidate, then the cell's error when it is
+        # not Hurwitz
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
         derived = derive_constants(cfg)
         cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
         solved = one(solve_resonant_models([cell]))
         r = -solved.op.x_s
+        unstable = f"resonant point at delta0 = {cell[1]:.6e} is not Hurwitz"
         for roots in ([0.0, r], [r], [r, 2.0 * r]):
-            [(op, damped)], _ = steady_state._resonant_plan(*cell, roots)
+            [(op, damped), end] = steady_state._resonant_plan(*cell, roots)
             assert op == solved.op and damped == solved.derived
+            assert type(end) is UnstableResonance and str(end) == unstable
         message = f"resonance condition has no root at delta0 = {cell[1]:.6e}"
         for roots in ([0.0], []):
             with pytest.raises(NoResonantSolution) as info:
@@ -613,7 +618,8 @@ class TestSolveModel:
         for model in models:
             coeffs = np.array(dynamics.char_poly_coefficients(
                 model.op, model.gamma, model.kappa))
-            rho = dynamics._quartic_scale(model.op, model.gamma, model.kappa)
+            # the root scale of the quartic
+            rho = np.max(np.abs(coeffs) ** (1.0 / np.arange(1, 5)))
             scale = rho ** np.arange(1, 5)
             assert np.all(np.abs(np.poly(model.A)[1:] - coeffs)
                           <= 1e-12 * scale), model.op
@@ -1102,6 +1108,76 @@ def assert_same_resonant_outcomes(cells):
     return collections.Counter(
         assert_same_outcome(g, cell, solve_resonant_models)
         for g, cell in zip(got, cells))
+
+
+class TestScreen:
+    """The one list a cell's screen walks, and `_screen` on each shape."""
+
+    @pytest.fixture(scope="class")
+    def models(self, fig1):
+        # fig1's stable model, and the unstable one at the opposite
+        # detuning
+        cfg, derived, delta0 = fig1
+        stable = one(solve_models([(derived, delta0, cfg.ring_offset_c0)]))
+        unstable = build_model(dataclasses.replace(
+            stable.op, delta_eff=-stable.op.delta_eff), stable.derived)
+        assert stable.stable and not unstable.stable
+        return stable, unstable
+
+    def test_candidates_end_on_the_cell_error(self, fig1, models):
+        cfg, derived, delta0 = fig1
+        cell = (derived, delta0, cfg.ring_offset_c0)
+        stable, _ = models
+        r = stable.op.x_s
+        at = f"at delta0 = {delta0:.6e}"
+        [(op, damped), end] = steady_state._candidates(*cell, [r])
+        assert op == stable.op and damped == stable.derived
+        assert type(end) is AllRootsUnstable
+        assert str(end) == f"1 root(s) found, none Hurwitz {at}"
+        # a root of negative trap curvature is skipped
+        outside = 0.3 * cfg.wavelength
+        [end] = steady_state._candidates(*cell, [outside])
+        assert type(end) is NoRootInInterval
+        assert str(end) == f"no admissible root {at}"
+        [(op, _), end] = steady_state._candidates(*cell, [outside, r])
+        assert op == stable.op and type(end) is AllRootsUnstable
+        # a residual past the bound ends the candidates (k x_s = -0.54,
+        # so 1.2 x_s and 1.3 x_s lie in the trap but are not roots)
+        [(op, _), end] = steady_state._candidates(*cell, [1.2 * r, r,
+                                                          1.3 * r])
+        assert op == stable.op and type(end) is NumericalError
+        assert str(end).startswith("root refinement residual ")
+        with pytest.raises(NoRootInInterval, match="no force-balance root"):
+            steady_state._candidates(*cell, [])
+        # a decoupled cell's list is its one candidate
+        [(op, _)] = steady_state._candidates(derived, delta0, 0.0, None)
+        assert op.x_s == 0.0
+
+    def test_first_error_reached_is_raised(self, models):
+        stable, unstable = models
+        screen = steady_state._screen
+        residual = NumericalError("root refinement residual")
+        built = NumericalError("drift matrix has a non-finite eigenvalue")
+        for entries, error in (([unstable, residual], residual),
+                               ([unstable, built, stable, residual], built),
+                               ([built, stable, residual], built)):
+            with pytest.raises(NumericalError) as info:
+                screen(entries)
+            assert info.value is error
+        assert screen([stable, residual]) is stable
+        assert screen([unstable, stable, built, residual]) is stable
+
+    def test_decoupled_list_returns_its_model(self, models):
+        for model in models:
+            assert steady_state._screen([model]) is model
+
+    def test_resonant_list_raises_only_when_unstable(self, models):
+        stable, unstable = models
+        end = UnstableResonance("resonant point is not Hurwitz")
+        assert steady_state._screen([stable, end]) is stable
+        with pytest.raises(UnstableResonance) as info:
+            steady_state._screen([unstable, end])
+        assert info.value is end
 
 
 class TestSolveResonantModels:
