@@ -19,6 +19,7 @@ import itertools
 import math
 import re
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -71,11 +72,12 @@ ONE_OF_GROUPS = [
 def _read_items(path: str):
     """Raw key -> (value string, line number), with duplicate detection.
 
-    Each line is decoded as UTF-8 on its own, so a line that is not
-    UTF-8 is a ParseError naming it.
+    One leading UTF-8 byte-order mark is dropped.  Each line is decoded
+    as UTF-8 on its own, so a line that is not UTF-8 is a ParseError
+    naming it.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     items = {}
     for lineno, raw in enumerate(lines, start=1):
         try:
@@ -135,6 +137,12 @@ def parse_config(path: str) -> SystemConfig:
 
 def canonical_config_line(items) -> str:
     return " ".join(f"{k}={items[k][0]}" for k in sorted(items))
+
+
+def _load(path: str):
+    """The validated config in `path` and its `# config:` line."""
+    items = _read_items(path)
+    return _config_from_items(items), canonical_config_line(items)
 
 
 def _fmt(value) -> str:
@@ -235,6 +243,13 @@ def write_svg(path, x, curves, xlabel, ylabel, baseline):
         fh.write("\n".join(parts) + "\n")
 
 
+def _add_grid(parser, prefix: str, lo: float, hi: float, n: int) -> None:
+    """Declare the --<prefix>-min/-max/-n options that `_grid` reads."""
+    parser.add_argument(f"--{prefix}-min", type=float, default=lo)
+    parser.add_argument(f"--{prefix}-max", type=float, default=hi)
+    parser.add_argument(f"--{prefix}-n", type=int, default=n)
+
+
 def _grid(args, prefix: str) -> np.ndarray:
     """np.linspace over the --<prefix>-min/-max/-n options, once they hold.
 
@@ -265,8 +280,7 @@ def _eighth_power(x: float) -> float:
 # ---------------------------------------------------------------- commands
 
 def cmd_steady_state(args) -> int:
-    items = _read_items(args.config)
-    cfg = _config_from_items(items)
+    cfg, config_line = _load(args.config)
     sol = solve_point(cfg, ring_mode=args.ring_mode)
     derived, op, model = sol.derived, sol.op, sol.model
     delta0 = delta0_from_config(cfg, derived)
@@ -333,8 +347,7 @@ def cmd_steady_state(args) -> int:
                 ("S1", v.s1), ("S2", v.s2),
                 ("rh_stable", v.rh_stable), ("eig_stable", v.eig_stable),
                 ("E_x_at_xs", sol.field_at_xs)] + verify_rows
-        _emit_csv(args.out, canonical_config_line(items),
-                  ["quantity", "value"], rows)
+        _emit_csv(args.out, config_line, ["quantity", "value"], rows)
     return 0
 
 
@@ -343,8 +356,7 @@ def cmd_spectrum(args) -> int:
     if np.any(np.diff(omega_over_kappa) <= 0.0):    # as spectrum_sweep needs
         raise ValidationError(f"--grid-min {args.grid_min} and --grid-max "
                               f"{args.grid_max} give no increasing grid")
-    items = _read_items(args.config)
-    cfg = _config_from_items(items)
+    cfg, config_line = _load(args.config)
     # the grid is checked before the solve, on the kappa of the constants,
     # which the solved model keeps.  On Python floats an overflow is a
     # silent inf, and the largest |omega / kappa| gives the largest
@@ -364,12 +376,11 @@ def cmd_spectrum(args) -> int:
     sol = solve_point(cfg, ring_mode=args.ring_mode)
     grid = omega_over_kappa * kappa
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
-    rows = list(zip(table.omega_over_kappa, table.S_XX, table.S_YY,
-                    table.S_XX_norm, table.S_YY_norm,
-                    [table.unstable] * len(table)))
-    _emit_csv(args.out, canonical_config_line(items),
-              ["omega_over_kappa", "S_XX", "S_YY", "S_XX_norm", "S_YY_norm",
-               "unstable"], rows)
+    columns = ("omega_over_kappa", "S_XX", "S_YY", "S_XX_norm", "S_YY_norm",
+               "unstable")
+    # the one `unstable` flag is broadcast to every row
+    _emit_csv(args.out, config_line, columns,
+              zip(*np.broadcast_arrays(*attrgetter(*columns)(table))))
     if args.svg:
         write_svg(args.svg, table.omega_over_kappa,
                   [("S_XX", table.S_XX), ("S_YY", table.S_YY)],
@@ -380,18 +391,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_entanglement(args) -> int:
     grid = _grid(args, "grid")
-    items = _read_items(args.config)
-    cfg = _config_from_items(items)
+    cfg, config_line = _load(args.config)
     rows = entanglement_sweep(cfg, grid, ring_mode=args.ring_mode)
-    csv_rows = [(r.delta0_over_kappa, r.E_n, r.stable, r.x_s, r.omega_m,
-                 r.Q_used, r.E_x, r.error) for r in rows]
-    _emit_csv(args.out, canonical_config_line(items),
-              ["delta0_over_kappa", "E_n", "stable", "x_s", "omega_m",
-               "Q_used", "E_x", "error"], csv_rows)
+    columns = ("delta0_over_kappa", "E_n", "stable", "x_s", "omega_m",
+               "Q_used", "E_x", "error")
+    _emit_csv(args.out, config_line, columns, map(attrgetter(*columns), rows))
     if args.svg:
-        xs = np.array([r.delta0_over_kappa for r in rows])
-        ys = np.array([r.E_n if r.E_n is not None else np.nan for r in rows])
-        write_svg(args.svg, xs, [("E_n", ys)],
+        # E_n None, no stationary state, is a missing (nan) point
+        write_svg(args.svg, grid, [("E_n", [r.E_n for r in rows])],
                   xlabel="Delta0 / kappa", ylabel="E_n", baseline=0.0)
     if all(r.E_n is None for r in rows):
         raise NumericalError("no sweep point produced a stationary state")
@@ -401,8 +408,7 @@ def cmd_entanglement(args) -> int:
 def cmd_stability_map(args) -> int:
     d0_grid = _grid(args, "grid")
     p2_grid = _grid(args, "p2")
-    items = _read_items(args.config)
-    cfg = _config_from_items(items)
+    cfg, config_line = _load(args.config)
     cells = solve_grid(cfg, d0_grid, (args.param2, p2_grid))
     rows = []
     for (d0, p2), cell in zip(itertools.product(d0_grid, p2_grid), cells):
@@ -411,7 +417,7 @@ def cmd_stability_map(args) -> int:
         else:
             v = cell.verdict
             rows.append((d0, p2, v.s1, v.s2, v.rh_stable, v.eig_stable, ""))
-    _emit_csv(args.out, canonical_config_line(items),
+    _emit_csv(args.out, config_line,
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",
                "eig_stable", "error"], rows)
     return 0
@@ -441,50 +447,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None,
                        help="CSV output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
 
     def add_ring_mode(p):
         p.add_argument("--ring-mode", choices=RING_MODES,
                        default="fixed_charge")
 
-    p = sub.add_parser("steady-state", help="solve the operating point")
-    add_common(p)
+    p = add_command("steady-state", cmd_steady_state,
+                    "solve the operating point")
     add_ring_mode(p)
     p.add_argument("--verify", action="store_true",
                    help="cross-check x_s against the mean-field integrator")
-    p.set_defaults(func=cmd_steady_state)
 
-    p = sub.add_parser("spectrum", help="output quadrature spectra")
-    add_common(p)
-    add_ring_mode(p)
-    p.add_argument("--grid-min", type=float, default=-3.0)
-    p.add_argument("--grid-max", type=float, default=3.0)
-    p.add_argument("--grid-n", type=int, default=3001)
-    p.add_argument("--svg", default=None, help="also write an SVG line plot")
-    p.set_defaults(func=cmd_spectrum)
+    for name, func, summary, grid in (
+            ("spectrum", cmd_spectrum, "output quadrature spectra",
+             (-3.0, 3.0, 3001)),
+            ("entanglement", cmd_entanglement, "log-negativity detuning sweep",
+             (0.05, 1.0, 200))):
+        p = add_command(name, func, summary)
+        add_ring_mode(p)
+        _add_grid(p, "grid", *grid)
+        p.add_argument("--svg", default=None, help="also write an SVG line plot")
 
-    p = sub.add_parser("entanglement", help="log-negativity detuning sweep")
-    add_common(p)
-    add_ring_mode(p)
-    p.add_argument("--grid-min", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=200)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_entanglement)
-
-    p = sub.add_parser("stability-map", help="S1/S2/eigenvalue map over a 2D grid")
-    add_common(p)
-    p.add_argument("--grid-min", type=float, default=-1.0)
-    p.add_argument("--grid-max", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=41)
+    p = add_command("stability-map", cmd_stability_map,
+                    "S1/S2/eigenvalue map over a 2D grid")
+    _add_grid(p, "grid", -1.0, 1.0, 41)
     p.add_argument("--param2", choices=AXES, default="c0_over_lambda")
-    p.add_argument("--p2-min", type=float, default=0.0)
-    p.add_argument("--p2-max", type=float, default=2.0)
-    p.add_argument("--p2-n", type=int, default=21)
-    p.set_defaults(func=cmd_stability_map)
+    _add_grid(p, "p2", 0.0, 2.0, 21)
     return parser
 
 

@@ -160,12 +160,6 @@ def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
     return StateSpaceModel(A=A, D=D, op=op, derived=derived, verdict=verdict)
 
 
-def _require_damping(derived: DerivedParams) -> None:
-    if derived.gamma is None or derived.Gamma_diff is None:
-        raise ValueError(
-            "derived params lack damping; call with_damping(omega_m) first")
-
-
 def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
     """Assemble drift/diffusion matrices and record both stability verdicts.
 
@@ -188,7 +182,9 @@ def build_models(ops, deriveds):
     the entry it belongs to.
     """
     for derived in deriveds:
-        _require_damping(derived)
+        if derived.gamma is None or derived.Gamma_diff is None:
+            raise ValueError(
+                "derived params lack damping; call with_damping(omega_m) first")
     As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
     rhs = [caught(_quartic_verdict, op, d.gamma, d.kappa)
            for op, d in zip(ops, deriveds)]

@@ -72,15 +72,6 @@ def lyapunov_residual(model: StateSpaceModel, V: np.ndarray) -> float:
                  / np.linalg.norm(D))
 
 
-def _instability(model: StateSpaceModel) -> Optional[UnstableModel]:
-    """The error a model without a stationary state gives, or None."""
-    if model.stable:
-        return None
-    return UnstableModel(
-        f"no stationary state: max Re eigenvalue = "
-        f"{model.verdict.max_real_part:.3e}")
-
-
 def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(M, b)
@@ -140,7 +131,9 @@ def lyapunov_solves(models):
     stacked solve fails as a whole and each system is solved and refined
     on its own (`_solve_refined`).
     """
-    out = [_instability(model) for model in models]
+    out = [None if model.stable else UnstableModel(
+        f"no stationary state: max Re eigenvalue = "
+        f"{model.verdict.max_real_part:.3e}") for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
     if stable:
         M = _kron_sum(np.array([models[b].A for b in stable]))

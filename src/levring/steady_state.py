@@ -763,10 +763,7 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
     state = (x0, p0, a0.real, a0.imag)
     hbar_g, slope = CODATA2018.hbar * derived.g, _detuning(derived, 0.0, 1.0)
     times, means, amps = [], [], []
-    p_mean = 0.0
-    a_mean = 0.0 + 0.0j
     prev_mean = None
-    converged = False
     t = 0.0
     for _ in range(n_windows):
         try:
@@ -788,21 +785,19 @@ def integrate_mean_field(derived: DerivedParams, delta0: float, c0: float,
         t += window
         amp = x_max - x_min
         mean_x = x_sum / window_steps
-        p_mean = p_sum / window_steps
-        a_mean = complex(ar_sum / window_steps, ai_sum / window_steps)
         times.append(t)
         means.append(mean_x)
         amps.append(amp)
         if (amp < amp_tol and prev_mean is not None
                 and abs(mean_x - prev_mean) < mean_tol):
-            converged = True
             break
         prev_mean = mean_x
-    if not converged:
+    else:
         raise NotConverged(
             f"mean-field envelope still {amps[-1]:.3e} m wide at t = {t:.3e} s "
             f"(tolerance {amp_tol:.3e} m)")
     return MeanFieldResult(
-        x_bar=means[-1], p_bar=p_mean, a_bar=a_mean, t_final=t,
+        x_bar=means[-1], p_bar=p_sum / window_steps,
+        a_bar=complex(ar_sum / window_steps, ai_sum / window_steps), t_final=t,
         window_times=np.array(times), window_means=np.array(means),
         window_amps=np.array(amps))

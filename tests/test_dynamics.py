@@ -1,15 +1,19 @@
 """Drift matrix structure and the two stability routes."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from levring.cli import parse_config
 from levring.dynamics import (build_model, build_models,
                               char_poly_coefficients, drift_matrix)
 from levring.errors import NumericalError
 from levring.model import derive_constants
 from levring.pipeline import solve_point
 
-from conftest import (KAPPA_SCALE, random_model, reference_config,
-                      synthetic_derived, synthetic_model, synthetic_op)
+from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
+                      reference_config, synthetic_derived, synthetic_model,
+                      synthetic_op)
 
 KAP = KAPPA_SCALE
 
@@ -79,6 +83,28 @@ class TestStructure:
             direct = np.linalg.det(lam * np.eye(4) - m.A)
             poly = (((lam + a3) * lam + a2) * lam + a1) * lam + a0
             assert abs(direct - poly) < 1e-8 * abs(direct)
+
+    def test_routh_hurwitz_values_match_quartic(self):
+        # S1 and S2 come from their own expansion; they are the Hurwitz
+        # conditions of the quartic the tests match with A: S1 = 4 a0 and
+        # S2 = 128 a3 Delta3, Delta3 = a3 a2 a1 - a1^2 - a3^2 a0, exact in
+        # Fractions of the float coefficients.  fig2 at a fixed charge
+        # has no force-balance root, so no model
+        rng = np.random.default_rng(11)
+        models = [random_model(rng) for _ in range(300)]
+        for config, ring_mode in [("fig1.cfg", "fixed_charge"),
+                                  ("fig1.cfg", "resonant"),
+                                  ("fig2.cfg", "resonant")]:
+            cfg = parse_config(str(CONFIG_DIR / config))
+            models.append(solve_point(cfg, ring_mode=ring_mode).model)
+        for m in models:
+            a3, a2, a1, a0 = map(Fraction, char_poly_coefficients(
+                m.op, m.gamma, m.kappa))
+            delta3 = a3 * a2 * a1 - a1 ** 2 - a3 ** 2 * a0
+            for got, want in ((m.verdict.s1, 4 * a0),
+                              (m.verdict.s2, 128 * a3 * delta3)):
+                assert abs(Fraction(got) - want) <= Fraction(1e-10) * abs(
+                    want), (m.op, got, float(want))
 
 
 class TestEigenvalues:

@@ -7,7 +7,8 @@ subcommands on the shipped configs: the sha256 of the `--out` CSV and of
 stdout, for fig1 in both ring modes, fig2 resonant and the decoupled
 config with a fixed charge, and the same for `steady-state --verify`,
 whose mean-field relaxation adds lines to stdout and rows to the CSV;
-neither stdout may print a numpy scalar.
+neither stdout may print a numpy scalar. fig1 saved with a UTF-8
+byte-order mark must give the bytes of fig1.
 It also pins small stability maps with the
 row kinds the shipped maps lack: ConfigInvalid columns, negative offsets
 and charges, C0 = 0 and zero-charge columns, an all-decoupled config and
@@ -147,6 +148,16 @@ def test_output_matches_pinned_digest(tmp_path, subcommand, config,
                                       ring_mode):
     got = run_digests(subcommand, config, ring_mode, tmp_path / "out.csv")
     assert got == DIGESTS[(subcommand, config, ring_mode)]
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # a config saved with a UTF-8 byte-order mark, as Windows editors
+    # often save it, gives the bytes of the config without it
+    path = tmp_path / "fig1_bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / "fig1.cfg").read_bytes())
+    got = run_digests("steady-state", path, "fixed_charge",
+                      tmp_path / "out.csv")
+    assert got == DIGESTS[("steady-state", "fig1.cfg", "fixed_charge")]
 
 
 @pytest.mark.parametrize("config, ring_mode", CASES)
