@@ -15,6 +15,7 @@ output.  Exit codes: 0 success, 1 validation, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import re
@@ -145,22 +146,37 @@ def _load(path: str):
     return _config_from_items(items), canonical_config_line(items)
 
 
+def _fmt_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _fmt_float(value) -> str:
+    return repr(float(value))
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return _fmt_bool(value)
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        return _fmt_float(value)
     return str(value)
+
+
+# `_fmt` of the exact types CSV cells have, by one lookup on the type;
+# any other type, another numpy scalar say, goes through `_fmt`
+_FORMATS = {type(None): _fmt, bool: _fmt_bool, np.bool_: _fmt_bool,
+            float: repr, np.float64: _fmt_float, int: str, str: str}
 
 
 def write_csv(stream, config_line: str, columns, rows) -> None:
     stream.write(f"# config: {config_line}\n")
     stream.write(f"# version: {__version__}\n")
     stream.write(",".join(columns) + "\n")
+    fmt = _FORMATS.get
     for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
 
 
 def _emit_csv(path, config_line, columns, rows):
@@ -411,7 +427,9 @@ def cmd_stability_map(args) -> int:
     cfg, config_line = _load(args.config)
     cells = solve_grid(cfg, d0_grid, (args.param2, p2_grid))
     rows = []
-    for (d0, p2), cell in zip(itertools.product(d0_grid, p2_grid), cells):
+    # Python floats, which `write_csv` formats by its first lookup
+    for (d0, p2), cell in zip(itertools.product(d0_grid.tolist(),
+                                                p2_grid.tolist()), cells):
         if isinstance(cell, LevringError):
             rows.append((d0, p2, None, None, None, None, error_cell(cell)))
         else:
@@ -440,7 +458,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: a parse fills a new
+    namespace from the defaults, so no option carries over."""
     parser = _Parser(
         prog="simulate",
         description="Levitated-sphere ring-cavity simulator")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, caught, one
-from .model import DerivedParams
+from .model import DerivedParams, _record
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
     from .steady_state import OperatingPoint
@@ -64,19 +64,19 @@ class StateSpaceModel:
         return self.derived.kappa
 
 
+def _drift_row(op: "OperatingPoint", gamma: float, kappa: float) -> list:
+    """The drift matrix as a flat row of its 16 entries, row-major: the
+    seven structural entries, each written once, and zeros."""
+    G, d, h = op.G, op.delta_eff, -kappa / 2.0
+    return [0.0, op.omega_m, 0.0, 0.0,
+            -op.Omega_m, -gamma / 2.0, -G, 0.0,
+            0.0, 0.0, h, d,
+            -G, 0.0, -d, h]
+
+
 def drift_matrix(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
     """The 4x4 drift matrix; only its seven structural entries are set."""
-    A = np.zeros((4, 4))
-    A[0, 1] = op.omega_m
-    A[1, 0] = -op.Omega_m
-    A[1, 1] = -gamma / 2.0
-    A[1, 2] = -op.G
-    A[2, 2] = -kappa / 2.0
-    A[3, 3] = -kappa / 2.0
-    A[2, 3] = op.delta_eff
-    A[3, 2] = -op.delta_eff
-    A[3, 0] = -op.G
-    return A
+    return np.array(_drift_row(op, gamma, kappa)).reshape(4, 4)
 
 
 def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
@@ -145,19 +145,27 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(eigs, axis=-1)
 
 
+def _diffusion_row(derived: DerivedParams) -> list:
+    """diag(0, Gamma, kappa/2, kappa/2) as a flat row, like `_drift_row`."""
+    h = derived.kappa / 2.0
+    return [0.0, 0.0, 0.0, 0.0,
+            0.0, derived.Gamma_diff, 0.0, 0.0,
+            0.0, 0.0, h, 0.0,
+            0.0, 0.0, 0.0, h]
+
+
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
-              rh, eigs: np.ndarray) -> StateSpaceModel:
-    kappa = derived.kappa
-    D = np.diag([0.0, derived.Gamma_diff, kappa / 2.0, kappa / 2.0])
+              D: np.ndarray, rh, eigs: np.ndarray) -> StateSpaceModel:
     s1, s2, marginal = rh
     max_re = float(eigs[-1].real)     # eigs are sorted by real part
-    verdict = StabilityVerdict(
-        s1=float(s1), s2=float(s2),
+    verdict = _record(
+        StabilityVerdict, s1=float(s1), s2=float(s2),
         rh_stable=(s1 > 0.0 and s2 > 0.0 and not marginal),
         rh_marginal=marginal,
         eigenvalues=eigs, max_real_part=max_re,
         eig_stable=(max_re < 0.0))
-    return StateSpaceModel(A=A, D=D, op=op, derived=derived, verdict=verdict)
+    return _record(StateSpaceModel, A=A, D=D, op=op, derived=derived,
+                   verdict=verdict)
 
 
 def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
@@ -185,18 +193,21 @@ def build_models(ops, deriveds):
         if derived.gamma is None or derived.Gamma_diff is None:
             raise ValueError(
                 "derived params lack damping; call with_damping(omega_m) first")
-    As = [drift_matrix(op, d.gamma, d.kappa) for op, d in zip(ops, deriveds)]
+    # one stack of each matrix for the batch, entry b its [b] slice; a
+    # [0, 4, 4] stack, for no entries or no rows, has no eigenvalues
+    A = np.array([_drift_row(op, d.gamma, d.kappa)
+                  for op, d in zip(ops, deriveds)]).reshape(-1, 4, 4)
+    D = np.array([_diffusion_row(d) for d in deriveds]).reshape(-1, 4, 4)
     rhs = [caught(_quartic_verdict, op, d.gamma, d.kappa)
            for op, d in zip(ops, deriveds)]
     eigs = [rh if isinstance(rh, NumericalError) else None for rh in rhs]
     rows = [b for b, found in enumerate(eigs) if found is None]
-    # a [0, 4, 4] stack, for no rows, has no eigenvalues to find
-    stacked = caught(_eigenvalues,
-                     np.array([As[b] for b in rows]).reshape(-1, 4, 4))
+    stacked = caught(_eigenvalues, A[rows])
     if isinstance(stacked, NumericalError):  # name the failing entries
-        stacked = [caught(_eigenvalues, As[b]) for b in rows]
+        stacked = [caught(_eigenvalues, A[b]) for b in rows]
     for b, found in zip(rows, stacked):
         eigs[b] = found
     return [found if isinstance(found, NumericalError)
-            else _assemble(op, derived, A, rh, found)
-            for op, derived, A, rh, found in zip(ops, deriveds, As, rhs, eigs)]
+            else _assemble(op, derived, A[b], D[b], rh, found)
+            for b, (op, derived, rh, found)
+            in enumerate(zip(ops, deriveds, rhs, eigs))]

@@ -36,6 +36,16 @@ _MIN_RING_OVER_SPHERE_RADIUS = 100.0
 _MAX_OFFSET_OVER_CAVITY_LENGTH = 0.01
 
 
+def _record(cls, base=(), **fields):
+    """A frozen dataclass `cls` whose instance dict is `base` updated with
+    `fields`, as `cls(**base, **fields)` would build it from all its
+    fields: one dict update, where __init__ calls object.__setattr__
+    once per field.  No __post_init__ runs."""
+    record = object.__new__(cls)
+    record.__dict__.update(base, **fields)
+    return record
+
+
 def _guarded(fun, *args):
     """fun(*args), or nan where its Python-float arithmetic raises an
     ArithmeticError (a `**` that overflows, a division by zero).  That
@@ -162,12 +172,10 @@ class DerivedParams:
         if self.damping_at is None:
             raise ValueError("no damping closure attached to these parameters")
         gph, ggas, gam, Gam = self.damping_at(omega_m)
-        # a copy of the instance dict: `dataclasses.replace` would rerun
-        # __init__ over all nineteen fields, once per candidate root
-        done = object.__new__(type(self))
-        done.__dict__.update(self.__dict__, gamma_ph=gph, gamma_gas=ggas,
-                             gamma=gam, Gamma_diff=Gam)
-        return done
+        # `dataclasses.replace` would rerun __init__ over all nineteen
+        # fields, once per candidate root
+        return _record(type(self), self.__dict__, gamma_ph=gph,
+                       gamma_gas=ggas, gamma=gam, Gamma_diff=Gam)
 
 
 def resolve_ring_charge(cfg: SystemConfig) -> float:
@@ -243,24 +251,40 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
     arithmetic raises), so one `_guard`, that Gamma_diff has a finite
     square (the Lyapunov residual squares it), covers all four.
     """
-    if not omega_m > 0.0:
-        raise NonPositiveFrequency(f"omega_m = {omega_m} must be positive")
+    return _damping(cfg)(omega_m)
+
+
+def _damping(cfg: SystemConfig):
+    """`damping_and_diffusion` of cfg as a function of omega_m, its
+    omega_m-free factors formed once: gamma_gas, and the photon-recoil
+    prefix up to `* omega_m`.  Each is the leading product of the same
+    left-to-right expression, so the rates keep their bits; a factor
+    whose arithmetic raises is nan, and so is Gamma_diff at every
+    omega_m, which the guard rejects."""
     eps = cfg.permittivity
-    V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
-    mass = cfg.density * V_s
     hbar, kBT = CODATA2018.hbar, CODATA2018.kB * cfg.temperature
     try:
-        gamma_ph = ((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
-                    * (V_s / cfg.wavelength ** 3) * omega_m
-                    * (hbar * omega_m / kBT))
+        V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
+        mass = cfg.density * V_s
+        recoil = ((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
+                  * (V_s / cfg.wavelength ** 3))
         gamma_gas = (4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure
                      / (mass * math.sqrt(3.0 * kBT / cfg.gas_molecule_mass)))
-        gamma = gamma_ph + gamma_gas
-        Gamma_diff = gamma * kBT / (hbar * omega_m)
     except ArithmeticError:
-        Gamma_diff = math.nan
-    _guard("Gamma_diff", Gamma_diff, "finite square", cfg, omega_m)
-    return gamma_ph, gamma_gas, gamma, Gamma_diff
+        recoil = gamma_gas = math.nan
+
+    def damping_at(omega_m: float):
+        if not omega_m > 0.0:
+            raise NonPositiveFrequency(f"omega_m = {omega_m} must be positive")
+        try:
+            gamma_ph = recoil * omega_m * (hbar * omega_m / kBT)
+            gamma = gamma_ph + gamma_gas
+            Gamma_diff = gamma * kBT / (hbar * omega_m)
+        except ArithmeticError:
+            Gamma_diff = math.nan
+        _guard("Gamma_diff", Gamma_diff, "finite square", cfg, omega_m)
+        return gamma_ph, gamma_gas, gamma, Gamma_diff
+    return damping_at
 
 
 # What each guarded quantity is computed from: config fields, and other
@@ -376,11 +400,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
               * e_over_kappa * e_over_kappa), "finite square", cfg)
     _guard("kappa^2", kappa * kappa, "normal", cfg)
 
-    def damping_at(omega_m: float):
-        return damping_and_diffusion(cfg, omega_m)
-
     return DerivedParams(**c, ring_radius=cfg.ring_radius,
-                         damping_at=damping_at, cfg=cfg)
+                         damping_at=_damping(cfg), cfg=cfg)
 
 
 def check_detuning(delta0: float, derived: DerivedParams, name: str) -> float:

@@ -34,7 +34,6 @@ integrator used as an independent dynamical check on the root finder.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -51,7 +50,7 @@ from .errors import (AllRootsUnstable, LevringError,
                      NoResonantSolution, NoRootInInterval, NotConverged,
                      NumericalError, UnstableResonance, UnstableTrap, caught,
                      one)
-from .model import DerivedParams, _guard, _guarded
+from .model import DerivedParams, _guard, _guarded, _record
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
@@ -199,10 +198,11 @@ def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> comp
 
 
 def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
-                       x_s: float) -> OperatingPoint:
+                       x_s: float, balance=None) -> OperatingPoint:
     """Close the steady-state definitions over a given displacement, on
     Python floats; the residual is `_balance` on the same cos^2(kx) and
-    sin(2kx).
+    sin(2kx).  balance, if given, is the `_balance` of constants that
+    share k, g, E_drive and kappa with derived, formed once per grid.
 
     Omega_m = omega_m + A_q / (m omega_m) passes `_guard`: unless it is
     finite, ConfigInvalid names it and its config fields."""
@@ -220,11 +220,11 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
     _guard("Omega_m", Omega_m, "finite", derived.cfg, omega_m)
     G = (math.sqrt(2.0 * CODATA2018.hbar / (derived.mass * omega_m))
          * derived.k * derived.g * a_s * sin_2kx)
-    return OperatingPoint(
-        x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,
+    return _record(
+        OperatingPoint, x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,
         delta_eff=delta_eff, G=G, A_q=derived.A_q,
-        residual=_balance(derived)(x_s, cos2, sin_2kx,
-                                   (delta0, c0, derived.A_q)))
+        residual=(balance or _balance(derived))(
+            x_s, cos2, sin_2kx, (delta0, c0, derived.A_q)))
 
 
 # trig(2kx) of each scan as (Python-float, array) functions: sin(2kx) in
@@ -381,8 +381,10 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     return _grid_roots(derived.k, False, _balance(derived), params)[0]
 
 
-def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
-    """The list the stability screen walks for one cell (`_screen`).
+def _candidates(derived: DerivedParams, delta0: float, c0: float, roots,
+                balance=None):
+    """The list the stability screen walks for one cell (`_screen`);
+    balance is as in `operating_point_at`.
 
     roots is None for a decoupled input (A_q = 0 or C0 = 0): the list is
     its one candidate, x_s = 0, and any error there propagates.
@@ -394,7 +396,7 @@ def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
     no root is admissible.
     """
     if roots is None:
-        op = operating_point_at(derived, delta0, c0, 0.0)
+        op = operating_point_at(derived, delta0, c0, 0.0, balance)
         return [(op, derived.with_damping(op.omega_m))]
     if not roots:
         raise NoRootInInterval(
@@ -403,7 +405,7 @@ def _candidates(derived: DerivedParams, delta0: float, c0: float, roots):
     entries = []
     for x_root in sorted(roots, key=abs):
         try:
-            op = operating_point_at(derived, delta0, c0, x_root)
+            op = operating_point_at(derived, delta0, c0, x_root, balance)
         except UnstableTrap:
             continue
         if abs(op.residual) > tol:
@@ -564,6 +566,9 @@ def solve_models(cells):
     """
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
+    if ref is None:
+        return []
+    balance = _balance(ref)
     # a decoupled cell, A_q = 0 or C0 = 0, is not scanned
     scanned = [i for i, (d, _, c0) in enumerate(cells)
                if d.A_q != 0.0 and c0 != 0.0]
@@ -571,9 +576,8 @@ def solve_models(cells):
     if scanned:
         params = tuple(np.array([(cells[i][1], cells[i][2], cells[i][0].A_q)
                                  for i in scanned]).T)
-        roots = dict(zip(scanned, _grid_roots(ref.k, False, _balance(ref),
-                                              params)))
-    plans = [caught(_candidates, *cell, roots.get(i))
+        roots = dict(zip(scanned, _grid_roots(ref.k, False, balance, params)))
+    plans = [caught(_candidates, *cell, roots.get(i), balance)
              for i, cell in enumerate(cells)]
     return _screen_plans(plans)
 
@@ -611,9 +615,11 @@ def _mismatch(derived: DerivedParams):
     return mismatch
 
 
-def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
+def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots,
+                   balance=None):
     """The screen list of the resonance root on the half-grid, roots
-    ascending as `_grid_roots` gives them.
+    ascending as `_grid_roots` gives them; balance is as in
+    `operating_point_at`.
 
     x_root is the first root other than the grid zero x = 0 (a bisected
     root is never exactly 0.0); with none, NoResonantSolution.  The
@@ -642,9 +648,10 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots):
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")
     geom = 4.0 * math.pi * CODATA2018.eps0 * derived.ring_radius ** 3
-    resolved = dataclasses.replace(derived, A_q=a_q,
-                                   ring_charge=a_q * geom / derived.q_mcp)
-    op = operating_point_at(resolved, delta0, c0, x_s)
+    # the record `dataclasses.replace` gives, without rerunning __init__
+    resolved = _record(DerivedParams, derived.__dict__, A_q=a_q,
+                       ring_charge=a_q * geom / derived.q_mcp)
+    op = operating_point_at(resolved, delta0, c0, x_s, balance)
     return [(op, resolved.with_damping(op.omega_m)), UnstableResonance(
         f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")]
 
@@ -684,9 +691,10 @@ def solve_resonant_models(cells):
     scanned = [i for i, plan in enumerate(plans) if plan is None]
     if scanned:
         params = (np.array([cells[i][1] for i in scanned]),)
+        balance = _balance(ref)
         for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
                                                  params)):
-            plans[i] = caught(_resonant_plan, *cells[i], roots)
+            plans[i] = caught(_resonant_plan, *cells[i], roots, balance)
     return _screen_plans(plans)
 
 

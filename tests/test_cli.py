@@ -454,6 +454,37 @@ class TestCommands:
                          "--svg", str(tmp_path / "ent.svg")]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main builds its parser once per process; three runs in one
+        # process, the second with --svg and the third with another
+        # --param2, each write the bytes of a fresh run: stdout those
+        # pinned in levbench/reference_digests.json, the SVG that of a
+        # new interpreter
+        assert levring.cli.build_parser() is levring.cli.build_parser()
+        with open(ROOT / "levbench" / "reference_digests.json") as fh:
+            pinned = json.load(fh)["digests"]
+        fig1, fig2 = (str(ROOT / "configs" / c) for c in ("fig1.cfg",
+                                                          "fig2.cfg"))
+        svg = tmp_path / "ent.svg"
+        runs = [(["stability-map", "--config", fig1],
+                 pinned["stability_map"]["c0_over_lambda"]),
+                (["entanglement", "--config", fig2, "--svg", str(svg)],
+                 pinned["entanglement_sweep"]["fixed_charge"]),
+                (["stability-map", "--config", fig1, "--param2",
+                  "charge_scale"], pinned["stability_map"]["charge_scale"])]
+        for argv, digest in runs:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+                digest)
+        fresh = tmp_path / "fresh.svg"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "levring.cli", "entanglement",
+                        "--config", fig2, "--svg", str(fresh)],
+                       check=True, capture_output=True, env=env)
+        assert svg.read_bytes() == fresh.read_bytes()
+
 
 def assert_inside_the_chart(text):
     """Every coordinate of an SVG chart is a number inside its 720x460 box."""

@@ -1,15 +1,16 @@
 """Drift matrix structure and the two stability routes."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levring.cli import parse_config
-from levring.dynamics import (build_model, build_models,
+from levring.dynamics import (StabilityVerdict, build_model, build_models,
                               char_poly_coefficients, drift_matrix)
-from levring.errors import NumericalError
+from levring.errors import LevringError, NumericalError
 from levring.model import derive_constants
-from levring.pipeline import solve_point
+from levring.pipeline import solve_grid, solve_point
 
 from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
                       reference_config, synthetic_derived, synthetic_model,
@@ -254,6 +255,49 @@ def test_batched_models_equal_single_builds():
             assert getattr(model.verdict, field) == getattr(want.verdict,
                                                             field)
     assert not np.any(got[-1].verdict.eigenvalues)
+
+
+@pytest.mark.parametrize("config, ring_mode", [("fig1.cfg", "fixed_charge"),
+                                               ("fig2.cfg", "resonant")])
+def test_stacked_batch_equals_one_entry_builds(config, ring_mode):
+    # the screened models at seeded detunings, rebuilt as one batch with
+    # an entry whose S1 overflows in the middle: every other entry has
+    # the bits of its one-entry build and of the screen's model, its A
+    # is drift_matrix's, and the failing entry keeps its NumericalError
+    # on its own row
+    cfg = parse_config(str(CONFIG_DIR / config))
+    grid = np.random.default_rng(31).uniform(0.05, 1.0, 40)
+    screened = [m for m in solve_grid(cfg, grid, ring_mode=ring_mode)
+                if not isinstance(m, LevringError)]
+    assert len(screened) >= 20
+    ops = [m.op for m in screened]
+    deriveds = [m.derived for m in screened]
+    middle = len(ops) // 2
+    ops.insert(middle, dataclasses.replace(ops[middle], delta_eff=1e153))
+    deriveds.insert(middle, deriveds[middle])
+    got = build_models(ops, deriveds)
+    assert len(got) == len(ops)
+    failed = got.pop(middle)
+    assert type(failed) is NumericalError
+    assert str(failed) == "Routh-Hurwitz value S1 = inf is not finite"
+    del ops[middle], deriveds[middle]
+    for model, m, op, d in zip(got, screened, ops, deriveds):
+        [alone] = build_models([op], [d])
+        assert model.op is op and model.derived is d
+        for built in (alone, m):
+            assert model.A.tobytes() == built.A.tobytes()
+            assert model.D.tobytes() == built.D.tobytes()
+            for field in dataclasses.fields(StabilityVerdict):
+                ours, theirs = (getattr(v.verdict, field.name)
+                                for v in (model, built))
+                if isinstance(ours, np.ndarray):
+                    assert ours.tobytes() == theirs.tobytes()
+                else:
+                    assert type(ours) is type(theirs)
+                    assert repr(ours) == repr(theirs)
+        assert model.A.tobytes() == drift_matrix(op, d.gamma,
+                                                 d.kappa).tobytes()
+        assert model.A.shape == model.D.shape == (4, 4)
 
 
 def test_overflowing_quartic_is_numerical_error():

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 from levring import model
+from levring.cli import parse_config
 from levring.constants import CODATA2018, PhysicalConstants
 from levring.errors import ConfigInvalid, NonPositiveFrequency
 from levring.model import (DerivedParams, damping_and_diffusion,
                            delta0_from_config, derive_constants,
                            electrostatic_spring, resolve_ring_charge,
                            ring_field, ring_potential)
+from levring.steady_state import solve_models, solve_resonant_models
 
-from conftest import reference_config
+from conftest import CONFIG_DIR, reference_config
 
 C = CODATA2018
 
@@ -349,6 +351,38 @@ class TestDamping:
             "wavelength, temperature, gas_pressure, density, "
             "gas_molecule_mass)")
 
+    def test_rates_have_the_bits_of_one_expression(self, ref_cfg):
+        # the closure forms its omega_m-free factors once; at seeded
+        # omega_m its rates keep the bits of each rate written out
+        # left to right, as one expression
+        cfg = ref_cfg
+        damping_at = derive_constants(cfg).damping_at
+        eps, hbar, kBT = cfg.permittivity, C.hbar, C.kB * cfg.temperature
+        V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
+        for omega_m in np.random.default_rng(5).uniform(1e3, 1e8, 50):
+            omega_m = float(omega_m)
+            gph = ((4.0 * np.pi ** 2 / 5.0) * (eps - 1.0) / (eps + 2.0)
+                   * (V_s / cfg.wavelength ** 3) * omega_m
+                   * (hbar * omega_m / kBT))
+            ggas = (4.0 * np.pi * cfg.sphere_radius ** 2 * cfg.gas_pressure
+                    / (cfg.density * V_s
+                       * np.sqrt(3.0 * kBT / cfg.gas_molecule_mass)))
+            Gam = (gph + ggas) * kBT / (hbar * omega_m)
+            want = (gph, ggas, gph + ggas, Gam)
+            assert [r.hex() for r in damping_at(omega_m)] == [
+                float(r).hex() for r in want]
+
+    def test_factor_that_raises_fails_at_each_omega(self):
+        # wavelength^3 overflows (a config validate() would reject):
+        # a non-positive omega_m is still NonPositiveFrequency, and any
+        # other the Gamma_diff guard's ConfigInvalid
+        cfg = reference_config(wavelength=1e200)
+        with pytest.raises(NonPositiveFrequency):
+            damping_and_diffusion(cfg, 0.0)
+        with pytest.raises(ConfigInvalid, match="Gamma_diff = nan is not "
+                           "finite at omega_m = 1.034800e"):
+            damping_and_diffusion(cfg, self.OMEGA)
+
     def test_with_damping_completes_record(self, ref_cfg):
         derived = derive_constants(ref_cfg)
         assert derived.gamma is None
@@ -384,3 +418,28 @@ class TestDamping:
         # lighter gas, faster molecules, weaker drag at equal pressure
         assert g_he < g_air
         assert rel(g_he, g_air * np.sqrt(4.002602 / 28.97)) < 1e-12
+
+
+def test_records_are_built_as_init_builds_them():
+    # the operating point, verdict and model the screen builds, each by
+    # one dict update, and the constants the resonant solve resolves
+    # and damps, equal the records __init__ or dataclasses.replace
+    # builds, field for field, and stay frozen
+    built = []
+    for name, solver in (("fig1.cfg", solve_models),
+                         ("fig2.cfg", solve_resonant_models)):
+        cfg = parse_config(str(CONFIG_DIR / name))
+        derived = derive_constants(cfg)
+        [m] = solver([(derived, delta0_from_config(cfg, derived),
+                       cfg.ring_offset_c0)])
+        built += [(r, dataclasses.replace(r)) for r in (m, m.op, m.verdict)]
+    d = m.derived               # fig2's, resolved and damped
+    built.append((d, dataclasses.replace(
+        derived, A_q=d.A_q, ring_charge=d.ring_charge, gamma_ph=d.gamma_ph,
+        gamma_gas=d.gamma_gas, gamma=d.gamma, Gamma_diff=d.Gamma_diff)))
+    assert d.A_q != derived.A_q and d.ring_charge != derived.ring_charge
+    for record, want in built:
+        assert type(record) is type(want)
+        assert vars(record) == vars(want) and record == want
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, 0.0)
