@@ -31,8 +31,10 @@ def mean_field_chunk(state, n_steps, dt, mass, gamma, hbar_g, k, kappa,
     caller.
 
     The right-hand side, with s = C0 + x and the caller's slope fixing the
-    sign of Delta(x) = Delta0 + slope cos^2(kx), is the linearised model's
-    optical gradient, ring and viscous forces and the driven, damped field:
+    sign of Delta(x) = Delta0 + slope cos^2(kx), is the nonlinear mean
+    field: the full optical gradient force, the full on-axis ring force
+    -q E(x) (`model.ring_field`; A_q = q Q / (4 pi eps0 R^3)), the viscous
+    force and the driven, damped field:
 
         dx/dt = p / mass
         dp/dt = -hbar g k sin(2kx) |a|^2 - A_q s [1 + (s/R)^2]^(-3/2)

@@ -36,7 +36,7 @@ from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
                      caught, error_cell, one)
 from .model import SystemConfig
-from .pipeline import PointSolution, solutions, solve_grid
+from .pipeline import PointSolution, solutions
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
@@ -249,13 +249,13 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
     Row i solves `cfg` with its detuning set to delta0_over_kappa_grid[i];
     a numerical failure is recorded in the row.  A ConfigInvalid is not
     a row failure: it propagates.  The rows are solved as one batch
-    (`pipeline.solve_grid`, read as `pipeline.solutions`), the Lyapunov
+    (`pipeline.solutions` of `pipeline.solve_grid`), the Lyapunov
     systems of the stable ones in one stacked solve (`lyapunov_solves`)
     and the determinants of their covariances as stacks (`_block_dets`),
     with the bits of the point path.
     """
     grid = [float(d0) for d0 in delta0_over_kappa_grid]
-    solved = solutions(cfg, solve_grid(cfg, grid, ring_mode=ring_mode))
+    solved = solutions(cfg, grid, ring_mode)
     solves = lyapunov_solves(
         [sol.model for sol in solved
          if isinstance(sol, PointSolution) and sol.model.stable])

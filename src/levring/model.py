@@ -12,6 +12,19 @@ operating point, which is only known after the steady state is solved, so
 :func:`derive_constants` leaves those fields unset and attaches a
 closure-of-record (``damping_at``); :meth:`DerivedParams.with_damping`
 completes the record once omega_m is known.
+
+The ring, of charge Q and radius R with its plane at x = -C0, has the
+on-axis potential V_ring (`ring_potential`) and field E = -dV_ring/dx
+(`ring_field`).  The sign: the model's ring energy is U_ring = -q V_ring,
+so its force is -q E(x), which pulls a charge q of the sign of Q toward
+the ring plane, and A_q = U_ring''(-C0) = q Q / (4 pi eps0 R^3)
+(`electrostatic_spring`).  Coulomb's law gives U = +q V_ring, the force
++q E(x), which pushes it away: the model's ring acts on q as Coulomb's
+ring acts on -q.  Whether the source writes the ring as this restoring
+spring, +1/2 A_q (C0 + x)^2, is ROADMAP item 16's open question; a flip
+moves every pinned output.  The field, the spring and the resonant
+solver's charge read the one geometric factor 4 pi eps0 R^3
+(`_ring_geometry`).
 """
 from __future__ import annotations
 
@@ -156,7 +169,7 @@ class DerivedParams:
     E_drive: float        # drive amplitude, 1/s
     q_mcp: float          # bound charge, C
     ring_charge: float    # ring charge, C (resolved from field if needed)
-    ring_radius: float    # m, carried through for the exact ring force
+    ring_radius: float    # m, for the kernel's ring force and solved charge
     A_q: float            # electrostatic spring constant, N/m
     damping_at: Optional[Callable[[float], tuple]] = dataclasses.field(
         default=None, repr=False, compare=False)
@@ -178,6 +191,13 @@ class DerivedParams:
                        gamma_gas=ggas, gamma=gam, Gamma_diff=Gam)
 
 
+def _ring_geometry(ring_radius: float) -> float:
+    """4 pi eps0 R^3 in F m^2, the one geometric factor of the ring's
+    field, spring and solved charge, formed the one way so each keeps
+    its bits."""
+    return 4.0 * np.pi * CODATA2018.eps0 * ring_radius ** 3
+
+
 def resolve_ring_charge(cfg: SystemConfig) -> float:
     """Total ring charge in C.
 
@@ -189,53 +209,42 @@ def resolve_ring_charge(cfg: SystemConfig) -> float:
         return cfg.ring_charge
     c0, R = cfg.ring_offset_c0, cfg.ring_radius
     bracket = (1.0 + (c0 / R) ** 2) ** 1.5
+    # the field leads the product, so 4 pi eps0 R^3 is never rounded on
+    # its own here: `ring_field * _ring_geometry(R) * ...` rounds it
+    # first and changes the charge's bits in 78,366 of 200,000 seeded
+    # draws, and every pinned output of a field-specified ring with them
     return (cfg.ring_field * 4.0 * np.pi * CODATA2018.eps0 * R ** 3 * bracket
             / c0)
 
 
-def ring_potential(x, cfg: SystemConfig):
-    """On-axis scalar potential of the charged ring at sphere position x (V).
+def ring_potential(x, ring_charge: float, ring_radius: float, c0: float):
+    """On-axis potential V_ring (V) at x of a ring of the given charge
+    and radius whose plane is at x = -c0; accepts scalar or ndarray x.
 
-    Even in (C0 + x); maximal at x = -C0.  Accepts scalar or ndarray x.
+    Q / (4 pi eps0 R sqrt(1 + u^2)), u = (c0 + x)/R: even in c0 + x,
+    maximal at x = -c0.
     """
-    Q = resolve_ring_charge(cfg)
-    u = (cfg.ring_offset_c0 + x) / cfg.ring_radius
-    return (Q / (4.0 * np.pi * CODATA2018.eps0 * cfg.ring_radius)
-            / np.sqrt(1.0 + u * u))
+    u = (c0 + x) / ring_radius
+    return (ring_charge * ring_radius ** 2
+            / (_ring_geometry(ring_radius) * np.sqrt(1.0 + u * u)))
 
 
-def ring_field_value(ring_charge: float, ring_radius: float, c0: float, x):
-    """On-axis field (V/m) at x of a ring of the given charge and radius
-    at offset c0; accepts scalar or ndarray x."""
+def ring_field(x, ring_charge: float, ring_radius: float, c0: float):
+    """On-axis field E = -dV_ring/dx (V/m) at x of the ring of
+    `ring_potential`; accepts scalar or ndarray x.  The charge is an
+    argument because the resonant solver's is solved, not configured."""
     s = c0 + x
     u = s / ring_radius
-    return ring_charge * s / (4.0 * np.pi * CODATA2018.eps0
-                              * ring_radius ** 3 * (1.0 + u * u) ** 1.5)
+    return ring_charge * s / (_ring_geometry(ring_radius)
+                              * (1.0 + u * u) ** 1.5)
 
 
-def ring_field(x, cfg: SystemConfig):
-    """On-axis electrostatic field of the ring at x (V/m); equals -d(potential)/dx."""
-    return ring_field_value(resolve_ring_charge(cfg), cfg.ring_radius,
-                            cfg.ring_offset_c0, x)
-
-
-def electrostatic_spring(cfg: SystemConfig, x_s: float = 0.0,
-                         exact: bool = False, *,
-                         ring_charge: Optional[float] = None) -> float:
-    """Electrostatic spring constant A_q (N/m).
-
-    Approximate mode: q Q / (4 pi eps0 R^3), the (C0 + x_s) << R limit.
-    Exact mode multiplies by [1 - 2 u^2][1 + u^2]^(-5/2), u = (C0+x_s)/R,
-    the curvature of the full on-axis potential.  Q is ring_charge when
-    given, the charge `resolve_ring_charge(cfg)` already returned.
-    """
-    q = cfg.mcp_epsilon * CODATA2018.e0
-    Q = resolve_ring_charge(cfg) if ring_charge is None else ring_charge
-    a_q = q * Q / (4.0 * np.pi * CODATA2018.eps0 * cfg.ring_radius ** 3)
-    if exact:
-        u2 = ((cfg.ring_offset_c0 + x_s) / cfg.ring_radius) ** 2
-        a_q *= (1.0 - 2.0 * u2) * (1.0 + u2) ** -2.5
-    return a_q
+def electrostatic_spring(q: float, ring_charge: float,
+                         ring_radius: float) -> float:
+    """Electrostatic spring constant A_q = q Q / (4 pi eps0 R^3) (N/m) of
+    a bound charge q: U_ring''(-C0), the curvature of the ring energy at
+    the ring plane (see the module docstring for its sign)."""
+    return q * ring_charge / _ring_geometry(ring_radius)
 
 
 def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
@@ -316,6 +325,11 @@ _SOURCES = {
     "trap radicand": ("E_drive", "g", "k", "kappa", "mass"),
     "Omega_m": ("A_q", "mass", "trap radicand"),
     "E_x at x_s": ("ring", "ring_radius", "ring_offset_c0"),
+    # the solved charge A_q 4 pi eps0 R^3 / q, A_q from the optical force
+    # at x_s, bounded by 4 hbar g k E^2 / (kappa^2 |C0 + x_s|)
+    "E_x at the resonant x_s": ("mcp_epsilon", "ring_radius",
+                                "ring_offset_c0", "g", "k", "E_drive",
+                                "kappa"),
 }
 
 
@@ -386,7 +400,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     E_drive = math.sqrt(kappa * cfg.input_power / (CODATA2018.hbar * omega_c))
     q_mcp = cfg.mcp_epsilon * CODATA2018.e0
     ring_charge = _guarded(resolve_ring_charge, cfg)
-    A_q = _guarded(lambda: electrostatic_spring(cfg, ring_charge=ring_charge))
+    A_q = _guarded(electrostatic_spring, q_mcp, ring_charge, cfg.ring_radius)
     c = {name: float(value) for name, value in dict(
         k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
         kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,

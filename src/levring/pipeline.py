@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .dynamics import StateSpaceModel
 from .errors import ConfigError, LevringError, caught, one
 from .model import (DerivedParams, SystemConfig, _guard, delta0_from_config,
-                    delta0_grid, derive_constants, ring_field_value)
+                    delta0_grid, derive_constants, ring_field)
 from .steady_state import (OperatingPoint, solve_models,
                            solve_resonant_models)
 
@@ -32,18 +32,23 @@ class PointSolution:
     field_at_xs: float          # on-axis ring field at x_s, V/m
 
 
-def solutions(cfg: SystemConfig, cells):
-    """The PointSolution of each model of `cells`, solved from `cfg`, or
-    the NumericalError in its place.  The first ConfigError in order, of
-    a cell or of its ring field at x_s (`_guard`ed), is raised."""
+def solutions(cfg: SystemConfig, delta0_over_kappa=None,
+              ring_mode: str = "fixed_charge"):
+    """The PointSolution of each row of `solve_grid(cfg,
+    delta0_over_kappa, ring_mode=ring_mode)`, or the NumericalError in
+    its place.  The first ConfigError in order, of a row or of its ring
+    field at x_s (`_guard`ed, named by the fields of the ring's charge:
+    the configured one, or in resonant mode the solved one), is raised."""
+    name = ("E_x at x_s" if ring_mode == "fixed_charge"
+            else "E_x at the resonant x_s")
     rows = []
-    for cell in cells:
+    for cell in solve_grid(cfg, delta0_over_kappa, ring_mode=ring_mode):
         if isinstance(cell, ConfigError):
             raise cell
         if not isinstance(cell, LevringError):
-            field = _guard("E_x at x_s", ring_field_value(
-                cell.derived.ring_charge, cfg.ring_radius,
-                cfg.ring_offset_c0, cell.op.x_s), "finite", cfg)
+            field = _guard(name, ring_field(
+                cell.op.x_s, cell.derived.ring_charge, cfg.ring_radius,
+                cfg.ring_offset_c0), "finite", cfg)
             cell = PointSolution(cell.derived, cell.op, cell, field)
         rows.append(cell)
     return rows
@@ -59,7 +64,7 @@ def solve_point(cfg: SystemConfig,
     the model its stability screen built; `derived` and `op` are read
     off it.  The solve is `solve_grid` with no axes.
     """
-    return one(solutions(cfg, solve_grid(cfg, ring_mode=ring_mode)))
+    return one(solutions(cfg, ring_mode=ring_mode))
 
 
 def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,

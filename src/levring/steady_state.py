@@ -6,6 +6,10 @@ The equilibrium displacement x_s zeroes the force balance
 
 with Delta(x) = Delta0 + g cos^2(kx), restricted to the trap interval
 (-pi/4k, pi/4k) where the optical curvature cos(2kx) stays positive.
+Its ring term is the linear spring of the ring's force -q E(x) (see
+`model` for the sign); the mean-field kernel keeps the full on-axis
+force A_q s (1 + u^2)^(-3/2), s = C0 + x, u = s/R, a relative 1.5 u^2
+away.
 Roots are located by `_grid_roots`, the grid finder of the force balance
 and of the resonance mismatch alike: it finds every grid zero and sign
 change and bisects each sign change (robust against the multi-root
@@ -50,7 +54,7 @@ from .errors import (AllRootsUnstable, LevringError,
                      NoResonantSolution, NoRootInInterval, NotConverged,
                      NumericalError, UnstableResonance, UnstableTrap, caught,
                      one)
-from .model import DerivedParams, _guard, _guarded, _record
+from .model import DerivedParams, _guard, _guarded, _record, _ring_geometry
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
@@ -107,7 +111,9 @@ def _balance(derived: DerivedParams):
     balance.bound(params) is the (slope, slack) of each cell for
     `_scan_hits`: |f'| <= |A_q| plus the slope bound of the Lorentzian
     term (`_lorentzian_bound`, p = hbar g k E^2), and the magnitude bound
-    B = |A_q| (|C0| + pi/4k) + p/q + p S r.
+    B = |A_q| (|C0| + pi/4k) + p/q + p S r.  balance.optical_scale is the
+    optical force scale 4 hbar g k E^2 / kappa^2 of `residual_scale`,
+    formed from p, the leading product of its expression.
     """
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
     quarter_kappa2 = derived.kappa ** 2 / 4.0
@@ -126,6 +132,7 @@ def _balance(derived: DerivedParams):
         return ring + slope, SCAN_SLACK * (
             ring * (abs(c0) + math.pi / (4.0 * derived.k)) + size)
     balance.bound = bound
+    balance.optical_scale = hbar_gkE2 * 4.0 / derived.kappa ** 2
     return balance
 
 
@@ -160,11 +167,11 @@ def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
                              (delta0, c0, derived.A_q))
 
 
-def residual_scale(derived: DerivedParams, c0: float) -> float:
-    """Magnitude against which the root residual is judged."""
-    opt = (CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
-           * 4.0 / derived.kappa ** 2)
-    return max(abs(derived.A_q * c0), opt)
+def residual_scale(derived: DerivedParams, c0: float, balance=None) -> float:
+    """Magnitude against which the root residual is judged; balance is as
+    in `operating_point_at`, its optical force scale formed once."""
+    return max(abs(derived.A_q * c0),
+               (balance or _balance(derived)).optical_scale)
 
 
 def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
@@ -401,7 +408,7 @@ def _candidates(derived: DerivedParams, delta0: float, c0: float, roots,
     if not roots:
         raise NoRootInInterval(
             f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
-    tol = RESIDUAL_REL_TOL * residual_scale(derived, c0)
+    tol = RESIDUAL_REL_TOL * residual_scale(derived, c0, balance)
     entries = []
     for x_root in sorted(roots, key=abs):
         try:
@@ -647,10 +654,10 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots,
     if a_q < 0.0:
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")
-    geom = 4.0 * math.pi * CODATA2018.eps0 * derived.ring_radius ** 3
     # the record `dataclasses.replace` gives, without rerunning __init__
     resolved = _record(DerivedParams, derived.__dict__, A_q=a_q,
-                       ring_charge=a_q * geom / derived.q_mcp)
+                       ring_charge=a_q * _ring_geometry(derived.ring_radius)
+                       / derived.q_mcp)
     op = operating_point_at(resolved, delta0, c0, x_s, balance)
     return [(op, resolved.with_damping(op.omega_m)), UnstableResonance(
         f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")]

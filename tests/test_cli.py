@@ -837,6 +837,29 @@ class TestExitCodes:
             "numerical error: force balance at the resonant point needs a "
             "negative ring charge\n")
 
+    @pytest.mark.parametrize("epsilon", ["1e-302", "1e-303", "1e-304"])
+    def test_resonant_field_overflow_names_the_solved_charge(
+            self, tmp_path, capsys, epsilon):
+        # so small a bound charge that the charge solved for resonance,
+        # A_q 4 pi eps0 R^3 / q, puts an inf field at x_s: exit 1 naming
+        # mcp_epsilon and the solved charge's other fields, not the
+        # ring_field that resonant mode does not use
+        path, out = tmp_path / "faint.cfg", tmp_path / "out.csv"
+        path.write_text(re.sub(r"^mcp_epsilon = .*$",
+                               f"mcp_epsilon = {epsilon}",
+                               (ROOT / "configs" / "fig2.cfg").read_text(),
+                               flags=re.M))
+        for argv in SMALL_GRID_RUNS[:3]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--config", str(path), "--ring-mode",
+                             "resonant", "--out", str(out)]) == 1, argv
+            assert capsys.readouterr().err == (
+                "config error: derived constant E_x at the resonant x_s = "
+                "inf is not finite (from mcp_epsilon, ring_radius, "
+                "ring_offset_c0, sphere_radius, permittivity, wavelength, "
+                "cavity_length, finesse, input_power)\n"), argv
+
 
 # the other key of each one-of pair, with the line of fig1.cfg it replaces
 # (appended, it would only meet the "mutually exclusive" error)
@@ -1076,3 +1099,37 @@ def test_overflowing_routh_hurwitz_value_is_numerical_error(
             assert not {"inf", "-inf", "nan"} & set(csv_fields(
                 out.read_text())), argv
     assert recorded >= 2
+
+
+# every subcommand in each ring mode it has, on its default grids
+DEFAULT_RUNS = [[sub, "--ring-mode", mode]
+                for sub in ("steady-state", "spectrum", "entanglement")
+                for mode in levring.pipeline.RING_MODES] + [["stability-map"]]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS, ids=" ".join)
+@pytest.mark.parametrize("config", ["fig1.cfg", "fig2.cfg"])
+def test_field_specified_ring_and_its_charge_twin_are_one_ring(
+        tmp_path, capsys, config, argv):
+    # the shipped ring given by the charge its field resolves to, written
+    # as repr: the same exit code, stdout, stderr and CSV bytes, but for
+    # the `# config:` line
+    text = (ROOT / "configs" / config).read_text()
+    charge = derive_constants(parse_config(ROOT / "configs" / config)
+                              ).ring_charge
+    twin = tmp_path / config
+    twin.write_text(re.sub(r"^ring_field_v_per_m = .*$",
+                           f"ring_charge_c = {charge!r}", text, flags=re.M))
+    assert parse_config(twin).ring_charge == charge
+    runs = []
+    for path in (ROOT / "configs" / config, twin):
+        out = tmp_path / f"out_{path.parent.name}.csv"
+        code = main([*argv, "--config", str(path), "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        csv = (out.read_text().splitlines(keepends=True) if out.exists()
+               else None)
+        if csv is not None:
+            assert csv[0].startswith("# config: ")
+            csv = csv[1:]
+        runs.append((code, stdout, stderr, csv))
+    assert runs[0] == runs[1]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from levring import model
+from levring._kernels import mean_field_chunk
 from levring.cli import parse_config
 from levring.constants import CODATA2018, PhysicalConstants
 from levring.errors import ConfigInvalid, NonPositiveFrequency
@@ -199,6 +200,12 @@ class TestConfigValidation:
             reference_config(mcp_epsilon=-1e-6).validate()
 
 
+def ring_of(cfg):
+    """(charge, radius, offset) of cfg's ring, the arguments of
+    `ring_potential` and `ring_field`."""
+    return resolve_ring_charge(cfg), cfg.ring_radius, cfg.ring_offset_c0
+
+
 class TestRingElectrostatics:
     def ring_cfg(self, **kw):
         return reference_config(ring_field=None, ring_charge=3.25, **kw)
@@ -206,37 +213,38 @@ class TestRingElectrostatics:
     def test_potential_peak(self):
         # Q/(4 pi eps0 R) at the ring plane
         cfg = self.ring_cfg()
-        phi = ring_potential(-cfg.ring_offset_c0, cfg)
+        phi = ring_potential(-cfg.ring_offset_c0, *ring_of(cfg))
         assert rel(phi, 5.84190866497e12) < 1e-9
 
     def test_potential_zero_charge(self):
         cfg = reference_config(ring_field=None, ring_charge=0.0)
         xs = np.linspace(-5e-6, 5e-6, 11)
-        assert np.all(ring_potential(xs, cfg) == 0.0)
+        assert np.all(ring_potential(xs, *ring_of(cfg)) == 0.0)
 
     def test_potential_unit_ratio(self):
         cfg = self.ring_cfg()
-        peak = ring_potential(-cfg.ring_offset_c0, cfg)
-        at_r = ring_potential(cfg.ring_radius - cfg.ring_offset_c0, cfg)
+        peak = ring_potential(-cfg.ring_offset_c0, *ring_of(cfg))
+        at_r = ring_potential(cfg.ring_radius - cfg.ring_offset_c0,
+                              *ring_of(cfg))
         assert rel(at_r, peak / np.sqrt(2.0)) < 1e-12
 
     def test_potential_even_about_ring_plane(self):
         cfg = self.ring_cfg()
         d = np.linspace(1e-7, 3e-6, 7)
-        left = ring_potential(-cfg.ring_offset_c0 - d, cfg)
-        right = ring_potential(-cfg.ring_offset_c0 + d, cfg)
+        left = ring_potential(-cfg.ring_offset_c0 - d, *ring_of(cfg))
+        right = ring_potential(-cfg.ring_offset_c0 + d, *ring_of(cfg))
         assert np.allclose(left, right, rtol=1e-14, atol=0.0)
 
     def test_field_reference_value(self):
         # Q = 3.25 C, C0 = wavelength: 2.4863e11 V/m at the antinode,
         # consistent with the quoted 2.5e11 V/m for that charge
         cfg = self.ring_cfg()
-        assert rel(ring_field(0.0, cfg), 2.48631615893e11) < 1e-9
-        assert rel(ring_field(0.0, cfg), 2.5e11) < 0.01
+        assert rel(ring_field(0.0, *ring_of(cfg)), 2.48631615893e11) < 1e-9
+        assert rel(ring_field(0.0, *ring_of(cfg)), 2.5e11) < 0.01
 
     def test_field_antisymmetry_point(self):
         cfg = self.ring_cfg()
-        assert ring_field(-cfg.ring_offset_c0, cfg) == 0.0
+        assert ring_field(-cfg.ring_offset_c0, *ring_of(cfg)) == 0.0
 
     def test_field_is_minus_gradient(self):
         # central differences of the potential, h small against the ring
@@ -245,48 +253,84 @@ class TestRingElectrostatics:
         lam = cfg.wavelength
         xs = np.linspace(-10 * lam, 10 * lam, 241)
         h = 1e-6
-        grad = (ring_potential(xs + h, cfg) - ring_potential(xs - h, cfg)) / (2 * h)
-        field = ring_field(xs, cfg)
+        grad = (ring_potential(xs + h, *ring_of(cfg))
+                - ring_potential(xs - h, *ring_of(cfg))) / (2 * h)
+        field = ring_field(xs, *ring_of(cfg))
         # mixed tolerance: the field crosses zero at x = -C0 inside the span
         err = np.abs(field + grad)
         scale = np.abs(field) + 1e-3 * np.max(np.abs(field))
         assert np.max(err / scale) < 1e-6
 
+    def test_configured_field_is_the_field_at_the_antinode(self, ref_cfg):
+        # resolve_ring_charge inverts ring_field at x = 0
+        field = ring_field(0.0, *ring_of(ref_cfg))
+        assert rel(field, ref_cfg.ring_field) < 1e-14
+
+
+# a fig1-like ring given by its field, and a charge-specified one, on
+# both sides of the ring plane
+SIGN_RINGS = [dict(), dict(ring_offset_c0=-1064e-9),
+              dict(ring_field=None, ring_charge=3.25),
+              dict(ring_field=None, ring_charge=3.25, ring_offset_c0=-1064e-9)]
+
+
+class TestRingSign:
+    """The ring energy is U_ring = -q V_ring (see the `model` docstring):
+    the force is -q E(x), and A_q = U_ring''(-C0)."""
+
+    @pytest.mark.parametrize("ring", SIGN_RINGS)
+    def test_kernel_ring_force_is_minus_q_field(self, ring):
+        # one RK4 step from rest with no light, no damping and a mass
+        # so large that x stays put: every stage's force is the ring
+        # term at x, and p / dt reads it
+        cfg = reference_config(**ring)
+        derived = derive_constants(cfg)
+        c0, R = cfg.ring_offset_c0, derived.ring_radius
+        rng = np.random.default_rng(16)
+        xs = rng.uniform(-0.25, 0.25, 16) * cfg.wavelength
+        dt = 1e-6
+        for x in xs.tolist():
+            out = mean_field_chunk((x, 0.0, 0.0, 0.0), 1, dt, 1e300, 0.0,
+                                   0.0, derived.k, derived.kappa, 0.0, 0.0,
+                                   0.0, derived.A_q, c0, R)
+            assert out[0] == x
+            want = -derived.q_mcp * ring_field(x, derived.ring_charge, R, c0)
+            assert want != 0.0
+            assert abs(out[1] / dt - want) <= 8 * np.spacing(abs(want))
+
+    @pytest.mark.parametrize("ring", SIGN_RINGS)
+    def test_spring_is_the_curvature_of_the_ring_energy(self, ring):
+        # A_q = -q V_ring'' at the ring plane, by central differences
+        # with h = R / 1e4: truncation 0.75 (h/R)^2, rounding eps (R/h)^2
+        cfg = reference_config(**ring)
+        derived = derive_constants(cfg)
+        R, c0 = derived.ring_radius, cfg.ring_offset_c0
+        h = 1e-4 * R
+        v = [ring_potential(-c0 + d, derived.ring_charge, R, c0)
+             for d in (-h, 0.0, h)]
+        curvature = (v[0] - 2.0 * v[1] + v[2]) / (h * h)
+        assert rel(derived.A_q, -derived.q_mcp * curvature) < 1e-6
+
 
 class TestElectrostaticSpring:
     def test_reference_value(self):
         cfg = reference_config(ring_field=None, ring_charge=3.25)
-        assert rel(electrostatic_spring(cfg), 3.74390782439e-7) < 1e-9
+        assert rel(electrostatic_spring(cfg.mcp_epsilon * C.e0, 3.25,
+                                        cfg.ring_radius),
+                   3.74390782439e-7) < 1e-9
 
     def test_zero_charge(self):
-        cfg = reference_config(ring_field=None, ring_charge=3.25,
-                               mcp_epsilon=0.0)
-        assert electrostatic_spring(cfg) == 0.0
-
-    def test_exact_series_factor(self):
-        # (1 - 2u^2)(1 + u^2)^(-5/2) = 1 - 4.5 u^2 + O(u^4)
         cfg = reference_config(ring_field=None, ring_charge=3.25)
-        u = 1e-3
-        x_s = u * cfg.ring_radius - cfg.ring_offset_c0
-        ratio = (electrostatic_spring(cfg, x_s=x_s, exact=True)
-                 / electrostatic_spring(cfg))
-        assert abs((1.0 - ratio) - 4.5e-6) < 1e-10
-
-    def test_exact_close_to_approx_at_small_offset(self):
-        cfg = reference_config(ring_field=None, ring_charge=3.25)
-        u = 4e-4
-        x_s = u * cfg.ring_radius - cfg.ring_offset_c0
-        ratio = (electrostatic_spring(cfg, x_s=x_s, exact=True)
-                 / electrostatic_spring(cfg))
-        assert abs(1.0 - ratio) < 1e-6
+        assert electrostatic_spring(0.0, 3.25, cfg.ring_radius) == 0.0
 
     @pytest.mark.parametrize("ring", [dict(), dict(ring_field=None,
                                                    ring_charge=3.25)])
     def test_derive_resolves_the_charge_once(self, monkeypatch, ring):
         # A_q is formed from the charge derive_constants resolved, with
-        # the bits of electrostatic_spring resolving it itself
+        # the bits of electrostatic_spring on the charge resolved apart
         cfg = reference_config(**ring)
-        want = electrostatic_spring(cfg)
+        want = electrostatic_spring(cfg.mcp_epsilon * C.e0,
+                                    resolve_ring_charge(cfg), cfg.ring_radius)
         calls = []
 
         def counted(cfg):

@@ -19,8 +19,8 @@ from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
                             NotConverged, NumericalError, UnstableResonance,
                             UnstableTrap, one)
-from levring.model import delta0_from_config, derive_constants
-from levring.pipeline import ring_field_value, solve_point
+from levring.model import delta0_from_config, derive_constants, ring_field
+from levring.pipeline import solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
                                   _bisect, _grid_roots, cavity_steady_field,
                                   force_balance,
@@ -415,8 +415,8 @@ class TestResonantRing:
         assert 2.0 < charge < 4.0
         assert res.derived == dataclasses.replace(
             derived, A_q=op.A_q, ring_charge=charge).with_damping(op.omega_m)
-        assert ring_field_value(charge, cfg.ring_radius,
-                                cfg.ring_offset_c0, op.x_s) > 0.0
+        assert ring_field(op.x_s, charge, cfg.ring_radius,
+                          cfg.ring_offset_c0) > 0.0
 
     def test_charge_with_zero_divisor_is_config_error(self):
         # C0 = -x_s puts the sphere in the ring plane, where the charge
