@@ -5,8 +5,11 @@ Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
 pivoting -- exact to machine precision at this size.  Any number of
 stable models is solved in one stacked solve (`lyapunov_solves`, of
-which `lyapunov_solve` is the one-model case): the cell count picks a
-kernel only in steady_state.py, in `_grid_roots`.
+which `lyapunov_solve` is the one-model case), and accepted as one
+stack: the solutions are symmetrised and their residuals
+||A V + V A^T + D||_F / ||D||_F formed at once, and only a solution
+that misses the 1e-10 target is refined on its own.  The cell count
+picks a kernel only in steady_state.py, in `_grid_roots`.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.
@@ -35,7 +38,7 @@ from .dynamics import StateSpaceModel
 from .errors import (LevringError, NotConverged, NumericalError,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
                      caught, error_cell, one)
-from .model import SystemConfig
+from .model import SystemConfig, _record
 from .pipeline import PointSolution, solutions
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
@@ -72,6 +75,18 @@ def lyapunov_residual(model: StateSpaceModel, V: np.ndarray) -> float:
                  / np.linalg.norm(D))
 
 
+def _residuals(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """`lyapunov_residual` of each model of a stack, drift matrices A and
+    diffusion matrices D [N, 4, 4], at the covariances V [N, 4, 4], with
+    its bits: each matrix product is the one a 4x4 product forms, and
+    `np.vecdot` of a flattened row with itself the dot product
+    `np.linalg.norm` takes."""
+    n = len(A)
+    R = (A @ V + V @ A.swapaxes(-1, -2) + D).reshape(n, -1)
+    D = D.reshape(n, -1)
+    return np.sqrt(np.vecdot(R, R)) / np.sqrt(np.vecdot(D, D))
+
+
 def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(M, b)
@@ -79,16 +94,16 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"Lyapunov system degenerated: {exc}")
 
 
-def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Symmetrise a first solve V of M vec(V) = -vec(D) and refine it.
+def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray,
+             resid: float) -> np.ndarray:
+    """Refine a symmetrised solve V of M vec(V) = -vec(D), of residual
+    resid (`lyapunov_residual`).
 
     Iterative refinement: weakly damped mechanical modes make the system
     ill-conditioned enough that one LU pass can miss the residual target
     in double precision.
     """
     A, D = model.A, model.D
-    V = 0.5 * (V + V.T)
-    resid = lyapunov_residual(model, V)
     for _ in range(3):
         if resid < LYAPUNOV_RESIDUAL_TOL:
             break
@@ -107,8 +122,11 @@ def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray) -> np.ndarray
 
 
 def _solve_refined(model: StateSpaceModel, M: np.ndarray) -> np.ndarray:
-    """Solve M vec(V) = -vec(D), M the model's Kronecker sum, and refine."""
-    return _refined(model, M, _solve(M, -model.D.reshape(-1)).reshape(4, 4))
+    """Solve M vec(V) = -vec(D), M the model's Kronecker sum, symmetrise
+    and refine."""
+    V = _solve(M, -model.D.reshape(-1)).reshape(4, 4)
+    V = 0.5 * (V + V.T)
+    return _refined(model, M, V, lyapunov_residual(model, V))
 
 
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
@@ -126,25 +144,33 @@ def lyapunov_solves(models):
     it raises (UnstableModel for a model without a stationary state).
     The stable models, however many, are solved in one stacked
     `np.linalg.solve`, whose solutions have the bits of solves on their
-    own; each solution's residual is then checked, and refined if it
-    misses the target (`_refined`).  If any system is singular, the
-    stacked solve fails as a whole and each system is solved and refined
-    on its own (`_solve_refined`).
+    own.  The stack is then accepted as a whole: every solution is
+    symmetrised and its residual formed at once (`_residuals`), a row
+    within LYAPUNOV_RESIDUAL_TOL is taken as it is, and only a row that
+    misses the target is refined (`_refined`).  If any system is
+    singular, the stacked solve fails as a whole and each system is
+    solved and refined on its own (`_solve_refined`).
     """
     out = [None if model.stable else UnstableModel(
         f"no stationary state: max Re eigenvalue = "
         f"{model.verdict.max_real_part:.3e}") for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
-    if stable:
-        M = _kron_sum(np.array([models[b].A for b in stable]))
-        rhs = -np.array([models[b].D.reshape(-1, 1) for b in stable])
-        try:
-            V = np.linalg.solve(M, rhs).reshape(-1, 4, 4)
-        except np.linalg.LinAlgError:
-            V = None
+    if not stable:
+        return out
+    A = np.array([models[b].A for b in stable])
+    D = np.array([models[b].D for b in stable])
+    M = _kron_sum(A)
+    try:
+        V = np.linalg.solve(M, -D.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    except np.linalg.LinAlgError:
         for i, b in enumerate(stable):
-            out[b] = (caught(_solve_refined, models[b], M[i]) if V is None
-                      else caught(_refined, models[b], M[i], V[i]))
+            out[b] = caught(_solve_refined, models[b], M[i])
+        return out
+    V = 0.5 * (V + V.swapaxes(-1, -2))
+    resids = _residuals(A, D, V).tolist()
+    for i, (b, V_b, resid) in enumerate(zip(stable, V, resids)):
+        out[b] = (V_b if resid < LYAPUNOV_RESIDUAL_TOL
+                  else caught(_refined, models[b], M[i], V_b, resid))
     return out
 
 
@@ -238,8 +264,8 @@ def _negativity(b1, b2, b3, dv) -> EntanglementResult:
         raise UnphysicalCovariance(f"eta_minus^2 = {eta2:.3e} <= 0")
     eta_minus = math.sqrt(eta2)
     e_n = max(0.0, -math.log(2.0 * eta_minus))
-    return EntanglementResult(eta_minus=eta_minus, sigma=sigma, E_n=e_n,
-                              detB1=b1, detB2=b2, detB3=b3, detV=dv)
+    return _record(EntanglementResult, eta_minus=eta_minus, sigma=sigma,
+                   E_n=e_n, detB1=b1, detB2=b2, detB3=b3, detV=dv)
 
 
 def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
@@ -266,9 +292,10 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
     rows = []
     for d0, sol in zip(grid, solved):
         if isinstance(sol, NumericalError):
-            rows.append(EntanglementPoint(
-                delta0_over_kappa=d0, E_n=None, stable=False, x_s=None,
-                omega_m=None, Q_used=None, E_x=None, error=error_cell(sol)))
+            rows.append(_record(
+                EntanglementPoint, delta0_over_kappa=d0, E_n=None,
+                stable=False, x_s=None, omega_m=None, Q_used=None, E_x=None,
+                error=error_cell(sol)))
             continue
         e_n, error = None, "no stationary state"
         if sol.model.stable:
@@ -279,9 +306,9 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
                 e_n, error = _negativity(*next(dets)).E_n, ""
             except LevringError as exc:
                 error = error_cell(exc)
-        rows.append(EntanglementPoint(
-            delta0_over_kappa=d0, E_n=e_n, stable=sol.model.stable,
-            x_s=sol.op.x_s, omega_m=sol.op.omega_m,
+        rows.append(_record(
+            EntanglementPoint, delta0_over_kappa=d0, E_n=e_n,
+            stable=sol.model.stable, x_s=sol.op.x_s, omega_m=sol.op.omega_m,
             Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs,
             error=error))
     return rows

@@ -311,7 +311,7 @@ _SOURCES = {
     "E_drive": ("cavity_length", "finesse", "input_power", "wavelength"),
     "q_mcp": ("mcp_epsilon",),
     "ring_charge": ("ring",),
-    "A_q": ("mcp_epsilon", "ring"),
+    "A_q": ("mcp_epsilon", "ring", "ring_radius"),
     "kB T": ("temperature",),
     "R^3": ("ring_radius",),
     "kappa^2": ("kappa",),
@@ -375,10 +375,11 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
     """Evaluate every derived constant of the configured system.
 
     Pure: identical inputs give bit-identical outputs.  Each passes
-    `_guard`: every constant is finite, the mass (a divisor) normal, and
-    kappa^2 normal; the bound on the force balance over the trap
-    interval, |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, which a
-    kappa of 0 makes inf, has a finite square.  The drive frequency is
+    `_guard`: every constant is finite; the mass (a divisor) is normal,
+    and so is the bound charge unless mcp_epsilon is 0, and kappa^2; the
+    bound on the force balance over the trap interval,
+    |A_q| (|C0| + pi/4k) + 4 hbar g k E^2 / kappa^2, which a kappa of 0
+    makes inf, has a finite square.  The drive frequency is
     taken equal to the cavity frequency in the drive amplitude
     E = sqrt(kappa P / hbar omega_L); the detunings involved are
     ~kappa ~ 1e6 rad/s against omega_c ~ 1e15, a relative error below 1e-8.
@@ -405,8 +406,11 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
         k=k, omega_c=omega_c, V_s=V_s, V_c=V_c, waist=waist, mass=mass, g=g,
         kappa=kappa, E_drive=E_drive, q_mcp=q_mcp, ring_charge=ring_charge,
         A_q=A_q).items()}
+    # a divisor, the mass and a configured bound charge (the resonant
+    # solver divides by it), must be normal
+    normal = {"mass", "q_mcp"} if cfg.mcp_epsilon > 0.0 else {"mass"}
     for name, value in c.items():
-        _guard(name, value, "normal" if name == "mass" else "finite", cfg)
+        _guard(name, value, "normal" if name in normal else "finite", cfg)
     e_over_kappa = c["E_drive"] / c["kappa"] if c["kappa"] else math.inf
     _guard("force-balance bound",
            abs(c["A_q"]) * (abs(cfg.ring_offset_c0) + math.pi / (4.0 * c["k"]))

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
 from .errors import ConfigError, LevringError, caught, one
-from .model import (DerivedParams, SystemConfig, _guard, delta0_from_config,
-                    delta0_grid, derive_constants, ring_field)
+from .model import (DerivedParams, SystemConfig, _guard, _record,
+                    delta0_from_config, delta0_grid, derive_constants,
+                    ring_field)
 from .steady_state import (OperatingPoint, solve_models,
                            solve_resonant_models)
 
@@ -49,7 +50,8 @@ def solutions(cfg: SystemConfig, delta0_over_kappa=None,
             field = _guard(name, ring_field(
                 cell.op.x_s, cell.derived.ring_charge, cfg.ring_radius,
                 cfg.ring_offset_c0), "finite", cfg)
-            cell = PointSolution(cell.derived, cell.op, cell, field)
+            cell = _record(PointSolution, derived=cell.derived, op=cell.op,
+                           model=cell, field_at_xs=field)
         rows.append(cell)
     return rows
 

@@ -111,12 +111,18 @@ def _balance(derived: DerivedParams):
     balance.bound(params) is the (slope, slack) of each cell for
     `_scan_hits`: |f'| <= |A_q| plus the slope bound of the Lorentzian
     term (`_lorentzian_bound`, p = hbar g k E^2), and the magnitude bound
-    B = |A_q| (|C0| + pi/4k) + p/q + p S r.  balance.optical_scale is the
-    optical force scale 4 hbar g k E^2 / kappa^2 of `residual_scale`,
-    formed from p, the leading product of its expression.
+    B = |A_q| (|C0| + pi/4k) + p/q + p S r.  The closure also carries
+    the grid's constant factors of other expressions, each the leading
+    product of the left-to-right expression it stands in for, so every
+    bit holds: optical_scale, the optical force scale
+    4 hbar g k E^2 / kappa^2 of `residual_scale`, formed from p;
+    trap_scale, the 2 hbar g k^2 of `mechanical_frequency`; and
+    spring_scale and kappa2, the -4 hbar g k E^2 and kappa^2 of the
+    resonant spring (`_resonant_plan`).
     """
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
-    quarter_kappa2 = derived.kappa ** 2 / 4.0
+    kappa2 = derived.kappa ** 2
+    quarter_kappa2 = kappa2 / 4.0
 
     def balance(x, cos2, sin_2kx, params):
         delta0, c0, a_q = params
@@ -132,7 +138,11 @@ def _balance(derived: DerivedParams):
         return ring + slope, SCAN_SLACK * (
             ring * (abs(c0) + math.pi / (4.0 * derived.k)) + size)
     balance.bound = bound
-    balance.optical_scale = hbar_gkE2 * 4.0 / derived.kappa ** 2
+    balance.optical_scale = hbar_gkE2 * 4.0 / kappa2
+    balance.trap_scale = 2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+    balance.spring_scale = (-4.0 * CODATA2018.hbar * derived.g * derived.k
+                            * derived.E_drive ** 2)
+    balance.kappa2 = kappa2
     return balance
 
 
@@ -180,8 +190,10 @@ def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
                                              + derived.kappa ** 2)
 
 
-def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> float:
-    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m).
+def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float,
+                         balance=None) -> float:
+    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m);
+    balance is as in `operating_point_at`, its trap_scale 2 hbar g k^2.
 
     The radicand overflows to inf without a warning, as Python-float
     products do; unless it is finite, `_guard` raises ConfigInvalid
@@ -192,7 +204,7 @@ def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float) -> floa
     if c2 < 0.0:
         raise UnstableTrap(
             f"cos(2 k x_s) = {c2:.3e} < 0 at x_s = {x_s:.3e} m")
-    radicand = (2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+    radicand = ((balance or _balance(derived)).trap_scale
                 * (a_s * a_s) * c2 / derived.mass)
     return math.sqrt(_guard("trap radicand", radicand, "finite", derived.cfg))
 
@@ -213,11 +225,12 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
 
     Omega_m = omega_m + A_q / (m omega_m) passes `_guard`: unless it is
     finite, ConfigInvalid names it and its config fields."""
+    balance = balance or _balance(derived)
     c = math.cos(derived.k * x_s)
     cos2, sin_2kx = c * c, math.sin(2.0 * derived.k * x_s)
     delta_eff = _detuning(derived, delta0, cos2)
     a_s = steady_amplitude(derived, delta_eff)
-    omega_m = mechanical_frequency(derived, a_s, x_s)
+    omega_m = mechanical_frequency(derived, a_s, x_s, balance)
     if omega_m <= 0.0:
         raise UnstableTrap(
             f"vanishing trap frequency at x_s = {x_s:.3e} m (a_s = {a_s:.3e})")
@@ -230,8 +243,7 @@ def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
     return _record(
         OperatingPoint, x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,
         delta_eff=delta_eff, G=G, A_q=derived.A_q,
-        residual=(balance or _balance(derived))(
-            x_s, cos2, sin_2kx, (delta0, c0, derived.A_q)))
+        residual=balance(x_s, cos2, sin_2kx, (delta0, c0, derived.A_q)))
 
 
 # trig(2kx) of each scan as (Python-float, array) functions: sin(2kx) in
@@ -640,17 +652,16 @@ def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots,
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
     x_s = -x_root if c0 > 0.0 else x_root
-    hbar = CODATA2018.hbar
-    k, g, E, kap = derived.k, derived.g, derived.E_drive, derived.kappa
+    balance = balance or _balance(derived)
+    k = derived.k
     c = math.cos(k * x_s)
     delta = _detuning(derived, delta0, c * c)
     if delta <= 0.0:
         raise NoResonantSolution(
             f"effective detuning {delta:.3e} not on the stable sideband")
     # nan where the divisor is 0, which the guard on Omega_m then rejects
-    a_q = _guarded(lambda: -4.0 * hbar * g * k * E ** 2
-                   * math.sin(2.0 * k * x_s)
-                   / ((kap ** 2 + 4.0 * delta * delta) * (x_s + c0)))
+    a_q = _guarded(lambda: balance.spring_scale * math.sin(2.0 * k * x_s)
+                   / ((balance.kappa2 + 4.0 * delta * delta) * (x_s + c0)))
     if a_q < 0.0:
         raise NoResonantSolution(
             "force balance at the resonant point needs a negative ring charge")

@@ -837,19 +837,26 @@ class TestExitCodes:
             "numerical error: force balance at the resonant point needs a "
             "negative ring charge\n")
 
-    @pytest.mark.parametrize("epsilon", ["1e-302", "1e-303", "1e-304"])
     def test_resonant_field_overflow_names_the_solved_charge(
-            self, tmp_path, capsys, epsilon):
-        # so small a bound charge that the charge solved for resonance,
+            self, tmp_path, capsys):
+        # so small a bound charge, the smallest normal one, and so strong
+        # an optical force that the charge solved for resonance,
         # A_q 4 pi eps0 R^3 / q, puts an inf field at x_s: exit 1 naming
         # mcp_epsilon and the solved charge's other fields, not the
         # ring_field that resonant mode does not use
         path, out = tmp_path / "faint.cfg", tmp_path / "out.csv"
-        path.write_text(re.sub(r"^mcp_epsilon = .*$",
-                               f"mcp_epsilon = {epsilon}",
-                               (ROOT / "configs" / "fig2.cfg").read_text(),
-                               flags=re.M))
-        for argv in SMALL_GRID_RUNS[:3]:
+        text = (ROOT / "configs" / "fig2.cfg").read_text()
+        for key, value in (("mcp_epsilon", "1.4e-289"),
+                           ("input_power_mw", "1e20"),
+                           ("detuning_over_kappa", "1000")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+        path.write_text(text)
+        # the sweep's rows at the configured detuning, the only ones with
+        # a resonance root
+        for argv in (*SMALL_GRID_RUNS[:2],
+                     ["entanglement", "--grid-n", "2", "--grid-min", "999",
+                      "--grid-max", "1000"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main([*argv, "--config", str(path), "--ring-mode",
@@ -1025,12 +1032,13 @@ def test_two_field_edit_is_config_error(tmp_path, capsys, lines, message):
     (["sphere_radius_nm = 1e-50", "ring_offset_c0_nm = 1e-150"],
      (1, 1, 1, 0),
      r"derived constant Omega_m = inf is not finite at omega_m = \S+ rad/s "
-     r"\(from mcp_epsilon, ring_(field, ring_offset_c0, ring_radius|charge), "
+     r"\(from mcp_epsilon, ring_(field, ring_offset_c0, ring_radius|charge, "
+     r"ring_radius), "
      r"density, sphere_radius, cavity_length, finesse, input_power, "
      r"wavelength, permittivity\)"),
     # A_q = 0, so the decoupled point solves, but the ring field at x_s
     # overflows; a map forms no E_x
-    (["mcp_epsilon = 5e-324", "ring_charge_c = 1e300"], (1, 1, 1, 0),
+    (["mcp_epsilon = 0", "ring_charge_c = 1e300"], (1, 1, 1, 0),
      r"derived constant E_x at x_s = inf is not finite "
      r"\(from ring_charge, ring_radius, ring_offset_c0\)"),
 ], ids=["long-cavity-high-power", "dense-sphere-high-pressure",
@@ -1058,6 +1066,30 @@ def test_overflow_at_the_solved_point_is_config_error(tmp_path, capsys,
                                  out.read_text())
             assert bool(recorded) != message.startswith(
                 "derived constant E_x"), argv
+
+
+@pytest.mark.parametrize("epsilon, q", [("1e-305", "0.0"),
+                                         ("1e-302", "1.6e-321")])
+def test_underflowing_bound_charge_is_config_error(tmp_path, capsys,
+                                                   epsilon, q):
+    # a configured bound charge that rounds to zero is no decoupled point
+    # (fixed charge) and no missing resonance (resonant), and a subnormal
+    # one no divisor of the resonant charge: exit 1 naming mcp_epsilon on
+    # every subcommand, in both ring modes and on both map axes
+    path, out = tmp_path / "faint.cfg", tmp_path / "out.csv"
+    path.write_text(edited_fig1(f"mcp_epsilon = {epsilon}"))
+    runs = [[*argv, "--ring-mode", mode] for argv in SMALL_GRID_RUNS[:3]
+            for mode in ("fixed_charge", "resonant")]
+    runs += [[*SMALL_GRID_RUNS[3], "--param2", axis]
+             for axis in ("c0_over_lambda", "charge_scale")]
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", str(path),
+                         "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"config error: derived constant q_mcp = {q} underflows "
+            "(from mcp_epsilon)\n"), argv
 
 
 S2_ERROR = "Routh-Hurwitz value S2 = inf is not finite"

@@ -459,6 +459,27 @@ def needs_refinement():
     return m
 
 
+def first_residual(m):
+    """The residual of a model's symmetrised first solve, unrefined."""
+    V = np.linalg.solve(_kron_sum(m.A), -m.D.reshape(-1)).reshape(4, 4)
+    return lyapunov_residual(m, 0.5 * (V + V.T))
+
+
+def rescaled(m, scale):
+    """m with A and D scaled by a power of two: the system in another
+    unit of time, whose every solve rounds as m's does."""
+    return dataclasses.replace(m, A=m.A * scale, D=m.D * scale)
+
+
+def stacked_residuals(models):
+    """(first solves, their `_residuals`) of a batch of stable models."""
+    A = np.array([m.A for m in models])
+    D = np.array([m.D for m in models])
+    V = np.linalg.solve(_kron_sum(A), -D.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    V = 0.5 * (V + V.swapaxes(-1, -2))
+    return V, entanglement._residuals(A, D, V)
+
+
 class TestLyapunovBatch:
     def test_kron_sum_is_the_kronecker_sum(self):
         eye = np.eye(4)
@@ -479,9 +500,7 @@ class TestLyapunovBatch:
 
     def test_random_and_refined_models_equal_point_path(self):
         m = needs_refinement()
-        M = _kron_sum(m.A)
-        V = np.linalg.solve(M, -m.D.reshape(-1)).reshape(4, 4)
-        assert lyapunov_residual(m, 0.5 * (V + V.T)) >= 1e-10
+        assert first_residual(m) >= 1e-10
         rng = np.random.default_rng(17)
         models = [random_model(rng, stable=True) for _ in range(30)]
         models.insert(7, m)
@@ -500,6 +519,59 @@ class TestLyapunovBatch:
 
     def test_empty_batch(self):
         assert lyapunov_solves([]) == []
+
+    @pytest.mark.parametrize("config, ring_mode", [
+        ("fig1.cfg", "fixed_charge"), ("fig1.cfg", "resonant"),
+        ("fig2.cfg", "fixed_charge"), ("fig2.cfg", "resonant")])
+    def test_stacked_residuals_equal_point_residuals(self, config,
+                                                     ring_mode):
+        models = [m for m in sweep_models(config, ring_mode) if m.stable]
+        V, got = stacked_residuals(models)
+        want = [lyapunov_residual(m, V_m) for m, V_m in zip(models, V)]
+        assert [r.hex() for r in got.tolist()] == [r.hex() for r in want]
+
+    def test_stacked_residuals_on_random_models(self):
+        rng = np.random.default_rng(23)
+        models = ([random_model(rng, stable=True) for _ in range(300)]
+                  + [random_model(rng, stable=True, gamma_range=(1e-9, 1e-6))
+                     for _ in range(100)] + [needs_refinement()])
+        V, got = stacked_residuals(models)
+        want = [lyapunov_residual(m, V_m) for m, V_m in zip(models, V)]
+        assert [r.hex() for r in got.tolist()] == [r.hex() for r in want]
+        assert got[-1] >= entanglement.LYAPUNOV_RESIDUAL_TOL
+
+    def test_only_the_rows_that_miss_are_refined(self, monkeypatch):
+        m = needs_refinement()
+        misses = [m, rescaled(m, 2.0 ** -4), rescaled(m, 2.0 ** 6)]
+        for miss in misses:
+            assert first_residual(miss) >= entanglement.LYAPUNOV_RESIDUAL_TOL
+        rng = np.random.default_rng(29)
+        models = [random_model(rng, stable=True) for _ in range(12)]
+        for at, miss in zip((2, 7, 11), misses):
+            models.insert(at, miss)
+        refined, calls = entanglement._refined, []
+
+        def spy(model, M, V, resid):
+            calls.append(model)
+            return refined(model, M, V, resid)
+
+        monkeypatch.setattr(entanglement, "_refined", spy)
+        got = lyapunov_solves(models)
+        monkeypatch.undo()
+        assert list(map(id, calls)) == list(map(id, misses))
+        for g, model in zip(got, models):
+            assert same_bits(g, entanglement._solve_refined(
+                model, _kron_sum(model.A)))
+
+    def test_one_model_that_meets_the_target_is_not_refined(self,
+                                                            monkeypatch):
+        m = random_model(np.random.default_rng(3), stable=True)
+        calls = []
+        monkeypatch.setattr(entanglement, "_refined",
+                            lambda *args: calls.append(args))
+        V = lyapunov_solve(m)
+        assert calls == []
+        assert lyapunov_residual(m, V) < entanglement.LYAPUNOV_RESIDUAL_TOL
 
     def test_every_batch_takes_one_stacked_solve(self, monkeypatch):
         # one stable model, as two, takes one stacked solve first; only a

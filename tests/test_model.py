@@ -6,6 +6,7 @@ package.
 """
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -79,7 +80,11 @@ class TestDeriveConstants:
         (dict(ring_field=1e300, ring_offset_c0=1e-300), "ring_charge",
          "ring_field, ring_offset_c0, ring_radius"),
         (dict(ring_field=None, ring_charge=1e300, mcp_epsilon=1e20), "A_q",
-         "mcp_epsilon, ring_charge"),
+         "mcp_epsilon, ring_charge, ring_radius"),
+        # A_q = q Q / (4 pi eps0 R^3) overflows through a tiny ring radius
+        (dict(ring_field=None, ring_charge=1e30, sphere_radius=1e-103,
+              ring_radius=1e-100), "A_q",
+         "mcp_epsilon, ring_charge, ring_radius"),
         # pi waist^2 L overflows: named, without a numpy overflow warning
         (dict(cavity_length=1e298), "V_c", "wavelength, cavity_length"),
     ])
@@ -103,6 +108,25 @@ class TestDeriveConstants:
         assert str(err.value) == (f"derived constant mass = {mass} underflows "
                                   "(from density, sphere_radius)")
 
+    @pytest.mark.parametrize("epsilon, q", [
+        (1e-305, "0.0"), (1e-300, "1.60216e-319"),
+        (1e-290, "1.602176634e-309")])
+    def test_underflowing_bound_charge_is_config_error(self, epsilon, q):
+        # a configured bound charge that rounds to zero or to a subnormal
+        # is a config error naming mcp_epsilon, not a decoupled point or
+        # a divisor of the resonant charge
+        with pytest.raises(ConfigInvalid) as err:
+            derive_constants(reference_config(mcp_epsilon=epsilon))
+        assert str(err.value) == (f"derived constant q_mcp = {q} underflows "
+                                  "(from mcp_epsilon)")
+
+    def test_smallest_normal_bound_charge_is_kept(self):
+        # the guard's edge: epsilon e0 just above the smallest normal
+        # float passes (mcp_epsilon = 0, no bound charge, is
+        # test_a_q_vanishes_without_charge)
+        derived = derive_constants(reference_config(mcp_epsilon=1.4e-289))
+        assert derived.q_mcp >= sys.float_info.min
+
     # the fields of every term of the bound, whichever overflows
     OPTICAL = ("sphere_radius, permittivity, wavelength, cavity_length, "
                "finesse, input_power")
@@ -111,7 +135,7 @@ class TestDeriveConstants:
         (dict(ring_field=1e300),
          f"mcp_epsilon, ring_field, ring_offset_c0, ring_radius, {OPTICAL}"),
         (dict(ring_field=None, ring_charge=1e250),
-         f"mcp_epsilon, ring_charge, ring_offset_c0, {OPTICAL}"),
+         f"mcp_epsilon, ring_charge, ring_radius, ring_offset_c0, {OPTICAL}"),
         # the optical term overflows, not the ring term
         (dict(input_power=1e277),
          f"mcp_epsilon, ring_field, ring_offset_c0, ring_radius, {OPTICAL}"),
