@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, caught, one
-from .model import DerivedParams, _record
+from .model import DerivedParams, _record, _tabulate
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
     from .steady_state import OperatingPoint
@@ -64,19 +64,21 @@ class StateSpaceModel:
         return self.derived.kappa
 
 
-def _drift_row(op: "OperatingPoint", gamma: float, kappa: float) -> list:
+def _drift_row(omega_m, Omega_m, d, G, gamma, kappa, zero=0.0) -> list:
     """The drift matrix as a flat row of its 16 entries, row-major: the
-    seven structural entries, each written once, and zeros."""
-    G, d, h = op.G, op.delta_eff, -kappa / 2.0
-    return [0.0, op.omega_m, 0.0, 0.0,
-            -op.Omega_m, -gamma / 2.0, -G, 0.0,
-            0.0, 0.0, h, d,
-            -G, 0.0, -d, h]
+    seven structural entries, each written once, and zeros (`zero`, an
+    array of them for rows of arrays)."""
+    h = -kappa / 2.0
+    return [zero, omega_m, zero, zero,
+            -Omega_m, -gamma / 2.0, -G, zero,
+            zero, zero, h, d,
+            -G, zero, -d, h]
 
 
 def drift_matrix(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
     """The 4x4 drift matrix; only its seven structural entries are set."""
-    return np.array(_drift_row(op, gamma, kappa)).reshape(4, 4)
+    return np.array(_drift_row(op.omega_m, op.Omega_m, op.delta_eff, op.G,
+                               gamma, kappa)).reshape(4, 4)
 
 
 def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
@@ -95,34 +97,56 @@ def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
     return a3, a2, a1, a0
 
 
-def _quartic_verdict(op: "OperatingPoint", gamma: float, kappa: float):
-    """(S1, S2, marginal) from Routh-Hurwitz, formed once per candidate on
-    Python floats; NumericalError unless S1 and S2 are finite.  A product
-    that overflows is a silent inf, a `**` raises OverflowError: both
-    S values are then nan, and the finiteness check names S1."""
-    d = op.delta_eff
-    W = op.omega_m * op.Omega_m
-    try:
-        four_d2 = 4.0 * d ** 2
-        t1 = W * (four_d2 + kappa ** 2)
-        t2 = 4.0 * op.G ** 2 * d * op.omega_m
-        s1 = t1 - t2
+def _quartic_verdict(ev, omega_m, Omega_m, d, G, gamma, kappa):
+    """(S1, S2, marginal, finite) from Routh-Hurwitz, on Python floats or
+    arrays (ev, a `model._Evaluator`); finite is whether S1 and S2 both
+    are, and marginal is only read where they are.
 
-        b1 = kappa * (four_d2 + (gamma + kappa) ** 2) + 2.0 * gamma * W
-        b2 = gamma * (four_d2 + kappa ** 2) + 8.0 * kappa * W
-        u1 = b1 * b2
-        u2 = 2.0 * (gamma + 2.0 * kappa) ** 2 * s1
-        s2 = 2.0 * (gamma + 2.0 * kappa) * (u1 - u2)
-    except OverflowError:
-        s1 = s2 = math.nan
-    for name, value in (("S1", s1), ("S2", s2)):
-        if not math.isfinite(value):
-            raise NumericalError(
-                f"Routh-Hurwitz value {name} = {value} is not finite")
-    marginal = (abs(s1) < RH_MARGINAL_EPS * max(abs(t1), abs(t2))
-                or abs(s2) < RH_MARGINAL_EPS
-                * (2.0 * (gamma + 2.0 * kappa)) * max(abs(u1), abs(u2)))
-    return s1, s2, marginal
+    Each `**` is libm pow on Python floats (`_array_square` on arrays).
+    A product that overflows is a silent inf.  Where a `**` overflows,
+    Python raises, and both S values are nan, so the finiteness check
+    (`_routh_hurwitz_error`) names S1: its square is nan, which makes S2
+    nan, and S1 too unless the square is (gamma + kappa)^2 or
+    (gamma + 2 kappa)^2, where S1 is set to nan here.
+    """
+    four_d2 = 4.0 * ev.square(d)
+    kappa2 = ev.square(kappa)
+    W = omega_m * Omega_m
+    t1 = W * (four_d2 + kappa2)
+    t2 = 4.0 * ev.square(G) * d * omega_m
+    s1 = t1 - t2
+
+    sums = gamma + kappa, gamma + 2.0 * kappa
+    sum2 = [ev.square(v) for v in sums]
+    b1 = kappa * (four_d2 + sum2[0]) + 2.0 * gamma * W
+    b2 = gamma * (four_d2 + kappa2) + 8.0 * kappa * W
+    u1 = b1 * b2
+    u2 = 2.0 * sum2[1] * s1
+    scale = 2.0 * sums[1]
+    s2 = scale * (u1 - u2)
+    overflow = ((sum2[0] != sum2[0]) & (sums[0] == sums[0])
+                | (sum2[1] != sum2[1]) & (sums[1] == sums[1]))
+    s1 = ev.where(overflow, math.nan, s1)
+    marginal = ((abs(s1) < RH_MARGINAL_EPS * ev.maximum(abs(t1), abs(t2)))
+                | (abs(s2) < RH_MARGINAL_EPS * scale
+                   * ev.maximum(abs(u1), abs(u2))))
+    return s1, s2, marginal, ev.isfinite(s1) & ev.isfinite(s2)
+
+
+def _routh_hurwitz_error(s1: float, s2: float) -> NumericalError:
+    """The NumericalError of a model whose S1 or S2 is not finite, S1
+    named first."""
+    name, value = ("S1", s1) if not math.isfinite(s1) else ("S2", s2)
+    return NumericalError(f"Routh-Hurwitz value {name} = {value} is not finite")
+
+
+def _model_values(ev, omega_m, Omega_m, d, G, gamma, kappa, Gamma_diff):
+    """((S1, S2, marginal), (drift row, diffusion row)) of models, on
+    Python floats or arrays (ev), for `model._tabulate`."""
+    zero = ev.zeros(omega_m)
+    return (_quartic_verdict(ev, omega_m, Omega_m, d, G, gamma, kappa),
+            (_drift_row(omega_m, Omega_m, d, G, gamma, kappa, zero),
+             _diffusion_row(Gamma_diff, kappa, zero)))
 
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -145,21 +169,41 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(eigs, axis=-1)
 
 
-def _diffusion_row(derived: DerivedParams) -> list:
+def _diffusion_row(Gamma_diff, kappa, zero=0.0) -> list:
     """diag(0, Gamma, kappa/2, kappa/2) as a flat row, like `_drift_row`."""
-    h = derived.kappa / 2.0
-    return [0.0, 0.0, 0.0, 0.0,
-            0.0, derived.Gamma_diff, 0.0, 0.0,
-            0.0, 0.0, h, 0.0,
-            0.0, 0.0, 0.0, h]
+    h = kappa / 2.0
+    return [zero, zero, zero, zero,
+            zero, Gamma_diff, zero, zero,
+            zero, zero, h, zero,
+            zero, zero, zero, h]
+
+
+def _eigenvalue_rows(A: np.ndarray, rows):
+    """The eigenvalues of the drift matrices A[rows] of a [B, 4, 4] stack,
+    rows ascending, from one stacked `eigvals` call, as two lists with
+    one entry per row: a sorted complex [4] row of one array, or the
+    NumericalError that matrix gives; and its largest real part, the
+    last, as a Python float (nan for an error).  A failing stack is
+    repeated matrix by matrix, so the error lands on the row it belongs
+    to."""
+    if not rows:
+        return [], []
+    # all rows, as a one-cell grid's usually are, need no gathered copy
+    stacked = caught(_eigenvalues, A if len(rows) == len(A) else A[rows])
+    if not isinstance(stacked, NumericalError):
+        return list(stacked), stacked[:, -1].real.tolist()
+    eigs = [caught(_eigenvalues, A[b]) for b in rows]  # name the failures
+    return eigs, [math.nan if isinstance(e, NumericalError)
+                  else float(e[-1].real) for e in eigs]
 
 
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
-              D: np.ndarray, rh, eigs: np.ndarray) -> StateSpaceModel:
-    s1, s2, marginal = rh
-    max_re = float(eigs[-1].real)     # eigs are sorted by real part
+              D: np.ndarray, s1: float, s2: float, marginal: bool,
+              eigs: np.ndarray, max_re: float) -> StateSpaceModel:
+    """The model of one entry, its verdict from its Routh-Hurwitz values
+    (finite) and its sorted eigenvalues, all Python floats but these."""
     verdict = _record(
-        StabilityVerdict, s1=float(s1), s2=float(s2),
+        StabilityVerdict, s1=s1, s2=s2,
         rh_stable=(s1 > 0.0 and s2 > 0.0 and not marginal),
         rh_marginal=marginal,
         eigenvalues=eigs, max_real_part=max_re,
@@ -184,30 +228,28 @@ def build_models(ops, deriveds):
 
     Entry b of the returned list is the model of ops[b] with the damped
     constants deriveds[b], or the NumericalError building it raises.
-    The eigenvalues of every entry whose Routh-Hurwitz values pass
-    `_quartic_verdict` come from one stacked call (`_eigenvalues`); a
-    failing stack is repeated matrix by matrix, so the error lands on
-    the entry it belongs to.
+    The Routh-Hurwitz values and the matrices are formed by the grid
+    solvers' pass (`_model_values`, one entry on Python floats, more on
+    arrays); the eigenvalues of every entry whose S1 and S2 are finite
+    come from one stacked call (`_eigenvalue_rows`).
     """
     for derived in deriveds:
         if derived.gamma is None or derived.Gamma_diff is None:
             raise ValueError(
                 "derived params lack damping; call with_damping(omega_m) first")
-    # one stack of each matrix for the batch, entry b its [b] slice; a
-    # [0, 4, 4] stack, for no entries or no rows, has no eigenvalues
-    A = np.array([_drift_row(op, d.gamma, d.kappa)
-                  for op, d in zip(ops, deriveds)]).reshape(-1, 4, 4)
-    D = np.array([_diffusion_row(d) for d in deriveds]).reshape(-1, 4, 4)
-    rhs = [caught(_quartic_verdict, op, d.gamma, d.kappa)
-           for op, d in zip(ops, deriveds)]
-    eigs = [rh if isinstance(rh, NumericalError) else None for rh in rhs]
-    rows = [b for b, found in enumerate(eigs) if found is None]
-    stacked = caught(_eigenvalues, A[rows])
-    if isinstance(stacked, NumericalError):  # name the failing entries
-        stacked = [caught(_eigenvalues, A[b]) for b in rows]
-    for b, found in zip(rows, stacked):
-        eigs[b] = found
-    return [found if isinstance(found, NumericalError)
-            else _assemble(op, derived, A[b], D[b], rh, found)
-            for b, (op, derived, rh, found)
-            in enumerate(zip(ops, deriveds, rhs, eigs))]
+    if not ops:
+        return []
+    columns = ([op.omega_m for op in ops], [op.Omega_m for op in ops],
+               [op.delta_eff for op in ops], [op.G for op in ops],
+               [d.gamma for d in deriveds], [d.kappa for d in deriveds],
+               [d.Gamma_diff for d in deriveds])
+    (s1, s2, marginal, finite), stacks = _tabulate(_model_values, columns,
+                                                   len(ops) == 1)
+    A, D = (stack.reshape(-1, 4, 4) for stack in stacks)
+    rows = [b for b, ok in enumerate(finite) if ok]
+    found = dict(zip(rows, zip(*_eigenvalue_rows(A, rows))))
+    return [_routh_hurwitz_error(s1[b], s2[b]) if not finite[b]
+            else found[b][0] if isinstance(found[b][0], NumericalError)
+            else _assemble(op, derived, A[b], D[b], s1[b], s2[b],
+                           marginal[b], *found[b])
+            for b, (op, derived) in enumerate(zip(ops, deriveds))]

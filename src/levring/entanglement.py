@@ -9,7 +9,8 @@ which `lyapunov_solve` is the one-model case), and accepted as one
 stack: the solutions are symmetrised and their residuals
 ||A V + V A^T + D||_F / ||D||_F formed at once, and only a solution
 that misses the 1e-10 target is refined on its own.  The cell count
-picks a kernel only in steady_state.py, in `_grid_roots`.
+picks a kernel only in the steady state, in `steady_state._grid_roots`
+and `model._tabulate`.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.

@@ -28,6 +28,7 @@ solver's charge read the one geometric factor 4 pi eps0 R^3
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import sys
@@ -67,6 +68,68 @@ def _guarded(fun, *args):
         return fun(*args)
     except ArithmeticError:
         return math.nan
+
+
+def _float_square(v):
+    """v ** 2 by libm pow, or nan where that overflows (Python raises)."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.nan
+
+
+def _array_square(v):
+    """`_float_square` of each entry of an array, on Python floats: an
+    array's `v ** 2` squares by product and `np.power` with an array
+    exponent by its own loop, and either differs from pow in the last
+    bit of some squares (172 and 5,507 of 200,000 seeded doubles, numpy
+    2.4 on x86-64 with AVX-512)."""
+    values = v.tolist()
+    try:
+        return np.array([x ** 2 for x in values])
+    except OverflowError:
+        return np.array([_float_square(x) for x in values])
+
+
+# The elementary functions of a formula written once for Python floats
+# and for arrays, as `_tabulate` picks them.  Each array function gives
+# the Python-float function's bits, and nan where the Python-float one
+# raises: sqrt below 0, a square that overflows, a quotient by 0.
+# maximum is only read on finite values, where max and np.maximum agree.
+_Evaluator = collections.namedtuple(
+    "_Evaluator", "cos sin sqrt square quotient maximum where zeros isfinite")
+_FLOATS = _Evaluator(
+    math.cos, math.sin, lambda v: math.sqrt(v) if v >= 0.0 else math.nan,
+    _float_square, lambda n, d: n / d if d else math.nan, max,
+    lambda mask, a, b: a if mask else b, lambda like: 0.0, math.isfinite)
+_ARRAYS = _Evaluator(
+    np.cos, np.sin, np.sqrt, _array_square,
+    lambda n, d: np.where(d == 0.0, np.nan, n / d), np.maximum, np.where,
+    np.zeros_like, np.isfinite)
+
+
+def _tabulate(fun, columns, one_cell: bool):
+    """fun(ev, *entries) at every candidate of a grid, given its
+    `columns` of inputs, one entry per candidate: (values, stacks).
+    fun returns (values, rows), a tuple of values and one of rows of
+    entries; values becomes one sequence of Python floats or bools per
+    value, and stacks one [n, len(row)] array per row.
+
+    The cell count picks the evaluator here only.  One cell runs fun
+    once per candidate on Python floats (`_FLOATS`: math's cos, sin and
+    sqrt, Python's `**`), as the one-cell root finder does; more cells
+    run it once on arrays of all candidates (`_ARRAYS`), with numpy's
+    warnings off, since the Python-float arithmetic raises or overflows
+    silently where numpy would warn.  Both give the same bits.
+    """
+    if one_cell:
+        values, rows = zip(*[fun(_FLOATS, *entries)
+                             for entries in zip(*columns)])
+        return list(zip(*values)), [np.array(row) for row in zip(*rows)]
+    with np.errstate(all="ignore"):
+        values, rows = fun(_ARRAYS, *map(np.asarray, columns))
+        return ([v.tolist() for v in values],
+                [np.stack(row, axis=-1) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -185,8 +248,7 @@ class DerivedParams:
         if self.damping_at is None:
             raise ValueError("no damping closure attached to these parameters")
         gph, ggas, gam, Gam = self.damping_at(omega_m)
-        # `dataclasses.replace` would rerun __init__ over all nineteen
-        # fields, once per candidate root
+        # `dataclasses.replace` would rerun __init__ over all nineteen fields
         return _record(type(self), self.__dict__, gamma_ph=gph,
                        gamma_gas=ggas, gamma=gam, Gamma_diff=Gam)
 
@@ -265,13 +327,15 @@ def damping_and_diffusion(cfg: SystemConfig, omega_m: float):
 
 def _damping(cfg: SystemConfig):
     """`damping_and_diffusion` of cfg as a function of omega_m, its
-    omega_m-free factors formed once: gamma_gas, and the photon-recoil
-    prefix up to `* omega_m`.  Each is the leading product of the same
-    left-to-right expression, so the rates keep their bits; a factor
-    whose arithmetic raises is nan, and so is Gamma_diff at every
-    omega_m, which the guard rejects."""
+    omega_m-free factors formed once: gamma_gas, the photon-recoil
+    prefix up to `* omega_m`, and kB T.  Each is the leading product of
+    the same left-to-right expression, so the rates keep their bits; a
+    factor whose arithmetic raises is nan, and so is Gamma_diff at every
+    omega_m, which the guard rejects.  The function carries the factors
+    as `factors`, (recoil, gamma_gas, kB T), for `_damping_rates` on
+    arrays."""
     eps = cfg.permittivity
-    hbar, kBT = CODATA2018.hbar, CODATA2018.kB * cfg.temperature
+    kBT = CODATA2018.kB * cfg.temperature
     try:
         V_s = 4.0 / 3.0 * np.pi * cfg.sphere_radius ** 3
         mass = cfg.density * V_s
@@ -285,15 +349,22 @@ def _damping(cfg: SystemConfig):
     def damping_at(omega_m: float):
         if not omega_m > 0.0:
             raise NonPositiveFrequency(f"omega_m = {omega_m} must be positive")
-        try:
-            gamma_ph = recoil * omega_m * (hbar * omega_m / kBT)
-            gamma = gamma_ph + gamma_gas
-            Gamma_diff = gamma * kBT / (hbar * omega_m)
-        except ArithmeticError:
-            Gamma_diff = math.nan
+        gamma_ph, gamma, Gamma_diff = _damping_rates(
+            _FLOATS, recoil, gamma_gas, kBT, omega_m)
         _guard("Gamma_diff", Gamma_diff, "finite square", cfg, omega_m)
         return gamma_ph, gamma_gas, gamma, Gamma_diff
+    damping_at.factors = (recoil, gamma_gas, kBT)
     return damping_at
+
+
+def _damping_rates(ev, recoil, gamma_gas, kBT, omega_m):
+    """(gamma_ph, gamma, Gamma_diff) from the factors of `_damping`, on
+    Python floats or arrays (ev, an `_Evaluator`); Gamma_diff is nan
+    where hbar omega_m is 0, as the Python-float division raises there."""
+    hbar = CODATA2018.hbar
+    gamma_ph = recoil * omega_m * (hbar * omega_m / kBT)
+    gamma = gamma_ph + gamma_gas
+    return gamma_ph, gamma, ev.quotient(gamma * kBT, hbar * omega_m)
 
 
 # What each guarded quantity is computed from: config fields, and other

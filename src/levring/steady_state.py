@@ -14,21 +14,25 @@ Roots are located by `_grid_roots`, the grid finder of the force balance
 and of the resonance mismatch alike: it finds every grid zero and sign
 change and bisects each sign change (robust against the multi-root
 structure of the transcendental balance).  The roots are then screened
-for stability of the linearised dynamics.  The screen builds the
-state-space model of each candidate; the solvers return the model of the
-accepted root, so spectra and entanglement read the very model that was
-screened.  One orchestration serves a point and every grid of cells
-(`pipeline.solve_grid`; a point is its grid with no axes):
-`solve_models`.  The cell count picks the kernels in one place only,
-`_grid_roots`.  One cell is evaluated on the whole grid and bisects
+for stability of the linearised dynamics; the solvers return the
+state-space model of the accepted root, so spectra and entanglement
+read the very model that was screened.  One orchestration serves a
+point and every grid of cells (`pipeline.solve_grid`; a point is its
+grid with no axes): `solve_models`.  The cell count picks the kernels
+in two places, `_grid_roots` for the roots and `model._tabulate` for
+the candidates.  One cell is evaluated on the whole grid and bisects
 with `_bisect` on Python floats; more cells are evaluated on every
 16th grid point, and on the fine grid only where a
 slope bound cannot rule out a hit (`_scan_hits`, which gives the whole
 grid's hits), and bisect in lock step (`_bisect_all`).  Both give the
 one-cell bits, by construction, since every cos^2(kx) is the correctly
-rounded product c * c of c = cos(kx) (`_detuning`).  The models of
-every candidate of every cell, one cell's too, are built in one batch
-with one stacked `np.linalg.eigvals` call (`_screen_plans`).
+rounded product c * c of c = cos(kx) (`_detuning`).  The candidates of
+every cell then pass through one pass (`_screen_plans`): formulas
+written once for Python floats and arrays form their operating points,
+damping, Routh-Hurwitz values and matrices, on Python floats for one
+cell and on arrays for more, every square by libm pow on Python floats;
+one stacked `np.linalg.eigvals` call gives the eigenvalues, and records
+are built only for the models the cells return.
 `_grid_tables` is the one cache, of the grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
@@ -38,6 +42,7 @@ integrator used as an independent dynamical check on the root finder.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -54,7 +59,8 @@ from .errors import (AllRootsUnstable, LevringError,
                      NoResonantSolution, NoRootInInterval, NotConverged,
                      NumericalError, UnstableResonance, UnstableTrap, caught,
                      one)
-from .model import DerivedParams, _guard, _guarded, _record, _ring_geometry
+from .model import (_FLOATS, DerivedParams, _damping_rates, _guard,
+                    _guarded, _record, _ring_geometry, _tabulate)
 
 N_SCAN = 4001
 N_SCAN_RESONANT = 2001
@@ -95,10 +101,11 @@ def _detuning(derived: DerivedParams, delta0, cos2):
     one site of its sign (the mean-field kernel takes its slope from here).
 
     The caller squares the cosine, always as the correctly rounded product
-    c * c of c = cos(kx): on Python floats in the per-candidate steps and
-    the one-cell bisection, on arrays in the grid tables, the lock-step
-    bisection and the vectorised `force_balance`.  So every cos^2(kx) in
-    the package has the same bits, wherever it is formed.
+    c * c of c = cos(kx): on Python floats in the one-cell candidate pass
+    and bisection, on arrays in the grid tables, the candidate pass of
+    more cells, the lock-step bisection and the vectorised
+    `force_balance`.  So every cos^2(kx) in the package has the same
+    bits, wherever it is formed.
     """
     return delta0 + derived.g * cos2
 
@@ -118,7 +125,7 @@ def _balance(derived: DerivedParams):
     4 hbar g k E^2 / kappa^2 of `residual_scale`, formed from p;
     trap_scale, the 2 hbar g k^2 of `mechanical_frequency`; and
     spring_scale and kappa2, the -4 hbar g k E^2 and kappa^2 of the
-    resonant spring (`_resonant_plan`).
+    resonant spring (`_op_values`).
     """
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
     kappa2 = derived.kappa ** 2
@@ -186,8 +193,14 @@ def residual_scale(derived: DerivedParams, c0: float, balance=None) -> float:
 
 def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
     """Real positive intracavity amplitude 2E / sqrt(4 Delta^2 + kappa^2)."""
-    return 2.0 * derived.E_drive / math.sqrt(4.0 * delta_eff ** 2
-                                             + derived.kappa ** 2)
+    return _amplitude(_FLOATS, derived, delta_eff, derived.kappa ** 2)
+
+
+def _amplitude(ev, derived: DerivedParams, delta_eff, kappa2):
+    """`steady_amplitude` on Python floats or arrays (ev), kappa2 the
+    kappa ** 2 of derived."""
+    return 2.0 * derived.E_drive / ev.sqrt(4.0 * ev.square(delta_eff)
+                                           + kappa2)
 
 
 def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float,
@@ -200,13 +213,26 @@ def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float,
     naming the config fields of g, k, mass and of E_drive and kappa,
     which bound a_s <= 2 E_drive / kappa.
     """
-    c2 = math.cos(2.0 * derived.k * x_s)
+    c2, radicand = _trap(_FLOATS, balance or _balance(derived), derived.k,
+                         a_s, x_s, derived.mass)
+    _trap_checked(derived.cfg, x_s, c2, radicand)
+    return math.sqrt(radicand)
+
+
+def _trap(ev, balance, k, a_s, x_s, mass):
+    """(cos(2 k x_s), the radicand of `mechanical_frequency`) on Python
+    floats or arrays (ev)."""
+    c2 = ev.cos(2.0 * k * x_s)
+    return c2, balance.trap_scale * (a_s * a_s) * c2 / mass
+
+
+def _trap_checked(cfg, x_s: float, c2: float, radicand: float):
+    """UnstableTrap where the trap curvature cos(2 k x_s) is negative,
+    else ConfigInvalid unless the radicand is finite."""
     if c2 < 0.0:
         raise UnstableTrap(
             f"cos(2 k x_s) = {c2:.3e} < 0 at x_s = {x_s:.3e} m")
-    radicand = ((balance or _balance(derived)).trap_scale
-                * (a_s * a_s) * c2 / derived.mass)
-    return math.sqrt(_guard("trap radicand", radicand, "finite", derived.cfg))
+    _guard("trap radicand", radicand, "finite", cfg)
 
 
 def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> complex:
@@ -216,34 +242,65 @@ def cavity_steady_field(derived: DerivedParams, delta0: float, x: float) -> comp
     return -1j * derived.E_drive / (derived.kappa / 2.0 - 1j * h)
 
 
-def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
-                       x_s: float, balance=None) -> OperatingPoint:
-    """Close the steady-state definitions over a given displacement, on
-    Python floats; the residual is `_balance` on the same cos^2(kx) and
-    sin(2kx).  balance, if given, is the `_balance` of constants that
-    share k, g, E_drive and kappa with derived, formed once per grid.
+def _op_values(ev, derived: DerivedParams, balance, x, delta0, c0, a_q,
+               mass):
+    """The steady-state definitions closed over displacements x, on
+    Python floats or arrays (ev): (delta_eff, A_q, a_s, cos(2kx), trap
+    radicand, omega_m, Omega_m, G, residual), the residual `_balance` on
+    the same cos^2(kx) and sin(2kx).  balance is the `_balance` of
+    constants that share k, g, E_drive and kappa with derived.
 
-    Omega_m = omega_m + A_q / (m omega_m) passes `_guard`: unless it is
-    finite, ConfigInvalid names it and its config fields."""
-    balance = balance or _balance(derived)
-    c = math.cos(derived.k * x_s)
-    cos2, sin_2kx = c * c, math.sin(2.0 * derived.k * x_s)
+    Nothing is checked here (`_op_checked` checks, in the order of the
+    steps): a step whose Python-float arithmetic raises gives nan.
+    Omega_m = omega_m + A_q / (m omega_m) is nan where m omega_m is 0.
+    a_q None is the ring spring that holds the sphere at x on the
+    resonance (`solve_resonant_models`), read off the force balance:
+    -4 hbar g k E^2 sin(2kx) / ((kappa^2 + 4 Delta^2) (x + C0)), nan
+    where the divisor is 0.
+    """
+    k = derived.k
+    c = ev.cos(k * x)
+    cos2, sin_2kx = c * c, ev.sin(2.0 * k * x)
     delta_eff = _detuning(derived, delta0, cos2)
-    a_s = steady_amplitude(derived, delta_eff)
-    omega_m = mechanical_frequency(derived, a_s, x_s, balance)
+    if a_q is None:
+        a_q = ev.quotient(balance.spring_scale * sin_2kx,
+                          (balance.kappa2 + 4.0 * delta_eff * delta_eff)
+                          * (x + c0))
+    a_s = _amplitude(ev, derived, delta_eff, balance.kappa2)
+    c2, radicand = _trap(ev, balance, k, a_s, x, mass)
+    omega_m = ev.sqrt(radicand)
+    m_omega = mass * omega_m
+    Omega_m = omega_m + ev.quotient(a_q, m_omega)
+    G = (ev.sqrt(ev.quotient(2.0 * CODATA2018.hbar, m_omega))
+         * k * derived.g * a_s * sin_2kx)
+    return (delta_eff, a_q, a_s, c2, radicand, omega_m, Omega_m, G,
+            balance(x, cos2, sin_2kx, (delta0, c0, a_q)))
+
+
+def _op_checked(cfg, x_s, a_s, c2, radicand, omega_m, Omega_m):
+    """The checks of an operating point, on Python floats, in the order
+    of its steps: `_trap_checked`, UnstableTrap where omega_m vanishes,
+    ConfigInvalid (`_guard`) unless Omega_m is finite."""
+    _trap_checked(cfg, x_s, c2, radicand)
     if omega_m <= 0.0:
         raise UnstableTrap(
             f"vanishing trap frequency at x_s = {x_s:.3e} m (a_s = {a_s:.3e})")
-    # overflows to inf without a warning; nan where m omega_m is 0
-    Omega_m = omega_m + _guarded(operator.truediv, derived.A_q,
-                                 derived.mass * omega_m)
-    _guard("Omega_m", Omega_m, "finite", derived.cfg, omega_m)
-    G = (math.sqrt(2.0 * CODATA2018.hbar / (derived.mass * omega_m))
-         * derived.k * derived.g * a_s * sin_2kx)
+    _guard("Omega_m", Omega_m, "finite", cfg, omega_m)
+
+
+def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
+                       x_s: float, balance=None) -> OperatingPoint:
+    """Close the steady-state definitions over a given displacement, on
+    Python floats (`_op_values`, `_op_checked`).  balance, if given, is
+    the `_balance` of constants that share k, g, E_drive and kappa with
+    derived."""
+    (delta_eff, a_q, a_s, c2, radicand, omega_m, Omega_m, G,
+     residual) = _op_values(_FLOATS, derived, balance or _balance(derived),
+                            x_s, delta0, c0, derived.A_q, derived.mass)
+    _op_checked(derived.cfg, x_s, a_s, c2, radicand, omega_m, Omega_m)
     return _record(
         OperatingPoint, x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,
-        delta_eff=delta_eff, G=G, A_q=derived.A_q,
-        residual=balance(x_s, cos2, sin_2kx, (delta0, c0, derived.A_q)))
+        delta_eff=delta_eff, G=G, A_q=a_q, residual=residual)
 
 
 # trig(2kx) of each scan as (Python-float, array) functions: sin(2kx) in
@@ -400,61 +457,6 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     return _grid_roots(derived.k, False, _balance(derived), params)[0]
 
 
-def _candidates(derived: DerivedParams, delta0: float, c0: float, roots,
-                balance=None):
-    """The list the stability screen walks for one cell (`_screen`);
-    balance is as in `operating_point_at`.
-
-    roots is None for a decoupled input (A_q = 0 or C0 = 0): the list is
-    its one candidate, x_s = 0, and any error there propagates.
-    Otherwise the roots are taken in order of |x_s|, a root with negative
-    trap curvature is skipped, and the (op, damped derived) candidates
-    are followed by the error the cell gets when none is Hurwitz: the
-    NumericalError of a root whose residual exceeds the bound, which
-    ends the candidates; else AllRootsUnstable, or NoRootInInterval when
-    no root is admissible.
-    """
-    if roots is None:
-        op = operating_point_at(derived, delta0, c0, 0.0, balance)
-        return [(op, derived.with_damping(op.omega_m))]
-    if not roots:
-        raise NoRootInInterval(
-            f"no force-balance root in (-pi/4k, pi/4k) at delta0 = {delta0:.6e}")
-    tol = RESIDUAL_REL_TOL * residual_scale(derived, c0, balance)
-    entries = []
-    for x_root in sorted(roots, key=abs):
-        try:
-            op = operating_point_at(derived, delta0, c0, x_root, balance)
-        except UnstableTrap:
-            continue
-        if abs(op.residual) > tol:
-            return entries + [NumericalError(
-                f"root refinement residual {op.residual:.3e} exceeds {tol:.3e}")]
-        entries.append((op, derived.with_damping(op.omega_m)))
-    if entries:
-        return entries + [AllRootsUnstable(
-            f"{len(entries)} root(s) found, none Hurwitz at delta0 = "
-            f"{delta0:.6e}")]
-    return [NoRootInInterval(f"no admissible root at delta0 = {delta0:.6e}")]
-
-
-def _screen(entries):
-    """The model of one cell's list, its candidates' models built.
-
-    entries holds, in screen order, models, the NumericalError building
-    one raised, and the cell's terminal error (`_candidates`,
-    `_resonant_plan`).  The first error reached is raised and the first
-    stable model returned; else the last entry, a decoupled cell's one
-    model, stable or not.
-    """
-    for entry in entries:
-        if isinstance(entry, LevringError):
-            raise entry
-        if entry.stable:
-            return entry
-    return entry
-
-
 def _bisect_all(fun, a, b, fa, tol_x):
     """`_bisect` on arrays of brackets in lock step, bit for bit.
 
@@ -539,24 +541,188 @@ def _shared(cells, names):
     return ref
 
 
-def _screen_plans(plans):
-    """`_screen` over the plans of a grid of cells.
+# The values of a grid's candidates (`_screen_plans`), one sequence of
+# Python floats or bools per field, indexed by candidate: plain is whether
+# every check of `_op_checked` and the Gamma_diff guard passes, and
+# finite whether S1 and S2 are finite.
+_Candidates = collections.namedtuple(
+    "_Candidates", "x_s delta_eff A_q a_s c2 radicand omega_m Omega_m G "
+    "residual gamma_ph gamma_gas gamma Gamma_diff plain s1 s2 marginal "
+    "finite")
 
-    plans[i] is cell i's list, as `_candidates` or `_resonant_plan`
-    returns it, or the error making it raised.  The models of every
-    cell's candidates are built in one batch (`dynamics.build_models`);
-    entry i of the returned list is the model `_screen` accepts for
-    cell i, or the NumericalError it raises.
+
+def _candidate_values(derived: DerivedParams, balance, ev, x, delta0, c0,
+                      mass, kappa, recoil, gamma_gas, kBT, a_q=None):
+    """The `_Candidates` fields and the (drift, diffusion) rows of
+    candidates x, on Python floats or arrays (ev): the operating point
+    (`_op_values`; a_q None solves the resonant spring), the damping at
+    its omega_m (`model._damping_rates`, from the factors of each cell's
+    closure) and the Routh-Hurwitz values and matrices
+    (`dynamics._model_values`)."""
+    op = _op_values(ev, derived, balance, x, delta0, c0, a_q, mass)
+    delta_eff, _, _, c2, radicand, omega_m, Omega_m, G, _ = op
+    gamma_ph, gamma, Gamma_diff = _damping_rates(ev, recoil, gamma_gas, kBT,
+                                                 omega_m)
+    plain = ((c2 >= 0.0) & ev.isfinite(radicand) & (omega_m > 0.0)
+             & ev.isfinite(Omega_m) & ev.isfinite(Gamma_diff * Gamma_diff))
+    rh, rows = dynamics._model_values(ev, omega_m, Omega_m, delta_eff, G,
+                                      gamma, kappa, Gamma_diff)
+    return (x, *op, gamma_ph, gamma_gas, gamma, Gamma_diff, plain, *rh), rows
+
+
+def _admitted(v: _Candidates, js, cell, tol, resonant: bool):
+    """(entries, end): the candidates js of one cell that its screen
+    walks, and a function giving the error the cell gets when none is
+    Hurwitz (None for a decoupled cell).  The checks run on Python
+    floats in the order of the scalar steps, and raise the cell's error;
+    a plain candidate passes `_op_checked` and the Gamma_diff guard.
+
+    tol None is a list of one candidate whose errors are the cell's: a
+    decoupled cell's x_s = 0, or a resonant cell's point, which first
+    needs Delta(x_s) > 0 and a ring charge >= 0 (NoResonantSolution).
+    Otherwise js are roots in order of |x_s|: a root with negative trap
+    curvature or a vanishing omega_m is skipped (UnstableTrap), a
+    residual past tol ends the entries with a NumericalError, and the
+    end is AllRootsUnstable, or NoRootInInterval when no root is
+    admissible.  A ConfigInvalid of any candidate checked fails the
+    cell.
     """
-    plans = [[plan] if isinstance(plan, LevringError) else plan
-             for plan in plans]
-    pairs = [entry for plan in plans for entry in plan
-             if not isinstance(entry, LevringError)]
-    built = iter(dynamics.build_models([op for op, _ in pairs],
-                                       [d for _, d in pairs]))
-    return [caught(_screen, [entry if isinstance(entry, LevringError)
-                             else next(built) for entry in plan])
-            for plan in plans]
+    cfg, delta0 = cell[0].cfg, cell[1]
+    if tol is None:
+        j, = js
+        if resonant and v.delta_eff[j] <= 0.0:
+            raise NoResonantSolution(f"effective detuning {v.delta_eff[j]:.3e}"
+                                     " not on the stable sideband")
+        if resonant and v.A_q[j] < 0.0:
+            raise NoResonantSolution("force balance at the resonant point "
+                                     "needs a negative ring charge")
+        if not v.plain[j]:
+            _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j], v.radicand[j],
+                        v.omega_m[j], v.Omega_m[j])
+            _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
+                   v.omega_m[j])
+        return [j], (lambda: UnstableResonance(
+            f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
+            ) if resonant else None
+    entries = []
+    for j in js:
+        if not v.plain[j]:
+            try:
+                _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j], v.radicand[j],
+                            v.omega_m[j], v.Omega_m[j])
+            except UnstableTrap:
+                continue
+        if abs(v.residual[j]) > tol:
+            residual = v.residual[j]
+            return entries, lambda: NumericalError(
+                f"root refinement residual {residual:.3e} exceeds {tol:.3e}")
+        if not v.plain[j]:
+            _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
+                   v.omega_m[j])
+        entries.append(j)
+    if entries:
+        return entries, lambda: AllRootsUnstable(
+            f"{len(entries)} root(s) found, none Hurwitz at delta0 = "
+            f"{delta0:.6e}")
+    return entries, lambda: NoRootInInterval(
+        f"no admissible root at delta0 = {delta0:.6e}")
+
+
+def _model(v: _Candidates, j: int, derived: DerivedParams, resonant: bool,
+           A, D, eigs, max_re) -> dynamics.StateSpaceModel:
+    """The records of candidate j, built for the model a cell returns:
+    its operating point, its constants completed with the damping (and
+    in resonant mode the solved charge), its verdict and its model."""
+    op = _record(OperatingPoint, x_s=v.x_s[j], a_s=v.a_s[j],
+                 omega_m=v.omega_m[j], Omega_m=v.Omega_m[j],
+                 delta_eff=v.delta_eff[j], G=v.G[j], A_q=v.A_q[j],
+                 residual=v.residual[j])
+    # as `derived.with_damping(op.omega_m)`, on the resolved charge
+    spring = {} if not resonant else dict(
+        A_q=op.A_q, ring_charge=op.A_q * _ring_geometry(derived.ring_radius)
+        / derived.q_mcp)
+    damped = _record(type(derived), derived.__dict__, **spring,
+                     gamma_ph=v.gamma_ph[j], gamma_gas=v.gamma_gas[j],
+                     gamma=v.gamma[j], Gamma_diff=v.Gamma_diff[j])
+    return dynamics._assemble(op, damped, A[j], D[j], v.s1[j], v.s2[j],
+                              v.marginal[j], eigs, max_re)
+
+
+def _screen_plans(cells, plans, balance, resonant: bool):
+    """The screened model of each of a grid of cells, or the error it
+    gives.
+
+    plans[i] is cell i's error, or (xs, tol): its candidate displacements
+    in screen order and the residual bound (`_admitted`).  One pass forms
+    the values of every candidate of every cell (`_candidate_values`,
+    with the evaluator `model._tabulate` picks by the cell count); each
+    cell's candidates are then checked on Python floats (`_admitted`).
+    The eigenvalues of every admitted candidate whose S1 and S2 are
+    finite come from one stacked call (`dynamics._eigenvalue_rows`).
+    The screen (`_screen`) walks each cell's entries; records are built
+    for the models it accepts only.
+    """
+    outcomes = list(plans)
+    live = [i for i, plan in enumerate(plans)
+            if not isinstance(plan, LevringError)]
+    if not live:
+        return outcomes
+    xs, inputs = [], []
+    for i in live:
+        derived, delta0, c0 = cells[i]
+        if derived.damping_at is None:
+            raise ValueError(
+                "no damping closure attached to these parameters")
+        row = (delta0, c0, derived.mass, derived.kappa,
+               *derived.damping_at.factors,
+               *(() if resonant else (derived.A_q,)))
+        xs += plans[i][0]
+        inputs += [row] * len(plans[i][0])
+    values, stacks = _tabulate(
+        functools.partial(_candidate_values, cells[0][0], balance),
+        (xs, *zip(*inputs)), len(cells) == 1)
+    v = _Candidates(*values)
+    A, D = stacks[0].reshape(-1, 4, 4), stacks[1].reshape(-1, 4, 4)
+    walks, rows, found, first = [], [], {}, 0
+    for i in live:
+        js = range(first, first + len(plans[i][0]))
+        first = js.stop
+        outcomes[i] = caught(_admitted, v, js, cells[i], plans[i][1],
+                             resonant)
+        if isinstance(outcomes[i], LevringError):
+            continue
+        walks.append(i)
+        for j in outcomes[i][0]:
+            if v.finite[j]:
+                rows.append(j)
+            else:
+                found[j] = (dynamics._routh_hurwitz_error(v.s1[j], v.s2[j]),
+                            math.nan)
+    found.update(zip(rows, zip(*dynamics._eigenvalue_rows(A, rows))))
+    for i in walks:
+        j = _screen(*outcomes[i], found)
+        outcomes[i] = j if isinstance(j, LevringError) else _model(
+            v, j, cells[i][0], resonant, A, D, *found[j])
+    return outcomes
+
+
+def _screen(entries, end, found):
+    """The candidate a cell's screen accepts, or the error it gives.
+
+    entries are the cell's admitted candidates in screen order, found[j]
+    is (eigenvalues or error, largest real part) of candidate j, and end
+    gives the cell's error when none is Hurwitz (`_admitted`).  The first
+    error reached is returned, and the first stable candidate; with
+    neither, end's error, or for a decoupled cell (end None) its one
+    candidate, stable or not.
+    """
+    for j in entries:
+        eigs, max_re = found[j]
+        if isinstance(eigs, LevringError):
+            return eigs
+        if max_re < 0.0:
+            return j
+    return end() if end else j
 
 
 def solve_models(cells):
@@ -577,18 +743,19 @@ def solve_models(cells):
     is a verdict, not an error.
 
     The root scan of all cells runs as arrays (see `_grid_roots`) at the
-    call, and so does the model build of the candidate roots of every
-    cell, with one eigenvalue call (`_screen_plans`); the operating
-    points, residual checks and Routh-Hurwitz values are
-    scalar code per candidate, on Python floats: each cell's delta0 and
-    c0 are cast once, here.
+    call, and so do the operating points, damping, Routh-Hurwitz values
+    and matrices of every candidate root of every cell, with one
+    eigenvalue call (`_screen_plans`); one cell runs them on Python
+    floats.  Each cell's delta0 and c0 are cast to Python floats once,
+    here.
     """
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
     if ref is None:
         return []
     balance = _balance(ref)
-    # a decoupled cell, A_q = 0 or C0 = 0, is not scanned
+    # a decoupled cell, A_q = 0 or C0 = 0, is not scanned: its one
+    # candidate is x_s = 0
     scanned = [i for i, (d, _, c0) in enumerate(cells)
                if d.A_q != 0.0 and c0 != 0.0]
     roots = {}
@@ -596,9 +763,16 @@ def solve_models(cells):
         params = tuple(np.array([(cells[i][1], cells[i][2], cells[i][0].A_q)
                                  for i in scanned]).T)
         roots = dict(zip(scanned, _grid_roots(ref.k, False, balance, params)))
-    plans = [caught(_candidates, *cell, roots.get(i), balance)
-             for i, cell in enumerate(cells)]
-    return _screen_plans(plans)
+    plans = []
+    for i, (d, delta0, c0) in enumerate(cells):
+        found = roots.get(i)
+        plans.append(
+            ([0.0], None) if found is None
+            else (sorted(found, key=abs),
+                  RESIDUAL_REL_TOL * residual_scale(d, c0, balance)) if found
+            else NoRootInInterval("no force-balance root in (-pi/4k, pi/4k)"
+                                  f" at delta0 = {delta0:.6e}"))
+    return _screen_plans(cells, plans, balance, False)
 
 
 def solve_xs(derived: DerivedParams, delta0: float,
@@ -634,44 +808,19 @@ def _mismatch(derived: DerivedParams):
     return mismatch
 
 
-def _resonant_plan(derived: DerivedParams, delta0: float, c0: float, roots,
-                   balance=None):
-    """The screen list of the resonance root on the half-grid, roots
-    ascending as `_grid_roots` gives them; balance is as in
-    `operating_point_at`.
+def _resonant_plan(delta0: float, c0: float, roots):
+    """The screen plan (`_screen_plans`) of a resonant cell whose
+    half-grid roots are `roots`, ascending as `_grid_roots` gives them.
 
     x_root is the first root other than the grid zero x = 0 (a bisected
-    root is never exactly 0.0); with none, NoResonantSolution.  The
-    candidate is the operating point at the mirror of x_root on the
-    side of -C0, with the constants carrying the solved charge and the
-    damping there, followed by the UnstableResonance a non-Hurwitz model
-    gives.
+    root is never exactly 0.0); with none, NoResonantSolution.  The one
+    candidate is the mirror of x_root on the side of -C0.
     """
     x_root = next((x for x in roots if x != 0.0), None)
     if x_root is None:
         raise NoResonantSolution(
             f"resonance condition has no root at delta0 = {delta0:.6e}")
-    x_s = -x_root if c0 > 0.0 else x_root
-    balance = balance or _balance(derived)
-    k = derived.k
-    c = math.cos(k * x_s)
-    delta = _detuning(derived, delta0, c * c)
-    if delta <= 0.0:
-        raise NoResonantSolution(
-            f"effective detuning {delta:.3e} not on the stable sideband")
-    # nan where the divisor is 0, which the guard on Omega_m then rejects
-    a_q = _guarded(lambda: balance.spring_scale * math.sin(2.0 * k * x_s)
-                   / ((balance.kappa2 + 4.0 * delta * delta) * (x_s + c0)))
-    if a_q < 0.0:
-        raise NoResonantSolution(
-            "force balance at the resonant point needs a negative ring charge")
-    # the record `dataclasses.replace` gives, without rerunning __init__
-    resolved = _record(DerivedParams, derived.__dict__, A_q=a_q,
-                       ring_charge=a_q * _ring_geometry(derived.ring_radius)
-                       / derived.q_mcp)
-    op = operating_point_at(resolved, delta0, c0, x_s, balance)
-    return [(op, resolved.with_damping(op.omega_m)), UnstableResonance(
-        f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")]
+    return [-x_root if c0 > 0.0 else x_root], None
 
 
 def solve_resonant_models(cells):
@@ -692,14 +841,15 @@ def solve_resonant_models(cells):
     other than x = 0 itself is taken (`_resonant_plan`), and `op.x_s` is
     that root negated for C0 > 0, the mirror onto the side of -C0.  The
     model's `derived` carries the solved `ring_charge` and `A_q` and the
-    damping at `op.omega_m`.
+    damping at `op.omega_m`; the point is not on the stable sideband
+    where Delta(x_s) <= 0, and needs a ring charge >= 0.
 
-    The resonance scan of all cells runs as arrays (see
-    `_grid_roots`) at the call, and so does the model build of every
-    resonant point, with one eigenvalue call (`_screen_plans`); the
-    charge, the operating point and their checks
-    are scalar code per cell, on Python floats: each cell's delta0 and c0
-    are cast once, here.
+    The resonance scan of all cells runs as arrays (see `_grid_roots`)
+    at the call, and so do the charge, the operating point, damping,
+    Routh-Hurwitz values and matrices of every resonant point, with one
+    eigenvalue call (`_screen_plans`); one cell runs them on Python
+    floats.  Each cell's delta0 and c0 are cast to Python floats once,
+    here.
     """
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa", "mass"))
@@ -707,13 +857,13 @@ def solve_resonant_models(cells):
         "resonance matching needs C0 != 0 and a nonzero bound charge")
         for d, _, c0 in cells]
     scanned = [i for i, plan in enumerate(plans) if plan is None]
-    if scanned:
-        params = (np.array([cells[i][1] for i in scanned]),)
-        balance = _balance(ref)
-        for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
-                                                 params)):
-            plans[i] = caught(_resonant_plan, *cells[i], roots, balance)
-    return _screen_plans(plans)
+    if not scanned:
+        return plans
+    params = (np.array([cells[i][1] for i in scanned]),)
+    for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
+                                             params)):
+        plans[i] = caught(_resonant_plan, cells[i][1], cells[i][2], roots)
+    return _screen_plans(cells, plans, _balance(ref), True)
 
 
 def _mean_field_step(derived: DerivedParams, delta0: float):

@@ -303,28 +303,41 @@ def test_stacked_batch_equals_one_entry_builds(config, ring_mode):
 def test_overflowing_quartic_is_numerical_error():
     # finite operating points whose Routh-Hurwitz values overflow: a
     # product past the float range (omega_m ~ 1e80, or delta ~ 1e153),
-    # or a `**` that would raise OverflowError (delta ~ 1e160), which
+    # or a `**` that would raise OverflowError (delta ~ 1e160, or
+    # gamma ~ 1e160, whose (gamma + kappa)^2 alone overflows), which
     # leaves S1 and S2 nan.  build_model raises a NumericalError naming
-    # the value, and the batch records the same error in those entries
-    # while the others keep their bits
+    # the value, and a batch, formed on arrays, records the same error in
+    # those entries beside entries that keep the bits of their one-entry
+    # builds, formed on Python floats
     good = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
-    bad = [synthetic_op(1e80, 1e80, 0.8 * KAP, -0.3 * KAP),
-           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e153, 0.0),
-           synthetic_op(0.7 * KAP, 0.9 * KAP, 1e160, 0.0)]
     derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
+    bad = [(synthetic_op(1e80, 1e80, 0.8 * KAP, -0.3 * KAP), derived),
+           (synthetic_op(0.7 * KAP, 0.9 * KAP, 1e153, 0.0), derived),
+           (synthetic_op(0.7 * KAP, 0.9 * KAP, 1e160, 0.0), derived),
+           (good, synthetic_derived(gamma=1e160, Gamma=1.0 * KAP))]
     messages = [f"Routh-Hurwitz value {name} = {value} is not finite"
                 for name, value in (("S2", "inf"), ("S1", "inf"),
-                                    ("S1", "nan"))]
-    for op, message in zip(bad, messages):
+                                    ("S1", "nan"), ("S1", "nan"))]
+    for (op, d), message in zip(bad, messages):
         with pytest.raises(NumericalError) as err:
-            build_model(op, derived)
+            build_model(op, d)
         assert type(err.value) is NumericalError
         assert str(err.value) == message
-    got = list(build_models([good, bad[0], good, bad[1], good, bad[2]],
-                            [derived] * 6))
-    want = build_model(good, derived).verdict.eigenvalues
-    for model in got[::2]:
-        assert model.verdict.eigenvalues.tobytes() == want.tobytes()
+    rng = np.random.default_rng(34)
+    goods = [synthetic_op(*(rng.uniform(0.2, 2.0, 3) * KAP), -0.3 * KAP)
+             for _ in bad]
+    entries = [entry for pair in zip([(op, derived) for op in goods], bad)
+               for entry in pair]
+    got = list(build_models(*zip(*entries)))
+    for model, op in zip(got[::2], goods):
+        alone = build_model(op, derived)
+        for name in ("A", "D"):
+            assert getattr(model, name).tobytes() == getattr(alone,
+                                                             name).tobytes()
+        assert model.verdict.eigenvalues.tobytes() == (
+            alone.verdict.eigenvalues.tobytes())
+        assert [getattr(model.verdict, f).hex() for f in ("s1", "s2")] == [
+            getattr(alone.verdict, f).hex() for f in ("s1", "s2")]
     assert [str(e) for e in got[1::2]] == messages
     assert all(type(e) is NumericalError for e in got[1::2])
 

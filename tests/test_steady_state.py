@@ -2,6 +2,7 @@
 import collections
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import re
@@ -18,7 +19,7 @@ from levring.dynamics import build_model
 from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
                             NotConverged, NumericalError, UnstableResonance,
-                            UnstableTrap, one)
+                            UnstableTrap, error_cell, one)
 from levring.model import delta0_from_config, derive_constants, ring_field
 from levring.pipeline import solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
@@ -420,34 +421,40 @@ class TestResonantRing:
 
     def test_charge_with_zero_divisor_is_config_error(self):
         # C0 = -x_s puts the sphere in the ring plane, where the charge
-        # divides by zero: nan, which the guard on Omega_m names
+        # divides by zero: nan, which the guard on Omega_m names, on the
+        # one cell and on that cell of a grid
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
         derived = derive_constants(cfg)
         delta0 = delta0_from_config(cfg, derived)
         x_root = -one(solve_resonant_models(
             [(derived, delta0, cfg.ring_offset_c0)])).op.x_s
+        cell = (derived, delta0, x_root)
         with pytest.raises(ConfigInvalid, match="Omega_m = nan"):
-            steady_state._resonant_plan(derived, delta0, x_root, [x_root])
+            one(solve_resonant_models([cell]))
+        got = solve_resonant_models([(derived, delta0, cfg.ring_offset_c0),
+                                     cell])
+        assert got[0].stable
+        assert type(got[1]) is ConfigInvalid
+        assert "Omega_m = nan" in str(got[1])
 
     def test_plan_takes_the_first_root_off_the_grid_zero(self):
         # the one site of the resonance root rule: the grid zero x = 0 is
-        # skipped, the next root taken; none left is NoResonantSolution.
-        # The list is the one candidate, then the cell's error when it is
-        # not Hurwitz
+        # skipped, the next root taken and mirrored onto the side of -C0;
+        # none left is NoResonantSolution.  The plan is that one candidate,
+        # whose errors are the cell's (no residual bound)
         cfg = reference_config(ring_field=2.5e11, detuning_over_kappa=0.3)
         derived = derive_constants(cfg)
         cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
         solved = one(solve_resonant_models([cell]))
         r = -solved.op.x_s
-        unstable = f"resonant point at delta0 = {cell[1]:.6e} is not Hurwitz"
         for roots in ([0.0, r], [r], [r, 2.0 * r]):
-            [(op, damped), end] = steady_state._resonant_plan(*cell, roots)
-            assert op == solved.op and damped == solved.derived
-            assert type(end) is UnstableResonance and str(end) == unstable
+            for c0, x_s in ((cell[2], -r), (-cell[2], r)):
+                assert steady_state._resonant_plan(cell[1], c0, roots) == (
+                    [x_s], None)
         message = f"resonance condition has no root at delta0 = {cell[1]:.6e}"
         for roots in ([0.0], []):
             with pytest.raises(NoResonantSolution) as info:
-                steady_state._resonant_plan(*cell, roots)
+                steady_state._resonant_plan(cell[1], cell[2], roots)
             assert str(info.value) == message
 
     def test_charge_scales_inverse_with_bound_charge(self):
@@ -639,19 +646,25 @@ class TestSolveModel:
                                                               field)
 
     def test_single_root_point_builds_one_model(self, fig1, monkeypatch):
+        # one candidate, one eigenvalue row, one model built
         cfg, derived, delta0 = fig1
         assert len(scan_roots(derived, delta0, cfg.ring_offset_c0)) == 1
-        calls = []
-        original = dynamics.build_models
+        rows, built = [], []
+        eigenvalue_rows, model = dynamics._eigenvalue_rows, steady_state._model
 
-        def counted(ops, deriveds):
-            calls.append(len(ops))
-            return original(ops, deriveds)
+        def counted_rows(A, found):
+            rows.append(len(found))
+            return eigenvalue_rows(A, found)
 
-        monkeypatch.setattr(dynamics, "build_models", counted)
+        def counted_model(*args):
+            built.append(args[1])
+            return model(*args)
+
+        monkeypatch.setattr(dynamics, "_eigenvalue_rows", counted_rows)
+        monkeypatch.setattr(steady_state, "_model", counted_model)
         sol = solve_point(cfg)
         assert sol.model.stable
-        assert calls == [1]
+        assert rows == [1] and built == [0]
 
     def test_solve_xs_is_the_model_operating_point(self, fig1):
         cfg, derived, delta0 = fig1
@@ -664,24 +677,42 @@ class TestSolveModel:
                 if not hasattr(levring, name)] == []
 
 
+def assert_same_record(got, want):
+    """Two records of one type alike bit for bit: each float field by
+    float.hex, each array by dtype, shape and bytes, and each number a
+    Python float or bool (a numpy scalar would pass ==, and prints as
+    np.float64(...)); the closure and config of constants are shared."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        ours, theirs = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("damping_at", "cfg"):
+            assert ours is theirs, field.name
+        elif isinstance(theirs, np.ndarray):
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (
+                theirs.dtype, theirs.shape, theirs.tobytes()), field.name
+        else:
+            assert type(theirs) in (float, bool), (field.name, theirs)
+            assert type(ours) is type(theirs), (field.name, ours)
+            assert (ours.hex() if type(ours) is float else ours) == (
+                theirs.hex() if type(theirs) is float else theirs), field.name
+
+
 def assert_same_outcome(got, cell, solve=solve_models):
     """The entry of the grid solver `solve` for a cell equals what its
-    one-cell run gives."""
+    one-cell run gives, bit for bit (`assert_same_record`)."""
     try:
         want = one(solve([cell]))
-    except NumericalError as exc:
+    except LevringError as exc:
         assert type(got) is type(exc)
         assert str(got) == str(exc)
         return type(exc).__name__
     assert isinstance(got, dynamics.StateSpaceModel), got
-    assert got.derived == want.derived
-    assert got.op == want.op
-    assert np.array_equal(got.A, want.A)
-    assert np.array_equal(got.D, want.D)
-    for field in ("s1", "s2", "rh_stable", "rh_marginal", "max_real_part",
-                  "eig_stable"):
-        assert getattr(got.verdict, field) == getattr(want.verdict, field)
-    assert np.array_equal(got.verdict.eigenvalues, want.verdict.eigenvalues)
+    for name in ("A", "D"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (
+            theirs.dtype, theirs.shape, theirs.tobytes()), name
+    for name in ("op", "derived", "verdict"):
+        assert_same_record(getattr(got, name), getattr(want, name))
     return "stable" if want.stable else "unstable"
 
 
@@ -1029,9 +1060,10 @@ class TestSolveModels:
 
 @pytest.mark.parametrize("solver, config", [
     (solve_models, "fig1.cfg"), (solve_resonant_models, "fig2.cfg")])
-def test_cell_count_picks_the_bisection_only(monkeypatch, solver, config):
-    # one cell bisects on Python floats, two cells in lock step; either
-    # builds the models of all its candidates in one batch
+def test_cell_count_picks_the_kernels(monkeypatch, solver, config):
+    # one cell bisects and forms its candidates on Python floats, two
+    # cells bisect in lock step and form them on arrays; either takes the
+    # eigenvalues of all its candidates in one call
     cfg = parse_config(str(CONFIG_DIR / config))
     derived = derive_constants(cfg)
     cell = (derived, delta0_from_config(cfg, derived), cfg.ring_offset_c0)
@@ -1044,15 +1076,19 @@ def test_cell_count_picks_the_bisection_only(monkeypatch, solver, config):
         return call
 
     for module, name in ((steady_state, "_bisect_all"),
-                         (dynamics, "build_models")):
+                         (dynamics, "_eigenvalue_rows")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
+    arrays = levring.model._ARRAYS
+    monkeypatch.setattr(levring.model, "_ARRAYS", arrays._replace(
+        square=counted("array square", arrays.square)))
     one, = solver([cell])
     assert one.stable
-    assert calls == {"build_models": 1}
+    assert calls == {"_eigenvalue_rows": 1}
     calls.clear()
     two = list(solver([cell, cell]))
-    assert calls["_bisect_all"] >= 1 and calls["build_models"] == 1
+    assert calls["_bisect_all"] >= 1 and calls["_eigenvalue_rows"] == 1
+    assert calls["array square"] >= 1
     assert two[0].op == two[1].op == one.op
 
 
@@ -1110,74 +1146,88 @@ def assert_same_resonant_outcomes(cells):
         for g, cell in zip(got, cells))
 
 
+def admitted(cell, xs, tol, resonant=False):
+    """`_admitted` on the candidates xs of one cell, their values formed
+    on Python floats."""
+    derived, delta0, c0 = cell
+    row = (delta0, c0, derived.mass, derived.kappa,
+           *derived.damping_at.factors, *(() if resonant else (derived.A_q,)))
+    values, _ = levring.model._tabulate(
+        functools.partial(steady_state._candidate_values, derived,
+                          steady_state._balance(derived)),
+        (xs, *zip(*[row] * len(xs))), True)
+    return steady_state._admitted(steady_state._Candidates(*values),
+                                  range(len(xs)), cell, tol, resonant)
+
+
 class TestScreen:
-    """The one list a cell's screen walks, and `_screen` on each shape."""
+    """The candidates a cell's screen walks, and `_screen` on each shape."""
 
-    @pytest.fixture(scope="class")
-    def models(self, fig1):
-        # fig1's stable model, and the unstable one at the opposite
-        # detuning
-        cfg, derived, delta0 = fig1
-        stable = one(solve_models([(derived, delta0, cfg.ring_offset_c0)]))
-        unstable = build_model(dataclasses.replace(
-            stable.op, delta_eff=-stable.op.delta_eff), stable.derived)
-        assert stable.stable and not unstable.stable
-        return stable, unstable
-
-    def test_candidates_end_on_the_cell_error(self, fig1, models):
+    def test_candidates_end_on_the_cell_error(self, fig1):
         cfg, derived, delta0 = fig1
         cell = (derived, delta0, cfg.ring_offset_c0)
-        stable, _ = models
+        stable = one(solve_models([cell]))
         r = stable.op.x_s
         at = f"at delta0 = {delta0:.6e}"
-        [(op, damped), end] = steady_state._candidates(*cell, [r])
-        assert op == stable.op and damped == stable.derived
-        assert type(end) is AllRootsUnstable
-        assert str(end) == f"1 root(s) found, none Hurwitz {at}"
+        tol = steady_state.RESIDUAL_REL_TOL * residual_scale(derived, cell[2])
+        entries, end = admitted(cell, [r], tol)
+        assert entries == [0] and type(end()) is AllRootsUnstable
+        assert str(end()) == f"1 root(s) found, none Hurwitz {at}"
         # a root of negative trap curvature is skipped
         outside = 0.3 * cfg.wavelength
-        [end] = steady_state._candidates(*cell, [outside])
-        assert type(end) is NoRootInInterval
-        assert str(end) == f"no admissible root {at}"
-        [(op, _), end] = steady_state._candidates(*cell, [outside, r])
-        assert op == stable.op and type(end) is AllRootsUnstable
+        entries, end = admitted(cell, [outside], tol)
+        assert entries == [] and type(end()) is NoRootInInterval
+        assert str(end()) == f"no admissible root {at}"
+        entries, end = admitted(cell, [outside, r], tol)
+        assert entries == [1] and type(end()) is AllRootsUnstable
+        [model] = steady_state._screen_plans(
+            [cell], [([outside, r], tol)], steady_state._balance(derived),
+            False)
+        assert model.op == stable.op and model.derived == stable.derived
         # a residual past the bound ends the candidates (k x_s = -0.54,
         # so 1.2 x_s and 1.3 x_s lie in the trap but are not roots)
-        [(op, _), end] = steady_state._candidates(*cell, [1.2 * r, r,
-                                                          1.3 * r])
-        assert op == stable.op and type(end) is NumericalError
-        assert str(end).startswith("root refinement residual ")
+        entries, end = admitted(cell, [r, 1.2 * r, 1.3 * r], tol)
+        assert entries == [0] and type(end()) is NumericalError
+        assert str(end()).startswith("root refinement residual ")
+        # no root at all ends the cell before any candidate
+        strong = derive_constants(reference_config(ring_field=2.5e11))
         with pytest.raises(NoRootInInterval, match="no force-balance root"):
-            steady_state._candidates(*cell, [])
-        # a decoupled cell's list is its one candidate
-        [(op, _)] = steady_state._candidates(derived, delta0, 0.0, None)
-        assert op.x_s == 0.0
+            one(solve_models([(strong, 0.3 * strong.kappa, cell[2])]))
+        # a decoupled cell's list is its one candidate, whose errors are
+        # the cell's
+        assert admitted((derived, delta0, 0.0), [0.0], None) == ([0], None)
+        with pytest.raises(UnstableTrap, match="cos"):
+            admitted(cell, [outside], None)
 
-    def test_first_error_reached_is_raised(self, models):
-        stable, unstable = models
+    def test_first_error_reached_is_the_outcome(self):
         screen = steady_state._screen
-        residual = NumericalError("root refinement residual")
+        eigs = np.zeros(4, dtype=complex)
+        stable, unstable = (eigs, -1.0), (eigs, 1.0)
         built = NumericalError("drift matrix has a non-finite eigenvalue")
-        for entries, error in (([unstable, residual], residual),
-                               ([unstable, built, stable, residual], built),
-                               ([built, stable, residual], built)):
-            with pytest.raises(NumericalError) as info:
-                screen(entries)
-            assert info.value is error
-        assert screen([stable, residual]) is stable
-        assert screen([unstable, stable, built, residual]) is stable
+        residual = NumericalError("root refinement residual")
+        failed = (built, math.nan)
+        for found, error in (([unstable], residual),
+                             ([unstable, failed, stable], built),
+                             ([failed, stable], built)):
+            assert screen(range(len(found)), lambda: residual,
+                          dict(enumerate(found))) is error
+        assert screen([0], lambda: residual, {0: stable}) == 0
+        assert screen([0, 1, 2], lambda: residual,
+                      dict(enumerate([unstable, stable, failed]))) == 1
 
-    def test_decoupled_list_returns_its_model(self, models):
-        for model in models:
-            assert steady_state._screen([model]) is model
+    def test_decoupled_list_returns_its_model(self):
+        for verdict in (-1.0, 1.0):
+            assert steady_state._screen(
+                [0], None, {0: (np.zeros(4), verdict)}) == 0
 
-    def test_resonant_list_raises_only_when_unstable(self, models):
-        stable, unstable = models
-        end = UnstableResonance("resonant point is not Hurwitz")
-        assert steady_state._screen([stable, end]) is stable
-        with pytest.raises(UnstableResonance) as info:
-            steady_state._screen([unstable, end])
-        assert info.value is end
+    def test_resonant_list_raises_only_when_unstable(self):
+        def end():
+            return UnstableResonance("resonant point is not Hurwitz")
+        eigs = np.zeros(4)
+        assert steady_state._screen([0], end, {0: (eigs, -1.0)}) == 0
+        error = steady_state._screen([0], end, {0: (eigs, 1.0)})
+        assert type(error) is UnstableResonance
+        assert str(error) == "resonant point is not Hurwitz"
 
 
 class TestSolveResonantModels:
@@ -1253,6 +1303,147 @@ class TestSolveResonantModels:
         heavier = dataclasses.replace(cells[0][0], mass=2.0 * cells[0][0].mass)
         with pytest.raises(ValueError, match="share"):
             solve_resonant_models(cells + [(heavier,) + cells[0][1:]])
+
+
+SOLVERS = {"fixed_charge": solve_models, "resonant": solve_resonant_models}
+
+
+def assert_cells_alike(cells, ring_mode):
+    """Solve cells as one grid (the candidates on arrays); each cell
+    equals its one-cell solve (on Python floats).  Returns a function
+    counting the outcomes whose kind, "stable", "unstable" or an error
+    as a CSV cell writes it, starts with a given prefix."""
+    solve = SOLVERS[ring_mode]
+    got = list(solve(cells))
+    assert len(got) == len(cells) > 1
+    for g, cell in zip(got, cells):
+        assert_same_outcome(g, cell, solve)
+    kinds = [error_cell(g) if isinstance(g, LevringError)
+             else "stable" if g.stable else "unstable" for g in got]
+    return lambda prefix: sum(kind.startswith(prefix) for kind in kinds)
+
+
+def pow_and_product_cells(ring_mode, n):
+    """n cells whose solved Delta(x_s) has a square by pow an ulp away
+    from its square by product, found among seeded detunings (about 1 in
+    1000 squares), and as many other cells: fig1, or fig2 resonant."""
+    cfg = parse_config(str(CONFIG_DIR / ("fig1.cfg" if ring_mode ==
+                                         "fixed_charge" else "fig2.cfg")))
+    derived = derive_constants(cfg)
+    rng = np.random.default_rng(34)
+    cells = [(derived, d0 * derived.kappa, cfg.ring_offset_c0)
+             for d0 in rng.uniform(0.05, 1.2, 20000)]
+    apart, alike = [], []
+    for cell, got in zip(cells, SOLVERS[ring_mode](cells)):
+        if not isinstance(got, LevringError):
+            d = got.op.delta_eff
+            (apart if d * d != d ** 2 else alike).append(cell)
+    assert len(apart) >= n
+    return apart[:n] + alike[:n]
+
+
+class TestGridCandidatesEqualOneCell:
+    """Grids whose candidates meet what the array pass must get right,
+    each cell against its one-cell solve, bit for bit."""
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_squares_by_pow_not_by_product(self, ring_mode):
+        count = assert_cells_alike(pow_and_product_cells(ring_mode, 8),
+                                   ring_mode)
+        assert count("stable") >= 8
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_root_of_negative_trap_curvature(self, monkeypatch, ring_mode):
+        # some cells get roots at 0.2 wavelengths, past the trap edge,
+        # where cos(2kx) < 0 (and the resonant spring is positive): a
+        # fixed-charge cell skips them, a resonant cell, whose one
+        # candidate such a root becomes, fails with UnstableTrap
+        cfg, grid_roots = reference_config(), steady_state._grid_roots
+        outside = 0.2 * cfg.wavelength
+
+        def with_outside_roots(k, resonant, fun, params):
+            roots = grid_roots(k, resonant, fun, params)
+            for delta0, found in zip(params[0].tolist(), roots):
+                if int(delta0) % 4 == 1:
+                    found[:] = [outside]
+                elif int(delta0) % 4 == 3:
+                    found += [outside, -outside]
+            return roots
+
+        monkeypatch.setattr(steady_state, "_grid_roots", with_outside_roots)
+        derived = derive_constants(cfg)
+        cells = [(derived, d0 * derived.kappa, c0)
+                 for d0 in np.linspace(0.2, 1.2, 11)
+                 for c0 in (cfg.ring_offset_c0, -cfg.ring_offset_c0)]
+        count = assert_cells_alike(cells, ring_mode)
+        assert count("stable") >= 4
+        if ring_mode == "fixed_charge":
+            assert count("NoRootInInterval: no admissible root") >= 2
+        else:
+            assert count("UnstableTrap: cos(2 k x_s) = -") >= 2
+
+    def test_residual_past_the_bound(self, monkeypatch):
+        # about every other cell gets a non-root at half its first root,
+        # which the screen meets first: the residual ends its candidates
+        grid_roots = steady_state._grid_roots
+
+        def with_non_roots(k, resonant, fun, params):
+            roots = grid_roots(k, resonant, fun, params)
+            for delta0, found in zip(params[0].tolist(), roots):
+                if int(delta0) % 2:
+                    found[:] = [0.5 * x for x in found[:1]] + found
+            return roots
+
+        monkeypatch.setattr(steady_state, "_grid_roots", with_non_roots)
+        count = assert_cells_alike(criterion_6_grid(), "fixed_charge")
+        assert count("NumericalError: root refinement residual") >= 10
+        assert count("stable") >= 10
+
+    @pytest.mark.parametrize("fields, ring_mode, c0s, want", [
+        # a sphere so dense that omega_m ~ 1e-143: Gamma_diff ~ 1e163
+        # has no finite square; beside cells of fig1's sphere
+        (dict(density=1e300, gas_pressure=1e300 * 133.322368),
+         "fixed_charge", (1064e-9, 0.0), "ConfigInvalid: derived constant Gamma_diff"),
+        # a_s^2 overflows in the trap frequency of the C0 = 0 cells, the
+        # only ones with a root
+        (dict(cavity_length=1e148, input_power=1e147), "fixed_charge",
+         (1064e-9, 0.0, -1064e-9), "ConfigInvalid: derived constant trap radicand"),
+        # a tiny mass makes A_q / (m omega_m) overflow in Omega_m
+        (dict(sphere_radius=1e-59, ring_offset_c0=1e-159), "fixed_charge",
+         (1e-159, 0.0, -1e-159), "ConfigInvalid: derived constant Omega_m = inf"),
+        # C0 = -x_s: the resonant charge divides by zero, Omega_m is nan
+        (dict(ring_field=2.5e11), "resonant", (1064e-9, None),
+         "ConfigInvalid: derived constant Omega_m = nan"),
+    ], ids=["Gamma_diff", "trap-radicand", "Omega_m", "resonant-Omega_m"])
+    def test_config_invalid_at_a_candidate(self, fields, ring_mode, c0s,
+                                           want):
+        edited = derive_constants(reference_config(**fields))
+        cells = [(edited, d0 * edited.kappa, c0)
+                 for d0 in (0.3, 0.8) for c0 in c0s if c0 is not None]
+        if "density" in fields:   # fig1's sphere in the same optics
+            fig1 = derive_constants(reference_config())
+            cells += [(fig1, d0 * fig1.kappa, 1064e-9) for d0 in (0.3, 0.8)]
+        if ring_mode == "resonant":   # the ring plane at -x_s
+            x_s = one(solve_resonant_models([cells[0]])).op.x_s
+            cells.append((edited, cells[0][1], -x_s))
+        count = assert_cells_alike(cells, ring_mode)
+        assert count(want) >= 1
+        if len(fields) != 2 or "density" in fields:
+            assert count("stable") >= 1
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_routh_hurwitz_values_that_overflow(self, ring_mode):
+        # Delta0 = 1e153 makes S1 inf and 1e100 S2, beside fig1's cells
+        cfg = reference_config()
+        derived = derive_constants(cfg)
+        cells = [(derived, d0, c0) for d0 in (1e153, -3e153, 1e100,
+                                              0.8 * derived.kappa)
+                 for c0 in (1e-8, cfg.ring_offset_c0)]
+        count = assert_cells_alike(cells, ring_mode)
+        if ring_mode == "fixed_charge":
+            assert count("NumericalError: Routh-Hurwitz value S1 = inf") >= 2
+            assert count("NumericalError: Routh-Hurwitz value S2 = inf") >= 1
+            assert count("stable") >= 1
 
 
 class TestMeanField:
