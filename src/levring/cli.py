@@ -170,13 +170,26 @@ _FORMATS = {type(None): _fmt, bool: _fmt_bool, np.bool_: _fmt_bool,
             float: repr, np.float64: _fmt_float, int: str, str: str}
 
 
+def _fmt_column(cells) -> list:
+    """`_fmt` of each cell of a column: one `map` over a column of one
+    type, one lookup per cell over a column of several."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        return list(map(_FORMATS.get(kinds.pop(), _fmt), cells))
+    fmt = _FORMATS.get
+    return [fmt(type(v), _fmt)(v) for v in cells]
+
+
 def write_csv(stream, config_line: str, columns, rows) -> None:
+    """The CSV of rows, any iterable of equal-length tuples, under its
+    `# config:` and `# version:` lines and the header `columns`; each
+    cell as `_fmt` formats it, a column at a time (`_fmt_column`)."""
     stream.write(f"# config: {config_line}\n")
     stream.write(f"# version: {__version__}\n")
     stream.write(",".join(columns) + "\n")
-    fmt = _FORMATS.get
-    for row in rows:
-        stream.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
+    cells = map(_fmt_column, zip(*rows))
+    stream.write("".join([line + "\n" for line in map(",".join,
+                                                        zip(*cells))]))
 
 
 def _emit_csv(path, config_line, columns, rows):
@@ -394,9 +407,11 @@ def cmd_spectrum(args) -> int:
     table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
     columns = ("omega_over_kappa", "S_XX", "S_YY", "S_XX_norm", "S_YY_norm",
                "unstable")
-    # the one `unstable` flag is broadcast to every row
+    # the one `unstable` flag is broadcast to every row; Python floats
+    # and bools, which `write_csv` formats a column at a time
     _emit_csv(args.out, config_line, columns,
-              zip(*np.broadcast_arrays(*attrgetter(*columns)(table))))
+              zip(*[column.tolist() for column in np.broadcast_arrays(
+                  *attrgetter(*columns)(table))]))
     if args.svg:
         write_svg(args.svg, table.omega_over_kappa,
                   [("S_XX", table.S_XX), ("S_YY", table.S_YY)],
@@ -427,13 +442,14 @@ def cmd_stability_map(args) -> int:
     cfg, config_line = _load(args.config)
     cells = solve_grid(cfg, d0_grid, (args.param2, p2_grid))
     rows = []
-    # Python floats, which `write_csv` formats by its first lookup
-    for (d0, p2), cell in zip(itertools.product(d0_grid.tolist(),
-                                                p2_grid.tolist()), cells):
-        if isinstance(cell, LevringError):
-            rows.append((d0, p2, None, None, None, None, error_cell(cell)))
+    # the verdicts only, no model is built; Python floats, which
+    # `write_csv` formats a column at a time
+    for (d0, p2), v in zip(itertools.product(d0_grid.tolist(),
+                                             p2_grid.tolist()),
+                           map(cells.verdict, range(len(cells)))):
+        if isinstance(v, LevringError):
+            rows.append((d0, p2, None, None, None, None, error_cell(v)))
         else:
-            v = cell.verdict
             rows.append((d0, p2, v.s1, v.s2, v.rh_stable, v.eig_stable, ""))
     _emit_csv(args.out, config_line,
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",

@@ -197,19 +197,25 @@ def _eigenvalue_rows(A: np.ndarray, rows):
                   else float(e[-1].real) for e in eigs]
 
 
-def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
-              D: np.ndarray, s1: float, s2: float, marginal: bool,
-              eigs: np.ndarray, max_re: float) -> StateSpaceModel:
-    """The model of one entry, its verdict from its Routh-Hurwitz values
-    (finite) and its sorted eigenvalues, all Python floats but these."""
-    verdict = _record(
+def _verdict(s1: float, s2: float, marginal: bool, eigs: np.ndarray,
+             max_re: float) -> StabilityVerdict:
+    """The verdict of one entry from its Routh-Hurwitz values (finite)
+    and its sorted eigenvalues, all Python floats but these: the one
+    place rh_stable and eig_stable are decided."""
+    return _record(
         StabilityVerdict, s1=s1, s2=s2,
         rh_stable=(s1 > 0.0 and s2 > 0.0 and not marginal),
         rh_marginal=marginal,
         eigenvalues=eigs, max_real_part=max_re,
         eig_stable=(max_re < 0.0))
+
+
+def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
+              D: np.ndarray, s1: float, s2: float, marginal: bool,
+              eigs: np.ndarray, max_re: float) -> StateSpaceModel:
+    """The model of one entry, its verdict by `_verdict`."""
     return _record(StateSpaceModel, A=A, D=D, op=op, derived=derived,
-                   verdict=verdict)
+                   verdict=_verdict(s1, s2, marginal, eigs, max_re))
 
 
 def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:

@@ -164,10 +164,11 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Raise ConfigInvalid naming the first violated requirement."""
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        # the instance dict holds the fields in their declared order, as
+        # __init__ sets them
+        for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigInvalid(f"{field.name} must be finite, got {value}")
+                raise ConfigInvalid(f"{name} must be finite, got {value}")
         positive = [
             "sphere_radius", "density", "wavelength", "cavity_length",
             "finesse", "input_power", "ring_radius", "temperature",
@@ -489,8 +490,11 @@ def derive_constants(cfg: SystemConfig) -> DerivedParams:
               * e_over_kappa * e_over_kappa), "finite square", cfg)
     _guard("kappa^2", kappa * kappa, "normal", cfg)
 
-    return DerivedParams(**c, ring_radius=cfg.ring_radius,
-                         damping_at=_damping(cfg), cfg=cfg)
+    # as `DerivedParams(**c, ...)` builds it, without one __setattr__ per
+    # field (a one-cell solve derives its constants once)
+    return _record(DerivedParams, c, ring_radius=cfg.ring_radius,
+                   damping_at=_damping(cfg), gamma_ph=None, gamma_gas=None,
+                   gamma=None, Gamma_diff=None, cfg=cfg)
 
 
 def check_detuning(delta0: float, derived: DerivedParams, name: str) -> float:

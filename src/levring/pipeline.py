@@ -18,7 +18,7 @@ from .errors import ConfigError, LevringError, caught, one
 from .model import (DerivedParams, SystemConfig, _guard, _record,
                     delta0_from_config, delta0_grid, derive_constants,
                     ring_field)
-from .steady_state import (OperatingPoint, solve_models,
+from .steady_state import (OperatingPoint, Outcomes, solve_models,
                            solve_resonant_models)
 
 RING_MODES = ("fixed_charge", "resonant")
@@ -72,8 +72,10 @@ def solve_point(cfg: SystemConfig,
 def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,
                ring_mode: str = "fixed_charge"):
     """The model of `cfg` at each cell of a grid, or the LevringError
-    solving it raises, in row order: one row per detuning of
-    delta0_over_kappa, in linewidths, one cell per value of `axis`.
+    solving it raises, in row order, as the grid solver's
+    `steady_state.Outcomes` (models built on first access, verdicts read
+    without them): one row per detuning of delta0_over_kappa, in
+    linewidths, one cell per value of `axis`.
 
     delta0_over_kappa None is the one row at the configured detuning
     (`delta0_from_config`), with the constants of `cfg` as given.  A
@@ -101,7 +103,7 @@ def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,
         derived = derive_constants(cfg)
         delta0s = [delta0_from_config(cfg, derived)]
     elif len(delta0_over_kappa) == 0:
-        return []
+        return Outcomes([])
     else:
         derived = derive_constants(dataclasses.replace(
             cfg, detuning_delta0=None,
@@ -118,8 +120,12 @@ def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,
                   for value in values]
         columns = [(caught(derive_constants, c), c.ring_offset_c0)
                    for c in varied]
-    solved = iter(solver([(column, d0, c0) for d0 in delta0s
-                          for column, c0 in columns
-                          if not isinstance(column, LevringError)]))
-    return [column if isinstance(column, LevringError) else next(solved)
-            for _d0 in delta0s for column, _c0 in columns]
+    valid = [(column, c0) for column, c0 in columns
+             if not isinstance(column, LevringError)]
+    solved = solver([(column, d0, c0) for d0 in delta0s
+                     for column, c0 in valid])
+    if len(valid) == len(columns):
+        return solved
+    return solved.placed([column if isinstance(column, LevringError)
+                          else None for _d0 in delta0s
+                          for column, _c0 in columns])

@@ -31,8 +31,9 @@ every cell then pass through one pass (`_screen_plans`): formulas
 written once for Python floats and arrays form their operating points,
 damping, Routh-Hurwitz values and matrices, on Python floats for one
 cell and on arrays for more, every square by libm pow on Python floats;
-one stacked `np.linalg.eigvals` call gives the eigenvalues, and records
-are built only for the models the cells return.
+one stacked `np.linalg.eigvals` call gives the eigenvalues.  The
+solvers return `Outcomes`: a cell's records are built when its model is
+first read, and its verdict can be read without them.
 `_grid_tables` is the one cache, of the grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
@@ -43,6 +44,7 @@ integrator used as an independent dynamical check on the root finder.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import functools
 import math
 import operator
@@ -411,17 +413,17 @@ def _scan_hits(fun, tables, params):
     """
     _, coarse, fine, width = tables
     # a bound or a sum that overflows is inf and certifies nothing: the
-    # fine pass evaluates its intervals again, and warns of an overflow
-    with np.errstate(over="ignore"):
-        slope, slack = fun.bound(params)
-        limit = (slope * width + slack)[:, None]
-        spans = []
-        for first in range(0, len(params[0]), SCAN_CHUNK):
-            rows = slice(first, first + SCAN_CHUNK)
-            ends = np.abs(fun(*coarse, tuple(p[rows, None] for p in params)))
-            ends = ends[:, :-1] + ends[:, 1:]
-            cell, j = np.nonzero(~((ends > limit[rows]) & (ends < np.inf)))
-            spans.append((cell + first, j))
+    # fine pass evaluates its intervals again (`_grid_roots` runs both
+    # passes with overflows silent)
+    slope, slack = fun.bound(params)
+    limit = (slope * width + slack)[:, None]
+    spans = []
+    for first in range(0, len(params[0]), SCAN_CHUNK):
+        rows = slice(first, first + SCAN_CHUNK)
+        ends = np.abs(fun(*coarse, tuple(p[rows, None] for p in params)))
+        ends = ends[:, :-1] + ends[:, 1:]
+        cell, j = np.nonzero(~((ends > limit[rows]) & (ends < np.inf)))
+        spans.append((cell + first, j))
     cells, opened = map(np.concatenate, zip(*spans))
     hits, block = [], SCAN_CHUNK * SCAN_STRIDE
     for first in range(0, max(len(opened), 1), block):  # once if none open
@@ -482,6 +484,7 @@ def _bisect_all(fun, a, b, fa, tol_x):
     return root
 
 
+@np.errstate(over="ignore")
 def _grid_roots(k: float, resonant: bool, fun, params):
     """The roots of cells that differ only in params, a tuple of arrays
     of one value per cell, as one ascending list per cell.
@@ -497,14 +500,20 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     [xs[i], xs[i + 1]] are bisected from f_i: one cell's on Python
     floats by `_bisect`, more cells' in lock step by `_bisect_all`, both
     squaring cos(kx) by product, as the tables do.
+
+    Every array pass runs with overflows silent, as Python-float
+    arithmetic is: an overflow is an inf, a value like any other to the
+    hit rule, and the candidates are judged later (a |delta0| past the
+    `check_detuning` bound makes `delta * delta` inf, and the cell a
+    ConfigInvalid of its trap radicand).
     """
     tol_x, tables = _grid_tables(k, resonant)
     xs = tables[0][0]
     float_trig, array_trig = _TRIG[resonant]
     if len(params[0]) == 1:
-        fs = fun(*tables[0], params)
-        i = np.flatnonzero(_hit_mask(fs))
         cell_params, cos = tuple(p.item() for p in params), math.cos
+        fs = fun(*tables[0], cell_params)
+        i = np.flatnonzero(_hit_mask(fs))
 
         def bisected(x):
             c = cos(k * x)
@@ -532,10 +541,12 @@ def _grid_roots(k: float, resonant: bool, fun, params):
 
 def _shared(cells, names):
     """The constants of the first cell, or None for no cells; ValueError
-    unless those of every cell agree with them in the attributes `names`."""
+    unless those of every cell agree with them in the attributes `names`.
+    Each distinct constants object is compared once, not once per cell."""
     get = operator.attrgetter(*names)
     ref = cells[0][0] if cells else None
-    if any(get(d) != get(ref) for d, _, _ in cells):
+    distinct = {id(d): d for d, _, _ in cells}.values()
+    if any(get(d) != get(ref) for d in distinct):
         raise ValueError(
             f"cells must share {', '.join(names[:-1])} and {names[-1]}")
     return ref
@@ -648,9 +659,62 @@ def _model(v: _Candidates, j: int, derived: DerivedParams, resonant: bool,
                               v.marginal[j], eigs, max_re)
 
 
-def _screen_plans(cells, plans, balance, resonant: bool):
+class Outcomes(collections.abc.Sequence):
+    """The outcomes of a grid of cells, in cell order (`_screen_plans`).
+
+    Entry i is cell i's LevringError, or its StateSpaceModel, whose
+    records `_model` builds on first access; the model is kept, and a
+    slice is a list.  `verdict(i)` gives cell i's StabilityVerdict, or
+    its error, without building the other records: a stability map
+    builds none.
+    """
+
+    # entries[i] is cell i's error, its model, or the (candidate,
+    # constants) its model is built from; table is the grid's (values, A,
+    # D, found, resonant) of `_screen_plans`
+    __slots__ = ("_entries", "_table")
+
+    def __init__(self, entries, table=None):
+        self._entries, self._table = entries, table
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        entry = self._entries[i]
+        if type(entry) is tuple:
+            v, A, D, found, resonant = self._table
+            j, derived = entry
+            entry = self._entries[i] = _model(v, j, derived, resonant, A, D,
+                                              *found[j])
+        return entry
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._entries)))
+
+    def verdict(self, i):
+        """Cell i's StabilityVerdict (`dynamics._verdict`), or its error."""
+        entry = self._entries[i]
+        if type(entry) is tuple:
+            v, _, _, found, _ = self._table
+            j = entry[0]
+            return dynamics._verdict(v.s1[j], v.s2[j], v.marginal[j],
+                                     *found[j])
+        return entry if isinstance(entry, LevringError) else entry.verdict
+
+    def placed(self, layout):
+        """The outcomes of a larger grid: these, in order, in the slots
+        of layout that are None, and layout's own errors in the others."""
+        entries = iter(self._entries)
+        return Outcomes([next(entries) if slot is None else slot
+                         for slot in layout], self._table)
+
+
+def _screen_plans(cells, plans, balance, resonant: bool) -> Outcomes:
     """The screened model of each of a grid of cells, or the error it
-    gives.
+    gives, as `Outcomes`.
 
     plans[i] is cell i's error, or (xs, tol): its candidate displacements
     in screen order and the residual bound (`_admitted`).  One pass forms
@@ -659,14 +723,14 @@ def _screen_plans(cells, plans, balance, resonant: bool):
     cell's candidates are then checked on Python floats (`_admitted`).
     The eigenvalues of every admitted candidate whose S1 and S2 are
     finite come from one stacked call (`dynamics._eigenvalue_rows`).
-    The screen (`_screen`) walks each cell's entries; records are built
-    for the models it accepts only.
+    The screen (`_screen`) walks each cell's entries; the outcomes keep
+    the candidate it accepts, and build its records on first access.
     """
     outcomes = list(plans)
     live = [i for i, plan in enumerate(plans)
             if not isinstance(plan, LevringError)]
     if not live:
-        return outcomes
+        return Outcomes(outcomes)
     xs, inputs = [], []
     for i in live:
         derived, delta0, c0 = cells[i]
@@ -701,9 +765,8 @@ def _screen_plans(cells, plans, balance, resonant: bool):
     found.update(zip(rows, zip(*dynamics._eigenvalue_rows(A, rows))))
     for i in walks:
         j = _screen(*outcomes[i], found)
-        outcomes[i] = j if isinstance(j, LevringError) else _model(
-            v, j, cells[i][0], resonant, A, D, *found[j])
-    return outcomes
+        outcomes[i] = j if isinstance(j, LevringError) else (j, cells[i][0])
+    return Outcomes(outcomes, (v, A, D, found, resonant))
 
 
 def _screen(entries, end, found):
@@ -730,8 +793,8 @@ def solve_models(cells):
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive and kappa; the cells of a stability map differ only
-    in delta0, c0, A_q and the ring charge.  Returns a list whose entry
-    i is the model screened at cell i's selected root, or the
+    in delta0, c0, A_q and the ring charge.  Returns `Outcomes` whose
+    entry i is the model screened at cell i's selected root, or the
     NumericalError it raises; a point is the one-cell grid.
 
     Among a cell's roots, taken in order of |x_s|, the first whose drift
@@ -752,7 +815,7 @@ def solve_models(cells):
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
     if ref is None:
-        return []
+        return Outcomes([])
     balance = _balance(ref)
     # a decoupled cell, A_q = 0 or C0 = 0, is not scanned: its one
     # candidate is x_s = 0
@@ -763,15 +826,20 @@ def solve_models(cells):
         params = tuple(np.array([(cells[i][1], cells[i][2], cells[i][0].A_q)
                                  for i in scanned]).T)
         roots = dict(zip(scanned, _grid_roots(ref.k, False, balance, params)))
-    plans = []
+    plans, tols = [], {}    # one residual bound per distinct (constants, C0)
     for i, (d, delta0, c0) in enumerate(cells):
         found = roots.get(i)
-        plans.append(
-            ([0.0], None) if found is None
-            else (sorted(found, key=abs),
-                  RESIDUAL_REL_TOL * residual_scale(d, c0, balance)) if found
-            else NoRootInInterval("no force-balance root in (-pi/4k, pi/4k)"
-                                  f" at delta0 = {delta0:.6e}"))
+        if found is None:
+            plans.append(([0.0], None))
+        elif not found:
+            plans.append(NoRootInInterval(
+                "no force-balance root in (-pi/4k, pi/4k) at delta0 = "
+                f"{delta0:.6e}"))
+        else:
+            key = id(d), c0
+            if key not in tols:
+                tols[key] = RESIDUAL_REL_TOL * residual_scale(d, c0, balance)
+            plans.append((sorted(found, key=abs), tols[key]))
     return _screen_plans(cells, plans, balance, False)
 
 
@@ -828,7 +896,7 @@ def solve_resonant_models(cells):
 
     cells is a sequence of (derived, delta0, c0) whose constants share
     k, g, E_drive, kappa and mass, the constants of the resonance
-    condition.  Returns a list whose entry i is the screened model at
+    condition.  Returns `Outcomes` whose entry i is the screened model at
     cell i's resonant point, or the NumericalError it raises; a point is
     the one-cell grid.
 
@@ -858,7 +926,7 @@ def solve_resonant_models(cells):
         for d, _, c0 in cells]
     scanned = [i for i, plan in enumerate(plans) if plan is None]
     if not scanned:
-        return plans
+        return Outcomes(plans)
     params = (np.array([cells[i][1] for i in scanned]),)
     for i, roots in zip(scanned, _grid_roots(ref.k, True, _mismatch(ref),
                                              params)):

@@ -16,6 +16,7 @@ import pytest
 
 import levring.cli
 import levring.pipeline
+import levring.steady_state
 from levring.cli import main, parse_config
 from levring.errors import NotConverged, ParseError, ValidationError
 from levring.model import derive_constants
@@ -357,6 +358,23 @@ class TestCommands:
         assert code == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("choice", ["c0_over_lambda", "charge_scale"])
+    def test_stability_map_builds_no_model(self, monkeypatch, choice):
+        # a map reads its cells' verdicts: no cell's records are built,
+        # and the pinned bytes are written
+        built = []
+        monkeypatch.setattr(levring.steady_state, "_model",
+                            lambda *args: built.append(args))
+        with open(ROOT / "levbench" / "reference_digests.json") as fh:
+            digest = json.load(fh)["digests"]["stability_map"][choice]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["stability-map", "--config",
+                         str(ROOT / "configs" / "fig1.cfg"), "--param2",
+                         choice]) == 0
+        assert built == []
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
     def test_stability_map_includes_decoupled_line(self, cfg_file, tmp_path):
         out = tmp_path / "map.csv"
         code = main(["stability-map", "--config", cfg_file,
@@ -484,6 +502,77 @@ class TestCommands:
                         "--config", fig2, "--svg", str(fresh)],
                        check=True, capture_output=True, env=env)
         assert svg.read_bytes() == fresh.read_bytes()
+
+
+def per_cell_csv(config_line, columns, rows):
+    """The CSV `write_csv` writes, formed row by row, cell by cell, by
+    `cli._fmt`."""
+    lines = [f"# config: {config_line}", f"# version: {levring.__version__}",
+             ",".join(columns)]
+    lines += [",".join(levring.cli._fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestWriteCsv:
+    """`write_csv` formats a column at a time; each cell keeps the bytes
+    `_fmt` gives it."""
+
+    COLUMNS = ("a", "b", "c", "d", "e", "f", "g")
+
+    def written(self, rows):
+        out = io.StringIO()
+        levring.cli.write_csv(out, "k=v", self.COLUMNS, rows)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("rows", [
+        # floats with None on error rows, as a map's S1 and S2
+        [(0.1, -2.5e-300, None, True, "", 1, np.float64(3.0)),
+         (1e300, float("nan"), 2.0, None, "NoRootInInterval: x", 2,
+          np.float64(-0.0)),
+         (float("inf"), -float("inf"), None, False, "", -3,
+          np.float64(1e-310))],
+        # bool beside np.bool_, in one column and in their own
+        [(True, np.True_, np.False_, True, "a", 0, 5e-324),
+         (False, np.False_, True, np.True_, "b", 7, 1.5)],
+        # numpy types outside the lookup table, and an int column of
+        # numpy ints
+        [(np.float32(0.1), np.float32(3.0), np.int64(4), np.float16(0.5),
+          np.str_("s"), np.uint8(9), np.longdouble(0.25)),
+         (np.float32(-1e-40), 2.0, np.int64(-4), None, "t", 1,
+          np.longdouble(-2.0))],
+    ], ids=["float-None", "bools", "fallback"])
+    def test_columns_equal_per_cell_format(self, rows):
+        want = per_cell_csv("k=v", self.COLUMNS, rows)
+        assert self.written(rows) == want
+        assert self.written(iter(rows)) == want
+        assert self.written(zip(*zip(*rows))) == want
+        assert self.written(map(tuple, rows)) == want
+
+    def test_zero_rows_write_the_header_only(self):
+        want = per_cell_csv("k=v", self.COLUMNS, [])
+        assert self.written([]) == want == (
+            f"# config: k=v\n# version: {levring.__version__}\n"
+            "a,b,c,d,e,f,g\n")
+        assert self.written(iter([])) == want
+        assert self.written(zip()) == want
+
+    def test_a_seeded_table_equals_per_cell_format(self):
+        rng = np.random.default_rng(35)
+        kinds = [lambda: float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+                 lambda: None, lambda: bool(rng.integers(2)),
+                 lambda: np.bool_(rng.integers(2)), lambda: "e, x",
+                 lambda: int(rng.integers(-9, 9)),
+                 lambda: np.float64(rng.normal()),
+                 lambda: np.float32(rng.normal())]
+        # columns of one kind, and columns that mix two kinds
+        picks = [(k, k) for k in range(len(kinds))] + [(0, 1), (2, 3),
+                                                       (6, 7), (0, 6)]
+        for first, second in picks:
+            rows = [tuple(kinds[(first, second)[(r + c) % 2]]()
+                          for c in range(len(self.COLUMNS)))
+                    for r in range(40)]
+            assert self.written(rows) == per_cell_csv("k=v", self.COLUMNS,
+                                                      rows)
 
 
 def assert_inside_the_chart(text):

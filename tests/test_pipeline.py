@@ -75,6 +75,30 @@ def test_map_column_equals_grid_without_axis(make_cfg, ring_mode, name):
     assert "StateSpaceModel" in kinds and "ConfigInvalid" in kinds
 
 
+def verdict_fingerprint(verdict):
+    """A verdict's fields, its eigenvalues as bytes, or an error."""
+    if isinstance(verdict, LevringError):
+        return verdict
+    return (verdict.s1, verdict.s2, verdict.rh_stable, verdict.rh_marginal,
+            verdict.eig_stable, verdict.max_real_part,
+            verdict.eigenvalues.tobytes())
+
+
+@pytest.mark.parametrize("ring_mode, name", [
+    ("fixed_charge", "c0_over_lambda"), ("fixed_charge", "charge_scale"),
+    ("resonant", "c0_over_lambda")])
+def test_verdicts_of_a_grid_with_failed_columns(ring_mode, name):
+    # the verdict of each cell, read before any model is built, is that
+    # of its model, or the cell's error: a solved cell's or its column's
+    cells = solve_grid(fig1(), DETUNINGS, (name, VALUES), ring_mode)
+    verdicts = [verdict_fingerprint(cells.verdict(i))
+                for i in range(len(cells))]
+    assert verdicts == [verdict_fingerprint(
+        c if isinstance(c, LevringError) else c.verdict) for c in cells]
+    assert any(type(v) is tuple for v in verdicts)
+    assert sum(type(v).__name__ == "ConfigInvalid" for v in verdicts) == 9
+
+
 def test_unknown_axis_is_value_error():
     with pytest.raises(ValueError, match="axis must be None or one of"):
         solve_grid(fig1(), DETUNINGS, ("gas_pressure", [1.0]))
@@ -92,7 +116,7 @@ def test_unknown_ring_mode_is_value_error():
 
 @pytest.mark.parametrize("axis", [None, ("c0_over_lambda", [0.0, 1.0])])
 def test_empty_grid_is_empty(axis):
-    assert solve_grid(fig1(), [], axis) == []
+    assert list(solve_grid(fig1(), [], axis)) == []
 
 
 def test_param2_choices_are_the_axes():

@@ -6,6 +6,7 @@ import functools
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -716,6 +717,23 @@ def assert_same_outcome(got, cell, solve=solve_models):
     return "stable" if want.stable else "unstable"
 
 
+def assert_verdicts_alike(outcomes):
+    """`Outcomes.verdict(i)`, read before any model is built, equals the
+    verdict of the model `outcomes[i]` builds on every cell, field by
+    field (`assert_same_record`), or is that cell's very error; once the
+    model is built, it is the model's own verdict.  Returns the count of
+    cells with a model."""
+    verdicts = [outcomes.verdict(i) for i in range(len(outcomes))]
+    for i, verdict in enumerate(verdicts):
+        outcome = outcomes[i]
+        if isinstance(outcome, LevringError):
+            assert verdict is outcome
+            continue
+        assert_same_record(verdict, outcome.verdict)
+        assert outcomes.verdict(i) is outcome.verdict
+    return sum(not isinstance(v, LevringError) for v in verdicts)
+
+
 def criterion_6_grid():
     """Cells of four seeded criterion-6 configs over detuning and +-C0."""
     cells = []
@@ -978,8 +996,8 @@ class TestSolveModels:
         calls = []
 
         def recording(cells):
-            calls.append((cells, list(solve_models(cells))))
-            return iter(calls[-1][1])
+            calls.append((cells, solve_models(cells)))
+            return calls[-1][1]
 
         monkeypatch.setattr(levring.pipeline, "solve_models", recording)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -988,6 +1006,7 @@ class TestSolveModels:
                  "--param2", param2]) == 0
         (cells, got), = calls
         assert len(cells) == 41 * 21
+        assert assert_verdicts_alike(got) > 100
         kinds = collections.Counter(
             assert_same_outcome(g, cell) for g, cell in zip(got, cells))
         assert kinds["stable"] > 100 and kinds["NoRootInInterval"] > 10
@@ -1230,6 +1249,59 @@ class TestScreen:
         assert str(error) == "resonant point is not Hurwitz"
 
 
+class TestOutcomes:
+    """The grid solvers' `Outcomes`: models built on first access, and
+    verdicts read without them."""
+
+    @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
+    def test_fig2_sweep_verdicts_equal_model_verdicts(self, ring_mode):
+        cfg = parse_config(str(CONFIG_DIR / "fig2.cfg"))
+        outcomes = levring.pipeline.solve_grid(
+            cfg, list(np.linspace(0.05, 1.0, 200)), ring_mode=ring_mode)
+        assert len(outcomes) == 200
+        assert assert_verdicts_alike(outcomes) >= (
+            150 if ring_mode == "resonant" else 1)
+
+    def test_models_are_built_once_on_first_access(self, fig1,
+                                                   monkeypatch):
+        cfg, derived, delta0 = fig1
+        built, model = [], steady_state._model
+
+        def counted_model(*args):
+            built.append(args[1])
+            return model(*args)
+
+        monkeypatch.setattr(steady_state, "_model", counted_model)
+        cell = (derived, delta0, cfg.ring_offset_c0)
+        outcomes = solve_models([cell, (derived, delta0, 0.0), cell])
+        verdicts = [outcomes.verdict(i) for i in range(3)]
+        assert built == []
+        assert outcomes[-1] is outcomes[2]
+        assert outcomes[0:2] == [outcomes[0], outcomes[1]]
+        assert len(built) == 3
+        assert list(outcomes) == outcomes[:] and len(built) == 3
+        assert [v.eig_stable for v in verdicts] == [True, True, True]
+
+
+class TestOverflowInTheRootScan:
+    """A |delta0| past the `check_detuning` bound overflows `delta * delta`
+    in the array passes of the root scan: silently, as on Python floats,
+    and the cell fails on its trap radicand."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_huge_detuning_is_config_invalid_without_a_warning(self, fig1,
+                                                                n):
+        cfg, derived, _ = fig1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = list(solve_models([(derived, 1e160, 1e-8)] * n))
+        assert len(got) == n
+        for outcome in got:
+            assert type(outcome) is ConfigInvalid
+            assert str(outcome).startswith(
+                "derived constant trap radicand = nan is not finite")
+
+
 class TestSolveResonantModels:
     def test_fig2_rows_equal_point_path(self):
         cfg = parse_config(str(CONFIG_DIR / "fig2.cfg"))
@@ -1314,6 +1386,7 @@ def assert_cells_alike(cells, ring_mode):
     counting the outcomes whose kind, "stable", "unstable" or an error
     as a CSV cell writes it, starts with a given prefix."""
     solve = SOLVERS[ring_mode]
+    assert_verdicts_alike(solve(cells))
     got = list(solve(cells))
     assert len(got) == len(cells) > 1
     for g, cell in zip(got, cells):
