@@ -35,7 +35,7 @@ from .spectra import BASELINE, spectrum_sweep
 from .steady_state import cavity_steady_field, integrate_mean_field, scan_roots
 from .entanglement import entanglement_sweep
 
-# config key -> (SystemConfig field, SI scale); None scale marks a string key
+# config key -> (SystemConfig field, SI scale)
 CONFIG_KEYS = {
     "sphere_radius_nm": ("sphere_radius", 1e-9),
     "density_kg_m3": ("density", 1.0),
@@ -55,7 +55,6 @@ CONFIG_KEYS = {
     "gas_pressure_torr": ("gas_pressure", TORR_TO_PA),
     "gas_pressure_pa": ("gas_pressure", 1.0),
     "gas_molecule_mass_u": ("gas_molecule_mass", CODATA2018.u),
-    "spectrum_form": ("spectrum_form", None),
 }
 
 REQUIRED_KEYS = [
@@ -119,13 +118,10 @@ def _config_from_items(items) -> SystemConfig:
     kwargs = {}
     for key, (value, lineno) in items.items():
         field, scale = CONFIG_KEYS[key]
-        if scale is None:
-            kwargs[field] = value
-        else:
-            try:
-                kwargs[field] = float(value) * scale
-            except ValueError:
-                raise ParseError(f"line {lineno}: {key} needs a number, got {value!r}")
+        try:
+            kwargs[field] = float(value) * scale
+        except ValueError:
+            raise ParseError(f"line {lineno}: {key} needs a number, got {value!r}")
     cfg = SystemConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -404,7 +400,7 @@ def cmd_spectrum(args) -> int:
             f"spectra's denominator (kappa = {kappa!r} rad/s)")
     sol = solve_point(cfg, ring_mode=args.ring_mode)
     grid = omega_over_kappa * kappa
-    table = spectrum_sweep(sol.model, grid, form=cfg.spectrum_form)
+    table = spectrum_sweep(sol.model, grid)
     columns = ("omega_over_kappa", "S_XX", "S_YY", "S_XX_norm", "S_YY_norm",
                "unstable")
     # the one `unstable` flag is broadcast to every row; Python floats

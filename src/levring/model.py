@@ -42,7 +42,6 @@ from .errors import ConfigInvalid, NonPositiveFrequency
 
 TORR_TO_PA = 133.322368
 DEFAULT_GAS_MASS_U = 28.97  # mean molecular mass of air, in u
-SPECTRUM_FORMS = ("supplement", "maintext")  # spectra cross-term conventions
 
 # validation thresholds for the "much smaller / much larger" requirements
 _MAX_RADIUS_OVER_WAVELENGTH = 0.1
@@ -160,7 +159,6 @@ class SystemConfig:
     detuning_delta0: Optional[float] = None   # rad/s
     detuning_over_kappa: Optional[float] = None
     gas_molecule_mass: float = DEFAULT_GAS_MASS_U * CODATA2018.u  # kg
-    spectrum_form: str = "supplement"
 
     def validate(self) -> None:
         """Raise ConfigInvalid naming the first violated requirement."""
@@ -207,9 +205,6 @@ class SystemConfig:
         if (self.detuning_delta0 is None) == (self.detuning_over_kappa is None):
             raise ConfigInvalid(
                 "exactly one of detuning_delta0 / detuning_over_kappa must be given")
-        if self.spectrum_form not in SPECTRUM_FORMS:
-            raise ConfigInvalid("spectrum_form must be "
-                                + " or ".join(map(repr, SPECTRUM_FORMS)))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ J_out = sqrt(kappa) J - J_in.  Squaring it out exactly gives
               + (kappa^2/2) (|b_J|^2 + |c_J|^2) / |d|^2
               - kappa Re[q_J(w) d(-w)] / |d|^2,
 
-where q_J is the coefficient of the noise quadrature that J_out subtracts:
-q_X = b_X, q_Y = c_Y ("supplement" form, the default -- it makes the
-decoupled G = 0 spectrum exactly flat at the shot-noise floor 1/2).
-The "maintext" switch uses q_J = b_J for both quadratures for comparison.
+where a_J, b_J and c_J (times 1/d) are the responses of J to the thermal
+force and to the X and Y input noise, and q_J is the response to the
+input noise that J_out subtracts.  J_out subtracts each quadrature's own
+input noise, so q_X = b_X and q_Y = c_Y, which are one function,
+(kappa/2 - iw) chi_m^-1.  The cross term then cancels the cavity's
+filtering of that noise: at G = 0 both output spectra are exactly the
+shot-noise floor 1/2, as the output of a lossless cavity must be.
 
 The shot-noise baseline used for the normalised columns is S0 = 1/2 at
 every frequency (the exact decoupled output value); "thermal noise"
@@ -33,7 +36,6 @@ import numpy as np
 
 from .dynamics import StateSpaceModel
 from .errors import NonFiniteResult
-from .model import SPECTRUM_FORMS
 
 BASELINE = 0.5
 
@@ -93,18 +95,16 @@ def transfer_coefficients(model: StateSpaceModel, omega) -> TransferCoefficients
 
 
 @np.errstate(all="ignore")
-def _output_spectra(model: StateSpaceModel, omega, form: str):
+def _output_spectra(model: StateSpaceModel, omega):
     """(S_XX, S_YY) from one evaluation of the transfer coefficients.
 
     Each term is formed once: |b_X|^2 = |c_Y|^2 serves both spectra, and
-    so does the cross term Re[b_X d*] in the supplement form; |a_X|^2 is
+    so does the cross term Re[b_X d*] = Re[c_Y d*]; |a_X|^2 is
     the square of the scalar |G omega_m Delta|.  They are formed with
     numpy's floating-point warnings off and checked: a |d|^2 that
     underflows to zero or is not finite, or a spectrum value that is not
     finite, raises NonFiniteResult.
     """
-    if form not in SPECTRUM_FORMS:
-        raise ValueError(f"unknown spectrum form {form!r}")
     tc = transfer_coefficients(model, omega)
     kappa = model.kappa
     Gamma = model.derived.Gamma_diff
@@ -115,7 +115,9 @@ def _output_spectra(model: StateSpaceModel, omega, form: str):
         raise NonFiniteResult("transfer denominator |d|^2 is not finite")
     d_minus = np.conj(tc.d)  # d(-w) = d(w)*
 
-    def spectrum(a2, b2, c2, cross):
+    cross = np.real(tc.b_X * d_minus)
+
+    def spectrum(a2, b2, c2):
         return (BASELINE
                 + kappa * Gamma * a2 / abs_d2
                 + kappa ** 2 / 2.0 * (b2 + c2) / abs_d2
@@ -124,19 +126,14 @@ def _output_spectra(model: StateSpaceModel, omega, form: str):
     op = model.op
     a_X = abs(op.G * op.omega_m * op.delta_eff)
     b_X2 = np.abs(tc.b_X) ** 2
-    cross_X = np.real(tc.b_X * d_minus)
-    cross_Y = (np.real(tc.b_Y * d_minus) if form == "maintext"
-               else cross_X)
-    spectra = (spectrum(a_X * a_X, b_X2, np.abs(tc.c_X) ** 2, cross_X),
-               spectrum(np.abs(tc.a_Y) ** 2, np.abs(tc.b_Y) ** 2, b_X2,
-                        cross_Y))
+    spectra = (spectrum(a_X * a_X, b_X2, np.abs(tc.c_X) ** 2),
+               spectrum(np.abs(tc.a_Y) ** 2, np.abs(tc.b_Y) ** 2, b_X2))
     if not all(np.isfinite(s).all() for s in spectra):
         raise NonFiniteResult("output spectrum is not finite")
     return spectra
 
 
-def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
-                    form: str = "supplement"):
+def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y"):
     """Symmetric output spectrum S_JJ(omega), dimensionless.
 
     Stable models give values >= 0 with 1/2 as the shot-noise floor;
@@ -148,18 +145,17 @@ def output_spectrum(model: StateSpaceModel, omega, quadrature: str = "Y",
     if not model.stable:
         warnings.warn("output spectrum evaluated on an unstable model",
                       stacklevel=2)
-    return _output_spectra(model, omega, form)["XY".index(quadrature)]
+    return _output_spectra(model, omega)["XY".index(quadrature)]
 
 
-def spectrum_sweep(model: StateSpaceModel, omega_grid,
-                   form: str = "supplement") -> SpectrumTable:
+def spectrum_sweep(model: StateSpaceModel, omega_grid) -> SpectrumTable:
     """Evaluate both output spectra over a strictly increasing grid, from
     one evaluation of the transfer coefficients."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(np.diff(omega_grid) <= 0.0):
         raise ValueError("omega grid must be strictly increasing")
     try:
-        s_xx, s_yy = _output_spectra(model, omega_grid, form)
+        s_xx, s_yy = _output_spectra(model, omega_grid)
     except NonFiniteResult as exc:
         raise NonFiniteResult(
             f"{exc} within grid [{omega_grid[0]:.3e}, {omega_grid[-1]:.3e}]")

@@ -187,8 +187,9 @@ def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
 
 
 def residual_scale(derived: DerivedParams, c0: float, balance=None) -> float:
-    """Magnitude against which the root residual is judged; balance is as
-    in `operating_point_at`, its optical force scale formed once."""
+    """Magnitude against which the root residual is judged; balance, if
+    given, is the `_balance` of constants that share k, g, E_drive and
+    kappa with derived, its optical force scale formed once."""
     return max(abs(derived.A_q * c0),
                (balance or _balance(derived)).optical_scale)
 
@@ -205,18 +206,17 @@ def _amplitude(ev, derived: DerivedParams, delta_eff, kappa2):
                                            + kappa2)
 
 
-def mechanical_frequency(derived: DerivedParams, a_s: float, x_s: float,
-                         balance=None) -> float:
-    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m);
-    balance is as in `operating_point_at`, its trap_scale 2 hbar g k^2.
+def mechanical_frequency(derived: DerivedParams, a_s: float,
+                         x_s: float) -> float:
+    """Optical-trap frequency sqrt(2 hbar g k^2 a_s^2 cos(2 k x_s) / m).
 
     The radicand overflows to inf without a warning, as Python-float
     products do; unless it is finite, `_guard` raises ConfigInvalid
     naming the config fields of g, k, mass and of E_drive and kappa,
     which bound a_s <= 2 E_drive / kappa.
     """
-    c2, radicand = _trap(_FLOATS, balance or _balance(derived), derived.k,
-                         a_s, x_s, derived.mass)
+    c2, radicand = _trap(_FLOATS, _balance(derived), derived.k, a_s, x_s,
+                         derived.mass)
     _trap_checked(derived.cfg, x_s, c2, radicand)
     return math.sqrt(radicand)
 
@@ -291,14 +291,12 @@ def _op_checked(cfg, x_s, a_s, c2, radicand, omega_m, Omega_m):
 
 
 def operating_point_at(derived: DerivedParams, delta0: float, c0: float,
-                       x_s: float, balance=None) -> OperatingPoint:
+                       x_s: float) -> OperatingPoint:
     """Close the steady-state definitions over a given displacement, on
-    Python floats (`_op_values`, `_op_checked`).  balance, if given, is
-    the `_balance` of constants that share k, g, E_drive and kappa with
-    derived."""
+    Python floats (`_op_values`, `_op_checked`)."""
     (delta_eff, a_q, a_s, c2, radicand, omega_m, Omega_m, G,
-     residual) = _op_values(_FLOATS, derived, balance or _balance(derived),
-                            x_s, delta0, c0, derived.A_q, derived.mass)
+     residual) = _op_values(_FLOATS, derived, _balance(derived), x_s,
+                            delta0, c0, derived.A_q, derived.mass)
     _op_checked(derived.cfg, x_s, a_s, c2, radicand, omega_m, Omega_m)
     return _record(
         OperatingPoint, x_s=x_s, a_s=a_s, omega_m=omega_m, Omega_m=Omega_m,

@@ -276,21 +276,6 @@ class TestCommands:
         assert all(abs(float(r[1]) - 0.5) < 1e-14
                    and abs(float(r[2]) - 0.5) < 1e-14 for r in rows)
 
-    def test_spectrum_form_read_from_file(self, cfg_file, tmp_path):
-        # maintext changes only the phase quadrature's cross term
-        path = tmp_path / "maintext.cfg"
-        path.write_text(FIG1_TEXT + "spectrum_form = maintext\n")
-        columns = []
-        for config in (cfg_file, str(path)):
-            out = tmp_path / "spec.csv"
-            assert main(["spectrum", "--config", config, "--grid-n", "101",
-                         "--out", str(out)]) == 0
-            rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
-            columns.append(list(zip(*rows)))
-        (w, sxx, syy), (w_m, sxx_m, syy_m) = (c[:3] for c in columns)
-        assert w == w_m and sxx == sxx_m
-        assert syy != syy_m
-
     def test_csv_byte_identical_between_runs(self, cfg_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
@@ -779,8 +764,6 @@ class TestExitCodes:
             assert csv_error in out.read_text()
 
     @pytest.mark.parametrize("old, new, field", [
-        ("temperature_k = 300",
-         "temperature_k = 300\nspectrum_form = squeezed", "spectrum_form"),
         ("gas_pressure_torr = 1e-10", "gas_pressure_pa = -1", "gas_pressure"),
     ])
     def test_invalid_optional_key_is_validation_error(self, tmp_path, capsys,
@@ -792,6 +775,22 @@ class TestExitCodes:
             assert main(["steady-state", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("subcommand", ["steady-state", "spectrum"])
+    @pytest.mark.parametrize("form", ["maintext", "supplement"])
+    def test_spectrum_form_is_unknown_key(self, tmp_path, capsys, subcommand,
+                                          form):
+        # no config key selects a form of the output spectrum, whatever
+        # value it is given
+        path = tmp_path / "form.cfg"
+        path.write_text(FIG1_TEXT + f"spectrum_form = {form}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([subcommand, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 16: unknown key 'spectrum_form'\n")
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 

@@ -51,9 +51,11 @@ def internal_spectrum(model, omega, which: str):
             + kappa / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2)) / abs_d2
 
 
-def reference_output_spectra(model, omega, form):
+def reference_output_spectra(model, omega):
     """(S_XX, S_YY) with every transfer coefficient and term formed
-    separately: the reference for the shared terms of `spectrum_sweep`."""
+    separately: the reference for the shared terms of `spectrum_sweep`;
+    the phase quadrature's cross term is formed from c_Y, not from the
+    b_X that `spectrum_sweep` shares."""
     omega = np.asarray(omega, dtype=float)
     op = model.op
     kappa, gamma = model.kappa, model.gamma
@@ -78,8 +80,7 @@ def reference_output_spectra(model, omega, form):
                 + kappa ** 2 / 2.0 * (np.abs(b) ** 2 + np.abs(c) ** 2) / abs_d2
                 - kappa * np.real(cross * d_minus) / abs_d2)
 
-    cross_Y = b_Y if form == "maintext" else c_Y
-    return (spectrum(a_X, b_X, c_X, b_X), spectrum(a_Y, b_Y, c_Y, cross_Y))
+    return (spectrum(a_X, b_X, c_X, b_X), spectrum(a_Y, b_Y, c_Y, c_Y))
 
 
 @pytest.fixture(scope="module")
@@ -193,15 +194,6 @@ class TestOutputSpectrum:
             peak = np.abs(w)[mask][np.argmax(np.abs(s - 0.5)[mask])]
             assert abs(peak - om) / om < 0.3
 
-    def test_maintext_form_differs_only_in_phase_quadrature(self, fig1_model):
-        w = np.linspace(-2, 2, 201) * KAP
-        sx_s = output_spectrum(fig1_model, w, "X", form="supplement")
-        sx_m = output_spectrum(fig1_model, w, "X", form="maintext")
-        assert np.array_equal(sx_s, sx_m)
-        sy_s = output_spectrum(fig1_model, w, "Y", form="supplement")
-        sy_m = output_spectrum(fig1_model, w, "Y", form="maintext")
-        assert np.max(np.abs(sy_s - sy_m)) > 1e-3
-
     def test_tiny_charge_leaves_narrow_weak_feature(self):
         # charge fraction 1e-8 at the reference field: output is no
         # longer thermal-flat, but the deviation is vanishingly small
@@ -249,10 +241,6 @@ class TestSpectrumSweep:
         with pytest.raises(ValueError):
             spectrum_sweep(fig1_model, [0.0, 0.0, 1.0])
 
-    def test_unknown_form_rejected(self, fig1_model):
-        with pytest.raises(ValueError, match="unknown spectrum form 'x'"):
-            spectrum_sweep(fig1_model, [0.0, 1.0], form="x")
-
     def test_vanishing_denominator_raises(self):
         # with G = 0 and gamma = 0, d(omega) = chi_c^-1 (omega_m Omega_m -
         # omega^2) is exactly zero at the grid point omega = 1
@@ -268,8 +256,7 @@ class TestSpectrumSweep:
         table = spectrum_sweep(m, np.linspace(-1, 1, 11) * KAP)
         assert table.unstable is True
 
-    @pytest.mark.parametrize("form", ["supplement", "maintext"])
-    def test_both_columns_equal_output_spectrum(self, form):
+    def test_both_columns_equal_output_spectrum(self):
         # one linear-response pass gives each quadrature's bits
         cfg = parse_config(str(CONFIG_DIR / "fig1.cfg"))
         models = [solve_point(cfg, ring_mode).model
@@ -279,18 +266,17 @@ class TestSpectrumSweep:
         for model in models:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = spectrum_sweep(model, w, form)
+                table = spectrum_sweep(model, w)
             expect = (contextlib.nullcontext() if model.stable
                       else pytest.warns(UserWarning))
             with expect:
-                want_xx = output_spectrum(model, w, "X", form)
-                want_yy = output_spectrum(model, w, "Y", form)
+                want_xx = output_spectrum(model, w, "X")
+                want_yy = output_spectrum(model, w, "Y")
             assert table.S_XX.tobytes() == want_xx.tobytes()
             assert table.S_YY.tobytes() == want_yy.tobytes()
         assert [m.stable for m in models] == [True, True, False]
 
-    @pytest.mark.parametrize("form", ["supplement", "maintext"])
-    def test_sweep_equals_unshared_reference(self, form):
+    def test_sweep_equals_unshared_reference(self):
         # each shared term gives the bits of the formulas written out
         # separately, on the shipped models and an unstable one; fig2
         # has a fixed-charge root only below 0.25 linewidths
@@ -303,8 +289,8 @@ class TestSpectrumSweep:
         models.append(random_model(np.random.default_rng(5), stable=False))
         w = np.linspace(-3, 3, 3001) * KAP
         for model in models:
-            table = spectrum_sweep(model, w, form)
-            want_xx, want_yy = reference_output_spectra(model, w, form)
+            table = spectrum_sweep(model, w)
+            want_xx, want_yy = reference_output_spectra(model, w)
             assert table.S_XX.tobytes() == want_xx.tobytes()
             assert table.S_YY.tobytes() == want_yy.tobytes()
         assert [m.stable for m in models] == [True] * 4 + [False]
