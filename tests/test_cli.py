@@ -1,5 +1,6 @@
 """Config parsing, subcommands, CSV determinism and exit codes."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ import levring.pipeline
 import levring.steady_state
 from levring.cli import main, parse_config
 from levring.errors import NotConverged, ParseError, ValidationError
-from levring.model import derive_constants
+from levring.model import SystemConfig, derive_constants
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -88,6 +89,14 @@ class TestParse:
         for name in ("fig1.cfg", "fig2.cfg", "decoupled.cfg"):
             cfg = parse_config(os.path.join(here, "..", "configs", name))
             assert cfg.sphere_radius == 50 * 1e-9
+
+    def test_every_key_is_a_float_scaled_field(self):
+        # every config key names a field of SystemConfig and is read as a
+        # number times its float unit scale; no key is string-valued
+        fields = {f.name for f in dataclasses.fields(SystemConfig)}
+        for key, (field, scale) in levring.cli.CONFIG_KEYS.items():
+            assert field in fields, key
+            assert type(scale) is float, key
 
     def test_empty_file_lists_required_keys(self, tmp_path):
         path = tmp_path / "empty.cfg"

@@ -250,6 +250,17 @@ class TestSpectrumSweep:
         assert str(err.value) == ("transfer denominator underflowed to zero "
                                   "within grid [5.000e-01, 1.500e+00]")
 
+    def test_no_coupling_gives_shot_noise_floor(self):
+        # with G = 0 each output quadrature subtracts its own input noise,
+        # so both columns are 1/2 whatever the detuning, damping and
+        # mechanical noise
+        rng = np.random.default_rng(11)
+        w = np.linspace(-3, 3, 3001) * KAP
+        for _ in range(20):
+            table = spectrum_sweep(random_model(rng, G_range=(0.0, 0.0)), w)
+            assert np.max(np.abs(table.S_XX - 0.5)) < 1e-14
+            assert np.max(np.abs(table.S_YY - 0.5)) < 1e-14
+
     def test_unstable_flag(self):
         rng = np.random.default_rng(21)
         m = random_model(rng, stable=False)
