@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CODATA2018
+from .dynamics import _stable
 from .errors import ConfigError, LevringError, NotConverged, NumericalError, \
     ParseError, ValidationError, error_cell
 from .model import (TORR_TO_PA, SystemConfig, delta0_from_config,
@@ -167,11 +168,15 @@ _FORMATS = {type(None): _fmt, bool: _fmt_bool, np.bool_: _fmt_bool,
 
 
 def _fmt_column(cells) -> list:
-    """`_fmt` of each cell of a column: one `map` over a column of one
-    type, one lookup per cell over a column of several."""
+    """`_fmt` of each cell of a column: one lookup for a column of one
+    type, or of one and None (the empty cell), else one per cell."""
     kinds = set(map(type, cells))
     if len(kinds) == 1:
         return list(map(_FORMATS.get(kinds.pop(), _fmt), cells))
+    kinds.discard(type(None))
+    if len(kinds) == 1:
+        fmt = _FORMATS.get(kinds.pop(), _fmt)
+        return ["" if v is None else fmt(v) for v in cells]
     fmt = _FORMATS.get
     return [fmt(type(v), _fmt)(v) for v in cells]
 
@@ -437,16 +442,18 @@ def cmd_stability_map(args) -> int:
     p2_grid = _grid(args, "p2")
     cfg, config_line = _load(args.config)
     cells = solve_grid(cfg, d0_grid, (args.param2, p2_grid))
+    v, _, _, found, _ = cells.table or (None,) * 5
     rows = []
-    # the verdicts only, no model is built; Python floats, which
-    # `write_csv` formats a column at a time
-    for (d0, p2), v in zip(itertools.product(d0_grid.tolist(),
-                                             p2_grid.tolist()),
-                           map(cells.verdict, range(len(cells)))):
-        if isinstance(v, LevringError):
-            rows.append((d0, p2, None, None, None, None, error_cell(v)))
+    # read off the solver's columns, as Python floats: no model is built
+    for (d0, p2), cell in zip(itertools.product(d0_grid.tolist(),
+                                                p2_grid.tolist()),
+                              map(cells.candidate, range(len(cells)))):
+        if isinstance(cell, LevringError):
+            rows.append((d0, p2, None, None, None, None, error_cell(cell)))
         else:
-            rows.append((d0, p2, v.s1, v.s2, v.rh_stable, v.eig_stable, ""))
+            j = cell[0]
+            rows.append((d0, p2, v.s1[j], v.s2[j], *_stable(
+                v.s1[j], v.s2[j], v.marginal[j], found[j][1]), ""))
     _emit_csv(args.out, config_line,
               ["delta0_over_kappa", args.param2, "S1", "S2", "rh_stable",
                "eig_stable", "error"], rows)

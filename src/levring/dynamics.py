@@ -197,17 +197,20 @@ def _eigenvalue_rows(A: np.ndarray, rows):
                   else float(e[-1].real) for e in eigs]
 
 
+def _stable(s1: float, s2: float, marginal: bool, max_re: float):
+    """(rh_stable, eig_stable) from the Routh-Hurwitz values (finite) and
+    the largest eigenvalue real part: the one place they are decided."""
+    return s1 > 0.0 and s2 > 0.0 and not marginal, max_re < 0.0
+
+
 def _verdict(s1: float, s2: float, marginal: bool, eigs: np.ndarray,
              max_re: float) -> StabilityVerdict:
-    """The verdict of one entry from its Routh-Hurwitz values (finite)
-    and its sorted eigenvalues, all Python floats but these: the one
-    place rh_stable and eig_stable are decided."""
+    """The verdict of one entry, its flags by `_stable`."""
+    rh_stable, eig_stable = _stable(s1, s2, marginal, max_re)
     return _record(
-        StabilityVerdict, s1=s1, s2=s2,
-        rh_stable=(s1 > 0.0 and s2 > 0.0 and not marginal),
-        rh_marginal=marginal,
-        eigenvalues=eigs, max_real_part=max_re,
-        eig_stable=(max_re < 0.0))
+        StabilityVerdict, s1=s1, s2=s2, rh_stable=rh_stable,
+        rh_marginal=marginal, eigenvalues=eigs, max_real_part=max_re,
+        eig_stable=eig_stable)
 
 
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,

@@ -3,14 +3,12 @@
 The stationary second moments of the linearised Gaussian state solve the
 Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
-pivoting -- exact to machine precision at this size.  Any number of
-stable models is solved in one stacked solve (`lyapunov_solves`, of
-which `lyapunov_solve` is the one-model case), and accepted as one
-stack: the solutions are symmetrised and their residuals
-||A V + V A^T + D||_F / ||D||_F formed at once, and only a solution
-that misses the 1e-10 target is refined on its own.  The cell count
-picks a kernel only in the steady state, in `steady_state._grid_roots`
-and `model._tabulate`.
+pivoting -- exact to machine precision at this size.  A stack of
+drift and diffusion matrices, of any number of systems, is solved in
+one stacked solve (`_lyapunov_stack`, which `lyapunov_solves` and the
+sweep call), and accepted as one stack: the solutions are symmetrised
+and their residuals ||A V + V A^T + D||_F / ||D||_F formed at once, and
+only a solution that misses the 1e-10 target is refined on its own.
 An RK4 relaxation of dV/dt = A V + V A^T + D, evaluated by doubling the
 RK4 step map, provides an independent route used as an oracle in the
 tests.
@@ -35,12 +33,13 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import _kron_sum, cov_rk4
-from .dynamics import StateSpaceModel
-from .errors import (LevringError, NotConverged, NumericalError,
+from .dynamics import StateSpaceModel, _stable
+from .errors import (ConfigError, LevringError, NotConverged,
                      SingularSystem, UnphysicalCovariance, UnstableModel,
                      caught, error_cell, one)
 from .model import SystemConfig, _record
-from .pipeline import PointSolution, solutions
+from .pipeline import _field_at_xs, solve_grid
+from .steady_state import _resonant_charge
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
@@ -71,9 +70,11 @@ class EntanglementPoint:
 
 
 def lyapunov_residual(model: StateSpaceModel, V: np.ndarray) -> float:
-    D = model.D
-    return float(np.linalg.norm(model.A @ V + V @ model.A.T + D)
-                 / np.linalg.norm(D))
+    return _residual(model.A, model.D, V)
+
+
+def _residual(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> float:
+    return float(np.linalg.norm(A @ V + V @ A.T + D) / np.linalg.norm(D))
 
 
 def _residuals(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -95,23 +96,22 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"Lyapunov system degenerated: {exc}")
 
 
-def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray,
+def _refined(A: np.ndarray, D: np.ndarray, M: np.ndarray, V: np.ndarray,
              resid: float) -> np.ndarray:
-    """Refine a symmetrised solve V of M vec(V) = -vec(D), of residual
-    resid (`lyapunov_residual`).
+    """Refine a symmetrised solve V of M vec(V) = -vec(D), M the Kronecker
+    sum of the drift matrix A, of residual resid (`_residual`).
 
     Iterative refinement: weakly damped mechanical modes make the system
     ill-conditioned enough that one LU pass can miss the residual target
     in double precision.
     """
-    A, D = model.A, model.D
     for _ in range(3):
         if resid < LYAPUNOV_RESIDUAL_TOL:
             break
         R = A @ V + V @ A.T + D
         correction = _solve(M, -R.reshape(-1)).reshape(4, 4)
         V_new = V + 0.5 * (correction + correction.T)
-        resid_new = lyapunov_residual(model, V_new)
+        resid_new = _residual(A, D, V_new)
         if not resid_new < resid:
             break
         V, resid = V_new, resid_new
@@ -122,57 +122,55 @@ def _refined(model: StateSpaceModel, M: np.ndarray, V: np.ndarray,
     return V
 
 
-def _solve_refined(model: StateSpaceModel, M: np.ndarray) -> np.ndarray:
-    """Solve M vec(V) = -vec(D), M the model's Kronecker sum, symmetrise
-    and refine."""
-    V = _solve(M, -model.D.reshape(-1)).reshape(4, 4)
+def _solve_refined(A: np.ndarray, D: np.ndarray, M: np.ndarray):
+    """Solve M vec(V) = -vec(D), M the Kronecker sum of A, symmetrise and
+    refine."""
+    V = _solve(M, -D.reshape(-1)).reshape(4, 4)
     V = 0.5 * (V + V.T)
-    return _refined(model, M, V, lyapunov_residual(model, V))
+    return _refined(A, D, M, V, _residual(A, D, V))
 
 
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
-    """Stationary covariance of a stable model; symmetrised after solve.
-
-    The solve is that of `lyapunov_solves` on the one model.
-    """
+    """Stationary covariance of a stable model: `lyapunov_solves` on it."""
     return one(lyapunov_solves([model]))
 
 
 def lyapunov_solves(models):
-    """The stationary covariance of each of a batch of models.
-
-    Entry b is the covariance of models[b], or the NumericalError solving
-    it raises (UnstableModel for a model without a stationary state).
-    The stable models, however many, are solved in one stacked
-    `np.linalg.solve`, whose solutions have the bits of solves on their
-    own.  The stack is then accepted as a whole: every solution is
-    symmetrised and its residual formed at once (`_residuals`), a row
-    within LYAPUNOV_RESIDUAL_TOL is taken as it is, and only a row that
-    misses the target is refined (`_refined`).  If any system is
-    singular, the stacked solve fails as a whole and each system is
-    solved and refined on its own (`_solve_refined`).
-    """
+    """Entry b is the stationary covariance of models[b], or the
+    NumericalError solving it raises (UnstableModel for a model without
+    a stationary state); the stable ones are solved as one stack
+    (`_lyapunov_stack`)."""
     out = [None if model.stable else UnstableModel(
         f"no stationary state: max Re eigenvalue = "
         f"{model.verdict.max_real_part:.3e}") for model in models]
     stable = [b for b, error in enumerate(out) if error is None]
-    if not stable:
-        return out
-    A = np.array([models[b].A for b in stable])
-    D = np.array([models[b].D for b in stable])
+    if stable:
+        for b, V in zip(stable, _lyapunov_stack(
+                np.array([models[b].A for b in stable]),
+                np.array([models[b].D for b in stable]))):
+            out[b] = V
+    return out
+
+
+def _lyapunov_stack(A: np.ndarray, D: np.ndarray) -> list:
+    """The stationary covariance of each system of the stacks of Hurwitz
+    drift and diffusion matrices A and D [N, 4, 4], N >= 1, or the
+    NumericalError solving it raises.  One stacked `np.linalg.solve`,
+    whose solutions have the bits of solves on their own; each solution
+    is symmetrised, and kept if its residual (`_residuals`, formed at
+    once) is within LYAPUNOV_RESIDUAL_TOL, else refined (`_refined`).  A
+    singular stack is solved system by system (`_solve_refined`)."""
     M = _kron_sum(A)
     try:
         V = np.linalg.solve(M, -D.reshape(-1, 16, 1)).reshape(-1, 4, 4)
     except np.linalg.LinAlgError:
-        for i, b in enumerate(stable):
-            out[b] = caught(_solve_refined, models[b], M[i])
-        return out
+        return [caught(_solve_refined, A[i], D[i], M[i])
+                for i in range(len(A))]
     V = 0.5 * (V + V.swapaxes(-1, -2))
-    resids = _residuals(A, D, V).tolist()
-    for i, (b, V_b, resid) in enumerate(zip(stable, V, resids)):
-        out[b] = (V_b if resid < LYAPUNOV_RESIDUAL_TOL
-                  else caught(_refined, models[b], M[i], V_b, resid))
-    return out
+    return [V_i if resid < LYAPUNOV_RESIDUAL_TOL
+            else caught(_refined, A[i], D[i], M[i], V_i, resid)
+            for i, (V_i, resid) in enumerate(zip(
+                V, _residuals(A, D, V).tolist()))]
 
 
 def covariance_by_integration(model: StateSpaceModel,
@@ -251,6 +249,13 @@ def log_negativity(V: np.ndarray) -> EntanglementResult:
 
 def _negativity(b1, b2, b3, dv) -> EntanglementResult:
     """`log_negativity` from the determinants `_block_dets` gives."""
+    sigma, eta_minus, e_n = _negativity_terms(b1, b2, b3, dv)
+    return _record(EntanglementResult, eta_minus=eta_minus, sigma=sigma,
+                   E_n=e_n, detB1=b1, detB2=b2, detB3=b3, detV=dv)
+
+
+def _negativity_terms(b1, b2, b3, dv):
+    """(sigma, eta_minus, E_n) of `_negativity`, without its record."""
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
     sigma = b1 + b2 - 2.0 * b3
@@ -264,9 +269,7 @@ def _negativity(b1, b2, b3, dv) -> EntanglementResult:
     if eta2 <= 0.0:
         raise UnphysicalCovariance(f"eta_minus^2 = {eta2:.3e} <= 0")
     eta_minus = math.sqrt(eta2)
-    e_n = max(0.0, -math.log(2.0 * eta_minus))
-    return _record(EntanglementResult, eta_minus=eta_minus, sigma=sigma,
-                   E_n=e_n, detB1=b1, detB2=b2, detB3=b3, detV=dv)
+    return sigma, eta_minus, max(0.0, -math.log(2.0 * eta_minus))
 
 
 def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
@@ -276,40 +279,46 @@ def entanglement_sweep(cfg: SystemConfig, delta0_over_kappa_grid,
     Row i solves `cfg` with its detuning set to delta0_over_kappa_grid[i];
     a numerical failure is recorded in the row.  A ConfigInvalid is not
     a row failure: it propagates.  The rows are solved as one batch
-    (`pipeline.solutions` of `pipeline.solve_grid`), the Lyapunov
-    systems of the stable ones in one stacked solve (`lyapunov_solves`)
-    and the determinants of their covariances as stacks (`_block_dets`),
-    with the bits of the point path.
+    (`pipeline.solve_grid`) and read off its table at each row's
+    accepted candidate (`Outcomes.candidate`), building no model; the
+    stable rows' covariances are solved as one stack (`_lyapunov_stack`)
+    and their determinants formed as stacks (`_block_dets`), with the
+    bits of the point path.
     """
     grid = [float(d0) for d0 in delta0_over_kappa_grid]
-    solved = solutions(cfg, grid, ring_mode)
-    solves = lyapunov_solves(
-        [sol.model for sol in solved
-         if isinstance(sol, PointSolution) and sol.model.stable])
-    covariances = iter(solves)
+    cells = solve_grid(cfg, grid, ring_mode=ring_mode)
+    v, A, D, found, resonant = cells.table or (None,) * 5
+    rows, stable = [], []       # each row's fields; (fields, j) if stable
+    for d0, cell in zip(grid, map(cells.candidate, range(len(cells)))):
+        if isinstance(cell, ConfigError):
+            raise cell
+        row = dict(delta0_over_kappa=d0, E_n=None, stable=False, x_s=None,
+                   omega_m=None, Q_used=None, E_x=None)
+        if isinstance(cell, LevringError):
+            row["error"] = error_cell(cell)
+        else:
+            j, derived = cell
+            charge = (_resonant_charge(derived, v.A_q[j]) if resonant
+                      else derived.ring_charge)
+            row.update(
+                stable=_stable(v.s1[j], v.s2[j], v.marginal[j],
+                               found[j][1])[1],
+                x_s=v.x_s[j], omega_m=v.omega_m[j], Q_used=charge,
+                E_x=_field_at_xs(cfg, ring_mode, v.x_s[j], charge),
+                error="no stationary state")
+            if row["stable"]:
+                stable.append((row, j))
+        rows.append(row)
+    js = [j for _, j in stable]
+    solves = _lyapunov_stack(A[js], D[js]) if js else []
     dets = iter(_block_dets(np.reshape(
         [V for V in solves if not isinstance(V, LevringError)],
         (-1, 4, 4))).tolist())
-    rows = []
-    for d0, sol in zip(grid, solved):
-        if isinstance(sol, NumericalError):
-            rows.append(_record(
-                EntanglementPoint, delta0_over_kappa=d0, E_n=None,
-                stable=False, x_s=None, omega_m=None, Q_used=None, E_x=None,
-                error=error_cell(sol)))
-            continue
-        e_n, error = None, "no stationary state"
-        if sol.model.stable:
-            try:
-                V = next(covariances)
-                if isinstance(V, LevringError):
-                    raise V
-                e_n, error = _negativity(*next(dets)).E_n, ""
-            except LevringError as exc:
-                error = error_cell(exc)
-        rows.append(_record(
-            EntanglementPoint, delta0_over_kappa=d0, E_n=e_n,
-            stable=sol.model.stable, x_s=sol.op.x_s, omega_m=sol.op.omega_m,
-            Q_used=sol.derived.ring_charge, E_x=sol.field_at_xs,
-            error=error))
-    return rows
+    for (row, _), V in zip(stable, solves):
+        try:
+            if isinstance(V, LevringError):
+                raise V
+            row.update(E_n=_negativity_terms(*next(dets))[2], error="")
+        except LevringError as exc:
+            row["error"] = error_cell(exc)
+    return [_record(EntanglementPoint, row) for row in rows]

@@ -2,11 +2,14 @@
 
 Every solve goes through `solve_grid`: a detuning axis, and optionally
 a second axis (`AXES`), with the constants derived once per column.  The
-stability map reads its cells' verdicts, and the entanglement sweep
-reads its rows as `PointSolution`s (`solutions`).  `solve_point` is the
-grid with no axes, the one cell at the configured detuning.  The grid
-goes, as one batch, to the grid solver of the ring mode,
-`steady_state.solve_models` or `steady_state.solve_resonant_models`.
+grid goes, as one batch, to the grid solver of the ring mode,
+`steady_state.solve_models` or `steady_state.solve_resonant_models`,
+which return `steady_state.Outcomes`.  The stability map and the
+entanglement sweep read their rows from its columns
+(`Outcomes.candidate`, `Outcomes.table`) and build no model;
+`solve_point` is the grid with no axes, the one cell at the configured
+detuning, and builds its model and `PointSolution`.  Both paths take
+the ring field at x_s from one guard, `_field_at_xs`.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .dynamics import StateSpaceModel
-from .errors import ConfigError, LevringError, caught, one
+from .errors import LevringError, caught, one
 from .model import (DerivedParams, SystemConfig, _guard, _record,
                     delta0_from_config, delta0_grid, derive_constants,
                     ring_field)
@@ -33,27 +36,15 @@ class PointSolution:
     field_at_xs: float          # on-axis ring field at x_s, V/m
 
 
-def solutions(cfg: SystemConfig, delta0_over_kappa=None,
-              ring_mode: str = "fixed_charge"):
-    """The PointSolution of each row of `solve_grid(cfg,
-    delta0_over_kappa, ring_mode=ring_mode)`, or the NumericalError in
-    its place.  The first ConfigError in order, of a row or of its ring
-    field at x_s (`_guard`ed, named by the fields of the ring's charge:
-    the configured one, or in resonant mode the solved one), is raised."""
-    name = ("E_x at x_s" if ring_mode == "fixed_charge"
-            else "E_x at the resonant x_s")
-    rows = []
-    for cell in solve_grid(cfg, delta0_over_kappa, ring_mode=ring_mode):
-        if isinstance(cell, ConfigError):
-            raise cell
-        if not isinstance(cell, LevringError):
-            field = _guard(name, ring_field(
-                cell.op.x_s, cell.derived.ring_charge, cfg.ring_radius,
-                cfg.ring_offset_c0), "finite", cfg)
-            cell = _record(PointSolution, derived=cell.derived, op=cell.op,
-                           model=cell, field_at_xs=field)
-        rows.append(cell)
-    return rows
+def _field_at_xs(cfg: SystemConfig, ring_mode: str, x_s, ring_charge):
+    """The on-axis field at x_s, V/m, of the ring of the given charge,
+    `_guard`ed by the fields of that charge: the configured one, or in
+    resonant mode the solved one.  A sweep calls it row by row, after
+    raising the row's own ConfigError: the first in row order raises."""
+    return _guard("E_x at x_s" if ring_mode == "fixed_charge"
+                  else "E_x at the resonant x_s",
+                  ring_field(x_s, ring_charge, cfg.ring_radius,
+                             cfg.ring_offset_c0), "finite", cfg)
 
 
 def solve_point(cfg: SystemConfig,
@@ -62,20 +53,23 @@ def solve_point(cfg: SystemConfig,
 
     fixed_charge keeps the configured ring charge (`solve_models`);
     resonant re-solves the charge so the effective detuning sits on the
-    mechanical sideband (`solve_resonant_models`).  Either solver returns
-    the model its stability screen built; `derived` and `op` are read
-    off it.  The solve is `solve_grid` with no axes.
+    mechanical sideband (`solve_resonant_models`).  The solve is
+    `solve_grid` with no axes; `derived` and `op` are read off the model
+    its screen built, and the field at x_s is `_field_at_xs`.
     """
-    return one(solutions(cfg, ring_mode=ring_mode))
+    model = one(solve_grid(cfg, ring_mode=ring_mode))
+    return _record(PointSolution, derived=model.derived, op=model.op,
+                   model=model, field_at_xs=_field_at_xs(
+                       cfg, ring_mode, model.op.x_s,
+                       model.derived.ring_charge))
 
 
 def solve_grid(cfg: SystemConfig, delta0_over_kappa=None, axis=None,
                ring_mode: str = "fixed_charge"):
     """The model of `cfg` at each cell of a grid, or the LevringError
     solving it raises, in row order, as the grid solver's
-    `steady_state.Outcomes` (models built on first access, verdicts read
-    without them): one row per detuning of delta0_over_kappa, in
-    linewidths, one cell per value of `axis`.
+    `steady_state.Outcomes`: one row per detuning of delta0_over_kappa,
+    in linewidths, one cell per value of `axis`.
 
     delta0_over_kappa None is the one row at the configured detuning
     (`delta0_from_config`), with the constants of `cfg` as given.  A

@@ -99,7 +99,7 @@ def _output_spectra(model: StateSpaceModel, omega):
     """(S_XX, S_YY) from one evaluation of the transfer coefficients.
 
     Each term is formed once: |b_X|^2 = |c_Y|^2 serves both spectra, and
-    so does the cross term Re[b_X d*] = Re[c_Y d*]; |a_X|^2 is
+    so does the cross term kappa Re[b_X d*] / |d|^2, b_X = c_Y; |a_X|^2 is
     the square of the scalar |G omega_m Delta|.  They are formed with
     numpy's floating-point warnings off and checked: a |d|^2 that
     underflows to zero or is not finite, or a spectrum value that is not
@@ -115,13 +115,13 @@ def _output_spectra(model: StateSpaceModel, omega):
         raise NonFiniteResult("transfer denominator |d|^2 is not finite")
     d_minus = np.conj(tc.d)  # d(-w) = d(w)*
 
-    cross = np.real(tc.b_X * d_minus)
+    cross = kappa * np.real(tc.b_X * d_minus) / abs_d2
 
     def spectrum(a2, b2, c2):
         return (BASELINE
                 + kappa * Gamma * a2 / abs_d2
                 + kappa ** 2 / 2.0 * (b2 + c2) / abs_d2
-                - kappa * cross / abs_d2)
+                - cross)
 
     op = model.op
     a_X = abs(op.G * op.omega_m * op.delta_eff)

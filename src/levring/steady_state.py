@@ -13,28 +13,18 @@ away.
 Roots are located by `_grid_roots`, the grid finder of the force balance
 and of the resonance mismatch alike: it finds every grid zero and sign
 change and bisects each sign change (robust against the multi-root
-structure of the transcendental balance).  The roots are then screened
-for stability of the linearised dynamics; the solvers return the
-state-space model of the accepted root, so spectra and entanglement
-read the very model that was screened.  One orchestration serves a
-point and every grid of cells (`pipeline.solve_grid`; a point is its
-grid with no axes): `solve_models`.  The cell count picks the kernels
-in two places, `_grid_roots` for the roots and `model._tabulate` for
-the candidates.  One cell is evaluated on the whole grid and bisects
-with `_bisect` on Python floats; more cells are evaluated on every
-16th grid point, and on the fine grid only where a
-slope bound cannot rule out a hit (`_scan_hits`, which gives the whole
-grid's hits), and bisect in lock step (`_bisect_all`).  Both give the
-one-cell bits, by construction, since every cos^2(kx) is the correctly
-rounded product c * c of c = cos(kx) (`_detuning`).  The candidates of
-every cell then pass through one pass (`_screen_plans`): formulas
-written once for Python floats and arrays form their operating points,
-damping, Routh-Hurwitz values and matrices, on Python floats for one
-cell and on arrays for more, every square by libm pow on Python floats;
-one stacked `np.linalg.eigvals` call gives the eigenvalues.  The
-solvers return `Outcomes`: a cell's records are built when its model is
-first read, and its verdict can be read without them.
-`_grid_tables` is the one cache, of the grids and columns.
+structure of the transcendental balance).  The candidates of every
+cell then pass through one screen for stability of the linearised
+dynamics (`_screen_plans`), with one stacked `np.linalg.eigvals` call.
+A point is a one-cell grid (`pipeline.solve_grid`), and the cell count
+picks the kernels in two places, `_grid_roots` and `model._tabulate`:
+Python floats for one cell, arrays for more, with the one-cell bits
+(every cos^2(kx) is the product c * c of c = cos(kx), `_detuning`).
+The solvers return `Outcomes`: each cell's screened model, built when
+first read, and the table it is built from, which a stability map and
+an entanglement sweep read instead, so every output reads the very
+candidate that was screened.  `_grid_tables` is the one cache, of the
+grids and columns.
 
 Two further solvers live here: the resonance-matching solver that picks
 the ring charge Q making the effective detuning equal the mechanical
@@ -637,6 +627,12 @@ def _admitted(v: _Candidates, js, cell, tol, resonant: bool):
         f"no admissible root at delta0 = {delta0:.6e}")
 
 
+def _resonant_charge(derived: DerivedParams, a_q: float) -> float:
+    """The ring charge whose spring on the bound charge of derived is a_q,
+    as `solve_resonant_models` solves it."""
+    return a_q * _ring_geometry(derived.ring_radius) / derived.q_mcp
+
+
 def _model(v: _Candidates, j: int, derived: DerivedParams, resonant: bool,
            A, D, eigs, max_re) -> dynamics.StateSpaceModel:
     """The records of candidate j, built for the model a cell returns:
@@ -648,8 +644,7 @@ def _model(v: _Candidates, j: int, derived: DerivedParams, resonant: bool,
                  residual=v.residual[j])
     # as `derived.with_damping(op.omega_m)`, on the resolved charge
     spring = {} if not resonant else dict(
-        A_q=op.A_q, ring_charge=op.A_q * _ring_geometry(derived.ring_radius)
-        / derived.q_mcp)
+        A_q=op.A_q, ring_charge=_resonant_charge(derived, op.A_q))
     damped = _record(type(derived), derived.__dict__, **spring,
                      gamma_ph=v.gamma_ph[j], gamma_gas=v.gamma_gas[j],
                      gamma=v.gamma[j], Gamma_diff=v.Gamma_diff[j])
@@ -662,18 +657,16 @@ class Outcomes(collections.abc.Sequence):
 
     Entry i is cell i's LevringError, or its StateSpaceModel, whose
     records `_model` builds on first access; the model is kept, and a
-    slice is a list.  `verdict(i)` gives cell i's StabilityVerdict, or
-    its error, without building the other records: a stability map
-    builds none.
+    slice is a list.  `candidate(i)` and `verdict(i)` read cell i without
+    building its records: a stability map and an entanglement sweep
+    build none.  `table` is the grid's (values, A, D, found, resonant) of
+    `_screen_plans`, None when no cell has a candidate.
     """
 
-    # entries[i] is cell i's error, its model, or the (candidate,
-    # constants) its model is built from; table is the grid's (values, A,
-    # D, found, resonant) of `_screen_plans`
-    __slots__ = ("_entries", "_table")
+    __slots__ = ("_entries", "table", "_models")
 
     def __init__(self, entries, table=None):
-        self._entries, self._table = entries, table
+        self._entries, self.table, self._models = entries, table, {}
 
     def __len__(self):
         return len(self._entries)
@@ -682,32 +675,38 @@ class Outcomes(collections.abc.Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         entry = self._entries[i]
-        if type(entry) is tuple:
-            v, A, D, found, resonant = self._table
+        if type(entry) is not tuple:
+            return entry
+        i %= len(self._entries)
+        if i not in self._models:
+            v, A, D, found, resonant = self.table
             j, derived = entry
-            entry = self._entries[i] = _model(v, j, derived, resonant, A, D,
-                                              *found[j])
-        return entry
+            self._models[i] = _model(v, j, derived, resonant, A, D, *found[j])
+        return self._models[i]
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._entries)))
+    def candidate(self, i):
+        """Cell i's error, or (j, derived): the candidate j of `table` that
+        its screen accepts, and its constants as `_model` takes them."""
+        return self._entries[i]
 
     def verdict(self, i):
-        """Cell i's StabilityVerdict (`dynamics._verdict`), or its error."""
+        """Cell i's StabilityVerdict (`dynamics._verdict`), or its error;
+        once its model is built, the model's own."""
         entry = self._entries[i]
-        if type(entry) is tuple:
-            v, _, _, found, _ = self._table
-            j = entry[0]
-            return dynamics._verdict(v.s1[j], v.s2[j], v.marginal[j],
-                                     *found[j])
-        return entry if isinstance(entry, LevringError) else entry.verdict
+        if type(entry) is not tuple:
+            return entry
+        if i % len(self) in self._models:
+            return self[i].verdict
+        v, _, _, found, _ = self.table
+        j = entry[0]
+        return dynamics._verdict(v.s1[j], v.s2[j], v.marginal[j], *found[j])
 
     def placed(self, layout):
         """The outcomes of a larger grid: these, in order, in the slots
         of layout that are None, and layout's own errors in the others."""
         entries = iter(self._entries)
         return Outcomes([next(entries) if slot is None else slot
-                         for slot in layout], self._table)
+                         for slot in layout], self.table)
 
 
 def _screen_plans(cells, plans, balance, resonant: bool) -> Outcomes:
@@ -801,14 +800,8 @@ def solve_models(cells):
     completed with the damping.  The degenerate decoupled inputs A_q = 0
     (no bound charge or no ring charge) and C0 = 0 yield x_s = 0
     exactly; their model is returned unscreened, since instability there
-    is a verdict, not an error.
-
-    The root scan of all cells runs as arrays (see `_grid_roots`) at the
-    call, and so do the operating points, damping, Routh-Hurwitz values
-    and matrices of every candidate root of every cell, with one
-    eigenvalue call (`_screen_plans`); one cell runs them on Python
-    floats.  Each cell's delta0 and c0 are cast to Python floats once,
-    here.
+    is a verdict, not an error.  Each cell's delta0 and c0 are cast to
+    Python floats once, here.
     """
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa"))
@@ -908,14 +901,8 @@ def solve_resonant_models(cells):
     that root negated for C0 > 0, the mirror onto the side of -C0.  The
     model's `derived` carries the solved `ring_charge` and `A_q` and the
     damping at `op.omega_m`; the point is not on the stable sideband
-    where Delta(x_s) <= 0, and needs a ring charge >= 0.
-
-    The resonance scan of all cells runs as arrays (see `_grid_roots`)
-    at the call, and so do the charge, the operating point, damping,
-    Routh-Hurwitz values and matrices of every resonant point, with one
-    eigenvalue call (`_screen_plans`); one cell runs them on Python
-    floats.  Each cell's delta0 and c0 are cast to Python floats once,
-    here.
+    where Delta(x_s) <= 0, and needs a ring charge >= 0.  Each cell's
+    delta0 and c0 are cast to Python floats once, here.
     """
     cells = [(d, float(delta0), float(c0)) for d, delta0, c0 in cells]
     ref = _shared(cells, ("k", "g", "E_drive", "kappa", "mass"))

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import levring.cli
+import levring.dynamics
+import levring.entanglement
 import levring.pipeline
 import levring.steady_state
 from levring.cli import main, parse_config
@@ -352,22 +354,42 @@ class TestCommands:
         assert code == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("choice", ["c0_over_lambda", "charge_scale"])
-    def test_stability_map_builds_no_model(self, monkeypatch, choice):
-        # a map reads its cells' verdicts: no cell's records are built,
-        # and the pinned bytes are written
+    @staticmethod
+    def assert_pinned_without(monkeypatch, workload, choice, builders):
+        """The run of a sweep workload writes its pinned bytes (exit 0)
+        without calling any of builders, (module, name) pairs."""
         built = []
-        monkeypatch.setattr(levring.steady_state, "_model",
-                            lambda *args: built.append(args))
+        for module, name in builders:
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name: built.append(name))
+        config, subcommand, option = SWEEPS[workload]
         with open(ROOT / "levbench" / "reference_digests.json") as fh:
-            digest = json.load(fh)["digests"]["stability_map"][choice]
+            digest = json.load(fh)["digests"][workload][choice]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(["stability-map", "--config",
-                         str(ROOT / "configs" / "fig1.cfg"), "--param2",
-                         choice]) == 0
+            assert main([subcommand, "--config",
+                         str(ROOT / "configs" / config), option, choice]) == 0
         assert built == []
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("choice", ["c0_over_lambda", "charge_scale"])
+    def test_stability_map_builds_no_model(self, monkeypatch, choice):
+        # a map reads its cells' values off the solver's table: no cell's
+        # records, its verdict included, are built, and the pinned bytes
+        # are written
+        self.assert_pinned_without(
+            monkeypatch, "stability_map", choice,
+            [(levring.steady_state, "_model"), (levring.dynamics, "_verdict")])
+
+    @pytest.mark.parametrize("choice", ["fixed_charge", "resonant"])
+    def test_entanglement_sweep_builds_no_model(self, monkeypatch, choice):
+        # a sweep reads its rows off the solver's table: no row's model,
+        # verdict or EntanglementResult is built, and the pinned bytes are
+        # written
+        self.assert_pinned_without(
+            monkeypatch, "entanglement_sweep", choice,
+            [(levring.steady_state, "_model"), (levring.dynamics, "_verdict"),
+             (levring.entanglement, "_negativity")])
 
     def test_stability_map_includes_decoupled_line(self, cfg_file, tmp_path):
         out = tmp_path / "map.csv"

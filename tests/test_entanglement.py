@@ -395,14 +395,14 @@ class TestSweepBatch:
         want = entanglement_sweep(cfg, grid, ring_mode)
         stable = [i for i, r in enumerate(want) if r.stable]
         forced = stable[len(stable) // 2]
-        solves = entanglement.lyapunov_solves
+        solves = entanglement._lyapunov_stack
 
-        def failing(models):
-            got = solves(models)
+        def failing(A, D):
+            got = solves(A, D)
             got[stable.index(forced)] = SingularSystem("forced")
             return got
 
-        monkeypatch.setattr(entanglement, "lyapunov_solves", failing)
+        monkeypatch.setattr(entanglement, "_lyapunov_stack", failing)
         rows = entanglement_sweep(cfg, grid, ring_mode)
         row = rows[forced]
         assert row.error == "SingularSystem: forced"
@@ -410,6 +410,35 @@ class TestSweepBatch:
         assert want[forced].E_n is not None
         assert [repr(r) for i, r in enumerate(rows) if i != forced] == \
             [repr(w) for i, w in enumerate(want) if i != forced]
+
+    @pytest.mark.parametrize("config, ring_mode, stable", [
+        ("fig1.cfg", "fixed_charge", 180), ("fig1.cfg", "resonant", 184),
+        ("fig2.cfg", "fixed_charge", 42), ("fig2.cfg", "resonant", 184)])
+    def test_rows_equal_the_model_path(self, config, ring_mode, stable):
+        # the sweep reads its rows off the solver's table; each row has the
+        # bits of the model the same grid builds, and each stable row's
+        # E_n those of that model's covariance
+        cfg = parse_config(str(CONFIG_DIR / config))
+        grid = list(np.linspace(0.05, 1.0, 200))
+        rows = entanglement_sweep(cfg, grid, ring_mode)
+        outcomes = solve_grid(cfg, grid, ring_mode=ring_mode)
+        solved = 0
+        for row, m in zip(rows, outcomes):
+            if isinstance(m, LevringError):
+                assert row.error == f"{type(m).__name__}: {m}"
+                assert row.E_n is None and row.stable is False
+                continue
+            assert row.stable is m.stable
+            assert [row.x_s.hex(), row.omega_m.hex(), row.Q_used.hex()] == [
+                m.op.x_s.hex(), m.op.omega_m.hex(),
+                m.derived.ring_charge.hex()]
+            if m.stable:
+                want = log_negativity(lyapunov_solve(m)).E_n
+                assert row.E_n.hex() == want.hex() and row.error == ""
+                solved += 1
+            else:
+                assert row.E_n is None
+        assert solved == stable
 
     def test_point_is_a_sweep_of_one(self):
         cfg = reference_config(ring_field=2.5e11)
@@ -439,7 +468,8 @@ def assert_same_covariances(models):
             continue
         assert isinstance(g, np.ndarray), g
         assert np.array_equal(g, want) and same_bits(g, want)
-        assert same_bits(g, entanglement._solve_refined(m, _kron_sum(m.A)))
+        assert same_bits(g, entanglement._solve_refined(m.A, m.D,
+                                                        _kron_sum(m.A)))
         kinds["solved"] += 1
     return kinds
 
@@ -520,6 +550,45 @@ class TestLyapunovBatch:
     def test_empty_batch(self):
         assert lyapunov_solves([]) == []
 
+    def test_stack_refines_a_miss_and_solves_a_singular_stack_alone(
+            self, monkeypatch):
+        # the stack core the sweep calls: a row that misses the target
+        # takes `_refined`; a stack with a singular system is solved
+        # system by system, the singular one an error, every other one
+        # with the bits of the point path
+        miss = needs_refinement()
+        rng = np.random.default_rng(31)
+        models = [random_model(rng, stable=True) for _ in range(4)]
+        models.insert(2, miss)
+        A = np.array([m.A for m in models])
+        D = np.array([m.D for m in models])
+        calls = collections.Counter()
+
+        def spy(name):
+            original = getattr(entanglement, name)
+
+            def counted(A_b, *args):
+                calls[name, A_b.tobytes()] += 1
+                return original(A_b, *args)
+            monkeypatch.setattr(entanglement, name, counted)
+        spy("_refined")
+        spy("_solve_refined")
+        got = entanglement._lyapunov_stack(A, D)
+        assert calls == {("_refined", miss.A.tobytes()): 1}
+        assert (lyapunov_residual(miss, got[2])
+                < entanglement.LYAPUNOV_RESIDUAL_TOL)
+        for g, m in zip(got, models):
+            assert same_bits(g, lyapunov_solve(m))
+        calls.clear()
+        A[3] = 0.0
+        alone = entanglement._lyapunov_stack(A, D)
+        assert sorted(n for n, _ in calls.elements()) == \
+            ["_refined"] * 4 + ["_solve_refined"] * 5
+        assert isinstance(alone[3], SingularSystem)
+        assert "degenerated" in str(alone[3])
+        for i in (0, 1, 2, 4):
+            assert same_bits(alone[i], got[i])
+
     @pytest.mark.parametrize("config, ring_mode", [
         ("fig1.cfg", "fixed_charge"), ("fig1.cfg", "resonant"),
         ("fig2.cfg", "fixed_charge"), ("fig2.cfg", "resonant")])
@@ -551,17 +620,17 @@ class TestLyapunovBatch:
             models.insert(at, miss)
         refined, calls = entanglement._refined, []
 
-        def spy(model, M, V, resid):
-            calls.append(model)
-            return refined(model, M, V, resid)
+        def spy(A, D, M, V, resid):
+            calls.append(A)
+            return refined(A, D, M, V, resid)
 
         monkeypatch.setattr(entanglement, "_refined", spy)
         got = lyapunov_solves(models)
         monkeypatch.undo()
-        assert list(map(id, calls)) == list(map(id, misses))
+        assert [A.tobytes() for A in calls] == [m.A.tobytes() for m in misses]
         for g, model in zip(got, models):
             assert same_bits(g, entanglement._solve_refined(
-                model, _kron_sum(model.A)))
+                model.A, model.D, _kron_sum(model.A)))
 
     def test_one_model_that_meets_the_target_is_not_refined(self,
                                                             monkeypatch):
