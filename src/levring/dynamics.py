@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalError, caught, one
-from .model import DerivedParams, _record, _tabulate
+from .errors import NumericalError, caught
+from .model import _FLOATS, DerivedParams, _record
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import keeps modules acyclic
     from .steady_state import OperatingPoint
@@ -203,22 +203,17 @@ def _stable(s1: float, s2: float, marginal: bool, max_re: float):
     return s1 > 0.0 and s2 > 0.0 and not marginal, max_re < 0.0
 
 
-def _verdict(s1: float, s2: float, marginal: bool, eigs: np.ndarray,
-             max_re: float) -> StabilityVerdict:
-    """The verdict of one entry, its flags by `_stable`."""
-    rh_stable, eig_stable = _stable(s1, s2, marginal, max_re)
-    return _record(
-        StabilityVerdict, s1=s1, s2=s2, rh_stable=rh_stable,
-        rh_marginal=marginal, eigenvalues=eigs, max_real_part=max_re,
-        eig_stable=eig_stable)
-
-
 def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
               D: np.ndarray, s1: float, s2: float, marginal: bool,
               eigs: np.ndarray, max_re: float) -> StateSpaceModel:
-    """The model of one entry, its verdict by `_verdict`."""
+    """The model of one entry, its verdict's flags by `_stable`."""
+    rh_stable, eig_stable = _stable(s1, s2, marginal, max_re)
+    verdict = _record(
+        StabilityVerdict, s1=s1, s2=s2, rh_stable=rh_stable,
+        rh_marginal=marginal, eigenvalues=eigs, max_real_part=max_re,
+        eig_stable=eig_stable)
     return _record(StateSpaceModel, A=A, D=D, op=op, derived=derived,
-                   verdict=_verdict(s1, s2, marginal, eigs, max_re))
+                   verdict=verdict)
 
 
 def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
@@ -226,39 +221,19 @@ def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel
 
     Instability is a verdict, not an error.  `derived` must carry damping
     for the operating point's omega_m (see DerivedParams.with_damping).
-    The build is that of `build_models` on the one entry.
+    The values are the grid solvers' screen's (`_model_values` on Python
+    floats, `_eigenvalues`): a non-finite S1 or S2, or failing
+    eigenvalues, raise a NumericalError.
     """
-    return one(build_models([op], [derived]))
-
-
-def build_models(ops, deriveds):
-    """The model of each of a batch of operating points, with one
-    `eigvals` call for all.
-
-    Entry b of the returned list is the model of ops[b] with the damped
-    constants deriveds[b], or the NumericalError building it raises.
-    The Routh-Hurwitz values and the matrices are formed by the grid
-    solvers' pass (`_model_values`, one entry on Python floats, more on
-    arrays); the eigenvalues of every entry whose S1 and S2 are finite
-    come from one stacked call (`_eigenvalue_rows`).
-    """
-    for derived in deriveds:
-        if derived.gamma is None or derived.Gamma_diff is None:
-            raise ValueError(
-                "derived params lack damping; call with_damping(omega_m) first")
-    if not ops:
-        return []
-    columns = ([op.omega_m for op in ops], [op.Omega_m for op in ops],
-               [op.delta_eff for op in ops], [op.G for op in ops],
-               [d.gamma for d in deriveds], [d.kappa for d in deriveds],
-               [d.Gamma_diff for d in deriveds])
-    (s1, s2, marginal, finite), stacks = _tabulate(_model_values, columns,
-                                                   len(ops) == 1)
-    A, D = (stack.reshape(-1, 4, 4) for stack in stacks)
-    rows = [b for b, ok in enumerate(finite) if ok]
-    found = dict(zip(rows, zip(*_eigenvalue_rows(A, rows))))
-    return [_routh_hurwitz_error(s1[b], s2[b]) if not finite[b]
-            else found[b][0] if isinstance(found[b][0], NumericalError)
-            else _assemble(op, derived, A[b], D[b], s1[b], s2[b],
-                           marginal[b], *found[b])
-            for b, (op, derived) in enumerate(zip(ops, deriveds))]
+    if derived.gamma is None or derived.Gamma_diff is None:
+        raise ValueError(
+            "derived params lack damping; call with_damping(omega_m) first")
+    (s1, s2, marginal, finite), (drift, diffusion) = _model_values(
+        _FLOATS, op.omega_m, op.Omega_m, op.delta_eff, op.G, derived.gamma,
+        derived.kappa, derived.Gamma_diff)
+    if not finite:
+        raise _routh_hurwitz_error(s1, s2)
+    A = np.array(drift).reshape(4, 4)
+    eigs = _eigenvalues(A)
+    return _assemble(op, derived, A, np.array(diffusion).reshape(4, 4),
+                     s1, s2, marginal, eigs, float(eigs[-1].real))

@@ -70,19 +70,16 @@ class EntanglementPoint:
 
 
 def lyapunov_residual(model: StateSpaceModel, V: np.ndarray) -> float:
-    return _residual(model.A, model.D, V)
-
-
-def _residual(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> float:
-    return float(np.linalg.norm(A @ V + V @ A.T + D) / np.linalg.norm(D))
+    """`_residuals` of one model at a covariance V, as a stack of one."""
+    return _residuals(model.A[None], model.D[None], V[None]).item()
 
 
 def _residuals(A: np.ndarray, D: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`lyapunov_residual` of each model of a stack, drift matrices A and
-    diffusion matrices D [N, 4, 4], at the covariances V [N, 4, 4], with
-    its bits: each matrix product is the one a 4x4 product forms, and
-    `np.vecdot` of a flattened row with itself the dot product
-    `np.linalg.norm` takes."""
+    """||A V + V A^T + D||_F / ||D||_F of each model of a stack, drift
+    matrices A and diffusion matrices D [N, 4, 4], at covariances V:
+    each matrix product is the one a 4x4 product forms, and `np.vecdot`
+    of a flattened row with itself the dot product `np.linalg.norm`
+    takes, so a model has the same bits alone and stacked."""
     n = len(A)
     R = (A @ V + V @ A.swapaxes(-1, -2) + D).reshape(n, -1)
     D = D.reshape(n, -1)
@@ -99,7 +96,7 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _refined(A: np.ndarray, D: np.ndarray, M: np.ndarray, V: np.ndarray,
              resid: float) -> np.ndarray:
     """Refine a symmetrised solve V of M vec(V) = -vec(D), M the Kronecker
-    sum of the drift matrix A, of residual resid (`_residual`).
+    sum of the drift matrix A, of residual resid (`_residuals`).
 
     Iterative refinement: weakly damped mechanical modes make the system
     ill-conditioned enough that one LU pass can miss the residual target
@@ -111,7 +108,7 @@ def _refined(A: np.ndarray, D: np.ndarray, M: np.ndarray, V: np.ndarray,
         R = A @ V + V @ A.T + D
         correction = _solve(M, -R.reshape(-1)).reshape(4, 4)
         V_new = V + 0.5 * (correction + correction.T)
-        resid_new = _residual(A, D, V_new)
+        resid_new = _residuals(A[None], D[None], V_new[None]).item()
         if not resid_new < resid:
             break
         V, resid = V_new, resid_new
@@ -120,14 +117,6 @@ def _refined(A: np.ndarray, D: np.ndarray, M: np.ndarray, V: np.ndarray,
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e} "
             "(marginal stability)")
     return V
-
-
-def _solve_refined(A: np.ndarray, D: np.ndarray, M: np.ndarray):
-    """Solve M vec(V) = -vec(D), M the Kronecker sum of A, symmetrise and
-    refine."""
-    V = _solve(M, -D.reshape(-1)).reshape(4, 4)
-    V = 0.5 * (V + V.T)
-    return _refined(A, D, M, V, _residual(A, D, V))
 
 
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
@@ -159,13 +148,16 @@ def _lyapunov_stack(A: np.ndarray, D: np.ndarray) -> list:
     whose solutions have the bits of solves on their own; each solution
     is symmetrised, and kept if its residual (`_residuals`, formed at
     once) is within LYAPUNOV_RESIDUAL_TOL, else refined (`_refined`).  A
-    singular stack is solved system by system (`_solve_refined`)."""
+    singular stack is solved system by system, each as a stack of one,
+    so the singular system alone gets the SingularSystem."""
     M = _kron_sum(A)
     try:
-        V = np.linalg.solve(M, -D.reshape(-1, 16, 1)).reshape(-1, 4, 4)
-    except np.linalg.LinAlgError:
-        return [caught(_solve_refined, A[i], D[i], M[i])
-                for i in range(len(A))]
+        V = _solve(M, -D.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    except SingularSystem as exc:
+        if len(A) == 1:
+            return [exc.with_traceback(None)]
+        return [V_i for i in range(len(A))
+                for V_i in _lyapunov_stack(A[i:i + 1], D[i:i + 1])]
     V = 0.5 * (V + V.swapaxes(-1, -2))
     return [V_i if resid < LYAPUNOV_RESIDUAL_TOL
             else caught(_refined, A[i], D[i], M[i], V_i, resid)
@@ -244,18 +236,14 @@ def symplectic_eigenvalues(V: np.ndarray):
 def log_negativity(V: np.ndarray) -> EntanglementResult:
     """Logarithmic negativity of the mechanics-light bipartition, in
     natural-log units."""
-    return _negativity(*_block_dets(V).tolist())
-
-
-def _negativity(b1, b2, b3, dv) -> EntanglementResult:
-    """`log_negativity` from the determinants `_block_dets` gives."""
+    b1, b2, b3, dv = _block_dets(V).tolist()
     sigma, eta_minus, e_n = _negativity_terms(b1, b2, b3, dv)
     return _record(EntanglementResult, eta_minus=eta_minus, sigma=sigma,
                    E_n=e_n, detB1=b1, detB2=b2, detB3=b3, detV=dv)
 
 
 def _negativity_terms(b1, b2, b3, dv):
-    """(sigma, eta_minus, E_n) of `_negativity`, without its record."""
+    """(sigma, eta_minus, E_n) of `log_negativity`, without its record."""
     if dv <= 0.0:
         raise UnphysicalCovariance(f"det V = {dv:.3e} <= 0")
     sigma = b1 + b2 - 2.0 * b3

@@ -657,10 +657,10 @@ class Outcomes(collections.abc.Sequence):
 
     Entry i is cell i's LevringError, or its StateSpaceModel, whose
     records `_model` builds on first access; the model is kept, and a
-    slice is a list.  `candidate(i)` and `verdict(i)` read cell i without
-    building its records: a stability map and an entanglement sweep
-    build none.  `table` is the grid's (values, A, D, found, resonant) of
-    `_screen_plans`, None when no cell has a candidate.
+    slice is a list.  `candidate(i)` reads cell i without building its
+    records, and `table` is the grid's (values, A, D, found, resonant)
+    of `_screen_plans`, None when no cell has a candidate: a stability
+    map and an entanglement sweep read their cells there, and build none.
     """
 
     __slots__ = ("_entries", "table", "_models")
@@ -688,18 +688,6 @@ class Outcomes(collections.abc.Sequence):
         """Cell i's error, or (j, derived): the candidate j of `table` that
         its screen accepts, and its constants as `_model` takes them."""
         return self._entries[i]
-
-    def verdict(self, i):
-        """Cell i's StabilityVerdict (`dynamics._verdict`), or its error;
-        once its model is built, the model's own."""
-        entry = self._entries[i]
-        if type(entry) is not tuple:
-            return entry
-        if i % len(self) in self._models:
-            return self[i].verdict
-        v, _, _, found, _ = self.table
-        j = entry[0]
-        return dynamics._verdict(v.s1[j], v.s2[j], v.marginal[j], *found[j])
 
     def placed(self, layout):
         """The outcomes of a larger grid: these, in order, in the slots

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from levring.dynamics import build_model
+from levring.dynamics import StabilityVerdict, _stable, build_model
+from levring.errors import LevringError
 from levring.model import DerivedParams, SystemConfig
 from levring.steady_state import OperatingPoint
 
@@ -79,3 +80,19 @@ def random_model(rng, kappa=KAPPA_SCALE, stable=None, gamma_range=(0.01, 0.5),
         if stable is None or model.stable == stable:
             return model
     raise RuntimeError("could not draw a model with the requested verdict")
+
+
+def table_verdict(outcomes, i):
+    """Cell i's error, or the StabilityVerdict its values in the solver's
+    table give (`Outcomes.table` at `Outcomes.candidate(i)`), its flags by
+    `dynamics._stable`, as a stability map reads them: no model built."""
+    cell = outcomes.candidate(i)
+    if isinstance(cell, LevringError):
+        return cell
+    v, _, _, found, _ = outcomes.table
+    j = cell[0]
+    eigs, max_re = found[j]
+    rh_stable, eig_stable = _stable(v.s1[j], v.s2[j], v.marginal[j], max_re)
+    return StabilityVerdict(s1=v.s1[j], s2=v.s2[j], rh_stable=rh_stable,
+                            rh_marginal=v.marginal[j], eigenvalues=eigs,
+                            max_real_part=max_re, eig_stable=eig_stable)

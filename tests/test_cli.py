@@ -379,7 +379,8 @@ class TestCommands:
         # are written
         self.assert_pinned_without(
             monkeypatch, "stability_map", choice,
-            [(levring.steady_state, "_model"), (levring.dynamics, "_verdict")])
+            [(levring.steady_state, "_model"),
+             (levring.dynamics, "_assemble")])
 
     @pytest.mark.parametrize("choice", ["fixed_charge", "resonant"])
     def test_entanglement_sweep_builds_no_model(self, monkeypatch, choice):
@@ -388,8 +389,9 @@ class TestCommands:
         # written
         self.assert_pinned_without(
             monkeypatch, "entanglement_sweep", choice,
-            [(levring.steady_state, "_model"), (levring.dynamics, "_verdict"),
-             (levring.entanglement, "_negativity")])
+            [(levring.steady_state, "_model"),
+             (levring.dynamics, "_assemble"),
+             (levring.entanglement, "log_negativity")])
 
     def test_stability_map_includes_decoupled_line(self, cfg_file, tmp_path):
         out = tmp_path / "map.csv"

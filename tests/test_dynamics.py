@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from levring.cli import parse_config
-from levring.dynamics import (StabilityVerdict, build_model, build_models,
+from levring import dynamics
+from levring.dynamics import (StabilityVerdict, build_model,
                               char_poly_coefficients, drift_matrix)
 from levring.errors import LevringError, NumericalError
-from levring.model import derive_constants
+from levring.model import _tabulate, derive_constants
 from levring.pipeline import solve_grid, solve_point
 
 from conftest import (CONFIG_DIR, KAPPA_SCALE, random_model,
@@ -224,11 +225,55 @@ class TestStabilityVerdicts:
         assert_same_spectrum(base.verdict.eigenvalues, eigs * KAP, rtol=1e-9)
 
 
+def tabulated(ops, deriveds, one_cell=False):
+    """((S1, S2, marginal, finite), (A, D)) of a batch of operating points
+    and damped constants, as the grid solvers' pass forms them
+    (`model._tabulate` of `dynamics._model_values`): on Python floats for
+    one_cell, else on arrays; A and D are [n, 4, 4] stacks."""
+    columns = ([op.omega_m for op in ops], [op.Omega_m for op in ops],
+               [op.delta_eff for op in ops], [op.G for op in ops],
+               [d.gamma for d in deriveds], [d.kappa for d in deriveds],
+               [d.Gamma_diff for d in deriveds])
+    values, stacks = _tabulate(dynamics._model_values, columns, one_cell)
+    return values, [stack.reshape(-1, 4, 4) for stack in stacks]
+
+
+def batch_entries(ops, deriveds):
+    """Each entry of a batch as the grid solvers' screen forms it, on
+    arrays, with one stacked `dynamics._eigenvalue_rows` call for the
+    entries whose S1 and S2 are finite: (S1, S2, marginal, A, D,
+    eigenvalues, max Re), or the entry's NumericalError."""
+    (s1, s2, marginal, finite), (A, D) = tabulated(ops, deriveds)
+    rows = [b for b, ok in enumerate(finite) if ok]
+    found = dict(zip(rows, zip(*dynamics._eigenvalue_rows(A, rows))))
+    return [dynamics._routh_hurwitz_error(s1[b], s2[b]) if not finite[b]
+            else found[b][0] if isinstance(found[b][0], NumericalError)
+            else (s1[b], s2[b], marginal[b], A[b], D[b], *found[b])
+            for b in range(len(ops))]
+
+
+def assert_entry_is_model(entry, model):
+    """A batch entry (`batch_entries`) has the bits of a built model: its
+    A, D and eigenvalues by bytes, each float by float.hex, and the
+    verdict's flags, by `dynamics._stable`, equal."""
+    s1, s2, marginal, A, D, eigs, max_re = entry
+    for ours, theirs in ((A, model.A), (D, model.D),
+                         (eigs, model.verdict.eigenvalues)):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (
+            theirs.dtype, theirs.shape, theirs.tobytes())
+    v = model.verdict
+    assert [float(x).hex() for x in (s1, s2, max_re)] == [
+        float(x).hex() for x in (v.s1, v.s2, v.max_real_part)]
+    assert (marginal, *dynamics._stable(s1, s2, marginal, max_re)) == (
+        v.rh_marginal, v.rh_stable, v.eig_stable)
+
+
 def test_batched_models_equal_single_builds():
-    # one eigvals call for the batch, bit for bit the models that
-    # build_model, the one-entry batch, gives one at a time, in input
-    # order: stacking leaves the bits alone; the all-zero
-    # drift matrix and G = 0 draws included
+    # the grid solvers' pass on arrays and on Python floats gives the
+    # same values and matrices, and with one eigvals call for the batch,
+    # bit for bit the models that build_model gives one at a time, in
+    # input order: stacking leaves the bits alone; the all-zero drift
+    # matrix and G = 0 draws included
     rng = np.random.default_rng(12)
     ops, deriveds = [], []
     for k in range(400):
@@ -241,63 +286,66 @@ def test_batched_models_equal_single_builds():
                                           Gamma=1.0 * KAP))
     ops.append(synthetic_op(0.0, 0.0, 0.0, 0.0))
     deriveds.append(synthetic_derived(kappa=0.0, gamma=0.0, Gamma=0.0))
-    got = list(build_models(ops, deriveds))
+    (arrays, stacks), (floats, rows) = (tabulated(ops, deriveds, one_cell)
+                                        for one_cell in (False, True))
+    for ours, theirs in zip(arrays, floats):
+        assert len(ours) == len(ops)
+        assert [(type(v), repr(v)) for v in ours] == [
+            (type(v), repr(v)) for v in theirs]
+    assert [s.tobytes() for s in stacks] == [r.tobytes() for r in rows]
+    got = batch_entries(ops, deriveds)
     assert len(got) == len(ops)
-    for model, op, derived in zip(got, ops, deriveds):
-        want = build_model(op, derived)
-        assert model.op == op and model.derived == derived
-        assert np.array_equal(model.A, want.A)
-        assert np.array_equal(model.D, want.D)
-        assert np.array_equal(model.verdict.eigenvalues,
-                              want.verdict.eigenvalues)
-        for field in ("s1", "s2", "rh_stable", "rh_marginal",
-                      "max_real_part", "eig_stable"):
-            assert getattr(model.verdict, field) == getattr(want.verdict,
-                                                            field)
-    assert not np.any(got[-1].verdict.eigenvalues)
+    for entry, op, derived in zip(got, ops, deriveds):
+        assert_entry_is_model(entry, build_model(op, derived))
+    assert not np.any(got[-1][5])
 
 
 @pytest.mark.parametrize("config, ring_mode", [("fig1.cfg", "fixed_charge"),
                                                ("fig2.cfg", "resonant")])
 def test_stacked_batch_equals_one_entry_builds(config, ring_mode):
-    # the screened models at seeded detunings, rebuilt as one batch with
-    # an entry whose S1 overflows in the middle: every other entry has
-    # the bits of its one-entry build and of the screen's model, its A
-    # is drift_matrix's, and the failing entry keeps its NumericalError
-    # on its own row
+    # the screened models at seeded detunings equal their builds by
+    # build_model bit for bit, and their A is drift_matrix's; rebuilt as
+    # one batch on arrays with an entry whose S1 overflows in the
+    # middle, every other entry keeps those bits and the failing entry,
+    # which build_model raises, keeps its NumericalError on its own row
     cfg = parse_config(str(CONFIG_DIR / config))
     grid = np.random.default_rng(31).uniform(0.05, 1.0, 40)
     screened = [m for m in solve_grid(cfg, grid, ring_mode=ring_mode)
                 if not isinstance(m, LevringError)]
     assert len(screened) >= 20
+    for m in screened:
+        built = build_model(m.op, m.derived)
+        assert built.op is m.op and built.derived is m.derived
+        for name in ("A", "D"):
+            ours, theirs = getattr(m, name), getattr(built, name)
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (
+                theirs.dtype, theirs.shape, theirs.tobytes())
+        for field in dataclasses.fields(StabilityVerdict):
+            ours, theirs = (getattr(v.verdict, field.name)
+                            for v in (m, built))
+            if isinstance(ours, np.ndarray):
+                assert ours.tobytes() == theirs.tobytes()
+            else:
+                assert type(ours) is type(theirs)
+                assert repr(ours) == repr(theirs)
+        assert m.A.tobytes() == drift_matrix(m.op, m.derived.gamma,
+                                             m.derived.kappa).tobytes()
+        assert m.A.shape == m.D.shape == (4, 4)
     ops = [m.op for m in screened]
     deriveds = [m.derived for m in screened]
     middle = len(ops) // 2
     ops.insert(middle, dataclasses.replace(ops[middle], delta_eff=1e153))
     deriveds.insert(middle, deriveds[middle])
-    got = build_models(ops, deriveds)
+    message = "Routh-Hurwitz value S1 = inf is not finite"
+    with pytest.raises(NumericalError) as err:
+        build_model(ops[middle], deriveds[middle])
+    assert type(err.value) is NumericalError and str(err.value) == message
+    got = batch_entries(ops, deriveds)
     assert len(got) == len(ops)
     failed = got.pop(middle)
-    assert type(failed) is NumericalError
-    assert str(failed) == "Routh-Hurwitz value S1 = inf is not finite"
-    del ops[middle], deriveds[middle]
-    for model, m, op, d in zip(got, screened, ops, deriveds):
-        [alone] = build_models([op], [d])
-        assert model.op is op and model.derived is d
-        for built in (alone, m):
-            assert model.A.tobytes() == built.A.tobytes()
-            assert model.D.tobytes() == built.D.tobytes()
-            for field in dataclasses.fields(StabilityVerdict):
-                ours, theirs = (getattr(v.verdict, field.name)
-                                for v in (model, built))
-                if isinstance(ours, np.ndarray):
-                    assert ours.tobytes() == theirs.tobytes()
-                else:
-                    assert type(ours) is type(theirs)
-                    assert repr(ours) == repr(theirs)
-        assert model.A.tobytes() == drift_matrix(op, d.gamma,
-                                                 d.kappa).tobytes()
-        assert model.A.shape == model.D.shape == (4, 4)
+    assert type(failed) is NumericalError and str(failed) == message
+    for entry, m in zip(got, screened):
+        assert_entry_is_model(entry, m)
 
 
 def test_overflowing_quartic_is_numerical_error():
@@ -307,8 +355,8 @@ def test_overflowing_quartic_is_numerical_error():
     # gamma ~ 1e160, whose (gamma + kappa)^2 alone overflows), which
     # leaves S1 and S2 nan.  build_model raises a NumericalError naming
     # the value, and a batch, formed on arrays, records the same error in
-    # those entries beside entries that keep the bits of their one-entry
-    # builds, formed on Python floats
+    # those entries beside entries that keep the bits of their builds,
+    # formed on Python floats
     good = synthetic_op(0.7 * KAP, 0.9 * KAP, 0.8 * KAP, -0.3 * KAP)
     derived = synthetic_derived(gamma=0.05 * KAP, Gamma=1.0 * KAP)
     bad = [(synthetic_op(1e80, 1e80, 0.8 * KAP, -0.3 * KAP), derived),
@@ -328,16 +376,9 @@ def test_overflowing_quartic_is_numerical_error():
              for _ in bad]
     entries = [entry for pair in zip([(op, derived) for op in goods], bad)
                for entry in pair]
-    got = list(build_models(*zip(*entries)))
-    for model, op in zip(got[::2], goods):
-        alone = build_model(op, derived)
-        for name in ("A", "D"):
-            assert getattr(model, name).tobytes() == getattr(alone,
-                                                             name).tobytes()
-        assert model.verdict.eigenvalues.tobytes() == (
-            alone.verdict.eigenvalues.tobytes())
-        assert [getattr(model.verdict, f).hex() for f in ("s1", "s2")] == [
-            getattr(alone.verdict, f).hex() for f in ("s1", "s2")]
+    got = batch_entries(*zip(*entries))
+    for entry, op in zip(got[::2], goods):
+        assert_entry_is_model(entry, build_model(op, derived))
     assert [str(e) for e in got[1::2]] == messages
     assert all(type(e) is NumericalError for e in got[1::2])
 
@@ -354,14 +395,11 @@ def test_overflowing_routh_hurwitz_value_is_numerical_error():
     with pytest.raises(NumericalError) as err:
         build_model(op, wide)
     assert type(err.value) is NumericalError and str(err.value) == message
-    got = list(build_models([op] * 3, [derived, wide, derived]))
+    got = batch_entries([op] * 3, [derived, wide, derived])
     assert type(got[1]) is NumericalError and str(got[1]) == message
     want = build_model(op, derived)
-    for model in got[::2]:
-        assert (model.verdict.s1, model.verdict.s2) == (want.verdict.s1,
-                                                        want.verdict.s2)
-        assert model.verdict.eigenvalues.tobytes() == (
-            want.verdict.eigenvalues.tobytes())
+    for entry in got[::2]:
+        assert_entry_is_model(entry, want)
 
 
 @pytest.mark.parametrize("failure, message", [
@@ -391,7 +429,7 @@ def test_failed_eigenvalues_are_numerical_errors_alike(monkeypatch, failure,
         build_model(bad, derived)
     assert type(err.value) is NumericalError
     assert str(err.value) == message
-    got = list(build_models([good, bad, good], [derived] * 3))
+    got = batch_entries([good, bad, good], [derived] * 3)
     assert type(got[1]) is NumericalError and str(got[1]) == message
-    for model in got[::2]:
-        assert model.verdict.eigenvalues.tobytes() == want.tobytes()
+    for entry in got[::2]:
+        assert entry[5].tobytes() == want.tobytes()

@@ -164,10 +164,10 @@ class TestLogNegativity:
         # a rounding error, read as 0, so eta_minus^2 = sigma / 2
         dets = (0.1, 0.1, 0.0, 0.01 * (1.0 + 1e-12))
         assert -1e-10 < 0.2 ** 2 - 4.0 * dets[3] < 0.0
-        res = entanglement._negativity(*dets)
-        assert res.sigma == 0.2
-        assert res.eta_minus == math.sqrt(0.1)
-        assert res.E_n == -math.log(2.0 * math.sqrt(0.1))
+        sigma, eta_minus, e_n = entanglement._negativity_terms(*dets)
+        assert sigma == 0.2
+        assert eta_minus == math.sqrt(0.1)
+        assert e_n == -math.log(2.0 * math.sqrt(0.1))
 
     @pytest.mark.parametrize("dets, message", [
         ((0.1, 0.1, 0.0, 0.010001),
@@ -183,7 +183,7 @@ class TestLogNegativity:
             "overflowing-sigma-squared", "nan-sigma"])
     def test_crafted_determinants_rejected(self, dets, message):
         with pytest.raises(UnphysicalCovariance) as err:
-            entanglement._negativity(*dets)
+            entanglement._negativity_terms(*dets)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("scale", [1e100, 9e76])
@@ -468,10 +468,14 @@ def assert_same_covariances(models):
             continue
         assert isinstance(g, np.ndarray), g
         assert np.array_equal(g, want) and same_bits(g, want)
-        assert same_bits(g, entanglement._solve_refined(m.A, m.D,
-                                                        _kron_sum(m.A)))
+        assert same_bits(g, alone(m))
         kinds["solved"] += 1
     return kinds
+
+
+def alone(m):
+    """A model's covariance, or error, solved as a stack of one."""
+    return entanglement._lyapunov_stack(m.A[None], m.D[None])[0]
 
 
 def sweep_models(config, ring_mode):
@@ -554,8 +558,8 @@ class TestLyapunovBatch:
             self, monkeypatch):
         # the stack core the sweep calls: a row that misses the target
         # takes `_refined`; a stack with a singular system is solved
-        # system by system, the singular one an error, every other one
-        # with the bits of the point path
+        # system by system, each as a stack of one, the singular one an
+        # error, every other one with the bits of the point path
         miss = needs_refinement()
         rng = np.random.default_rng(31)
         models = [random_model(rng, stable=True) for _ in range(4)]
@@ -572,22 +576,26 @@ class TestLyapunovBatch:
                 return original(A_b, *args)
             monkeypatch.setattr(entanglement, name, counted)
         spy("_refined")
-        spy("_solve_refined")
+        spy("_lyapunov_stack")
         got = entanglement._lyapunov_stack(A, D)
-        assert calls == {("_refined", miss.A.tobytes()): 1}
+        assert calls == {("_refined", miss.A.tobytes()): 1,
+                         ("_lyapunov_stack", A.tobytes()): 1}
         assert (lyapunov_residual(miss, got[2])
                 < entanglement.LYAPUNOV_RESIDUAL_TOL)
         for g, m in zip(got, models):
             assert same_bits(g, lyapunov_solve(m))
         calls.clear()
         A[3] = 0.0
-        alone = entanglement._lyapunov_stack(A, D)
-        assert sorted(n for n, _ in calls.elements()) == \
-            ["_refined"] * 4 + ["_solve_refined"] * 5
-        assert isinstance(alone[3], SingularSystem)
-        assert "degenerated" in str(alone[3])
+        systems = entanglement._lyapunov_stack(A, D)
+        assert calls == {("_refined", miss.A.tobytes()): 1,
+                         ("_lyapunov_stack", A.tobytes()): 1,
+                         **{("_lyapunov_stack", A[i:i + 1].tobytes()): 1
+                            for i in range(5)}}
+        assert type(systems[3]) is SingularSystem
+        assert str(systems[3]) == ("Lyapunov system degenerated: "
+                                   "Singular matrix")
         for i in (0, 1, 2, 4):
-            assert same_bits(alone[i], got[i])
+            assert same_bits(systems[i], got[i])
 
     @pytest.mark.parametrize("config, ring_mode", [
         ("fig1.cfg", "fixed_charge"), ("fig1.cfg", "resonant"),
@@ -629,8 +637,7 @@ class TestLyapunovBatch:
         monkeypatch.undo()
         assert [A.tobytes() for A in calls] == [m.A.tobytes() for m in misses]
         for g, model in zip(got, models):
-            assert same_bits(g, entanglement._solve_refined(
-                model.A, model.D, _kron_sum(model.A)))
+            assert same_bits(g, alone(model))
 
     def test_one_model_that_meets_the_target_is_not_refined(self,
                                                             monkeypatch):

@@ -11,7 +11,7 @@ from levring.errors import LevringError
 from levring.model import derive_constants
 from levring.pipeline import solve_grid
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, table_verdict
 
 DETUNINGS = np.linspace(-1.0, 1.0, 9)
 # a C0 = 0 column, and a last value whose constants fail: C0 past the
@@ -91,7 +91,7 @@ def test_verdicts_of_a_grid_with_failed_columns(ring_mode, name):
     # the verdict of each cell, read before any model is built, is that
     # of its model, or the cell's error: a solved cell's or its column's
     cells = solve_grid(fig1(), DETUNINGS, (name, VALUES), ring_mode)
-    verdicts = [verdict_fingerprint(cells.verdict(i))
+    verdicts = [verdict_fingerprint(table_verdict(cells, i))
                 for i in range(len(cells))]
     assert verdicts == [verdict_fingerprint(
         c if isinstance(c, LevringError) else c.verdict) for c in cells]

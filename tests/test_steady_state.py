@@ -32,7 +32,7 @@ from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
                                   solve_resonant_models, solve_xs,
                                   steady_amplitude)
 
-from conftest import CONFIG_DIR, reference_config
+from conftest import CONFIG_DIR, reference_config, table_verdict
 
 C = CODATA2018
 
@@ -614,8 +614,8 @@ class TestSolveModel:
     @pytest.mark.parametrize("ring_mode", ["fixed_charge", "resonant"])
     def test_quartic_matches_drift_matrix(self, ring_mode):
         # the Routh-Hurwitz quartic is the characteristic polynomial of A,
-        # whose eigenvalues come in exact conjugate pairs; the batch builds
-        # the point path's models bit for bit
+        # whose eigenvalues come in exact conjugate pairs; build_model
+        # builds the point path's models bit for bit
         models = []
         for cfg in criterion_6_configs(60):
             try:
@@ -633,9 +633,8 @@ class TestSolveModel:
                           <= 1e-12 * scale), model.op
             eigs = model.verdict.eigenvalues
             assert np.array_equal(np.sort(eigs.conj()), eigs)
-        built = dynamics.build_models([m.op for m in models],
-                                      [m.derived for m in models])
-        for got, want in zip(built, models):
+        for want in models:
+            got = build_model(want.op, want.derived)
             for name in ("A", "D"):
                 assert getattr(got, name).tobytes() == getattr(want,
                                                                name).tobytes()
@@ -718,19 +717,20 @@ def assert_same_outcome(got, cell, solve=solve_models):
 
 
 def assert_verdicts_alike(outcomes):
-    """`Outcomes.verdict(i)`, read before any model is built, equals the
-    verdict of the model `outcomes[i]` builds on every cell, field by
-    field (`assert_same_record`), or is that cell's very error; once the
-    model is built, it is the model's own verdict.  Returns the count of
-    cells with a model."""
-    verdicts = [outcomes.verdict(i) for i in range(len(outcomes))]
+    """The verdict the table gives for each cell (`table_verdict`), read
+    before any model is built, equals the verdict of the model
+    `outcomes[i]` builds on every cell, field by field
+    (`assert_same_record`), or is that cell's very error; the model's
+    eigenvalues are the table's own row.  Returns the count of cells with
+    a model."""
+    verdicts = [table_verdict(outcomes, i) for i in range(len(outcomes))]
     for i, verdict in enumerate(verdicts):
         outcome = outcomes[i]
         if isinstance(outcome, LevringError):
             assert verdict is outcome
             continue
         assert_same_record(verdict, outcome.verdict)
-        assert outcomes.verdict(i) is outcome.verdict
+        assert verdict.eigenvalues is outcome.verdict.eigenvalues
     return sum(not isinstance(v, LevringError) for v in verdicts)
 
 
@@ -1274,7 +1274,7 @@ class TestOutcomes:
         monkeypatch.setattr(steady_state, "_model", counted_model)
         cell = (derived, delta0, cfg.ring_offset_c0)
         outcomes = solve_models([cell, (derived, delta0, 0.0), cell])
-        verdicts = [outcomes.verdict(i) for i in range(3)]
+        verdicts = [table_verdict(outcomes, i) for i in range(3)]
         assert built == []
         assert outcomes[-1] is outcomes[2]
         assert outcomes[0:2] == [outcomes[0], outcomes[1]]
