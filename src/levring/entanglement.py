@@ -5,7 +5,7 @@ Lyapunov equation A V + V A^T = -D.  The solve is done by vectorisation:
 (I (x) A + A (x) I) vec(V) = -vec(D), a 16x16 dense system with partial
 pivoting -- exact to machine precision at this size.  A stack of
 drift and diffusion matrices, of any number of systems, is solved in
-one stacked solve (`_lyapunov_stack`, which `lyapunov_solves` and the
+one stacked solve (`_lyapunov_stack`, which `lyapunov_solve` and the
 sweep call), and accepted as one stack: the solutions are symmetrised
 and their residuals ||A V + V A^T + D||_F / ||D||_F formed at once, and
 only a solution that misses the 1e-10 target is refined on its own.
@@ -120,25 +120,13 @@ def _refined(A: np.ndarray, D: np.ndarray, M: np.ndarray, V: np.ndarray,
 
 
 def lyapunov_solve(model: StateSpaceModel) -> np.ndarray:
-    """Stationary covariance of a stable model: `lyapunov_solves` on it."""
-    return one(lyapunov_solves([model]))
-
-
-def lyapunov_solves(models):
-    """Entry b is the stationary covariance of models[b], or the
-    NumericalError solving it raises (UnstableModel for a model without
-    a stationary state); the stable ones are solved as one stack
-    (`_lyapunov_stack`)."""
-    out = [None if model.stable else UnstableModel(
-        f"no stationary state: max Re eigenvalue = "
-        f"{model.verdict.max_real_part:.3e}") for model in models]
-    stable = [b for b, error in enumerate(out) if error is None]
-    if stable:
-        for b, V in zip(stable, _lyapunov_stack(
-                np.array([models[b].A for b in stable]),
-                np.array([models[b].D for b in stable]))):
-            out[b] = V
-    return out
+    """Stationary covariance of a stable model, its system solved as a
+    stack of one (`_lyapunov_stack`); UnstableModel for a model without
+    a stationary state."""
+    if not model.stable:
+        raise UnstableModel(f"no stationary state: max Re eigenvalue = "
+                            f"{model.verdict.max_real_part:.3e}")
+    return one(_lyapunov_stack(model.A[None], model.D[None]))
 
 
 def _lyapunov_stack(A: np.ndarray, D: np.ndarray) -> list:

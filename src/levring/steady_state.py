@@ -15,7 +15,10 @@ and of the resonance mismatch alike: it finds every grid zero and sign
 change and bisects each sign change (robust against the multi-root
 structure of the transcendental balance).  The candidates of every
 cell then pass through one screen for stability of the linearised
-dynamics (`_screen_plans`), with one stacked `np.linalg.eigvals` call.
+dynamics (`_screen_plans`): one stacked `np.linalg.eigvals` call over
+every candidate whose Routh-Hurwitz values are finite, then one walk
+per cell (`_walk`) that checks its candidates and accepts the first
+stable one.
 A point is a one-cell grid (`pipeline.solve_grid`), and the cell count
 picks the kernels in two places, `_grid_roots` and `model._tabulate`:
 Python floats for one cell, arrays for more, with the one-cell bits
@@ -569,24 +572,31 @@ def _candidate_values(derived: DerivedParams, balance, ev, x, delta0, c0,
     return (x, *op, gamma_ph, gamma_gas, gamma, Gamma_diff, plain, *rh), rows
 
 
-def _admitted(v: _Candidates, js, cell, tol, resonant: bool):
-    """(entries, end): the candidates js of one cell that its screen
-    walks, and a function giving the error the cell gets when none is
-    Hurwitz (None for a decoupled cell).  The checks run on Python
-    floats in the order of the scalar steps, and raise the cell's error;
-    a plain candidate passes `_op_checked` and the Gamma_diff guard.
+def _walk(v: _Candidates, js, cell, tol, resonant: bool, found) -> int:
+    """The candidate of js, one cell's candidates in screen order, that
+    its screen accepts; raises the cell's error otherwise.
 
-    tol None is a list of one candidate whose errors are the cell's: a
+    The checks run first, on Python floats in the order of the scalar
+    steps; a plain candidate passes `_op_checked` and the Gamma_diff
+    guard.  tol None is one candidate whose errors are the cell's: a
     decoupled cell's x_s = 0, or a resonant cell's point, which first
     needs Delta(x_s) > 0 and a ring charge >= 0 (NoResonantSolution).
     Otherwise js are roots in order of |x_s|: a root with negative trap
-    curvature or a vanishing omega_m is skipped (UnstableTrap), a
-    residual past tol ends the entries with a NumericalError, and the
-    end is AllRootsUnstable, or NoRootInInterval when no root is
-    admissible.  A ConfigInvalid of any candidate checked fails the
-    cell.
+    curvature or a vanishing omega_m is skipped (UnstableTrap), and a
+    residual past tol ends the candidates.  A ConfigInvalid of any
+    candidate checked fails the cell.
+
+    The walk then takes the admitted candidates in order: the first
+    error reached, a non-finite S1 or S2 (`_routh_hurwitz_error`) or
+    the eigenvalue error of found[j], is raised, and the first candidate
+    whose largest eigenvalue real part (found[j]) is negative is
+    returned.  With neither, a decoupled cell returns its candidate,
+    stable or not; the others raise the residual's NumericalError,
+    UnstableResonance, AllRootsUnstable, or NoRootInInterval when no
+    root is admissible.
     """
     cfg, delta0 = cell[0].cfg, cell[1]
+    entries, residual = js, None
     if tol is None:
         j, = js
         if resonant and v.delta_eff[j] <= 0.0:
@@ -600,31 +610,42 @@ def _admitted(v: _Candidates, js, cell, tol, resonant: bool):
                         v.omega_m[j], v.Omega_m[j])
             _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
                    v.omega_m[j])
-        return [j], (lambda: UnstableResonance(
+    else:
+        entries = []
+        for j in js:
+            if not v.plain[j]:
+                try:
+                    _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j],
+                                v.radicand[j], v.omega_m[j], v.Omega_m[j])
+                except UnstableTrap:
+                    continue
+            if abs(v.residual[j]) > tol:
+                residual = v.residual[j]
+                break
+            if not v.plain[j]:
+                _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
+                       v.omega_m[j])
+            entries.append(j)
+    for j in entries:
+        if not v.finite[j]:
+            raise dynamics._routh_hurwitz_error(v.s1[j], v.s2[j])
+        eigs, max_re = found[j]
+        if isinstance(eigs, LevringError):
+            raise eigs
+        if max_re < 0.0:
+            return j
+    if residual is not None:
+        raise NumericalError(
+            f"root refinement residual {residual:.3e} exceeds {tol:.3e}")
+    if tol is not None:
+        if entries:
+            raise AllRootsUnstable(f"{len(entries)} root(s) found, none "
+                                   f"Hurwitz at delta0 = {delta0:.6e}")
+        raise NoRootInInterval(f"no admissible root at delta0 = {delta0:.6e}")
+    if resonant:
+        raise UnstableResonance(
             f"resonant point at delta0 = {delta0:.6e} is not Hurwitz")
-            ) if resonant else None
-    entries = []
-    for j in js:
-        if not v.plain[j]:
-            try:
-                _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j], v.radicand[j],
-                            v.omega_m[j], v.Omega_m[j])
-            except UnstableTrap:
-                continue
-        if abs(v.residual[j]) > tol:
-            residual = v.residual[j]
-            return entries, lambda: NumericalError(
-                f"root refinement residual {residual:.3e} exceeds {tol:.3e}")
-        if not v.plain[j]:
-            _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
-                   v.omega_m[j])
-        entries.append(j)
-    if entries:
-        return entries, lambda: AllRootsUnstable(
-            f"{len(entries)} root(s) found, none Hurwitz at delta0 = "
-            f"{delta0:.6e}")
-    return entries, lambda: NoRootInInterval(
-        f"no admissible root at delta0 = {delta0:.6e}")
+    return j
 
 
 def _resonant_charge(derived: DerivedParams, a_q: float) -> float:
@@ -659,8 +680,10 @@ class Outcomes(collections.abc.Sequence):
     records `_model` builds on first access; the model is kept, and a
     slice is a list.  `candidate(i)` reads cell i without building its
     records, and `table` is the grid's (values, A, D, found, resonant)
-    of `_screen_plans`, None when no cell has a candidate: a stability
-    map and an entanglement sweep read their cells there, and build none.
+    of `_screen_plans`, None when no cell has a candidate: found[j] is
+    the eigenvalue result of each candidate j whose S1 and S2 are
+    finite, an accepted candidate's its eigenvalues.  A stability map
+    and an entanglement sweep read their cells there, and build none.
     """
 
     __slots__ = ("_entries", "table", "_models")
@@ -702,14 +725,17 @@ def _screen_plans(cells, plans, balance, resonant: bool) -> Outcomes:
     gives, as `Outcomes`.
 
     plans[i] is cell i's error, or (xs, tol): its candidate displacements
-    in screen order and the residual bound (`_admitted`).  One pass forms
+    in screen order and the residual bound (`_walk`).  One pass forms
     the values of every candidate of every cell (`_candidate_values`,
-    with the evaluator `model._tabulate` picks by the cell count); each
-    cell's candidates are then checked on Python floats (`_admitted`).
-    The eigenvalues of every admitted candidate whose S1 and S2 are
-    finite come from one stacked call (`dynamics._eigenvalue_rows`).
-    The screen (`_screen`) walks each cell's entries; the outcomes keep
-    the candidate it accepts, and build its records on first access.
+    with the evaluator `model._tabulate` picks by the cell count), and
+    one stacked call (`dynamics._eigenvalue_rows`) the eigenvalues of
+    every candidate whose S1 and S2 are finite: found[j] is candidate
+    j's (eigenvalues or their error, largest real part).  A candidate
+    the screen does not reach costs its row and nothing else, since a
+    failing stack names its failures row by row.  Each cell is then
+    decided by one walk over its candidates (`_walk`), in cell order;
+    the outcomes keep the candidate it accepts, and build its records
+    on first access.
     """
     outcomes = list(plans)
     live = [i for i, plan in enumerate(plans)
@@ -732,45 +758,15 @@ def _screen_plans(cells, plans, balance, resonant: bool) -> Outcomes:
         (xs, *zip(*inputs)), len(cells) == 1)
     v = _Candidates(*values)
     A, D = stacks[0].reshape(-1, 4, 4), stacks[1].reshape(-1, 4, 4)
-    walks, rows, found, first = [], [], {}, 0
+    rows = [j for j, finite in enumerate(v.finite) if finite]
+    found = dict(zip(rows, zip(*dynamics._eigenvalue_rows(A, rows))))
+    first = 0
     for i in live:
         js = range(first, first + len(plans[i][0]))
         first = js.stop
-        outcomes[i] = caught(_admitted, v, js, cells[i], plans[i][1],
-                             resonant)
-        if isinstance(outcomes[i], LevringError):
-            continue
-        walks.append(i)
-        for j in outcomes[i][0]:
-            if v.finite[j]:
-                rows.append(j)
-            else:
-                found[j] = (dynamics._routh_hurwitz_error(v.s1[j], v.s2[j]),
-                            math.nan)
-    found.update(zip(rows, zip(*dynamics._eigenvalue_rows(A, rows))))
-    for i in walks:
-        j = _screen(*outcomes[i], found)
+        j = caught(_walk, v, js, cells[i], plans[i][1], resonant, found)
         outcomes[i] = j if isinstance(j, LevringError) else (j, cells[i][0])
     return Outcomes(outcomes, (v, A, D, found, resonant))
-
-
-def _screen(entries, end, found):
-    """The candidate a cell's screen accepts, or the error it gives.
-
-    entries are the cell's admitted candidates in screen order, found[j]
-    is (eigenvalues or error, largest real part) of candidate j, and end
-    gives the cell's error when none is Hurwitz (`_admitted`).  The first
-    error reached is returned, and the first stable candidate; with
-    neither, end's error, or for a decoupled cell (end None) its one
-    candidate, stable or not.
-    """
-    for j in entries:
-        eigs, max_re = found[j]
-        if isinstance(eigs, LevringError):
-            return eigs
-        if max_re < 0.0:
-            return j
-    return end() if end else j
 
 
 def solve_models(cells):

@@ -12,7 +12,7 @@ from levring.entanglement import (EntanglementPoint, _kron_sum,
                                   covariance_by_integration,
                                   entanglement_sweep, log_negativity,
                                   lyapunov_residual, lyapunov_solve,
-                                  lyapunov_solves, symplectic_eigenvalues)
+                                  symplectic_eigenvalues)
 from levring.errors import (ConfigInvalid, LevringError, NotConverged,
                             NumericalError, SingularSystem,
                             UnphysicalCovariance, UnstableModel)
@@ -452,13 +452,24 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def stacked(models):
+    """The covariances of models, or their errors, as the sweep solves
+    them: their systems as one stack (`_lyapunov_stack`)."""
+    return entanglement._lyapunov_stack(np.array([m.A for m in models]),
+                                        np.array([m.D for m in models]))
+
+
 def assert_same_covariances(models):
-    """lyapunov_solves gives, per model, lyapunov_solve's bits or error,
-    and the bits of the model's system solved on its own."""
-    got = lyapunov_solves(models)
-    assert len(got) == len(models)
+    """The stable models solved as one stack, as the sweep solves them
+    (`stacked`), give per model lyapunov_solve's bits or error, and the
+    bits of the model's system solved on its own; lyapunov_solve raises
+    UnstableModel for an unstable model."""
+    got = iter(stacked([m for m in models if m.stable]))
     kinds = collections.Counter()
-    for g, m in zip(got, models):
+    for m in models:
+        g = next(got) if m.stable else UnstableModel(
+            "no stationary state: max Re eigenvalue = "
+            f"{m.verdict.max_real_part:.3e}")
         try:
             want = lyapunov_solve(m)
         except NumericalError as exc:
@@ -470,6 +481,7 @@ def assert_same_covariances(models):
         assert np.array_equal(g, want) and same_bits(g, want)
         assert same_bits(g, alone(m))
         kinds["solved"] += 1
+    assert next(got, None) is None
     return kinds
 
 
@@ -551,9 +563,6 @@ class TestLyapunovBatch:
         kinds = assert_same_covariances(models[:4] + [singular] + models[4:])
         assert kinds == {"solved": 10, "SingularSystem": 1}
 
-    def test_empty_batch(self):
-        assert lyapunov_solves([]) == []
-
     def test_stack_refines_a_miss_and_solves_a_singular_stack_alone(
             self, monkeypatch):
         # the stack core the sweep calls: a row that misses the target
@@ -633,7 +642,7 @@ class TestLyapunovBatch:
             return refined(A, D, M, V, resid)
 
         monkeypatch.setattr(entanglement, "_refined", spy)
-        got = lyapunov_solves(models)
+        got = stacked(models)
         monkeypatch.undo()
         assert [A.tobytes() for A in calls] == [m.A.tobytes() for m in misses]
         for g, model in zip(got, models):
@@ -651,7 +660,7 @@ class TestLyapunovBatch:
 
     def test_every_batch_takes_one_stacked_solve(self, monkeypatch):
         # one stable model, as two, takes one stacked solve first; only a
-        # refinement solves on its own
+        # refinement solves on its own, and an unstable model none
         solve, ranks = np.linalg.solve, []
 
         def counting(M, b):
@@ -662,11 +671,13 @@ class TestLyapunovBatch:
         rng = np.random.default_rng(3)
         unstable = random_model(rng, stable=False)
         stable = [random_model(rng, stable=True) for _ in range(2)]
-        got = lyapunov_solves([unstable, stable[0]])
-        assert isinstance(got[0], UnstableModel) and got[1].shape == (4, 4)
+        with pytest.raises(UnstableModel, match="no stationary state"):
+            lyapunov_solve(unstable)
+        assert ranks == []
+        assert lyapunov_solve(stable[0]).shape == (4, 4)
         assert ranks[0] == 3 and ranks.count(3) == 1
         ranks.clear()
-        lyapunov_solves(stable)
+        stacked(stable)
         assert ranks[0] == 3 and ranks.count(3) == 1
 
 

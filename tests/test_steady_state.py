@@ -20,7 +20,7 @@ from levring.dynamics import build_model
 from levring.errors import (AllRootsUnstable, ConfigInvalid, LevringError,
                             NoResonantSolution, NoRootInInterval,
                             NotConverged, NumericalError, UnstableResonance,
-                            UnstableTrap, error_cell, one)
+                            UnstableTrap, caught, error_cell, one)
 from levring.model import delta0_from_config, derive_constants, ring_field
 from levring.pipeline import solve_point
 from levring.steady_state import (BISECT_REL_TOL, N_SCAN, N_SCAN_RESONANT,
@@ -1165,88 +1165,152 @@ def assert_same_resonant_outcomes(cells):
         for g, cell in zip(got, cells))
 
 
-def admitted(cell, xs, tol, resonant=False):
-    """`_admitted` on the candidates xs of one cell, their values formed
-    on Python floats."""
+def candidates(cell, xs, resonant=False):
+    """(`_Candidates`, drift stack) of the candidates xs of one cell,
+    formed on Python floats as `_screen_plans` forms a one-cell grid's."""
     derived, delta0, c0 = cell
     row = (delta0, c0, derived.mass, derived.kappa,
            *derived.damping_at.factors, *(() if resonant else (derived.A_q,)))
-    values, _ = levring.model._tabulate(
+    values, stacks = levring.model._tabulate(
         functools.partial(steady_state._candidate_values, derived,
                           steady_state._balance(derived)),
         (xs, *zip(*[row] * len(xs))), True)
-    return steady_state._admitted(steady_state._Candidates(*values),
-                                  range(len(xs)), cell, tol, resonant)
+    return steady_state._Candidates(*values), stacks[0].reshape(-1, 4, 4)
+
+
+def walk(cell, xs, tol, found, resonant=False, **columns):
+    """`_walk` on the candidates xs of one cell, with synthetic eigenvalue
+    entries found and any column of their values replaced: the candidate
+    index it accepts, or the error it raises."""
+    v = candidates(cell, xs, resonant)[0]._replace(**columns)
+    return caught(steady_state._walk, v, range(len(xs)), cell, tol,
+                  resonant, found)
+
+
+EIGS = np.zeros(4, dtype=complex)
+STABLE, UNSTABLE = (EIGS, -1.0), (EIGS, 1.0)
 
 
 class TestScreen:
-    """The candidates a cell's screen walks, and `_screen` on each shape."""
+    """One cell's walk (`_walk`) on each shape of candidate list, with
+    synthetic eigenvalue entries: the candidate it returns, or the error
+    it raises, with its type and message."""
 
-    def test_candidates_end_on_the_cell_error(self, fig1):
+    @pytest.fixture
+    def case(self, fig1):
         cfg, derived, delta0 = fig1
         cell = (derived, delta0, cfg.ring_offset_c0)
-        stable = one(solve_models([cell]))
-        r = stable.op.x_s
-        at = f"at delta0 = {delta0:.6e}"
         tol = steady_state.RESIDUAL_REL_TOL * residual_scale(derived, cell[2])
-        entries, end = admitted(cell, [r], tol)
-        assert entries == [0] and type(end()) is AllRootsUnstable
-        assert str(end()) == f"1 root(s) found, none Hurwitz {at}"
-        # a root of negative trap curvature is skipped
-        outside = 0.3 * cfg.wavelength
-        entries, end = admitted(cell, [outside], tol)
-        assert entries == [] and type(end()) is NoRootInInterval
-        assert str(end()) == f"no admissible root {at}"
-        entries, end = admitted(cell, [outside, r], tol)
-        assert entries == [1] and type(end()) is AllRootsUnstable
-        [model] = steady_state._screen_plans(
-            [cell], [([outside, r], tol)], steady_state._balance(derived),
-            False)
-        assert model.op == stable.op and model.derived == stable.derived
+        # a root of the fig1 cell, and a point of negative trap curvature
+        return (cell, tol, one(solve_models([cell])).op.x_s,
+                0.3 * cfg.wavelength, f"at delta0 = {delta0:.6e}")
+
+    def test_candidates_end_on_the_cell_error(self, case):
+        cell, tol, r, outside, at = case
+        error = walk(cell, [r], tol, {0: UNSTABLE})
+        assert type(error) is AllRootsUnstable
+        assert str(error) == f"1 root(s) found, none Hurwitz {at}"
+        assert walk(cell, [r], tol, {0: STABLE}) == 0
+        # a root of negative trap curvature is skipped: the walk never
+        # reads its entry
+        error = walk(cell, [outside], tol, {})
+        assert type(error) is NoRootInInterval
+        assert str(error) == f"no admissible root {at}"
+        assert walk(cell, [outside, r], tol, {1: STABLE}) == 1
+        error = walk(cell, [outside, r], tol, {1: UNSTABLE})
+        assert type(error) is AllRootsUnstable
+        assert str(error) == f"1 root(s) found, none Hurwitz {at}"
         # a residual past the bound ends the candidates (k x_s = -0.54,
-        # so 1.2 x_s and 1.3 x_s lie in the trap but are not roots)
-        entries, end = admitted(cell, [r, 1.2 * r, 1.3 * r], tol)
-        assert entries == [0] and type(end()) is NumericalError
-        assert str(end()).startswith("root refinement residual ")
+        # so 1.2 x_s and 1.3 x_s lie in the trap but are not roots): the
+        # roots before it are walked, and none after it
+        error = walk(cell, [r, 1.2 * r, 1.3 * r], tol, {0: UNSTABLE})
+        assert type(error) is NumericalError
+        assert re.fullmatch(r"root refinement residual \S+ exceeds "
+                            + re.escape(f"{tol:.3e}"), str(error))
+        assert walk(cell, [r, 1.2 * r, 1.3 * r], tol, {0: STABLE}) == 0
         # no root at all ends the cell before any candidate
         strong = derive_constants(reference_config(ring_field=2.5e11))
         with pytest.raises(NoRootInInterval, match="no force-balance root"):
             one(solve_models([(strong, 0.3 * strong.kappa, cell[2])]))
-        # a decoupled cell's list is its one candidate, whose errors are
-        # the cell's
-        assert admitted((derived, delta0, 0.0), [0.0], None) == ([0], None)
-        with pytest.raises(UnstableTrap, match="cos"):
-            admitted(cell, [outside], None)
 
-    def test_first_error_reached_is_the_outcome(self):
-        screen = steady_state._screen
-        eigs = np.zeros(4, dtype=complex)
-        stable, unstable = (eigs, -1.0), (eigs, 1.0)
+    def test_decoupled_cell_returns_its_candidate(self, case):
+        derived, delta0, _ = case[0]
+        decoupled = (derived, delta0, 0.0)
+        for entry in (STABLE, UNSTABLE):
+            assert walk(decoupled, [0.0], None, {0: entry}) == 0
+
+    def test_single_candidate_errors_are_the_cells(self, case):
+        cell, _, _, outside, _ = case
+        error = walk(cell, [outside], None, {})
+        assert type(error) is UnstableTrap
+        assert str(error).startswith("cos(2 k x_s) = ")
+
+    def test_first_error_reached_is_the_outcome(self, case):
+        cell, tol, r, _, _ = case
         built = NumericalError("drift matrix has a non-finite eigenvalue")
-        residual = NumericalError("root refinement residual")
         failed = (built, math.nan)
-        for found, error in (([unstable], residual),
-                             ([unstable, failed, stable], built),
-                             ([failed, stable], built)):
-            assert screen(range(len(found)), lambda: residual,
-                          dict(enumerate(found))) is error
-        assert screen([0], lambda: residual, {0: stable}) == 0
-        assert screen([0, 1, 2], lambda: residual,
-                      dict(enumerate([unstable, stable, failed]))) == 1
+        for entries in ([UNSTABLE, failed, STABLE], [failed, STABLE]):
+            got = walk(cell, [r] * len(entries), tol, dict(enumerate(entries)))
+            assert got is built
+        assert walk(cell, [r] * 3, tol,
+                    dict(enumerate([UNSTABLE, STABLE, failed]))) == 1
+        # a residual past the bound is the error after the last root
+        error = walk(cell, [r, r, 1.2 * r], tol, {0: UNSTABLE, 1: failed})
+        assert error is built
+        # a non-finite S1 or S2 is an error where the walk reaches it
+        s1, finite = [1.0, math.inf, 1.0], [True, False, True]
+        error = walk(cell, [r] * 3, tol, {0: UNSTABLE, 2: STABLE}, s1=s1,
+                     finite=finite)
+        assert type(error) is NumericalError
+        assert str(error) == "Routh-Hurwitz value S1 = inf is not finite"
+        assert walk(cell, [r] * 3, tol, {0: STABLE}, s1=s1,
+                    finite=finite) == 0
 
-    def test_decoupled_list_returns_its_model(self):
-        for verdict in (-1.0, 1.0):
-            assert steady_state._screen(
-                [0], None, {0: (np.zeros(4), verdict)}) == 0
-
-    def test_resonant_list_raises_only_when_unstable(self):
-        def end():
-            return UnstableResonance("resonant point is not Hurwitz")
-        eigs = np.zeros(4)
-        assert steady_state._screen([0], end, {0: (eigs, -1.0)}) == 0
-        error = steady_state._screen([0], end, {0: (eigs, 1.0)})
+    def test_resonant_point_raises_only_when_unstable(self, case):
+        cell, _, _, _, at = case
+        x = one(solve_resonant_models([cell])).op.x_s
+        assert walk(cell, [x], None, {0: STABLE}, resonant=True) == 0
+        error = walk(cell, [x], None, {0: UNSTABLE}, resonant=True)
         assert type(error) is UnstableResonance
-        assert str(error) == "resonant point is not Hurwitz"
+        assert str(error) == f"resonant point {at} is not Hurwitz"
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_failing_eigenvalues_of_an_unwalked_candidate(
+            self, case, monkeypatch, cells, bad):
+        # every finite candidate is in the one stacked eigenvalue call,
+        # also a root past the residual bound (bad = 1) and a candidate
+        # after it (bad = 2); a matrix of theirs that fails the stack
+        # fails only its own row, so the cell's outcome and its model are
+        # those of the plan without it
+        cell, tol, r, _, _ = case
+        xs = [r, 1.2 * r, 1.3 * r]
+        v, A = candidates(cell, xs)
+        assert all(v.finite)
+        original, raised = dynamics._eigenvalues, []
+
+        def eigenvalues(a):
+            if (a == A[bad]).all(axis=(-2, -1)).any():
+                raised.append(a.shape)
+                raise NumericalError("drift matrix eigenvalues: injected")
+            return original(a)
+
+        balance = steady_state._balance(cell[0])
+        want = steady_state._screen_plans([cell] * cells, [([r], tol)] * cells,
+                                          balance, False)
+        monkeypatch.setattr(dynamics, "_eigenvalues", eigenvalues)
+        got = steady_state._screen_plans([cell] * cells, [(xs, tol)] * cells,
+                                         balance, False)
+        assert raised == [(3 * cells, 4, 4)] + [(4, 4)] * cells
+        for i in range(cells):
+            assert got.candidate(i) == (3 * i, cell[0])
+            assert type(got.table[3][3 * i + bad][0]) is NumericalError
+            for name in ("A", "D"):
+                assert (getattr(got[i], name).tobytes()
+                        == getattr(want[i], name).tobytes())
+            for name in ("op", "derived", "verdict"):
+                assert_same_record(getattr(got[i], name),
+                                   getattr(want[i], name))
 
 
 class TestOutcomes:
