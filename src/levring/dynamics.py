@@ -47,7 +47,7 @@ class StabilityVerdict:
 class StateSpaceModel:
     A: np.ndarray                # 4x4 drift matrix, rad/s entries
     D: np.ndarray                # 4x4 diagonal diffusion matrix
-    op: "OperatingPoint"
+    op: OperatingPoint
     derived: DerivedParams       # completed (damping fields set)
     verdict: StabilityVerdict
 
@@ -75,13 +75,13 @@ def _drift_row(omega_m, Omega_m, d, G, gamma, kappa, zero=0.0) -> list:
             -G, zero, -d, h]
 
 
-def drift_matrix(op: "OperatingPoint", gamma: float, kappa: float) -> np.ndarray:
+def drift_matrix(op: OperatingPoint, gamma: float, kappa: float) -> np.ndarray:
     """The 4x4 drift matrix; only its seven structural entries are set."""
     return np.array(_drift_row(op.omega_m, op.Omega_m, op.delta_eff, op.G,
                                gamma, kappa)).reshape(4, 4)
 
 
-def char_poly_coefficients(op: "OperatingPoint", gamma: float, kappa: float):
+def char_poly_coefficients(op: OperatingPoint, gamma: float, kappa: float):
     """Monic quartic coefficients (a3, a2, a1, a0) of det(lambda I - A).
 
     Closed-form expansion of the sparse 4x4 determinant:
@@ -203,7 +203,7 @@ def _stable(s1: float, s2: float, marginal: bool, max_re: float):
     return s1 > 0.0 and s2 > 0.0 and not marginal, max_re < 0.0
 
 
-def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
+def _assemble(op: OperatingPoint, derived: DerivedParams, A: np.ndarray,
               D: np.ndarray, s1: float, s2: float, marginal: bool,
               eigs: np.ndarray, max_re: float) -> StateSpaceModel:
     """The model of one entry, its verdict's flags by `_stable`."""
@@ -216,7 +216,7 @@ def _assemble(op: "OperatingPoint", derived: DerivedParams, A: np.ndarray,
                    verdict=verdict)
 
 
-def build_model(op: "OperatingPoint", derived: DerivedParams) -> StateSpaceModel:
+def build_model(op: OperatingPoint, derived: DerivedParams) -> StateSpaceModel:
     """Assemble drift/diffusion matrices and record both stability verdicts.
 
     Instability is a verdict, not an error.  `derived` must carry damping

@@ -16,9 +16,10 @@ change and bisects each sign change (robust against the multi-root
 structure of the transcendental balance).  The candidates of every
 cell then pass through one screen for stability of the linearised
 dynamics (`_screen_plans`): one stacked `np.linalg.eigvals` call over
-every candidate whose Routh-Hurwitz values are finite, then one walk
-per cell (`_walk`) that checks its candidates and accepts the first
-stable one.
+every candidate whose Routh-Hurwitz values are finite, then one loop
+per cell over its candidates (`_walk`, the same for every plan) that
+checks them and accepts the first stable one.  Each constant product
+is formed in the expression that uses it.
 A point is a one-cell grid (`pipeline.solve_grid`), and the cell count
 picks the kernels in two places, `_grid_roots` and `model._tabulate`:
 Python floats for one cell, arrays for more, with the one-cell bits
@@ -113,18 +114,10 @@ def _balance(derived: DerivedParams):
     balance.bound(params) is the (slope, slack) of each cell for
     `_scan_hits`: |f'| <= |A_q| plus the slope bound of the Lorentzian
     term (`_lorentzian_bound`, p = hbar g k E^2), and the magnitude bound
-    B = |A_q| (|C0| + pi/4k) + p/q + p S r.  The closure also carries
-    the grid's constant factors of other expressions, each the leading
-    product of the left-to-right expression it stands in for, so every
-    bit holds: optical_scale, the optical force scale
-    4 hbar g k E^2 / kappa^2 of `residual_scale`, formed from p;
-    trap_scale, the 2 hbar g k^2 of `mechanical_frequency`; and
-    spring_scale and kappa2, the -4 hbar g k E^2 and kappa^2 of the
-    resonant spring (`_op_values`).
+    B = |A_q| (|C0| + pi/4k) + p/q + p S r.
     """
     hbar_gkE2 = CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
-    kappa2 = derived.kappa ** 2
-    quarter_kappa2 = kappa2 / 4.0
+    quarter_kappa2 = derived.kappa ** 2 / 4.0
 
     def balance(x, cos2, sin_2kx, params):
         delta0, c0, a_q = params
@@ -140,11 +133,6 @@ def _balance(derived: DerivedParams):
         return ring + slope, SCAN_SLACK * (
             ring * (abs(c0) + math.pi / (4.0 * derived.k)) + size)
     balance.bound = bound
-    balance.optical_scale = hbar_gkE2 * 4.0 / kappa2
-    balance.trap_scale = 2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
-    balance.spring_scale = (-4.0 * CODATA2018.hbar * derived.g * derived.k
-                            * derived.E_drive ** 2)
-    balance.kappa2 = kappa2
     return balance
 
 
@@ -179,24 +167,24 @@ def force_balance(x, derived: DerivedParams, delta0: float, c0: float):
                              (delta0, c0, derived.A_q))
 
 
-def residual_scale(derived: DerivedParams, c0: float, balance=None) -> float:
-    """Magnitude against which the root residual is judged; balance, if
-    given, is the `_balance` of constants that share k, g, E_drive and
-    kappa with derived, its optical force scale formed once."""
+def residual_scale(derived: DerivedParams, c0: float) -> float:
+    """Magnitude against which the root residual is judged: the larger of
+    the ring force |A_q C0| and the optical force scale
+    4 hbar g k E^2 / kappa^2."""
     return max(abs(derived.A_q * c0),
-               (balance or _balance(derived)).optical_scale)
+               CODATA2018.hbar * derived.g * derived.k * derived.E_drive ** 2
+               * 4.0 / derived.kappa ** 2)
 
 
 def steady_amplitude(derived: DerivedParams, delta_eff: float) -> float:
     """Real positive intracavity amplitude 2E / sqrt(4 Delta^2 + kappa^2)."""
-    return _amplitude(_FLOATS, derived, delta_eff, derived.kappa ** 2)
+    return _amplitude(_FLOATS, derived, delta_eff)
 
 
-def _amplitude(ev, derived: DerivedParams, delta_eff, kappa2):
-    """`steady_amplitude` on Python floats or arrays (ev), kappa2 the
-    kappa ** 2 of derived."""
+def _amplitude(ev, derived: DerivedParams, delta_eff):
+    """`steady_amplitude` on Python floats or arrays (ev)."""
     return 2.0 * derived.E_drive / ev.sqrt(4.0 * ev.square(delta_eff)
-                                           + kappa2)
+                                           + derived.kappa ** 2)
 
 
 def mechanical_frequency(derived: DerivedParams, a_s: float,
@@ -208,17 +196,17 @@ def mechanical_frequency(derived: DerivedParams, a_s: float,
     naming the config fields of g, k, mass and of E_drive and kappa,
     which bound a_s <= 2 E_drive / kappa.
     """
-    c2, radicand = _trap(_FLOATS, _balance(derived), derived.k, a_s, x_s,
-                         derived.mass)
+    c2, radicand = _trap(_FLOATS, derived, a_s, x_s, derived.mass)
     _trap_checked(derived.cfg, x_s, c2, radicand)
     return math.sqrt(radicand)
 
 
-def _trap(ev, balance, k, a_s, x_s, mass):
+def _trap(ev, derived: DerivedParams, a_s, x_s, mass):
     """(cos(2 k x_s), the radicand of `mechanical_frequency`) on Python
     floats or arrays (ev)."""
-    c2 = ev.cos(2.0 * k * x_s)
-    return c2, balance.trap_scale * (a_s * a_s) * c2 / mass
+    c2 = ev.cos(2.0 * derived.k * x_s)
+    return c2, (2.0 * CODATA2018.hbar * derived.g * derived.k ** 2
+                * (a_s * a_s) * c2 / mass)
 
 
 def _trap_checked(cfg, x_s: float, c2: float, radicand: float):
@@ -243,7 +231,10 @@ def _op_values(ev, derived: DerivedParams, balance, x, delta0, c0, a_q,
     Python floats or arrays (ev): (delta_eff, A_q, a_s, cos(2kx), trap
     radicand, omega_m, Omega_m, G, residual), the residual `_balance` on
     the same cos^2(kx) and sin(2kx).  balance is the `_balance` of
-    constants that share k, g, E_drive and kappa with derived.
+    constants that share k, g, E_drive and kappa with derived; the
+    constant products of the amplitude, the trap radicand and the
+    resonant spring are formed from derived, each the leading product
+    of its expression.
 
     Nothing is checked here (`_op_checked` checks, in the order of the
     steps): a step whose Python-float arithmetic raises gives nan.
@@ -258,11 +249,12 @@ def _op_values(ev, derived: DerivedParams, balance, x, delta0, c0, a_q,
     cos2, sin_2kx = c * c, ev.sin(2.0 * k * x)
     delta_eff = _detuning(derived, delta0, cos2)
     if a_q is None:
-        a_q = ev.quotient(balance.spring_scale * sin_2kx,
-                          (balance.kappa2 + 4.0 * delta_eff * delta_eff)
+        a_q = ev.quotient(-4.0 * CODATA2018.hbar * derived.g * k
+                          * derived.E_drive ** 2 * sin_2kx,
+                          (derived.kappa ** 2 + 4.0 * delta_eff * delta_eff)
                           * (x + c0))
-    a_s = _amplitude(ev, derived, delta_eff, balance.kappa2)
-    c2, radicand = _trap(ev, balance, k, a_s, x, mass)
+    a_s = _amplitude(ev, derived, delta_eff)
+    c2, radicand = _trap(ev, derived, a_s, x, mass)
     omega_m = ev.sqrt(radicand)
     m_omega = mass * omega_m
     Omega_m = omega_m + ev.quotient(a_q, m_omega)
@@ -323,20 +315,20 @@ def _grid_tables(k: float, resonant: bool):
     return BISECT_REL_TOL * (2.0 * half), _two_pass_tables(grid)
 
 
-def _two_pass_tables(grid, stride=SCAN_STRIDE):
+def _two_pass_tables(grid):
     """(grid, coarse, fine, width) of `_scan_hits` over a grid's tables
-    grid = (x, cos^2(kx), trig(2kx)).
+    grid = (x, cos^2(kx), trig(2kx)), n = SCAN_STRIDE.
 
-    coarse holds every stride-th entry of each table, both ends
-    included; row j of a fine table holds the stride + 1 entries of
-    coarse interval j, grid indices j stride to (j + 1) stride; width is
-    the widest coarse interval.  stride must divide the grid's steps.
+    coarse holds every n-th entry of each table, both ends included; row
+    j of a fine table holds the n + 1 entries of coarse interval j, grid
+    indices j n to (j + 1) n; width is the widest coarse interval.  n
+    must divide the grid's steps.
     """
-    steps = len(grid[0]) - 1
-    if steps % stride:
-        raise ValueError(f"stride {stride} does not divide {steps} grid steps")
-    coarse = tuple(np.ascontiguousarray(t[::stride]) for t in grid)
-    rows = np.arange(0, steps, stride)[:, None] + np.arange(stride + 1)
+    steps, n = len(grid[0]) - 1, SCAN_STRIDE
+    if steps % n:
+        raise ValueError(f"SCAN_STRIDE {n} does not divide {steps} grid steps")
+    coarse = tuple(np.ascontiguousarray(t[::n]) for t in grid)
+    rows = np.arange(0, steps, n)[:, None] + np.arange(n + 1)
     fine = tuple(t[rows] for t in grid)
     for table in coarse + fine:
         table.flags.writeable = False
@@ -374,7 +366,7 @@ def _scan_hits(fun, tables, params):
       when |F_a| + |F_b| > L H + slack (a Lipschitz exclusion test;
       Moore, Interval Analysis, 1966), where (L, slack) = fun.bound(params)
       per cell.  A nan or an infinity certifies nothing;
-    - fine pass: the stride + 1 points of each uncertified interval are
+    - fine pass: the SCAN_STRIDE + 1 points of each uncertified interval are
       evaluated, SCAN_CHUNK * SCAN_STRIDE intervals at a time, and the
       hit rule applied there.  An interval's last point is the next
       one's first, so a zero there is counted by the next interval, or
@@ -396,7 +388,7 @@ def _scan_hits(fun, tables, params):
     the force balance is within
     u (3.2 |A_q| (|C0| + pi/4k) + 16.3 p/q + 94.5 p S r) <= 256u B and
     the mismatch within u (15.3 p/q + 94 p S r + 193 m r^2) <= 256u B,
-    B being the cell's magnitude bound.  At stride 16, k H <= 0.0063, so
+    B being the cell's magnitude bound.  At SCAN_STRIDE = 16, k H <= 0.0063, so
     L H <= 0.06 B and the test itself rounds within 5u B.  The slack
     SCAN_SLACK B = 2^-40 B = 8192u B is nearly eight times the
     4 x 256u B + 5u B needed.  The bounds assume that no intermediate
@@ -576,29 +568,29 @@ def _walk(v: _Candidates, js, cell, tol, resonant: bool, found) -> int:
     """The candidate of js, one cell's candidates in screen order, that
     its screen accepts; raises the cell's error otherwise.
 
-    The checks run first, on Python floats in the order of the scalar
-    steps; a plain candidate passes `_op_checked` and the Gamma_diff
-    guard.  tol None is one candidate whose errors are the cell's: a
-    decoupled cell's x_s = 0, or a resonant cell's point, which first
-    needs Delta(x_s) > 0 and a ring charge >= 0 (NoResonantSolution).
+    One loop takes every plan's candidates in order.  Each is checked
+    first, on Python floats in the order of the scalar steps: a resonant
+    point needs Delta(x_s) > 0 and a ring charge >= 0
+    (NoResonantSolution), and a plain candidate passes `_op_checked` and
+    the Gamma_diff guard.  tol None is one candidate whose errors are the
+    cell's: a decoupled cell's x_s = 0, or a resonant cell's point.
     Otherwise js are roots in order of |x_s|: a root with negative trap
     curvature or a vanishing omega_m is skipped (UnstableTrap), and a
     residual past tol ends the candidates.  A ConfigInvalid of any
     candidate checked fails the cell.
 
-    The walk then takes the admitted candidates in order: the first
-    error reached, a non-finite S1 or S2 (`_routh_hurwitz_error`) or
-    the eigenvalue error of found[j], is raised, and the first candidate
-    whose largest eigenvalue real part (found[j]) is negative is
-    returned.  With neither, a decoupled cell returns its candidate,
-    stable or not; the others raise the residual's NumericalError,
-    UnstableResonance, AllRootsUnstable, or NoRootInInterval when no
-    root is admissible.
+    The first admitted candidate that is not unstable decides the cell,
+    and the later ones are only checked: its non-finite S1 or S2
+    (`_routh_hurwitz_error`) or the eigenvalue error of found[j] is
+    raised, or it is returned where its largest eigenvalue real part
+    (found[j]) is negative.  With none, a decoupled cell returns its
+    candidate, stable or not; the others raise the residual's
+    NumericalError, UnstableResonance, AllRootsUnstable, or
+    NoRootInInterval when no root is admissible.
     """
     cfg, delta0 = cell[0].cfg, cell[1]
-    entries, residual = js, None
-    if tol is None:
-        j, = js
+    admitted, outcome, residual = 0, None, None
+    for j in js:
         if resonant and v.delta_eff[j] <= 0.0:
             raise NoResonantSolution(f"effective detuning {v.delta_eff[j]:.3e}"
                                      " not on the stable sideband")
@@ -606,40 +598,38 @@ def _walk(v: _Candidates, js, cell, tol, resonant: bool, found) -> int:
             raise NoResonantSolution("force balance at the resonant point "
                                      "needs a negative ring charge")
         if not v.plain[j]:
-            _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j], v.radicand[j],
-                        v.omega_m[j], v.Omega_m[j])
+            try:
+                _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j], v.radicand[j],
+                            v.omega_m[j], v.Omega_m[j])
+            except UnstableTrap:
+                if tol is None:
+                    raise
+                continue
+        if tol is not None and abs(v.residual[j]) > tol:
+            residual = v.residual[j]
+            break
+        if not v.plain[j]:
             _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
                    v.omega_m[j])
-    else:
-        entries = []
-        for j in js:
-            if not v.plain[j]:
-                try:
-                    _op_checked(cfg, v.x_s[j], v.a_s[j], v.c2[j],
-                                v.radicand[j], v.omega_m[j], v.Omega_m[j])
-                except UnstableTrap:
-                    continue
-            if abs(v.residual[j]) > tol:
-                residual = v.residual[j]
-                break
-            if not v.plain[j]:
-                _guard("Gamma_diff", v.Gamma_diff[j], "finite square", cfg,
-                       v.omega_m[j])
-            entries.append(j)
-    for j in entries:
-        if not v.finite[j]:
-            raise dynamics._routh_hurwitz_error(v.s1[j], v.s2[j])
-        eigs, max_re = found[j]
-        if isinstance(eigs, LevringError):
-            raise eigs
-        if max_re < 0.0:
-            return j
+        admitted += 1
+        if outcome is None and not v.finite[j]:
+            outcome = dynamics._routh_hurwitz_error(v.s1[j], v.s2[j])
+        elif outcome is None:
+            eigs, max_re = found[j]
+            if isinstance(eigs, LevringError):
+                outcome = eigs
+            elif max_re < 0.0:
+                outcome = j
+    if isinstance(outcome, LevringError):
+        raise outcome
+    if outcome is not None:
+        return outcome
     if residual is not None:
         raise NumericalError(
             f"root refinement residual {residual:.3e} exceeds {tol:.3e}")
     if tol is not None:
-        if entries:
-            raise AllRootsUnstable(f"{len(entries)} root(s) found, none "
+        if admitted:
+            raise AllRootsUnstable(f"{admitted} root(s) found, none "
                                    f"Hurwitz at delta0 = {delta0:.6e}")
         raise NoRootInInterval(f"no admissible root at delta0 = {delta0:.6e}")
     if resonant:
@@ -813,7 +803,7 @@ def solve_models(cells):
         else:
             key = id(d), c0
             if key not in tols:
-                tols[key] = RESIDUAL_REL_TOL * residual_scale(d, c0, balance)
+                tols[key] = RESIDUAL_REL_TOL * residual_scale(d, c0)
             plans.append((sorted(found, key=abs), tols[key]))
     return _screen_plans(cells, plans, balance, False)
 

@@ -347,9 +347,11 @@ class TestSolveXs:
         # the hit rule and both bisections compare signs: scaled by 1e-300
         # or 1e300, where products of neighbouring values underflow to
         # zero or overflow, a line and its negation give the hits and the
-        # root bits they give at scale 1
-        xs, sign = np.linspace(0.0, 1.0, 11), np.array([1.0, -1.0])
-        tables = steady_state._two_pass_tables((xs, xs, xs), stride=5)
+        # root bits they give at scale 1; the grid has two coarse
+        # intervals, the root in the first
+        xs = np.linspace(0.0, 1.0, 2 * steady_state.SCAN_STRIDE + 1)
+        sign = np.array([1.0, -1.0])
+        tables = steady_state._two_pass_tables((xs, xs, xs))
         results = []
         for scale in (1e-300, 1.0, 1e300):
             def line(x, idx=0, scale=scale):
@@ -367,9 +369,11 @@ class TestSolveXs:
                 line(0.3, np.arange(2)), 1e-15)
             results.append((cell.tolist(), i.tolist(), zero.tolist(),
                             point.hex(), [x.hex() for x in lock_step]))
-        assert results[0][:3] == ([0, 1], [3, 3], [False, False])
+        assert results[0][:3] == ([0, 1], [11, 11], [False, False])
         assert results[1][4] == [results[1][3]] * 2
         assert results[0] == results[1] == results[2]
+        with pytest.raises(ValueError, match="does not divide 10 grid steps"):
+            steady_state._two_pass_tables((xs[:11],) * 3)
 
     def test_scan_roots_mirror_in_c0(self):
         # f(-x; -C0) = -f(x; C0): the roots are negated and reversed, up to
@@ -1244,6 +1248,52 @@ class TestScreen:
         error = walk(cell, [outside], None, {})
         assert type(error) is UnstableTrap
         assert str(error).startswith("cos(2 k x_s) = ")
+
+    def test_single_candidate_checks_in_order(self, case):
+        # plain=[False] makes the walk run every check on the replaced
+        # columns; the resonant point's sideband check comes first, then
+        # its charge, then the operating point's own checks
+        cell = case[0]
+        x = one(solve_resonant_models([cell])).op.x_s
+        sideband = "effective detuning -1.000e+00 not on the stable sideband"
+        for curvature in (0.5, -0.5):
+            error = walk(cell, [x], None, {0: STABLE}, resonant=True,
+                         plain=[False], delta_eff=[-1.0], c2=[curvature])
+            assert type(error) is NoResonantSolution
+            assert str(error) == sideband
+        error = walk(cell, [x], None, {0: STABLE}, resonant=True,
+                     plain=[False], A_q=[-1.0], c2=[-0.5])
+        assert type(error) is NoResonantSolution
+        assert str(error) == ("force balance at the resonant point needs a "
+                              "negative ring charge")
+        # a decoupled point of negative curvature is the cell's error, not
+        # a candidate skipped
+        decoupled = (cell[0], cell[1], 0.0)
+        error = walk(decoupled, [0.0], None, {0: STABLE}, plain=[False],
+                     c2=[-0.5])
+        assert type(error) is UnstableTrap
+        assert str(error) == ("cos(2 k x_s) = -5.000e-01 < 0 at "
+                              "x_s = 0.000e+00 m")
+
+    def test_gamma_diff_without_a_finite_square_fails_the_cell(self, case):
+        # on a single-candidate plan (the decoupled point) and on a scanned
+        # one, however stable the candidate's entry
+        cell, tol, r, _, _ = case
+        decoupled = (cell[0], cell[1], 0.0)
+        for plan in ((decoupled, [0.0], None), (cell, [r], tol)):
+            error = walk(*plan, {0: STABLE}, plain=[False],
+                         Gamma_diff=[1e200])
+            assert type(error) is ConfigInvalid
+            assert re.fullmatch(
+                r"derived constant Gamma_diff = 1e\+200 has no finite square"
+                r" at omega_m = \S+ rad/s \(from permittivity, sphere_radius,"
+                r" wavelength, temperature, gas_pressure, density,"
+                r" gas_molecule_mass\)", str(error))
+        # every candidate before the residual bound is checked, also one
+        # after the candidate that decides the cell
+        error = walk(cell, [r, r], tol, {0: STABLE, 1: STABLE},
+                     plain=[True, False], Gamma_diff=[1.0, 1e200])
+        assert type(error) is ConfigInvalid
 
     def test_first_error_reached_is_the_outcome(self, case):
         cell, tol, r, _, _ = case
