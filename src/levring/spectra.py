@@ -81,7 +81,7 @@ def transfer_coefficients(model: StateSpaceModel, omega) -> TransferCoefficients
     iw = 1j * omega
     kw = kappa / 2.0 - iw
     chi_c_inv = delta ** 2 + kw ** 2
-    chi_m_inv = om * Om - omega ** 2 - iw * gamma / 2.0
+    chi_m_inv = om * Om - omega ** 2 - (iw * gamma) * 0.5
     d = chi_c_inv * chi_m_inv - G ** 2 * om * delta
     kw_chi_m_inv = kw * chi_m_inv
     return TransferCoefficients(

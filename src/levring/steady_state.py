@@ -62,8 +62,8 @@ N_SCAN = 4001
 N_SCAN_RESONANT = 2001
 BISECT_REL_TOL = 1e-15          # of the full interval width
 RESIDUAL_REL_TOL = 1e-12
-SCAN_STRIDE = 16                # grid steps per coarse scan interval
-SCAN_CHUNK = 16                 # cells per coarse block of a scan
+SCAN_LEVELS = (400, 80, 16)     # grid steps per scan interval, by level
+SCAN_BLOCK = 256                # finest intervals per block of the hit pass
 SCAN_SLACK = 2.0 ** -40         # of a cell's magnitude bound (`_scan_hits`)
 
 
@@ -296,7 +296,7 @@ _TRIG = {False: (math.sin, np.sin), True: (math.cos, np.cos)}
 @functools.lru_cache(maxsize=8)
 def _grid_tables(k: float, resonant: bool):
     """(tol_x, tables) of the scan grid at wavenumber k, built once per
-    (k, resonant) and shared read-only: tables is the `_two_pass_tables`
+    (k, resonant) and shared read-only: tables is the `_level_tables`
     view of the grid (xs, cos^2(kx), trig(2kx)).
 
     The force balance is scanned on N_SCAN points across the trap
@@ -312,27 +312,35 @@ def _grid_tables(k: float, resonant: bool):
     grid = (xs, c * c, _TRIG[resonant][1](2.0 * k * xs))
     for table in grid:
         table.flags.writeable = False
-    return BISECT_REL_TOL * (2.0 * half), _two_pass_tables(grid)
+    return BISECT_REL_TOL * (2.0 * half), _level_tables(grid)
 
 
-def _two_pass_tables(grid):
-    """(grid, coarse, fine, width) of `_scan_hits` over a grid's tables
-    grid = (x, cos^2(kx), trig(2kx)), n = SCAN_STRIDE.
+def _level_tables(grid):
+    """(grid, levels, fine) of `_scan_hits` over a grid's tables
+    grid = (x, cos^2(kx), trig(2kx)).
 
-    coarse holds every n-th entry of each table, both ends included; row
-    j of a fine table holds the n + 1 entries of coarse interval j, grid
-    indices j n to (j + 1) n; width is the widest coarse interval.  n
+    levels holds one (tables, width) per stride s of SCAN_LEVELS that
+    divides the grid's steps, coarsest first; row j of each of its
+    tables holds the entries j P, j P + s, ..., (j + 1) P of interval j
+    of the level before, of stride P (the whole grid for the first), and
+    width is the widest interval of stride s.  Row j of a fine table
+    holds the n + 1 entries of interval j of the finest stride n, which
     must divide the grid's steps.
     """
-    steps, n = len(grid[0]) - 1, SCAN_STRIDE
+    steps, n = len(grid[0]) - 1, SCAN_LEVELS[-1]
     if steps % n:
-        raise ValueError(f"SCAN_STRIDE {n} does not divide {steps} grid steps")
-    coarse = tuple(np.ascontiguousarray(t[::n]) for t in grid)
-    rows = np.arange(0, steps, n)[:, None] + np.arange(n + 1)
-    fine = tuple(t[rows] for t in grid)
-    for table in coarse + fine:
+        raise ValueError(f"scan stride {n} does not divide {steps} grid steps")
+    strides = [s for s in SCAN_LEVELS if steps % s == 0]
+
+    def rows(parent, stride):
+        return tuple(t[np.arange(0, steps, parent)[:, None]
+                       + np.arange(0, parent + 1, stride)] for t in grid)
+    levels = tuple((rows(parent, s), float(np.max(np.diff(grid[0][::s]))))
+                   for parent, s in zip([steps] + strides, strides))
+    fine = rows(n, 1)
+    for table in sum((t for t, _ in levels), fine):
         table.flags.writeable = False
-    return grid, coarse, fine, float(np.max(np.diff(coarse[0])))
+    return grid, levels, fine
 
 
 def _hit_mask(fs):
@@ -351,35 +359,38 @@ def _scan_hits(fun, tables, params):
 
     fun(x, cos^2(kx), trig(2kx), params) is a cell's function, params a
     tuple of arrays of one value per cell, and tables the
-    `_two_pass_tables` of the grid.  Returns the cell, the grid index i,
+    `_level_tables` of the grid.  Returns the cell, the grid index i,
     the value there and the exact-zero flag of every grid zero and of
     every sign change between i and i + 1 (`_hit_mask`), as flat arrays
     ordered by cell and then by i.
 
-    The hits are those of the whole-grid evaluation, bit for bit, from
-    two passes that evaluate the fine grid only where a slope bound
-    cannot rule a hit out:
-    - coarse pass: f on every coarse point, SCAN_CHUNK cells at a time,
-      which bounds the temporaries.  Gathered from the grid's tables,
-      each value has the bits of the whole-grid evaluation.  A coarse
-      interval [a, b], of width at most H, is certified free of hits
-      when |F_a| + |F_b| > L H + slack (a Lipschitz exclusion test;
-      Moore, Interval Analysis, 1966), where (L, slack) = fun.bound(params)
-      per cell.  A nan or an infinity certifies nothing;
-    - fine pass: the SCAN_STRIDE + 1 points of each uncertified interval are
-      evaluated, SCAN_CHUNK * SCAN_STRIDE intervals at a time, and the
-      hit rule applied there.  An interval's last point is the next
-      one's first, so a zero there is counted by the next interval, or
-      by the last one at the end of the grid.
+    The hits are those of the whole-grid evaluation, bit for bit, from a
+    cascade that evaluates the grid only where a slope bound cannot rule
+    a hit out:
+    - levels, coarsest first: the first evaluates f at every cell's
+      points of its stride, each later one only at the points of the
+      intervals the level before left open.  Gathered from the grid's
+      tables, each value has the bits of the whole-grid evaluation.  An
+      interval [a, b] of the level, of width at most its H, is certified
+      free of hits when |F_a| + |F_b| > L H + slack (a Lipschitz
+      exclusion test; Moore, Interval Analysis, 1966), where
+      (L, slack) = fun.bound(params) per cell.  A nan or an infinity
+      certifies nothing;
+    - hit pass: the grid points of each interval the finest level left
+      open are evaluated, SCAN_BLOCK intervals at a time, which bounds
+      the temporaries, and the hit rule applied there.  An interval's
+      last point is the next one's first, so a zero there is counted by
+      the next interval, or by the last one at the end of the grid.
 
-    Why the hits are exact.  Let f be the function in exact arithmetic at
-    the stored grid points, |f'| <= L, and let each computed value lie
-    within E of f.  If f vanished at z in [a, b], |f(a)| + |f(b)| <=
-    L (z - a) + L (b - z) <= L H; so computed values of opposite signs,
-    or a zero at an end, give |F_a| + |F_b| < L H + 3E.  If they share a
-    sign and |F_a| + |F_b| - L H > 4E, f keeps that sign on [a, b] with
-    |f| > (|F_a| + |F_b| - 2E - L H) / 2 > E, so every computed fine
-    value keeps it and none is zero.  A slack of 4E plus the test's own
+    Why the hits are exact, at every level alike.  Let f be the function
+    in exact arithmetic at the stored grid points, |f'| <= L, and let
+    each computed value lie within E of f.  If f vanished at z in
+    [a, b], |f(a)| + |f(b)| <= L (z - a) + L (b - z) <= L H; so computed
+    values of opposite signs, or a zero at an end, give
+    |F_a| + |F_b| < L H + 3E.  If they share a sign and
+    |F_a| + |F_b| - L H > 4E, f keeps that sign on [a, b] with
+    |f| > (|F_a| + |F_b| - 2E - L H) / 2 > E, so every computed value
+    inside keeps it and none is zero.  A slack of 4E plus the test's own
     rounding therefore drops no hit.  For the two equations (`_balance`,
     `_mismatch`; p, q, S and r as in `_lorentzian_bound`, m the mass,
     u = 2^-53, numpy's sin and cos within 4 ulp): each sin or cos entry
@@ -388,29 +399,35 @@ def _scan_hits(fun, tables, params):
     the force balance is within
     u (3.2 |A_q| (|C0| + pi/4k) + 16.3 p/q + 94.5 p S r) <= 256u B and
     the mismatch within u (15.3 p/q + 94 p S r + 193 m r^2) <= 256u B,
-    B being the cell's magnitude bound.  At SCAN_STRIDE = 16, k H <= 0.0063, so
-    L H <= 0.06 B and the test itself rounds within 5u B.  The slack
-    SCAN_SLACK B = 2^-40 B = 8192u B is nearly eight times the
-    4 x 256u B + 5u B needed.  The bounds assume that no intermediate
-    value is subnormal.
+    B being the cell's magnitude bound.  L <= 8 k B (with |g| <= 4r),
+    and at the widest level, stride 400, k H <= pi/20 < 0.157 on both
+    grids, so L H <= 1.26 B.  The computed L and H each carry fewer
+    than 20 roundings, so the test itself rounds within 24u of L H +
+    slack and of the sum, under 31u B.  The slack SCAN_SLACK B =
+    2^-40 B = 8192u B is nearly eight times the 4 x 256u B + 31u B
+    needed.  The bounds assume that no intermediate value is subnormal.
     """
-    _, coarse, fine, width = tables
+    _, levels, fine = tables
     # a bound or a sum that overflows is inf and certifies nothing: the
-    # fine pass evaluates its intervals again (`_grid_roots` runs both
-    # passes with overflows silent)
+    # next level evaluates its intervals again (`_grid_roots` runs every
+    # level with overflows silent)
     slope, slack = fun.bound(params)
-    limit = (slope * width + slack)[:, None]
-    spans = []
-    for first in range(0, len(params[0]), SCAN_CHUNK):
-        rows = slice(first, first + SCAN_CHUNK)
-        ends = np.abs(fun(*coarse, tuple(p[rows, None] for p in params)))
+    # the open intervals as (cell, index at the level), first each cell's
+    # whole grid
+    cells = np.arange(len(params[0]))
+    opened = np.zeros_like(cells)
+    for table, width in levels:
+        ends = np.abs(fun(*(t[opened] for t in table),
+                          tuple(p[cells, None] for p in params)))
         ends = ends[:, :-1] + ends[:, 1:]
-        cell, j = np.nonzero(~((ends > limit[rows]) & (ends < np.inf)))
-        spans.append((cell + first, j))
-    cells, opened = map(np.concatenate, zip(*spans))
-    hits, block = [], SCAN_CHUNK * SCAN_STRIDE
-    for first in range(0, max(len(opened), 1), block):  # once if none open
-        cell, j = cells[first:first + block], opened[first:first + block]
+        limit = slope[cells, None] * width + slack[cells, None]
+        row, at = np.nonzero(~((ends > limit) & (ends < np.inf)))
+        cells, opened = cells[row], opened[row] * ends.shape[1] + at
+    hits = []
+    # one empty block when no interval is open, so there is one to join
+    for first in range(0, max(len(opened), 1), SCAN_BLOCK):
+        cell = cells[first:first + SCAN_BLOCK]
+        j = opened[first:first + SCAN_BLOCK]
         fs = fun(*(t[j] for t in fine), tuple(p[cell, None] for p in params))
         hit = _hit_mask(fs)
         hit[:, -1] &= j == len(fine[0]) - 1
@@ -442,28 +459,36 @@ def scan_roots(derived: DerivedParams, delta0: float, c0: float):
     return _grid_roots(derived.k, False, _balance(derived), params)[0]
 
 
-def _bisect_all(fun, a, b, fa, tol_x):
+def _bisect_all(fun, a, b, fa, params, tol_x):
     """`_bisect` on arrays of brackets in lock step, bit for bit.
 
-    fun(x, idx) evaluates at x the functions of brackets idx.  Every
-    bracket takes the scalar loop's steps: mid = 0.5 (a + b), an exact
-    zero ends it at mid, the signs of fa and fm pick the half, and it
-    ends at 0.5 (a + b) once b - a <= tol_x.
+    fun(x, params) evaluates at x the functions of the brackets whose
+    params, a tuple of arrays of one value per bracket, it is given.
+    Every bracket takes the scalar loop's steps: mid = 0.5 (a + b), an
+    exact zero ends it at mid, the signs of fa and fm pick the half, and
+    it ends at 0.5 (a + b) once b - a <= tol_x.  Only the sign of fa is
+    kept, a nan as nan, which like the scalar loop's nan picks no half.
+    The open brackets' params are compressed, and the roots written,
+    only when some bracket ends.
     """
     root = 0.5 * (a + b)
     idx = np.flatnonzero(b - a > tol_x)
-    a, b, fa = a[idx], b[idx], fa[idx]
+    a, b, sign = a[idx], b[idx], np.sign(fa[idx])
+    params = tuple(p[idx] for p in params)
     while idx.size:
         mid = 0.5 * (a + b)
-        fm = fun(mid, idx)
-        left = (fa < 0.0) & (fm > 0.0) | (fa > 0.0) & (fm < 0.0)
+        fm = fun(mid, params)
+        left = sign * fm < 0.0
         b = np.where(left, mid, b)
         a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
-        hit = fm == 0.0
-        root[idx] = np.where(hit, mid, 0.5 * (a + b))
-        go = ~hit & (b - a > tol_x)
-        idx, a, b, fa = idx[go], a[go], b[go], fa[go]
+        sign = np.where(left, sign, np.sign(fm))
+        go = (b - a > tol_x) & (fm != 0.0)
+        if not go.all():
+            end = ~go
+            root[idx[end]] = np.where(fm[end] == 0.0, mid[end],
+                                      0.5 * (a[end] + b[end]))
+            idx, a, b, sign = idx[go], a[go], b[go], sign[go]
+            params = tuple(p[go] for p in params)
     return root
 
 
@@ -476,8 +501,8 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     (`_balance`) or, resonant, the resonance mismatch (`_mismatch`), and
     fun.bound its slope bound.  Its grid zeros, each its own root, and
     sign changes (`_hit_mask`) on the grid of `_grid_tables` are found
-    for one cell on the whole grid, in fewer numpy calls than the two
-    passes of `_scan_hits`, which more cells take, with the same hits.
+    for one cell on the whole grid, in fewer numpy calls than the
+    cascade of `_scan_hits`, which more cells take, with the same hits.
     Every hit of every cell is a root, on either grid: `resonant` picks
     only the tables and the trig function.  The brackets
     [xs[i], xs[i + 1]] are bisected from f_i: one cell's on Python
@@ -510,12 +535,12 @@ def _grid_roots(k: float, resonant: bool, fun, params):
     bracket = np.flatnonzero(~zero)
     lo, at = i[bracket], cell[bracket]
 
-    def bisected_all(x, idx):
+    def bisected_all(x, bracket_params):
         c = np.cos(k * x)
-        return fun(x, c * c, array_trig(2.0 * k * x),
-                   tuple(p[at[idx]] for p in params))
+        return fun(x, c * c, array_trig(2.0 * k * x), bracket_params)
     found[bracket] = _bisect_all(bisected_all, xs[lo], xs[lo + 1],
-                                 f_i[bracket], tol_x)
+                                 f_i[bracket], tuple(p[at] for p in params),
+                                 tol_x)
     roots = [[] for _ in range(len(params[0]))]
     for c, x in zip(cell.tolist(), found.tolist()):
         roots[c].append(x)

@@ -306,6 +306,25 @@ class TestSpectrumSweep:
             assert table.S_YY.tobytes() == want_yy.tobytes()
         assert [m.stable for m in models] == [True] * 4 + [False]
 
+    def test_mechanical_resonance_on_the_grid(self):
+        # at omega = +-w0, where omega^2 equals omega_m Omega_m exactly,
+        # the real part of chi_m^-1 is a zero whose sign alone could tell
+        # (i omega gamma) * 0.5 from i omega gamma / 2: it gives their
+        # bits, and so do both columns
+        w0 = 0.75 * KAP
+        model = synthetic_model(2.0 * w0, 0.5 * w0, 0.4 * KAP, 0.3 * KAP,
+                                0.1 * KAP, 10.0 * KAP)
+        w = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * w0
+        op = model.op
+        want = op.omega_m * op.Omega_m - w ** 2 - 1j * w * model.gamma / 2.0
+        chi_m_inv = transfer_coefficients(model, w).chi_m_inv
+        assert chi_m_inv.tobytes() == want.tobytes()
+        assert chi_m_inv.real[[1, 3]].tolist() == [0.0, 0.0]
+        table = spectrum_sweep(model, w)
+        want_xx, want_yy = reference_output_spectra(model, w)
+        assert table.S_XX.tobytes() == want_xx.tobytes()
+        assert table.S_YY.tobytes() == want_yy.tobytes()
+
     def test_one_transfer_evaluation_per_sweep(self, fig1_model, monkeypatch):
         calls = []
         original = spectra.transfer_coefficients

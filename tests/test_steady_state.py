@@ -348,10 +348,10 @@ class TestSolveXs:
         # or 1e300, where products of neighbouring values underflow to
         # zero or overflow, a line and its negation give the hits and the
         # root bits they give at scale 1; the grid has two coarse
-        # intervals, the root in the first
-        xs = np.linspace(0.0, 1.0, 2 * steady_state.SCAN_STRIDE + 1)
+        # intervals of the finest stride, the root in the first
+        xs = np.linspace(0.0, 1.0, 2 * steady_state.SCAN_LEVELS[-1] + 1)
         sign = np.array([1.0, -1.0])
-        tables = steady_state._two_pass_tables((xs, xs, xs))
+        tables = steady_state._level_tables((xs, xs, xs))
         results = []
         for scale in (1e-300, 1.0, 1e300):
             def line(x, idx=0, scale=scale):
@@ -365,15 +365,38 @@ class TestSolveXs:
                                                        (np.arange(2),))
             point = steady_state._bisect(line, 0.3, 0.4, line(0.3), 1e-15)
             lock_step = steady_state._bisect_all(
-                line, np.full(2, 0.3), np.full(2, 0.4),
-                line(0.3, np.arange(2)), 1e-15)
+                lambda x, params: line(x, params[0]), np.full(2, 0.3),
+                np.full(2, 0.4), line(0.3, np.arange(2)), (np.arange(2),),
+                1e-15)
             results.append((cell.tolist(), i.tolist(), zero.tolist(),
                             point.hex(), [x.hex() for x in lock_step]))
         assert results[0][:3] == ([0, 1], [11, 11], [False, False])
         assert results[1][4] == [results[1][3]] * 2
         assert results[0] == results[1] == results[2]
         with pytest.raises(ValueError, match="does not divide 10 grid steps"):
-            steady_state._two_pass_tables((xs[:11],) * 3)
+            steady_state._level_tables((xs[:11],) * 3)
+
+    def test_lock_step_bisection_follows_nans_like_the_scalar_loop(self):
+        # lines x - r that are nan on a window of x: a nan at mid moves a,
+        # as the scalar loop's failed comparisons do, and the value after
+        # the window picks the half again; each bracket's root bits equal
+        # `_bisect`'s, with and without a nan on its way
+        roots = np.array([0.37, 0.37, 0.37, 0.333])
+        windows = np.array([[0.374, 0.376], [0.36, 0.372], [2.0, 3.0],
+                            [0.324, 0.326]])
+
+        def lines(x, params):
+            r, lo, hi = params
+            return np.where((lo < x) & (x < hi), np.nan, x - r)
+        point = [steady_state._bisect(
+            lambda x, i=i: float(lines(x, (roots[i], *windows[i]))),
+            0.3, 0.4, 0.3 - roots[i], 1e-15) for i in range(len(roots))]
+        lock_step = steady_state._bisect_all(
+            lines, np.full(4, 0.3), np.full(4, 0.4), 0.3 - roots,
+            (roots, *windows.T), 1e-15)
+        assert [x.hex() for x in lock_step] == [x.hex() for x in point]
+        assert [abs(x - r) < 1e-15 for x, r in zip(point, roots)] == [
+            False, False, True, False]
 
     def test_scan_roots_mirror_in_c0(self):
         # f(-x; -C0) = -f(x; C0): the roots are negated and reversed, up to
@@ -779,13 +802,34 @@ class TestGridTables:
 
     @pytest.mark.parametrize("resonant", [False, True])
     def test_tables_are_read_only(self, fig1, resonant):
-        grid, coarse, fine, _ = steady_state._grid_tables(fig1[1].k,
-                                                          resonant)[1]
-        for table in grid + coarse + fine:
+        grid, levels, fine = steady_state._grid_tables(fig1[1].k,
+                                                       resonant)[1]
+        assert len(levels) == len(steady_state.SCAN_LEVELS)
+        for table in grid + sum((t for t, _ in levels), fine):
             with pytest.raises(ValueError):
                 table[0] = 0.0
             with pytest.raises(ValueError):
                 table *= 1.0
+
+    def test_each_stride_divides_the_coarser_and_both_grids(self):
+        levels = steady_state.SCAN_LEVELS
+        for coarser, finer in zip(levels, levels[1:]):
+            assert coarser > finer and coarser % finer == 0
+        for steps in (N_SCAN - 1, N_SCAN_RESONANT - 1):
+            assert [steps % s for s in levels] == [0] * len(levels)
+
+    def test_a_stride_that_does_not_divide_the_grid_is_dropped(self):
+        # 160 steps: no level of stride 400, the first of stride 80 with
+        # the grid's 3 points 0, 80 and 160
+        xs = np.linspace(0.0, 1.0, 161)
+        _, levels, fine = steady_state._level_tables((xs, xs, xs))
+        assert [t[0].shape for t, _ in levels] == [(1, 3), (2, 6)]
+        assert levels[0][0][0].tolist() == [[0.0, 0.5, 1.0]]
+        assert levels[1][0][0][1].tolist() == (xs[80:161:16]).tolist()
+        assert [w for _, w in levels] == [np.max(np.diff(xs[::s]))
+                                          for s in (80, 16)]
+        assert fine[0].shape == (10, 17)
+        assert fine[0][3].tolist() == xs[48:65].tolist()
 
     @pytest.mark.parametrize("resonant", [False, True])
     def test_each_wavelength_has_its_tables(self, resonant):
@@ -816,7 +860,7 @@ class TestGridTables:
 
 
 def whole_grid_hits(fun, k, resonant, params):
-    """Reference for the two-pass scan: each cell evaluated on the whole
+    """Reference for the level-by-level scan: each cell evaluated on the whole
     grid, as (cell, i, value bits) of every grid zero and of every sign
     change between i and i + 1."""
     xs, cos2, trig = steady_state._grid_tables(k, resonant)[1][0]
@@ -853,19 +897,20 @@ def fold_cases():
 
 
 def line_cells(trig):
-    """Cells a (x - r) + trig on the 65-point grid of [0, 1], whose coarse
-    points are 0, 1/4, 1/2, 3/4 and 1; params = (a, r), slope bound |a|."""
+    """Cells a (x - r) + trig on the 65-point grid of [0, 1], whose one
+    level, of the finest stride 16, has the points 0, 1/4, 1/2, 3/4 and
+    1; params = (a, r), slope bound |a|."""
     xs = np.linspace(0.0, 1.0, 65)
 
     def line(x, cos2, trig, params):
         return params[0] * (x - params[1]) + trig
     line.bound = lambda params: (
         np.abs(params[0]), steady_state.SCAN_SLACK * 2.0 * np.abs(params[0]))
-    return line, steady_state._two_pass_tables((xs, xs, trig))
+    return line, steady_state._level_tables((xs, xs, trig))
 
 
 class TestTwoPassScan:
-    """The certified coarse-to-fine scan finds the whole grid's hits."""
+    """The certified level-by-level scan finds the whole grid's hits."""
 
     def test_balance_roots_equal_reference(self):
         batches = (stokes_side_cases(), fold_cases(),
@@ -930,6 +975,73 @@ class TestTwoPassScan:
                            params)
         assert got == whole_grid_hits(fun, derived.k, False, params)
         assert len(params[0]) >= 800 and len(got) >= 400
+
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_seeded_map_grids_equal_whole_grid(self, resonant):
+        # a map-shaped seeded grid, each detuning repeated with distinct
+        # C0 and A_q, the first detuning's cells with a nan bound, and
+        # cells whose |delta0| overflows delta * delta to inf: the force
+        # balance is then the ring's line, the mismatch -inf throughout
+        rng = np.random.default_rng(41)
+        derived = derive_constants(reference_config())
+        columns = [(rng.uniform(-0.25, 0.25) * 1064e-9,
+                    rng.uniform(0.2, 3.0) * derived.A_q) for _ in range(6)]
+        detunings = rng.uniform(-1.5, 1.5, 20) * derived.kappa
+        rows = [(d0, c0, a_q) for d0 in detunings for c0, a_q in columns]
+        n_map = len(rows)
+        rows += [(sign * 1e200, c0, a_q) for sign in (1.0, -1.0)
+                 for c0, a_q in columns[3:5]]
+        fun = steady_state._balance(derived)
+        if resonant:
+            rows, fun = [row[:1] for row in rows], steady_state._mismatch(
+                derived)
+        params = tuple(np.array(rows).T)
+
+        def cells(*args):
+            return fun(*args)
+        cells.bound = lambda params: tuple(
+            np.where(params[0] == detunings[0], np.nan, v)
+            for v in fun.bound(params))
+        with np.errstate(over="ignore"):
+            assert np.isnan(cells.bound(params)[0]).tolist() == [
+                c < len(columns) for c in range(len(rows))]
+            got = scanned_hits(cells, steady_state._grid_tables(
+                derived.k, resonant)[1], params)
+            assert got == whole_grid_hits(fun, derived.k, resonant, params)
+        hit_cells = [c for c, _, _ in got]
+        assert set(range(len(columns))) <= set(hit_cells)
+        if resonant:
+            assert len(got) >= 50 and max(hit_cells) < n_map
+        else:
+            assert hit_cells == list(range(len(rows)))
+
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_grid_zeros_at_each_stride_and_a_close_pair(self, fig1, resonant):
+        # cells c (x - r1)(x - r2) on the scan grid: exact grid zeros at
+        # a point of each stride (400, 80 only, 16 only, 1) and a pair of
+        # sign changes inside one stride-400 interval, between 400 and 800
+        k = fig1[1].k
+        tables = steady_state._grid_tables(k, resonant)[1]
+        xs = tables[0][0]
+        out = 2.0 * float(np.max(np.abs(xs)))
+
+        def quadratic(x, cos2, trig, params):
+            c, r1, r2 = params
+            return c * (x - r1) * (x - r2)
+        quadratic.bound = lambda params: (
+            np.abs(params[0]) * (out + np.abs(params[1]) + np.abs(params[2])),
+            steady_state.SCAN_SLACK * np.abs(params[0])
+            * (out + np.abs(params[1])) * (out + np.abs(params[2])))
+        pair = [0.5 * float(xs[i] + xs[i + 1]) for i in (410, 700)]
+        rows = [(1e14, float(xs[i]), out) for i in (400, 880, 1616, 1617)]
+        rows.append((-1e14, *pair))
+        params = tuple(np.array(rows).T)
+        got = scanned_hits(quadratic, tables, params)
+        assert [(c, i) for c, i, _ in got] == [
+            (0, 400), (1, 880), (2, 1616), (3, 1617), (4, 410), (4, 700)]
+        assert [float.fromhex(f) == 0.0 for _, _, f in got] == [
+            True] * 4 + [False] * 2
+        assert got == whole_grid_hits(quadratic, k, resonant, params)
 
     def test_zeros_and_sign_changes_at_coarse_points(self):
         # grid zeros at a coarse point (i = 16), at a fine point (i = 5),
